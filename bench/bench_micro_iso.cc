@@ -1,15 +1,16 @@
 // Micro-benchmarks for the matching substrates: the combined EvalMR
 // search vs VF2 full enumeration (the §4.1 early-termination claim),
-// pairing-relation computation (Prop. 9), d-neighbor extraction, and
-// union-find operations.
+// pairing-relation computation (Prop. 9, including a hub-sized ball),
+// d-neighbor extraction, and union-find operations.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.h"
+#include "gen/hostile.h"
 #include "graph/neighborhood.h"
 #include "isomorph/pairing.h"
-#include "isomorph/pairing_reference.h"
 #include "isomorph/vf2.h"
+#include "pairing_reference.h"
 
 namespace gkeys {
 namespace bench {
@@ -178,6 +179,80 @@ void BM_PairingReferenceDense(benchmark::State& state) {
   state.counters["nbr_nodes"] = static_cast<double>(n1.size() + n2.size());
 }
 BENCHMARK(BM_PairingReferenceDense)->Arg(2)->Arg(3)->Arg(4);
+
+/// The ball² case: the planted leaf pair of a power-law graph with the
+/// largest d-neighborhoods. Every planted leaf pair chains through a
+/// planted hub pair, and the planted leaves are the most-followed leaves,
+/// so both balls hold hundreds of followers whose own `la` values lie
+/// outside the ball and can never support K_leaf.
+struct HubFixture {
+  SyntheticDataset ds;
+  std::unique_ptr<EmContext> ctx;
+  const Candidate* hot = nullptr;
+
+  HubFixture() : ds(GeneratePowerLaw(Config())) {
+    ctx = std::make_unique<EmContext>(ds.graph, ds.keys, EmOptions());
+    auto ball = [](const Candidate& c) {
+      return c.nbr1->size() + c.nbr2->size();
+    };
+    for (const Candidate& c : ctx->candidates()) {
+      // Leaf pairs carry the recursive key; hub pairs do not.
+      if (c.has_recursive_key && (hot == nullptr || ball(c) > ball(*hot))) {
+        hot = &c;
+      }
+    }
+  }
+
+  static PowerLawConfig Config() {
+    PowerLawConfig config;
+    config.chained_fraction = 1.0;
+    config.follows_per_leaf = 2;
+    config.scale = 10;
+    return config;
+  }
+
+  static HubFixture& Get() {
+    static HubFixture* f = new HubFixture();
+    return *f;
+  }
+};
+
+void BM_PairingHub(benchmark::State& state) {
+  HubFixture& f = HubFixture::Get();
+  const Candidate& c = *f.hot;
+  PairingScratch scratch;
+  size_t relation = 0;
+  for (auto _ : state) {
+    for (int ki : *c.keys) {
+      PairingResult pr =
+          ComputeMaxPairing(f.ds.graph, f.ctx->compiled_keys()[ki].cp,
+                            c.e1, c.e2, *c.nbr1, *c.nbr2,
+                            /*collect_pairs=*/false, &scratch);
+      relation = std::max(relation, pr.relation_size);
+      benchmark::DoNotOptimize(pr.paired);
+    }
+  }
+  state.counters["nbr_nodes"] =
+      static_cast<double>(c.nbr1->size() + c.nbr2->size());
+  state.counters["relation"] = static_cast<double>(relation);
+}
+BENCHMARK(BM_PairingHub);
+
+void BM_PairingReferenceHub(benchmark::State& state) {
+  HubFixture& f = HubFixture::Get();
+  const Candidate& c = *f.hot;
+  for (auto _ : state) {
+    for (int ki : *c.keys) {
+      PairingResult pr =
+          ReferenceMaxPairing(f.ds.graph, f.ctx->compiled_keys()[ki].cp,
+                              c.e1, c.e2, *c.nbr1, *c.nbr2);
+      benchmark::DoNotOptimize(pr.paired);
+    }
+  }
+  state.counters["nbr_nodes"] =
+      static_cast<double>(c.nbr1->size() + c.nbr2->size());
+}
+BENCHMARK(BM_PairingReferenceHub)->Unit(benchmark::kMillisecond);
 
 void BM_DNeighborExtraction(benchmark::State& state) {
   MicroFixture& f = MicroFixture::Get();

@@ -868,15 +868,20 @@ EmContext::EmContext(const EmContext& prev,
   };
   std::vector<Reduction> reductions(opts_.use_pairing ? raw.size() : 0);
   if (opts_.use_pairing) {
-    size_t dirty_pairs = 0;
-    for (const RawPair& rp : raw) dirty_pairs += rp.reuse < 0 ? 1 : 0;
-    const int pc = workers(dirty_pairs);
+    // Shard over the dirty pairs only, so carried pairs cannot leave one
+    // worker with every pairing call.
+    std::vector<uint32_t> dirty;
+    for (size_t i = 0; i < raw.size(); ++i) {
+      if (raw[i].reuse < 0) dirty.push_back(static_cast<uint32_t>(i));
+    }
+    const int pc = workers(dirty.size());
     std::vector<PairingScratch> scratches(pc);
-    ParallelShards(pc, raw.size(), [&](int shard, size_t begin, size_t end) {
+    ParallelShards(pc, dirty.size(), [&](int shard, size_t begin,
+                                         size_t end) {
       PairingScratch& scratch = scratches[shard];
-      for (size_t i = begin; i < end; ++i) {
+      for (size_t k = begin; k < end; ++k) {
+        const size_t i = dirty[k];
         const RawPair& rp = raw[i];
-        if (rp.reuse >= 0) continue;
         const NodeSet& n1 = DNbr(rp.e1);
         const NodeSet& n2 = DNbr(rp.e2);
         Reduction& red = reductions[i];

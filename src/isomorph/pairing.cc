@@ -42,31 +42,68 @@ void Transpose(const Csr& fwd, size_t out_rows, Csr* rev,
   }
 }
 
-/// Candidate domains and the pair relation of one pattern node. dom1/dom2
-/// are ascending NodeIds; rel is a |dom1|×|dom2| bitset, row-major in
-/// 64-bit words (`words` per row, tail bits always zero).
+/// Marks a candidate removed by the per-side prune in a compaction map.
+constexpr uint32_t kPruned = ~uint32_t{0};
+
+/// Keeps the rows of `csr` whose `row_map` entry is not kPruned and, in
+/// them, the targets whose `target_map` entry is not kPruned, renumbering
+/// both through the maps. In place: the write cursor never passes the read
+/// cursor.
+void CompactCsr(const std::vector<uint32_t>& row_map,
+                const std::vector<uint32_t>& target_map, Csr* csr) {
+  uint32_t out = 0;
+  size_t rows = 0;
+  uint32_t begin = csr->offsets[0];
+  for (size_t i = 0; i + 1 < csr->offsets.size(); ++i) {
+    const uint32_t end = csr->offsets[i + 1];
+    if (row_map[i] != kPruned) {
+      for (uint32_t k = begin; k < end; ++k) {
+        const uint32_t t = target_map[csr->targets[k]];
+        if (t != kPruned) csr->targets[out++] = t;
+      }
+      csr->offsets[++rows] = out;
+    }
+    begin = end;
+  }
+  csr->offsets.resize(rows + 1);
+  csr->targets.resize(out);
+}
+
+/// Candidate domains and the pair relation of one pattern node. dom[0] /
+/// dom[1] are the ascending left (Gd1) / right (Gd2) candidates; rel is a
+/// |dom[0]|×|dom[1]| bitset, row-major in 64-bit words (`words` per row,
+/// tail bits always zero).
 struct NodeState {
-  std::vector<NodeId> dom1, dom2;
+  std::vector<NodeId> dom[2];
+  /// Per-side prune state, parallel to dom: nonzero while a candidate is
+  /// alive; after compaction, its new dense id or kPruned.
+  std::vector<uint32_t> live[2];
   size_t words = 0;
   std::vector<uint64_t> rel;
 };
 
-/// Witness adjacency of one pattern triple (subject s, object o): dense
-/// candidate ids of s mapped to the ids of o they can reach along the
-/// triple's predicate, per side, plus the transposes (for deletion
-/// propagation) and per-right-candidate column masks (so a support check
-/// is rows-of-interest ANDed against one mask, word by word).
+/// Witness adjacency of one pattern triple (subject s, object o): per side,
+/// dense candidate ids of s mapped to the ids of o they can reach along the
+/// triple's predicate, plus the transposes (for deletion propagation).
+/// The per-side prune counts surviving adjacency per candidate; the pair
+/// fixpoint uses per-right-candidate column masks (so a support check is
+/// rows-of-interest ANDed against one mask, word by word).
 struct TripleState {
-  Csr lfwd;  // s left id  -> o left ids
-  Csr lrev;  // o left id  -> s left ids
-  Csr rfwd;  // s right id -> o right ids
-  Csr rrev;  // o right id -> s right ids
-  std::vector<uint64_t> fwd_mask;  // [s right id] × o.words
-  std::vector<uint64_t> rev_mask;  // [o right id] × s.words
+  Csr fwd[2];                          // [side] s id -> o ids
+  Csr rev[2];                          // [side] o id -> s ids
+  std::vector<uint32_t> out_live[2];   // [side][s id] live o ids in fwd row
+  std::vector<uint32_t> in_live[2];    // [side][o id] live s ids in rev row
+  std::vector<uint64_t> fwd_mask;      // [s right id] × o.words
+  std::vector<uint64_t> rev_mask;      // [o right id] × s.words
 };
 
 struct Deletion {
   uint32_t node, i, j;
+};
+
+/// One candidate pruned from one side's domain.
+struct Removal {
+  uint32_t node, side, i;
 };
 
 }  // namespace
@@ -76,6 +113,7 @@ struct PairingScratch::State {
   std::vector<NodeState> nodes;
   std::vector<TripleState> triples;
   std::vector<Deletion> worklist;
+  std::vector<Removal> removals;
   std::vector<uint32_t> cursor;      // Transpose scratch
   std::vector<uint64_t> colmask;     // column-occupancy scratch
   std::vector<NodeId> collect1, collect2;
@@ -138,14 +176,37 @@ class PairingEngine {
     }
   }
 
-  /// Builds dom1/dom2 of every pattern node and the initial (locally
-  /// compatible) relation. Returns false when some domain is empty: the
-  /// pattern is connected, so the fixpoint would wipe every relation and
-  /// nothing can pair.
+  /// Builds the locally compatible candidates of every pattern node on
+  /// each side. Returns false when some domain is empty: the pattern is
+  /// connected, so the fixpoint would wipe every relation and nothing can
+  /// pair.
   bool BuildDomains();
 
-  /// Builds the per-triple witness adjacency and column masks.
+  /// Builds the per-triple, per-side witness adjacency over the domains.
   void BuildAdjacency();
+
+  /// Per-side unary arc consistency: drops every candidate that lacks, on
+  /// its own side, an edge along some incident triple to a surviving
+  /// candidate of the other endpoint, then compacts domains and adjacency
+  /// to the survivors. Returns false when e1/e2 or a whole domain is gone.
+  bool Prune(NodeId e1, NodeId e2);
+
+  /// Removes candidate i of node v from `side` (and a value or constant
+  /// node's candidate from both sides, keeping dom[0] == dom[1]).
+  void Remove(uint32_t v, uint32_t side, uint32_t i) {
+    NodeState& ns = st_.nodes[v];
+    if (ns.live[side][i] == 0) return;
+    ns.live[side][i] = 0;
+    st_.removals.push_back(Removal{v, side, i});
+    const VarKind kind = cp_.nodes[v].kind;
+    if (kind == VarKind::kValueVar || kind == VarKind::kConstant) {
+      Remove(v, 1 - side, i);
+    }
+  }
+
+  /// Allocates the pair relations over the pruned domains and the column
+  /// masks of the right-side adjacency.
+  void BuildRelations();
 
   /// Whether pair (i, j) of node v still has a witness along triple t in
   /// the given role: some reachable pair of the other endpoint survives.
@@ -155,7 +216,7 @@ class PairingEngine {
     const CompiledTriple& ct = cp_.triples[t];
     int other = as_subject ? ct.object : ct.subject;
     const NodeState& os = st_.nodes[other];
-    const Csr& rows = as_subject ? ts.lfwd : ts.lrev;
+    const Csr& rows = as_subject ? ts.fwd[0] : ts.rev[0];
     const std::vector<uint64_t>& masks =
         as_subject ? ts.fwd_mask : ts.rev_mask;
     const uint64_t* mask = masks.data() + j * os.words;
@@ -204,42 +265,165 @@ class PairingEngine {
 bool PairingEngine::BuildDomains() {
   for (size_t v = 0; v < cp_.nodes.size(); ++v) {
     const CompiledNode& pn = cp_.nodes[v];
-    NodeState& ns = st_.nodes[v];
-    ns.dom1.clear();
-    ns.dom2.clear();
+    std::vector<NodeId>* dom = st_.nodes[v].dom;
+    dom[0].clear();
+    dom[1].clear();
     switch (pn.kind) {
       case VarKind::kDesignated:
       case VarKind::kEntityVar:
       case VarKind::kWildcard:
         for (NodeId n : n1_) {
           if (g_.IsEntity(n) && g_.entity_type(n) == pn.type) {
-            ns.dom1.push_back(n);
+            dom[0].push_back(n);
           }
         }
         for (NodeId n : n2_) {
           if (g_.IsEntity(n) && g_.entity_type(n) == pn.type) {
-            ns.dom2.push_back(n);
+            dom[1].push_back(n);
           }
         }
         break;
       case VarKind::kValueVar:
         for (NodeId n : n1_) {
-          if (g_.IsValue(n) && n2_.Contains(n)) ns.dom1.push_back(n);
+          if (g_.IsValue(n) && n2_.Contains(n)) dom[0].push_back(n);
         }
-        ns.dom2 = ns.dom1;
+        dom[1] = dom[0];
         break;
       case VarKind::kConstant:
         if (pn.constant_node != kNoNode && n1_.Contains(pn.constant_node) &&
             n2_.Contains(pn.constant_node)) {
-          ns.dom1.push_back(pn.constant_node);
-          ns.dom2.push_back(pn.constant_node);
+          dom[0].push_back(pn.constant_node);
+          dom[1].push_back(pn.constant_node);
         }
         break;
     }
-    if (ns.dom1.empty() || ns.dom2.empty()) return false;
+    if (dom[0].empty() || dom[1].empty()) return false;
+  }
+  return true;
+}
 
-    const size_t rows = ns.dom1.size();
-    const size_t cols = ns.dom2.size();
+void PairingEngine::BuildAdjacency() {
+  for (size_t t = 0; t < cp_.triples.size(); ++t) {
+    const CompiledTriple& ct = cp_.triples[t];
+    TripleState& ts = st_.triples[t];
+    const NodeState& ss = st_.nodes[ct.subject];
+    const NodeState& os = st_.nodes[ct.object];
+    for (int side = 0; side < 2; ++side) {
+      const std::vector<NodeId>& from = ss.dom[side];
+      const std::vector<NodeId>& to = os.dom[side];
+      Csr& fwd = ts.fwd[side];
+      fwd.Reset(from.size());
+      for (size_t i = 0; i < from.size(); ++i) {
+        ForEachOut(from[i], ct.pred, [&](NodeId dst) {
+          int j = IndexOf(to, dst);
+          if (j >= 0) fwd.targets.push_back(static_cast<uint32_t>(j));
+        });
+        fwd.offsets[i + 1] = static_cast<uint32_t>(fwd.targets.size());
+      }
+      Transpose(fwd, to.size(), &ts.rev[side], &st_.cursor);
+    }
+  }
+}
+
+bool PairingEngine::Prune(NodeId e1, NodeId e2) {
+  // Every candidate starts alive, so a live-adjacency counter starts at
+  // its row length; a candidate whose counter hits zero along some
+  // incident triple has no same-side witness left and is removed. Each
+  // adjacency entry is decremented at most once: linear in the CSRs.
+  for (size_t v = 0; v < cp_.nodes.size(); ++v) {
+    NodeState& ns = st_.nodes[v];
+    for (int side = 0; side < 2; ++side) {
+      ns.live[side].assign(ns.dom[side].size(), 1);
+    }
+  }
+  st_.removals.clear();
+  auto row_lengths = [](const Csr& csr, std::vector<uint32_t>* out) {
+    out->resize(csr.offsets.size() - 1);
+    for (size_t i = 0; i < out->size(); ++i) {
+      (*out)[i] = csr.offsets[i + 1] - csr.offsets[i];
+    }
+  };
+  for (size_t t = 0; t < cp_.triples.size(); ++t) {
+    const CompiledTriple& ct = cp_.triples[t];
+    TripleState& ts = st_.triples[t];
+    for (uint32_t side = 0; side < 2; ++side) {
+      row_lengths(ts.fwd[side], &ts.out_live[side]);
+      row_lengths(ts.rev[side], &ts.in_live[side]);
+      for (uint32_t i = 0; i < ts.out_live[side].size(); ++i) {
+        if (ts.out_live[side][i] == 0) Remove(ct.subject, side, i);
+      }
+      for (uint32_t j = 0; j < ts.in_live[side].size(); ++j) {
+        if (ts.in_live[side][j] == 0) Remove(ct.object, side, j);
+      }
+    }
+  }
+  while (!st_.removals.empty()) {
+    const Removal r = st_.removals.back();
+    st_.removals.pop_back();
+    const int v = static_cast<int>(r.node);
+    for (int t : cp_.incident[v]) {
+      const CompiledTriple& ct = cp_.triples[t];
+      TripleState& ts = st_.triples[t];
+      if (ct.subject == v) {
+        for (uint32_t j : ts.fwd[r.side].Row(r.i)) {
+          if (--ts.in_live[r.side][j] == 0) Remove(ct.object, r.side, j);
+        }
+      }
+      if (ct.object == v) {
+        for (uint32_t i : ts.rev[r.side].Row(r.i)) {
+          if (--ts.out_live[r.side][i] == 0) Remove(ct.subject, r.side, i);
+        }
+      }
+    }
+  }
+
+  const NodeState& xs = st_.nodes[cp_.designated];
+  const int i1 = IndexOf(xs.dom[0], e1);
+  const int j1 = IndexOf(xs.dom[1], e2);
+  if (i1 < 0 || j1 < 0 || xs.live[0][i1] == 0 || xs.live[1][j1] == 0) {
+    return false;
+  }
+
+  // Compaction: live[side] becomes the old → new id map, then domains and
+  // adjacency shrink to the survivors.
+  for (size_t v = 0; v < cp_.nodes.size(); ++v) {
+    NodeState& ns = st_.nodes[v];
+    for (int side = 0; side < 2; ++side) {
+      std::vector<NodeId>& dom = ns.dom[side];
+      std::vector<uint32_t>& live = ns.live[side];
+      uint32_t next = 0;
+      for (size_t i = 0; i < dom.size(); ++i) {
+        if (live[i] == 0) {
+          live[i] = kPruned;
+        } else {
+          dom[next] = dom[i];
+          live[i] = next++;
+        }
+      }
+      dom.resize(next);
+      if (next == 0) return false;
+    }
+  }
+  for (size_t t = 0; t < cp_.triples.size(); ++t) {
+    const CompiledTriple& ct = cp_.triples[t];
+    TripleState& ts = st_.triples[t];
+    const NodeState& ss = st_.nodes[ct.subject];
+    const NodeState& os = st_.nodes[ct.object];
+    for (int side = 0; side < 2; ++side) {
+      CompactCsr(ss.live[side], os.live[side], &ts.fwd[side]);
+      Transpose(ts.fwd[side], os.dom[side].size(), &ts.rev[side],
+                &st_.cursor);
+    }
+  }
+  return true;
+}
+
+void PairingEngine::BuildRelations() {
+  for (size_t v = 0; v < cp_.nodes.size(); ++v) {
+    const CompiledNode& pn = cp_.nodes[v];
+    NodeState& ns = st_.nodes[v];
+    const size_t rows = ns.dom[0].size();
+    const size_t cols = ns.dom[1].size();
     ns.words = Words(cols);
     if (pn.kind == VarKind::kValueVar || pn.kind == VarKind::kConstant) {
       // Value equality is node identity: only the diagonal is compatible.
@@ -256,44 +440,22 @@ bool PairingEngine::BuildDomains() {
       }
     }
   }
-  return true;
-}
 
-void PairingEngine::BuildAdjacency() {
+  auto build_mask = [](const Csr& csr, size_t words,
+                       std::vector<uint64_t>* mask) {
+    mask->assign((csr.offsets.size() - 1) * words, 0);
+    for (size_t j = 0; j + 1 < csr.offsets.size(); ++j) {
+      uint64_t* row = mask->data() + j * words;
+      for (uint32_t j2 : csr.Row(j)) {
+        row[j2 >> 6] |= uint64_t{1} << (j2 & 63);
+      }
+    }
+  };
   for (size_t t = 0; t < cp_.triples.size(); ++t) {
     const CompiledTriple& ct = cp_.triples[t];
     TripleState& ts = st_.triples[t];
-    const NodeState& ss = st_.nodes[ct.subject];
-    const NodeState& os = st_.nodes[ct.object];
-
-    auto build_fwd = [&](const std::vector<NodeId>& from,
-                         const std::vector<NodeId>& to, Csr* fwd) {
-      fwd->Reset(from.size());
-      for (size_t i = 0; i < from.size(); ++i) {
-        ForEachOut(from[i], ct.pred, [&](NodeId dst) {
-          int j = IndexOf(to, dst);
-          if (j >= 0) fwd->targets.push_back(static_cast<uint32_t>(j));
-        });
-        fwd->offsets[i + 1] = static_cast<uint32_t>(fwd->targets.size());
-      }
-    };
-    build_fwd(ss.dom1, os.dom1, &ts.lfwd);
-    build_fwd(ss.dom2, os.dom2, &ts.rfwd);
-    Transpose(ts.lfwd, os.dom1.size(), &ts.lrev, &st_.cursor);
-    Transpose(ts.rfwd, os.dom2.size(), &ts.rrev, &st_.cursor);
-
-    auto build_mask = [](const Csr& csr, size_t words,
-                         std::vector<uint64_t>* mask) {
-      mask->assign((csr.offsets.size() - 1) * words, 0);
-      for (size_t j = 0; j + 1 < csr.offsets.size(); ++j) {
-        uint64_t* row = mask->data() + j * words;
-        for (uint32_t j2 : csr.Row(j)) {
-          row[j2 >> 6] |= uint64_t{1} << (j2 & 63);
-        }
-      }
-    };
-    build_mask(ts.rfwd, os.words, &ts.fwd_mask);
-    build_mask(ts.rrev, ss.words, &ts.rev_mask);
+    build_mask(ts.fwd[1], st_.nodes[ct.object].words, &ts.fwd_mask);
+    build_mask(ts.rev[1], st_.nodes[ct.subject].words, &ts.rev_mask);
   }
 }
 
@@ -310,8 +472,8 @@ void PairingEngine::Propagate() {
         // pairs in its adjacency image.
         const int o = ct.object;
         NodeState& os = st_.nodes[o];
-        for (uint32_t i2 : ts.lfwd.Row(del.i)) {
-          for (uint32_t j2 : ts.rfwd.Row(del.j)) {
+        for (uint32_t i2 : ts.fwd[0].Row(del.i)) {
+          for (uint32_t j2 : ts.fwd[1].Row(del.j)) {
             if (TestBit(os, i2, j2) &&
                 !HasSupport(o, i2, j2, t, /*as_subject=*/false)) {
               Delete(o, i2, j2);
@@ -322,8 +484,8 @@ void PairingEngine::Propagate() {
       if (ct.object == v) {
         const int s = ct.subject;
         NodeState& ss = st_.nodes[s];
-        for (uint32_t i2 : ts.lrev.Row(del.i)) {
-          for (uint32_t j2 : ts.rrev.Row(del.j)) {
+        for (uint32_t i2 : ts.rev[0].Row(del.i)) {
+          for (uint32_t j2 : ts.rev[1].Row(del.j)) {
             if (TestBit(ss, i2, j2) &&
                 !HasSupport(s, i2, j2, t, /*as_subject=*/true)) {
               Delete(s, i2, j2);
@@ -339,6 +501,8 @@ PairingResult PairingEngine::Run(NodeId e1, NodeId e2, bool collect_pairs) {
   PairingResult result;
   if (!BuildDomains()) return result;
   BuildAdjacency();
+  if (!Prune(e1, e2)) return result;
+  BuildRelations();
 
   // Initial pass: every locally compatible pair must be supported along
   // all incident triples; failures seed the worklist. Set bits are
@@ -346,7 +510,7 @@ PairingResult PairingEngine::Run(NodeId e1, NodeId e2, bool collect_pairs) {
   // not O(rows × cols).
   for (size_t v = 0; v < cp_.nodes.size(); ++v) {
     NodeState& ns = st_.nodes[v];
-    for (uint32_t i = 0; i < ns.dom1.size(); ++i) {
+    for (uint32_t i = 0; i < ns.dom[0].size(); ++i) {
       const uint64_t* row = RelRow(ns, i);
       for (size_t w = 0; w < ns.words; ++w) {
         uint64_t bits = row[w];
@@ -363,8 +527,8 @@ PairingResult PairingEngine::Run(NodeId e1, NodeId e2, bool collect_pairs) {
   Propagate();
 
   const NodeState& xs = st_.nodes[cp_.designated];
-  const int i1 = IndexOf(xs.dom1, e1);
-  const int j1 = IndexOf(xs.dom2, e2);
+  const int i1 = IndexOf(xs.dom[0], e1);
+  const int j1 = IndexOf(xs.dom[1], e2);
   if (i1 < 0 || j1 < 0 || !TestBit(xs, i1, j1)) return result;
   result.paired = true;
 
@@ -374,7 +538,7 @@ PairingResult PairingEngine::Run(NodeId e1, NodeId e2, bool collect_pairs) {
   for (size_t v = 0; v < cp_.nodes.size(); ++v) {
     NodeState& ns = st_.nodes[v];
     st_.colmask.assign(ns.words, 0);
-    for (size_t i = 0; i < ns.dom1.size(); ++i) {
+    for (size_t i = 0; i < ns.dom[0].size(); ++i) {
       const uint64_t* row = RelRow(ns, i);
       bool any = false;
       for (size_t w = 0; w < ns.words; ++w) {
@@ -387,18 +551,18 @@ PairingResult PairingEngine::Run(NodeId e1, NodeId e2, bool collect_pairs) {
           while (bits != 0) {
             size_t j = w * 64 + __builtin_ctzll(bits);
             bits &= bits - 1;
-            st_.pair_buf.push_back(PackPair(ns.dom1[i], ns.dom2[j]));
+            st_.pair_buf.push_back(PackPair(ns.dom[0][i], ns.dom[1][j]));
           }
         }
       }
-      if (any) st_.collect1.push_back(ns.dom1[i]);
+      if (any) st_.collect1.push_back(ns.dom[0][i]);
     }
     for (size_t w = 0; w < ns.words; ++w) {
       uint64_t bits = st_.colmask[w];
       while (bits != 0) {
         size_t j = w * 64 + __builtin_ctzll(bits);
         bits &= bits - 1;
-        st_.collect2.push_back(ns.dom2[j]);
+        st_.collect2.push_back(ns.dom[1][j]);
       }
     }
   }

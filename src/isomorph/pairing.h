@@ -61,18 +61,29 @@ class PairingScratch {
 };
 
 /// Computes the maximum pairing relation P^Q of Q at (e1, e2) over the
-/// d-neighbors (n1, n2) by fixpoint pruning, in O(|Q|·|Gd1|·|Gd2|) per
-/// Prop. 9: start from all locally type/value-compatible triples
-/// (s1, s2, s_Q) and repeatedly delete triples missing a required witness
-/// along some pattern edge, until stable.
+/// d-neighbors (n1, n2) by fixpoint pruning (Prop. 9): start from all
+/// locally type/value-compatible triples (s1, s2, s_Q) and repeatedly
+/// delete triples missing a required witness along some pattern edge,
+/// until stable.
 ///
-/// Representation: per pattern node the locally compatible candidates of
-/// each side are indexed into dense ids and the pair relation is a
-/// row-major bitset over |left|×|right|; witness support is checked by
-/// word-scans over precomputed per-(node, triple) adjacency, and deletions
-/// propagate through a worklist that re-checks only the neighbor pairs
-/// whose witness the deleted pair could have been (instead of rescanning
-/// whole relations until quiescence).
+/// Cost: a per-side prune linear in the witness adjacency of Gd1 and Gd2,
+/// then O(|Q|·|dom1′|·|dom2′|) over the surviving candidate domains. The
+/// prune is unary arc consistency on each side alone: a candidate of a
+/// pattern node survives only if, along every incident pattern triple, it
+/// has an edge on its own side to a surviving candidate of the other
+/// endpoint (value and constant candidates must survive on both sides).
+/// Each side's projection of P^Q satisfies exactly that, so the prune
+/// never drops a member of P^Q and every result field is unchanged; it
+/// only keeps the quadratic relation from spanning candidates (e.g. the
+/// thousands of leaves in a hub's ball) that could never pair.
+///
+/// Representation: per pattern node the surviving candidates of each side
+/// are indexed into dense ids and the pair relation is a row-major bitset
+/// over |left|×|right|; witness support is checked by word-scans over
+/// precomputed per-(node, triple) adjacency, and deletions propagate
+/// through a worklist that re-checks only the neighbor pairs whose witness
+/// the deleted pair could have been (instead of rescanning whole relations
+/// until quiescence).
 ///
 /// `scratch` may be null (a private scratch is used); passing one reuses
 /// its buffers across calls.

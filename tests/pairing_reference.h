@@ -1,5 +1,5 @@
-#ifndef GKEYS_ISOMORPH_PAIRING_REFERENCE_H_
-#define GKEYS_ISOMORPH_PAIRING_REFERENCE_H_
+#ifndef GKEYS_TESTS_PAIRING_REFERENCE_H_
+#define GKEYS_TESTS_PAIRING_REFERENCE_H_
 
 #include <unordered_set>
 #include <vector>
@@ -138,4 +138,4 @@ inline PairingResult ReferenceMaxPairing(const Graph& g,
 
 }  // namespace gkeys
 
-#endif  // GKEYS_ISOMORPH_PAIRING_REFERENCE_H_
+#endif  // GKEYS_TESTS_PAIRING_REFERENCE_H_

@@ -7,9 +7,10 @@
 #include <vector>
 
 #include "core/entity_matcher.h"
+#include "gen/hostile.h"
 #include "gen/synthetic.h"
 #include "isomorph/eval_search.h"
-#include "isomorph/pairing_reference.h"
+#include "pairing_reference.h"
 #include "pattern/parser.h"
 #include "test_util.h"
 
@@ -170,10 +171,99 @@ TEST(Pairing, UnmatchablePatternNeverPairs) {
 
 // ---- Oracle: the pre-worklist hash-table fixpoint ---------------------------
 //
-// ReferenceMaxPairing (isomorph/pairing_reference.h) is the original
-// implementation, kept verbatim. The dense worklist engine must agree
-// with it on every observable: paired, relation_size, reduced1/reduced2,
-// collected pairs.
+// ReferenceMaxPairing (tests/pairing_reference.h) is the original
+// implementation, kept verbatim. The dense worklist engine, per-side
+// domain prune included, must agree with it on every observable: paired,
+// relation_size, reduced1/reduced2, collected pairs.
+
+/// Runs both engines on one input and expects every observable to agree;
+/// returns the dense engine's result.
+PairingResult ExpectMatchesReference(const Graph& g, const CompiledPattern& cp,
+                                     NodeId e1, NodeId e2) {
+  NodeSet n1 = DNeighbor(g, e1, 1);
+  NodeSet n2 = DNeighbor(g, e2, 1);
+  PairingResult got = ComputeMaxPairing(g, cp, e1, e2, n1, n2,
+                                        /*collect_pairs=*/true);
+  PairingResult want = ReferenceMaxPairing(g, cp, e1, e2, n1, n2,
+                                           /*collect_pairs=*/true);
+  EXPECT_EQ(got.paired, want.paired);
+  EXPECT_EQ(got.relation_size, want.relation_size);
+  EXPECT_EQ(got.reduced1, want.reduced1);
+  EXPECT_EQ(got.reduced2, want.reduced2);
+  std::sort(want.pairs.begin(), want.pairs.end());
+  EXPECT_EQ(got.pairs, want.pairs);
+  return got;
+}
+
+TEST(PairingPrune, ValueNodePrunedOnOneSideKeepsDiagonalAligned) {
+  // v2 lies in both balls but only a reaches it along p: the prune drops
+  // it on the right side, so it must drop it on the left too, or the
+  // diagonal of the value relation would pair v3 with a different node.
+  Graph g;
+  NodeId a = g.AddEntity("t");
+  NodeId b = g.AddEntity("t");
+  NodeId v0 = g.AddValue("V0");
+  NodeId v2 = g.AddValue("V2");
+  NodeId v3 = g.AddValue("V3");
+  for (NodeId v : {v0, v2, v3}) g.AddTriple(a, "p", v).IgnoreError();
+  g.AddTriple(b, "p", v0).IgnoreError();
+  g.AddTriple(b, "r", v2).IgnoreError();
+  g.AddTriple(b, "p", v3).IgnoreError();
+  g.Finalize();
+  CompiledPattern k = CompileDsl(g, "key K for t {\n x -[p]-> v*\n}");
+  PairingResult pr = ExpectMatchesReference(g, k, a, b);
+  ASSERT_TRUE(pr.paired);
+  EXPECT_EQ(pr.relation_size, 3u);
+  std::vector<uint64_t> want = {PackPair(a, b), PackPair(v0, v0),
+                                PackPair(v3, v3)};
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(pr.pairs, want);
+  EXPECT_FALSE(pr.reduced1.Contains(v2));
+  EXPECT_FALSE(pr.reduced2.Contains(v2));
+}
+
+TEST(PairingPrune, DesignatedPrunedOnOneSideNeverPairs) {
+  // a keeps its witness on the left, and c keeps one on the right, but b
+  // has no p-edge: e2 is pruned on its side alone, so nothing pairs and
+  // the surviving (a, c) relation must not leak into the result.
+  Graph g;
+  NodeId a = g.AddEntity("t");
+  NodeId b = g.AddEntity("t");
+  NodeId c = g.AddEntity("t");
+  NodeId u = g.AddValue("U");
+  g.AddTriple(a, "p", u).IgnoreError();
+  g.AddTriple(c, "p", u).IgnoreError();
+  g.AddTriple(b, "r", u).IgnoreError();
+  g.AddTriple(b, "s", c).IgnoreError();
+  g.Finalize();
+  CompiledPattern k = CompileDsl(g, "key K for t {\n x -[p]-> v*\n}");
+  PairingResult pr = ExpectMatchesReference(g, k, a, b);
+  EXPECT_FALSE(pr.paired);
+  EXPECT_EQ(pr.relation_size, 0u);
+  EXPECT_TRUE(pr.reduced1.empty());
+  EXPECT_TRUE(pr.reduced2.empty());
+  EXPECT_TRUE(pr.pairs.empty());
+}
+
+TEST(PairingPrune, ConstantReachedOnOneSideNeverPairs) {
+  // The constant is in both balls, but only a reaches it along p.
+  Graph g;
+  NodeId a = g.AddEntity("t");
+  NodeId b = g.AddEntity("t");
+  NodeId v = g.AddValue("V");
+  NodeId cst = g.AddValue("C");
+  g.AddTriple(a, "q", v).IgnoreError();
+  g.AddTriple(b, "q", v).IgnoreError();
+  g.AddTriple(a, "p", cst).IgnoreError();
+  g.AddTriple(b, "r", cst).IgnoreError();
+  g.Finalize();
+  CompiledPattern k = CompileDsl(
+      g, "key K for t {\n x -[q]-> v*\n x -[p]-> \"C\"\n}");
+  PairingResult pr = ExpectMatchesReference(g, k, a, b);
+  EXPECT_FALSE(pr.paired);
+  EXPECT_TRUE(pr.reduced1.empty());
+  EXPECT_TRUE(pr.reduced2.empty());
+}
 
 /// Compares the dense worklist engine against the oracle on every
 /// candidate pair × key of a dataset, on all observables.
@@ -223,6 +313,25 @@ TEST(PairingOracle, DenseWorklistMatchesReferenceOnRandomWorkloads) {
                    " d=" + std::to_string(d));
       CheckAgainstOracle(ds, ctx);
     }
+  }
+}
+
+TEST(PairingOracle, DenseWorklistMatchesReferenceOnHotPowerLawLeaves) {
+  // Every planted leaf pair chains through a planted hub pair, and the
+  // planted leaves are the most-followed leaves: their balls hold many
+  // leaves whose own `la` values lie outside the ball, the case the
+  // per-side prune removes before the pair bitset.
+  for (bool blocking : {true, false}) {
+    PowerLawConfig cfg;
+    cfg.chained_fraction = 1.0;
+    cfg.follows_per_leaf = 2;
+    cfg.scale = blocking ? 12.0 : 2.0;
+    SyntheticDataset ds = GeneratePowerLaw(cfg);
+    EmOptions opts;
+    opts.use_blocking = blocking;
+    EmContext ctx(ds.graph, ds.keys, opts);
+    SCOPED_TRACE(blocking ? "blocked" : "unblocked");
+    CheckAgainstOracle(ds, ctx);
   }
 }
 

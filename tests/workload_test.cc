@@ -185,9 +185,9 @@ TEST(WorkloadRun, RepetitionsEmitOneRowSetEach) {
 /// the acceptance bar for shipping a spec in workloads/.
 TEST(WorkloadRun, AllCommittedSpecsPassTheOracle) {
   const char* specs[] = {
-      "hostile_powerlaw_churn.json", "hostile_skew_hub.json",
-      "hostile_neardup_uniform.json", "paper_google_uniform.json",
-      "paper_dbpedia_hub.json",
+      "hostile_powerlaw_churn.json", "hostile_powerlaw_hub.json",
+      "hostile_skew_hub.json",       "hostile_neardup_uniform.json",
+      "paper_google_uniform.json",   "paper_dbpedia_hub.json",
   };
   for (const char* file : specs) {
     auto spec = LoadWorkloadSpec(SpecPath(file));
