@@ -1,6 +1,7 @@
 #include "core/em_common.h"
 
 #include <algorithm>
+#include <numeric>
 #include <tuple>
 
 #include "common/thread_pool.h"
@@ -79,19 +80,22 @@ void EmContext::CompileKeys() {
   }
 }
 
+std::vector<NodeId> EmContext::EveryNode(const Graph& g) {
+  std::vector<NodeId> nodes(g.NumNodes());
+  std::iota(nodes.begin(), nodes.end(), NodeId{0});
+  return nodes;
+}
+
 EmContext::EmContext(const Graph& g, const KeySet& keys,
                      const EmOptions& opts)
-    : g_(&g), keys_(&keys), opts_(opts) {
-  CompileKeys();
-  BuildCandidates();
-  BuildDependencyIndex(nullptr, nullptr);
-}
+    : EmContext(EmContext(DeserializeShell{}, g, keys, opts), EveryNode(g),
+                nullptr) {}
 
 EmContext::EmContext(DeserializeShell, const Graph& g, const KeySet& keys,
                      const EmOptions& opts)
     : g_(&g), keys_(&keys), opts_(opts) {
-  // Compiling the keys is cheap and deterministic; the expensive build
-  // phases are replaced by storage::PlanCodec restoring their outputs.
+  // Compiling the keys is cheap and deterministic; everything else is
+  // filled by the patch constructor or by storage::PlanCodec.
   CompileKeys();
 }
 
@@ -271,155 +275,6 @@ bool EmContext::SigIndexStillValid(const SigIndex& prev_idx,
     ++at;
   }
   return at == prev_idx.keys.size();
-}
-
-void EmContext::BuildCandidates() {
-  const Graph& g = *g_;
-  const int p = std::max(1, opts_.processors);
-
-  // Phase A: d-neighbors of every keyed entity, in parallel — the paper's
-  // DriverMR builds the Gd's "also in MapReduce" (§4.1). Stored in dense
-  // slots (one per keyed entity) so lookups are an array index and the
-  // element addresses candidates point at stay stable.
-  std::vector<std::pair<NodeId, int>> todo;  // (entity, radius d)
-  for (const auto& [type, key_ids] : keys_by_type_) {
-    int d = radius_by_type_.at(type);
-    for (NodeId e : g.EntitiesOfType(type)) todo.emplace_back(e, d);
-  }
-  dneighbor_slot_.assign(g.NumNodes(), kNoSlot);
-  dneighbor_sets_.resize(todo.size());
-  ParallelFor(p, todo.size(), [&](size_t i) {
-    dneighbor_sets_[i] =
-        std::make_shared<const NodeSet>(DNeighbor(g, todo[i].first,
-                                                  todo[i].second));
-  });
-  for (size_t i = 0; i < todo.size(); ++i) {
-    neighbor_nodes_ += dneighbor_sets_[i]->size();
-    dneighbor_slot_[todo[i].first] = static_cast<uint32_t>(i);
-  }
-
-  // Phase B: enumerate L. With signature blocking, only same-type pairs
-  // sharing a required (predicate, value) signature are materialized —
-  // the O(n²)-pair wall of the naive enumeration never forms. Types whose
-  // keys pin nothing on x directly fall back to the full double loop.
-  struct RawPair {
-    NodeId e1, e2;
-    const std::vector<int>* keys;
-    bool recursive, value_based;
-  };
-  std::vector<RawPair> raw;
-  std::vector<std::pair<NodeId, NodeId>> block_scratch;
-  for (const auto& [type, key_ids] : keys_by_type_) {
-    auto entities = g.EntitiesOfType(type);
-    bool recursive = false, value_based = false;
-    for (int ki : key_ids) {
-      if (compiled_[ki].key->recursive()) {
-        recursive = true;
-      } else {
-        value_based = true;
-      }
-    }
-    const size_t all_pairs = entities.size() * (entities.size() - 1) / 2;
-    std::shared_ptr<const SigIndex> idx;
-    if (opts_.use_blocking) {
-      idx = BuildSigIndex(key_ids, entities);
-      sig_index_[type] = idx;
-    }
-    if (idx != nullptr && idx->blockable) {
-      block_scratch.clear();
-      std::unordered_set<uint64_t> seen;
-      for (const SigPerKey& pk : idx->keys) {
-        for (const auto& [value, members] : *pk.buckets) {
-          // Buckets are ascending, so members[i] < members[j] for i < j.
-          for (size_t i = 0; i < members.size(); ++i) {
-            for (size_t j = i + 1; j < members.size(); ++j) {
-              if (seen.insert(PackPair(members[i], members[j])).second) {
-                block_scratch.emplace_back(members[i], members[j]);
-              }
-            }
-          }
-        }
-      }
-      candidates_blocked_ += all_pairs - block_scratch.size();
-      for (const auto& [a, b] : block_scratch) {
-        raw.push_back(RawPair{a, b, &key_ids, recursive, value_based});
-      }
-    } else {
-      for (size_t i = 0; i < entities.size(); ++i) {
-        for (size_t j = i + 1; j < entities.size(); ++j) {
-          raw.push_back(RawPair{entities[i], entities[j], &key_ids,
-                                recursive, value_based});
-        }
-      }
-    }
-  }
-  candidates_initial_ = raw.size();
-  // Deterministic order regardless of hash-map iteration.
-  std::sort(raw.begin(), raw.end(), [](const RawPair& a, const RawPair& b) {
-    return std::tie(a.e1, a.e2) < std::tie(b.e1, b.e2);
-  });
-
-  // Phase C: optional pairing filter + neighbor reduction, in parallel.
-  struct Reduction {
-    bool keep = true;
-    NodeSet r1, r2;
-  };
-  std::vector<Reduction> reductions(opts_.use_pairing ? raw.size() : 0);
-  if (opts_.use_pairing) {
-    // Sharded so each worker owns one PairingScratch: the pairing calls
-    // reuse domain/bitset/worklist buffers across the whole shard instead
-    // of reallocating per candidate pair.
-    std::vector<PairingScratch> scratches(p);
-    ParallelShards(p, raw.size(), [&](int shard, size_t begin, size_t end) {
-      PairingScratch& scratch = scratches[shard];
-      for (size_t i = begin; i < end; ++i) {
-        const RawPair& rp = raw[i];
-        const NodeSet& n1 = DNbr(rp.e1);
-        const NodeSet& n2 = DNbr(rp.e2);
-        Reduction& red = reductions[i];
-        red.keep = false;
-        for (int ki : *rp.keys) {
-          PairingResult pr =
-              ComputeMaxPairing(g, compiled_[ki].cp, rp.e1, rp.e2, n1, n2,
-                                /*collect_pairs=*/false, &scratch);
-          if (pr.paired) {
-            red.keep = true;  // §4.2: keep only pairable pairs (Prop. 9)
-            red.r1.UnionWith(pr.reduced1);
-            red.r2.UnionWith(pr.reduced2);
-          }
-        }
-      }
-    });
-  }
-
-  // Assembly (sequential). Pairs the pairing filter rejects just
-  // disappear from L — ghost tracking rediscovers the ones that matter
-  // from the d-neighbor overlaps.
-  candidates_.reserve(raw.size());
-  for (size_t i = 0; i < raw.size(); ++i) {
-    const RawPair& rp = raw[i];
-    Candidate c;
-    c.e1 = rp.e1;
-    c.e2 = rp.e2;
-    c.keys = rp.keys;
-    c.has_recursive_key = rp.recursive;
-    c.has_value_based_key = rp.value_based;
-    if (opts_.use_pairing) {
-      Reduction& red = reductions[i];
-      if (!red.keep) continue;
-      neighbor_nodes_reduced_ += red.r1.size() + red.r2.size();
-      reduced_pool_.push_back(
-          std::make_shared<const NodeSet>(std::move(red.r1)));
-      c.nbr1 = reduced_pool_.back().get();
-      reduced_pool_.push_back(
-          std::make_shared<const NodeSet>(std::move(red.r2)));
-      c.nbr2 = reduced_pool_.back().get();
-    } else {
-      c.nbr1 = &DNbr(rp.e1);
-      c.nbr2 = &DNbr(rp.e2);
-    }
-    candidates_.push_back(std::move(c));
-  }
 }
 
 void EmContext::BuildDependencyIndex(const EmContext* prev,
@@ -645,7 +500,9 @@ EmContext::EmContext(const EmContext& prev,
   // memberships, pairing verdicts, and reduced sets cannot have changed).
   // The previous source choice per key is pinned (any single source per
   // key is an output-preserving filter), so a patched plan's L can differ
-  // from a from-scratch compile's L without changing chase(G, Σ).
+  // from a from-scratch compile's L without changing chase(G, Σ). A
+  // compile is this pass over an empty context with every entity
+  // affected: each type builds its index and enumerates in full.
   // Pair → previous-candidate lookup, needed only when a type's
   // signature structure changed (rare); built on first use so the common
   // patch path never pays the O(|L|) hashing.
@@ -717,6 +574,18 @@ EmContext::EmContext(const EmContext& prev,
       if (!seen.insert(PackPair(a, b)).second) return;
       raw.push_back(RawPair{a, b, &key_ids, recursive, value_based, -1});
     };
+    // Unblocked: affected × all, each pair once (a pair of two affected
+    // entities comes from its smaller one), so no `seen` lookups — on a
+    // compile every pair of the type passes through here.
+    auto emit_affected_pairs = [&]() {
+      for (NodeId a : affected_here) {
+        for (NodeId b : entities) {
+          if (b == a || (affected[b] != 0 && b < a)) continue;
+          raw.push_back(RawPair{std::min(a, b), std::max(a, b), &key_ids,
+                                recursive, value_based, -1});
+        }
+      }
+    };
 
     if (opts_.use_blocking) {
       auto sig_it = prev.sig_index_.find(type);
@@ -727,11 +596,7 @@ EmContext::EmContext(const EmContext& prev,
           // Still unblockable: full enumeration of affected × all.
           sig_index_[type] = prev_sig;
           carry_clean_pairs();
-          for (NodeId a : affected_here) {
-            for (NodeId b : entities) {
-              if (b != a) emit(a, b);
-            }
-          }
+          emit_affected_pairs();
           continue;
         }
         // Re-sign exactly the affected entities against the pinned
@@ -810,13 +675,16 @@ EmContext::EmContext(const EmContext& prev,
         carry_clean_pairs();
         continue;
       }
-      // The delta changed the signature structure itself (a constant or
-      // predicate newly resolves): rebuild the type's index from scratch
-      // and re-enumerate it fully, still reusing the pairing verdicts of
-      // clean pairs that survived in the previous L.
+      // No index yet (a compile) or the delta changed the signature
+      // structure itself (a constant or predicate newly resolves): build
+      // the type's index from scratch and enumerate it fully, still
+      // reusing the pairing verdicts of clean pairs that survived in the
+      // previous L. A full enumeration is the one place the pairs the
+      // index keeps out can be counted.
       auto idx = BuildSigIndex(key_ids, entities);
       sig_index_[type] = idx;
       if (idx->blockable) {
+        const size_t before = raw.size();
         for (const SigPerKey& pk : idx->keys) {
           for (const auto& [value, members] : *pk.buckets) {
             for (size_t i = 0; i < members.size(); ++i) {
@@ -837,21 +705,19 @@ EmContext::EmContext(const EmContext& prev,
             }
           }
         }
+        const size_t all_pairs = entities.size() * (entities.size() - 1) / 2;
+        candidates_blocked_ += all_pairs - (raw.size() - before);
         continue;
       }
-      // Newly unblockable: fall through to full enumeration.
+      // Unblockable: fall through to full enumeration.
     }
-    // No blocking (or newly unblockable): affected × all pairs are
-    // dirty, clean × clean pairs carry over from the previous L. (With
-    // pairing but no blocking, a clean pair the pairing filter dropped
-    // before is re-checked only if it involves an affected entity — clean
-    // dropped pairs stay dropped because nothing in their balls moved.)
+    // No blocking (or unblockable): affected × all pairs are dirty,
+    // clean × clean pairs carry over from the previous L. (With pairing
+    // but no blocking, a clean pair the pairing filter dropped before is
+    // re-checked only if it involves an affected entity — clean dropped
+    // pairs stay dropped because nothing in their balls moved.)
     carry_clean_pairs();
-    for (NodeId a : affected_here) {
-      for (NodeId b : entities) {
-        if (b != a) emit(a, b);
-      }
-    }
+    emit_affected_pairs();
   }
   candidates_initial_ = raw.size();
   std::sort(raw.begin(), raw.end(), [](const RawPair& a, const RawPair& b) {

@@ -31,6 +31,8 @@ namespace gkeys {
 namespace storage {
 class PlanCodec;  // snapshot (de)serialization, src/storage/plan_codec.h
 }  // namespace storage
+class MatchPlan;     // src/core/match_plan.h
+struct PlanOptions;  // src/core/match_plan.h
 
 /// Which entity-matching algorithm to run (paper §6 "Algorithms").
 enum class Algorithm {
@@ -522,7 +524,10 @@ struct ContextPatchInfo {
 /// pairing-reduced), d-neighbors, and the entity-dependency index of §4.2.
 class EmContext {
  public:
-  /// Builds the context. `g` must be finalized.
+  /// Builds the context. `g` must be finalized. A compile is the patch
+  /// constructor below run over an empty context (keys compiled, no
+  /// slots, candidates or signature index) with every node dirty, so
+  /// there is one plan builder.
   EmContext(const Graph& g, const KeySet& keys, const EmOptions& opts);
 
   /// Incremental rebuild: compiles the same key set against `prev`'s
@@ -536,9 +541,12 @@ class EmContext {
   /// scale). `prev` must outlive nothing — the new context is
   /// self-contained apart from the shared immutable NodeSet payloads.
   ///
-  /// The enumeration counters (candidates_initial/blocked) cover only the
-  /// re-enumerated types; reused types carry their surviving candidates
-  /// without re-counting the blocked pairs.
+  /// Counters: candidates_initial() is the size of the enumerated L
+  /// before pairing (carried pairs included). candidates_blocked() counts
+  /// the pairs signature blocking kept out, summed over the types this
+  /// build enumerated in full — every type on a compile, the types whose
+  /// signature index had to be rebuilt on a patch; types patched in place
+  /// or carried over add nothing.
   EmContext(const EmContext& prev, std::span<const NodeId> dirty_nodes,
             ContextPatchInfo* info);
 
@@ -637,20 +645,27 @@ class EmContext {
   // directly (slots, pools, signature indexes, dependency scans) — going
   // through the public API would force a full recompile on load, which
   // is exactly what persistence is meant to avoid. MatchPlan is a friend
-  // because its nested Rep constructs the deserialization shell.
+  // because its nested Rep constructs the deserialization shell, and
+  // CompileMatchPlan because it patches one.
   friend class storage::PlanCodec;
   friend class MatchPlan;
+  friend StatusOr<MatchPlan> CompileMatchPlan(const Graph& g,
+                                              const KeySet& keys,
+                                              const PlanOptions& opts);
 
   /// Tag for the deserialization shell constructor below.
   struct DeserializeShell {};
 
-  /// Storage-layer entry point: binds graph/keys/options and compiles the
-  /// keys (cheap and deterministic), leaving every other member empty for
-  /// storage::PlanCodec to fill from snapshot records instead of running
-  /// the expensive build phases (d-neighbors, enumeration, pairing,
-  /// dependency scan).
+  /// The empty context: binds graph/keys/options and compiles the keys
+  /// (cheap and deterministic), leaving every other member empty. A
+  /// compile patches it with every node dirty; storage::PlanCodec fills
+  /// it from snapshot records instead of running the expensive build
+  /// phases (d-neighbors, enumeration, pairing, dependency scan).
   EmContext(DeserializeShell, const Graph& g, const KeySet& keys,
             const EmOptions& opts);
+
+  /// 0 … g.NumNodes()-1: the dirty set that turns a patch into a compile.
+  static std::vector<NodeId> EveryNode(const Graph& g);
 
   static constexpr uint32_t kNoSlot = UINT32_MAX;
 
@@ -730,8 +745,6 @@ class EmContext {
     bool blockable = false;
     std::vector<SigPerKey> keys;
   };
-
-  void BuildCandidates();
 
   /// Builds the §4.2 dependency index (dependents_/ghosts_) from the
   /// per-candidate depended-on pair scans. When patching, candidates

@@ -27,9 +27,10 @@ namespace gkeys {
 ///     (potential = the neighbor's edge count matching the next tour hop,
 ///     collected while building Gp).
 ///
-/// Transitive closure: subsumed by the concurrent union-find (see
-/// DESIGN.md); a quiescence sweep re-seeds dependents of pairs that became
-/// equal purely transitively, guaranteeing the chase fixpoint.
+/// Transitive closure: subsumed by the concurrent union-find; a
+/// quiescence sweep re-seeds dependents of pairs that became equal purely
+/// transitively, guaranteeing the chase fixpoint (docs/ARCHITECTURE.md,
+/// "Deviations from the paper").
 MatchResult RunEmVertexCentric(const Graph& g, const KeySet& keys,
                                const EmOptions& options);
 

@@ -38,21 +38,8 @@ namespace gkeys {
 /// confirmed pair exactly once plus per-round progress, with cooperative
 /// cancellation. Errors surface as Status/StatusOr, never asserts.
 ///
-/// The two MatchEntities overloads below predate the plan API and are
-/// kept as thin wrappers for one-shot callers.
-
-/// Legacy convenience: compiles a single-use plan and runs it. Prefer
-/// Matcher::Compile + Matcher::Run when matching more than once (the
-/// preparation phase dominates and is reusable), or when error details
-/// matter — this wrapper collapses every failure (unfinalized graph,
-/// empty key set, invalid options) to an empty MatchResult.
-MatchResult MatchEntities(const Graph& g, const KeySet& keys,
-                          Algorithm algorithm = Algorithm::kEmOptVc,
-                          int processors = 1);
-
-/// Variant taking fully custom options.
-MatchResult MatchEntities(const Graph& g, const KeySet& keys,
-                          Algorithm algorithm, const EmOptions& options);
+/// This header is the umbrella: it pulls in the session API and every
+/// engine family.
 
 }  // namespace gkeys
 

@@ -37,9 +37,14 @@ StatusOr<MatchPlan> CompileMatchPlan(const Graph& g, const KeySet& keys,
   eopts.processors = opts.processors;
   eopts.use_pairing = opts.use_pairing;
   eopts.use_blocking = opts.use_blocking;
-  // Not make_shared: Rep is private and friendship does not reach into
-  // the standard library's allocation helpers.
-  std::shared_ptr<MatchPlan::Rep> rep(new MatchPlan::Rep(g, keys, opts, eopts));
+  // Compile is Patch from an empty plan: the patch constructor over the
+  // deserialization shell with every node dirty, and the product graph
+  // patched from an empty one. Not make_shared: Rep is private and
+  // friendship does not reach into the standard library's allocation
+  // helpers.
+  const EmContext empty(EmContext::DeserializeShell{}, g, keys, eopts);
+  std::shared_ptr<MatchPlan::Rep> rep(new MatchPlan::Rep(
+      empty, keys, opts, EmContext::EveryNode(g), /*info=*/nullptr));
   if (opts.build_product_graph) {
     rep->pg.emplace(BuildProductGraph(rep->ctx));
   }
@@ -79,6 +84,8 @@ StatusOr<MatchPlan> MatchPlan::Patch(const GraphDelta& delta) const {
       rep->pg.emplace(PatchProductGraph(*rep_->pg, rep->ctx,
                                         info.candidate_reuse, dirty));
     } else {
+      // No source Gp: patch an empty one. The reuse indices point into
+      // the source plan's relations, so none are passed.
       rep->pg.emplace(BuildProductGraph(rep->ctx));
     }
     info.product_graph_seconds = pg_timer.Seconds();

@@ -203,11 +203,9 @@ class MatchPlan {
   friend class storage::PlanCodec;
 
   struct Rep {
-    Rep(const Graph& g, const KeySet& k, const PlanOptions& popts,
-        const EmOptions& eopts)
-        : keys(&k), options(popts), ctx(g, k, eopts) {}
-
-    // Patch: incremental rebuild sharing untouched state with `prev`.
+    // Patch: incremental rebuild sharing untouched state with `prev`. A
+    // compile passes the empty deserialization shell with every node
+    // dirty.
     Rep(const EmContext& prev, const KeySet& k, const PlanOptions& popts,
         std::span<const NodeId> dirty_nodes, ContextPatchInfo* info)
         : keys(&k), options(popts), ctx(prev, dirty_nodes, info) {}

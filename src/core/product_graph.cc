@@ -79,8 +79,89 @@ void ProductGraph::AddNodeRef(ProductGraph& pg, uint64_t packed) {
   ++pg.node_refs_[it->second];
 }
 
-void ProductGraph::ResolveCandidateNodes(const EmContext& ctx,
-                                         ProductGraph& pg) {
+void ProductGraph::Finish(const EmContext& ctx, ProductGraph& pg,
+                          const ProductGraph& prev,
+                          const std::vector<uint32_t>& prev_to_new,
+                          std::span<const NodeId> graph_dirty) {
+  const Graph& g = ctx.graph();
+  // Ep: ((s1, s2), p, (o1, o2)) iff (s1, p, o1) ∈ G and (s2, p, o2) ∈ G.
+  // A product node needs its out-edges recomputed only if it is new or
+  // one of its graph endpoints had its adjacency touched by the delta;
+  // every other node's out-list is valid in the new graph and is copied
+  // (dropping edges whose target died), then extended with edges into
+  // the NEW nodes, discovered from the new nodes' in-side. in_ and the
+  // prioritization counts are derived from out_ in one pass.
+  std::vector<uint8_t> endpoint_dirty(g.NumNodes(), 0);
+  for (NodeId n : graph_dirty) {
+    if (n < g.NumNodes()) endpoint_dirty[n] = 1;
+  }
+  const uint32_t num_nodes = static_cast<uint32_t>(pg.nodes_.size());
+  std::vector<uint8_t> recompute(num_nodes, 0);
+  std::vector<uint32_t> prev_of(num_nodes, kNoPNode);
+  for (uint32_t v = 0; v < prev_to_new.size(); ++v) {
+    if (prev_to_new[v] != kNoPNode) prev_of[prev_to_new[v]] = v;
+  }
+  std::vector<uint32_t> fresh_nodes;
+  bool any_clean = false;
+  for (uint32_t v = 0; v < num_nodes; ++v) {
+    auto [a, b] = pg.nodes_[v];
+    if (prev_of[v] == kNoPNode) {
+      recompute[v] = 1;
+      fresh_nodes.push_back(v);
+    } else if (endpoint_dirty[a] != 0 || endpoint_dirty[b] != 0) {
+      recompute[v] = 1;
+    } else {
+      any_clean = true;
+    }
+  }
+  pg.out_.assign(num_nodes, {});
+  for (uint32_t v = 0; v < num_nodes; ++v) {
+    auto [a, b] = pg.nodes_[v];
+    if (recompute[v] != 0) {
+      if (!g.IsEntity(a) || !g.IsEntity(b)) continue;
+      for (const Edge& ea : g.Out(a)) {
+        for (const Edge& eb : g.Out(b)) {
+          if (ea.pred != eb.pred) continue;
+          uint32_t dst = pg.Find(ea.dst, eb.dst);
+          if (dst == kNoPNode) continue;
+          pg.out_[v].push_back(PEdge{ea.pred, dst});
+        }
+      }
+      continue;
+    }
+    for (const PEdge& e : prev.out_[prev_of[v]]) {
+      uint32_t dst = prev_to_new[e.dst];
+      if (dst == kNoPNode) continue;
+      pg.out_[v].push_back(PEdge{e.pred, dst});
+    }
+  }
+  // Edges from clean sources into brand-new nodes (the copy above cannot
+  // contain them — the target did not exist). Without a clean node (a
+  // build from scratch) there is nothing to find.
+  if (!any_clean) fresh_nodes.clear();
+  for (uint32_t w : fresh_nodes) {
+    auto [o1, o2] = pg.nodes_[w];
+    for (const Edge& ea : g.In(o1)) {
+      for (const Edge& eb : g.In(o2)) {
+        if (ea.pred != eb.pred) continue;
+        uint32_t v = pg.Find(ea.dst, eb.dst);
+        if (v == kNoPNode || recompute[v] != 0) continue;
+        pg.out_[v].push_back(PEdge{ea.pred, w});
+      }
+    }
+  }
+  pg.in_.assign(num_nodes, {});
+  pg.out_count_.assign(num_nodes, {});
+  pg.in_count_.assign(num_nodes, {});
+  for (uint32_t v = 0; v < num_nodes; ++v) {
+    for (const PEdge& e : pg.out_[v]) {
+      pg.in_[e.dst].push_back(PEdge{e.pred, v});
+      ++pg.out_count_[v][e.pred];
+      ++pg.in_count_[e.dst][e.pred];
+      ++pg.num_edges_;
+    }
+  }
+  // A nonempty relation always contains its candidate pair.
   pg.candidate_nodes_.assign(ctx.candidates().size(), kNoPNode);
   for (uint32_t i = 0; i < ctx.candidates().size(); ++i) {
     const Candidate& c = ctx.candidates()[i];
@@ -90,63 +171,17 @@ void ProductGraph::ResolveCandidateNodes(const EmContext& ctx,
   }
 }
 
-void ProductGraph::Finish(const EmContext& ctx, ProductGraph& pg) {
-  const Graph& g = ctx.graph();
-  ResolveCandidateNodes(ctx, pg);
-
-  // Ep: ((s1, s2), p, (o1, o2)) iff (s1, p, o1) ∈ G and (s2, p, o2) ∈ G.
-  pg.out_.assign(pg.nodes_.size(), {});
-  pg.in_.assign(pg.nodes_.size(), {});
-  pg.out_count_.assign(pg.nodes_.size(), {});
-  pg.in_count_.assign(pg.nodes_.size(), {});
-  for (uint32_t v = 0; v < pg.nodes_.size(); ++v) {
-    auto [a, b] = pg.nodes_[v];
-    if (!g.IsEntity(a) || !g.IsEntity(b)) continue;
-    for (const Edge& ea : g.Out(a)) {
-      for (const Edge& eb : g.Out(b)) {
-        if (ea.pred != eb.pred) continue;
-        uint32_t dst = pg.Find(ea.dst, eb.dst);
-        if (dst == kNoPNode) continue;
-        pg.out_[v].push_back(ProductGraph::PEdge{ea.pred, dst});
-        pg.in_[dst].push_back(ProductGraph::PEdge{ea.pred, v});
-        ++pg.out_count_[v][ea.pred];
-        ++pg.in_count_[dst][ea.pred];
-        ++pg.num_edges_;
-      }
-    }
-  }
-}
-
-ProductGraph BuildProductGraph(const EmContext& ctx) {
-  ProductGraph pg;
-  // Vp: every pair surviving in the maximum pairing relation of some key
-  // at some candidate (paper §5.1). One scratch serves the whole build.
-  // The per-candidate relations are kept (candidate_pairs_, shared) and
-  // each node's supporting-relation count (node_refs_) so a later
-  // MatchPlan::Patch replays clean candidates and retires dirty ones
-  // instead of rediscovering Vp.
-  PairingScratch scratch;
-  pg.candidate_pairs_.resize(ctx.candidates().size());
-  for (uint32_t i = 0; i < ctx.candidates().size(); ++i) {
-    auto rel = std::make_shared<ProductGraph::Relation>(
-        CollectCandidatePairs(ctx, ctx.candidates()[i], &scratch));
-    for (uint64_t p : *rel) ProductGraph::AddNodeRef(pg, p);
-    pg.candidate_pairs_[i] = std::move(rel);
-  }
-  ProductGraph::Finish(ctx, pg);
-  return pg;
-}
-
 ProductGraph PatchProductGraph(const ProductGraph& prev,
                                const EmContext& ctx,
                                const std::vector<int64_t>& candidate_reuse,
                                std::span<const NodeId> graph_dirty) {
-  const Graph& g = ctx.graph();
   ProductGraph pg;
-  // Node phase: start from the previous node set and retire the
-  // contributions of candidates that are gone or re-paired; only dirty
-  // candidates run the pairing fixpoint again. Carried-over candidates
-  // re-share their relations (reference counts inherited unchanged).
+  // Node phase — Vp: every pair surviving in the maximum pairing relation
+  // of some key at some candidate (paper §5.1). Start from the previous
+  // node set and retire the contributions of candidates that are gone or
+  // re-paired; only dirty candidates run the pairing fixpoint again.
+  // Carried-over candidates re-share their relations (reference counts
+  // inherited unchanged). From an empty Gp every candidate is dirty.
   pg.nodes_ = prev.nodes_;
   pg.index_ = prev.index_;
   pg.node_refs_ = prev.node_refs_;
@@ -207,80 +242,12 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
     for (uint32_t v = 0; v < prev_count; ++v) prev_to_new[v] = v;
   }
 
-  // Edge phase, incremental: a product node needs its out-edges
-  // recomputed only if it is new or one of its graph endpoints had its
-  // adjacency touched by the delta; every other node's out-list is valid
-  // in the new graph and is copied (dropping edges whose target died),
-  // then extended with edges into the NEW nodes, discovered from the new
-  // nodes' in-side. in_ and the prioritization counts are derived from
-  // out_ in one pass.
-  std::vector<uint8_t> endpoint_dirty(g.NumNodes(), 0);
-  for (NodeId n : graph_dirty) {
-    if (n < g.NumNodes()) endpoint_dirty[n] = 1;
-  }
-  const uint32_t num_nodes = static_cast<uint32_t>(pg.nodes_.size());
-  std::vector<uint8_t> recompute(num_nodes, 0);
-  std::vector<uint32_t> prev_of(num_nodes, kNoPNode);
-  for (uint32_t v = 0; v < prev_count; ++v) {
-    if (prev_to_new[v] != kNoPNode) prev_of[prev_to_new[v]] = v;
-  }
-  std::vector<uint32_t> fresh_nodes;
-  for (uint32_t v = 0; v < num_nodes; ++v) {
-    auto [a, b] = pg.nodes_[v];
-    if (prev_of[v] == kNoPNode) {
-      recompute[v] = 1;
-      fresh_nodes.push_back(v);
-    } else if (endpoint_dirty[a] != 0 || endpoint_dirty[b] != 0) {
-      recompute[v] = 1;
-    }
-  }
-  pg.out_.assign(num_nodes, {});
-  for (uint32_t v = 0; v < num_nodes; ++v) {
-    auto [a, b] = pg.nodes_[v];
-    if (recompute[v] != 0) {
-      if (!g.IsEntity(a) || !g.IsEntity(b)) continue;
-      for (const Edge& ea : g.Out(a)) {
-        for (const Edge& eb : g.Out(b)) {
-          if (ea.pred != eb.pred) continue;
-          uint32_t dst = pg.Find(ea.dst, eb.dst);
-          if (dst == kNoPNode) continue;
-          pg.out_[v].push_back(ProductGraph::PEdge{ea.pred, dst});
-        }
-      }
-      continue;
-    }
-    for (const ProductGraph::PEdge& e : prev.out_[prev_of[v]]) {
-      uint32_t dst = prev_to_new[e.dst];
-      if (dst == kNoPNode) continue;
-      pg.out_[v].push_back(ProductGraph::PEdge{e.pred, dst});
-    }
-  }
-  // Edges from clean sources into brand-new nodes (the copy above cannot
-  // contain them — the target did not exist).
-  for (uint32_t w : fresh_nodes) {
-    auto [o1, o2] = pg.nodes_[w];
-    for (const Edge& ea : g.In(o1)) {
-      for (const Edge& eb : g.In(o2)) {
-        if (ea.pred != eb.pred) continue;
-        uint32_t v = pg.Find(ea.dst, eb.dst);
-        if (v == kNoPNode || recompute[v] != 0) continue;
-        pg.out_[v].push_back(ProductGraph::PEdge{ea.pred, w});
-      }
-    }
-  }
-  pg.in_.assign(num_nodes, {});
-  pg.out_count_.assign(num_nodes, {});
-  pg.in_count_.assign(num_nodes, {});
-  for (uint32_t v = 0; v < num_nodes; ++v) {
-    for (const ProductGraph::PEdge& e : pg.out_[v]) {
-      pg.in_[e.dst].push_back(ProductGraph::PEdge{e.pred, v});
-      ++pg.out_count_[v][e.pred];
-      ++pg.in_count_[e.dst][e.pred];
-      ++pg.num_edges_;
-    }
-  }
-  ProductGraph::ResolveCandidateNodes(ctx, pg);
+  ProductGraph::Finish(ctx, pg, prev, prev_to_new, graph_dirty);
   return pg;
+}
+
+ProductGraph BuildProductGraph(const EmContext& ctx) {
+  return PatchProductGraph(ProductGraph(), ctx, {}, {});
 }
 
 }  // namespace gkeys

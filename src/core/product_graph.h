@@ -26,7 +26,7 @@ inline constexpr uint32_t kNoPNode = UINT32_MAX;
 /// EmContext::dependents(); its `tc` edges are subsumed by the shared
 /// union-find Eq (a merge makes the whole class equal at once, which is
 /// exactly what tc-propagation computes). Both substitutions are recorded
-/// in DESIGN.md.
+/// in docs/ARCHITECTURE.md, "Deviations from the paper".
 class ProductGraph {
  public:
   struct PEdge {
@@ -62,7 +62,6 @@ class ProductGraph {
   size_t MemoryBytes() const;
 
  private:
-  friend ProductGraph BuildProductGraph(const EmContext& ctx);
   friend ProductGraph PatchProductGraph(
       const ProductGraph& prev, const EmContext& ctx,
       const std::vector<int64_t>& candidate_reuse,
@@ -74,17 +73,19 @@ class ProductGraph {
   using Relation = std::vector<uint64_t>;
 
   /// Interns the product node for a packed pair and bumps its
-  /// supporting-relation count (shared by the full and patched builds).
+  /// supporting-relation count.
   static void AddNodeRef(ProductGraph& pg, uint64_t packed);
 
-  /// Resolves candidate_nodes_ from the per-candidate relations (a
-  /// nonempty relation always contains the candidate pair itself).
-  static void ResolveCandidateNodes(const EmContext& ctx, ProductGraph& pg);
-
-  /// Resolves candidate_nodes_ and runs the full edge pass (tail of the
-  /// from-scratch build; the patched build has its own incremental edge
-  /// pass).
-  static void Finish(const EmContext& ctx, ProductGraph& pg);
+  /// The edge pass, run once Vp (nodes_, index_, candidate_pairs_) is
+  /// final: out-edges are recomputed for nodes that are new or touch a
+  /// graph node in `graph_dirty`, and copied from `prev` (through
+  /// prev_to_new, prev node id → new id or kNoPNode) for the rest; then
+  /// in_, the counts and candidate_nodes_ are derived. With an empty
+  /// `prev` every node is new — the from-scratch pass.
+  static void Finish(const EmContext& ctx, ProductGraph& pg,
+                     const ProductGraph& prev,
+                     const std::vector<uint32_t>& prev_to_new,
+                     std::span<const NodeId> graph_dirty);
 
   std::vector<std::pair<NodeId, NodeId>> nodes_;
   std::unordered_map<uint64_t, uint32_t> index_;
@@ -105,23 +106,24 @@ class ProductGraph {
   size_t num_edges_ = 0;
 };
 
-/// Builds Gp from the context's candidates by re-running the pairing
-/// fixpoint per (candidate, key) and collecting every surviving pair.
-ProductGraph BuildProductGraph(const EmContext& ctx);
-
-/// Incremental rebuild for a patched context: candidates carried over
-/// from the source plan (candidate_reuse[i] >= 0) re-share their cached
-/// pairing relations from `prev`; only the dirty candidates re-run the
-/// pairing fixpoint, and retired contributions are reference-counted
-/// away. The edge pass recomputes only product nodes that are new or
-/// touch a graph node in `graph_dirty` (the delta's touched set); every
-/// other node's adjacency is copied from `prev` and extended with edges
-/// into the new nodes. Product-node ids may differ from a from-scratch
-/// build; Gp semantics do not depend on them.
+/// Builds Gp for `ctx`: candidates carried over from the source plan
+/// (candidate_reuse[i] >= 0, an index into `prev`'s candidates) re-share
+/// their cached pairing relations from `prev`; every other candidate
+/// runs the pairing fixpoint per key and contributes its surviving
+/// pairs, and retired contributions are reference-counted away. The edge
+/// pass recomputes only product nodes that are new or touch a graph node
+/// in `graph_dirty` (the delta's touched set); every other node's
+/// adjacency is copied from `prev` and extended with edges into the new
+/// nodes. Product-node ids may differ from a from-scratch build; Gp
+/// semantics do not depend on them.
 ProductGraph PatchProductGraph(const ProductGraph& prev,
                                const EmContext& ctx,
                                const std::vector<int64_t>& candidate_reuse,
                                std::span<const NodeId> graph_dirty);
+
+/// Gp from scratch: PatchProductGraph over an empty product graph with no
+/// reuse, so every candidate runs its pairing fixpoint.
+ProductGraph BuildProductGraph(const EmContext& ctx);
 
 }  // namespace gkeys
 

@@ -14,7 +14,8 @@ namespace gkeys {
 /// distributable; this generator reproduces the structural features the
 /// algorithms are sensitive to — attribute-star topology, value-based
 /// keys on attribute types, recursive person keys, dependency chains
-/// person → employer → place (c = 3). See DESIGN.md, substitution table.
+/// person → employer → place (c = 3). See docs/ARCHITECTURE.md,
+/// "Deviations from the paper".
 struct GoogleSimConfig {
   uint64_t seed = 7;
   int num_persons = 120;

@@ -387,7 +387,7 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
 
   // Product graph: only the per-candidate pairing relations persist —
   // Vp, the edge set, and the counts all replay from them (exactly how
-  // BuildProductGraph derives them).
+  // PatchProductGraph derives them from an empty Gp).
   RelationPool relations;
   if (rep.pg.has_value()) {
     const ProductGraph& pg = *rep.pg;
@@ -613,8 +613,8 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
     return Corrupt("signature index count mismatch");
 
   // Product graph: restore the relation pool, then replay exactly what
-  // BuildProductGraph derives from it (node interning in relation-scan
-  // order, then the edge pass).
+  // a build from scratch derives from it (node interning in relation-scan
+  // order, then the edge pass over an empty previous Gp).
   if (meta.has_product_graph) {
     std::vector<std::shared_ptr<const ProductGraph::Relation>> rels;
     scan = store.Scan("R", [&](std::string_view key,
@@ -663,7 +663,7 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
       }
     }
     if (!gr.AtEnd()) return Corrupt("trailing bytes in product-graph record");
-    ProductGraph::Finish(ctx, pg);
+    ProductGraph::Finish(ctx, pg, ProductGraph(), {}, {});
     rep->pg.emplace(std::move(pg));
   }
 

@@ -28,14 +28,8 @@ class AlgorithmsTest : public ::testing::TestWithParam<AlgoParam> {
   // The matrix runs through the session API: compile a plan with the
   // algorithm's preset, then execute it.
   MatchResult Match(const SyntheticDataset& ds) const {
-    Algorithm a = GetParam().algorithm;
-    int p = GetParam().processors;
-    auto plan = Matcher::Compile(ds.graph, ds.keys, PlanOptions::For(a, p));
-    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    if (!plan.ok()) return {};
-    auto r = Matcher(a).processors(p).Run(*plan);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.ok() ? *std::move(r) : MatchResult{};
+    return testing::CompileAndRun(ds.graph, ds.keys, GetParam().algorithm,
+                                  GetParam().processors);
   }
 };
 
@@ -135,14 +129,14 @@ TEST(Optimizations, PairingReducesCandidates) {
   SyntheticDataset ds = GenerateSynthetic(cfg);
   // Signature blocking already removes every unidentifiable pair here;
   // run without it so the comparison isolates the pairing filter.
-  EmOptions base_opts = EmOptions::For(Algorithm::kEmMr, 2);
+  PlanOptions base_opts = PlanOptions::For(Algorithm::kEmMr, 2);
   base_opts.use_blocking = false;
-  MatchResult base =
-      MatchEntities(ds.graph, ds.keys, Algorithm::kEmMr, base_opts);
-  EmOptions opt_opts = EmOptions::For(Algorithm::kEmOptMr, 2);
+  MatchResult base = testing::CompileAndRun(ds.graph, ds.keys,
+                                            Algorithm::kEmMr, base_opts);
+  PlanOptions opt_opts = PlanOptions::For(Algorithm::kEmOptMr, 2);
   opt_opts.use_blocking = false;
-  MatchResult opt =
-      MatchEntities(ds.graph, ds.keys, Algorithm::kEmOptMr, opt_opts);
+  MatchResult opt = testing::CompileAndRun(ds.graph, ds.keys,
+                                           Algorithm::kEmOptMr, opt_opts);
   EXPECT_EQ(base.pairs, opt.pairs);
   EXPECT_LT(opt.stats.candidates, base.stats.candidates)
       << "pairing must filter unidentifiable pairs from L";
@@ -156,8 +150,10 @@ TEST(Optimizations, BoundedMessagesReduceTraffic) {
   cfg.chain_length = 2;
   cfg.entities_per_type = 20;
   SyntheticDataset ds = GenerateSynthetic(cfg);
-  MatchResult base = MatchEntities(ds.graph, ds.keys, Algorithm::kEmVc, 4);
-  MatchResult opt = MatchEntities(ds.graph, ds.keys, Algorithm::kEmOptVc, 4);
+  MatchResult base =
+      testing::CompileAndRun(ds.graph, ds.keys, Algorithm::kEmVc, 4);
+  MatchResult opt =
+      testing::CompileAndRun(ds.graph, ds.keys, Algorithm::kEmOptVc, 4);
   EXPECT_EQ(base.pairs, opt.pairs);
   EXPECT_LE(opt.stats.messages, base.stats.messages)
       << "bounded-k must not send more messages than unbounded EMVC";
@@ -173,7 +169,8 @@ TEST(Optimizations, MapReduceRoundsGrowWithChainLength) {
     cfg.entities_per_type = 12;
     cfg.chained_fraction = 1.0;
     SyntheticDataset ds = GenerateSynthetic(cfg);
-    MatchResult r = MatchEntities(ds.graph, ds.keys, Algorithm::kEmMr, 2);
+    MatchResult r =
+        testing::CompileAndRun(ds.graph, ds.keys, Algorithm::kEmMr, 2);
     EXPECT_EQ(r.pairs, ds.planted);
     EXPECT_GT(r.stats.rounds, prev_rounds) << "c=" << c;
     prev_rounds = r.stats.rounds;
@@ -186,9 +183,10 @@ TEST(Optimizations, Vf2DoesMoreSearchWork) {
   cfg.chain_length = 1;
   cfg.entities_per_type = 16;
   SyntheticDataset ds = GenerateSynthetic(cfg);
-  MatchResult fast = MatchEntities(ds.graph, ds.keys, Algorithm::kEmMr, 2);
+  MatchResult fast =
+      testing::CompileAndRun(ds.graph, ds.keys, Algorithm::kEmMr, 2);
   MatchResult slow =
-      MatchEntities(ds.graph, ds.keys, Algorithm::kEmVf2Mr, 2);
+      testing::CompileAndRun(ds.graph, ds.keys, Algorithm::kEmVf2Mr, 2);
   EXPECT_EQ(fast.pairs, slow.pairs);
   EXPECT_GE(slow.stats.search.full_instantiations,
             fast.stats.search.full_instantiations)

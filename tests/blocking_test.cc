@@ -27,9 +27,9 @@ const Algorithm kAllSix[] = {Algorithm::kNaiveChase, Algorithm::kEmMr,
 /// Runs `algo` with blocking forced on/off and returns the pairs.
 MatchResult RunWithBlocking(const Graph& g, const KeySet& keys,
                             Algorithm algo, bool blocking) {
-  EmOptions opts = EmOptions::For(algo, 4);
-  opts.use_blocking = blocking;
-  return MatchEntities(g, keys, algo, opts);
+  PlanOptions popts = PlanOptions::For(algo, 4);
+  popts.use_blocking = blocking;
+  return testing::CompileAndRun(g, keys, algo, popts);
 }
 
 TEST(Blocking, OracleValueBasedKeys) {
@@ -174,6 +174,53 @@ TEST(Blocking, BlockedPairsStillWakeDependentsTransitively) {
   // The blocked (a, c) pair was never a candidate…
   MatchResult blocked = RunWithBlocking(g, keys, Algorithm::kEmOptMr, true);
   EXPECT_GT(blocked.stats.candidates_blocked, 0u);
+}
+
+TEST(Blocking, PatchedPlanCountsBlockedPairsOfAFullyReenumeratedType) {
+  // Q6's "UK" constant does not resolve before the delta, so the key
+  // cannot fire and the street type's signature index has no sources.
+  // The delta adds "UK": the stored index is no longer valid, the patch
+  // rebuilds it and enumerates the type in full — and must count the
+  // pairs blocking kept out exactly like a fresh compile does.
+  Graph g;
+  std::vector<NodeId> streets;
+  for (int i = 0; i < 6; ++i) streets.push_back(g.AddEntity("street"));
+  const char* zips[] = {"Z1", "Z1", "Z2", "Z2", "Z3", "Z4"};
+  for (int i = 0; i < 6; ++i) {
+    g.AddTriple(streets[i], "zip_code", g.AddValue(zips[i])).IgnoreError();
+    g.AddTriple(streets[i], "nation_of", g.AddValue("US")).IgnoreError();
+  }
+  g.Finalize();
+  KeySet keys;
+  ASSERT_TRUE(keys.AddFromDsl(R"(
+    key Q6 for street {
+      x -[zip_code]-> code*
+      x -[nation_of]-> "UK"
+    }
+  )")
+                  .ok());
+  auto plan = Matcher::Compile(g, keys, PlanOptions::For(Algorithm::kEmMr, 1));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->context().candidates_initial(), 0u);
+
+  GraphDelta delta(g);
+  NodeId uk = delta.AddValue("UK");
+  for (int i : {0, 1, 2}) {
+    ASSERT_TRUE(delta.AddTriple(streets[i], "nation_of", uk).ok());
+  }
+  ASSERT_TRUE(g.Apply(delta).ok());
+  auto patched = plan->Patch(delta);
+  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+  auto fresh = Matcher::Compile(g, keys, PlanOptions::For(Algorithm::kEmMr, 1));
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+
+  const EmContext& p = patched->context();
+  const EmContext& f = fresh->context();
+  EXPECT_GT(f.candidates_blocked(), 0u);
+  EXPECT_EQ(f.candidates_initial() + f.candidates_blocked(), 6u * 5u / 2u);
+  EXPECT_EQ(p.candidates_initial() + p.candidates_blocked(),
+            f.candidates_initial() + f.candidates_blocked());
+  EXPECT_EQ(p.candidates_blocked(), f.candidates_blocked());
 }
 
 }  // namespace

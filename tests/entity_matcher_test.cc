@@ -53,9 +53,11 @@ TEST(EntityMatcher, CustomOptionsDispatch) {
   custom.processors = 2;
   custom.use_pairing = true;
   custom.bounded_messages = 2;
-  MatchResult r =
-      MatchEntities(m.g, sigma1, Algorithm::kEmOptVc, custom);
-  EXPECT_EQ(r.pairs, Pairs({{m.alb1, m.alb2}, {m.art1, m.art2}}));
+  auto plan = Matcher::Compile(m.g, sigma1);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto r = Matcher(Algorithm::kEmOptVc).options(custom).Run(*plan);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->pairs, Pairs({{m.alb1, m.alb2}, {m.art1, m.art2}}));
 }
 
 // Diamond-shaped pattern: two paths from x converge on one value.
@@ -86,7 +88,7 @@ TEST(EntityMatcher, DiamondPattern) {
   )").ok());
   for (Algorithm a : {Algorithm::kNaiveChase, Algorithm::kEmOptMr,
                       Algorithm::kEmOptVc}) {
-    MatchResult r = MatchEntities(g, keys, a, 2);
+    MatchResult r = testing::CompileAndRun(g, keys, a, 2);
     EXPECT_EQ(r.pairs, Pairs({{d1, d2}})) << AlgorithmName(a);
     (void)d3;
   }
@@ -117,7 +119,7 @@ TEST(EntityMatcher, ParallelPatternEdges) {
   )").ok());
   for (Algorithm a : {Algorithm::kNaiveChase, Algorithm::kEmOptMr,
                       Algorithm::kEmOptVc}) {
-    MatchResult r = MatchEntities(g, keys, a, 2);
+    MatchResult r = testing::CompileAndRun(g, keys, a, 2);
     EXPECT_EQ(r.pairs, Pairs({{u1, u2}})) << AlgorithmName(a);
     (void)u3;
   }
@@ -151,7 +153,7 @@ TEST(EntityMatcher, MultipleKeysSamePair) {
   )").ok());
   for (Algorithm algo :
        {Algorithm::kEmMr, Algorithm::kEmVc, Algorithm::kEmOptVc}) {
-    MatchResult r = MatchEntities(g, keys, algo, 4);
+    MatchResult r = testing::CompileAndRun(g, keys, algo, 4);
     EXPECT_EQ(r.pairs, Pairs({{a, b}})) << AlgorithmName(algo);
     EXPECT_EQ(r.stats.confirmed, 1u);
   }
@@ -173,7 +175,7 @@ TEST(EntityMatcher, PartiallyUnmatchableKeySet) {
   )").ok());
   for (Algorithm a : {Algorithm::kNaiveChase, Algorithm::kEmOptMr,
                       Algorithm::kEmVc}) {
-    MatchResult r = MatchEntities(m.g, keys, a, 2);
+    MatchResult r = testing::CompileAndRun(m.g, keys, a, 2);
     EXPECT_EQ(r.pairs, Pairs({{m.alb1, m.alb2}})) << AlgorithmName(a);
   }
 }

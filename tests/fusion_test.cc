@@ -125,7 +125,8 @@ TEST(Fusion, EndToEndOnDBpediaSim) {
   DBpediaSimConfig cfg;
   cfg.scale = 0.5;
   SyntheticDataset ds = GenerateDBpediaSim(cfg);
-  MatchResult r = MatchEntities(ds.graph, ds.keys, Algorithm::kEmOptVc, 4);
+  MatchResult r =
+      testing::CompileAndRun(ds.graph, ds.keys, Algorithm::kEmOptVc, 4);
   FusionResult fused = FuseEntities(ds.graph, r.pairs);
   EXPECT_GT(fused.entities_fused, 0u);
   // Fusion eliminates exactly one entity per extra class member.
@@ -139,7 +140,8 @@ TEST(Fusion, EndToEndOnDBpediaSim) {
   }
   EXPECT_EQ(fused.entities_fused, expected_eliminated);
   // And the fused knowledge base is duplicate-free under Σ.
-  EXPECT_TRUE(MatchEntities(fused.graph, ds.keys, Algorithm::kEmOptVc, 4)
+  EXPECT_TRUE(testing::CompileAndRun(fused.graph, ds.keys,
+                                     Algorithm::kEmOptVc, 4)
                   .pairs.empty());
 }
 

@@ -3,6 +3,7 @@
 #include "core/entity_matcher.h"
 #include "gen/datasets.h"
 #include "gen/synthetic.h"
+#include "test_util.h"
 
 namespace gkeys {
 namespace {
@@ -114,7 +115,8 @@ TEST(GoogleSim, ChainedDuplicatesNeedMultipleMapReduceRounds) {
   GoogleSimConfig cfg;
   cfg.duplicate_pairs = 6;
   SyntheticDataset ds = GenerateGoogleSim(cfg);
-  MatchResult r = MatchEntities(ds.graph, ds.keys, Algorithm::kEmMr, 2);
+  MatchResult r =
+      testing::CompileAndRun(ds.graph, ds.keys, Algorithm::kEmMr, 2);
   EXPECT_EQ(r.pairs, ds.planted);
   EXPECT_GE(r.stats.rounds, 3u);
 }

@@ -10,6 +10,7 @@
 #include "core/entity_matcher.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
+#include "test_util.h"
 
 namespace gkeys {
 namespace {
@@ -104,7 +105,8 @@ TEST(SkewedSelectivity, PlantedPairsAreExactGroundTruth) {
 TEST(SkewedSelectivity, HotBucketDominatesCandidates) {
   SkewedSelectivityConfig cfg;
   SyntheticDataset ds = GenerateSkewedSelectivity(cfg);
-  MatchResult r = MatchEntities(ds.graph, ds.keys, Algorithm::kEmOptMr, 2);
+  MatchResult r =
+      testing::CompileAndRun(ds.graph, ds.keys, Algorithm::kEmOptMr, 2);
   EXPECT_EQ(r.pairs, ds.planted);
   // All hot items share one literal on the key's only signature source,
   // so blocking is left with one giant bucket: |L| >= C(hot, 2) while
@@ -143,7 +145,8 @@ TEST(NearDuplicates, PlantedPairsAreExactGroundTruth) {
 TEST(NearDuplicates, ClustersAreCandidateDense) {
   NearDuplicateConfig cfg;
   SyntheticDataset ds = GenerateNearDuplicates(cfg);
-  MatchResult r = MatchEntities(ds.graph, ds.keys, Algorithm::kEmOptMr, 2);
+  MatchResult r =
+      testing::CompileAndRun(ds.graph, ds.keys, Algorithm::kEmOptMr, 2);
   EXPECT_EQ(r.pairs, ds.planted);
   // Every cluster contributes ~k^2/2 same-token product candidates, only
   // one of which is a true duplicate.

@@ -288,19 +288,5 @@ TEST(Matcher, VcOnPlanWithoutProductGraphIsFailedPrecondition) {
   EXPECT_EQ(mr->pairs, Pairs({{m.alb1, m.alb2}, {m.art1, m.art2}}));
 }
 
-// ---- Legacy wrappers -------------------------------------------------------
-
-TEST(Matcher, LegacyFreeFunctionStillAgrees) {
-  auto m = testing::MakeG1();
-  KeySet sigma1 = testing::MakeSigma1();
-  auto plan = Matcher::Compile(m.g, sigma1);
-  ASSERT_TRUE(plan.ok());
-  auto via_plan = Matcher(Algorithm::kEmOptVc).processors(2).Run(*plan);
-  ASSERT_TRUE(via_plan.ok());
-  MatchResult legacy =
-      MatchEntities(m.g, sigma1, Algorithm::kEmOptVc, /*processors=*/2);
-  EXPECT_EQ(legacy.pairs, via_plan->pairs);
-}
-
 }  // namespace
 }  // namespace gkeys

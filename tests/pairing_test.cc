@@ -373,11 +373,12 @@ TEST(PairingOracle, AllSixAlgorithmsByteIdenticalPairs) {
     cfg.entities_per_type = 12;
     SyntheticDataset ds = GenerateSynthetic(cfg);
     std::vector<std::pair<NodeId, NodeId>> want =
-        MatchEntities(ds.graph, ds.keys, Algorithm::kNaiveChase, 1).pairs;
+        testing::CompileAndRun(ds.graph, ds.keys, Algorithm::kNaiveChase, 1)
+            .pairs;
     for (Algorithm a :
          {Algorithm::kEmMr, Algorithm::kEmVf2Mr, Algorithm::kEmOptMr,
           Algorithm::kEmVc, Algorithm::kEmOptVc}) {
-      EXPECT_EQ(MatchEntities(ds.graph, ds.keys, a, 4).pairs, want)
+      EXPECT_EQ(testing::CompileAndRun(ds.graph, ds.keys, a, 4).pairs, want)
           << AlgorithmName(a) << " seed=" << seed;
     }
   }

@@ -145,7 +145,7 @@ TEST(PaperExamples, AllAlgorithmsAgreeOnG1) {
   for (Algorithm a :
        {Algorithm::kNaiveChase, Algorithm::kEmMr, Algorithm::kEmVf2Mr,
         Algorithm::kEmOptMr, Algorithm::kEmVc, Algorithm::kEmOptVc}) {
-    MatchResult r = MatchEntities(m.g, sigma1, a, /*processors=*/3);
+    MatchResult r = testing::CompileAndRun(m.g, sigma1, a, 3);
     EXPECT_EQ(r.pairs, expected) << AlgorithmName(a);
   }
 }
@@ -157,7 +157,7 @@ TEST(PaperExamples, AllAlgorithmsAgreeOnG2) {
   for (Algorithm a :
        {Algorithm::kNaiveChase, Algorithm::kEmMr, Algorithm::kEmVf2Mr,
         Algorithm::kEmOptMr, Algorithm::kEmVc, Algorithm::kEmOptVc}) {
-    MatchResult r = MatchEntities(c.g, sigma2, a, /*processors=*/3);
+    MatchResult r = testing::CompileAndRun(c.g, sigma2, a, 3);
     EXPECT_EQ(r.pairs, expected) << AlgorithmName(a);
   }
 }

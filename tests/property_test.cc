@@ -7,6 +7,7 @@
 #include "gen/synthetic.h"
 #include "isomorph/pairing.h"
 #include "isomorph/vf2.h"
+#include "test_util.h"
 
 namespace gkeys {
 namespace {
@@ -55,7 +56,7 @@ TEST_P(WorkloadProperty, ChurchRosser) {
 TEST_P(WorkloadProperty, ParallelAlgorithmsAgree) {
   SyntheticDataset ds = MakeDataset();
   for (Algorithm a : {Algorithm::kEmOptMr, Algorithm::kEmOptVc}) {
-    EXPECT_EQ(MatchEntities(ds.graph, ds.keys, a, 4).pairs, ds.planted)
+    EXPECT_EQ(testing::CompileAndRun(ds.graph, ds.keys, a, 4).pairs, ds.planted)
         << AlgorithmName(a);
   }
 }

@@ -1,9 +1,13 @@
 #ifndef GKEYS_TESTS_TEST_UTIL_H_
 #define GKEYS_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
+#include <gtest/gtest.h>
+
+#include "core/matcher.h"
 #include "graph/graph.h"
 #include "keys/key.h"
 #include "pattern/parser.h"
@@ -137,6 +141,30 @@ inline std::vector<std::pair<NodeId, NodeId>> Pairs(
   }
   std::sort(v.begin(), v.end());
   return v;
+}
+
+/// Matcher::Compile with `popts`, then Matcher::Run with the algorithm's
+/// run preset at popts.processors workers. A Status error fails the
+/// calling test and yields an empty result.
+inline MatchResult CompileAndRun(const Graph& g, const KeySet& keys,
+                                 Algorithm a, const PlanOptions& popts) {
+  auto plan = Matcher::Compile(g, keys, popts);
+  if (!plan.ok()) {
+    ADD_FAILURE() << AlgorithmName(a) << ": " << plan.status().ToString();
+    return {};
+  }
+  auto r = Matcher(a).processors(popts.processors).Run(*plan);
+  if (!r.ok()) {
+    ADD_FAILURE() << AlgorithmName(a) << ": " << r.status().ToString();
+    return {};
+  }
+  return *std::move(r);
+}
+
+/// Same, compiling with the algorithm's plan preset.
+inline MatchResult CompileAndRun(const Graph& g, const KeySet& keys,
+                                 Algorithm a, int processors) {
+  return CompileAndRun(g, keys, a, PlanOptions::For(a, processors));
 }
 
 }  // namespace testing
