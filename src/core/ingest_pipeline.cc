@@ -95,6 +95,81 @@ bool Cancelled(const IngestOptions& opts) {
 
 }  // namespace
 
+Status CommitDelta(const Matcher& matcher, const IngestSession& session,
+                   const GraphDelta& delta, IngestStats& stats) {
+  Timer apply_timer;
+  auto dirty = session.graph->Apply(delta);
+  stats.seconds.apply += apply_timer.Seconds();
+  GKEYS_RETURN_IF_ERROR(dirty.status());
+  Timer patch_timer;
+  StatusOr<MatchPlan> patched = session.plan->Patch(delta);
+  stats.seconds.patch += patch_timer.Seconds();
+  GKEYS_RETURN_IF_ERROR(patched.status());
+  Timer rematch_timer;
+  StatusOr<MatchResult> rematched =
+      matcher.Rematch(*patched, *session.result, delta);
+  stats.seconds.rematch += rematch_timer.Seconds();
+  GKEYS_RETURN_IF_ERROR(rematched.status());
+  *session.plan = *std::move(patched);
+  *session.result = *std::move(rematched);
+  stats.added_triples += delta.num_added_triples();
+  stats.removed_triples += delta.num_removed_triples();
+  ++stats.commits;
+  return Status::OK();
+}
+
+Status CommitBatches(const Matcher& matcher, const IngestSession& session,
+                     std::span<const TokenizedText* const> batches,
+                     IngestStats& stats, const BatchCommitted& committed) {
+  for (size_t begin = 0; begin < batches.size();) {
+    // Grow the group until the binder rejects a batch or the run ends.
+    Timer bind_timer;
+    std::optional<DeltaBinder> binder;
+    binder.emplace(*session.graph, *session.entity_names);
+    std::vector<bool> contributed;
+    size_t end = begin;
+    Status rejected;
+    for (; end < batches.size(); ++end) {
+      const size_t ops_before = binder->ops();
+      rejected = binder->Append(*batches[end]);
+      if (!rejected.ok()) break;
+      contributed.push_back(binder->ops() > ops_before);
+    }
+    if (end == begin) {
+      stats.seconds.bind += bind_timer.Seconds();
+      return rejected;  // first of its group: fails as it would alone
+    }
+    if (end < batches.size()) {
+      // The rejected batch may have left part of itself in the binder.
+      binder.emplace(*session.graph, *session.entity_names);
+      for (size_t i = begin; i < end; ++i) {
+        GKEYS_RETURN_IF_ERROR(binder->Append(*batches[i]));
+      }
+    }
+    std::unordered_map<std::string, NodeId> new_bindings;
+    GraphDelta delta = binder->Take(&new_bindings);
+    stats.seconds.bind += bind_timer.Seconds();
+
+    if (!delta.empty()) {
+      GKEYS_RETURN_IF_ERROR(CommitDelta(matcher, session, delta, stats));
+    }
+    stats.batches += end - begin;
+    for (bool c : contributed) {
+      if (!c) ++stats.empty_batches;
+    }
+    for (auto& [token, id] : new_bindings) {
+      session.entity_names->emplace(token, id);
+    }
+    if (committed) {
+      for (size_t i = begin; i < end; ++i) {
+        GKEYS_RETURN_IF_ERROR(committed(i, delta, contributed[i - begin]));
+      }
+    }
+    begin = end;
+  }
+  return Status::OK();
+}
+
 IngestStats RunIngestPipeline(const Matcher& matcher,
                               const IngestSession& session,
                               const IngestSource& source,
@@ -143,65 +218,6 @@ IngestStats RunIngestPipeline(const Matcher& matcher,
   // in commit order. Stops at the first failure with the session still
   // at the last committed batch.
   Status engine_status;
-
-  // One Apply → Patch → Rematch pass, advancing the session past `delta`
-  // (which must be non-empty).
-  auto run_engine_pass = [&](const GraphDelta& delta) -> Status {
-    Timer apply_timer;
-    auto dirty = session.graph->Apply(delta);
-    stats.seconds.apply += apply_timer.Seconds();
-    GKEYS_RETURN_IF_ERROR(dirty.status());
-    Timer patch_timer;
-    StatusOr<MatchPlan> patched = session.plan->Patch(delta);
-    stats.seconds.patch += patch_timer.Seconds();
-    GKEYS_RETURN_IF_ERROR(patched.status());
-    Timer rematch_timer;
-    StatusOr<MatchResult> rematched =
-        matcher.Rematch(*patched, *session.result, delta);
-    stats.seconds.rematch += rematch_timer.Seconds();
-    GKEYS_RETURN_IF_ERROR(rematched.status());
-    *session.plan = *std::move(patched);
-    *session.result = *std::move(rematched);
-    stats.added_triples += delta.num_added_triples();
-    stats.removed_triples += delta.num_removed_triples();
-    ++stats.commits;
-    return Status::OK();
-  };
-
-  auto notify = [&](const ParsedBatch& batch, const GraphDelta& delta,
-                    bool contributed) -> Status {
-    if (!observer) return Status::OK();
-    IngestBatch committed;
-    committed.index = batch.index;
-    committed.text = &batch.text;
-    committed.delta = &delta;
-    committed.result = session.result;
-    committed.contributed = contributed;
-    return observer(committed);
-  };
-
-  // The per-batch path: bind this batch alone and commit it, exactly as
-  // the serial loop would. Also the replay path when a group bind fails.
-  auto commit_one = [&](ParsedBatch& batch) -> Status {
-    Timer bind_timer;
-    std::unordered_map<std::string, NodeId> new_bindings;
-    StatusOr<GraphDelta> delta = BindDeltaText(
-        batch.tokens, *session.graph, *session.entity_names, &new_bindings);
-    stats.seconds.bind += bind_timer.Seconds();
-    GKEYS_RETURN_IF_ERROR(delta.status());
-    const bool contributed = !delta->empty();
-    if (contributed) {
-      GKEYS_RETURN_IF_ERROR(run_engine_pass(*delta));
-    } else {
-      ++stats.empty_batches;
-    }
-    ++stats.batches;
-    for (auto& [token, id] : new_bindings) {
-      session.entity_names->emplace(token, id);
-    }
-    return notify(batch, *delta, contributed);
-  };
-
   const size_t max_coalesce = opts.max_coalesce < 1 ? 1 : opts.max_coalesce;
   while (engine_status.ok()) {
     if (Cancelled(opts)) {
@@ -223,54 +239,20 @@ IngestStats RunIngestPipeline(const Matcher& matcher,
       if (!more.has_value()) break;
       group.push_back(*std::move(more));
     }
-
-    if (group.size() == 1) {
-      engine_status = commit_one(group.front());
-      continue;
-    }
-
-    Timer bind_timer;
-    DeltaBinder binder(*session.graph, *session.entity_names);
-    std::vector<bool> contributed(group.size(), false);
-    bool group_bound = true;
-    for (size_t i = 0; i < group.size(); ++i) {
-      const size_t ops_before = binder.ops();
-      if (!binder.Append(group[i].tokens).ok()) {
-        group_bound = false;
-        break;
-      }
-      contributed[i] = binder.ops() > ops_before;
-    }
-    stats.seconds.bind += bind_timer.Seconds();
-
-    if (!group_bound) {
-      // One batch is malformed, or the group depends on its own earlier
-      // batches (e.g. removes what they added) — replay per batch so the
-      // committed prefix and the reported error are exactly serial.
-      for (ParsedBatch& batch : group) {
-        engine_status = commit_one(batch);
-        if (!engine_status.ok()) break;
-      }
-      continue;
-    }
-
-    std::unordered_map<std::string, NodeId> new_bindings;
-    GraphDelta delta = binder.Take(&new_bindings);
-    if (!delta.empty()) {
-      engine_status = run_engine_pass(delta);
-      if (!engine_status.ok()) break;
-    }
-    for (size_t i = 0; i < group.size(); ++i) {
-      if (!contributed[i]) ++stats.empty_batches;
-    }
-    stats.batches += group.size();
-    for (auto& [token, id] : new_bindings) {
-      session.entity_names->emplace(token, id);
-    }
-    for (size_t i = 0; i < group.size(); ++i) {
-      engine_status = notify(group[i], delta, contributed[i]);
-      if (!engine_status.ok()) break;
-    }
+    std::vector<const TokenizedText*> tokens;
+    for (const ParsedBatch& batch : group) tokens.push_back(&batch.tokens);
+    engine_status = CommitBatches(
+        matcher, session, tokens, stats,
+        [&](size_t i, const GraphDelta& delta, bool contributed) {
+          if (!observer) return Status::OK();
+          IngestBatch committed;
+          committed.index = group[i].index;
+          committed.text = &group[i].text;
+          committed.delta = &delta;
+          committed.result = session.result;
+          committed.contributed = contributed;
+          return observer(committed);
+        });
   }
 
   // Shutdown: wake the producer if it is blocked in Push, then join.

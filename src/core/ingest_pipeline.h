@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -17,6 +18,7 @@
 namespace gkeys {
 
 class Matcher;
+struct TokenizedText;  // io/fast_triples.h
 
 /// Staged ingest: a tokenize-ahead stage feeding the serial engine chain
 /// (bind → Apply → Patch → Rematch) through a bounded queue, so batch
@@ -36,16 +38,11 @@ class Matcher;
 /// terms that do not shrink with batch size (Graph::Apply re-finalizes,
 /// MatchPlan::Patch rebuilds its rep), so when tokenized batches are
 /// already waiting in the queue — the common state whenever parsing
-/// outruns matching — the engine binds up to `max_coalesce` of them into
-/// ONE GraphDelta (io/fast_triples.h DeltaBinder) and commits the group
-/// with a single Apply → Patch → Rematch pass. The final session state is
-/// identical to per-batch commits (the existing incremental == from-
-/// scratch invariant covers the combined delta); only the intermediate
-/// states the observer can see are coarser. Groups whose batches depend
-/// on each other in ways one delta cannot express (removing what an
-/// earlier batch in the group added) fail the group bind and are replayed
-/// batch-by-batch, so error positions and committed prefixes stay exactly
-/// serial. Set max_coalesce = 1 to force per-batch commits throughout.
+/// outruns matching — the engine hands up to `max_coalesce` of them to
+/// CommitBatches (below), which commits them with as few Apply → Patch →
+/// Rematch passes as serial semantics allow. Crash recovery replays the
+/// write-ahead log through the same routine (storage/recovery.h). Set
+/// max_coalesce = 1 to force per-batch commits throughout.
 ///
 /// Error and cancellation semantics: the stream stops at the first
 /// failing batch with the session still at the last committed batch
@@ -141,6 +138,43 @@ struct IngestBatch {
 /// every committed batch, empty ones included; a non-OK return stops
 /// the stream with that status (the batch itself stays committed).
 using IngestObserver = std::function<Status(const IngestBatch&)>;
+
+/// One Apply → Patch → Rematch pass: advances `session` (graph, plan and
+/// result; the binding table is not touched) past the non-empty `delta`
+/// and counts it in `stats`. When Apply fails, the session is unchanged.
+Status CommitDelta(const Matcher& matcher, const IngestSession& session,
+                   const GraphDelta& delta, IngestStats& stats);
+
+/// Called once per committed batch, in order: `batch` is its position in
+/// the run, `delta` the delta of the pass that committed it (shared by
+/// every batch of that pass) and `contributed` whether the batch staged
+/// anything. A non-OK return stops the run (the batch stays committed).
+using BatchCommitted = std::function<Status(
+    size_t batch, const GraphDelta& delta, bool contributed)>;
+
+/// Group commit, shared by live ingest and crash recovery: commits a run
+/// of tokenized delta batches onto `session`, in order, binding them
+/// through one DeltaBinder (io/fast_triples.h) and running one Apply →
+/// Patch → Rematch pass per group. A group grows until Append rejects a
+/// batch k; batches [i, k) then commit as one pass (rebound in a fresh
+/// binder) and the next group starts at k. A batch rejected as the first
+/// of its group fails on its own, with the status the serial path
+/// reports. The binder rejects every batch that would make a group differ
+/// from committing its batches one by one, so the final session, the
+/// committed prefix and the failing batch are exactly serial; only the
+/// intermediate states are coarser.
+///
+/// On failure `stats.batches` has grown by the number of batches
+/// committed before the failing one. A failing pass counts against the
+/// first batch of its group: a batch whose removals could fail Apply
+/// never joins a group it does not open, so a failing Apply is always
+/// that batch's own, and Apply leaves the session at the batches before
+/// it. (A Patch or Rematch failure, e.g. a deadline, leaves the graph
+/// ahead of the plan, as it would for a single commit.)
+Status CommitBatches(const Matcher& matcher, const IngestSession& session,
+                     std::span<const TokenizedText* const> batches,
+                     IngestStats& stats,
+                     const BatchCommitted& committed = {});
 
 /// Runs the staged pipeline until the source ends, a batch fails, the
 /// observer rejects, or `opts.cancelled` fires. Usually invoked through

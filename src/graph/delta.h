@@ -1,6 +1,8 @@
 #ifndef GKEYS_GRAPH_DELTA_H_
 #define GKEYS_GRAPH_DELTA_H_
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -100,6 +102,23 @@ class GraphDelta {
   const std::vector<NewNode>& new_nodes() const { return new_nodes_; }
   const std::vector<DeltaTriple>& added() const { return added_; }
   const std::vector<DeltaTriple>& removed() const { return removed_; }
+
+  /// A staged triple as a hash-set key (Graph::Apply's removal check,
+  /// DeltaBinder's group rules). `pred` is a view: valid only while the
+  /// string it points into lives.
+  struct TripleRef {
+    NodeId subject;
+    std::string_view pred;
+    NodeId object;
+    bool operator==(const TripleRef&) const = default;
+  };
+  struct TripleRefHash {
+    size_t operator()(const TripleRef& t) const noexcept {
+      const uint64_t ends = uint64_t{t.subject} << 32 | t.object;
+      return std::hash<std::string_view>{}(t.pred) ^
+             static_cast<size_t>(ends * 0x9e3779b97f4a7c15ull);
+    }
+  };
 
  private:
   bool Staged(NodeId n) const {

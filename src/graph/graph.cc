@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "graph/delta.h"
 
@@ -196,6 +197,40 @@ StatusOr<std::vector<NodeId>> Graph::Apply(const GraphDelta& delta) {
         std::to_string(delta.base_nodes()) + " nodes, this graph has " +
         std::to_string(NumNodes()));
   }
+  // Every removal is checked before anything mutates, so a failing Apply
+  // leaves the graph as it was. Adds run first, so a removal is valid
+  // when its triple is in the graph or among the delta's adds, and no
+  // earlier removal of the delta took it already.
+  using Ref = GraphDelta::TripleRef;
+  std::unordered_set<Ref, GraphDelta::TripleRefHash> added, taken;
+  bool added_indexed = false;  // `added` is built on first need
+  for (const GraphDelta::DeltaTriple& t : delta.removed()) {
+    if (t.subject >= NumNodes() || t.object >= NumNodes()) {
+      return Status::InvalidArgument("RemoveTriple: node id out of range");
+    }
+    const Ref ref{t.subject, t.pred, t.object};
+    const Symbol p = interner_.Lookup(t.pred);
+    bool present = p != kNoSymbol && HasTriple(t.subject, p, t.object);
+    if (!present) {
+      if (!added_indexed) {
+        for (const GraphDelta::DeltaTriple& a : delta.added()) {
+          added.insert(Ref{a.subject, a.pred, a.object});
+        }
+        added_indexed = true;
+      }
+      present = added.count(ref) > 0;
+    }
+    if (present && taken.insert(ref).second) continue;
+    if (p == kNoSymbol &&
+        std::none_of(delta.added().begin(), delta.added().end(),
+                     [&](const auto& a) { return a.pred == t.pred; })) {
+      return Status::NotFound("Graph::Apply: removed predicate '" + t.pred +
+                              "' never occurs in the graph");
+    }
+    return Status::NotFound("RemoveTriple: (" + DescribeNode(t.subject) +
+                            ", " + t.pred + ", " + DescribeNode(t.object) +
+                            ") is not in the graph");
+  }
   // Materialize staged nodes in staging order so their NodeIds come out
   // exactly as GraphDelta handed them to the caller.
   for (const GraphDelta::NewNode& nn : delta.new_nodes()) {
@@ -207,12 +242,9 @@ StatusOr<std::vector<NodeId>> Graph::Apply(const GraphDelta& delta) {
     GKEYS_RETURN_IF_ERROR(AddTriple(t.subject, t.pred, t.object));
   }
   for (const GraphDelta::DeltaTriple& t : delta.removed()) {
-    Symbol p = interner_.Lookup(t.pred);
-    if (p == kNoSymbol) {
-      return Status::NotFound("Graph::Apply: removed predicate '" + t.pred +
-                              "' never occurs in the graph");
-    }
-    GKEYS_RETURN_IF_ERROR(RemoveTriple(t.subject, p, t.object));
+    // Checked above: the predicate is interned by now, the triple there.
+    GKEYS_RETURN_IF_ERROR(
+        RemoveTriple(t.subject, interner_.Lookup(t.pred), t.object));
   }
   std::vector<NodeId> dirty = DirtyNodes();
   Finalize();

@@ -126,10 +126,11 @@ class Graph {
   /// through the per-node thaw path, and the CSR is merge-rebuilt.
   /// Returns the sorted dirty node set (endpoints of every added/removed
   /// triple plus all new nodes) — the input MatchPlan::Patch consumes.
-  /// Errors: InvalidArgument when the delta was staged against a graph
-  /// with a different node count; NotFound when a removed triple is
-  /// absent (the graph may then be left unfinalized with a prefix of the
-  /// delta applied).
+  /// All or nothing: every removal is checked before anything changes,
+  /// so on error the graph is exactly as it was. Errors: InvalidArgument
+  /// when the delta was staged against a graph with a different node
+  /// count; NotFound when a removed triple is neither in the graph nor
+  /// among the delta's adds (adds run first), or is removed twice.
   StatusOr<std::vector<NodeId>> Apply(const GraphDelta& delta);
 
   // ---- Queries ----

@@ -301,8 +301,34 @@ Status DeltaBinder::Append(const TokenizedText& tokens) {
                                      std::to_string(ln.line_no) + ": " +
                                      st.message());
     }
+    // The group rules of the class comment. Removals are recorded from
+    // every batch but checked only from the second batch on.
+    auto conflict = [&ln](const char* what) {
+      return Status::FailedPrecondition(
+          "delta line " + std::to_string(ln.line_no) + ": " + what +
+          ", so the batch cannot join the group");
+    };
+    const GraphDelta::TripleRef ref{*s, ln.pred, *o};
+    if (adding) {
+      if (!removed_.empty()) {
+        auto it = removed_.find(ref);
+        if (it != removed_.end() && it->second < batches_) {
+          return conflict("re-adds a triple an earlier batch removes");
+        }
+      }
+    } else {
+      const bool fresh = removed_.emplace(ref, batches_).second;
+      if (batches_ > 0) {
+        if (!fresh) return conflict("removes a triple already removed");
+        const Symbol p = g_.interner().Lookup(ln.pred);
+        if (p == kNoSymbol || !g_.HasTriple(*s, p, *o)) {
+          return conflict("removes a triple the base graph lacks");
+        }
+      }
+    }
   }
   if (tokens.error_line != 0) return tokens.error;
+  ++batches_;
   return Status::OK();
 }
 

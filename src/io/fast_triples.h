@@ -123,11 +123,22 @@ StatusOr<GraphDelta> BindDeltaText(
 /// Binding batches B1..Bk through one binder is equivalent to binding
 /// their concatenation as a single delta text, except that error messages
 /// keep each batch's own line numbers. That concatenation is NOT always
-/// equivalent to committing the batches one by one: a batch that removes
-/// a triple or value an earlier batch in the same group introduced fails
-/// to bind (GraphDelta removals must reference base-graph nodes). Append
-/// surfaces those cases as errors; the pipeline reacts by re-binding the
-/// group per batch, which restores exact serial semantics.
+/// equivalent to committing the batches one by one, so Append rejects a
+/// batch (after the first) that the group cannot absorb:
+///
+///   - it removes a triple or value an earlier batch introduced
+///     (GraphDelta removals must reference base-graph nodes);
+///   - it adds a triple an earlier batch removes (Graph::Apply runs adds
+///     before removals, so the group would lose the re-added triple);
+///   - it removes a triple that is not in the base graph, or that an
+///     earlier batch (or an earlier line) already removes: committed
+///     alone it fails Apply, and in the group it would fail the batches
+///     before it too.
+///
+/// The first batch is never rejected for these: alone, it is exactly the
+/// serial commit. CommitBatches (core/ingest_pipeline.h) commits the
+/// batches before a rejected one as a group and starts the next group at
+/// it, which keeps committed prefixes and error positions serial.
 class DeltaBinder {
  public:
   /// The graph and base table must outlive the binder; so must every
@@ -139,9 +150,11 @@ class DeltaBinder {
   DeltaBinder& operator=(const DeltaBinder&) = delete;
 
   /// Binds one tokenized batch into the accumulated delta, exactly as
-  /// BindDeltaText would bind it after the preceding appends. On failure
-  /// the accumulated delta may hold part of the failing batch: discard
-  /// the binder and rebind from scratch.
+  /// BindDeltaText would bind it after the preceding appends. Fails with
+  /// the parse or bind error BindDeltaText reports, or FailedPrecondition
+  /// for a batch the group cannot absorb (see above). On failure the
+  /// accumulated delta may hold part of the failing batch: discard the
+  /// binder and rebind from scratch.
   Status Append(const TokenizedText& tokens);
 
   /// Triple operations (adds + removes) accumulated so far. Comparing
@@ -160,6 +173,12 @@ class DeltaBinder {
   std::unordered_map<std::string_view, NodeId> overlay_;
   std::vector<std::pair<std::string_view, NodeId>> introduced_;
   std::string key_buf_;
+  /// Batches appended so far.
+  size_t batches_ = 0;
+  /// Every triple the group removes → the batch that removes it first.
+  /// Predicates view the token texts, which outlive the binder.
+  std::unordered_map<GraphDelta::TripleRef, size_t, GraphDelta::TripleRefHash>
+      removed_;
 };
 
 /// TokenizeTriples + BindTriples: the fast DeserializeGraphWithNames.

@@ -72,7 +72,8 @@ class DurableDir {
   Status AppendDelta(const GraphDelta& delta);
 
   /// Same, framing the batch as raw delta-file text (`+ s p o` lines).
-  /// Recovery replays it through ParseDelta against the session's
+  /// Recovery tokenizes it and group-commits each run of text batches
+  /// (CommitBatches, core/ingest_pipeline.h) against the session's
   /// evolving entity-name table, so CLI-ingested batches may reference
   /// entities introduced by earlier batches by token.
   Status AppendDeltaText(std::string_view text);

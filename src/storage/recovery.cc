@@ -3,11 +3,14 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include <unistd.h>
 
-#include "io/triples.h"
+#include "core/ingest_pipeline.h"
+#include "io/fast_triples.h"
 #include "storage/delta_log.h"
 #include "storage/durable_dir.h"
 #include "storage/mmap_store.h"
@@ -100,43 +103,57 @@ StatusOr<RecoveredSession> Recover(const std::string& dir,
         std::to_string(generation));
 
   // APPLY: every surviving record passed its checksum, so it was
-  // acknowledged — any failure from here on is real data loss. Each
-  // batch runs the normal incremental lifecycle (Apply → Patch →
-  // Rematch via Snapshot::Resume), so the recovered result is
-  // byte-identical to an uninterrupted process's. Replay follows the
-  // SNAPSHOT's algorithm when the caller's differs — the stored plan was
-  // compiled for it (e.g. the EMVC family needs its product graph), and
-  // all six produce identical pairs anyway.
+  // acknowledged — any failure from here on is real data loss. Replay
+  // commits the records the way live ingest does: each maximal run of
+  // text records goes through CommitBatches as a group commit, a binary
+  // record commits alone through the same Apply → Patch → Rematch pass.
+  // Both reproduce the serial per-batch chain byte for byte, failing
+  // batch included. Replay follows the SNAPSHOT's algorithm when the
+  // caller's differs — the stored plan was compiled for it (e.g. the
+  // EMVC family needs its product graph), and all six produce identical
+  // pairs anyway.
   Matcher replayer = matcher;
   if (replayer.algorithm() != session.snapshot.algorithm()) {
     int procs = replayer.options().processors;
     replayer.algorithm(session.snapshot.algorithm()).processors(procs);
   }
-  for (size_t i = 0; i < replay->records.size(); ++i) {
-    const std::string& rec = replay->records[i];
+  const IngestSession target = session.snapshot.session(session.entity_names);
+  const std::vector<std::string>& records = replay->records;
+  // Every committed record counts one batch, so on failure `replayed.batches`
+  // is the position of the failing record.
+  IngestStats replayed;
+  for (size_t i = 0; i < records.size();) {
+    std::vector<TokenizedText> run;
+    for (; i < records.size() && !records[i].empty() &&
+           records[i][0] == DurableDir::kTextDeltaTag;
+         ++i) {
+      run.push_back(TokenizeDeltaText(std::string_view(records[i]).substr(1)));
+    }
+    if (!run.empty()) {
+      std::vector<const TokenizedText*> batches;
+      for (const TokenizedText& t : run) batches.push_back(&t);
+      Status st = CommitBatches(replayer, target, batches, replayed);
+      if (!st.ok()) return LossAt(replayed.batches, st);
+      continue;
+    }
+    const std::string& rec = records[i];
     if (rec.empty()) return LossAt(i, Status::ParseError("empty payload"));
-    std::string_view body(rec.data() + 1, rec.size() - 1);
-    std::unordered_map<std::string, NodeId> new_bindings;
-    auto delta = [&]() -> StatusOr<GraphDelta> {
-      switch (rec[0]) {
-        case DurableDir::kBinaryDeltaTag:
-          return DecodeDelta(body, session.snapshot.graph());
-        case DurableDir::kTextDeltaTag:
-          return ParseDelta(body, session.snapshot.graph(),
-                            session.entity_names, &new_bindings);
-        default:
-          return Status::ParseError(std::string("unknown batch tag '") +
-                                    rec[0] + "'");
-      }
-    }();
+    if (rec[0] != DurableDir::kBinaryDeltaTag) {
+      return LossAt(i, Status::ParseError(std::string("unknown batch tag '") +
+                                          rec[0] + "'"));
+    }
+    auto delta = DecodeDelta(std::string_view(rec).substr(1),
+                             session.snapshot.graph());
     if (!delta.ok()) return LossAt(i, delta.status());
-    auto result = session.snapshot.Resume(replayer, *delta);
-    if (!result.ok()) return LossAt(i, result.status());
-    // The staged ids new_bindings carries are exactly what Apply just
-    // materialized, so they are valid session NodeIds from here on.
-    for (auto& [token, id] : new_bindings) session.entity_names[token] = id;
-    ++session.report.batches_replayed;
+    if (!delta->empty()) {
+      Status st = CommitDelta(replayer, target, *delta, replayed);
+      if (!st.ok()) return LossAt(i, st);
+    }
+    ++replayed.batches;
+    ++i;
   }
+  session.report.batches_replayed = replayed.batches;
+  session.report.commits = replayed.commits;
   session.report.pairs = session.snapshot.result().pairs.size();
   return session;
 }

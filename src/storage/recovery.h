@@ -22,6 +22,9 @@ struct RecoveryReport {
   size_t snapshots_skipped = 0;
   /// Acknowledged log batches replayed on top of the snapshot.
   size_t batches_replayed = 0;
+  /// Apply → Patch → Rematch passes the replay ran: one per group of
+  /// text batches, one per binary batch (empty batches need none).
+  size_t commits = 0;
   /// Torn, never-acknowledged tail records dropped from the log.
   size_t batches_truncated = 0;
   /// Identified pairs in the recovered result.
@@ -49,14 +52,18 @@ struct RecoveredSession {
 ///                surviving records are the acknowledged batches; a torn
 ///                tail is truncated (counted, never an error); a missing,
 ///                empty, or header-only log is a clean no-op.
-///   3. APPLY   — each batch runs through the incremental lifecycle
-///                (Graph::Apply → MatchPlan::Patch → Matcher::Rematch via
-///                Snapshot::Resume), so the recovered result is
-///                byte-identical to what an uninterrupted process had.
-///                Replay runs under `matcher` reconfigured to the
-///                snapshot's stored algorithm when they differ (the
-///                stored plan was compiled for it); processors carry
-///                over.
+///   3. APPLY   — the batches run through the incremental lifecycle
+///                (Graph::Apply → MatchPlan::Patch → Matcher::Rematch) as
+///                live ingest commits them: each maximal run of text
+///                records is tokenized and group-committed through
+///                CommitBatches (core/ingest_pipeline.h), and a binary
+///                record commits alone through the same pass. The
+///                recovered result is byte-identical to what an
+///                uninterrupted process had, and a failing batch is named
+///                exactly as the per-batch chain would name it. Replay
+///                runs under `matcher` reconfigured to the snapshot's
+///                stored algorithm when they differ (the stored plan was
+///                compiled for it); processors carry over.
 ///
 /// Status contract: NotFound when `dir` has no snapshot at all;
 /// kDataLoss ONLY when an ACKNOWLEDGED batch is unrecoverable — every

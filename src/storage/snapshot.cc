@@ -109,16 +109,15 @@ StatusOr<Snapshot> Snapshot::Load(const Store& store) {
 StatusOr<MatchResult> Snapshot::Resume(const Matcher& matcher,
                                        const GraphDelta& pending) {
   if (pending.empty()) return result_;
+  IngestStats stats;
+  GKEYS_RETURN_IF_ERROR(
+      CommitDelta(matcher, session(entity_names_), pending, stats));
+  return result_;
+}
 
-  auto dirty = graph_->Apply(pending);
-  GKEYS_RETURN_IF_ERROR(dirty.status());
-  auto patched = plan_.Patch(pending);
-  GKEYS_RETURN_IF_ERROR(patched.status());
-  auto result = matcher.Rematch(*patched, result_, pending);
-  GKEYS_RETURN_IF_ERROR(result.status());
-  plan_ = std::move(patched).value();
-  result_ = *result;
-  return result;
+IngestSession Snapshot::session(
+    std::unordered_map<std::string, NodeId>& entity_names) {
+  return IngestSession{graph_.get(), &plan_, &result_, &entity_names};
 }
 
 IngestStats Snapshot::Ingest(
@@ -126,12 +125,8 @@ IngestStats Snapshot::Ingest(
     std::unordered_map<std::string, NodeId>& entity_names,
     const IngestSource& source, const IngestOptions& opts,
     const IngestObserver& observer) {
-  IngestSession session;
-  session.graph = graph_.get();
-  session.plan = &plan_;
-  session.result = &result_;
-  session.entity_names = &entity_names;
-  return RunIngestPipeline(matcher, session, source, opts, observer);
+  return RunIngestPipeline(matcher, session(entity_names), source, opts,
+                           observer);
 }
 
 }  // namespace storage

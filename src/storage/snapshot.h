@@ -84,6 +84,11 @@ class Snapshot {
   StatusOr<MatchResult> Resume(const Matcher& matcher,
                                const GraphDelta& pending);
 
+  /// The snapshot's graph, plan and result as an ingest session bound to
+  /// `entity_names` — what CommitBatches (core/ingest_pipeline.h) and
+  /// the staged pipeline advance in place.
+  IngestSession session(std::unordered_map<std::string, NodeId>& entity_names);
+
   /// Streaming ingest over this session: runs the staged pipeline
   /// (core/ingest_pipeline.h) against the snapshot's graph/plan/result,
   /// advancing them in place batch by batch — the streaming counterpart

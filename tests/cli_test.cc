@@ -257,6 +257,9 @@ TEST_F(CliTest, PipelineStdinStreamsBatches) {
   ASSERT_EQ(recover.exit_code, 0) << recover.text;
   EXPECT_NE(recover.text.find("batches_replayed=2"), std::string::npos)
       << recover.text;
+  // Both logged batches replay as one group commit.
+  EXPECT_NE(recover.text.find("commits=1"), std::string::npos)
+      << recover.text;
 }
 
 TEST_F(CliTest, PipelineEmptyBatchBetweenSeparatorsIsNoOpCommit) {
@@ -279,6 +282,9 @@ TEST_F(CliTest, PipelineEmptyBatchBetweenSeparatorsIsNoOpCommit) {
   RunOutput recover = RunCli("recover " + dir + " --quiet");
   ASSERT_EQ(recover.exit_code, 0) << recover.text;
   EXPECT_NE(recover.text.find("batches_replayed=2"), std::string::npos)
+      << recover.text;
+  // Both logged batches replay as one group commit.
+  EXPECT_NE(recover.text.find("commits=1"), std::string::npos)
       << recover.text;
   EXPECT_EQ(LastPairs(recover.text), 4) << recover.text;
 }

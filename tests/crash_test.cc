@@ -83,10 +83,11 @@ Base MakeBase() {
   return b;
 }
 
-// Three delta batches against the evolving session. Batch 1 references
+// Four delta batches against the evolving session. Batch 1 references
 // the entity batch 0 introduced by token — the replay path must carry
-// new bindings forward — and batch 2 removes a base triple, driving the
-// retraction rematch.
+// new bindings forward — batch 2 removes a base triple, driving the
+// retraction rematch, and batch 3 re-adds it: logged together, batches 2
+// and 3 cannot share one group commit, so replay must split there.
 std::vector<std::string> Batches() {
   return {
       "+ ent:company:6 name_of val:\"AT&T\"\n"
@@ -98,6 +99,8 @@ std::vector<std::string> Batches() {
 
       "- ent:company:3 parent_of ent:company:5\n"
       "+ ent:company:7 parent_of ent:company:5\n",
+
+      "+ ent:company:3 parent_of ent:company:5\n",
   };
 }
 
@@ -232,7 +235,7 @@ TEST(CrashPoints, EveryInjectionPointRecoversToAPrefix) {
   Base base = MakeBase();
   const Algorithm algo = Algorithm::kEmOptVc;
   auto batches = Batches();
-  const std::vector<int> steps = {-1, 0, 1, -1, 2};
+  const std::vector<int> steps = {-1, 0, 1, -1, 2, 3};
   auto expected = ExpectedPrefixes(base, algo, batches, "enum");
   ASSERT_EQ(expected.size(), batches.size() + 1);
 
@@ -245,8 +248,16 @@ TEST(CrashPoints, EveryInjectionPointRecoversToAPrefix) {
   RunScheduleChecked(dry_dir, base, algo, batches, steps, &dry, &outcome);
   ASSERT_GT(dry.ops_seen, 0);
   EXPECT_EQ(outcome.saves_acked, 2u);
-  EXPECT_EQ(outcome.appends_acked, 3u);
+  EXPECT_EQ(outcome.appends_acked, 4u);
   CheckRecovery(dry_dir, algo, outcome, expected, "fault-free");
+  {
+    // Generation 2's log holds batches 2 and 3: the remove-then-re-add
+    // pair, which replay must commit apart.
+    auto rec = Matcher(algo).processors(2).Recover(dry_dir);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_EQ(rec->report.batches_replayed, 2u);
+    EXPECT_EQ(rec->report.commits, 2u);
+  }
 
   // Kill the process (all file ops fail from that op on) at every point;
   // variant "torn" persists a 7-byte prefix of the write it dies on.
@@ -407,6 +418,104 @@ TEST(Recovery, EmptyHeaderOnlyAndMissingWalAreCleanNoOps) {
   // Remove it entirely: a save that died before creating its log.
   ASSERT_EQ(std::remove(wal.c_str()), 0);
   check_clean("missing wal");
+}
+
+// A durable dir holding `base`'s compiled session as generation 1, with
+// `texts` logged after it as text records (the CLI's ingest protocol,
+// minus the in-memory apply: a log only needs acknowledged text).
+void MakeLoggedDir(const std::string& dir, const Base& base, Algorithm algo,
+                   const std::vector<std::string>& texts) {
+  RemoveTree(dir);
+  auto session = MakeSession(base, algo, "logged");
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  auto ddir = DurableDir::Open(dir);
+  ASSERT_TRUE(ddir.ok()) << ddir.status().ToString();
+  ASSERT_TRUE(ddir->SaveSnapshot(session->graph(), session->keys(),
+                                 session->plan(), session->result(), algo,
+                                 &session->entity_names())
+                  .ok());
+  for (const std::string& text : texts) {
+    ASSERT_TRUE(ddir->AppendDeltaText(text).ok());
+  }
+}
+
+TEST(Recovery, GroupedReplayMatchesTheSerialChain) {
+  Base base = MakeBase();
+  const std::vector<std::string> batches = {
+      // Adds, introducing ent:company:6.
+      "+ ent:company:6 name_of val:\"AT&T\"\n"
+      "+ ent:company:0 parent_of ent:company:6\n",
+      "# a comment-only batch\n",
+      // Uses the token batch 0 introduced.
+      "+ ent:company:7 name_of val:\"AT&T\"\n"
+      "+ ent:company:6 parent_of ent:company:7\n",
+      // Removals of base triples.
+      "- ent:company:3 parent_of ent:company:5\n"
+      "- ent:company:1 parent_of ent:company:4\n",
+      // Re-adds one of them: the replay splits its group here.
+      "+ ent:company:3 parent_of ent:company:5\n",
+      "+ ent:company:3 parent_of ent:company:7\n",
+      "- ent:company:0 parent_of ent:company:2\n",
+      "+ ent:company:8 name_of val:\"SBC\"\n"
+      "+ ent:company:7 parent_of ent:company:8\n",
+  };
+  for (Algorithm algo : AllAlgorithms()) {
+    SCOPED_TRACE("algorithm " + std::to_string(static_cast<int>(algo)));
+    // The serial chain: one ParseDelta + Snapshot::Resume per batch.
+    auto serial = MakeSession(base, algo, "grouped_serial");
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    auto names = serial->entity_names();
+    Matcher replayer(algo);
+    replayer.processors(2);
+    for (const std::string& text : batches) {
+      std::unordered_map<std::string, NodeId> fresh;
+      auto delta = ParseDelta(text, serial->graph(), names, &fresh);
+      ASSERT_TRUE(delta.ok()) << delta.status().ToString();
+      ASSERT_TRUE(serial->Resume(replayer, *delta).ok()) << text;
+      for (auto& [token, id] : fresh) names[token] = id;
+    }
+
+    const std::string dir = TempPath("grouped");
+    MakeLoggedDir(dir, base, algo, batches);
+    auto rec = Matcher(algo).processors(2).Recover(dir);
+    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+    EXPECT_EQ(rec->report.batches_replayed, batches.size());
+    EXPECT_EQ(rec->report.commits, 2u);  // split once, at the re-add
+    EXPECT_EQ(rec->snapshot.result().pairs, serial->result().pairs);
+    EXPECT_EQ(SerializeGraph(rec->snapshot.graph()),
+              SerializeGraph(serial->graph()));
+    EXPECT_EQ(rec->entity_names, names);
+  }
+}
+
+TEST(Recovery, FailingAcknowledgedBatchIsDataLossNamingIt) {
+  Base base = MakeBase();
+  const Algorithm algo = Algorithm::kEmOptVc;
+  const std::string good0 = "+ ent:company:6 name_of val:\"AT&T\"\n";
+  const std::string good1 = "+ ent:company:0 parent_of ent:company:6\n";
+  const std::string malformed = "+ ent:company:1 broken\n";
+  // Binds, but Graph::Apply finds no such triple to remove.
+  const std::string missing = "- ent:company:0 parent_of ent:company:5\n";
+  const struct {
+    std::vector<std::string> log;
+    size_t bad;
+  } cases[] = {
+      {{good0, good1, malformed, good1}, 2},
+      {{malformed, good0}, 0},
+      {{good0, missing, good1}, 1},
+  };
+  for (const auto& c : cases) {
+    const std::string want =
+        "acknowledged batch " + std::to_string(c.bad) + " is unrecoverable";
+    SCOPED_TRACE(want);
+    const std::string dir = TempPath("loss");
+    MakeLoggedDir(dir, base, algo, c.log);
+    auto rec = Matcher(algo).processors(2).Recover(dir);
+    ASSERT_FALSE(rec.ok());
+    EXPECT_EQ(rec.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(rec.status().message().find(want), std::string::npos)
+        << rec.status().ToString();
+  }
 }
 
 // ---- Graceful degradation: time budgets --------------------------------

@@ -60,8 +60,9 @@ bool Exists(const std::string& path) {
 // Three payloads exercising the framing edges: ordinary, empty, binary
 // with embedded NULs.
 std::vector<std::string> SamplePayloads() {
+  static constexpr char kBinary[] = "bin\0\xff\x01 payload";
   return {"first batch", std::string(),
-          std::string("bin\0\xff\x01 payload", 16)};
+          std::string(kBinary, sizeof(kBinary) - 1)};
 }
 
 std::string MakeLogWith(const std::string& name,

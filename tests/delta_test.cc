@@ -78,6 +78,94 @@ TEST(GraphDelta, RemovingAMissingTripleIsNotFound) {
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
+TEST(GraphDelta, FailingApplyLeavesTheGraphUnchanged) {
+  // A valid add next to a removal of a missing triple: Apply must reject
+  // the delta before materializing the add's new nodes or triples.
+  Graph g;
+  NodeId a = g.AddEntity("t");
+  NodeId b = g.AddEntity("t");
+  NodeId x = g.AddValue("x");
+  NodeId y = g.AddValue("y");
+  ASSERT_TRUE(g.AddTriple(a, "p", x).ok());
+  ASSERT_TRUE(g.AddTriple(b, "p", x).ok());
+  ASSERT_TRUE(g.AddTriple(a, "q", b).ok());
+  ASSERT_TRUE(g.AddTriple(b, "q", a).ok());
+  g.Finalize();
+  const std::string before = SerializeGraph(g);
+  const size_t nodes = g.NumNodes();
+  const size_t triples = g.NumTriples();
+
+  GraphDelta delta(g);
+  NodeId c = delta.AddEntity("t");
+  ASSERT_TRUE(delta.AddTriple(c, "p", delta.AddValue("z")).ok());
+  ASSERT_TRUE(delta.AddTriple(a, "p", y).ok());
+  ASSERT_TRUE(delta.RemoveTriple(a, "p", x).ok());  // present
+  ASSERT_TRUE(delta.RemoveTriple(b, "p", y).ok());  // missing
+  auto r = g.Apply(delta);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(r.status().message(),
+            "RemoveTriple: (t#1, p, \"y\") is not in the graph");
+  EXPECT_EQ(g.NumNodes(), nodes);
+  EXPECT_EQ(g.NumTriples(), triples);
+  EXPECT_TRUE(g.finalized());
+  EXPECT_EQ(SerializeGraph(g), before);
+
+  // The graph still takes a valid delta afterwards.
+  GraphDelta ok(g);
+  ASSERT_TRUE(ok.RemoveTriple(a, "p", x).ok());
+  ASSERT_TRUE(g.Apply(ok).ok());
+  EXPECT_EQ(g.NumTriples(), triples - 1);
+}
+
+TEST(GraphDelta, ApplyChecksRemovalsAgainstTheDeltasOwnAdds) {
+  Graph g;
+  NodeId a = g.AddEntity("t");
+  NodeId b = g.AddEntity("t");
+  NodeId x = g.AddValue("x");
+  ASSERT_TRUE(g.AddTriple(a, "p", x).ok());
+  g.Finalize();
+  const std::string before = SerializeGraph(g);
+
+  // Adds run first, so removing a triple the same delta adds is valid,
+  // even under a predicate the graph has never seen.
+  {
+    Graph h = g;
+    GraphDelta delta(h);
+    ASSERT_TRUE(delta.AddTriple(b, "fresh", x).ok());
+    ASSERT_TRUE(delta.RemoveTriple(b, "fresh", x).ok());
+    auto r = h.Apply(delta);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(h.NumTriples(), 1u);
+  }
+  // The same triple removed twice fails, and the message names it.
+  {
+    Graph h = g;
+    GraphDelta delta(h);
+    ASSERT_TRUE(delta.RemoveTriple(a, "p", x).ok());
+    ASSERT_TRUE(delta.RemoveTriple(a, "p", x).ok());
+    auto r = h.Apply(delta);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().message(),
+              "RemoveTriple: (t#0, p, \"x\") is not in the graph");
+    EXPECT_EQ(SerializeGraph(h), before);
+  }
+  // A predicate neither the graph nor the delta's adds use.
+  {
+    Graph h = g;
+    GraphDelta delta(h);
+    ASSERT_TRUE(delta.AddTriple(b, "p", x).ok());
+    ASSERT_TRUE(delta.RemoveTriple(a, "never", x).ok());
+    auto r = h.Apply(delta);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().message(),
+              "Graph::Apply: removed predicate 'never' never occurs in the "
+              "graph");
+    EXPECT_EQ(SerializeGraph(h), before);
+    EXPECT_EQ(h.NumNodes(), 3u);
+  }
+}
+
 TEST(GraphDelta, StagingValidatesNodeIds) {
   Graph g;
   NodeId a = g.AddEntity("t");

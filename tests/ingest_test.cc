@@ -769,6 +769,116 @@ TEST(IngestPipeline, GroupCommitFallsBackWhenBatchesInterdepend) {
   EXPECT_EQ(piped.lg.entities, serial.lg.entities);
 }
 
+/// Delta-line text ("<s> <p> <o>") of a base triple a matched pair
+/// depends on: an entity→value edge out of the first matched entity.
+std::string MatchedValueTriple(const PipeFixture& f) {
+  std::unordered_map<NodeId, std::string> token_of;
+  for (const auto& [token, id] : f.lg.entities) token_of[id] = token;
+  const Graph& g = f.lg.graph;
+  EXPECT_FALSE(f.result.pairs.empty());
+  const NodeId s = f.result.pairs.front().first;
+  for (const Edge& e : g.Out(s)) {
+    if (!g.IsValue(e.dst)) continue;
+    const std::string& lit = g.value_str(e.dst);
+    if (lit.find_first_of("\"\\") != std::string::npos) continue;
+    return token_of.at(s) + " " + g.interner().Resolve(e.pred) + " val:\"" +
+           lit + "\"";
+  }
+  ADD_FAILURE() << "matched entity has no plain value edge";
+  return "";
+}
+
+/// Runs `batches` through the pipeline as ONE backlog (see BacklogGate).
+IngestStats IngestAsOneBacklog(PipeFixture& f,
+                               const std::vector<std::string>& batches) {
+  BacklogGate gate;
+  IngestOptions opts;
+  opts.queue_depth = batches.size();
+  opts.max_coalesce = batches.size();
+  opts.cancelled = gate.Cancelled();
+  size_t next = 0;
+  return f.matcher.IngestStream(f.Session(), gate.Source(batches, &next),
+                                opts);
+}
+
+TEST(IngestPipeline, GroupCommitKeepsATripleReAddedAfterItsRemoval) {
+  // Graph::Apply runs a delta's adds before its removals, so one delta
+  // holding "- t" then "+ t" would erase t. The binder must split the
+  // group at the re-add instead.
+  PipeFixture serial = PipeFixture::Make(38);
+  const std::string triple = MatchedValueTriple(serial);
+  const std::vector<std::string> batches = {"- " + triple + "\n",
+                                            "+ " + triple + "\n"};
+  const size_t triples_before = serial.lg.graph.NumTriples();
+  for (const std::string& text : batches) {
+    ASSERT_TRUE(serial.SerialStep(text).ok()) << text;
+  }
+  ASSERT_EQ(serial.lg.graph.NumTriples(), triples_before);
+
+  PipeFixture piped = PipeFixture::Make(38);
+  IngestStats stats = IngestAsOneBacklog(piped, batches);
+  ASSERT_TRUE(stats.status.ok()) << stats.status.ToString();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.commits, 2u);  // split at the re-add
+  EXPECT_EQ(piped.lg.graph.NumTriples(), triples_before);
+  EXPECT_TRUE(piped.Outcome() == serial.Outcome());
+  EXPECT_EQ(piped.lg.entities, serial.lg.entities);
+}
+
+TEST(IngestPipeline, GroupCommitFailsASecondRemovalWhereSerialFails) {
+  // The serial chain commits the first removal and rejects the second;
+  // the group must do the same, not fail both inside one Apply.
+  Rng rng(84);
+  PipeFixture serial = PipeFixture::Make(39);
+  const std::string triple = MatchedValueTriple(serial);
+  const std::vector<std::string> batches = {
+      RandomDeltaText(serial.lg, rng, 6) + "- " + triple + "\n",
+      "- " + triple + "\n",
+      RandomDeltaText(serial.lg, rng, 6),
+  };
+  ASSERT_TRUE(serial.SerialStep(batches[0]).ok());
+  const Status serial_error = serial.SerialStep(batches[1]);
+  ASSERT_EQ(serial_error.code(), StatusCode::kNotFound);
+
+  PipeFixture piped = PipeFixture::Make(39);
+  IngestStats stats = IngestAsOneBacklog(piped, batches);
+  EXPECT_EQ(stats.status.ToString(), serial_error.ToString());
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_TRUE(piped.Outcome() == serial.Outcome());
+  EXPECT_EQ(piped.lg.entities, serial.lg.entities);
+}
+
+TEST(IngestPipeline, BatchThatBindsButFailsApplyLeavesTheSession) {
+  // The failing batch adds a fresh entity and removes a triple that is
+  // not there: it binds, then Graph::Apply rejects it. Apply is all or
+  // nothing, so the session stays exactly at the batches before it.
+  PipeFixture base = PipeFixture::Make(40);
+  Rng rng(85);
+  std::vector<std::string> batches = {
+      RandomDeltaText(base.lg, rng, 8),
+      RandomDeltaText(base.lg, rng, 8),
+  };
+  const std::string& ent =
+      std::min_element(base.lg.entities.begin(), base.lg.entities.end())
+          ->first;
+  const std::string missing = ent + " never_linked " + ent;
+  batches.push_back("+ ent:person:fresh name val:\"x\"\n- " + missing + "\n");
+
+  PipeFixture serial = PipeFixture::Make(40);
+  ASSERT_TRUE(serial.SerialStep(batches[0]).ok());
+  ASSERT_TRUE(serial.SerialStep(batches[1]).ok());
+
+  PipeFixture piped = PipeFixture::Make(40);
+  IngestStats stats = IngestAsOneBacklog(piped, batches);
+  EXPECT_EQ(stats.status.code(), StatusCode::kNotFound)
+      << stats.status.ToString();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_TRUE(piped.lg.graph.finalized());
+  EXPECT_EQ(piped.lg.graph.NumNodes(), serial.lg.graph.NumNodes());
+  EXPECT_TRUE(piped.Outcome() == serial.Outcome());
+  EXPECT_EQ(piped.lg.entities, serial.lg.entities);
+}
+
 TEST(FastDelta, DeltaBinderGroupEqualsConcatenatedText) {
   PipeFixture base = PipeFixture::Make(37);
   Rng rng(83);

@@ -730,10 +730,10 @@ int CmdRecover(int argc, char** argv) {
   }
   const storage::RecoveryReport& rep = session->report;
   std::printf("# recovered %s: generation=%llu snapshots_skipped=%zu "
-              "batches_replayed=%zu batches_truncated=%zu pairs=%zu "
-              "recover=%.1fms\n",
+              "batches_replayed=%zu commits=%zu batches_truncated=%zu "
+              "pairs=%zu recover=%.1fms\n",
               argv[2], static_cast<unsigned long long>(rep.generation),
-              rep.snapshots_skipped, rep.batches_replayed,
+              rep.snapshots_skipped, rep.batches_replayed, rep.commits,
               rep.batches_truncated, rep.pairs, SecondsSince(t0) * 1e3);
   if (!HasFlag(argc, argv, "--quiet")) {
     const Graph& g = session->snapshot.graph();
