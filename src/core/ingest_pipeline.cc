@@ -265,7 +265,7 @@ IngestStats RunIngestPipeline(const Matcher& matcher,
 }
 
 // Defined here (not in matcher.cc) so the pipeline machinery stays in
-// one translation unit; mirrors how Resume lives in storage/snapshot.cc.
+// one translation unit.
 IngestStats Matcher::IngestStream(const IngestSession& session,
                                   const IngestSource& source,
                                   const IngestOptions& opts,

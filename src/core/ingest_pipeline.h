@@ -103,11 +103,11 @@ struct IngestStats {
   IngestStageSeconds seconds;
 };
 
-/// The mutable session state the pipeline advances in place — the same
-/// four pieces the serial CLI loop holds. All pointers must be non-null
-/// and outlive the run; `entity_names` is the ent-token binding table
-/// (LoadedGraph::entities / RecoveredSession::entity_names) and gains
-/// the tokens each committed batch introduced.
+/// The mutable session state the pipeline advances in place — usually a
+/// recovered storage::Snapshot's (Snapshot::session). All pointers must
+/// be non-null and outlive the run; `entity_names` is the ent-token
+/// binding table (LoadedGraph::entities / RecoveredSession::entity_names)
+/// and gains the tokens each committed batch introduced.
 struct IngestSession {
   Graph* graph = nullptr;
   MatchPlan* plan = nullptr;
@@ -140,8 +140,9 @@ struct IngestBatch {
 using IngestObserver = std::function<Status(const IngestBatch&)>;
 
 /// One Apply → Patch → Rematch pass: advances `session` (graph, plan and
-/// result; the binding table is not touched) past the non-empty `delta`
-/// and counts it in `stats`. When Apply fails, the session is unchanged.
+/// result; the binding table is not touched) past `delta` (an empty one
+/// still runs the pass) and counts it in `stats`. When Apply fails, the
+/// session is unchanged.
 Status CommitDelta(const Matcher& matcher, const IngestSession& session,
                    const GraphDelta& delta, IngestStats& stats);
 

@@ -12,8 +12,7 @@
 namespace gkeys {
 
 namespace storage {
-class Snapshot;            // src/storage/snapshot.h
-struct RecoveredSession;   // src/storage/recovery.h
+struct RecoveredSession;  // src/storage/recovery.h
 }  // namespace storage
 
 /// Options steering Matcher::Rematch's execution strategy. Orthogonal to
@@ -258,26 +257,15 @@ class Matcher {
     return RematchWithSink(plan, prev, delta, &sink);
   }
 
-  /// Restart path: continues from a loaded storage::Snapshot (see
-  /// src/storage/snapshot.h). Applies `pending` — the deltas that
-  /// arrived while the process was down — to the snapshot's graph, then
-  /// Patch + Rematch, exactly the in-memory incremental lifecycle. The
-  /// snapshot is updated in place to the post-delta plan/result, so
-  /// successive Resume calls chain. An empty `pending` returns the
-  /// stored result as-is (no patch, no rematch). Defined in
-  /// storage/snapshot.cc so the core library stays layered below the
-  /// storage subsystem.
-  StatusOr<MatchResult> Resume(storage::Snapshot& snapshot,
-                               const GraphDelta& pending) const;
-
   /// Crash-recovery path: rebuilds a session from a durable directory
   /// (storage::DurableDir) — newest valid snapshot plus every
   /// acknowledged write-ahead-log batch replayed through the incremental
   /// lifecycle. NotFound when the directory holds no snapshot;
   /// kDataLoss only when an ACKNOWLEDGED batch is unrecoverable (torn
   /// unacknowledged tails are silently truncated and counted in the
-  /// report). Defined in storage/recovery.cc for the same layering
-  /// reason as Resume; see storage/recovery.h for the state machine.
+  /// report). Defined in storage/recovery.cc so the core library stays
+  /// layered below the storage subsystem; see storage/recovery.h for the
+  /// state machine.
   StatusOr<storage::RecoveredSession> Recover(const std::string& dir) const;
 
   /// Streaming ingest: pulls delta batches from `source` through the
@@ -286,18 +274,6 @@ class Matcher {
   /// here — advancing `session` in place, byte-identical to calling the
   /// serial chain per batch. Defined in core/ingest_pipeline.cc.
   IngestStats IngestStream(const IngestSession& session,
-                           const IngestSource& source,
-                           const IngestOptions& opts = {},
-                           const IngestObserver& observer = {}) const;
-
-  /// Snapshot-session convenience: same pipeline over a restored
-  /// storage::Snapshot. `entity_names` is the session's ent-token table
-  /// (pass RecoveredSession::entity_names after a Recover — it extends
-  /// the snapshot's own); committed batches bind new tokens into it.
-  /// Defined in storage/snapshot.cc for the same layering reason as
-  /// Resume.
-  IngestStats IngestStream(storage::Snapshot& snapshot,
-                           std::unordered_map<std::string, NodeId>& entity_names,
                            const IngestSource& source,
                            const IngestOptions& opts = {},
                            const IngestObserver& observer = {}) const;

@@ -172,83 +172,5 @@ Status DeltaLog::Append(std::string_view payload) {
   return Status::OK();
 }
 
-// ---- GraphDelta payload codec -----------------------------------------
-
-std::string EncodeDelta(const GraphDelta& delta) {
-  std::string out;
-  PutVarint(out, delta.new_nodes().size());
-  for (const GraphDelta::NewNode& n : delta.new_nodes()) {
-    out.push_back(n.kind == NodeKind::kEntity ? 'e' : 'v');
-    PutVarint(out, n.label.size());
-    out.append(n.label);
-  }
-  auto put_triples = [&out](const std::vector<GraphDelta::DeltaTriple>& ts) {
-    PutVarint(out, ts.size());
-    for (const GraphDelta::DeltaTriple& t : ts) {
-      PutVarint(out, t.subject);
-      PutVarint(out, t.pred.size());
-      out.append(t.pred);
-      PutVarint(out, t.object);
-    }
-  };
-  put_triples(delta.added());
-  put_triples(delta.removed());
-  return out;
-}
-
-StatusOr<GraphDelta> DecodeDelta(std::string_view bytes, const Graph& base) {
-  auto corrupt = [](const std::string& what) {
-    return Status::ParseError("corrupt delta record: " + what);
-  };
-  ByteReader r(bytes);
-  GraphDelta delta(base);
-
-  uint64_t num_new = 0;
-  if (!r.ReadVarint(&num_new) || num_new > bytes.size())
-    return corrupt("bad new-node count");
-  for (uint64_t i = 0; i < num_new; ++i) {
-    uint8_t kind = 0;
-    uint64_t len = 0;
-    std::string_view label;
-    if (!r.ReadU8(&kind) || (kind != 'e' && kind != 'v') ||
-        !r.ReadVarint(&len) || !r.ReadBytes(len, &label)) {
-      return corrupt("bad new-node entry");
-    }
-    // Replaying the staging calls in order reproduces the original
-    // staged NodeIds: AddEntity/AddValue assign ids sequentially from
-    // the base node count, and every serialized new node was a distinct
-    // staged node (AddValue deduplication happened before staging).
-    if (kind == 'e') {
-      delta.AddEntity(label);
-    } else {
-      delta.AddValue(label);
-    }
-  }
-
-  auto read_triples = [&](bool adding) -> Status {
-    uint64_t count = 0;
-    if (!r.ReadVarint(&count) || count > bytes.size())
-      return corrupt("bad triple count");
-    for (uint64_t i = 0; i < count; ++i) {
-      uint32_t s = 0, o = 0;
-      uint64_t plen = 0;
-      std::string_view pred;
-      if (!r.ReadVarint32(&s) || !r.ReadVarint(&plen) ||
-          !r.ReadBytes(plen, &pred) || !r.ReadVarint32(&o)) {
-        return corrupt("bad triple entry");
-      }
-      Status st = adding ? delta.AddTriple(s, pred, o)
-                         : delta.RemoveTriple(s, pred, o);
-      if (!st.ok())
-        return corrupt("triple rejected by staging: " + st.message());
-    }
-    return Status::OK();
-  };
-  GKEYS_RETURN_IF_ERROR(read_triples(/*adding=*/true));
-  GKEYS_RETURN_IF_ERROR(read_triples(/*adding=*/false));
-  if (!r.AtEnd()) return corrupt("trailing bytes");
-  return delta;
-}
-
 }  // namespace storage
 }  // namespace gkeys

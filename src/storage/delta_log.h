@@ -8,16 +8,14 @@
 #include <vector>
 
 #include "common/status.h"
-#include "graph/delta.h"
-#include "graph/graph.h"
 
 namespace gkeys {
 namespace storage {
 
 /// Write-ahead delta log: the durability gap-filler between snapshots.
 /// Snapshot::Save is expensive (it rewrites the whole session), so a
-/// long-running ingest pipeline appends each acknowledged GraphDelta
-/// batch here instead; a crash then loses nothing — recovery replays the
+/// long-running ingest pipeline appends each acknowledged delta batch
+/// here instead; a crash then loses nothing — recovery replays the
 /// surviving records on top of the base snapshot (see storage/recovery.h).
 ///
 /// File layout (all integers big-endian):
@@ -30,8 +28,8 @@ namespace storage {
 ///     then, per appended record:
 ///              be32 payload length
 ///              be64 FNV-1a-64 over (the 4 length bytes ++ payload)
-///              payload bytes (opaque to the log; DurableDir frames
-///              GraphDelta batches, see EncodeDelta below)
+///              payload bytes (opaque to the log; DurableDir logs
+///              tagged delta-file text, see durable_dir.h)
 ///
 /// Durability contract: Append returns OK only after the record's bytes
 /// were fully written AND fsync'd — OK means ACKNOWLEDGED, and an
@@ -111,20 +109,6 @@ class DeltaLog {
   bool poisoned_ = false;
   size_t records_appended_ = 0;
 };
-
-// ---- GraphDelta payload codec -----------------------------------------
-
-/// Serializes a staged GraphDelta (new nodes, added and removed triples)
-/// into a compact varint-packed payload. The encoding captures staging
-/// ORDER, so DecodeDelta replays it against the same base graph and
-/// reproduces identical staged NodeIds — byte-identical downstream
-/// Apply / Patch / Rematch.
-std::string EncodeDelta(const GraphDelta& delta);
-
-/// Rebuilds the delta against `base` (which must be the graph the delta
-/// was staged on, in the same pre-Apply state). Fully bounds-checked:
-/// corrupt payloads return ParseError, never crash.
-StatusOr<GraphDelta> DecodeDelta(std::string_view bytes, const Graph& base);
 
 }  // namespace storage
 }  // namespace gkeys

@@ -86,7 +86,7 @@ StatusOr<DurableDir> DurableDir::Open(std::string dir) {
     // Re-attach to the current generation's log so ingestion can resume
     // right where the last process stopped; a torn tail (crash mid-
     // append) is truncated away here. A missing or unusable log leaves
-    // wal_ null: AppendDelta then demands a fresh SaveSnapshot, and
+    // wal_ null: AppendDeltaText then demands a fresh SaveSnapshot, and
     // recovery still works from the snapshot alone.
     std::string wal_path = out.WalPath(out.generation_);
     if (FileExists(wal_path)) {
@@ -119,7 +119,7 @@ Status DurableDir::SaveSnapshot(
   // rename can be durable while a later step fails), and recovery would
   // then pick snap.<next> and never read the old log again. Stop
   // acknowledging appends into it NOW: until a SaveSnapshot succeeds,
-  // AppendDelta fails FailedPrecondition instead of acking batches that
+  // AppendDeltaText fails FailedPrecondition instead of acking batches that
   // recovery could not see.
   wal_.reset();
   GKEYS_RETURN_IF_ERROR((*store)->Flush());
@@ -150,24 +150,16 @@ Status DurableDir::SaveSnapshot(
   return Status::OK();
 }
 
-Status DurableDir::AppendPayload(char tag, std::string_view body) {
+Status DurableDir::AppendDeltaText(std::string_view text) {
   if (wal_ == nullptr)
     return Status::FailedPrecondition(
         "DurableDir " + dir_ +
         ": no writable log for the current generation; SaveSnapshot first");
   std::string payload;
-  payload.reserve(1 + body.size());
-  payload.push_back(tag);
-  payload.append(body);
+  payload.reserve(1 + text.size());
+  payload.push_back(kTextDeltaTag);
+  payload.append(text);
   return wal_->Append(payload);
-}
-
-Status DurableDir::AppendDelta(const GraphDelta& delta) {
-  return AppendPayload(kBinaryDeltaTag, EncodeDelta(delta));
-}
-
-Status DurableDir::AppendDeltaText(std::string_view text) {
-  return AppendPayload(kTextDeltaTag, text);
 }
 
 }  // namespace storage

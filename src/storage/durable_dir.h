@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "core/em_common.h"
 #include "core/match_plan.h"
-#include "graph/delta.h"
 #include "graph/graph.h"
 #include "keys/key.h"
 #include "storage/delta_log.h"
@@ -28,9 +27,9 @@ namespace storage {
 ///
 /// SaveSnapshot installs generation g+1 atomically (MmapStore's
 /// write-temp → fsync → rename → dir-fsync) and starts a fresh log tied
-/// to it, then prunes generations beyond keep-last-N; AppendDelta makes
-/// one batch durable in O(batch) — the cheap ingest path between the
-/// expensive saves. A failure at ANY step (ENOSPC, crash, torn write)
+/// to it, then prunes generations beyond keep-last-N; AppendDeltaText
+/// makes one batch durable in O(batch) — the cheap ingest path between
+/// the expensive saves. A failure at ANY step (ENOSPC, crash, torn write)
 /// leaves the previous generation fully intact: recovery
 /// (storage/recovery.h) picks the newest valid snapshot and replays its
 /// log's surviving records.
@@ -38,9 +37,8 @@ class DurableDir {
  public:
   static constexpr int kDefaultKeepSnapshots = 2;
 
-  /// First byte of every WAL payload: how the batch was framed.
-  static constexpr char kBinaryDeltaTag = 'B';  // EncodeDelta bytes
-  static constexpr char kTextDeltaTag = 'T';    // delta-file text (CLI)
+  /// First byte of every WAL payload: the batch is delta-file text.
+  static constexpr char kTextDeltaTag = 'T';
 
   /// Opens (creating if missing) a durable directory. An existing
   /// directory's current generation is read from its snapshot filenames;
@@ -65,17 +63,14 @@ class DurableDir {
       const std::unordered_map<std::string, NodeId>* entity_names = nullptr,
       int keep_last = kDefaultKeepSnapshots);
 
-  /// Appends one acknowledged batch to the current generation's log
-  /// (binary EncodeDelta framing). OK = durable. FailedPrecondition when
-  /// no generation exists yet (SaveSnapshot first) or after a previous
-  /// append failure (rotate via SaveSnapshot).
-  Status AppendDelta(const GraphDelta& delta);
-
-  /// Same, framing the batch as raw delta-file text (`+ s p o` lines).
-  /// Recovery tokenizes it and group-commits each run of text batches
-  /// (CommitBatches, core/ingest_pipeline.h) against the session's
-  /// evolving entity-name table, so CLI-ingested batches may reference
-  /// entities introduced by earlier batches by token.
+  /// Appends one acknowledged batch, raw delta-file text (`+ s p o`
+  /// lines), to the current generation's log. OK = durable.
+  /// FailedPrecondition when no generation exists yet (SaveSnapshot
+  /// first) or after a previous append failure (rotate via
+  /// SaveSnapshot). Recovery tokenizes the logged batches and group-
+  /// commits them (CommitBatches, core/ingest_pipeline.h) against the
+  /// session's evolving entity-name table, so a batch may reference
+  /// entities an earlier batch introduced by token.
   Status AppendDeltaText(std::string_view text);
 
   /// 0 while the directory has no snapshot yet.
@@ -97,8 +92,6 @@ class DurableDir {
 
  private:
   explicit DurableDir(std::string dir) : dir_(std::move(dir)) {}
-
-  Status AppendPayload(char tag, std::string_view body);
 
   std::string dir_;
   uint64_t generation_ = 0;

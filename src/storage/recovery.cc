@@ -29,12 +29,11 @@ Status LossAt(size_t batch_index, const Status& cause) {
                           " is unrecoverable: " + std::string(cause.message()));
 }
 
-std::string GenPath(const std::string& dir, const char* prefix, uint64_t g,
-                    const char* suffix) {
+std::string GenName(const char* prefix, uint64_t g, const char* suffix) {
   char name[64];
   std::snprintf(name, sizeof(name), "%s%06llu%s", prefix,
                 static_cast<unsigned long long>(g), suffix);
-  return dir + "/" + name;
+  return name;
 }
 
 }  // namespace
@@ -53,15 +52,14 @@ StatusOr<RecoveredSession> Recover(const std::string& dir,
   std::unique_ptr<Snapshot> base;
   uint64_t generation = 0;
   size_t skipped = 0;
+  std::string newest_skip;  // why the newest skipped snapshot was skipped
   for (uint64_t g : *gens) {
-    auto store = MmapStore::Open(GenPath(dir, "snap.", g, ".gks"));
-    if (!store.ok()) {
-      ++skipped;
-      continue;
-    }
-    auto snap = Snapshot::Load(**store);
+    const std::string name = GenName("snap.", g, ".gks");
+    auto store = MmapStore::Open(dir + "/" + name);
+    StatusOr<Snapshot> snap =
+        store.ok() ? Snapshot::Load(**store) : store.status();
     if (!snap.ok()) {
-      ++skipped;
+      if (skipped++ == 0) newest_skip = name + ": " + snap.status().ToString();
       continue;
     }
     base = std::make_unique<Snapshot>(std::move(*snap));
@@ -70,7 +68,8 @@ StatusOr<RecoveredSession> Recover(const std::string& dir,
   }
   if (base == nullptr)
     return Status::DataLoss("every snapshot in " + dir + " is corrupt (" +
-                            std::to_string(skipped) + " tried)");
+                            std::to_string(skipped) + " tried); " +
+                            newest_skip);
 
   RecoveredSession session{std::move(*base), {}, {}};
   session.entity_names = session.snapshot.entity_names();
@@ -82,7 +81,7 @@ StatusOr<RecoveredSession> Recover(const std::string& dir,
   // that crashed between snapshot install and log creation, or a pre-WAL
   // snapshot directory — either way zero acknowledged batches, a clean
   // no-op.
-  const std::string wal_path = GenPath(dir, "wal.", generation, ".log");
+  const std::string wal_path = dir + "/" + GenName("wal.", generation, ".log");
   if (!FileExists(wal_path)) return session;
 
   auto replay = DeltaLog::Replay(wal_path);
@@ -103,54 +102,41 @@ StatusOr<RecoveredSession> Recover(const std::string& dir,
         std::to_string(generation));
 
   // APPLY: every surviving record passed its checksum, so it was
-  // acknowledged — any failure from here on is real data loss. Replay
-  // commits the records the way live ingest does: each maximal run of
-  // text records goes through CommitBatches as a group commit, a binary
-  // record commits alone through the same Apply → Patch → Rematch pass.
-  // Both reproduce the serial per-batch chain byte for byte, failing
-  // batch included. Replay follows the SNAPSHOT's algorithm when the
-  // caller's differs — the stored plan was compiled for it (e.g. the
-  // EMVC family needs its product graph), and all six produce identical
-  // pairs anyway.
+  // acknowledged — any failure from here on is real data loss. The log
+  // holds text batches (DurableDir::AppendDeltaText), and replay commits
+  // the leading run of them the way live ingest does: one CommitBatches
+  // call, which reproduces the serial per-batch chain byte for byte,
+  // failing batch included. A record after that run is empty or carries
+  // another tag; it is named once the batches before it are committed,
+  // as the per-batch chain would reach it. Replay follows the
+  // SNAPSHOT's algorithm when the caller's differs — the stored plan was
+  // compiled for it (e.g. the EMVC family needs its product graph), and
+  // all six produce identical pairs anyway.
   Matcher replayer = matcher;
   if (replayer.algorithm() != session.snapshot.algorithm()) {
     int procs = replayer.options().processors;
     replayer.algorithm(session.snapshot.algorithm()).processors(procs);
   }
-  const IngestSession target = session.snapshot.session(session.entity_names);
   const std::vector<std::string>& records = replay->records;
-  // Every committed record counts one batch, so on failure `replayed.batches`
-  // is the position of the failing record.
+  std::vector<TokenizedText> texts;
+  for (const std::string& rec : records) {
+    if (rec.empty() || rec[0] != DurableDir::kTextDeltaTag) break;
+    texts.push_back(TokenizeDeltaText(std::string_view(rec).substr(1)));
+  }
+  std::vector<const TokenizedText*> batches;
+  for (const TokenizedText& t : texts) batches.push_back(&t);
+  // On failure `replayed.batches` is the position of the failing batch.
   IngestStats replayed;
-  for (size_t i = 0; i < records.size();) {
-    std::vector<TokenizedText> run;
-    for (; i < records.size() && !records[i].empty() &&
-           records[i][0] == DurableDir::kTextDeltaTag;
-         ++i) {
-      run.push_back(TokenizeDeltaText(std::string_view(records[i]).substr(1)));
-    }
-    if (!run.empty()) {
-      std::vector<const TokenizedText*> batches;
-      for (const TokenizedText& t : run) batches.push_back(&t);
-      Status st = CommitBatches(replayer, target, batches, replayed);
-      if (!st.ok()) return LossAt(replayed.batches, st);
-      continue;
-    }
-    const std::string& rec = records[i];
-    if (rec.empty()) return LossAt(i, Status::ParseError("empty payload"));
-    if (rec[0] != DurableDir::kBinaryDeltaTag) {
-      return LossAt(i, Status::ParseError(std::string("unknown batch tag '") +
-                                          rec[0] + "'"));
-    }
-    auto delta = DecodeDelta(std::string_view(rec).substr(1),
-                             session.snapshot.graph());
-    if (!delta.ok()) return LossAt(i, delta.status());
-    if (!delta->empty()) {
-      Status st = CommitDelta(replayer, target, *delta, replayed);
-      if (!st.ok()) return LossAt(i, st);
-    }
-    ++replayed.batches;
-    ++i;
+  Status st = CommitBatches(replayer,
+                            session.snapshot.session(session.entity_names),
+                            batches, replayed);
+  if (!st.ok()) return LossAt(replayed.batches, st);
+  if (texts.size() < records.size()) {
+    const std::string& rec = records[texts.size()];
+    std::string why = rec.empty()
+                          ? "empty payload"
+                          : std::string("unknown batch tag '") + rec[0] + "'";
+    return LossAt(texts.size(), Status::ParseError(why));
   }
   session.report.batches_replayed = replayed.batches;
   session.report.commits = replayed.commits;
@@ -161,7 +147,7 @@ StatusOr<RecoveredSession> Recover(const std::string& dir,
 }  // namespace storage
 
 // Defined here, not in core/, so the core library stays layered below
-// the storage subsystem (mirrors Matcher::Resume in snapshot.cc).
+// the storage subsystem.
 StatusOr<storage::RecoveredSession> Matcher::Recover(
     const std::string& dir) const {
   return storage::Recover(dir, *this);

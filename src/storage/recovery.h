@@ -22,8 +22,8 @@ struct RecoveryReport {
   size_t snapshots_skipped = 0;
   /// Acknowledged log batches replayed on top of the snapshot.
   size_t batches_replayed = 0;
-  /// Apply → Patch → Rematch passes the replay ran: one per group of
-  /// text batches, one per binary batch (empty batches need none).
+  /// Apply → Patch → Rematch passes the replay ran: one per group commit
+  /// of the logged batches (empty batches need none).
   size_t commits = 0;
   /// Torn, never-acknowledged tail records dropped from the log.
   size_t batches_truncated = 0;
@@ -54,23 +54,25 @@ struct RecoveredSession {
 ///                empty, or header-only log is a clean no-op.
 ///   3. APPLY   — the batches run through the incremental lifecycle
 ///                (Graph::Apply → MatchPlan::Patch → Matcher::Rematch) as
-///                live ingest commits them: each maximal run of text
-///                records is tokenized and group-committed through
-///                CommitBatches (core/ingest_pipeline.h), and a binary
-///                record commits alone through the same pass. The
-///                recovered result is byte-identical to what an
-///                uninterrupted process had, and a failing batch is named
-///                exactly as the per-batch chain would name it. Replay
+///                live ingest commits them: the log's text records are
+///                tokenized and group-committed by one CommitBatches call
+///                (core/ingest_pipeline.h). The recovered result is
+///                byte-identical to what an uninterrupted process had,
+///                and a failing batch is named exactly as the per-batch
+///                chain would name it; so is a record that is empty or
+///                not tagged as text, after the batches before it. Replay
 ///                runs under `matcher` reconfigured to the snapshot's
 ///                stored algorithm when they differ (the stored plan was
 ///                compiled for it); processors carry over.
 ///
 /// Status contract: NotFound when `dir` has no snapshot at all;
 /// kDataLoss ONLY when an ACKNOWLEDGED batch is unrecoverable — every
-/// snapshot corrupt, a checksum-valid log record that fails to decode or
-/// apply, a mid-log corruption with acknowledged records after it, or a
-/// log whose generation does not match its snapshot. Crashes, torn
-/// tails, and lost unacknowledged batches never produce kDataLoss.
+/// snapshot corrupt (the message names the newest one and why it failed
+/// to load), a checksum-valid log record that is not a text batch or
+/// fails to bind or apply, a mid-log corruption with acknowledged records
+/// after it, or a log whose generation does not match its snapshot.
+/// Crashes, torn tails, and lost unacknowledged batches never produce
+/// kDataLoss.
 StatusOr<RecoveredSession> Recover(const std::string& dir,
                                    const Matcher& matcher);
 

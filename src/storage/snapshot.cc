@@ -106,44 +106,10 @@ StatusOr<Snapshot> Snapshot::Load(const Store& store) {
   return snap;
 }
 
-StatusOr<MatchResult> Snapshot::Resume(const Matcher& matcher,
-                                       const GraphDelta& pending) {
-  if (pending.empty()) return result_;
-  IngestStats stats;
-  GKEYS_RETURN_IF_ERROR(
-      CommitDelta(matcher, session(entity_names_), pending, stats));
-  return result_;
-}
-
 IngestSession Snapshot::session(
     std::unordered_map<std::string, NodeId>& entity_names) {
   return IngestSession{graph_.get(), &plan_, &result_, &entity_names};
 }
 
-IngestStats Snapshot::Ingest(
-    const Matcher& matcher,
-    std::unordered_map<std::string, NodeId>& entity_names,
-    const IngestSource& source, const IngestOptions& opts,
-    const IngestObserver& observer) {
-  return RunIngestPipeline(matcher, session(entity_names), source, opts,
-                           observer);
-}
-
 }  // namespace storage
-
-// Defined here (not in core/matcher.cc) so the core library stays layered
-// below the storage subsystem.
-StatusOr<MatchResult> Matcher::Resume(storage::Snapshot& snapshot,
-                                      const GraphDelta& pending) const {
-  return snapshot.Resume(*this, pending);
-}
-
-IngestStats Matcher::IngestStream(
-    storage::Snapshot& snapshot,
-    std::unordered_map<std::string, NodeId>& entity_names,
-    const IngestSource& source, const IngestOptions& opts,
-    const IngestObserver& observer) const {
-  return snapshot.Ingest(*this, entity_names, source, opts, observer);
-}
-
 }  // namespace gkeys

@@ -7,9 +7,8 @@
 
 #include "common/status.h"
 #include "core/em_common.h"
+#include "core/ingest_pipeline.h"
 #include "core/match_plan.h"
-#include "core/matcher.h"
-#include "graph/delta.h"
 #include "graph/graph.h"
 #include "keys/key.h"
 #include "storage/store.h"
@@ -20,31 +19,32 @@ namespace storage {
 /// One complete matching session persisted behind a Store: the graph, the
 /// compiled plan, and the result with its provenance index. Save writes a
 /// run's state; Load rebuilds a self-owning session (the Snapshot owns
-/// the graph and key set the restored plan references); Resume continues
-/// it incrementally — Apply the deltas that arrived while the process was
-/// down, Patch, Rematch — skipping the expensive compile phases entirely.
+/// the graph and key set the restored plan references), skipping the
+/// expensive compile phases entirely.
+///
+/// A snapshot is the base image of one generation of a durable directory
+/// (storage/durable_dir.h), and that directory is the only persisted
+/// session: DurableDir::SaveSnapshot writes it, and Matcher::Recover
+/// loads it and replays the write-ahead log on top:
 ///
 ///     // First run:
-///     auto store = MmapStore::Create(path);
-///     Snapshot::Save(**store, g, keys, plan, result, algorithm);
-///     (*store)->Flush();
+///     auto dir = DurableDir::Open(path);
+///     dir->SaveSnapshot(g, keys, plan, result, algorithm, &entity_names);
 ///
 ///     // After restart:
-///     auto store = MmapStore::Open(path);
-///     auto snap = Snapshot::Load(**store);
-///     auto result = Matcher(snap->algorithm()).Resume(*snap, pending);
+///     auto session = Matcher().Recover(path);
 ///
-/// Resume updates the snapshot in place (post-delta graph, plan, result),
-/// so successive calls chain exactly like the in-memory incremental
-/// lifecycle; Save the snapshot's state again to persist the new point.
+/// The restored state advances in place through session(), under the
+/// group commit live ingest runs (CommitBatches, core/ingest_pipeline.h);
+/// a later SaveSnapshot of that state installs the next generation.
 class Snapshot {
  public:
   /// Serializes a session into `store` (call Store::Flush afterwards to
   /// make it durable). `plan` must be compiled against exactly `g` and
   /// `keys`, and `result` should be the result of running `algorithm`
-  /// over it — Resume seeds from it. `entity_names`, when given, is the
-  /// CLI's ent-token table (LoadedGraph::entities); it rides along so
-  /// delta files parse against a loaded snapshot.
+  /// over it — log replay seeds its rematches from it. `entity_names`,
+  /// when given, is the CLI's ent-token table (LoadedGraph::entities); it
+  /// rides along so delta files parse against a loaded snapshot.
   static Status Save(
       Store& store, const Graph& g, const KeySet& keys,
       const MatchPlan& plan, const MatchResult& result, Algorithm algorithm,
@@ -69,37 +69,10 @@ class Snapshot {
     return entity_names_;
   }
 
-  /// Mutable graph access for staging pending deltas against the restored
-  /// session (GraphDelta's constructor takes the target graph). Do not
-  /// Apply deltas directly — Resume owns the Apply → Patch → Rematch
-  /// sequencing.
-  Graph& mutable_graph() { return *graph_; }
-
-  /// The restart path: applies `pending` to the restored graph, patches
-  /// the restored plan, and rematches seeded from the restored result —
-  /// byte-identical to what an uninterrupted process would have computed.
-  /// The snapshot advances to the post-delta state, so Resume calls
-  /// chain. An empty `pending` returns the stored result unchanged.
-  /// Usually invoked through Matcher::Resume.
-  StatusOr<MatchResult> Resume(const Matcher& matcher,
-                               const GraphDelta& pending);
-
   /// The snapshot's graph, plan and result as an ingest session bound to
   /// `entity_names` — what CommitBatches (core/ingest_pipeline.h) and
   /// the staged pipeline advance in place.
   IngestSession session(std::unordered_map<std::string, NodeId>& entity_names);
-
-  /// Streaming ingest over this session: runs the staged pipeline
-  /// (core/ingest_pipeline.h) against the snapshot's graph/plan/result,
-  /// advancing them in place batch by batch — the streaming counterpart
-  /// of repeated Resume calls. `entity_names` is the ent-token table
-  /// batches parse against (usually RecoveredSession::entity_names,
-  /// which extends entity_names()); it gains each committed batch's new
-  /// tokens. Usually invoked through Matcher::IngestStream.
-  IngestStats Ingest(const Matcher& matcher,
-                     std::unordered_map<std::string, NodeId>& entity_names,
-                     const IngestSource& source, const IngestOptions& opts,
-                     const IngestObserver& observer);
 
  private:
   Snapshot() = default;

@@ -1,8 +1,9 @@
 // End-to-end regression tests for the `gkeys` CLI, driving the real
 // binary (path injected by CMake as GKEYS_CLI_BINARY) through popen.
-// Covers the save/load persistence commands — a snapshot written by one
-// process must resume correctly in another — and the empty-delta no-op
-// short-circuit on both the match and load paths.
+// Covers the durable-session commands — a session saved by one process
+// must recover and ingest correctly in another, and a corrupt snapshot
+// must fail with one line — and the empty-delta no-op short-circuit on
+// both the match and ingest paths.
 
 #include <algorithm>
 #include <cstdio>
@@ -123,49 +124,18 @@ TEST_F(CliTest, MatchWithEmptyDeltaIsNoOp) {
   EXPECT_EQ(LastPairs(out.text), 2) << out.text;
 }
 
-TEST_F(CliTest, SaveLoadRoundTripInSeparateProcesses) {
+TEST_F(CliTest, SaveWithoutDirIsUsageError) {
   std::string snap = ::testing::TempDir() + "gkeys_cli_snap.gks";
   RunOutput save = RunCli("save " + graph_ + " " + keys_ + " " + snap);
-  EXPECT_EQ(save.exit_code, 0) << save.text;
-  EXPECT_EQ(LastPairs(save.text), 2) << save.text;
-
-  RunOutput load = RunCli("load " + snap);
-  EXPECT_EQ(load.exit_code, 0) << load.text;
-  EXPECT_EQ(LastPairs(load.text), 2) << load.text;
+  EXPECT_EQ(save.exit_code, 2) << save.text;
+  EXPECT_NE(save.text.find("usage"), std::string::npos) << save.text;
 }
 
-TEST_F(CliTest, LoadResumeMatchesInProcessRematch) {
-  std::string snap = ::testing::TempDir() + "gkeys_cli_snap_delta.gks";
-  RunOutput save = RunCli("save " + graph_ + " " + keys_ + " " + snap);
-  ASSERT_EQ(save.exit_code, 0) << save.text;
-
-  RunOutput load = RunCli("load " + snap + " --delta=" + delta_);
-  EXPECT_EQ(load.exit_code, 0) << load.text;
-  // Same pair count as `match --delta` computes fully in-process.
-  EXPECT_EQ(LastPairs(load.text), 4) << load.text;
-  EXPECT_NE(load.text.find("resumed with +3 -0 pending"), std::string::npos)
-      << load.text;
-}
-
-TEST_F(CliTest, LoadWithEmptyDeltaIsNoOp) {
-  std::string snap = ::testing::TempDir() + "gkeys_cli_snap_empty.gks";
-  RunOutput save = RunCli("save " + graph_ + " " + keys_ + " " + snap);
-  ASSERT_EQ(save.exit_code, 0) << save.text;
-
-  RunOutput load = RunCli("load " + snap + " --delta=" + empty_);
-  EXPECT_EQ(load.exit_code, 0) << load.text;
-  EXPECT_NE(load.text.find("is empty: no-op"), std::string::npos)
-      << load.text;
-  EXPECT_EQ(LastPairs(load.text), 2) << load.text;
-}
-
-TEST_F(CliTest, LoadCorruptSnapshotFailsCleanly) {
-  std::string snap = TempFile("bogus.gks", "not a snapshot at all");
-  RunOutput load = RunCli("load " + snap);
-  EXPECT_NE(load.exit_code, 0);
-  // Status::ToString prints "ParseError: ..." / "IoError: ..." — a
-  // clean diagnostic, not a crash.
-  EXPECT_NE(load.text.find("Error"), std::string::npos) << load.text;
+TEST_F(CliTest, CheckMalformedGraphNamesTheLine) {
+  std::string bad = TempFile("bad.triples", "ent:company:c0 name_of\n");
+  RunOutput out = RunCli("check " + bad + " " + keys_);
+  EXPECT_EQ(out.exit_code, 1) << out.text;
+  EXPECT_NE(out.text.find("line 1"), std::string::npos) << out.text;
 }
 
 TEST_F(CliTest, UnknownCommandPrintsUsage) {
@@ -194,6 +164,29 @@ std::string FreshDir(const std::string& name) {
   std::string cmd = "rm -rf '" + dir + "'";
   (void)std::system(cmd.c_str());
   return dir;
+}
+
+TEST_F(CliTest, SaveRecoverRoundTripInSeparateProcesses) {
+  std::string dir = FreshDir("ddir_roundtrip");
+  RunOutput save = RunCli("save " + graph_ + " " + keys_ + " --dir=" + dir);
+  EXPECT_EQ(save.exit_code, 0) << save.text;
+  EXPECT_EQ(LastPairs(save.text), 2) << save.text;
+
+  RunOutput recover = RunCli("recover " + dir);
+  EXPECT_EQ(recover.exit_code, 0) << recover.text;
+  EXPECT_EQ(LastPairs(recover.text), 2) << recover.text;
+}
+
+TEST_F(CliTest, IngestMatchesInProcessRematch) {
+  std::string dir = FreshDir("ddir_rematch");
+  RunOutput save = RunCli("save " + graph_ + " " + keys_ + " --dir=" + dir);
+  ASSERT_EQ(save.exit_code, 0) << save.text;
+
+  RunOutput ingest = RunCli("ingest " + dir + " " + delta_);
+  EXPECT_EQ(ingest.exit_code, 0) << ingest.text;
+  // Same pair count as `match --delta` computes fully in-process.
+  EXPECT_EQ(LastPairs(ingest.text), 4) << ingest.text;
+  EXPECT_NE(ingest.text.find("+3 -0"), std::string::npos) << ingest.text;
 }
 
 TEST_F(CliTest, DurableSaveIngestRecoverFlow) {
@@ -235,7 +228,7 @@ TEST_F(CliTest, IngestEmptyDeltaIsNoOp) {
       << recover.text;
 }
 
-// ---- Pipelined stdin ingest: '---'-separated batches, hostile inputs ----
+// ---- Stdin ingest: '---'-separated batches, hostile inputs -------------
 
 TEST_F(CliTest, PipelineStdinStreamsBatches) {
   std::string dir = FreshDir("ddir_pipe");
@@ -246,8 +239,7 @@ TEST_F(CliTest, PipelineStdinStreamsBatches) {
       std::string(kCompanyDelta) + "---\n" +
           "+ ent:company:c7 name_of val:\"SBC\"\n"
           "+ ent:company:c0 parent_of ent:company:c7\n");
-  RunOutput out =
-      RunCli("ingest " + dir + " - --pipeline < " + input);
+  RunOutput out = RunCli("ingest " + dir + " - < " + input);
   ASSERT_EQ(out.exit_code, 0) << out.text;
   EXPECT_NE(out.text.find("ingested 2 batches"), std::string::npos)
       << out.text;
@@ -272,7 +264,7 @@ TEST_F(CliTest, PipelineEmptyBatchBetweenSeparatorsIsNoOpCommit) {
       "pipe_mid.triples",
       std::string(kCompanyDelta) + "---\n" + "---\n" +
           "+ ent:company:c7 name_of val:\"SBC\"\n");
-  RunOutput out = RunCli("ingest " + dir + " - --pipeline < " + input);
+  RunOutput out = RunCli("ingest " + dir + " - < " + input);
   ASSERT_EQ(out.exit_code, 0) << out.text;
   EXPECT_NE(out.text.find("ingested 3 batches"), std::string::npos)
       << out.text;
@@ -297,7 +289,7 @@ TEST_F(CliTest, PipelineTrailingSeparatorIsNoOpCommit) {
   // silently dropped, and must not create a WAL record either.
   std::string input =
       TempFile("pipe_trail.triples", std::string(kCompanyDelta) + "---\n");
-  RunOutput out = RunCli("ingest " + dir + " - --pipeline < " + input);
+  RunOutput out = RunCli("ingest " + dir + " - < " + input);
   ASSERT_EQ(out.exit_code, 0) << out.text;
   EXPECT_NE(out.text.find("ingested 2 batches"), std::string::npos)
       << out.text;
@@ -313,7 +305,7 @@ TEST_F(CliTest, PipelineCommentOnlyBatchIsNoOpCommit) {
   std::string input = TempFile(
       "pipe_comment.triples",
       std::string(kCompanyDelta) + "---\n" + "# just a comment\n\n");
-  RunOutput out = RunCli("ingest " + dir + " - --pipeline < " + input);
+  RunOutput out = RunCli("ingest " + dir + " - < " + input);
   ASSERT_EQ(out.exit_code, 0) << out.text;
   EXPECT_NE(out.text.find("ingested 2 batches"), std::string::npos)
       << out.text;
@@ -328,7 +320,7 @@ TEST_F(CliTest, PipelineOnlySeparatorInputIsAllNoOps) {
   // "---" alone delimits two empty batches; the run commits nothing and
   // leaves the WAL untouched.
   std::string input = TempFile("pipe_onlysep.triples", "---\n");
-  RunOutput out = RunCli("ingest " + dir + " - --pipeline < " + input);
+  RunOutput out = RunCli("ingest " + dir + " - < " + input);
   ASSERT_EQ(out.exit_code, 0) << out.text;
   EXPECT_NE(out.text.find("ingested 2 batches"), std::string::npos)
       << out.text;
@@ -394,7 +386,7 @@ TEST_F(CliTest, RecoverMissingDirFailsCleanly) {
       << recover.text;
 }
 
-// ---- Corrupt-snapshot audit: every load path exits 1 with one line -----
+// ---- Corrupt-snapshot audit: recover exits 1 with one line -------------
 
 void ExpectOneLineFailure(const RunOutput& out) {
   EXPECT_NE(out.exit_code, 0) << out.text;
@@ -404,30 +396,45 @@ void ExpectOneLineFailure(const RunOutput& out) {
       << out.text;
 }
 
-TEST_F(CliTest, LoadTruncatedSnapshotFailsWithOneLine) {
-  std::string snap = ::testing::TempDir() + "gkeys_cli_trunc.gks";
-  RunOutput save = RunCli("save " + graph_ + " " + keys_ + " " + snap);
+TEST_F(CliTest, RecoverCorruptSnapshotFailsCleanly) {
+  std::string dir = FreshDir("ddir_bogus");
+  ASSERT_EQ(RunCli("save " + graph_ + " " + keys_ + " --dir=" + dir).exit_code,
+            0);
+  SpitBinary(dir + "/snap.000001.gks", "not a snapshot at all");
+  // Status::ToString prints "ParseError: ..." / "IoError: ..." — a
+  // clean diagnostic, not a crash.
+  ExpectOneLineFailure(RunCli("recover " + dir));
+}
+
+TEST_F(CliTest, RecoverTruncatedSnapshotFailsWithOneLine) {
+  std::string dir = FreshDir("ddir_trunc");
+  RunOutput save = RunCli("save " + graph_ + " " + keys_ + " --dir=" + dir);
   ASSERT_EQ(save.exit_code, 0) << save.text;
+  std::string snap = dir + "/snap.000001.gks";
   std::string bytes = SlurpBinary(snap);
   for (size_t keep : {size_t{3}, size_t{16}, bytes.size() / 2}) {
     SpitBinary(snap, bytes.substr(0, keep));
-    ExpectOneLineFailure(RunCli("load " + snap));
+    ExpectOneLineFailure(RunCli("recover " + dir));
   }
 }
 
-TEST_F(CliTest, LoadFlippedHeaderFailsWithOneLine) {
-  std::string snap = ::testing::TempDir() + "gkeys_cli_flip.gks";
-  RunOutput save = RunCli("save " + graph_ + " " + keys_ + " " + snap);
+TEST_F(CliTest, RecoverFlippedHeaderFailsWithOneLine) {
+  std::string dir = FreshDir("ddir_flip");
+  RunOutput save = RunCli("save " + graph_ + " " + keys_ + " --dir=" + dir);
   ASSERT_EQ(save.exit_code, 0) << save.text;
+  std::string snap = dir + "/snap.000001.gks";
   std::string bytes = SlurpBinary(snap);
   bytes[0] = static_cast<char>(bytes[0] ^ 0xff);
   SpitBinary(snap, bytes);
-  ExpectOneLineFailure(RunCli("load " + snap));
+  ExpectOneLineFailure(RunCli("recover " + dir));
 }
 
-TEST_F(CliTest, LoadEmptySnapshotFailsWithOneLine) {
-  std::string snap = TempFile("empty.gks", "");
-  ExpectOneLineFailure(RunCli("load " + snap));
+TEST_F(CliTest, RecoverEmptySnapshotFailsWithOneLine) {
+  std::string dir = FreshDir("ddir_emptysnap");
+  ASSERT_EQ(RunCli("save " + graph_ + " " + keys_ + " --dir=" + dir).exit_code,
+            0);
+  SpitBinary(dir + "/snap.000001.gks", "");
+  ExpectOneLineFailure(RunCli("recover " + dir));
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 
 #include "core/matcher.h"
 #include "io/triples.h"
+#include "storage/delta_log.h"
 #include "storage/durable_dir.h"
 #include "storage/file_ops.h"
 #include "storage/mmap_store.h"
@@ -144,8 +145,9 @@ std::vector<PairVec> ExpectedPrefixes(const Base& base, Algorithm algo,
     auto delta = ParseDelta(text, session->graph(), names, &fresh);
     EXPECT_TRUE(delta.ok()) << delta.status().ToString();
     if (!delta.ok()) break;
-    auto res = session->Resume(replayer, *delta);
-    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    IngestStats stats;
+    Status res = CommitDelta(replayer, session->session(names), *delta, stats);
+    EXPECT_TRUE(res.ok()) << res.ToString();
     if (!res.ok()) break;
     for (auto& [token, id] : fresh) names[token] = id;
     out.push_back(Sorted(session->result().pairs));
@@ -191,8 +193,9 @@ void RunScheduleChecked(const std::string& dir, const Base& base,
     std::unordered_map<std::string, NodeId> fresh;
     auto delta = ParseDelta(text, session->graph(), names, &fresh);
     ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-    auto res = session->Resume(replayer, *delta);  // in-memory, never faulted
-    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    IngestStats stats;  // in-memory, never faulted
+    Status res = CommitDelta(replayer, session->session(names), *delta, stats);
+    ASSERT_TRUE(res.ok()) << res.ToString();
     for (auto& [token, id] : fresh) names[token] = id;
     if (ddir->AppendDeltaText(text).ok()) ++out->appends_acked;
   }
@@ -343,7 +346,8 @@ TEST(GracefulDegradation, EnospcSaveKeepsPreviousGenerationRecoverable) {
   std::unordered_map<std::string, NodeId> fresh;
   auto d0 = ParseDelta(batches[0], session->graph(), names, &fresh);
   ASSERT_TRUE(d0.ok());
-  ASSERT_TRUE(session->Resume(replayer, *d0).ok());
+  IngestStats stats;
+  ASSERT_TRUE(CommitDelta(replayer, session->session(names), *d0, stats).ok());
   for (auto& [token, id] : fresh) names[token] = id;
   ASSERT_TRUE(ddir->AppendDeltaText(batches[0]).ok());
 
@@ -461,7 +465,7 @@ TEST(Recovery, GroupedReplayMatchesTheSerialChain) {
   };
   for (Algorithm algo : AllAlgorithms()) {
     SCOPED_TRACE("algorithm " + std::to_string(static_cast<int>(algo)));
-    // The serial chain: one ParseDelta + Snapshot::Resume per batch.
+    // The serial chain: one ParseDelta + CommitDelta per batch.
     auto serial = MakeSession(base, algo, "grouped_serial");
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     auto names = serial->entity_names();
@@ -471,7 +475,10 @@ TEST(Recovery, GroupedReplayMatchesTheSerialChain) {
       std::unordered_map<std::string, NodeId> fresh;
       auto delta = ParseDelta(text, serial->graph(), names, &fresh);
       ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-      ASSERT_TRUE(serial->Resume(replayer, *delta).ok()) << text;
+      IngestStats stats;
+      ASSERT_TRUE(
+          CommitDelta(replayer, serial->session(names), *delta, stats).ok())
+          << text;
       for (auto& [token, id] : fresh) names[token] = id;
     }
 
@@ -516,6 +523,57 @@ TEST(Recovery, FailingAcknowledgedBatchIsDataLossNamingIt) {
     EXPECT_NE(rec.status().message().find(want), std::string::npos)
         << rec.status().ToString();
   }
+}
+
+TEST(Recovery, NonTextRecordIsDataLossNamingIt) {
+  Base base = MakeBase();
+  const Algorithm algo = Algorithm::kEmOptVc;
+  const std::string good =
+      std::string(1, DurableDir::kTextDeltaTag) +
+      "+ ent:company:6 name_of val:\"AT&T\"\n";
+  const struct {
+    std::string record;
+    std::string why;
+  } cases[] = {
+      {"B\x01\x02 binary delta bytes", "unknown batch tag 'B'"},
+      {"", "empty payload"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.why);
+    const std::string dir = TempPath("nontext");
+    MakeLoggedDir(dir, base, algo, {});
+    {
+      auto wal = storage::DeltaLog::OpenForAppend(dir + "/wal.000001.log",
+                                                  nullptr);
+      ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+      ASSERT_TRUE((*wal)->Append(good).ok());
+      ASSERT_TRUE((*wal)->Append(c.record).ok());
+    }
+    auto rec = Matcher(algo).processors(2).Recover(dir);
+    ASSERT_FALSE(rec.ok());
+    EXPECT_EQ(rec.status().code(), StatusCode::kDataLoss);
+    const std::string msg = rec.status().message();
+    EXPECT_NE(msg.find("acknowledged batch 1 is unrecoverable"),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find(c.why), std::string::npos) << msg;
+  }
+}
+
+TEST(Recovery, CorruptOnlySnapshotIsDataLossCarryingItsLoadError) {
+  Base base = MakeBase();
+  const std::string dir = TempPath("truncated_snap");
+  MakeLoggedDir(dir, base, Algorithm::kEmOptVc, {});
+  const std::string snap = dir + "/snap.000001.gks";
+  ASSERT_TRUE(fileops::Truncate(snap, 64).ok());
+
+  auto rec = Matcher().processors(2).Recover(dir);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), StatusCode::kDataLoss);
+  // The reason the snapshot was skipped survives into the message.
+  const std::string msg = rec.status().message();
+  EXPECT_NE(msg.find("snap.000001.gks: ParseError"), std::string::npos)
+      << msg;
 }
 
 // ---- Graceful degradation: time budgets --------------------------------

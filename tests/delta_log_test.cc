@@ -1,9 +1,7 @@
 // Write-ahead delta log and fault-injection seam tests: record framing
 // and checksums (torn tails truncate, mid-log corruption is kDataLoss),
-// the GraphDelta payload codec (round-trip, truncation and bit-flip
-// negatives must return ParseError, never crash), the fileops shim
-// driving MmapStore's fsync-discipline write path, and the
-// FaultInjectingStore wrapper at the Store seam. The sanitize CI job
+// the fileops shim driving MmapStore's fsync-discipline write path, and
+// the FaultInjectingStore wrapper at the Store seam. The sanitize CI job
 // runs all of this under ASan/UBSan.
 
 #include <algorithm>
@@ -18,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include "core/matcher.h"
-#include "graph/delta.h"
 #include "storage/delta_log.h"
 #include "storage/fault_store.h"
 #include "storage/file_ops.h"
@@ -274,86 +271,6 @@ TEST(DeltaLog, FailedAppendPoisonsTheLog) {
   ASSERT_TRUE(replay.ok()) << replay.status().ToString();
   ASSERT_GE(replay->records.size(), 1u);
   EXPECT_EQ(replay->records[0], "durable");
-}
-
-// ---- GraphDelta payload codec ------------------------------------------
-
-GraphDelta MakeMixedDelta(const Graph& g, const testing::CompanyGraph& c) {
-  GraphDelta delta(g);
-  NodeId com6 = delta.AddEntity("company");
-  NodeId bell = delta.AddValue("Bell Labs");   // fresh value: staged
-  NodeId att = delta.AddValue("AT&T");         // existing: resolves to base
-  EXPECT_TRUE(delta.AddTriple(com6, "name_of", bell).ok());
-  EXPECT_TRUE(delta.AddTriple(com6, "name_of", att).ok());
-  EXPECT_TRUE(delta.AddTriple(c.com0, "parent_of", com6).ok());
-  EXPECT_TRUE(delta.RemoveTriple(c.com3, "parent_of", c.com5).ok());
-  return delta;
-}
-
-TEST(DeltaCodec, RoundTripReproducesStagedOps) {
-  auto c = testing::MakeG2();
-  GraphDelta orig = MakeMixedDelta(c.g, c);
-  std::string enc = storage::EncodeDelta(orig);
-
-  auto dec = storage::DecodeDelta(enc, c.g);
-  ASSERT_TRUE(dec.ok()) << dec.status().ToString();
-  ASSERT_EQ(dec->new_nodes().size(), orig.new_nodes().size());
-  for (size_t i = 0; i < orig.new_nodes().size(); ++i) {
-    EXPECT_EQ(dec->new_nodes()[i].kind, orig.new_nodes()[i].kind);
-    EXPECT_EQ(dec->new_nodes()[i].label, orig.new_nodes()[i].label);
-  }
-  auto same_triples = [](const std::vector<GraphDelta::DeltaTriple>& a,
-                         const std::vector<GraphDelta::DeltaTriple>& b) {
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].subject, b[i].subject);
-      EXPECT_EQ(a[i].pred, b[i].pred);
-      EXPECT_EQ(a[i].object, b[i].object);
-    }
-  };
-  same_triples(dec->added(), orig.added());
-  same_triples(dec->removed(), orig.removed());
-  // Byte-identical re-encoding: the codec is canonical.
-  EXPECT_EQ(storage::EncodeDelta(*dec), enc);
-}
-
-TEST(DeltaCodec, EmptyDeltaRoundTrips) {
-  auto c = testing::MakeG2();
-  GraphDelta empty(c.g);
-  auto dec = storage::DecodeDelta(storage::EncodeDelta(empty), c.g);
-  ASSERT_TRUE(dec.ok()) << dec.status().ToString();
-  EXPECT_TRUE(dec->empty());
-}
-
-TEST(DeltaCodec, EveryTruncationIsParseErrorNeverCrash) {
-  auto c = testing::MakeG2();
-  std::string enc = storage::EncodeDelta(MakeMixedDelta(c.g, c));
-  for (size_t len = 0; len < enc.size(); ++len) {
-    auto dec = storage::DecodeDelta(std::string_view(enc).substr(0, len),
-                                    c.g);
-    EXPECT_FALSE(dec.ok()) << "prefix " << len << " parsed";
-    if (!dec.ok()) {
-      EXPECT_EQ(dec.status().code(), StatusCode::kParseError)
-          << dec.status().ToString();
-    }
-  }
-}
-
-TEST(DeltaCodec, BitFlipsNeverCrash) {
-  auto c = testing::MakeG2();
-  std::string enc = storage::EncodeDelta(MakeMixedDelta(c.g, c));
-  for (size_t i = 0; i < enc.size(); ++i) {
-    for (uint8_t mask : {0x01, 0x80}) {
-      std::string bad = enc;
-      bad[i] = static_cast<char>(bad[i] ^ mask);
-      // Either a ParseError or a differently-but-validly decoded delta —
-      // the invariant is "no crash, no UB" (ASan enforces it).
-      auto dec = storage::DecodeDelta(bad, c.g);
-      if (!dec.ok()) {
-        EXPECT_EQ(dec.status().code(), StatusCode::kParseError);
-      }
-    }
-  }
 }
 
 // ---- fileops shim under MmapStore's write path -------------------------

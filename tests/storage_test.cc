@@ -328,21 +328,6 @@ TEST(SnapshotRoundTrip, EntityNameTableRidesAlong) {
   EXPECT_EQ(delta->num_added_triples(), 1u);
 }
 
-TEST(SnapshotRoundTrip, ResumeWithEmptyDeltaReturnsStoredResult) {
-  Algorithm algo = Algorithm::kEmOptVc;
-  Session s = CompileAndRun(testing::MakeG2().g, testing::MakeSigma2(),
-                            algo);
-  std::string path = SaveToFile(s, algo, "empty_resume");
-  auto store = MmapStore::Open(path);
-  ASSERT_TRUE(store.ok());
-  auto snap = Snapshot::Load(**store);
-  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  GraphDelta empty(snap->graph());
-  auto resumed = Matcher(algo).Resume(*snap, empty);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->pairs, s.result.pairs);
-}
-
 TEST(Snapshot, SaveRejectsForeignPlan) {
   Algorithm algo = Algorithm::kEmOptVc;
   Session s = CompileAndRun(testing::MakeG2().g, testing::MakeSigma2(),
@@ -379,8 +364,9 @@ StatusOr<GraphDelta> StageOps(const Graph& g, const Graph& interner_src,
 /// The paper lifecycle vs. the restart lifecycle, chunk by chunk: the
 /// in-memory chain applies each delta directly (Apply → Patch →
 /// Rematch); the restart chain saves, reloads from disk in-between, and
-/// Resumes with the same ops as "pending deltas". Every chunk must
-/// agree exactly — that is the whole point of the snapshot.
+/// commits the same ops as "pending deltas" onto the loaded session
+/// (CommitDelta). Every chunk must agree exactly — that is the whole
+/// point of the snapshot.
 void RunResumeStream(uint64_t seed, Algorithm algo, size_t hold_out,
                      size_t chunks, size_t removals_per_chunk) {
   SCOPED_TRACE("seed=" + std::to_string(seed) +
@@ -465,19 +451,22 @@ void RunResumeStream(uint64_t seed, Algorithm algo, size_t hold_out,
     mem.plan = *std::move(patched);
     mem.result = *std::move(rematched);
 
-    // Restart lifecycle: reload from disk, resume with the same ops as
-    // the pending delta, save the advanced state for the next chunk.
+    // Restart lifecycle: reload from disk, commit the same ops as the
+    // pending delta, save the advanced state for the next chunk.
     auto store = MmapStore::Open(path);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     auto snap = Snapshot::Load(**store);
     ASSERT_TRUE(snap.ok()) << snap.status().ToString();
     auto snap_delta = StageOps(snap->graph(), ds.graph, ops);
     ASSERT_TRUE(snap_delta.ok()) << snap_delta.status().ToString();
-    auto resumed = matcher.Resume(*snap, *snap_delta);
-    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    auto names = snap->entity_names();
+    IngestStats stats;
+    Status resumed =
+        CommitDelta(matcher, snap->session(names), *snap_delta, stats);
+    ASSERT_TRUE(resumed.ok()) << resumed.ToString();
 
-    EXPECT_EQ(resumed->pairs, mem.result.pairs);
-    ExpectEquivalentDerivations(resumed->derivations,
+    EXPECT_EQ(snap->result().pairs, mem.result.pairs);
+    ExpectEquivalentDerivations(snap->result().derivations,
                                 mem.result.derivations);
 
     path = TempPath("stream_chunk" + std::to_string(chunk));

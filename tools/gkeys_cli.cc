@@ -9,19 +9,18 @@
 //   gkeys discover <graph.triples> [--max-attrs=N] [--min-coverage=F]
 //   gkeys generate <out.triples> [--scale=F] [--c=N] [--d=N] [--seed=N]
 //   gkeys stats <graph.triples>
-//   gkeys save <graph.triples> <keys.dsl> <out.snapshot> [--algorithm=NAME]
-//              [--processors=N]
 //   gkeys save <graph.triples> <keys.dsl> --dir=DIR [--algorithm=NAME]
-//              [--processors=N]            (durable directory, generation 1)
-//   gkeys load <snapshot> [--delta=DELTA.triples] [--processors=N]
-//   gkeys ingest <dir> <delta.triples|-> [--processors=N] [--pipeline]
-//                                       (apply + write-ahead-log the batch;
-//                                        '-' reads the delta from stdin;
-//                                        --pipeline streams '---'-separated
-//                                        batches through the staged ingest
-//                                        pipeline)
+//              [--processors=N]         (durable session directory: compile,
+//                                        run, install the next snapshot
+//                                        generation with an empty log)
+//   gkeys ingest <dir> <delta.triples|-> [--processors=N]
+//                                       (recover the session, then stream
+//                                        '---'-separated batches through the
+//                                        staged ingest pipeline, logging
+//                                        each one; '-' reads from stdin)
 //   gkeys recover <dir> [--processors=N] [--quiet]
-//                                       (crash recovery: snapshot + log)
+//                                       (restart: newest valid snapshot +
+//                                        replay of the write-ahead log)
 
 #include <algorithm>
 #include <chrono>
@@ -41,9 +40,7 @@
 #include "graph/merge.h"
 #include "io/triples.h"
 #include "storage/durable_dir.h"
-#include "storage/mmap_store.h"
 #include "storage/recovery.h"
-#include "storage/snapshot.h"
 
 namespace {
 
@@ -51,7 +48,7 @@ using namespace gkeys;
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: gkeys <match|check|discover|generate|stats|save|load|"
+               "usage: gkeys <match|check|discover|generate|stats|save|"
                "ingest|recover> ...\n"
                "  match <graph> <keys.dsl> [--algorithm=EMMR|EMVF2MR|"
                "EMOptMR|EMVC|EMOptVC|NaiveChase] [--processors=N]\n"
@@ -62,16 +59,12 @@ int Usage() {
                "  discover <graph> [--max-attrs=N] [--min-coverage=F]\n"
                "  generate <out> [--scale=F] [--c=N] [--d=N] [--seed=N]\n"
                "  stats <graph>\n"
-               "  save <graph> <keys.dsl> <out.snapshot> [--algorithm=NAME] "
-               "[--processors=N]  (compile + run + persist)\n"
                "  save <graph> <keys.dsl> --dir=DIR [--algorithm=NAME] "
-               "[--processors=N]  (durable directory: snapshot + WAL)\n"
-               "  load <snapshot> [--delta=delta.triples] [--processors=N]  "
-               "(restore; apply pending deltas incrementally)\n"
-               "  ingest <dir> <delta.triples|-> [--processors=N] "
-               "[--pipeline]  (apply one batch — or, with --pipeline, a "
-               "stream of '---'-separated batches — and make each durable "
-               "in the write-ahead log; '-' reads from stdin)\n"
+               "[--processors=N]  (compile + run + persist as a durable "
+               "session: snapshot + write-ahead log)\n"
+               "  ingest <dir> <delta.triples|-> [--processors=N]  (apply "
+               "'---'-separated batches and make each durable in the "
+               "write-ahead log; '-' reads from stdin)\n"
                "  recover <dir> [--processors=N] [--quiet]  (rebuild from "
                "newest valid snapshot + surviving log records)\n");
   return 2;
@@ -241,41 +234,32 @@ int CmdMatch(int argc, char** argv) {
                   "result unchanged)\n",
                   delta_path.c_str());
     } else {
-      auto dirty = graph->Apply(*delta);
-      if (!dirty.ok()) {
-        std::fprintf(stderr, "%s\n", dirty.status().ToString().c_str());
+      // The commit advances graph, plan and r in place (--fuse below
+      // fuses the post-delta result).
+      const auto prev = r.pairs;
+      IngestStats stats;
+      Status st = CommitDelta(
+          matcher, IngestSession{graph, &*plan, &r, &loaded->entities},
+          *delta, stats);
+      if (!st.ok()) {
+        std::fprintf(stderr, "%s\n", st.ToString().c_str());
         return 1;
       }
-      auto patched = plan->Patch(*delta);
-      if (!patched.ok()) {
-        std::fprintf(stderr, "%s\n", patched.status().ToString().c_str());
-        return 1;
-      }
-      auto rematch = matcher.Rematch(*patched, r, *delta);
-      if (!rematch.ok()) {
-        std::fprintf(stderr, "%s\n", rematch.status().ToString().c_str());
-        return 1;
-      }
-      MatchResult r2 = *std::move(rematch);
       std::printf("# delta +%zu -%zu triples: pairs=%zu (%+ld) "
                   "dirty_candidates=%zu patch=%.1fms rematch=%.1fms\n",
                   delta->num_added_triples(), delta->num_removed_triples(),
-                  r2.pairs.size(),
-                  static_cast<long>(r2.pairs.size()) -
-                      static_cast<long>(r.pairs.size()),
-                  patched->dirty_candidates().size(),
-                  patched->compile_seconds() * 1e3,
-                  r2.stats.run_seconds * 1e3);
-      for (auto [a, b] : r2.pairs) {
-        bool is_new =
-            !std::binary_search(r.pairs.begin(), r.pairs.end(),
-                                std::make_pair(a, b));
-        if (is_new) {
+                  r.pairs.size(),
+                  static_cast<long>(r.pairs.size()) -
+                      static_cast<long>(prev.size()),
+                  plan->dirty_candidates().size(), stats.seconds.patch * 1e3,
+                  stats.seconds.rematch * 1e3);
+      for (auto [a, b] : r.pairs) {
+        if (!std::binary_search(prev.begin(), prev.end(),
+                                std::make_pair(a, b))) {
           std::printf("+ %s == %s\n", graph->DescribeNode(a).c_str(),
                       graph->DescribeNode(b).c_str());
         }
       }
-      r = std::move(r2);  // --fuse below fuses the post-delta result
     }
   }
 
@@ -297,9 +281,13 @@ int CmdMatch(int argc, char** argv) {
 int CmdCheck(int argc, char** argv) {
   if (argc < 4) return Usage();
   auto graph = LoadGraph(argv[2]);
+  if (!graph.ok()) {
+    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
+    return 1;
+  }
   auto keys = LoadKeys(argv[3]);
-  if (!graph.ok() || !keys.ok()) {
-    std::fprintf(stderr, "load error\n");
+  if (!keys.ok()) {
+    std::fprintf(stderr, "%s\n", keys.status().ToString().c_str());
     return 1;
   }
   bool ok = Satisfies(*graph, *keys);
@@ -358,7 +346,7 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 
 int CmdSave(int argc, char** argv) {
   std::string dir = FlagValue(argc, argv, "--dir", "");
-  if (argc < (dir.empty() ? 5 : 4)) return Usage();
+  if (argc < 4 || dir.empty()) return Usage();
   auto loaded = LoadGraphWithNames(argv[2]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
@@ -393,110 +381,26 @@ int CmdSave(int argc, char** argv) {
     return 1;
   }
 
-  if (!dir.empty()) {
-    // Durable-directory form: the snapshot becomes generation g+1 of
-    // `dir` (atomic install) with a fresh write-ahead log for `ingest`.
-    auto t0 = std::chrono::steady_clock::now();
-    auto ddir = storage::DurableDir::Open(dir);
-    if (!ddir.ok()) {
-      std::fprintf(stderr, "%s\n", ddir.status().ToString().c_str());
-      return 1;
-    }
-    Status st = ddir->SaveSnapshot(loaded->graph, *keys, *plan, *run, algo,
-                                   &loaded->entities);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("# saved %s generation=%llu: algorithm=%s pairs=%zu "
-                "compile=%.1fms run=%.1fms save=%.1fms\n",
-                dir.c_str(),
-                static_cast<unsigned long long>(ddir->generation()),
-                AlgorithmName(algo).c_str(), run->pairs.size(),
-                plan->compile_seconds() * 1e3, run->stats.run_seconds * 1e3,
-                SecondsSince(t0) * 1e3);
-    return 0;
-  }
-
+  // The snapshot becomes generation g+1 of `dir` (atomic install) with a
+  // fresh write-ahead log for `ingest`.
   auto t0 = std::chrono::steady_clock::now();
-  auto store = storage::MmapStore::Create(argv[4]);
-  if (!store.ok()) {
-    std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
+  auto ddir = storage::DurableDir::Open(dir);
+  if (!ddir.ok()) {
+    std::fprintf(stderr, "%s\n", ddir.status().ToString().c_str());
     return 1;
   }
-  Status st = storage::Snapshot::Save(**store, loaded->graph, *keys, *plan,
-                                      *run, algo, &loaded->entities);
-  if (st.ok()) st = (*store)->Flush();
+  Status st = ddir->SaveSnapshot(loaded->graph, *keys, *plan, *run, algo,
+                                 &loaded->entities);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 1;
   }
-  std::printf("# saved %s: algorithm=%s pairs=%zu records=%zu bytes=%llu "
+  std::printf("# saved %s generation=%llu: algorithm=%s pairs=%zu "
               "compile=%.1fms run=%.1fms save=%.1fms\n",
-              argv[4], AlgorithmName(algo).c_str(), run->pairs.size(),
-              (*store)->num_records(),
-              static_cast<unsigned long long>((*store)->file_bytes()),
+              dir.c_str(), static_cast<unsigned long long>(ddir->generation()),
+              AlgorithmName(algo).c_str(), run->pairs.size(),
               plan->compile_seconds() * 1e3, run->stats.run_seconds * 1e3,
               SecondsSince(t0) * 1e3);
-  return 0;
-}
-
-int CmdLoad(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  auto t0 = std::chrono::steady_clock::now();
-  auto store = storage::MmapStore::Open(argv[2]);
-  if (!store.ok()) {
-    std::fprintf(stderr, "%s\n", store.status().ToString().c_str());
-    return 1;
-  }
-  auto snap = storage::Snapshot::Load(**store);
-  if (!snap.ok()) {
-    std::fprintf(stderr, "%s\n", snap.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("# loaded %s: algorithm=%s pairs=%zu nodes=%zu "
-              "candidates=%zu load=%.1fms\n",
-              argv[2], AlgorithmName(snap->algorithm()).c_str(),
-              snap->result().pairs.size(), snap->graph().NumNodes(),
-              snap->plan().num_candidates(), SecondsSince(t0) * 1e3);
-
-  int p = std::atoi(FlagValue(argc, argv, "--processors", "4").c_str());
-  if (p <= 0) p = 4;
-  std::string delta_path = FlagValue(argc, argv, "--delta", "");
-  if (!delta_path.empty()) {
-    auto text = ReadFile(delta_path);
-    if (!text.ok()) {
-      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-      return 1;
-    }
-    auto delta = ParseDelta(*text, snap->graph(), snap->entity_names());
-    if (!delta.ok()) {
-      std::fprintf(stderr, "%s\n", delta.status().ToString().c_str());
-      return 1;
-    }
-    if (delta->empty()) {
-      std::printf("# delta file '%s' is empty: no-op (resumed result is "
-                  "the stored one)\n",
-                  delta_path.c_str());
-    } else {
-      Matcher matcher(snap->algorithm());
-      matcher.processors(p);
-      auto t1 = std::chrono::steady_clock::now();
-      auto resumed = matcher.Resume(*snap, *delta);
-      if (!resumed.ok()) {
-        std::fprintf(stderr, "%s\n", resumed.status().ToString().c_str());
-        return 1;
-      }
-      std::printf("# resumed with +%zu -%zu pending triples: pairs=%zu "
-                  "resume=%.1fms\n",
-                  delta->num_added_triples(), delta->num_removed_triples(),
-                  resumed->pairs.size(), SecondsSince(t1) * 1e3);
-    }
-  }
-  for (auto [a, b] : snap->result().pairs) {
-    std::printf("%s == %s\n", snap->graph().DescribeNode(a).c_str(),
-                snap->graph().DescribeNode(b).c_str());
-  }
   return 0;
 }
 
@@ -510,7 +414,7 @@ StatusOr<std::string> ReadAllStdin() {
   return out;
 }
 
-/// Splits --pipeline input into batches on `---` separator lines (CRLF
+/// Splits ingest input into batches on `---` separator lines (CRLF
 /// tolerated, like the delta format itself). Batches keep their own
 /// line endings; separator lines are consumed. No separator = one batch.
 /// Every separator delimits a batch on BOTH sides: `a\n---\n` is two
@@ -546,13 +450,26 @@ std::vector<std::string> SplitDeltaBatches(std::string_view text) {
   return out;
 }
 
-/// `gkeys ingest <dir> ... --pipeline`: streams '---'-separated delta
-/// batches through the staged ingest pipeline (core/ingest_pipeline.h),
+/// `gkeys ingest <dir> <delta|->`: rebuilds the session exactly as a
+/// post-crash process would (so ingestion after an unclean shutdown picks
+/// up where the log ends), then streams the '---'-separated batches
+/// through the staged ingest pipeline (core/ingest_pipeline.h),
 /// tokenizing batch N+1 while batch N runs the engine chain. Each batch
-/// follows the serial command's durability discipline — applied first,
-/// WAL-appended second, so a crash loses at most the in-flight batch
-/// and replay can never fail on a logged one.
-int IngestPipelined(const std::string& dir, std::string text, int p) {
+/// is applied first and WAL-appended second, so a crash loses at most the
+/// in-flight, unacknowledged batch and replay can never fail on a logged
+/// one.
+int CmdIngest(int argc, char** argv) {
+  if (argc < 4) return Usage();
+  const std::string dir = argv[2];
+  int p = std::atoi(FlagValue(argc, argv, "--processors", "4").c_str());
+  if (p <= 0) p = 4;
+
+  auto text = std::strcmp(argv[3], "-") == 0 ? ReadAllStdin()
+                                             : ReadFile(argv[3]);
+  if (!text.ok()) {
+    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
+    return 1;
+  }
   Matcher matcher;
   matcher.processors(p);
   auto t0 = std::chrono::steady_clock::now();
@@ -567,8 +484,9 @@ int IngestPipelined(const std::string& dir, std::string text, int p) {
     return 1;
   }
   if (ddir->generation() != session->report.generation) {
-    // Same refusal as the serial path: appending to a newer generation's
-    // log would put batches where replay cannot see them.
+    // Recovery fell back past a corrupt newer snapshot; appending to the
+    // newest generation's log would put batches where replay cannot see
+    // them. Refuse rather than acknowledge a batch recovery would lose.
     std::fprintf(stderr,
                  "DataLoss: recovered generation %llu but the newest in %s "
                  "is %llu; re-save a snapshot before ingesting\n",
@@ -578,7 +496,7 @@ int IngestPipelined(const std::string& dir, std::string text, int p) {
     return 1;
   }
 
-  std::vector<std::string> batches = SplitDeltaBatches(text);
+  std::vector<std::string> batches = SplitDeltaBatches(*text);
   size_t next = 0;
   IngestSource source = [&]() -> std::optional<std::string> {
     if (next >= batches.size()) return std::nullopt;
@@ -586,8 +504,8 @@ int IngestPipelined(const std::string& dir, std::string text, int p) {
   };
   IngestObserver observer = [&](const IngestBatch& b) -> Status {
     // contributed, not delta->empty(): under group commit b.delta is the
-    // whole group's delta, but the WAL (like the serial path) must skip
-    // exactly the no-op batches.
+    // whole group's delta, but the WAL must skip exactly the no-op
+    // batches.
     if (!b.contributed) return Status::OK();
     return ddir->AppendDeltaText(*b.text);
   };
@@ -598,7 +516,8 @@ int IngestPipelined(const std::string& dir, std::string text, int p) {
   IngestOptions iopts;
   iopts.parse_threads = p;
   IngestStats stats = replayer.IngestStream(
-      session->snapshot, session->entity_names, source, iopts, observer);
+      session->snapshot.session(session->entity_names), source, iopts,
+      observer);
   if (!stats.status.ok()) {
     std::fprintf(stderr, "%s\n", stats.status.ToString().c_str());
     if (stats.batches > 0) {
@@ -626,90 +545,10 @@ int IngestPipelined(const std::string& dir, std::string text, int p) {
       stats.seconds.bind * 1e3, stats.seconds.apply * 1e3,
       stats.seconds.patch * 1e3, stats.seconds.rematch * 1e3,
       SecondsSince(t0) * 1e3);
-  return 0;
-}
-
-int CmdIngest(int argc, char** argv) {
-  if (argc < 4) return Usage();
-  const std::string dir = argv[2];
-  int p = std::atoi(FlagValue(argc, argv, "--processors", "4").c_str());
-  if (p <= 0) p = 4;
-
-  auto text = std::strcmp(argv[3], "-") == 0 ? ReadAllStdin()
-                                             : ReadFile(argv[3]);
-  if (!text.ok()) {
-    std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-    return 1;
-  }
-  if (HasFlag(argc, argv, "--pipeline")) {
-    return IngestPipelined(dir, *std::move(text), p);
-  }
-
-  // Rebuild the session exactly as a post-crash process would, so
-  // ingestion after an unclean shutdown picks up where the log ends.
-  Matcher matcher;
-  matcher.processors(p);
-  auto t0 = std::chrono::steady_clock::now();
-  auto session = matcher.Recover(dir);
-  if (!session.ok()) {
-    std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
-    return 1;
-  }
-  auto delta = ParseDelta(*text, session->snapshot.graph(),
-                          session->entity_names);
-  if (!delta.ok()) {
-    std::fprintf(stderr, "%s\n", delta.status().ToString().c_str());
-    return 1;
-  }
-  if (delta->empty()) {
-    std::printf("# delta file '%s' is empty: no-op (nothing logged)\n",
+  if (stats.empty_batches == stats.batches) {
+    std::printf("# '%s' stages nothing: no-op (session and log unchanged)\n",
                 argv[3]);
-    return 0;
   }
-
-  // Apply first, log second: a batch enters the WAL only after the
-  // incremental lifecycle accepted it, so replay can never fail on it;
-  // the batch is acknowledged (printed OK) only after the fsync'd
-  // append. A crash in between loses only this unacknowledged batch.
-  size_t prev_pairs = session->snapshot.result().pairs.size();
-  Matcher replayer(session->snapshot.algorithm());
-  replayer.processors(p);
-  auto resumed = session->snapshot.Resume(replayer, *delta);
-  if (!resumed.ok()) {
-    std::fprintf(stderr, "%s\n", resumed.status().ToString().c_str());
-    return 1;
-  }
-  auto ddir = storage::DurableDir::Open(dir);
-  if (!ddir.ok()) {
-    std::fprintf(stderr, "%s\n", ddir.status().ToString().c_str());
-    return 1;
-  }
-  if (ddir->generation() != session->report.generation) {
-    // Recovery fell back past a corrupt newer snapshot; appending to the
-    // newest generation's log would put the batch where replay cannot
-    // see it. Refuse rather than acknowledge a batch recovery would lose.
-    std::fprintf(stderr,
-                 "DataLoss: recovered generation %llu but the newest in %s "
-                 "is %llu; re-save a snapshot before ingesting\n",
-                 static_cast<unsigned long long>(session->report.generation),
-                 dir.c_str(),
-                 static_cast<unsigned long long>(ddir->generation()));
-    return 1;
-  }
-  Status st = ddir->AppendDeltaText(*text);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 1;
-  }
-  std::printf("# ingested +%zu -%zu triples into %s generation=%llu: "
-              "pairs=%zu (%+ld) wal_records=%zu total=%.1fms\n",
-              delta->num_added_triples(), delta->num_removed_triples(),
-              dir.c_str(),
-              static_cast<unsigned long long>(ddir->generation()),
-              resumed->pairs.size(),
-              static_cast<long>(resumed->pairs.size()) -
-                  static_cast<long>(prev_pairs),
-              ddir->wal_records(), SecondsSince(t0) * 1e3);
   return 0;
 }
 
@@ -775,7 +614,6 @@ int main(int argc, char** argv) {
   if (cmd == "generate") return CmdGenerate(argc, argv);
   if (cmd == "stats") return CmdStats(argc, argv);
   if (cmd == "save") return CmdSave(argc, argv);
-  if (cmd == "load") return CmdLoad(argc, argv);
   if (cmd == "ingest") return CmdIngest(argc, argv);
   if (cmd == "recover") return CmdRecover(argc, argv);
   return Usage();
