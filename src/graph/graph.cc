@@ -11,12 +11,7 @@ NodeId Graph::AddEntity(Symbol type) {
   NodeId id = static_cast<NodeId>(kinds_.size());
   kinds_.push_back(NodeKind::kEntity);
   labels_.push_back(type);
-  if (!csr_built_) {
-    out_build_.emplace_back();
-    in_build_.emplace_back();
-  } else {
-    TouchNewNode(id);
-  }
+  if (csr_built_) TouchNewNode(id);
   by_type_[type].push_back(id);
   ++num_entities_;
   return id;
@@ -29,12 +24,7 @@ NodeId Graph::AddValue(std::string_view value) {
   NodeId id = static_cast<NodeId>(kinds_.size());
   kinds_.push_back(NodeKind::kValue);
   labels_.push_back(sym);
-  if (!csr_built_) {
-    out_build_.emplace_back();
-    in_build_.emplace_back();
-  } else {
-    TouchNewNode(id);
-  }
+  if (csr_built_) TouchNewNode(id);
   value_nodes_.emplace(sym, id);
   return id;
 }
@@ -68,8 +58,7 @@ Status Graph::AddTriple(NodeId s, Symbol p, NodeId o) {
     return Status::InvalidArgument("AddTriple: subject must be an entity");
   }
   if (!csr_built_) {
-    out_build_[s].push_back(Edge{p, o});
-    in_build_[o].push_back(Edge{p, s});
+    build_.push_back(Triple{s, p, o});
   } else {
     ThawNode(out_overlay_, out_offsets_, out_edges_, s).push_back(Edge{p, o});
     ThawNode(in_overlay_, in_offsets_, in_edges_, o).push_back(Edge{p, s});
@@ -89,15 +78,14 @@ Status Graph::RemoveTriple(NodeId s, Symbol p, NodeId o) {
   }
   // Duplicate adds are tracked until Finalize() dedups, so removing an
   // edge must subtract however many copies actually existed.
-  auto erase_all = [](std::vector<Edge>& adj, const Edge& e) -> size_t {
-    size_t before = adj.size();
-    adj.erase(std::remove(adj.begin(), adj.end(), e), adj.end());
-    return before - adj.size();
+  auto erase_all = [](auto& list, const auto& item) -> size_t {
+    size_t before = list.size();
+    list.erase(std::remove(list.begin(), list.end(), item), list.end());
+    return before - list.size();
   };
   size_t removed;
   if (!csr_built_) {
-    removed = erase_all(out_build_[s], Edge{p, o});
-    erase_all(in_build_[o], Edge{p, s});
+    removed = erase_all(build_, Triple{s, p, o});
   } else {
     removed = erase_all(ThawNode(out_overlay_, out_offsets_, out_edges_, s),
                         Edge{p, o});
@@ -111,30 +99,46 @@ void Graph::Finalize() {
   if (finalized_) return;
   const size_t n = NumNodes();
   if (!csr_built_) {
-    // First finalization: sort + dedup every per-node vector and compact.
-    auto compact = [n](std::vector<std::vector<Edge>>& build,
-                       std::vector<size_t>& offsets,
-                       std::vector<Edge>& edges) -> size_t {
-      size_t total = 0;
-      for (auto& adj : build) {
-        std::sort(adj.begin(), adj.end());
-        adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
-        total += adj.size();
-      }
+    // First finalization: counting sort of the flat triple list into one
+    // CSR direction (keyed by subject for out-edges, by object for
+    // in-edges), then sort + dedup of each node's run, compacted in place.
+    auto counting_sort = [this, n](bool out, std::vector<size_t>& offsets,
+                                   std::vector<Edge>& edges) -> size_t {
       offsets.assign(n + 1, 0);
-      edges.clear();
-      edges.reserve(total);
-      for (size_t i = 0; i < n; ++i) {
-        offsets[i] = edges.size();
-        edges.insert(edges.end(), build[i].begin(), build[i].end());
+      for (const Triple& t : build_) {
+        ++offsets[(out ? t.subject : t.object) + 1];
       }
-      offsets[n] = edges.size();
-      build.clear();
-      build.shrink_to_fit();
-      return total;
+      for (size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
+      std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
+      edges.resize(build_.size());
+      for (const Triple& t : build_) {
+        if (out) {
+          edges[cursor[t.subject]++] = Edge{t.pred, t.object};
+        } else {
+          edges[cursor[t.object]++] = Edge{t.pred, t.subject};
+        }
+      }
+      size_t kept = 0;
+      for (size_t i = 0; i < n; ++i) {
+        const auto first = edges.begin() + offsets[i];
+        const auto last = edges.begin() + offsets[i + 1];
+        std::sort(first, last);
+        const auto unique_end = std::unique(first, last);
+        if (kept != offsets[i]) {
+          std::copy(first, unique_end, edges.begin() + kept);
+        }
+        offsets[i] = kept;
+        kept += unique_end - first;
+      }
+      offsets[n] = kept;
+      edges.resize(kept);
+      edges.shrink_to_fit();
+      return kept;
     };
-    num_triples_ = compact(out_build_, out_offsets_, out_edges_);
-    compact(in_build_, in_offsets_, in_edges_);
+    num_triples_ = counting_sort(true, out_offsets_, out_edges_);
+    counting_sort(false, in_offsets_, in_edges_);
+    build_.clear();
+    build_.shrink_to_fit();
   } else {
     // Re-finalization after per-node thaws: sort + dedup only the dirty
     // overlays, then splice them into fresh flat arrays while untouched
@@ -252,6 +256,10 @@ StatusOr<std::vector<NodeId>> Graph::Apply(const GraphDelta& delta) {
 }
 
 bool Graph::HasTriple(NodeId s, Symbol p, NodeId o) const {
+  if (!csr_built_) {
+    return std::find(build_.begin(), build_.end(), Triple{s, p, o}) !=
+           build_.end();
+  }
   const auto adj = Out(s);
   Edge target{p, o};
   if (finalized_) {
@@ -292,8 +300,7 @@ size_t Graph::AdjacencyBytes() const {
   size_t bytes = (out_edges_.capacity() + in_edges_.capacity()) * sizeof(Edge) +
                  (out_offsets_.capacity() + in_offsets_.capacity()) *
                      sizeof(size_t);
-  for (const auto& adj : out_build_) bytes += adj.capacity() * sizeof(Edge);
-  for (const auto& adj : in_build_) bytes += adj.capacity() * sizeof(Edge);
+  bytes += build_.capacity() * sizeof(Triple);
   for (const auto& [node, adj] : out_overlay_) {
     bytes += adj.capacity() * sizeof(Edge);
   }

@@ -1,6 +1,7 @@
 #ifndef GKEYS_GRAPH_GRAPH_H_
 #define GKEYS_GRAPH_GRAPH_H_
 
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -53,13 +54,23 @@ class GraphDelta;
 
 /// A directed edge-labeled graph over triples (paper §2.1).
 ///
-/// Construction: AddEntity / AddValue / AddTriple, then Finalize() once.
-/// Finalize() sorts and deduplicates adjacency and compacts it into CSR
-/// form — one flat offset array plus one contiguous edge array per
-/// direction — so the BFS / pairing / isomorphism inner loops scan
-/// cache-line-contiguous memory instead of chasing one heap allocation
-/// per node. The std::span accessors are representation-agnostic:
-/// consumers are identical before and after finalization.
+/// Construction: AddEntity / AddValue / AddTriple, then Finalize(). This
+/// is the one way a graph is built: generators, both text parsers,
+/// snapshot decoding, fusion and normalization all go through it. Until
+/// the first Finalize() the added triples sit in one flat list, in
+/// insertion order and with duplicates; nodes have no adjacency of their
+/// own yet. That Finalize() builds both CSR directions — one offset
+/// array plus one contiguous edge array each — by counting sort: count
+/// each node's edges, prefix-sum the counts into offsets, scatter the
+/// triples into place, then sort and deduplicate each node's run. The
+/// BFS / pairing / isomorphism inner loops then scan cache-line-
+/// contiguous memory instead of chasing one heap allocation per node.
+///
+/// Before the first Finalize(), HasTriple, RemoveTriple and ForEachTriple
+/// work over the flat list (linear scans; ForEachTriple visits insertion
+/// order, duplicates included). Out(), In() and the degree queries
+/// require a graph finalized at least once: a debug build asserts it, a
+/// release build returns empty adjacency.
 ///
 /// Mutating a finalized graph thaws only the touched nodes: their
 /// adjacency is copied out of the CSR into a per-node overlay and edited
@@ -76,7 +87,7 @@ class Graph {
  public:
   Graph() = default;
 
-  // Copyable (tests/generators duplicate graphs); moves are cheap.
+  // Copyable (tests/generators duplicate graphs); moves are O(1).
   Graph(const Graph&) = default;
   Graph& operator=(const Graph&) = default;
   Graph(Graph&&) = default;
@@ -158,36 +169,34 @@ class Graph {
     return interner_.Resolve(labels_[n]);
   }
 
-  /// Outgoing / incoming labeled edges of a node (sorted after Finalize()).
+  /// Outgoing / incoming labeled edges of a node (sorted while
+  /// finalized()). Requires a graph finalized at least once.
   std::span<const Edge> Out(NodeId n) const {
-    if (csr_built_) {
-      if (!out_overlay_.empty()) {
-        auto it = out_overlay_.find(n);
-        if (it != out_overlay_.end()) return it->second;
-      }
-      if (n >= csr_nodes_) return {};
-      return {out_edges_.data() + out_offsets_[n],
-              out_offsets_[n + 1] - out_offsets_[n]};
+    assert(csr_built_ && "Out() before the first Finalize()");
+    if (!out_overlay_.empty()) {
+      auto it = out_overlay_.find(n);
+      if (it != out_overlay_.end()) return it->second;
     }
-    return out_build_[n];
+    if (n >= csr_nodes_) return {};
+    return {out_edges_.data() + out_offsets_[n],
+            out_offsets_[n + 1] - out_offsets_[n]};
   }
   std::span<const Edge> In(NodeId n) const {
-    if (csr_built_) {
-      if (!in_overlay_.empty()) {
-        auto it = in_overlay_.find(n);
-        if (it != in_overlay_.end()) return it->second;
-      }
-      if (n >= csr_nodes_) return {};
-      return {in_edges_.data() + in_offsets_[n],
-              in_offsets_[n + 1] - in_offsets_[n]};
+    assert(csr_built_ && "In() before the first Finalize()");
+    if (!in_overlay_.empty()) {
+      auto it = in_overlay_.find(n);
+      if (it != in_overlay_.end()) return it->second;
     }
-    return in_build_[n];
+    if (n >= csr_nodes_) return {};
+    return {in_edges_.data() + in_offsets_[n],
+            in_offsets_[n + 1] - in_offsets_[n]};
   }
 
   size_t OutDegree(NodeId n) const { return Out(n).size(); }
   size_t InDegree(NodeId n) const { return In(n).size(); }
 
-  /// Whether triple (s, p, o) is in G. O(log deg) after Finalize().
+  /// Whether triple (s, p, o) is in G. O(log deg) after Finalize(); a
+  /// scan of the flat list before the first one.
   bool HasTriple(NodeId s, Symbol p, NodeId o) const;
 
   /// Entities of a given type (empty if none). Stable insertion order.
@@ -199,9 +208,14 @@ class Graph {
   /// All entity types present in the graph.
   std::vector<Symbol> EntityTypes() const;
 
-  /// Invokes fn(Triple) for every triple.
+  /// Invokes fn(Triple) for every triple, grouped by subject; before the
+  /// first Finalize(), in insertion order instead.
   template <typename Fn>
   void ForEachTriple(Fn&& fn) const {
+    if (!csr_built_) {
+      for (const Triple& t : build_) fn(t);
+      return;
+    }
     for (NodeId s = 0; s < NumNodes(); ++s) {
       for (const Edge& e : Out(s)) fn(Triple{s, e.pred, e.dst});
     }
@@ -232,9 +246,8 @@ class Graph {
   std::vector<NodeKind> kinds_;
   // Entity type symbol for entities; literal symbol for values.
   std::vector<Symbol> labels_;
-  // Construction-time adjacency; emptied by the first Finalize().
-  std::vector<std::vector<Edge>> out_build_;
-  std::vector<std::vector<Edge>> in_build_;
+  // Triples added before the first Finalize(), which empties it.
+  std::vector<Triple> build_;
   // Finalized CSR adjacency: edges of node n live at
   // [offsets_[n], offsets_[n+1]), sorted by (pred, dst), deduplicated.
   std::vector<size_t> out_offsets_;

@@ -230,6 +230,10 @@ StatusOr<LoadedGraph> BindTriples(const TokenizedText& tokens) {
     if (tokens.error_line != 0 && ln.line_no >= tokens.error_line) break;
     NodeId s = resolve(ln.subj);
     if (ln.exists_only) continue;
+    if (ln.subj.kind == TokenRef::Kind::kValue) {
+      return Status::ParseError("line " + std::to_string(ln.line_no) +
+                                ": subject must be an entity");
+    }
     NodeId o = resolve(ln.obj);
     GKEYS_RETURN_IF_ERROR(g.AddTriple(s, ln.pred, o));
   }

@@ -136,6 +136,10 @@ StatusOr<LoadedGraph> DeserializeGraphWithNames(std::string_view text) {
     if (pred == "@exists") continue;  // node-existence marker only
     auto o = ParseRef(obj, g, entities, line_no);
     if (!o.ok()) return o.status();
+    if (!g.IsEntity(*s)) {
+      return Status::ParseError("line " + std::to_string(line_no) +
+                                ": subject must be an entity");
+    }
     GKEYS_RETURN_IF_ERROR(g.AddTriple(*s, pred, *o));
   }
   g.Finalize();

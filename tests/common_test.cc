@@ -3,11 +3,18 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/interner.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "graph/graph.h"
+#include "io/triples.h"
 
 namespace gkeys {
 namespace {
@@ -90,6 +97,70 @@ TEST(Interner, CopyIsIndependent) {
   EXPECT_EQ(a.size(), 1u);
   EXPECT_EQ(b.size(), 2u);
   EXPECT_EQ(b.Resolve(a.Lookup("x")), "x");
+}
+
+TEST(Interner, MoveKeepsStorage) {
+  static_assert(std::is_nothrow_move_constructible_v<StringInterner>);
+  static_assert(std::is_nothrow_move_constructible_v<Graph>);
+  static_assert(std::is_nothrow_move_constructible_v<LoadedGraph>);
+  StringInterner a;
+  a.Intern("alpha");
+  a.Intern("beta");
+  const std::string* first = &a.Resolve(0);
+  StringInterner b = std::move(a);
+  EXPECT_EQ(&b.Resolve(0), first);  // moved, not copied
+  EXPECT_EQ(b.Lookup("beta"), 1u);
+  StringInterner c;
+  c.Intern("gamma");
+  c = std::move(b);
+  EXPECT_EQ(&c.Resolve(0), first);
+  EXPECT_EQ(c.size(), 2u);
+  EXPECT_EQ(c.Lookup("gamma"), kNoSymbol);
+}
+
+TEST(Interner, MatchesAHashMapAcrossGrowth) {
+  // Strings that stress hashing and probing: the empty string, embedded
+  // NULs, 1 KiB strings, and long shared prefixes.
+  std::vector<std::string> corpus = {"", std::string("\0", 1),
+                                     std::string("\0\0", 2),
+                                     std::string("a\0b", 3), "a"};
+  const std::string prefix(200, 'p');
+  for (int i = 0; i < 1000; ++i) {
+    corpus.push_back(std::string(1024 - 4, 'k') + std::to_string(1000 + i));
+    corpus.push_back(std::string("z\0", 2) + std::to_string(i));
+  }
+  for (int i = 0; i < 50000; ++i) {
+    corpus.push_back(prefix + std::to_string(i));
+    corpus.push_back(std::to_string(i * 7919));  // short, some repeats
+  }
+  ASSERT_GE(corpus.size(), 100000u);
+
+  Rng rng(99);
+  auto shuffle = [&rng](std::vector<std::string>& v) {
+    for (size_t i = v.size(); i > 1; --i) std::swap(v[i - 1], v[rng.Below(i)]);
+  };
+  StringInterner in;
+  std::unordered_map<std::string, Symbol> reference;
+  for (int pass = 0; pass < 2; ++pass) {
+    shuffle(corpus);
+    for (const std::string& s : corpus) {
+      Symbol want =
+          reference.try_emplace(s, static_cast<Symbol>(reference.size()))
+              .first->second;
+      ASSERT_EQ(in.Intern(s), want) << "pass " << pass;
+    }
+  }
+  ASSERT_EQ(in.size(), reference.size());
+  for (const auto& [s, sym] : reference) {
+    ASSERT_EQ(in.Lookup(s), sym);
+    ASSERT_EQ(in.Resolve(sym), s);
+  }
+  for (const std::string& absent :
+       {std::string("a\0c", 3), prefix, std::string(1024, 'k'),
+        std::string("b")}) {
+    EXPECT_EQ(in.Lookup(absent), kNoSymbol);
+  }
+  EXPECT_EQ(in.size(), reference.size());
 }
 
 TEST(Rng, DeterministicForSeed) {

@@ -1,7 +1,7 @@
 // Property tests for the flat hot-path data structures: the sorted-vector
 // NodeSet against reference std::set semantics, the CSR graph storage
-// against its pre-finalization adjacency lists, and DNeighbor against a
-// naive reference BFS — all on randomized inputs.
+// against the triples it was built from, and DNeighbor against a naive
+// reference BFS — all on randomized inputs.
 
 #include <gtest/gtest.h>
 
@@ -73,7 +73,10 @@ TEST(NodeSetProperty, ConstructorSortsAndDeduplicates) {
 
 // ---- Random graphs ----------------------------------------------------------
 
-Graph RandomGraph(Rng& rng, size_t entities, size_t values, size_t triples) {
+/// A random graph; `added` (optional) receives every AddTriple call's
+/// triple, duplicates included.
+Graph RandomGraph(Rng& rng, size_t entities, size_t values, size_t triples,
+                  std::vector<Triple>* added = nullptr) {
   Graph g;
   for (size_t i = 0; i < entities; ++i) {
     g.AddEntity("t" + std::to_string(rng.Below(3)));
@@ -87,7 +90,9 @@ Graph RandomGraph(Rng& rng, size_t entities, size_t values, size_t triples) {
     NodeId o = rng.Below(4) == 0 && !vals.empty()
                    ? vals[rng.Below(vals.size())]
                    : static_cast<NodeId>(rng.Below(entities));
-    g.AddTriple(s, "p" + std::to_string(rng.Below(5)), o).IgnoreError();
+    Symbol p = g.Intern("p" + std::to_string(rng.Below(5)));
+    g.AddTriple(s, p, o).IgnoreError();
+    if (added != nullptr) added->push_back(Triple{s, p, o});
   }
   return g;
 }
@@ -166,24 +171,21 @@ TEST(DNeighborScratch, ShrinksAfterBigGraphThenSmallGraph) {
 TEST(CsrGraph, FinalizePreservesAdjacencyAndDeduplicates) {
   Rng rng(7);
   for (int iter = 0; iter < 20; ++iter) {
-    Graph g = RandomGraph(rng, 15, 8, 80);
-    // Snapshot the pre-finalization adjacency (sorted + deduplicated, the
+    std::vector<Triple> added;
+    Graph g = RandomGraph(rng, 15, 8, 80, &added);
+    // Expected runs from the triples added (sorted + deduplicated, the
     // finalized contract).
     std::vector<std::vector<Edge>> out_before(g.NumNodes());
     std::vector<std::vector<Edge>> in_before(g.NumNodes());
-    for (NodeId n = 0; n < g.NumNodes(); ++n) {
-      auto out = g.Out(n);
-      out_before[n].assign(out.begin(), out.end());
-      std::sort(out_before[n].begin(), out_before[n].end());
-      out_before[n].erase(
-          std::unique(out_before[n].begin(), out_before[n].end()),
-          out_before[n].end());
-      auto in = g.In(n);
-      in_before[n].assign(in.begin(), in.end());
-      std::sort(in_before[n].begin(), in_before[n].end());
-      in_before[n].erase(
-          std::unique(in_before[n].begin(), in_before[n].end()),
-          in_before[n].end());
+    for (const Triple& t : added) {
+      out_before[t.subject].push_back(Edge{t.pred, t.object});
+      in_before[t.object].push_back(Edge{t.pred, t.subject});
+    }
+    for (auto* runs : {&out_before, &in_before}) {
+      for (std::vector<Edge>& run : *runs) {
+        std::sort(run.begin(), run.end());
+        run.erase(std::unique(run.begin(), run.end()), run.end());
+      }
     }
     g.Finalize();
     size_t total = 0;

@@ -128,7 +128,7 @@ TEST(FastParser, GraphQuirks) {
       "ent:artist: name_of val:\"x\"\n",   // empty id: graph format accepts
       "ent:artist name_of val:\"x\"\n",    // no id separator: rejected
       "ent::3 name_of val:\"x\"\n",        // empty type: rejected
-      "val:\"a\" p val:\"b\"\n",           // value subject: accepted
+      "val:\"a\" p val:\"b\"\n",           // value subject: bind rejects
       "ent:a:0  doublespace val:\"x\"\n",  // empty predicate: accepted
       "ent:a:0 p val:\"unterminated\n",
       "bogus p val:\"x\"\n",
@@ -141,6 +141,22 @@ TEST(FastParser, GraphQuirks) {
   for (const char* text : cases) {
     SCOPED_TRACE(std::string("text: ") + text);
     for (int threads : {1, 4}) ExpectSameGraphParse(text, threads);
+  }
+}
+
+TEST(FastParser, ValueSubjectIsALineNumberedParseError) {
+  const char* text =
+      "ent:a:1 p val:\"x\"\n"
+      "ent:a:2 p val:\"y\"\n"
+      "val:\"x\" q ent:a:1\n";
+  auto scalar = DeserializeGraphWithNames(text);
+  ASSERT_FALSE(scalar.ok());
+  EXPECT_EQ(scalar.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(scalar.status().message(), "line 3: subject must be an entity");
+  for (int threads : {1, 4}) {
+    auto fast = FastDeserializeGraphWithNames(text, threads);
+    ASSERT_FALSE(fast.ok());
+    EXPECT_EQ(fast.status().ToString(), scalar.status().ToString());
   }
 }
 

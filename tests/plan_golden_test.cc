@@ -8,6 +8,11 @@
 // up here. A deliberate plan-format or plan-content change regenerates
 // the table: the failure message prints each new row ready to paste.
 //
+// The graph records ('S' 'N' 'E') are pinned the same way, for three
+// builds of each base graph: the generator's, its text parsed back by the
+// two-phase parser, and that parse decoded from its own records. Any
+// change to symbol ids, NodeIds or adjacency runs shows up there.
+//
 // Slot order follows the iteration order of the per-type key map, so the
 // table pins one standard library's hash tables (libstdc++).
 
@@ -23,9 +28,11 @@
 
 #include <gtest/gtest.h>
 
-#include "common/hash.h"
 #include "core/matcher.h"
+#include "io/fast_triples.h"
+#include "io/triples.h"
 #include "storage/plan_codec.h"
+#include "test_util.h"
 #include "workload/workload.h"
 
 #ifndef GKEYS_WORKLOADS_DIR
@@ -35,46 +42,7 @@
 namespace gkeys {
 namespace {
 
-/// Ordered in-memory Store: PlanCodec writes its records here so the
-/// digest walks them in key order without touching the filesystem.
-class MapStore : public storage::Store {
- public:
-  Status Put(std::string key, std::string value) override {
-    records_[std::move(key)] = std::move(value);
-    return Status::OK();
-  }
-  Status Flush() override { return Status::OK(); }
-  StatusOr<std::string_view> Get(std::string_view key) const override {
-    auto it = records_.find(std::string(key));
-    if (it == records_.end()) return Status::NotFound(std::string(key));
-    return std::string_view(it->second);
-  }
-  Status Scan(std::string_view prefix, const ScanFn& fn) const override {
-    for (auto it = records_.lower_bound(std::string(prefix));
-         it != records_.end() && it->first.starts_with(prefix); ++it) {
-      GKEYS_RETURN_IF_ERROR(fn(it->first, it->second));
-    }
-    return Status::OK();
-  }
-
-  /// FNV-1a-64 over every (key, value), each length-prefixed.
-  uint64_t Digest() const {
-    uint64_t h = Fnv1a64("");
-    auto feed = [&h](std::string_view bytes) {
-      std::string len = std::to_string(bytes.size()) + ":";
-      h = Fnv1a64(len, h);
-      h = Fnv1a64(bytes, h);
-    };
-    for (const auto& [key, value] : records_) {
-      feed(key);
-      feed(value);
-    }
-    return h;
-  }
-
- private:
-  std::map<std::string, std::string> records_;
-};
+using testing::MapStore;
 
 /// "<spec name>/<algorithm>" → digest of the compiled plan's records.
 const std::map<std::string, uint64_t>& GoldenDigests() {
@@ -119,6 +87,44 @@ const std::map<std::string, uint64_t>& GoldenDigests() {
   return kGolden;
 }
 
+/// "<spec name>/<build>" → digest of the graph records EncodeGraph
+/// writes for that build of the spec's base graph.
+const std::map<std::string, uint64_t>& GoldenGraphDigests() {
+  static const std::map<std::string, uint64_t> kGolden = {
+      {"hostile_neardup_uniform/decoded", 0x19fec2a9d5dfd66full},
+      {"hostile_neardup_uniform/generated", 0x19fec2a9d5dfd66full},
+      {"hostile_neardup_uniform/parsed", 0x19fec2a9d5dfd66full},
+      {"hostile_powerlaw_churn/decoded", 0x73a83dfe3d8e1e6cull},
+      {"hostile_powerlaw_churn/generated", 0x4b402f43cf669ed6ull},
+      {"hostile_powerlaw_churn/parsed", 0x73a83dfe3d8e1e6cull},
+      {"hostile_powerlaw_hub/decoded", 0xabd42330ca457da7ull},
+      {"hostile_powerlaw_hub/generated", 0x07410e09854083e8ull},
+      {"hostile_powerlaw_hub/parsed", 0xabd42330ca457da7ull},
+      {"hostile_skew_hub/decoded", 0x3cba83f53a7e0ef3ull},
+      {"hostile_skew_hub/generated", 0x3cba83f53a7e0ef3ull},
+      {"hostile_skew_hub/parsed", 0x3cba83f53a7e0ef3ull},
+      {"paper_dbpedia_hub/decoded", 0xc1389936965d2cceull},
+      {"paper_dbpedia_hub/generated", 0x3468e92396d8656bull},
+      {"paper_dbpedia_hub/parsed", 0xc1389936965d2cceull},
+      {"paper_google_uniform/decoded", 0x4d533730c0be63feull},
+      {"paper_google_uniform/generated", 0x4d533730c0be63feull},
+      {"paper_google_uniform/parsed", 0x4d533730c0be63feull},
+  };
+  return kGolden;
+}
+
+/// Renders a digest table as rows ready to paste into the source.
+std::string FormatTable(const std::map<std::string, uint64_t>& digests) {
+  std::string table;
+  for (const auto& [name, digest] : digests) {
+    char row[128];
+    std::snprintf(row, sizeof(row), "      {\"%s\", 0x%016" PRIx64 "ull},\n",
+                  name.c_str(), digest);
+    table += row;
+  }
+  return table;
+}
+
 std::vector<std::filesystem::path> CommittedSpecs() {
   std::vector<std::filesystem::path> specs;
   for (const auto& entry :
@@ -154,16 +160,41 @@ TEST(PlanGolden, CompiledPlanRecordsMatchTheGoldenTable) {
       got[spec->name + "/" + AlgorithmName(a)] = store.Digest();
     }
   }
-  std::string table;
-  for (const auto& [name, digest] : got) {
-    char row[128];
-    std::snprintf(row, sizeof(row), "      {\"%s\", 0x%016" PRIx64 "ull},\n",
-                  name.c_str(), digest);
-    table += row;
-  }
   EXPECT_EQ(got, GoldenDigests())
       << "compiled plan records changed; if deliberate, the new table is:\n"
-      << table;
+      << FormatTable(got);
+}
+
+TEST(PlanGolden, GraphRecordsMatchTheGoldenTable) {
+  std::vector<std::filesystem::path> specs = CommittedSpecs();
+  ASSERT_FALSE(specs.empty());
+  std::map<std::string, uint64_t> got;
+  for (const auto& path : specs) {
+    auto spec = LoadWorkloadSpec(path.string());
+    ASSERT_TRUE(spec.ok()) << path << ": " << spec.status().message();
+    auto ds = BuildWorkloadDataset(*spec);
+    ASSERT_TRUE(ds.ok()) << path << ": " << ds.status().message();
+    MapStore generated, parsed, decoded;
+    storage::SnapshotMeta meta;
+    ASSERT_TRUE(
+        storage::PlanCodec::EncodeGraph(ds->graph, generated, &meta).ok());
+    got[spec->name + "/generated"] = generated.Digest();
+
+    auto loaded =
+        FastDeserializeGraphWithNames(SerializeGraph(ds->graph), 2);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ASSERT_TRUE(
+        storage::PlanCodec::EncodeGraph(loaded->graph, parsed, &meta).ok());
+    got[spec->name + "/parsed"] = parsed.Digest();
+
+    auto g = storage::PlanCodec::DecodeGraph(parsed, meta);
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    ASSERT_TRUE(storage::PlanCodec::EncodeGraph(*g, decoded, &meta).ok());
+    got[spec->name + "/decoded"] = decoded.Digest();
+  }
+  EXPECT_EQ(got, GoldenGraphDigests())
+      << "graph records changed; if deliberate, the new table is:\n"
+      << FormatTable(got);
 }
 
 }  // namespace

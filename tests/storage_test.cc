@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <tuple>
 #include <memory>
 #include <string>
@@ -18,12 +19,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/endian.h"
 #include "common/rng.h"
 #include "core/matcher.h"
 #include "gen/synthetic.h"
 #include "graph/delta.h"
 #include "io/triples.h"
 #include "storage/mmap_store.h"
+#include "storage/plan_codec.h"
 #include "storage/snapshot.h"
 #include "test_util.h"
 
@@ -31,6 +34,7 @@ namespace gkeys {
 namespace {
 
 using storage::MmapStore;
+using storage::PlanCodec;
 using storage::Snapshot;
 using storage::Store;
 
@@ -676,6 +680,120 @@ TEST_F(SnapshotCorruption, MissingRecordsAreParseErrors) {
     EXPECT_FALSE(snap.ok());
     EXPECT_EQ(snap.status().code(), StatusCode::kParseError)
         << snap.status().ToString();
+  }
+}
+
+// ---- DecodeGraph record checks ----------------------------------------------
+// A flipped byte in a snapshot file fails MmapStore's checksum before any
+// record decodes, so these cases hand-build the 'S' / 'N' / 'E' records
+// in an in-memory store and decode them directly.
+
+/// Graph records as EncodeGraph lays them out: symbols "t", "p", "x";
+/// nodes 0 and 1 entities of type "t", node 2 the value "x"; out-edges
+/// 0 -p-> 1 and 0 -p-> 2.
+struct GraphRecords {
+  std::vector<std::string> symbols = {"t", "p", "x"};
+  std::vector<std::pair<uint8_t, uint32_t>> nodes = {{0, 0}, {0, 0}, {1, 2}};
+  std::vector<std::pair<NodeId, std::string>> edges = {
+      {0, EdgeRecord({{1, 1}, {1, 2}})}};
+
+  /// count, then (pred, dst) per edge, all varints.
+  static std::string EdgeRecord(
+      std::initializer_list<std::pair<uint32_t, uint32_t>> run) {
+    std::string e;
+    PutVarint(e, run.size());
+    for (auto [pred, dst] : run) {
+      PutVarint(e, pred);
+      PutVarint(e, dst);
+    }
+    return e;
+  }
+
+  StatusOr<Graph> Decode() const {
+    testing::MapStore store;
+    for (Symbol s = 0; s < symbols.size(); ++s) {
+      std::string key(1, 'S');
+      PutBe32(key, s);
+      EXPECT_TRUE(store.Put(std::move(key), symbols[s]).ok());
+    }
+    for (NodeId n = 0; n < nodes.size(); ++n) {
+      std::string key(1, 'N');
+      PutBe64(key, n);
+      std::string v(1, static_cast<char>(nodes[n].first));
+      PutBe32(v, nodes[n].second);
+      EXPECT_TRUE(store.Put(std::move(key), std::move(v)).ok());
+    }
+    for (const auto& [n, run] : edges) {
+      std::string key(1, 'E');
+      PutBe64(key, n);
+      EXPECT_TRUE(store.Put(std::move(key), run).ok());
+    }
+    storage::SnapshotMeta meta;
+    meta.num_symbols = symbols.size();
+    meta.num_nodes = nodes.size();
+    return PlanCodec::DecodeGraph(store, meta);
+  }
+};
+
+TEST(DecodeGraph, HandBuiltRecordsDecode) {
+  auto g = GraphRecords().Decode();
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g->NumNodes(), 3u);
+  EXPECT_EQ(g->NumEntities(), 2u);
+  EXPECT_EQ(g->NumTriples(), 2u);
+  EXPECT_TRUE(g->HasTriple(0, 1, 1));
+  EXPECT_TRUE(g->HasTriple(0, 1, 2));
+  EXPECT_EQ(g->value_str(2), "x");
+}
+
+TEST(DecodeGraph, CorruptRecordsAreParseErrorsNamingTheCheck) {
+  struct Case {
+    const char* what;
+    std::function<void(GraphRecords&)> corrupt;
+    const char* message;
+  };
+  const Case cases[] = {
+      {"edge to a node id >= num_nodes",
+       [](GraphRecords& r) {
+         r.edges = {{0, GraphRecords::EdgeRecord({{1, 3}})}};
+       },
+       "corrupt snapshot: bad edge in node 0"},
+      {"edge whose subject is a value node",
+       [](GraphRecords& r) {
+         r.edges = {{2, GraphRecords::EdgeRecord({{1, 0}})}};
+       },
+       "corrupt snapshot: unreplayable edge: AddTriple: subject must be an "
+       "entity"},
+      {"duplicated interned string",
+       [](GraphRecords& r) { r.symbols = {"t", "p", "t"}; },
+       "corrupt snapshot: duplicate interned string at symbol 2"},
+      {"value node replaying to an earlier id",
+       [](GraphRecords& r) { r.nodes = {{0, 0}, {1, 2}, {1, 2}}; },
+       "corrupt snapshot: node record 2 does not replay to its id "
+       "(duplicate value?)"},
+      {"edge count larger than its record",
+       [](GraphRecords& r) {
+         std::string run;
+         PutVarint(run, 100);
+         PutVarint(run, 1);
+         PutVarint(run, 1);
+         r.edges = {{0, run}};
+       },
+       "corrupt snapshot: bad edge count"},
+      {"trailing bytes in an edge record",
+       [](GraphRecords& r) {
+         r.edges = {{0, GraphRecords::EdgeRecord({{1, 1}}) + "z"}};
+       },
+       "corrupt snapshot: trailing bytes in edge record"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    GraphRecords records;
+    c.corrupt(records);
+    auto g = records.Decode();
+    ASSERT_FALSE(g.ok());
+    EXPECT_EQ(g.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(g.status().message(), c.message);
   }
 }
 

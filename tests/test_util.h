@@ -2,15 +2,21 @@
 #define GKEYS_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "core/matcher.h"
 #include "graph/graph.h"
 #include "keys/key.h"
 #include "pattern/parser.h"
+#include "storage/store.h"
 
 namespace gkeys {
 namespace testing {
@@ -166,6 +172,48 @@ inline MatchResult CompileAndRun(const Graph& g, const KeySet& keys,
                                  Algorithm a, int processors) {
   return CompileAndRun(g, keys, a, PlanOptions::For(a, processors));
 }
+
+/// Ordered in-memory Store: codecs write their records here so a test
+/// can digest them in key order, or hand-build records to decode,
+/// without touching the filesystem.
+class MapStore : public storage::Store {
+ public:
+  Status Put(std::string key, std::string value) override {
+    records_[std::move(key)] = std::move(value);
+    return Status::OK();
+  }
+  Status Flush() override { return Status::OK(); }
+  StatusOr<std::string_view> Get(std::string_view key) const override {
+    auto it = records_.find(std::string(key));
+    if (it == records_.end()) return Status::NotFound(std::string(key));
+    return std::string_view(it->second);
+  }
+  Status Scan(std::string_view prefix, const ScanFn& fn) const override {
+    for (auto it = records_.lower_bound(std::string(prefix));
+         it != records_.end() && it->first.starts_with(prefix); ++it) {
+      GKEYS_RETURN_IF_ERROR(fn(it->first, it->second));
+    }
+    return Status::OK();
+  }
+
+  /// FNV-1a-64 over every (key, value), each length-prefixed.
+  uint64_t Digest() const {
+    uint64_t h = Fnv1a64("");
+    auto feed = [&h](std::string_view bytes) {
+      std::string len = std::to_string(bytes.size()) + ":";
+      h = Fnv1a64(len, h);
+      h = Fnv1a64(bytes, h);
+    };
+    for (const auto& [key, value] : records_) {
+      feed(key);
+      feed(value);
+    }
+    return h;
+  }
+
+ private:
+  std::map<std::string, std::string> records_;
+};
 
 }  // namespace testing
 }  // namespace gkeys
