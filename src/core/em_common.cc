@@ -384,7 +384,7 @@ void EmContext::InvertDependencyIndex() {
 
 EmContext::EmContext(const EmContext& prev,
                      std::span<const NodeId> dirty_nodes,
-                     ContextPatchInfo* info)
+                     ContextPatchInfo* info, bool collect_relations)
     : g_(prev.g_), keys_(prev.keys_), opts_(prev.opts_) {
   const Graph& g = *g_;
   // Spawning worker threads costs ~100µs each — real money against a
@@ -727,13 +727,17 @@ EmContext::EmContext(const EmContext& prev,
   if (info != nullptr) info->enumerate_seconds = section.Seconds();
   section.Reset();
 
-  // Phase C': pairing fixpoint only for the dirty pairs.
+  // Phase C': pairing fixpoint only for the dirty pairs. A plan that
+  // builds Gp also keeps each dirty pair's union-over-keys relation here,
+  // and pairs even without use_pairing (which then drops no pair).
   struct Reduction {
     bool keep = true;
     NodeSet r1, r2;
+    std::shared_ptr<const PairingRelation> relation;
   };
-  std::vector<Reduction> reductions(opts_.use_pairing ? raw.size() : 0);
-  if (opts_.use_pairing) {
+  const bool pair_dirty = opts_.use_pairing || collect_relations;
+  std::vector<Reduction> reductions(pair_dirty ? raw.size() : 0);
+  if (pair_dirty) {
     // Shard over the dirty pairs only, so carried pairs cannot leave one
     // worker with every pairing call.
     std::vector<uint32_t> dirty;
@@ -752,15 +756,28 @@ EmContext::EmContext(const EmContext& prev,
         const NodeSet& n2 = DNbr(rp.e2);
         Reduction& red = reductions[i];
         red.keep = false;
+        PairingRelation relation;
         for (int ki : *rp.keys) {
           PairingResult pr =
               ComputeMaxPairing(g, compiled_[ki].cp, rp.e1, rp.e2, n1, n2,
-                                /*collect_pairs=*/false, &scratch);
-          if (pr.paired) {
-            red.keep = true;
+                                collect_relations, &scratch);
+          if (!pr.paired) continue;
+          red.keep = true;
+          if (opts_.use_pairing) {
             red.r1.UnionWith(pr.reduced1);
             red.r2.UnionWith(pr.reduced2);
           }
+          if (collect_relations) {
+            relation.insert(relation.end(), pr.pairs.begin(), pr.pairs.end());
+            relation.push_back(PackPair(rp.e1, rp.e2));
+          }
+        }
+        if (collect_relations) {
+          std::sort(relation.begin(), relation.end());
+          relation.erase(std::unique(relation.begin(), relation.end()),
+                         relation.end());
+          red.relation =
+              std::make_shared<const PairingRelation>(std::move(relation));
         }
       }
     });
@@ -776,6 +793,7 @@ EmContext::EmContext(const EmContext& prev,
   std::vector<uint32_t> dirty_candidates;
   std::vector<int64_t> candidate_reuse;
   candidate_reuse.reserve(raw.size());
+  std::vector<std::shared_ptr<const PairingRelation>> relations;
   size_t reused = 0;
   for (size_t i = 0; i < raw.size(); ++i) {
     const RawPair& rp = raw[i];
@@ -802,6 +820,7 @@ EmContext::EmContext(const EmContext& prev,
         c.nbr2 = &DNbr(rp.e2);
       }
       candidate_reuse.push_back(rp.reuse);
+      if (collect_relations) relations.push_back(nullptr);
       candidates_.push_back(std::move(c));
       continue;
     }
@@ -821,6 +840,9 @@ EmContext::EmContext(const EmContext& prev,
     }
     dirty_candidates.push_back(static_cast<uint32_t>(candidates_.size()));
     candidate_reuse.push_back(-1);
+    if (collect_relations) {
+      relations.push_back(std::move(reductions[i].relation));
+    }
     candidates_.push_back(std::move(c));
   }
 
@@ -836,6 +858,7 @@ EmContext::EmContext(const EmContext& prev,
     info->dneighbors_reused = shared_sets;
     info->candidates_reused = reused;
     info->candidate_reuse = std::move(candidate_reuse);
+    info->relations = std::move(relations);
   }
 }
 

@@ -490,6 +490,11 @@ struct CompiledKey {
   std::vector<TourStep> tour;
 };
 
+/// A candidate's pairing relation (Prop. 9) unioned over its keys, as
+/// strictly ascending PackPair values; it holds the candidate pair itself
+/// unless empty (no key pairs it). Gp's nodes are their union (§5.1).
+using PairingRelation = std::vector<uint64_t>;
+
 /// Outputs of the incremental patch constructor (see below): which part
 /// of the compiled state had to be redone, and which candidates a seeded
 /// re-run must re-check.
@@ -509,6 +514,10 @@ struct ContextPatchInfo {
   /// carried over from, or -1 when recompiled. PatchProductGraph replays
   /// the cached pairing relations of the carried candidates.
   std::vector<int64_t> candidate_reuse;
+  /// Per new-candidate index, when relations were collected: the
+  /// recompiled candidate's relation from the pairing pass, or null when
+  /// carried over. PatchProductGraph adds these to Gp.
+  std::vector<std::shared_ptr<const PairingRelation>> relations;
   /// Where the patch time went (seconds; bench_incremental reports them).
   double keys_seconds = 0;
   double affected_seconds = 0;
@@ -547,8 +556,11 @@ class EmContext {
   /// build enumerated in full — every type on a compile, the types whose
   /// signature index had to be rebuilt on a patch; types patched in place
   /// or carried over add nothing.
+  /// With `collect_relations` (plans that build Gp; needs `info`), the
+  /// pairing pass fills info->relations, and runs without use_pairing
+  /// too, dropping no pair then.
   EmContext(const EmContext& prev, std::span<const NodeId> dirty_nodes,
-            ContextPatchInfo* info);
+            ContextPatchInfo* info, bool collect_relations = false);
 
   const Graph& graph() const { return *g_; }
   const EmOptions& options() const { return opts_; }

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "common/timer.h"
+#include "core/match_plan.h"
 #include "core/product_graph.h"
 #include "vertexcentric/engine.h"
 
@@ -198,28 +199,32 @@ struct VcRun {
       return Process(vctx, dst, std::move(msg));
     }
 
-    // Fork a copy per eligible neighbor of this vertex.
-    const auto& edges = next.forward ? pg.Out(vertex) : pg.In(vertex);
-    std::vector<uint32_t> targets;
+    // Fork a copy per eligible neighbor of this vertex: its run of the
+    // hop's predicate.
+    const auto edges =
+        next.forward ? pg.Out(vertex, pred) : pg.In(vertex, pred);
+    if (edges.empty()) return false;
+    struct Target {
+      uint32_t potential;
+      uint32_t vertex;
+    };
+    std::vector<Target> targets;
     targets.reserve(edges.size());
-    for (const auto& e : edges) {
-      if (e.pred == pred) targets.push_back(e.dst);
-    }
-    if (targets.empty()) return false;
+    for (const auto& e : edges) targets.push_back({0, e.dst});
 
     if (opts().prioritized && targets.size() > 1 &&
         msg.pos + 1 < tour.size()) {
       // §5.2: highest potential first — the count of the candidate's edges
-      // matching the *next* hop, collected when Gp was built.
+      // matching the *next* hop, taken once per target.
       const TourStep& after = tour[msg.pos + 1];
       Symbol next_pred = ck.cp.triples[after.triple].pred;
+      for (Target& t : targets) {
+        t.potential = after.forward ? pg.OutCount(t.vertex, next_pred)
+                                    : pg.InCount(t.vertex, next_pred);
+      }
       std::stable_sort(targets.begin(), targets.end(),
-                       [&](uint32_t a, uint32_t b) {
-                         uint32_t pa = after.forward ? pg.OutCount(a, next_pred)
-                                                     : pg.InCount(a, next_pred);
-                         uint32_t pb = after.forward ? pg.OutCount(b, next_pred)
-                                                     : pg.InCount(b, next_pred);
-                         return pa > pb;
+                       [](const Target& a, const Target& b) {
+                         return a.potential > b.potential;
                        });
     }
 
@@ -250,10 +255,10 @@ struct VcRun {
         }
       }
       if (fork) {
-        vctx.Send(targets[i], std::move(copy));
+        vctx.Send(targets[i].vertex, std::move(copy));
       } else {
         inline_hops.fetch_add(1, std::memory_order_relaxed);
-        if (Process(vctx, targets[i], std::move(copy))) {
+        if (Process(vctx, targets[i].vertex, std::move(copy))) {
           identified = true;
           break;  // early termination; remaining branches unnecessary
         }
@@ -269,19 +274,19 @@ struct VcRun {
 MatchResult RunEmVertexCentric(const Graph& g, const KeySet& keys,
                                const EmOptions& options) {
   Timer prep;
-  EmContext ctx(g, keys, options);
-  MatchResult result = RunEmVertexCentric(ctx);
-  result.stats.prep_seconds = prep.Seconds() - result.stats.run_seconds;
-  return result;
-}
-
-MatchResult RunEmVertexCentric(const EmContext& ctx) {
-  ProductGraph pg = BuildProductGraph(ctx);
-  auto r = RunEmVertexCentric(ctx, pg, ctx.options(), nullptr);
+  auto plan = CompileMatchPlan(g, keys,
+                               {.processors = options.processors,
+                                .use_pairing = options.use_pairing,
+                                .use_blocking = options.use_blocking});
+  if (!plan.ok()) return MatchResult{};
+  auto r = RunEmVertexCentric(plan->context(), plan->product_graph(),
+                              options, nullptr);
   // Without a sink there is no cancellation source; only a time budget
   // (EmOptions::time_budget_seconds) can fail the run, and it surfaces
   // here as an empty result — budgeted callers use the StatusOr overload.
-  return r.ok() ? *std::move(r) : MatchResult{};
+  MatchResult result = r.ok() ? *std::move(r) : MatchResult{};
+  result.stats.prep_seconds = prep.Seconds() - result.stats.run_seconds;
+  return result;
 }
 
 StatusOr<MatchResult> RunEmVertexCentric(const EmContext& ctx,

@@ -24,18 +24,18 @@ namespace gkeys {
 ///     check; once the budget is spent the message explores the remaining
 ///     branches sequentially *in place*, backtracking instead of forking;
 ///   * prioritized — eligible neighbors are tried highest-potential first
-///     (potential = the neighbor's edge count matching the next tour hop,
-///     collected while building Gp).
+///     (potential = the neighbor's edge count matching the next tour hop:
+///     the length of that predicate's run in Gp's CSR).
 ///
 /// Transitive closure: subsumed by the concurrent union-find; a
 /// quiescence sweep re-seeds dependents of pairs that became equal purely
 /// transitively, guaranteeing the chase fixpoint (docs/ARCHITECTURE.md,
 /// "Deviations from the paper").
+///
+/// This entry point compiles a MatchPlan (pairing, blocking and
+/// processors taken from `options`), whose Gp the run walks.
 MatchResult RunEmVertexCentric(const Graph& g, const KeySet& keys,
                                const EmOptions& options);
-
-/// Same, with a pre-built context (benchmarks separate preprocessing).
-MatchResult RunEmVertexCentric(const EmContext& ctx);
 
 /// Plan-layer entry point: executes EMVC over a pre-built context and
 /// product-graph skeleton with caller-supplied run-time options (bounded

@@ -43,10 +43,11 @@ StatusOr<MatchPlan> CompileMatchPlan(const Graph& g, const KeySet& keys,
   // friendship does not reach into the standard library's allocation
   // helpers.
   const EmContext empty(EmContext::DeserializeShell{}, g, keys, eopts);
+  ContextPatchInfo info;
   std::shared_ptr<MatchPlan::Rep> rep(new MatchPlan::Rep(
-      empty, keys, opts, EmContext::EveryNode(g), /*info=*/nullptr));
+      empty, keys, opts, EmContext::EveryNode(g), &info));
   if (opts.build_product_graph) {
-    rep->pg.emplace(BuildProductGraph(rep->ctx));
+    rep->pg.emplace(PatchProductGraph(ProductGraph(), rep->ctx, info, {}));
   }
   rep->compile_seconds = timer.Seconds();
   return MatchPlan(std::move(rep));
@@ -77,17 +78,12 @@ StatusOr<MatchPlan> MatchPlan::Patch(const GraphDelta& delta) const {
   std::shared_ptr<MatchPlan::Rep> rep(new MatchPlan::Rep(
       rep_->ctx, *rep_->keys, rep_->options, dirty, &info));
   if (rep_->options.build_product_graph) {
-    // Gp is patched at |L| scale: carried-over candidates replay their
-    // cached pairing relations; only dirty ones re-run the fixpoint.
+    // Gp is patched at |L| scale: carried-over candidates re-share their
+    // relations; dirty ones bring the relations their pairing pass just
+    // collected, which Gp now owns.
     Timer pg_timer;
-    if (rep_->pg.has_value()) {
-      rep->pg.emplace(PatchProductGraph(*rep_->pg, rep->ctx,
-                                        info.candidate_reuse, dirty));
-    } else {
-      // No source Gp: patch an empty one. The reuse indices point into
-      // the source plan's relations, so none are passed.
-      rep->pg.emplace(BuildProductGraph(rep->ctx));
-    }
+    rep->pg.emplace(PatchProductGraph(*rep_->pg, rep->ctx, info, dirty));
+    info.relations = {};
     info.product_graph_seconds = pg_timer.Seconds();
   }
   rep->patched = true;

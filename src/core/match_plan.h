@@ -205,10 +205,13 @@ class MatchPlan {
   struct Rep {
     // Patch: incremental rebuild sharing untouched state with `prev`. A
     // compile passes the empty deserialization shell with every node
-    // dirty.
+    // dirty. A plan that builds Gp collects the dirty candidates'
+    // pairing relations into `info`.
     Rep(const EmContext& prev, const KeySet& k, const PlanOptions& popts,
         std::span<const NodeId> dirty_nodes, ContextPatchInfo* info)
-        : keys(&k), options(popts), ctx(prev, dirty_nodes, info) {}
+        : keys(&k),
+          options(popts),
+          ctx(prev, dirty_nodes, info, popts.build_product_graph) {}
 
     // Deserialization shell (storage::PlanCodec): the context binds
     // graph/keys and compiles the keys; the codec restores the rest.

@@ -1,6 +1,7 @@
 #include "storage/plan_codec.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -11,6 +12,7 @@
 #include "common/endian.h"
 #include "core/product_graph.h"
 #include "graph/neighborhood.h"
+#include "isomorph/pairing.h"
 
 namespace gkeys {
 namespace storage {
@@ -614,9 +616,12 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
 
   // Product graph: restore the relation pool, then replay exactly what
   // a build from scratch derives from it (node interning in relation-scan
-  // order, then the edge pass over an empty previous Gp).
+  // order, then the edge pass over an empty previous Gp). A plan has a Gp
+  // exactly when its options build one: Patch extends the source's Gp.
+  if (meta.has_product_graph != meta.plan_options.build_product_graph)
+    return Corrupt("product-graph flag disagrees with the plan options");
   if (meta.has_product_graph) {
-    std::vector<std::shared_ptr<const ProductGraph::Relation>> rels;
+    std::vector<std::shared_ptr<const PairingRelation>> rels;
     scan = store.Scan("R", [&](std::string_view key,
                                std::string_view value) -> Status {
       if (key.size() != 9 || GetBe64(key.data() + 1) != rels.size())
@@ -625,7 +630,7 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
       uint64_t count = 0;
       if (!r.ReadVarint(&count) || count > value.size())
         return Corrupt("bad relation count");
-      auto rel = std::make_shared<ProductGraph::Relation>();
+      auto rel = std::make_shared<PairingRelation>();
       rel->reserve(count);
       for (uint64_t i = 0; i < count; ++i) {
         uint64_t packed = 0;
@@ -657,10 +662,22 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
           rels[rel_id] == nullptr) {
         return Corrupt("bad relation reference");
       }
+      // The replay trusts what a pairing pass guarantees: a strictly
+      // ascending relation that, unless empty, holds its candidate pair.
+      const PairingRelation& rel = *rels[rel_id];
+      auto unreplayable = [&](const std::string& problem) {
+        return Corrupt("relation " + std::to_string(rel_id) +
+                       " of candidate " + std::to_string(i) + " " + problem);
+      };
+      if (std::adjacent_find(rel.begin(), rel.end(),
+                             std::greater_equal<uint64_t>()) != rel.end())
+        return unreplayable("is not strictly ascending");
+      const Candidate& c = ctx.candidates_[i];
+      if (!rel.empty() &&
+          !std::binary_search(rel.begin(), rel.end(), PackPair(c.e1, c.e2)))
+        return unreplayable("lacks its candidate's pair");
       pg.candidate_pairs_[i] = rels[rel_id];
-      for (uint64_t packed : *pg.candidate_pairs_[i]) {
-        ProductGraph::AddNodeRef(pg, packed);
-      }
+      for (uint64_t packed : rel) ProductGraph::AddNodeRef(pg, packed);
     }
     if (!gr.AtEnd()) return Corrupt("trailing bytes in product-graph record");
     ProductGraph::Finish(ctx, pg, ProductGraph(), {}, {});

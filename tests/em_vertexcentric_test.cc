@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/hash.h"
 #include "core/chase.h"
+#include "core/matcher.h"
 #include "gen/datasets.h"
 #include "gen/synthetic.h"
 #include "test_util.h"
@@ -170,6 +175,62 @@ TEST(EmVertexCentric, RepeatedRunsAreDeterministicInResult) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(RunEmVertexCentric(ds.graph, ds.keys, opts).pairs,
               first.pairs);
+  }
+}
+
+/// FNV-1a-64 over a derivation list, in list order.
+uint64_t DerivationDigest(const std::vector<Derivation>& derivations) {
+  std::string bytes;
+  auto put = [&bytes](uint64_t x) {
+    bytes += std::to_string(x);
+    bytes += ',';
+  };
+  for (const Derivation& d : derivations) {
+    put(d.e1);
+    put(d.e2);
+    put(static_cast<uint64_t>(d.key + 1));
+    for (const auto& [a, b] : d.premises) {
+      put(a);
+      put(b);
+    }
+    bytes += '|';
+    for (const WitnessTriple& t : d.triples) {
+      put(t.s);
+      put(t.p);
+      put(t.o);
+    }
+    bytes += ';';
+  }
+  return Fnv1a64(bytes);
+}
+
+TEST(EmVertexCentric, SingleProcessorVisitOrderIsPinned) {
+  // At p = 1 the engine drains one queue on the calling thread, so the
+  // order in which a fork visits its Gp targets (prioritized, with the
+  // k = 4 budget's in-place backtracking) fixes the iso-check and
+  // message counters and the order of the derivation list.
+  struct Case {
+    std::string name;
+    SyntheticDataset ds;
+    uint64_t iso_checks, messages, digest;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"dbpedia", GenerateDBpediaSim({}), 5864, 1056,
+                   0x4ff9bb2dae91bf4eull});
+  cases.push_back({"google", GenerateGoogleSim({.scale = 3}), 288, 162,
+                   0x67ea60a6c3399d9dull});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto plan = Matcher::Compile(c.ds.graph, c.ds.keys,
+                                 PlanOptions::For(Algorithm::kEmOptVc, 1));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto r = Matcher(Algorithm::kEmOptVc).processors(1).Run(*plan);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->pairs, Chase(c.ds.graph, c.ds.keys).pairs);
+    EXPECT_EQ(r->stats.iso_checks, c.iso_checks);
+    EXPECT_EQ(r->stats.messages, c.messages);
+    EXPECT_EQ(DerivationDigest(r->derivations), c.digest)
+        << std::hex << DerivationDigest(r->derivations);
   }
 }
 

@@ -22,9 +22,11 @@
 #include "common/endian.h"
 #include "common/rng.h"
 #include "core/matcher.h"
+#include "gen/datasets.h"
 #include "gen/synthetic.h"
 #include "graph/delta.h"
 #include "io/triples.h"
+#include "isomorph/pairing.h"
 #include "storage/mmap_store.h"
 #include "storage/plan_codec.h"
 #include "storage/snapshot.h"
@@ -795,6 +797,135 @@ TEST(DecodeGraph, CorruptRecordsAreParseErrorsNamingTheCheck) {
     EXPECT_EQ(g.status().code(), StatusCode::kParseError);
     EXPECT_EQ(g.status().message(), c.message);
   }
+}
+
+// ---- DecodePlan: pairing-relation records ---------------------------
+
+/// Per candidate, the id of the 'R' record holding its relation, read
+/// from the 'G' record (varint count, then one varint id per candidate).
+std::vector<uint64_t> RelationIds(const testing::MapStore& store) {
+  auto g = store.Get("G");
+  EXPECT_TRUE(g.ok());
+  ByteReader r(g.ok() ? *g : std::string_view());
+  uint64_t count = 0;
+  EXPECT_TRUE(r.ReadVarint(&count));
+  std::vector<uint64_t> ids(count);
+  for (uint64_t& id : ids) EXPECT_TRUE(r.ReadVarint(&id));
+  return ids;
+}
+
+std::string RelationKey(uint64_t id) {
+  std::string key(1, 'R');
+  PutBe64(key, id);
+  return key;
+}
+
+std::vector<uint64_t> ReadRelation(const testing::MapStore& store,
+                                   uint64_t id) {
+  auto v = store.Get(RelationKey(id));
+  EXPECT_TRUE(v.ok());
+  ByteReader r(v.ok() ? *v : std::string_view());
+  uint64_t count = 0;
+  EXPECT_TRUE(r.ReadVarint(&count));
+  std::vector<uint64_t> rel(count);
+  for (uint64_t& packed : rel) EXPECT_TRUE(r.ReadVarint(&packed));
+  return rel;
+}
+
+void WriteRelation(testing::MapStore& store, uint64_t id,
+                   const std::vector<uint64_t>& rel) {
+  std::string v;
+  PutVarint(v, rel.size());
+  for (uint64_t packed : rel) PutVarint(v, packed);
+  EXPECT_TRUE(store.Put(RelationKey(id), std::move(v)).ok());
+}
+
+TEST(DecodePlan, RejectsRelationRecordsItCannotReplay) {
+  // Gp replays from the relations, so a relation must be strictly
+  // ascending and, unless empty, contain its own candidate's pair: one
+  // without it loads a plan whose candidate has no product node, and its
+  // pair silently goes unmatched.
+  DBpediaSimConfig cfg;
+  cfg.seed = 3;
+  SyntheticDataset ds = GenerateDBpediaSim(cfg);
+  auto plan = Matcher::Compile(ds.graph, ds.keys,
+                               PlanOptions::For(Algorithm::kEmOptVc, 2));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const uint32_t cand = 9;
+  const Candidate& c = plan->context().candidates()[cand];
+  const uint64_t own = PackPair(c.e1, c.e2);
+
+  struct Case {
+    const char* what;
+    std::function<void(std::vector<uint64_t>&)> edit;
+    const char* problem;
+    bool names_first_user;  // the first candidate reading the relation
+  };
+  const Case cases[] = {
+      {"own pair dropped",
+       [own](std::vector<uint64_t>& rel) {
+         rel.erase(std::find(rel.begin(), rel.end(), own));
+       },
+       "lacks its candidate's pair", false},
+      {"two entries swapped",
+       [](std::vector<uint64_t>& rel) { std::swap(rel[0], rel[1]); },
+       "is not strictly ascending", true},
+      {"an entry repeated",
+       [](std::vector<uint64_t>& rel) { rel.insert(rel.begin(), rel[0]); },
+       "is not strictly ascending", true},
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.what);
+    testing::MapStore store;
+    storage::SnapshotMeta meta;
+    ASSERT_TRUE(PlanCodec::EncodeGraph(ds.graph, store, &meta).ok());
+    ASSERT_TRUE(PlanCodec::EncodePlan(*plan, store, &meta).ok());
+    ASSERT_TRUE(
+        PlanCodec::DecodePlan(store, meta, ds.graph, ds.keys).ok());
+
+    const std::vector<uint64_t> ids = RelationIds(store);
+    ASSERT_GT(ids.size(), cand);
+    const uint64_t id = ids[cand];
+    std::vector<uint64_t> rel = ReadRelation(store, id);
+    ASSERT_GE(rel.size(), 2u);
+    ASSERT_TRUE(std::binary_search(rel.begin(), rel.end(), own));
+    k.edit(rel);
+    WriteRelation(store, id, rel);
+
+    const size_t named =
+        k.names_first_user
+            ? static_cast<size_t>(std::find(ids.begin(), ids.end(), id) -
+                                  ids.begin())
+            : cand;
+    auto loaded = PlanCodec::DecodePlan(store, meta, ds.graph, ds.keys);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(loaded.status().message(),
+              "corrupt snapshot: relation " + std::to_string(id) +
+                  " of candidate " + std::to_string(named) + " " +
+                  k.problem);
+  }
+}
+
+TEST(DecodePlan, RejectsAGpFlagItsPlanOptionsContradict) {
+  // Patch extends the source plan's Gp whenever the plan options build
+  // one, so a snapshot whose plan builds Gp must carry it.
+  auto m = testing::MakeG1();
+  KeySet keys = testing::MakeSigma1();
+  auto plan =
+      Matcher::Compile(m.g, keys, PlanOptions::For(Algorithm::kEmVc, 1));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  testing::MapStore store;
+  storage::SnapshotMeta meta;
+  ASSERT_TRUE(PlanCodec::EncodeGraph(m.g, store, &meta).ok());
+  ASSERT_TRUE(PlanCodec::EncodePlan(*plan, store, &meta).ok());
+  meta.has_product_graph = false;
+  auto loaded = PlanCodec::DecodePlan(store, meta, m.g, keys);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(loaded.status().message(),
+            "corrupt snapshot: product-graph flag disagrees with the plan "
+            "options");
 }
 
 }  // namespace
