@@ -13,7 +13,7 @@
 namespace gkeys {
 namespace {
 
-/// One batch after phase A: the raw text (tokens point into it) plus its
+/// One tokenized batch: the raw text (tokens point into it) plus its
 /// tokenized lines. Moves only — the string's heap buffer keeps the
 /// string_views valid across the queue hop.
 struct ParsedBatch {
@@ -189,10 +189,10 @@ IngestStats RunIngestPipeline(const Matcher& matcher,
 
   BatchQueue queue(opts.queue_depth);
 
-  // Tokenize stage. Owns the source; phase A only, so it never touches
-  // the session the engine below is mutating. Its outcomes flow back
-  // through the queue (per-batch tokens) and these two slots (stream-end
-  // reason + stage clock), read after join.
+  // Tokenize stage. Owns the source and only tokenizes, so it never
+  // touches the session the engine below is mutating. Its outcomes flow
+  // back through the queue (per-batch tokens) and these two slots
+  // (stream-end reason + stage clock), read after join.
   Status producer_status;
   double producer_parse_seconds = 0;
   std::thread tokenizer([&]() {
@@ -207,7 +207,7 @@ IngestStats RunIngestPipeline(const Matcher& matcher,
       batch.index = index;
       batch.text = *std::move(text);
       Timer parse_timer;
-      batch.tokens = TokenizeDeltaText(batch.text, opts.parse_threads);
+      batch.tokens = TokenizeDeltaText(batch.text);
       producer_parse_seconds += parse_timer.Seconds();
       if (!queue.Push(std::move(batch))) break;  // engine stopped early
     }

@@ -24,15 +24,14 @@ struct TokenizedText;  // io/fast_triples.h
 /// (bind → Apply → Patch → Rematch) through a bounded queue, so batch
 /// N+1 parses while batch N rematches.
 ///
-/// The split exploits the phase structure of io/fast_triples.h: phase A
-/// (tokenize — shape validation, field splitting, unescaping) never
+/// The split follows the two steps of delta parsing in io/fast_triples.h:
+/// tokenizing (shape validation, field splitting, unescaping) never
 /// touches the graph or the binding table, so it runs on its own thread
-/// against future batches while the engine mutates the session; phase B
-/// (bind) and everything after it stay serial on the caller's thread in
-/// batch order, which keeps the committed session byte-identical to the
-/// plain serial loop (parse batch, Apply, Patch, Rematch, repeat) the
-/// CLI ran before this pipeline existed — the pipeline-vs-serial tests
-/// in tests/ingest_test.cc pin exactly that.
+/// against future batches while the engine mutates the session; binding
+/// and everything after it stay serial on the caller's thread in batch
+/// order, which keeps the committed session byte-identical to a plain
+/// serial loop (parse batch, Apply, Patch, Rematch, repeat) — the
+/// pipeline-vs-serial tests in tests/ingest_test.cc pin exactly that.
 ///
 /// Group commit: the engine-side costs of a tiny batch are dominated by
 /// terms that do not shrink with batch size (Graph::Apply re-finalizes,
@@ -48,16 +47,11 @@ struct TokenizedText;  // io/fast_triples.h
 /// failing batch with the session still at the last committed batch
 /// (exactly where the serial loop would have stopped); the tokenize
 /// thread is woken and joined before Run returns, so no work leaks. A
-/// batch that fails to parse reports the same status the serial parser
-/// reports for that text (see fast_triples.h for the error-equivalence
-/// contract).
+/// batch that fails to parse reports the status FastParseDelta reports
+/// for that text.
 
 /// Tuning and control knobs for one ingest run.
 struct IngestOptions {
-  /// Worker threads for phase-A tokenization within one batch
-  /// (1 = tokenize each batch on the pipeline thread alone; batches
-  /// under 64 KiB always tokenize inline regardless).
-  int parse_threads = 1;
   /// How many tokenized batches may wait for the engine before the
   /// tokenize stage blocks — the backpressure bound on parse-ahead
   /// memory (each queued batch holds its text plus tokens).

@@ -2,28 +2,14 @@
 
 #include <utility>
 
-#include "common/simd_scan.h"
-#include "common/thread_pool.h"
-
 namespace gkeys {
 
 namespace {
 
-/// Below this size the chunked path tokenizes inline: thread handoff
-/// costs more than scanning a small delta batch.
-constexpr size_t kParallelThreshold = size_t{1} << 16;
-
-struct ChunkResult {
-  std::vector<TokenizedLine> lines;
-  Status error;
-  int error_line = 0;
-};
-
-/// Tokenizes one node reference, replicating the scalar parsers' shape
-/// checks and error strings (io/triples.cc ParseRef / resolve) exactly —
-/// including the format quirks: the graph format rejects an empty entity
-/// type but accepts an empty id, the delta format rejects both and
-/// quotes the offending token in its messages.
+/// Tokenizes one node reference. The formats differ in two quirks: the
+/// graph format rejects an empty entity type but accepts an empty id,
+/// while the delta format rejects both and quotes the offending token in
+/// its messages.
 bool TokenizeRef(std::string_view token, bool delta_format, TokenRef* out,
                  std::string* msg) {
   if (token.size() >= 5 && token.compare(0, 5, "val:\"") == 0) {
@@ -36,8 +22,7 @@ bool TokenizeRef(std::string_view token, bool delta_format, TokenRef* out,
     out->kind = TokenRef::Kind::kValue;
     std::string_view body = token.substr(5, token.size() - 6);
     out->body = body;
-    out->escaped =
-        simd::FindByte(body.data(), body.size(), '\\') != simd::npos;
+    out->escaped = body.find('\\') != std::string_view::npos;
     if (out->escaped) {
       out->unescaped.clear();
       out->unescaped.reserve(body.size());
@@ -72,178 +57,73 @@ bool TokenizeRef(std::string_view token, bool delta_format, TokenRef* out,
   return false;
 }
 
-/// Tokenizes the chunk [begin, end) of `text`. `start_line` is the
-/// number of lines strictly before `begin` (so absolute line numbers
-/// come out exactly as a whole-text scan would produce). Stops at the
-/// chunk's first invalid line, recording its scalar-compatible error.
-void TokenizeChunk(std::string_view text, size_t begin, size_t end,
-                   int start_line, bool delta_format, ChunkResult* out) {
-  std::string_view sv = text.substr(begin, end - begin);
-  int line_no = start_line;
+/// Tokenizes each line of `text` that is neither blank nor a comment and
+/// hands it to `fn`, in document order. Stops at the first line that
+/// fails to tokenize, or that `fn` fails, and returns that status.
+template <typename Fn>
+Status ForEachLine(std::string_view text, bool delta_format, Fn&& fn) {
+  int line_no = 0;
   size_t pos = 0;
   std::string msg;
+  TokenizedLine ln;
   auto fail = [&](std::string_view what) {
-    out->error_line = line_no;
-    out->error =
-        delta_format
-            ? Status::InvalidArgument("delta line " + std::to_string(line_no) +
-                                      ": " + std::string(what))
-            : Status::ParseError("line " + std::to_string(line_no) + ": " +
-                                 std::string(what));
+    return delta_format
+               ? Status::InvalidArgument("delta line " +
+                                         std::to_string(line_no) + ": " +
+                                         std::string(what))
+               : Status::ParseError("line " + std::to_string(line_no) +
+                                    ": " + std::string(what));
   };
-  while (pos < sv.size()) {
+  while (pos < text.size()) {
     ++line_no;
-    size_t nl = simd::FindByte(sv, '\n', pos);
-    std::string_view line =
-        sv.substr(pos, nl == simd::npos ? sv.size() - pos : nl - pos);
-    pos = nl == simd::npos ? sv.size() : nl + 1;
+    size_t nl = text.find('\n', pos);
+    std::string_view line = text.substr(
+        pos, nl == std::string_view::npos ? text.size() - pos : nl - pos);
+    pos = nl == std::string_view::npos ? text.size() : nl + 1;
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (line.empty() || line[0] == '#') continue;
 
-    TokenizedLine ln;
     ln.line_no = line_no;
     if (delta_format) {
       if (line.size() < 2 || (line[0] != '+' && line[0] != '-') ||
           line[1] != ' ') {
-        fail("expected '+ <triple>' or '- <triple>'");
-        return;
+        return fail("expected '+ <triple>' or '- <triple>'");
       }
       ln.op = line[0] == '+' ? 1 : -1;
       line = line.substr(2);
     }
-    size_t sp1 = simd::FindByte(line, ' ');
-    size_t sp2 = sp1 == simd::npos ? simd::npos
-                                   : simd::FindByte(line, ' ', sp1 + 1);
-    if (sp2 == simd::npos) {
-      fail(delta_format ? "expected 3 fields: subject predicate object"
-                        : "expected 3 fields");
-      return;
+    // The literal may contain spaces: split on the first two only.
+    size_t sp1 = line.find(' ');
+    size_t sp2 = sp1 == std::string_view::npos ? std::string_view::npos
+                                               : line.find(' ', sp1 + 1);
+    if (sp2 == std::string_view::npos) {
+      return fail(delta_format ? "expected 3 fields: subject predicate object"
+                               : "expected 3 fields");
     }
     ln.pred = line.substr(sp1 + 1, sp2 - sp1 - 1);
-    if (delta_format && ln.pred.empty()) {
-      fail("empty predicate");
-      return;
-    }
+    if (delta_format && ln.pred.empty()) return fail("empty predicate");
     if (!TokenizeRef(line.substr(0, sp1), delta_format, &ln.subj, &msg)) {
-      fail(msg);
-      return;
+      return fail(msg);
     }
-    if (!delta_format && ln.pred == "@exists") {
-      // Scalar parity: the object of an @exists marker is never
-      // validated (DeserializeGraphWithNames skips it entirely).
-      ln.exists_only = true;
-    } else if (!TokenizeRef(line.substr(sp2 + 1), delta_format, &ln.obj,
-                            &msg)) {
-      fail(msg);
-      return;
+    // The object of an @exists marker is never read.
+    ln.exists_only = !delta_format && ln.pred == "@exists";
+    if (!ln.exists_only &&
+        !TokenizeRef(line.substr(sp2 + 1), delta_format, &ln.obj, &msg)) {
+      return fail(msg);
     }
-    out->lines.push_back(std::move(ln));
+    GKEYS_RETURN_IF_ERROR(fn(ln));
   }
-}
-
-TokenizedText TokenizeImpl(std::string_view text, int num_threads,
-                           bool delta_format) {
-  TokenizedText out;
-  if (num_threads <= 1 || text.size() < kParallelThreshold) {
-    ChunkResult r;
-    TokenizeChunk(text, 0, text.size(), 0, delta_format, &r);
-    out.lines = std::move(r.lines);
-    out.error = std::move(r.error);
-    out.error_line = r.error_line;
-    return out;
-  }
-
-  // Line-aligned chunk boundaries: each target offset advances to just
-  // past the next newline, so no line straddles two chunks.
-  std::vector<size_t> bounds{0};
-  for (int i = 1; i < num_threads; ++i) {
-    size_t target = text.size() / static_cast<size_t>(num_threads) *
-                    static_cast<size_t>(i);
-    if (target <= bounds.back()) continue;
-    size_t nl = simd::FindByte(text, '\n', target);
-    if (nl == simd::npos || nl + 1 >= text.size()) break;
-    bounds.push_back(nl + 1);
-  }
-  bounds.push_back(text.size());
-  const size_t chunks = bounds.size() - 1;
-
-  // Pin each chunk's absolute starting line before any chunk parses;
-  // this is what keeps malformed-line errors exact under chunking.
-  std::vector<int> start_line(chunks, 0);
-  for (size_t c = 1; c < chunks; ++c) {
-    start_line[c] =
-        start_line[c - 1] +
-        static_cast<int>(simd::CountByte(
-            text.substr(bounds[c - 1], bounds[c] - bounds[c - 1]), '\n'));
-  }
-
-  std::vector<ChunkResult> results(chunks);
-  ParallelShards(num_threads, chunks, [&](int, size_t b, size_t e) {
-    for (size_t c = b; c < e; ++c) {
-      TokenizeChunk(text, bounds[c], bounds[c + 1], start_line[c],
-                    delta_format, &results[c]);
-    }
-  });
-
-  size_t total = 0;
-  for (const ChunkResult& r : results) total += r.lines.size();
-  out.lines.reserve(total);
-  for (ChunkResult& r : results) {
-    for (TokenizedLine& ln : r.lines) out.lines.push_back(std::move(ln));
-  }
-  // Line numbers ascend across chunks, so the first erroring chunk holds
-  // the first erroring line of the document.
-  for (ChunkResult& r : results) {
-    if (r.error_line != 0) {
-      out.error = std::move(r.error);
-      out.error_line = r.error_line;
-      break;
-    }
-  }
-  return out;
+  return Status::OK();
 }
 
 }  // namespace
 
-TokenizedText TokenizeTriples(std::string_view text, int num_threads) {
-  return TokenizeImpl(text, num_threads, /*delta_format=*/false);
-}
-
-TokenizedText TokenizeDeltaText(std::string_view text, int num_threads) {
-  return TokenizeImpl(text, num_threads, /*delta_format=*/true);
-}
-
-StatusOr<LoadedGraph> BindTriples(const TokenizedText& tokens) {
-  Graph g;
-  // Keys are views into the token text, alive for the whole bind; the
-  // std::string table the caller keeps is materialized once at the end.
-  std::unordered_map<std::string_view, NodeId> entities;
-  auto resolve = [&](const TokenRef& r) {
-    if (r.kind == TokenRef::Kind::kValue) return g.AddValue(r.literal());
-    auto it = entities.find(r.body);
-    if (it != entities.end()) return it->second;
-    NodeId id = g.AddEntity(r.type);
-    entities.emplace(r.body, id);
-    return id;
-  };
-  for (const TokenizedLine& ln : tokens.lines) {
-    if (tokens.error_line != 0 && ln.line_no >= tokens.error_line) break;
-    NodeId s = resolve(ln.subj);
-    if (ln.exists_only) continue;
-    if (ln.subj.kind == TokenRef::Kind::kValue) {
-      return Status::ParseError("line " + std::to_string(ln.line_no) +
-                                ": subject must be an entity");
-    }
-    NodeId o = resolve(ln.obj);
-    GKEYS_RETURN_IF_ERROR(g.AddTriple(s, ln.pred, o));
-  }
-  if (tokens.error_line != 0) return tokens.error;
-  g.Finalize();
-  LoadedGraph out{std::move(g), {}};
-  out.entities.reserve(entities.size());
-  for (const auto& [token, id] : entities) {
-    out.entities.emplace(std::string(token), id);
-  }
+TokenizedText TokenizeDeltaText(std::string_view text) {
+  TokenizedText out;
+  out.error = ForEachLine(text, /*delta_format=*/true, [&](TokenizedLine& ln) {
+    out.lines.push_back(std::move(ln));
+    return Status::OK();
+  });
   return out;
 }
 
@@ -253,13 +133,11 @@ DeltaBinder::DeltaBinder(
     : g_(g), base_(base_entities), delta_(g) {}
 
 Status DeltaBinder::Append(const TokenizedText& tokens) {
-  // overlay_ holds the tokens this group of batches introduced: an
-  // overlay instead of the scalar path's full copy of base_entities, so
-  // one batch costs O(batch). Overlay and base are disjoint (a token
-  // found in base never enters the overlay), so lookup order is
-  // unobservable.
+  // overlay_ holds the tokens this group of batches introduced, so one
+  // batch costs O(batch), not a copy of base_entities. Overlay and base
+  // are disjoint (a token found in base never enters the overlay), so
+  // lookup order is unobservable.
   for (const TokenizedLine& ln : tokens.lines) {
-    if (tokens.error_line != 0 && ln.line_no >= tokens.error_line) break;
     const bool adding = ln.op > 0;
     auto err = [&ln](std::string msg) {
       return Status::InvalidArgument("delta line " +
@@ -331,7 +209,7 @@ Status DeltaBinder::Append(const TokenizedText& tokens) {
       }
     }
   }
-  if (tokens.error_line != 0) return tokens.error;
+  GKEYS_RETURN_IF_ERROR(tokens.error);
   ++batches_;
   return Status::OK();
 }
@@ -350,32 +228,47 @@ GraphDelta DeltaBinder::Take(
   return std::move(delta_);
 }
 
-StatusOr<GraphDelta> BindDeltaText(
-    const TokenizedText& tokens, const Graph& g,
-    const std::unordered_map<std::string, NodeId>& base_entities,
-    std::unordered_map<std::string, NodeId>* new_bindings) {
-  DeltaBinder binder(g, base_entities);
-  GKEYS_RETURN_IF_ERROR(binder.Append(tokens));
-  return binder.Take(new_bindings);
-}
-
-StatusOr<LoadedGraph> FastDeserializeGraphWithNames(std::string_view text,
-                                                    int num_threads) {
-  return BindTriples(TokenizeTriples(text, num_threads));
-}
-
-StatusOr<Graph> FastDeserializeGraph(std::string_view text, int num_threads) {
-  auto loaded = FastDeserializeGraphWithNames(text, num_threads);
-  if (!loaded.ok()) return loaded.status();
-  return std::move(loaded->graph);
+StatusOr<LoadedGraph> FastDeserializeGraphWithNames(std::string_view text) {
+  Graph g;
+  // Keys view the text, alive for the whole parse; the std::string table
+  // the caller keeps is materialized once at the end.
+  std::unordered_map<std::string_view, NodeId> entities;
+  auto resolve = [&](const TokenRef& r) {
+    if (r.kind == TokenRef::Kind::kValue) return g.AddValue(r.literal());
+    auto it = entities.find(r.body);
+    if (it != entities.end()) return it->second;
+    NodeId id = g.AddEntity(r.type);
+    entities.emplace(r.body, id);
+    return id;
+  };
+  GKEYS_RETURN_IF_ERROR(ForEachLine(
+      text, /*delta_format=*/false, [&](const TokenizedLine& ln) -> Status {
+        NodeId s = resolve(ln.subj);
+        if (ln.exists_only) return Status::OK();
+        if (ln.subj.kind == TokenRef::Kind::kValue) {
+          return Status::ParseError("line " + std::to_string(ln.line_no) +
+                                    ": subject must be an entity");
+        }
+        NodeId o = resolve(ln.obj);
+        return g.AddTriple(s, ln.pred, o);
+      }));
+  g.Finalize();
+  LoadedGraph out{std::move(g), {}};
+  out.entities.reserve(entities.size());
+  for (const auto& [token, id] : entities) {
+    out.entities.emplace(std::string(token), id);
+  }
+  return out;
 }
 
 StatusOr<GraphDelta> FastParseDelta(
     std::string_view text, const Graph& g,
     const std::unordered_map<std::string, NodeId>& base_entities,
-    std::unordered_map<std::string, NodeId>* new_bindings, int num_threads) {
-  return BindDeltaText(TokenizeDeltaText(text, num_threads), g, base_entities,
-                       new_bindings);
+    std::unordered_map<std::string, NodeId>* new_bindings) {
+  const TokenizedText tokens = TokenizeDeltaText(text);
+  DeltaBinder binder(g, base_entities);
+  GKEYS_RETURN_IF_ERROR(binder.Append(tokens));
+  return binder.Take(new_bindings);
 }
 
 }  // namespace gkeys

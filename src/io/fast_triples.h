@@ -13,38 +13,42 @@
 
 namespace gkeys {
 
-/// Chunked fast-path parsers for the `ent:/val:` triple and delta
-/// formats: drop-in replacements for the scalar DeserializeGraphWithNames
-/// / ParseDelta (io/triples.h), which stay in-tree as the oracles the
-/// equivalence tests in tests/ingest_test.cc compare against.
+/// The parsers for the `ent:/val:` triple format (SerializeGraph output,
+/// io/triples.h) and for delta text, one op per line:
 ///
-/// The fast path runs in two phases:
+///     + ent:<type>:<id> <predicate> ent:<type>:<id>
+///     + ent:<type>:<id> <predicate> val:"literal"
+///     - ent:<type>:<id> <predicate> val:"literal"
 ///
-///   Phase A — tokenize (parallelizable). The text is split into
-///   line-aligned chunks; each chunk is scanned with the SWAR/SIMD
-///   helpers of common/simd_scan.h, validating line shapes, splitting
-///   fields, and unescaping value literals. This phase touches no graph
-///   or binding table, so chunks are independent; each chunk knows its
-///   absolute starting line number (one CountByte pass pins them before
-///   any chunk parses), so malformed-line errors carry exactly the line
-///   number the scalar parser would report.
+/// In both formats blank lines and `#` comments are skipped, a trailing
+/// '\r' is stripped (CRLF text parses like LF text) and the last line
+/// needs no newline. A rejected text names its first failing line:
+/// ParseError "line N: ..." for graph text, InvalidArgument "delta line
+/// N: ..." for delta text.
 ///
-///   Phase B — bind (serial). Tokenized lines replay into the Graph /
-///   GraphDelta in document order, so interner symbols, NodeIds, and
-///   entity-table bindings are assigned in exactly the order the scalar
-///   parser assigns them: the output is byte-identical (serialization,
-///   NodeIds, entity tables) to the oracle on every accepted input.
+/// Graph text loads in one pass: each line is split off, validated and
+/// bound into the graph before the next is read.
 ///
-/// Error equivalence on rejected inputs is deliberately looser: both
-/// paths fail on exactly the same inputs, with the same line number up
-/// to the first failing line, but when one line mixes a shape error with
-/// a binding error the two paths may name a different field of that
-/// line. On success the results are identical, full stop.
+/// Delta text is parsed in two steps, because the ingest pipeline
+/// (core/ingest_pipeline.h) runs them on different threads:
 ///
-/// The split is exposed (TokenizeTriples/TokenizeDeltaText + Bind*)
-/// because the ingest pipeline (core/ingest_pipeline.h) runs phase A of
-/// batch N+1 concurrently with the engine stages of batch N; phase B
-/// must wait for the evolving graph and binding table.
+///   tokenize (TokenizeDeltaText) validates line shapes, splits fields
+///   and unescapes literals. It touches no graph or binding table, so
+///   the pipeline tokenizes batch N+1 while the engine commits batch N.
+///
+///   bind (DeltaBinder) resolves the tokens against the session's graph
+///   and binding table in document order, so it waits for the session to
+///   reach the batch. One binder can bind several batches into one delta
+///   (group commit).
+///
+/// Tokenizing a delta line checks both of its references before binding
+/// either. So when a reference that fails to bind precedes a malformed
+/// one on the same line, the error names the malformed one.
+///
+/// tests/triples_reference.h keeps the original line-by-line parsers as
+/// the oracle: ingest_test and parser_fuzz_test hold these to identical
+/// results on accepted text, to the identical status on rejected graph
+/// text, and to the same code and failing line on rejected delta text.
 
 /// One tokenized node reference. Entity references keep string_views
 /// into the source text (valid while it lives); value literals are
@@ -71,54 +75,32 @@ struct TokenizedLine {
   int line_no = 0;
   /// Delta format: +1 for `+ ...`, -1 for `- ...`. Graph format: 0.
   int8_t op = 0;
-  /// Graph format only: an `@exists` marker line — the subject was
-  /// validated, the object (like the scalar parser) never was.
+  /// Graph format only: an `@exists` marker line. Its subject was
+  /// validated; its object is never read.
   bool exists_only = false;
   TokenRef subj;
   std::string_view pred;
   TokenRef obj;
 };
 
-/// Phase-A output. When a line failed validation, `error` holds the
-/// scalar-compatible Status and `error_line` its 1-based line number;
-/// `lines` then contains every valid line strictly before it (later
-/// chunks may have tokenized further, but binders must stop at
-/// `error_line`). error_line == 0 means the whole text tokenized.
+/// Tokenized delta text. When a line failed validation, `error` holds
+/// its status and `lines` every valid line before it.
 struct TokenizedText {
   std::vector<TokenizedLine> lines;
   Status error;
-  int error_line = 0;
 };
 
-/// Tokenizes graph-format triple text (`SerializeGraph` output). With
-/// `num_threads` > 1 and a large enough text, chunks tokenize on a
-/// thread pool; the result is identical either way.
-TokenizedText TokenizeTriples(std::string_view text, int num_threads = 1);
+/// Tokenizes delta text. The tokens view `text`, which must outlive them.
+TokenizedText TokenizeDeltaText(std::string_view text);
 
-/// Tokenizes delta-format text (`+ s p o` / `- s p o` lines).
-TokenizedText TokenizeDeltaText(std::string_view text, int num_threads = 1);
-
-/// Phase B for graph text: replays tokens into a fresh Graph in document
-/// order. Byte-identical to DeserializeGraphWithNames.
-StatusOr<LoadedGraph> BindTriples(const TokenizedText& tokens);
-
-/// Phase B for delta text: binds against `g` + `base_entities` exactly
-/// like the scalar ParseDelta, but WITHOUT copying the base table —
-/// tokens introduced by this delta live in a small overlay, so a batch
-/// costs O(batch), not O(session entities). `new_bindings` (optional)
-/// receives every ent: token this delta introduced, as in ParseDelta —
-/// on success; unlike the scalar path it is never touched on failure.
-StatusOr<GraphDelta> BindDeltaText(
-    const TokenizedText& tokens, const Graph& g,
-    const std::unordered_map<std::string, NodeId>& base_entities,
-    std::unordered_map<std::string, NodeId>* new_bindings = nullptr);
-
-/// Incremental phase B: accumulates SEVERAL tokenized delta batches into
-/// ONE GraphDelta, sharing a single overlay across Append calls. This is
-/// the group-commit primitive of the ingest pipeline: when parsed batches
-/// queue up behind a slow engine stage, binding them together lets one
-/// Apply→Patch→Rematch pass commit the whole group, amortizing the
-/// per-commit costs that do not shrink with batch size.
+/// Binds tokenized delta batches into ONE GraphDelta against a graph and
+/// its entity-reference table, without copying the table: tokens the
+/// batches introduce live in a small overlay, so a batch costs
+/// O(batch), not O(session entities). This is the group-commit primitive
+/// of the ingest pipeline: when parsed batches queue up behind a slow
+/// engine stage, binding them together lets one Apply→Patch→Rematch pass
+/// commit the whole group, amortizing the per-commit costs that do not
+/// shrink with batch size.
 ///
 /// Binding batches B1..Bk through one binder is equivalent to binding
 /// their concatenation as a single delta text, except that error messages
@@ -150,11 +132,11 @@ class DeltaBinder {
   DeltaBinder& operator=(const DeltaBinder&) = delete;
 
   /// Binds one tokenized batch into the accumulated delta, exactly as
-  /// BindDeltaText would bind it after the preceding appends. Fails with
-  /// the parse or bind error BindDeltaText reports, or FailedPrecondition
-  /// for a batch the group cannot absorb (see above). On failure the
-  /// accumulated delta may hold part of the failing batch: discard the
-  /// binder and rebind from scratch.
+  /// FastParseDelta would bind its text after the preceding appends.
+  /// Fails with the parse or bind error FastParseDelta reports, or
+  /// FailedPrecondition for a batch the group cannot absorb (see above).
+  /// On failure the accumulated delta may hold part of the failing batch:
+  /// discard the binder and rebind from scratch.
   Status Append(const TokenizedText& tokens);
 
   /// Triple operations (adds + removes) accumulated so far. Comparing
@@ -163,7 +145,7 @@ class DeltaBinder {
 
   /// Moves the accumulated delta out (the binder is spent afterwards).
   /// `new_bindings` (optional) receives every ent: token the whole group
-  /// introduced, as BindDeltaText would report for the concatenation.
+  /// introduced, as FastParseDelta would report for the concatenation.
   GraphDelta Take(std::unordered_map<std::string, NodeId>* new_bindings);
 
  private:
@@ -181,20 +163,23 @@ class DeltaBinder {
       removed_;
 };
 
-/// TokenizeTriples + BindTriples: the fast DeserializeGraphWithNames.
-StatusOr<LoadedGraph> FastDeserializeGraphWithNames(std::string_view text,
-                                                    int num_threads = 1);
+/// Parses graph text into a finalized graph plus its entity-reference
+/// table, in one pass.
+StatusOr<LoadedGraph> FastDeserializeGraphWithNames(std::string_view text);
 
-/// Graph-only convenience, mirroring DeserializeGraph.
-StatusOr<Graph> FastDeserializeGraph(std::string_view text,
-                                     int num_threads = 1);
-
-/// TokenizeDeltaText + BindDeltaText: the fast ParseDelta.
+/// Parses delta text against a graph and its entity-reference table
+/// (LoadedGraph::entities, or a restored session's table). Entity
+/// references resolve by token identity against `base_entities`, the same
+/// binding the graph text was loaded with. An addition that references
+/// an unseen `ent:` token stages a fresh entity of that type (ids are
+/// free-form strings, as in graph files); removals must reference known
+/// nodes. `new_bindings` (optional) receives, on success, every ent:
+/// token this delta introduced (token → staged NodeId), so a caller can
+/// extend its table and parse later deltas against the evolving session.
 StatusOr<GraphDelta> FastParseDelta(
     std::string_view text, const Graph& g,
     const std::unordered_map<std::string, NodeId>& base_entities,
-    std::unordered_map<std::string, NodeId>* new_bindings = nullptr,
-    int num_threads = 1);
+    std::unordered_map<std::string, NodeId>* new_bindings = nullptr);
 
 }  // namespace gkeys
 

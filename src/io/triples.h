@@ -2,11 +2,9 @@
 #define GKEYS_IO_TRIPLES_H_
 
 #include <string>
-#include <string_view>
 #include <unordered_map>
 
 #include "common/status.h"
-#include "graph/delta.h"
 #include "graph/graph.h"
 
 namespace gkeys {
@@ -20,61 +18,28 @@ namespace gkeys {
 /// Local ids are per-type counters assigned at save time; loading assigns
 /// fresh NodeIds but preserves structure, types, predicates, and values
 /// (round-trip is isomorphism, verified by tests). Quotes and backslashes
-/// inside literals are backslash-escaped.
+/// inside literals are backslash-escaped. The parsers live in
+/// io/fast_triples.h.
 std::string SerializeGraph(const Graph& g);
-
-/// Parses the format above into a finalized graph.
-StatusOr<Graph> DeserializeGraph(std::string_view text);
 
 /// A loaded graph together with the entity-reference table: every
 /// `ent:<type>:<id>` token of the source text mapped to the NodeId it
 /// was materialized as. Deltas resolve entity references through this
-/// table (token identity — exactly how DeserializeGraph bound them),
+/// table (token identity — exactly how the graph text bound them),
 /// never by re-deriving ids from the graph.
 struct LoadedGraph {
   Graph graph;
   std::unordered_map<std::string, NodeId> entities;
 };
 
-/// Like DeserializeGraph, but keeps the entity-reference table so deltas
-/// can be parsed against the result.
-StatusOr<LoadedGraph> DeserializeGraphWithNames(std::string_view text);
-
-/// File convenience wrappers.
+/// Writes SerializeGraph(g) to `path`. IoError when the file cannot be
+/// opened or any byte of it, the last flushed one included, fails to
+/// write.
 Status SaveGraph(const Graph& g, const std::string& path);
-StatusOr<Graph> LoadGraph(const std::string& path);
-StatusOr<LoadedGraph> LoadGraphWithNames(const std::string& path);
 
-/// Slurps a whole file (keys DSL, delta files, …). IoError on open or
-/// read failure.
+/// Slurps a whole file (graph text, keys DSL, delta files, …). IoError
+/// naming the path when it cannot be opened or read, or is a directory.
 StatusOr<std::string> ReadFile(const std::string& path);
-
-/// Parses a delta file against a loaded graph (gkeys match --delta). One
-/// op per line:
-///
-///     + ent:<type>:<id> <predicate> ent:<type>:<id>
-///     + ent:<type>:<id> <predicate> val:"literal"
-///     - ent:<type>:<id> <predicate> val:"literal"
-///
-/// Entity references resolve by token identity against `lg.entities` —
-/// the same binding DeserializeGraph used for the graph file itself. An
-/// addition referencing an UNSEEN `ent:` token stages a fresh entity of
-/// that type (ids are free-form strings, as in graph files); removals
-/// must reference known nodes. Blank lines and `#` comments are
-/// skipped. Malformed lines are InvalidArgument naming the line number.
-StatusOr<GraphDelta> ParseDelta(std::string_view text, const LoadedGraph& lg);
-
-/// Same, against a graph and entity-reference table held separately —
-/// e.g. a restored storage::Snapshot, which owns its graph and carries
-/// the saved ent-token table (Snapshot::entity_names). When
-/// `new_bindings` is non-null, every ent: token this delta introduced is
-/// recorded there (token → staged NodeId) so the caller can extend its
-/// table and parse subsequent delta texts against the evolving session —
-/// the write-ahead-log replay path (storage/recovery.h) depends on this.
-StatusOr<GraphDelta> ParseDelta(
-    std::string_view text, const Graph& g,
-    const std::unordered_map<std::string, NodeId>& base_entities,
-    std::unordered_map<std::string, NodeId>* new_bindings = nullptr);
 
 }  // namespace gkeys
 

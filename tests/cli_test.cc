@@ -437,4 +437,28 @@ TEST_F(CliTest, RecoverEmptySnapshotFailsWithOneLine) {
   ExpectOneLineFailure(RunCli("recover " + dir));
 }
 
+// ---- A directory is not an input file -----------------------------------
+
+TEST_F(CliTest, IngestOfADirectoryFailsWithOneLine) {
+  std::string dir = FreshDir("ddir_dirinput");
+  ASSERT_EQ(RunCli("save " + graph_ + " " + keys_ + " --dir=" + dir).exit_code,
+            0);
+  RunOutput first = RunCli("ingest " + dir + " " + delta_);
+  ASSERT_EQ(first.exit_code, 0) << first.text;
+  ASSERT_NE(first.text.find("wal_records=1"), std::string::npos) << first.text;
+
+  // The session directory passed as the delta file: an IoError naming
+  // it, not an empty batch.
+  RunOutput ingest = RunCli("ingest " + dir + " " + dir);
+  EXPECT_EQ(ingest.exit_code, 1) << ingest.text;
+  ExpectOneLineFailure(ingest);
+  EXPECT_NE(ingest.text.find("IoError"), std::string::npos) << ingest.text;
+  EXPECT_NE(ingest.text.find(dir), std::string::npos) << ingest.text;
+
+  // Nothing reached the log.
+  RunOutput after = RunCli("ingest " + dir + " " + empty_);
+  ASSERT_EQ(after.exit_code, 0) << after.text;
+  EXPECT_NE(after.text.find("wal_records=1"), std::string::npos) << after.text;
+}
+
 }  // namespace

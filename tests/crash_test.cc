@@ -22,7 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "core/matcher.h"
-#include "io/triples.h"
+#include "io/fast_triples.h"
 #include "storage/delta_log.h"
 #include "storage/durable_dir.h"
 #include "storage/file_ops.h"
@@ -77,7 +77,8 @@ struct Base {
 
 Base MakeBase() {
   Base b;
-  auto loaded = DeserializeGraphWithNames(SerializeGraph(testing::MakeG2().g));
+  auto loaded =
+      FastDeserializeGraphWithNames(SerializeGraph(testing::MakeG2().g));
   EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
   b.lg = std::move(*loaded);
   b.keys = testing::MakeSigma2();
@@ -142,7 +143,7 @@ std::vector<PairVec> ExpectedPrefixes(const Base& base, Algorithm algo,
   out.push_back(Sorted(session->result().pairs));
   for (const std::string& text : batches) {
     std::unordered_map<std::string, NodeId> fresh;
-    auto delta = ParseDelta(text, session->graph(), names, &fresh);
+    auto delta = FastParseDelta(text, session->graph(), names, &fresh);
     EXPECT_TRUE(delta.ok()) << delta.status().ToString();
     if (!delta.ok()) break;
     IngestStats stats;
@@ -191,7 +192,7 @@ void RunScheduleChecked(const std::string& dir, const Base& base,
     }
     const std::string& text = batches[static_cast<size_t>(step)];
     std::unordered_map<std::string, NodeId> fresh;
-    auto delta = ParseDelta(text, session->graph(), names, &fresh);
+    auto delta = FastParseDelta(text, session->graph(), names, &fresh);
     ASSERT_TRUE(delta.ok()) << delta.status().ToString();
     IngestStats stats;  // in-memory, never faulted
     Status res = CommitDelta(replayer, session->session(names), *delta, stats);
@@ -344,7 +345,7 @@ TEST(GracefulDegradation, EnospcSaveKeepsPreviousGenerationRecoverable) {
                   .ok());
   // Ingest batch 0 (apply + acknowledged append).
   std::unordered_map<std::string, NodeId> fresh;
-  auto d0 = ParseDelta(batches[0], session->graph(), names, &fresh);
+  auto d0 = FastParseDelta(batches[0], session->graph(), names, &fresh);
   ASSERT_TRUE(d0.ok());
   IngestStats stats;
   ASSERT_TRUE(CommitDelta(replayer, session->session(names), *d0, stats).ok());
@@ -465,7 +466,7 @@ TEST(Recovery, GroupedReplayMatchesTheSerialChain) {
   };
   for (Algorithm algo : AllAlgorithms()) {
     SCOPED_TRACE("algorithm " + std::to_string(static_cast<int>(algo)));
-    // The serial chain: one ParseDelta + CommitDelta per batch.
+    // The serial chain: one FastParseDelta + CommitDelta per batch.
     auto serial = MakeSession(base, algo, "grouped_serial");
     ASSERT_TRUE(serial.ok()) << serial.status().ToString();
     auto names = serial->entity_names();
@@ -473,7 +474,7 @@ TEST(Recovery, GroupedReplayMatchesTheSerialChain) {
     replayer.processors(2);
     for (const std::string& text : batches) {
       std::unordered_map<std::string, NodeId> fresh;
-      auto delta = ParseDelta(text, serial->graph(), names, &fresh);
+      auto delta = FastParseDelta(text, serial->graph(), names, &fresh);
       ASSERT_TRUE(delta.ok()) << delta.status().ToString();
       IngestStats stats;
       ASSERT_TRUE(

@@ -12,7 +12,7 @@
 #include "common/rng.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
-#include "io/triples.h"
+#include "io/fast_triples.h"
 
 namespace gkeys {
 namespace {
@@ -321,7 +321,7 @@ TEST(CsrGraph, MergeRefinalizeEqualsFromScratchBuild) {
 }
 
 TEST(ParseDelta, ResolvesTokensByIdentityAndStagesNewEntities) {
-  auto loaded = DeserializeGraphWithNames(
+  auto loaded = FastDeserializeGraphWithNames(
       "ent:person:0 name val:\"alice\"\n"
       "ent:person:1 name val:\"alice\"\n");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -330,13 +330,13 @@ TEST(ParseDelta, ResolvesTokensByIdentityAndStagesNewEntities) {
   NodeId p1 = loaded->entities.at("ent:person:1");
   NodeId alice = g.FindValue("alice");
 
-  auto delta = ParseDelta(
+  auto delta = FastParseDelta(
       "# a comment\n"
       "\n"
       "+ ent:person:2 name val:\"alice\"\n"      // unseen token: new entity
       "+ ent:person:2 knows ent:person:0\n"      // referenced again
       "- ent:person:1 name val:\"alice\"\n",
-      *loaded);
+      loaded->graph, loaded->entities);
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
   EXPECT_EQ(delta->num_added_triples(), 2u);
   EXPECT_EQ(delta->num_removed_triples(), 1u);
@@ -355,12 +355,13 @@ TEST(ParseDelta, TokensBindLikeTheGraphFileNotByNodeIdRank) {
   // The file mentions person:1 BEFORE person:0, so NodeId order disagrees
   // with the labels. A delta addressed to ent:person:0 must land on the
   // entity the FILE calls person:0 (the object of the first line).
-  auto loaded = DeserializeGraphWithNames(
+  auto loaded = FastDeserializeGraphWithNames(
       "ent:person:1 knows ent:person:0\n"
       "ent:person:0 name val:\"zero\"\n");
   ASSERT_TRUE(loaded.ok());
   NodeId file_p0 = loaded->entities.at("ent:person:0");
-  auto delta = ParseDelta("+ ent:person:0 age val:\"30\"\n", *loaded);
+  auto delta = FastParseDelta("+ ent:person:0 age val:\"30\"\n",
+                              loaded->graph, loaded->entities);
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
   Graph& g = loaded->graph;
   ASSERT_TRUE(g.Apply(*delta).ok());
@@ -370,18 +371,18 @@ TEST(ParseDelta, TokensBindLikeTheGraphFileNotByNodeIdRank) {
 
 TEST(ParseDelta, NonNumericEntityIdsWork) {
   auto loaded =
-      DeserializeGraphWithNames("ent:person:alice knows ent:person:bob\n");
+      FastDeserializeGraphWithNames("ent:person:alice knows ent:person:bob\n");
   ASSERT_TRUE(loaded.ok());
-  auto delta = ParseDelta(
+  auto delta = FastParseDelta(
       "+ ent:person:alice nick val:\"al\"\n"
       "+ ent:person:carol knows ent:person:alice\n",
-      *loaded);
+      loaded->graph, loaded->entities);
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
   EXPECT_EQ(delta->num_new_nodes(), 2u);  // "al" value + carol
 }
 
 TEST(ParseDelta, MalformedLinesAreInvalidArgumentWithLineNumber) {
-  auto loaded = DeserializeGraphWithNames("ent:t:0 p val:\"x\"\n");
+  auto loaded = FastDeserializeGraphWithNames("ent:t:0 p val:\"x\"\n");
   ASSERT_TRUE(loaded.ok());
 
   struct Case {
@@ -400,7 +401,7 @@ TEST(ParseDelta, MalformedLinesAreInvalidArgumentWithLineNumber) {
       {"+ val:\"x\" p ent:t:0\n", "subject must be an entity"},
   };
   for (const Case& c : cases) {
-    auto delta = ParseDelta(c.text, *loaded);
+    auto delta = FastParseDelta(c.text, loaded->graph, loaded->entities);
     ASSERT_FALSE(delta.ok()) << c.text;
     EXPECT_EQ(delta.status().code(), StatusCode::kInvalidArgument) << c.text;
     EXPECT_NE(delta.status().message().find(c.needle), std::string::npos)

@@ -1,7 +1,7 @@
 // High-throughput ingest equivalence suite (docs/ARCHITECTURE.md
 // "Ingest pipeline"):
-//   (a) the chunked fast-path parsers (io/fast_triples.h) against the
-//       scalar oracles (io/triples.h) — identical output on every
+//   (a) the parsers (io/fast_triples.h) against the reference parsers
+//       (tests/triples_reference.h) — identical output on every
 //       accepted input, error-for-error agreement on mangled input,
 //       property-tested over random valid and byte-flipped texts;
 //   (b) sharded derivation/merge logs against the single global log
@@ -29,20 +29,21 @@
 #include "graph/delta.h"
 #include "io/triples.h"
 #include "test_util.h"
+#include "triples_reference.h"
 
 namespace gkeys {
 namespace {
 
 // ---------------------------------------------------------------------------
-// (a) fast parser == scalar oracle
+// (a) parser == reference parser
 // ---------------------------------------------------------------------------
 
 /// Asserts the two graph parses agree completely: acceptance, NodeIds
 /// (via re-serialization, which is NodeId- and interner-order
 /// sensitive), and the entity binding table.
-void ExpectSameGraphParse(std::string_view text, int num_threads) {
-  auto scalar = DeserializeGraphWithNames(text);
-  auto fast = FastDeserializeGraphWithNames(text, num_threads);
+void ExpectSameGraphParse(std::string_view text) {
+  auto scalar = reference::DeserializeGraphWithNames(text);
+  auto fast = FastDeserializeGraphWithNames(text);
   ASSERT_EQ(scalar.ok(), fast.ok())
       << "scalar: " << scalar.status().ToString()
       << " fast: " << fast.status().ToString();
@@ -68,13 +69,13 @@ int ErrorLineOf(const Status& st) {
 /// applying to graph copies and re-serializing), and new bindings. On
 /// rejection both paths must name the same line (messages may name a
 /// different field of that line — documented in io/fast_triples.h).
-void ExpectSameDeltaParse(std::string_view delta_text, const LoadedGraph& lg,
-                          int num_threads) {
+void ExpectSameDeltaParse(std::string_view delta_text,
+                          const LoadedGraph& lg) {
   std::unordered_map<std::string, NodeId> scalar_bindings, fast_bindings;
-  auto scalar =
-      ParseDelta(delta_text, lg.graph, lg.entities, &scalar_bindings);
-  auto fast = FastParseDelta(delta_text, lg.graph, lg.entities,
-                             &fast_bindings, num_threads);
+  auto scalar = reference::ParseDelta(delta_text, lg.graph, lg.entities,
+                                      &scalar_bindings);
+  auto fast =
+      FastParseDelta(delta_text, lg.graph, lg.entities, &fast_bindings);
   ASSERT_EQ(scalar.ok(), fast.ok())
       << "scalar: " << scalar.status().ToString()
       << " fast: " << fast.status().ToString();
@@ -99,18 +100,7 @@ void ExpectSameDeltaParse(std::string_view delta_text, const LoadedGraph& lg,
 TEST(FastParser, GraphMusicRoundTrip) {
   auto m = testing::MakeG1();
   std::string text = SerializeGraph(m.g);
-  for (int threads : {1, 2, 4}) ExpectSameGraphParse(text, threads);
-}
-
-TEST(FastParser, GraphSyntheticLargeChunked) {
-  SyntheticConfig cfg;
-  cfg.entities_per_type = 400;
-  SyntheticDataset ds = GenerateSynthetic(cfg);
-  std::string text = SerializeGraph(ds.graph);
-  // Large enough that num_threads > 1 actually takes the chunked path
-  // (io/fast_triples.cc gates it at 64 KiB).
-  ASSERT_GT(text.size(), size_t{1} << 16);
-  for (int threads : {1, 2, 3, 8}) ExpectSameGraphParse(text, threads);
+  ExpectSameGraphParse(text);
 }
 
 TEST(FastParser, GraphQuirks) {
@@ -137,10 +127,13 @@ TEST(FastParser, GraphQuirks) {
       "ent:a:0 p val:\"x\"",                     // no trailing newline
       "ent:a:0 p val:\"x\"\r\nent:a:1 p val:\"x\"\r\n",  // CRLF
       "# c\r\n\r\nent:a:0 p val:\"x\"\r",                // stray final CR
+      // Across lines the first failing line wins, whichever check fails:
+      "val:\"a\" p val:\"b\"\nbogus p val:\"x\"\n",  // line 1: value subject
+      "bogus p val:\"x\"\nval:\"a\" p val:\"b\"\n",  // line 1: malformed ref
   };
   for (const char* text : cases) {
     SCOPED_TRACE(std::string("text: ") + text);
-    for (int threads : {1, 4}) ExpectSameGraphParse(text, threads);
+    ExpectSameGraphParse(text);
   }
 }
 
@@ -149,15 +142,13 @@ TEST(FastParser, ValueSubjectIsALineNumberedParseError) {
       "ent:a:1 p val:\"x\"\n"
       "ent:a:2 p val:\"y\"\n"
       "val:\"x\" q ent:a:1\n";
-  auto scalar = DeserializeGraphWithNames(text);
+  auto scalar = reference::DeserializeGraphWithNames(text);
   ASSERT_FALSE(scalar.ok());
   EXPECT_EQ(scalar.status().code(), StatusCode::kParseError);
   EXPECT_EQ(scalar.status().message(), "line 3: subject must be an entity");
-  for (int threads : {1, 4}) {
-    auto fast = FastDeserializeGraphWithNames(text, threads);
-    ASSERT_FALSE(fast.ok());
-    EXPECT_EQ(fast.status().ToString(), scalar.status().ToString());
-  }
+  auto fast = FastDeserializeGraphWithNames(text);
+  ASSERT_FALSE(fast.ok());
+  EXPECT_EQ(fast.status().ToString(), scalar.status().ToString());
 }
 
 TEST(FastParser, CrlfEqualsLf) {
@@ -171,9 +162,9 @@ TEST(FastParser, CrlfEqualsLf) {
   // Drop the final newline too: both robustness fixes at once.
   std::string crlf_no_tail = crlf.substr(0, crlf.size() - 2);
   for (const std::string& variant : {crlf, crlf_no_tail}) {
-    auto from_lf = DeserializeGraphWithNames(lf);
-    auto scalar = DeserializeGraphWithNames(variant);
-    auto fast = FastDeserializeGraphWithNames(variant, 2);
+    auto from_lf = reference::DeserializeGraphWithNames(lf);
+    auto scalar = reference::DeserializeGraphWithNames(variant);
+    auto fast = FastDeserializeGraphWithNames(variant);
     ASSERT_TRUE(from_lf.ok());
     ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
     ASSERT_TRUE(fast.ok()) << fast.status().ToString();
@@ -244,19 +235,19 @@ std::string RandomDeltaText(const LoadedGraph& lg, Rng& rng, size_t ops) {
 
 TEST(FastParser, DeltaPropertyRandomValid) {
   auto m = testing::MakeG1();
-  auto lg = DeserializeGraphWithNames(SerializeGraph(m.g));
+  auto lg = FastDeserializeGraphWithNames(SerializeGraph(m.g));
   ASSERT_TRUE(lg.ok());
   Rng rng(7);
   for (int trial = 0; trial < 40; ++trial) {
     std::string text = RandomDeltaText(*lg, rng, 1 + rng.Below(20));
     SCOPED_TRACE("trial " + std::to_string(trial) + "\n" + text);
-    ExpectSameDeltaParse(text, *lg, trial % 2 == 0 ? 1 : 4);
+    ExpectSameDeltaParse(text, *lg);
   }
 }
 
 TEST(FastParser, DeltaQuirks) {
   auto m = testing::MakeG1();
-  auto lg = DeserializeGraphWithNames(SerializeGraph(m.g));
+  auto lg = FastDeserializeGraphWithNames(SerializeGraph(m.g));
   ASSERT_TRUE(lg.ok());
   const char* cases[] = {
       "",
@@ -282,8 +273,7 @@ TEST(FastParser, DeltaQuirks) {
   };
   for (const char* text : cases) {
     SCOPED_TRACE(std::string("text: ") + text);
-    ExpectSameDeltaParse(text, *lg, 1);
-    ExpectSameDeltaParse(text, *lg, 4);
+    ExpectSameDeltaParse(text, *lg);
   }
 }
 
@@ -301,13 +291,13 @@ TEST(FastParser, FuzzGraphByteFlips) {
           static_cast<char>(rng.Below(256));
     }
     SCOPED_TRACE("trial " + std::to_string(trial));
-    ExpectSameGraphParse(mangled, trial % 3 == 0 ? 4 : 1);
+    ExpectSameGraphParse(mangled);
   }
 }
 
 TEST(FastParser, FuzzDeltaByteFlips) {
   auto m = testing::MakeG1();
-  auto lg = DeserializeGraphWithNames(SerializeGraph(m.g));
+  auto lg = FastDeserializeGraphWithNames(SerializeGraph(m.g));
   ASSERT_TRUE(lg.ok());
   Rng rng(99);
   std::string base = RandomDeltaText(*lg, rng, 24);
@@ -320,7 +310,7 @@ TEST(FastParser, FuzzDeltaByteFlips) {
           static_cast<char>(rng.Below(256));
     }
     SCOPED_TRACE("trial " + std::to_string(trial));
-    ExpectSameDeltaParse(mangled, *lg, trial % 2 == 0 ? 1 : 2);
+    ExpectSameDeltaParse(mangled, *lg);
   }
 }
 
@@ -492,7 +482,7 @@ struct PipeFixture {
 
   static PipeFixture Make(uint64_t seed) {
     SyntheticDataset ds = ShardWorkload(seed);
-    auto lg = DeserializeGraphWithNames(SerializeGraph(ds.graph));
+    auto lg = FastDeserializeGraphWithNames(SerializeGraph(ds.graph));
     EXPECT_TRUE(lg.ok());
     PipeFixture f;
     f.lg = *std::move(lg);
@@ -512,11 +502,11 @@ struct PipeFixture {
     return BatchOutcome{SerializeGraph(lg.graph), result.pairs};
   }
 
-  /// The pre-pipeline serial chain, one batch: scalar parse → Apply →
-  /// Patch → Rematch. Returns the failing stage's status unchanged.
+  /// The serial chain, one batch: reference parse → Apply → Patch →
+  /// Rematch. Returns the failing stage's status unchanged.
   Status SerialStep(const std::string& text) {
     std::unordered_map<std::string, NodeId> nb;
-    auto delta = ParseDelta(text, lg.graph, lg.entities, &nb);
+    auto delta = reference::ParseDelta(text, lg.graph, lg.entities, &nb);
     GKEYS_RETURN_IF_ERROR(delta.status());
     if (!delta->empty()) {
       auto dirty = lg.graph.Apply(*delta);
@@ -914,8 +904,7 @@ TEST(FastDelta, DeltaBinderGroupEqualsConcatenatedText) {
 
   std::unordered_map<std::string, NodeId> concat_nb;
   auto concat_delta =
-      BindDeltaText(TokenizeDeltaText(concat), base.lg.graph,
-                    base.lg.entities, &concat_nb);
+      FastParseDelta(concat, base.lg.graph, base.lg.entities, &concat_nb);
   ASSERT_TRUE(concat_delta.ok());
 
   EXPECT_EQ(group_nb, concat_nb);

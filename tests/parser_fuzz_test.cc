@@ -1,11 +1,11 @@
-// Deterministic differential fuzzing of the fast (SWAR/SIMD, chunked)
-// triple/delta parsers against the scalar oracles. Seeds are valid
-// corpora; each iteration flips/inserts/deletes a few bytes and asserts
-// the fast path and the scalar path agree: identical results on accepted
-// inputs (serialization, entity tables, staged ops), and on rejected
-// inputs the same StatusCode and the same 1-based failing line. Seeded
-// Rng => every run fuzzes the same inputs; a failure is a plain
-// regression, not a flake.
+// Deterministic differential fuzzing of the triple/delta parsers
+// (io/fast_triples.h) against the reference parsers
+// (tests/triples_reference.h). Seeds are valid corpora; each iteration
+// flips/inserts/deletes a few bytes and asserts the two agree: identical
+// results on accepted inputs (serialization, entity tables, staged ops),
+// and on rejected inputs the same StatusCode and the same 1-based failing
+// line. Seeded Rng => every run fuzzes the same inputs; a failure is a
+// plain regression, not a flake.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "graph/delta.h"
 #include "io/fast_triples.h"
 #include "io/triples.h"
+#include "triples_reference.h"
 
 namespace gkeys {
 namespace {
@@ -92,23 +93,20 @@ TEST(ParserFuzz, GraphTextDifferential) {
     const std::string& seed = corpus[rng.Below(corpus.size())];
     std::string input = Mutate(seed, rng);
 
-    StatusOr<LoadedGraph> scalar = DeserializeGraphWithNames(input);
-    for (int threads : {1, 2}) {
-      StatusOr<LoadedGraph> fast =
-          FastDeserializeGraphWithNames(input, threads);
-      ASSERT_EQ(scalar.ok(), fast.ok())
-          << "threads=" << threads << " iter=" << iter
-          << (scalar.ok() ? "\nfast: " + fast.status().ToString()
-                          : "\nscalar: " + scalar.status().ToString())
-          << "\ninput:\n" << input;
-      if (scalar.ok()) {
-        // Accepted: byte-identical graphs and entity tables.
-        EXPECT_EQ(SerializeGraph(scalar->graph), SerializeGraph(fast->graph))
-            << "iter=" << iter;
-        EXPECT_EQ(scalar->entities, fast->entities) << "iter=" << iter;
-      } else {
-        ExpectSameRejection(scalar.status(), fast.status(), input);
-      }
+    StatusOr<LoadedGraph> scalar = reference::DeserializeGraphWithNames(input);
+    StatusOr<LoadedGraph> fast = FastDeserializeGraphWithNames(input);
+    ASSERT_EQ(scalar.ok(), fast.ok())
+        << "iter=" << iter
+        << (scalar.ok() ? "\nfast: " + fast.status().ToString()
+                        : "\nscalar: " + scalar.status().ToString())
+        << "\ninput:\n" << input;
+    if (scalar.ok()) {
+      // Accepted: byte-identical graphs and entity tables.
+      EXPECT_EQ(SerializeGraph(scalar->graph), SerializeGraph(fast->graph))
+          << "iter=" << iter;
+      EXPECT_EQ(scalar->entities, fast->entities) << "iter=" << iter;
+    } else {
+      ExpectSameRejection(scalar.status(), fast.status(), input);
     }
     scalar.ok() ? ++accepted : ++rejected;
   }
@@ -118,7 +116,7 @@ TEST(ParserFuzz, GraphTextDifferential) {
 }
 
 TEST(ParserFuzz, DeltaTextDifferential) {
-  auto base = DeserializeGraphWithNames(
+  auto base = FastDeserializeGraphWithNames(
       "ent:person:p0 name val:\"alice\"\n"
       "ent:person:p1 name val:\"bob\"\n"
       "ent:person:p0 knows ent:person:p1\n"
@@ -142,34 +140,31 @@ TEST(ParserFuzz, DeltaTextDifferential) {
     const std::string& seed = corpus[rng.Below(corpus.size())];
     std::string input = Mutate(seed, rng);
 
-    std::unordered_map<std::string, NodeId> scalar_new;
-    StatusOr<GraphDelta> scalar =
-        ParseDelta(input, base->graph, base->entities, &scalar_new);
-    for (int threads : {1, 2}) {
-      std::unordered_map<std::string, NodeId> fast_new;
-      StatusOr<GraphDelta> fast = FastParseDelta(
-          input, base->graph, base->entities, &fast_new, threads);
-      ASSERT_EQ(scalar.ok(), fast.ok())
-          << "threads=" << threads << " iter=" << iter
-          << (scalar.ok() ? "\nfast: " + fast.status().ToString()
-                          : "\nscalar: " + scalar.status().ToString())
-          << "\ninput:\n" << input;
-      if (scalar.ok()) {
-        // Accepted: identical staged ops, staged nodes, and new-token
-        // bindings (the WAL replay path depends on the latter).
-        EXPECT_EQ(Ops(scalar->added()), Ops(fast->added())) << "iter=" << iter;
-        EXPECT_EQ(Ops(scalar->removed()), Ops(fast->removed()))
-            << "iter=" << iter;
-        ASSERT_EQ(scalar->new_nodes().size(), fast->new_nodes().size())
-            << "iter=" << iter;
-        for (size_t i = 0; i < scalar->new_nodes().size(); ++i) {
-          EXPECT_EQ(scalar->new_nodes()[i].kind, fast->new_nodes()[i].kind);
-          EXPECT_EQ(scalar->new_nodes()[i].label, fast->new_nodes()[i].label);
-        }
-        EXPECT_EQ(scalar_new, fast_new) << "iter=" << iter;
-      } else {
-        ExpectSameRejection(scalar.status(), fast.status(), input);
+    std::unordered_map<std::string, NodeId> scalar_new, fast_new;
+    StatusOr<GraphDelta> scalar = reference::ParseDelta(
+        input, base->graph, base->entities, &scalar_new);
+    StatusOr<GraphDelta> fast =
+        FastParseDelta(input, base->graph, base->entities, &fast_new);
+    ASSERT_EQ(scalar.ok(), fast.ok())
+        << "iter=" << iter
+        << (scalar.ok() ? "\nfast: " + fast.status().ToString()
+                        : "\nscalar: " + scalar.status().ToString())
+        << "\ninput:\n" << input;
+    if (scalar.ok()) {
+      // Accepted: identical staged ops, staged nodes, and new-token
+      // bindings (the WAL replay path depends on the latter).
+      EXPECT_EQ(Ops(scalar->added()), Ops(fast->added())) << "iter=" << iter;
+      EXPECT_EQ(Ops(scalar->removed()), Ops(fast->removed()))
+          << "iter=" << iter;
+      ASSERT_EQ(scalar->new_nodes().size(), fast->new_nodes().size())
+          << "iter=" << iter;
+      for (size_t i = 0; i < scalar->new_nodes().size(); ++i) {
+        EXPECT_EQ(scalar->new_nodes()[i].kind, fast->new_nodes()[i].kind);
+        EXPECT_EQ(scalar->new_nodes()[i].label, fast->new_nodes()[i].label);
       }
+      EXPECT_EQ(scalar_new, fast_new) << "iter=" << iter;
+    } else {
+      ExpectSameRejection(scalar.status(), fast.status(), input);
     }
     scalar.ok() ? ++accepted : ++rejected;
   }

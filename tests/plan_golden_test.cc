@@ -180,8 +180,7 @@ TEST(PlanGolden, GraphRecordsMatchTheGoldenTable) {
         storage::PlanCodec::EncodeGraph(ds->graph, generated, &meta).ok());
     got[spec->name + "/generated"] = generated.Digest();
 
-    auto loaded =
-        FastDeserializeGraphWithNames(SerializeGraph(ds->graph), 2);
+    auto loaded = FastDeserializeGraphWithNames(SerializeGraph(ds->graph));
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     ASSERT_TRUE(
         storage::PlanCodec::EncodeGraph(loaded->graph, parsed, &meta).ok());

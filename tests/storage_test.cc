@@ -25,7 +25,7 @@
 #include "gen/datasets.h"
 #include "gen/synthetic.h"
 #include "graph/delta.h"
-#include "io/triples.h"
+#include "io/fast_triples.h"
 #include "isomorph/pairing.h"
 #include "storage/mmap_store.h"
 #include "storage/plan_codec.h"
@@ -304,7 +304,7 @@ TEST(SnapshotRoundTrip, SyntheticAllAlgorithms) {
 }
 
 TEST(SnapshotRoundTrip, EntityNameTableRidesAlong) {
-  auto loaded = DeserializeGraphWithNames(
+  auto loaded = FastDeserializeGraphWithNames(
       "ent:t:a p val:\"1\"\nent:t:b p val:\"1\"\n");
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   KeySet keys;
@@ -328,8 +328,8 @@ TEST(SnapshotRoundTrip, EntityNameTableRidesAlong) {
   EXPECT_EQ(snap->entity_names(), loaded->entities);
 
   // The table lets delta files parse against the restored session.
-  auto delta = ParseDelta("+ ent:t:a q val:\"2\"\n", snap->graph(),
-                          snap->entity_names());
+  auto delta = FastParseDelta("+ ent:t:a q val:\"2\"\n", snap->graph(),
+                              snap->entity_names());
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();
   EXPECT_EQ(delta->num_added_triples(), 1u);
 }

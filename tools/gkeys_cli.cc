@@ -38,6 +38,7 @@
 #include "discovery/key_discovery.h"
 #include "gen/synthetic.h"
 #include "graph/merge.h"
+#include "io/fast_triples.h"
 #include "io/triples.h"
 #include "storage/durable_dir.h"
 #include "storage/recovery.h"
@@ -88,6 +89,15 @@ bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
+/// Reads and parses a graph file, keeping its entity-reference table so
+/// delta text can resolve ent: tokens exactly as the graph file bound
+/// them.
+StatusOr<LoadedGraph> ReadGraph(const std::string& path) {
+  auto text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return FastDeserializeGraphWithNames(*text);
+}
+
 StatusOr<KeySet> LoadKeys(const std::string& path) {
   auto text = ReadFile(path);
   if (!text.ok()) return text.status();
@@ -110,9 +120,7 @@ StatusOr<Algorithm> ParseAlgorithm(const std::string& name) {
 
 int CmdMatch(int argc, char** argv) {
   if (argc < 4) return Usage();
-  // Loaded with the entity-reference table so --delta files can resolve
-  // ent: tokens exactly as the graph file bound them.
-  auto loaded = LoadGraphWithNames(argv[2]);
+  auto loaded = ReadGraph(argv[2]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
@@ -221,7 +229,7 @@ int CmdMatch(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
       return 1;
     }
-    auto delta = ParseDelta(*text, *loaded);
+    auto delta = FastParseDelta(*text, loaded->graph, loaded->entities);
     if (!delta.ok()) {
       std::fprintf(stderr, "%s\n", delta.status().ToString().c_str());
       return 1;
@@ -280,36 +288,38 @@ int CmdMatch(int argc, char** argv) {
 
 int CmdCheck(int argc, char** argv) {
   if (argc < 4) return Usage();
-  auto graph = LoadGraph(argv[2]);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
+  auto loaded = ReadGraph(argv[2]);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
   }
+  const Graph& graph = loaded->graph;
   auto keys = LoadKeys(argv[3]);
   if (!keys.ok()) {
     std::fprintf(stderr, "%s\n", keys.status().ToString().c_str());
     return 1;
   }
-  bool ok = Satisfies(*graph, *keys);
+  bool ok = Satisfies(graph, *keys);
   std::printf("G |= Σ: %s\n", ok ? "yes" : "no");
   return ok ? 0 : 3;
 }
 
 int CmdDiscover(int argc, char** argv) {
   if (argc < 3) return Usage();
-  auto graph = LoadGraph(argv[2]);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
+  auto loaded = ReadGraph(argv[2]);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
   }
+  const Graph& graph = loaded->graph;
   DiscoveryConfig cfg;
   cfg.max_attributes =
       std::atoi(FlagValue(argc, argv, "--max-attrs", "2").c_str());
   cfg.min_coverage =
       std::atof(FlagValue(argc, argv, "--min-coverage", "0.6").c_str());
-  for (Symbol t : graph->EntityTypes()) {
-    const std::string& type = graph->interner().Resolve(t);
-    for (const DiscoveredKey& dk : DiscoverKeys(*graph, type, cfg)) {
+  for (Symbol t : graph.EntityTypes()) {
+    const std::string& type = graph.interner().Resolve(t);
+    for (const DiscoveredKey& dk : DiscoverKeys(graph, type, cfg)) {
       // Emitted in the DSL so the output feeds straight into `match`.
       std::printf("# coverage=%.2f arity=%d\n%s\n", dk.coverage, dk.arity,
                   ToDsl(dk.key).c_str());
@@ -347,7 +357,7 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 int CmdSave(int argc, char** argv) {
   std::string dir = FlagValue(argc, argv, "--dir", "");
   if (argc < 4 || dir.empty()) return Usage();
-  auto loaded = LoadGraphWithNames(argv[2]);
+  auto loaded = ReadGraph(argv[2]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
@@ -513,10 +523,8 @@ int CmdIngest(int argc, char** argv) {
   size_t prev_pairs = session->snapshot.result().pairs.size();
   Matcher replayer(session->snapshot.algorithm());
   replayer.processors(p);
-  IngestOptions iopts;
-  iopts.parse_threads = p;
   IngestStats stats = replayer.IngestStream(
-      session->snapshot.session(session->entity_names), source, iopts,
+      session->snapshot.session(session->entity_names), source, {},
       observer);
   if (!stats.status.ok()) {
     std::fprintf(stderr, "%s\n", stats.status.ToString().c_str());
@@ -586,19 +594,20 @@ int CmdRecover(int argc, char** argv) {
 
 int CmdStats(int argc, char** argv) {
   if (argc < 3) return Usage();
-  auto graph = LoadGraph(argv[2]);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "%s\n", graph.status().ToString().c_str());
+  auto loaded = ReadGraph(argv[2]);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
   }
+  const Graph& graph = loaded->graph;
   std::printf("nodes:    %zu (%zu entities, %zu values)\n",
-              graph->NumNodes(), graph->NumEntities(), graph->NumValues());
-  std::printf("triples:  %zu\n", graph->NumTriples());
-  auto types = graph->EntityTypes();
+              graph.NumNodes(), graph.NumEntities(), graph.NumValues());
+  std::printf("triples:  %zu\n", graph.NumTriples());
+  auto types = graph.EntityTypes();
   std::printf("types:    %zu\n", types.size());
   for (Symbol t : types) {
-    std::printf("  %-20s %zu\n", graph->interner().Resolve(t).c_str(),
-                graph->EntitiesOfType(t).size());
+    std::printf("  %-20s %zu\n", graph.interner().Resolve(t).c_str(),
+                graph.EntitiesOfType(t).size());
   }
   return 0;
 }

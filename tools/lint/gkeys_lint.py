@@ -34,11 +34,9 @@ general C++ rules:
                     seed explicitly so every failure replays.
   simd-confinement  SIMD intrinsics (_mm*, __m128i & friends), intrinsic
                     headers (<*mmintrin.h>, <arm_neon.h>), and
-                    architecture #ifdefs (__SSE*/__AVX*) live only in
-                    src/common/simd_scan.h, whose portable wrappers carry
-                    bit-equivalent scalar fallbacks. Anywhere else they
-                    fork behavior by build architecture and dodge the
-                    fallback-equivalence tests.
+                    architecture #ifdefs (__SSE*/__AVX*) are rejected in
+                    every file: they fork behavior by build architecture.
+                    Byte scans use std::string_view::find (memchr).
 
 Usage:
   gkeys_lint.py --root /path/to/repo              # lint the tree
@@ -80,7 +78,7 @@ DISCARD_RE = re.compile(
     r"(AddTriple|RemoveTriple|Apply|Patch|Save|Append|Fsync|Rename|"
     r"Truncate|WriteFull|AddFromDsl)\s*\(")
 
-SIMD_ALLOW = {"src/common/simd_scan.h"}
+SIMD_ALLOW = set()
 SIMD_INTRIN_RE = re.compile(
     r"\b_mm\d*_\w+\s*\(|\b__m(?:64|128|256|512)[id]?\b|"
     r"#\s*include\s*<[a-z]*mmintrin\.h>|#\s*include\s*<arm_neon\.h>")
@@ -191,14 +189,13 @@ class Linter:
         if rel not in SIMD_ALLOW:
             self.scan_regex(
                 rel, code_lines, SIMD_INTRIN_RE, "simd-confinement",
-                "SIMD intrinsics are confined to src/common/simd_scan.h; "
-                "call its portable scanners (scalar-fallback-equivalent) "
-                "instead")
+                "SIMD intrinsics are not allowed; scan bytes with "
+                "std::string_view::find (memchr) instead")
             self.scan_regex(
                 rel, code_lines, SIMD_MACRO_RE, "simd-confinement",
-                "architecture #ifdefs (__SSE*/__AVX*) are confined to "
-                "src/common/simd_scan.h so behavior never forks by build "
-                "target")
+                "architecture #ifdefs (__SSE*/__AVX*) are not allowed, so "
+                "behavior never forks by build target; scan bytes with "
+                "std::string_view::find (memchr) instead")
 
         if rel not in NONDET_ALLOW:
             self.scan_regex(
