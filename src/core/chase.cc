@@ -4,148 +4,90 @@
 
 #include "common/rng.h"
 #include "common/timer.h"
+#include "core/fixpoint.h"
 
 namespace gkeys {
 
-StatusOr<MatchResult> RunChase(const EmContext& ctx,
-                               const ChaseOptions& options, bool use_vf2,
-                               MatchSink* sink, const RematchSeed* seed) {
-  MatchResult result;
-  result.stats.candidates_initial = ctx.candidates_initial();
-  result.stats.candidates_blocked = ctx.candidates_blocked();
-  result.stats.candidates = ctx.candidates().size();
-  result.stats.neighbor_nodes = ctx.neighbor_nodes();
-  result.stats.neighbor_nodes_reduced = ctx.neighbor_nodes_reduced();
+namespace {
 
+/// The chase fixpoint, with the oracle's own knobs from `oracle`: its
+/// shuffle_seed shuffles the first round's visiting order, and
+/// unrestricted_neighbors widens the search to all of G (the search
+/// strategy comes from opts.use_vf2).
+StatusOr<MatchResult> ChaseFixpoint(const EmContext& ctx,
+                                    const EmOptions& opts,
+                                    const ChaseOptions& oracle,
+                                    MatchSink* sink, const RematchSeed* seed) {
   const size_t num_candidates = ctx.candidates().size();
-  std::vector<uint32_t> order;
+  std::vector<uint32_t> active;
   if (seed == nullptr) {
-    order.resize(num_candidates);
-    std::iota(order.begin(), order.end(), 0);
-    if (options.shuffle_seed != 0) {
-      Rng rng(options.shuffle_seed);
-      for (size_t i = order.size(); i > 1; --i) {
-        std::swap(order[i - 1], order[rng.Below(i)]);
+    active.resize(num_candidates);
+    std::iota(active.begin(), active.end(), 0);
+    if (oracle.shuffle_seed != 0) {
+      Rng rng(oracle.shuffle_seed);
+      for (size_t i = active.size(); i > 1; --i) {
+        std::swap(active[i - 1], active[rng.Below(i)]);
       }
     }
   } else {
-    order.assign(seed->active.begin(), seed->active.end());
+    active.assign(seed->active.begin(), seed->active.end());
   }
 
-  Timer run_timer;
-  EquivalenceRelation eq(ctx.graph().NumNodes());
-  EqView view(&eq);
-  internal::PairStreamer streamer(sink, ctx.graph().NumNodes());
-
-  // Seeded rematch: start from the previous fixpoint. Its consequences
-  // were all drawn in the previous run, so candidates and ghosts already
-  // equal under the seed must NOT wake their dependents again — only new
-  // merges cascade.
+  internal::FixpointRun run(ctx, opts, sink, seed);
+  // A full run keeps every candidate in the pipeline until it is
+  // identified. A seeded rematch admits a clean candidate only when a
+  // merge can change its outcome: a dependency fired, or a watched pair
+  // (candidate or ghost) became equal transitively.
   std::vector<uint8_t> in_pipeline(num_candidates, seed == nullptr ? 1 : 0);
-  std::vector<uint8_t> tc_done(num_candidates, 0);
-  std::vector<uint8_t> ghost_done(ctx.ghosts().size(), 0);
-  if (seed != nullptr) {
-    for (const auto& [a, b] : seed->prev_pairs) eq.Union(a, b);
-    streamer.SeedClasses(seed->prev_pairs);
-    for (uint32_t idx : seed->active) in_pipeline[idx] = 1;
-    for (uint32_t i = 0; i < num_candidates; ++i) {
-      const Candidate& c = ctx.candidates()[i];
-      if (eq.Same(c.e1, c.e2)) tc_done[i] = 1;
-    }
-    for (uint32_t gi = 0; gi < ctx.ghosts().size(); ++gi) {
-      const auto& ghost = ctx.ghosts()[gi];
-      if (eq.Same(ghost.e1, ghost.e2)) ghost_done[gi] = 1;
-    }
-  }
-
-  std::vector<Derivation> recorded;
-  Witness witness;
-  std::vector<std::pair<NodeId, NodeId>> merges;  // this round's Unions
-  std::vector<uint32_t> active = order;
+  for (uint32_t idx : active) in_pipeline[idx] = 1;
   std::vector<uint32_t> next;
-  std::vector<uint32_t> merged_this_round;
-  bool changed = true;
-  while (changed && !active.empty()) {
-    GKEYS_RETURN_IF_ERROR(CheckTimeBudget(run_timer.Seconds(),
-                                          options.time_budget_seconds,
-                                          result.stats.rounds));
-    changed = false;
-    ++result.stats.rounds;
+  auto wake = [&](uint32_t dep) {
+    if (in_pipeline[dep] != 0) return;
+    in_pipeline[dep] = 1;
+    next.push_back(dep);
+  };
+
+  Witness witness;
+  std::vector<uint32_t> merged;  // this round's identifications, in order
+  while (!active.empty()) {
+    GKEYS_RETURN_IF_ERROR(run.BeginRound());
     next.clear();
-    merges.clear();
-    merged_this_round.clear();
+    merged.clear();
     for (uint32_t idx : active) {
       const Candidate& c = ctx.candidates()[idx];
-      if (eq.Same(c.e1, c.e2)) continue;  // already identified (or TC)
-      ++result.stats.iso_checks;
-      bool found;
-      if (options.record_provenance) {
-        int fired = -1;
-        found = ctx.IdentifiesWitness(c, view, &fired, &witness,
-                                      &result.stats.search,
-                                      options.unrestricted_neighbors,
-                                      use_vf2);
-        if (found) {
-          recorded.push_back(ctx.MakeDerivation(c, fired, witness));
-        }
-      } else {
-        found = ctx.Identifies(c, view, &result.stats.search,
-                               options.unrestricted_neighbors, use_vf2);
-      }
-      if (found) {
-        eq.Union(c.e1, c.e2);
-        merges.emplace_back(c.e1, c.e2);
-        merged_this_round.push_back(idx);
-        changed = true;
-      } else {
+      if (run.eq().Same(c.e1, c.e2)) continue;  // already identified (or TC)
+      ++run.stats().iso_checks;
+      int fired = -1;
+      const bool found = ctx.IdentifiesWitness(
+          c, run.view(), &fired, opts.record_provenance ? &witness : nullptr,
+          &run.stats().search, oracle.unrestricted_neighbors, opts.use_vf2);
+      if (!found) {
         next.push_back(idx);
+        continue;
       }
+      run.Record(c, fired, witness);
+      run.Merge(c.e1, c.e2);
+      merged.push_back(idx);
     }
-    if (seed != nullptr && changed) {
-      // Incremental wake-ups: clean candidates enter the pipeline only
-      // when a merge can change their outcome — a dependency fired, or a
-      // watched pair (candidate or ghost) became equal transitively.
-      auto wake = [&](uint32_t dep) {
-        if (in_pipeline[dep] != 0) return;
-        in_pipeline[dep] = 1;
-        next.push_back(dep);
-      };
-      for (uint32_t idx : merged_this_round) {
-        tc_done[idx] = 1;
+    if (run.seeded()) {
+      for (uint32_t idx : merged) {
+        run.MarkDone(idx);
         for (uint32_t dep : ctx.dependents()[idx]) wake(dep);
       }
-      for (uint32_t i = 0; i < num_candidates; ++i) {
-        if (tc_done[i] != 0) continue;
-        const Candidate& c = ctx.candidates()[i];
-        if (!eq.Same(c.e1, c.e2)) continue;
-        tc_done[i] = 1;
-        for (uint32_t dep : ctx.dependents()[i]) wake(dep);
-      }
-      for (uint32_t gi = 0; gi < ctx.ghosts().size(); ++gi) {
-        if (ghost_done[gi] != 0) continue;
-        const auto& ghost = ctx.ghosts()[gi];
-        if (!eq.Same(ghost.e1, ghost.e2)) continue;
-        ghost_done[gi] = 1;
-        for (uint32_t dep : ghost.dependents) wake(dep);
-      }
+      run.Sweep(wake);
     }
     active.swap(next);
-    if (sink != nullptr) {
-      result.stats.confirmed = streamer.EmitMerges(merges);
-      sink->OnProgress(result.stats);
-      if (sink->cancelled()) {
-        return Status::Cancelled("entity matching cancelled after round " +
-                                 std::to_string(result.stats.rounds));
-      }
-    }
+    GKEYS_RETURN_IF_ERROR(run.EndRound());
+    if (merged.empty()) break;  // no chase step applies: the fixpoint
   }
-  result.stats.run_seconds = run_timer.Seconds();
-  internal::AssembleDerivations(result, seed, options.record_provenance,
-                                std::move(recorded));
-  result.pairs = eq.IdentifiedPairs();
-  result.stats.confirmed = result.pairs.size();
-  GKEYS_RETURN_IF_ERROR(streamer.Finish(result.pairs));
-  return result;
+  return run.Finish();
+}
+
+}  // namespace
+
+StatusOr<MatchResult> RunChase(const EmContext& ctx, const EmOptions& opts,
+                               MatchSink* sink, const RematchSeed* seed) {
+  return ChaseFixpoint(ctx, opts, ChaseOptions{}, sink, seed);
 }
 
 MatchResult Chase(const Graph& g, const KeySet& keys,
@@ -161,7 +103,7 @@ MatchResult Chase(const Graph& g, const KeySet& keys,
   double prep_seconds = prep_timer.Seconds();
 
   // No sink, so the run cannot fail.
-  auto r = RunChase(ctx, options, options.use_vf2, nullptr);
+  auto r = ChaseFixpoint(ctx, eopts, options, nullptr, nullptr);
   MatchResult result = r.ok() ? *std::move(r) : MatchResult{};
   result.stats.prep_seconds = prep_seconds;
   return result;

@@ -20,12 +20,6 @@ struct ChaseOptions {
   /// locality property (§4.1) guarantees the result is unchanged; tests
   /// verify exactly that.
   bool unrestricted_neighbors = false;
-  /// Record a Derivation per direct identification into
-  /// MatchResult::derivations (see EmOptions::record_provenance).
-  bool record_provenance = true;
-  /// Wall-clock budget checked at the top of every chase round; 0 =
-  /// unbounded (see EmOptions::time_budget_seconds).
-  double time_budget_seconds = 0.0;
 };
 
 /// The sequential reference implementation of chase(G, Σ) (paper §3.1):
@@ -37,18 +31,17 @@ struct ChaseOptions {
 MatchResult Chase(const Graph& g, const KeySet& keys,
                   const ChaseOptions& options = {});
 
-/// The chase fixpoint over a pre-built context — the single shared loop
-/// behind Chase() and Matcher's kNaiveChase, so oracle and plan-based
-/// execution cannot diverge. `use_vf2` overrides the context's compile
-/// options (plan runs choose the search strategy at run time). With a
-/// sink, streams pairs/progress per round and honors cancellation.
+/// The chase fixpoint over a pre-built context with run-time options —
+/// the single loop behind Chase(), ChaseWithProvenance and Matcher's
+/// kNaiveChase, so oracle and plan-based execution cannot diverge. Visits
+/// candidates in plan order. With a sink, streams pairs/progress per
+/// round and honors cancellation.
 ///
 /// With a `seed` (Matcher::Rematch), Eq starts from the seed's previous
 /// pairs, only the seed's active candidates are checked initially, and
 /// new merges wake dependents (and ghost watchers) instead of the
 /// exhaustive re-scan — the incremental counterpart of the same fixpoint.
-StatusOr<MatchResult> RunChase(const EmContext& ctx,
-                               const ChaseOptions& options, bool use_vf2,
+StatusOr<MatchResult> RunChase(const EmContext& ctx, const EmOptions& opts,
                                MatchSink* sink,
                                const RematchSeed* seed = nullptr);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <tuple>
+#include <unordered_set>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -912,22 +913,6 @@ size_t ProvenanceIndexBytes(const std::vector<Derivation>& derivations) {
   return bytes;
 }
 
-bool EmContext::Identifies(const Candidate& c, const EqView& eq,
-                           SearchStats* stats, bool unrestricted,
-                           bool use_vf2) const {
-  const NodeSet* n1 = unrestricted ? nullptr : c.nbr1;
-  const NodeSet* n2 = unrestricted ? nullptr : c.nbr2;
-  for (int ki : *c.keys) {
-    const CompiledPattern& cp = compiled_[ki].cp;
-    bool found =
-        use_vf2
-            ? IdentifiesByEnumeration(*g_, cp, c.e1, c.e2, eq, n1, n2, stats)
-            : KeyIdentifies(*g_, cp, c.e1, c.e2, eq, n1, n2, stats);
-    if (found) return true;  // early termination across keys
-  }
-  return false;
-}
-
 bool EmContext::IdentifiesWitness(const Candidate& c, const EqView& eq,
                                   int* key_out, Witness* witness,
                                   SearchStats* stats, bool unrestricted,
@@ -979,79 +964,6 @@ Derivation EmContext::MakeDerivation(const Candidate& c, int key,
   d.triples.erase(std::unique(d.triples.begin(), d.triples.end()),
                   d.triples.end());
   return d;
-}
-
-void internal::PairStreamer::EmitPair(NodeId a, NodeId b) {
-  if (a > b) std::swap(a, b);
-  if (!emitted_.insert(PackPair(a, b)).second) return;
-  sink_->OnPair(a, b);
-}
-
-size_t internal::PairStreamer::EmitMerges(
-    std::span<const std::pair<NodeId, NodeId>> merges) {
-  if (sink_ == nullptr) return 0;
-  for (const auto& [a, b] : merges) {
-    NodeId ra = mirror_.Find(a);
-    NodeId rb = mirror_.Find(b);
-    if (ra == rb) continue;
-    auto take = [&](NodeId root) {
-      auto it = members_.find(root);
-      if (it == members_.end()) return std::vector<NodeId>{root};
-      std::vector<NodeId> m = std::move(it->second);
-      members_.erase(it);
-      return m;
-    };
-    std::vector<NodeId> ca = take(ra);
-    std::vector<NodeId> cb = take(rb);
-    // The pairs this merge newly implies: exactly the cross product of
-    // the two classes it joins.
-    for (NodeId x : ca) {
-      for (NodeId y : cb) EmitPair(x, y);
-    }
-    mirror_.Union(ra, rb);
-    ca.insert(ca.end(), cb.begin(), cb.end());
-    members_[mirror_.Find(ra)] = std::move(ca);
-  }
-  return emitted_.size();
-}
-
-void internal::PairStreamer::SeedClasses(
-    std::span<const std::pair<NodeId, NodeId>> pairs) {
-  if (sink_ == nullptr) return;
-  for (const auto& [a, b] : pairs) {
-    // Pre-mark as emitted (a < b in MatchResult::pairs; normalize
-    // defensively) so the cross products below and later merges skip
-    // everything the previous run already streamed.
-    emitted_.insert(PackPair(std::min(a, b), std::max(a, b)));
-    NodeId ra = mirror_.Find(a);
-    NodeId rb = mirror_.Find(b);
-    if (ra == rb) continue;
-    auto take = [&](NodeId root) {
-      auto it = members_.find(root);
-      if (it == members_.end()) return std::vector<NodeId>{root};
-      std::vector<NodeId> m = std::move(it->second);
-      members_.erase(it);
-      return m;
-    };
-    std::vector<NodeId> ca = take(ra);
-    std::vector<NodeId> cb = take(rb);
-    mirror_.Union(ra, rb);
-    ca.insert(ca.end(), cb.begin(), cb.end());
-    members_[mirror_.Find(ra)] = std::move(ca);
-  }
-}
-
-Status internal::PairStreamer::Finish(
-    const std::vector<std::pair<NodeId, NodeId>>& final_pairs) {
-  if (sink_ == nullptr) return Status::OK();
-  for (const auto& [a, b] : final_pairs) {
-    if (!emitted_.insert(PackPair(a, b)).second) continue;
-    sink_->OnPair(a, b);
-  }
-  if (emitted_.size() != final_pairs.size()) {
-    return Status::Internal("streamed pair count diverged from result");
-  }
-  return Status::OK();
 }
 
 }  // namespace gkeys

@@ -1,23 +1,16 @@
 #ifndef GKEYS_CORE_EM_COMMON_H_
 #define GKEYS_CORE_EM_COMMON_H_
 
-#include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <iterator>
 #include <memory>
 #include <span>
 #include <tuple>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "eq/equivalence.h"
 #include "graph/graph.h"
 #include "graph/neighborhood.h"
@@ -48,7 +41,7 @@ std::string AlgorithmName(Algorithm a);
 
 /// Tunables shared by the algorithm family.
 struct EmOptions {
-  /// Number of processors p (worker threads).
+  /// Number of processors p (worker threads), 1 to kMaxProcessors.
   int processors = 1;
   /// EMMR family: replace the combined EvalMR search by VF2 enumeration.
   bool use_vf2 = false;
@@ -72,14 +65,6 @@ struct EmOptions {
   int bounded_messages = 0;
   /// §5.2: prioritized propagation (highest-potential edges first).
   bool prioritized = false;
-  /// Shard count for the engines' merge/derivation logs (see
-  /// internal::MergeLog): every worker records into a cache-line-padded
-  /// local shard instead of contending on one global mutex, and shards
-  /// are concatenated in deterministic shard order at drain time.
-  /// 0 = auto (one shard per processor); 1 = the single global log
-  /// (exactly the pre-sharding behavior, which the sharded-vs-global
-  /// equivalence tests in tests/ingest_test.cc compare against).
-  int log_shards = 0;
   /// Record a Derivation (fired key, premises, witness triples) per direct
   /// identification into MatchResult::derivations. Required for removal
   /// deltas to be seeded by Matcher::Rematch (the provenance index is what
@@ -103,21 +88,12 @@ struct EmOptions {
   static EmOptions For(Algorithm a, int p);
 };
 
-/// Shared wall-clock budget check for the fixpoint loops (see
-/// EmOptions::time_budget_seconds). Each engine calls this at the TOP of
-/// a round, so a run that converges within budget never fails — the
-/// deadline only fires when more work was about to start.
-inline Status CheckTimeBudget(double elapsed_seconds, double budget_seconds,
-                              size_t rounds_done) {
-  if (budget_seconds > 0 && elapsed_seconds >= budget_seconds) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%g s budget", budget_seconds);
-    return Status::DeadlineExceeded("entity matching exceeded its " +
-                                    std::string(buf) + " after round " +
-                                    std::to_string(rounds_done));
-  }
-  return Status::OK();
-}
+/// Upper bound on EmOptions::processors and PlanOptions::processors,
+/// checked by Matcher::Run, Matcher::Compile and the snapshot decoder.
+/// It is far above every measured configuration (p ≤ 8), and it keeps a
+/// typo from asking for p × p MapReduce spill buckets per round or
+/// thousands of vertex-centric worker threads.
+inline constexpr int kMaxProcessors = 256;
 
 /// Counters the benchmark harness reports (paper Table 2 and the
 /// optimization-effectiveness narratives in §6).
@@ -273,199 +249,6 @@ struct RematchSeed {
   std::span<const Derivation> carried;
 };
 
-namespace internal {
-
-/// Resolves EmOptions::log_shards: 0 = one shard per processor, clamped
-/// to [1, 64] (beyond 64 workers the padding cost outweighs the last
-/// contention percent).
-inline int LogShardCount(const EmOptions& opts) {
-  int shards = opts.log_shards > 0 ? opts.log_shards
-                                   : std::max(1, opts.processors);
-  return shards > 64 ? 64 : shards;
-}
-
-/// A small stable per-thread slot id, assigned on first use and fixed
-/// for the thread's lifetime. The sharded logs below map a recording
-/// thread to `slot % shards`: every thread always lands on the SAME
-/// shard, so per-thread record order is preserved within its shard.
-inline uint32_t ThreadLogSlot() {
-  static std::atomic<uint32_t> next_slot{0};
-  thread_local const uint32_t slot =
-      next_slot.fetch_add(1, std::memory_order_relaxed);
-  return slot;
-}
-
-/// Collects the Eq merges an engine performs during a round so the
-/// streamer can expand exactly the classes that changed. Sharded: each
-/// worker thread records into a cache-line-padded local shard (fixed
-/// thread → shard mapping via ThreadLogSlot), so the map/compute phases
-/// never contend on one global mutex; Drain concatenates shards in
-/// shard-index order, which is deterministic given what each thread
-/// recorded. Consumers are order-insensitive: PairStreamer::EmitMerges
-/// replays merges through a union-find, and the set of newly implied
-/// pairs is independent of merge order. shards == 1 degenerates to the
-/// original single-mutex global log.
-class MergeLog {
- public:
-  explicit MergeLog(int shards = 1)
-      : shards_(shards < 1 ? 1 : static_cast<size_t>(shards)) {}
-
-  void Record(NodeId a, NodeId b) {
-    Shard& s = shards_[ThreadLogSlot() % shards_.size()];
-    MutexLock lock(s.mu);
-    s.log.emplace_back(a, b);
-  }
-
-  /// Moves out everything recorded since the previous Drain, shards
-  /// concatenated in shard-index order.
-  std::vector<std::pair<NodeId, NodeId>> Drain() {
-    std::vector<std::pair<NodeId, NodeId>> out;
-    for (Shard& s : shards_) {
-      MutexLock lock(s.mu);
-      if (out.empty()) {
-        out = std::exchange(s.log, {});
-      } else {
-        out.insert(out.end(), s.log.begin(), s.log.end());
-        s.log.clear();
-      }
-    }
-    return out;
-  }
-
- private:
-  struct alignas(64) Shard {
-    Mutex mu;
-    std::vector<std::pair<NodeId, NodeId>> log GKEYS_GUARDED_BY(mu);
-  };
-  // Constructed once, never resized: Shard is pinned in place (Mutex is
-  // neither copyable nor movable).
-  std::vector<Shard> shards_;
-};
-
-/// Collects the Derivations an engine records during a run. Sharded
-/// like MergeLog (per-worker cache-line-padded shards, fixed thread →
-/// shard mapping), but unlike merges the derivation log's ORDER is a
-/// contract: RetractDerivations replays it front to back and treats an
-/// entry whose premises are not yet supported as retracted, so a
-/// supporter must precede every dependent. The engines' record-before-
-/// Union discipline guarantees that in wall-clock time (a premise can
-/// only read Same after the supporting Union, which its deriver's
-/// Record precedes) — sharding must not lose it across shards. Each
-/// Record therefore stamps the entry from one shared atomic counter
-/// BEFORE appending to its shard, and Take merges shards by stamp: the
-/// supporter's fetch_add happens-before the dependent's (through the
-/// Union/Same synchronization the discipline already relies on), so
-/// supporter stamps are strictly smaller and the merged log replays
-/// exactly like the old single-mutex global log. The counter is one
-/// uncontended-size RMW — far cheaper than the mutex critical section
-/// (lock + vector append + unlock) it replaces as the shared hot spot.
-class DerivationLog {
- public:
-  explicit DerivationLog(int shards = 1)
-      : shards_(shards < 1 ? 1 : static_cast<size_t>(shards)) {}
-
-  void Record(Derivation d) {
-    const uint64_t stamp = seq_.fetch_add(1, std::memory_order_acq_rel);
-    Shard& s = shards_[ThreadLogSlot() % shards_.size()];
-    MutexLock lock(s.mu);
-    s.log.push_back(Entry{stamp, std::move(d)});
-  }
-
-  /// Moves out everything recorded so far (call once, post-fixpoint),
-  /// merged across shards into record-stamp order.
-  std::vector<Derivation> Take() {
-    std::vector<Entry> entries;
-    for (Shard& s : shards_) {
-      MutexLock lock(s.mu);
-      entries.insert(entries.end(), std::make_move_iterator(s.log.begin()),
-                     std::make_move_iterator(s.log.end()));
-      s.log.clear();
-    }
-    // Stamps are distinct (fetch_add), so this is a total order; each
-    // shard's run is already ascending, making sort cheap in practice.
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.stamp < b.stamp; });
-    std::vector<Derivation> out;
-    out.reserve(entries.size());
-    for (Entry& e : entries) out.push_back(std::move(e.d));
-    return out;
-  }
-
- private:
-  struct Entry {
-    uint64_t stamp;
-    Derivation d;
-  };
-  struct alignas(64) Shard {
-    Mutex mu;
-    std::vector<Entry> log GKEYS_GUARDED_BY(mu);
-  };
-  std::atomic<uint64_t> seq_{0};
-  std::vector<Shard> shards_;
-};
-
-/// Assembles MatchResult::derivations at the end of an engine run: the
-/// seed's carried prefix (so the index stays replayable in order across
-/// chained rematches) followed by this run's recorded entries. With
-/// recording off the index stays EMPTY — a carried-only index would
-/// break the closure==pairs contract and mislead the next rematch's
-/// cost model. Shared by all three engine families so the invariant
-/// lives in one place.
-inline void AssembleDerivations(MatchResult& result, const RematchSeed* seed,
-                                bool record_provenance,
-                                std::vector<Derivation> recorded) {
-  if (seed != nullptr && record_provenance) {
-    result.derivations.assign(seed->carried.begin(), seed->carried.end());
-  }
-  result.derivations.insert(result.derivations.end(),
-                            std::make_move_iterator(recorded.begin()),
-                            std::make_move_iterator(recorded.end()));
-}
-
-/// Streams the delta of the growing Eq relation to a MatchSink,
-/// guaranteeing exactly-once emission per identified pair across rounds.
-/// Instead of re-materializing the full pair set per round (the pre-
-/// merge-log design, quadratic in class sizes every round), it mirrors
-/// the engine's union-find and expands only the classes each recorded
-/// merge joins: one merge of classes A and B emits exactly |A|·|B| new
-/// pairs, so total streaming work equals the number of pairs emitted.
-class PairStreamer {
- public:
-  /// `num_nodes` sizes the mirror union-find; with a null sink the
-  /// streamer is an inert no-op and allocates nothing.
-  PairStreamer(MatchSink* sink, size_t num_nodes)
-      : sink_(sink), mirror_(sink == nullptr ? 0 : num_nodes) {}
-
-  /// Replays `merges` (an engine's MergeLog drain) against the mirror and
-  /// emits every newly implied pair. Returns total pairs emitted so far.
-  size_t EmitMerges(std::span<const std::pair<NodeId, NodeId>> merges);
-
-  /// Seeds the mirror with an already-known fixpoint WITHOUT emitting:
-  /// the pairs count as emitted, so a seeded rematch streams exactly the
-  /// delta beyond the previous result. Call before any EmitMerges.
-  void SeedClasses(std::span<const std::pair<NodeId, NodeId>> pairs);
-
-  /// Final sweep after the fixpoint: emits whatever the per-round deltas
-  /// did not cover (zero-round runs; merges after the last emission),
-  /// reusing the engine's already-materialized pair list. Verifies the
-  /// exactly-once invariant; no-op without a sink.
-  Status Finish(const std::vector<std::pair<NodeId, NodeId>>& final_pairs);
-
-  size_t emitted() const { return emitted_.size(); }
-
- private:
-  void EmitPair(NodeId a, NodeId b);
-
-  MatchSink* sink_;
-  EquivalenceRelation mirror_;
-  // Members of each nontrivial mirror class, keyed by its current root.
-  // Singleton classes are implicit.
-  std::unordered_map<NodeId, std::vector<NodeId>> members_;
-  std::unordered_set<uint64_t> emitted_;
-};
-
-}  // namespace internal
-
 /// A candidate pair from L with its per-pair working set. The neighbor
 /// sets are owned by the EmContext (shared per-entity d-neighbors, or
 /// per-pair pairing-reduced sets) and outlive the candidate.
@@ -601,28 +384,25 @@ class EmContext {
   const std::vector<GhostPair>& ghosts() const { return ghosts_; }
 
   /// Decides (Gd1 ∪ Gd2, Eq, Σ) |= (e1, e2) for candidate `c`, trying each
-  /// of its keys until one fires. Honors opts.use_vf2. When `unrestricted`
+  /// of its keys until one fires, with the search strategy chosen by the
+  /// caller (`use_vf2`) — so one compiled plan serves both the combined-
+  /// search and VF2-enumeration algorithm variants. When `unrestricted`
   /// is true, searches all of G instead of the d-neighbors (the data-
   /// locality property guarantees the same answer; tests rely on this).
-  bool Identifies(const Candidate& c, const EqView& eq,
-                  SearchStats* stats = nullptr,
-                  bool unrestricted = false) const {
-    return Identifies(c, eq, stats, unrestricted, opts_.use_vf2);
-  }
-
-  /// Same, with the search strategy chosen by the caller instead of the
-  /// context's construction options — lets one compiled plan serve both
-  /// the combined-search and VF2-enumeration algorithm variants.
-  bool Identifies(const Candidate& c, const EqView& eq, SearchStats* stats,
-                  bool unrestricted, bool use_vf2) const;
-
-  /// Like Identifies, but on success also reports which compiled key
-  /// fired (`*key_out`) and its full witness vector. The engines use this
-  /// to record Derivations; the extra cost is one witness copy per
-  /// successful identification.
+  /// On success reports which compiled key fired (`*key_out`) and, unless
+  /// `witness` is null, its full witness vector: the engines record
+  /// Derivations from it at the cost of one witness copy per successful
+  /// identification.
   bool IdentifiesWitness(const Candidate& c, const EqView& eq, int* key_out,
                          Witness* witness, SearchStats* stats,
                          bool unrestricted, bool use_vf2) const;
+
+  /// Same, as a yes/no answer with the context's own search strategy.
+  bool Identifies(const Candidate& c, const EqView& eq) const {
+    int key = -1;
+    return IdentifiesWitness(c, eq, &key, nullptr, nullptr,
+                             /*unrestricted=*/false, opts_.use_vf2);
+  }
 
   /// Assembles the Derivation of candidate `c` identified by compiled key
   /// `key` under `witness`: premises are the witness's non-reflexive

@@ -28,19 +28,13 @@ namespace gkeys {
 ///
 /// Parallel scalability (Theorem 6): each round's map work is split over
 /// p workers; on quiet data the wall time scales ~1/p (benchmarked).
-MatchResult RunEmMapReduce(const Graph& g, const KeySet& keys,
-                           const EmOptions& options);
-
-/// Same, with a pre-built context (lets benchmarks separate DriverMR's
-/// line-1 preprocessing from the iterative phase).
-MatchResult RunEmMapReduce(const EmContext& ctx);
-
-/// Plan-layer entry point: executes the iterative phase over a pre-built
-/// context with caller-supplied run-time options (which may differ from
-/// the options the context was compiled with — the compile-once/run-many
-/// contract of Matcher). When `sink` is non-null, confirmed pairs and
-/// per-round progress are streamed to it and cancellation is honored
-/// between rounds (StatusCode::kCancelled).
+///
+/// Executes the iterative phase over a compiled plan's context with
+/// caller-supplied run-time options (which may differ from the options
+/// the context was compiled with — the compile-once/run-many contract of
+/// Matcher). When `sink` is non-null, confirmed pairs and per-round
+/// progress are streamed to it and cancellation is honored between
+/// rounds (StatusCode::kCancelled).
 ///
 /// With a `seed` (Matcher::Rematch), Eq starts from the previous
 /// fixpoint, only the seed's active candidates enter round 1, and merges

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
+#include <numeric>
 
-#include "common/timer.h"
-#include "core/match_plan.h"
+#include "core/fixpoint.h"
 #include "core/product_graph.h"
 #include "vertexcentric/engine.h"
 
@@ -32,13 +31,9 @@ struct VcRun {
   // Run-time options: may differ from ctx.options() when executing a
   // compiled plan under a different algorithm configuration.
   const EmOptions& run_opts;
-  ConcurrentEquivalence& eq;
-  // Merge log feeding the streaming sink; null on non-streaming runs.
-  internal::MergeLog* merge_log;
-  // Derivation log; null when provenance recording is off.
-  internal::DerivationLog* deriv_log;
-  // One flag per candidate: set once identified AND dependents notified.
-  std::vector<std::atomic<uint8_t>>& flags;
+  // Eq, the logs, and one watch flag per candidate, set once it is
+  // identified AND its dependents were notified.
+  internal::FixpointRun& run;
   // §5.2 bounded messages: per (candidate, key-slot) fork budget used.
   std::vector<std::atomic<int>>& budget;
   int max_key_slots;
@@ -55,8 +50,10 @@ struct VcRun {
     return origin * max_key_slots;
   }
 
-  /// Seeds the initial message(s) for candidate `idx` (one per key).
-  void Seed(VcEngine::Context& vctx, uint32_t idx) {
+  /// Builds the initial message(s) for candidate `idx` (one per key) and
+  /// hands each to send(vertex, message).
+  template <typename Send>
+  void Seed(uint32_t idx, Send&& send) {
     const Candidate& c = ctx.candidates()[idx];
     uint32_t vertex = pg.CandidateNode(idx);
     if (vertex == kNoPNode) return;  // unpairable: not identifiable
@@ -72,7 +69,7 @@ struct VcRun {
       msg.pos = 0;
       msg.m.assign(ck.cp.nodes.size(), {kNoNode, kNoNode});
       msg.m[ck.cp.designated] = {c.e1, c.e2};
-      vctx.Send(vertex, std::move(msg));
+      send(vertex, std::move(msg));
     }
   }
 
@@ -84,17 +81,15 @@ struct VcRun {
   /// merge finds this record already ahead of it in the replay order.
   void MarkIdentified(VcEngine::Context& vctx, const VcMessage& msg) {
     uint32_t idx = msg.origin;
-    uint8_t expected = 0;
-    if (!flags[idx].compare_exchange_strong(expected, 1)) return;
+    if (!run.MarkDone(idx)) return;
     const Candidate& c = ctx.candidates()[idx];
-    if (deriv_log != nullptr) {
-      deriv_log->Record(ctx.MakeDerivation(c, msg.key, msg.m));
-    }
-    if (eq.Union(c.e1, c.e2) && merge_log != nullptr) {
-      merge_log->Record(c.e1, c.e2);
-    }
+    run.Record(c, msg.key, msg.m);
+    run.Merge(c.e1, c.e2);
     for (uint32_t dep : ctx.dependents()[idx]) {
-      if (flags[dep].load(std::memory_order_acquire) == 0) Seed(vctx, dep);
+      if (run.done(dep)) continue;
+      Seed(dep, [&](uint32_t vertex, VcMessage&& m) {
+        vctx.Send(vertex, std::move(m));
+      });
     }
   }
 
@@ -113,7 +108,7 @@ struct VcRun {
         if (gr.entity_type(s1) != pn.type || gr.entity_type(s2) != pn.type) {
           return false;
         }
-        if (!eq.Same(s1, s2)) return false;
+        if (!run.eq().Same(s1, s2)) return false;
         break;
       case VarKind::kValueVar:
         if (!gr.IsValue(s1) || s1 != s2) return false;
@@ -162,7 +157,7 @@ struct VcRun {
   /// (meaningful for the sequential/backtracking mode).
   bool Process(VcEngine::Context& vctx, uint32_t vertex, VcMessage&& msg) {
     // Early cancellation (§5.1 (2)).
-    if (flags[msg.origin].load(std::memory_order_acquire) != 0) return true;
+    if (run.done(msg.origin)) return true;
     const CompiledKey& ck = ctx.compiled_keys()[msg.key];
     const auto& tour = ck.tour;
     auto [s1, s2] = pg.pair(vertex);
@@ -271,47 +266,16 @@ struct VcRun {
 
 }  // namespace
 
-MatchResult RunEmVertexCentric(const Graph& g, const KeySet& keys,
-                               const EmOptions& options) {
-  Timer prep;
-  auto plan = CompileMatchPlan(g, keys,
-                               {.processors = options.processors,
-                                .use_pairing = options.use_pairing,
-                                .use_blocking = options.use_blocking});
-  if (!plan.ok()) return MatchResult{};
-  auto r = RunEmVertexCentric(plan->context(), plan->product_graph(),
-                              options, nullptr);
-  // Without a sink there is no cancellation source; only a time budget
-  // (EmOptions::time_budget_seconds) can fail the run, and it surfaces
-  // here as an empty result — budgeted callers use the StatusOr overload.
-  MatchResult result = r.ok() ? *std::move(r) : MatchResult{};
-  result.stats.prep_seconds = prep.Seconds() - result.stats.run_seconds;
-  return result;
-}
-
 StatusOr<MatchResult> RunEmVertexCentric(const EmContext& ctx,
                                          const ProductGraph& pg,
                                          const EmOptions& opts,
                                          MatchSink* sink,
                                          const RematchSeed* seed) {
-  const Graph& g = ctx.graph();
   const auto& candidates = ctx.candidates();
+  internal::FixpointRun run(ctx, opts, sink, seed);
+  run.stats().product_graph_nodes = pg.NumNodes();
+  run.stats().product_graph_edges = pg.NumEdges();
 
-  MatchResult result;
-  result.stats.candidates_initial = ctx.candidates_initial();
-  result.stats.candidates_blocked = ctx.candidates_blocked();
-  result.stats.candidates = candidates.size();
-  result.stats.neighbor_nodes = ctx.neighbor_nodes();
-  result.stats.neighbor_nodes_reduced = ctx.neighbor_nodes_reduced();
-  result.stats.product_graph_nodes = pg.NumNodes();
-  result.stats.product_graph_edges = pg.NumEdges();
-
-  Timer run;
-  ConcurrentEquivalence eq(g.NumNodes());
-  internal::MergeLog merge_log(internal::LogShardCount(opts));
-  internal::DerivationLog deriv_log(internal::LogShardCount(opts));
-  std::vector<std::atomic<uint8_t>> flags(candidates.size());
-  for (auto& f : flags) f.store(0, std::memory_order_relaxed);
   int max_slots = 1;
   for (const Candidate& c : candidates) {
     max_slots = std::max(max_slots, static_cast<int>(c.keys->size()));
@@ -320,16 +284,7 @@ StatusOr<MatchResult> RunEmVertexCentric(const EmContext& ctx,
       opts.bounded_messages > 0 ? candidates.size() * max_slots : 1);
   for (auto& b : budget) b.store(0, std::memory_order_relaxed);
 
-  VcRun runner{ctx,
-               pg,
-               opts,
-               eq,
-               sink != nullptr ? &merge_log : nullptr,
-               opts.record_provenance ? &deriv_log : nullptr,
-               flags,
-               budget,
-               max_slots};
-
+  VcRun runner{ctx, pg, opts, run, budget, max_slots};
   VcEngine engine(opts.processors);
   VcEngine::Handler handler = [&](VcEngine::Context& vctx, uint32_t vertex,
                                   VcMessage&& msg) {
@@ -338,124 +293,45 @@ StatusOr<MatchResult> RunEmVertexCentric(const EmContext& ctx,
 
   // Seeds: every candidate starts its own checks (value-based and
   // recursive keys alike; recursive keys may fire immediately through
-  // identity pairs in Eq0). A seeded rematch instead starts Eq from the
-  // previous fixpoint and messages only the dirty candidates; seed-equal
-  // candidates and ghosts are marked done up front WITHOUT notifying
-  // dependents (their consequences were drawn in the previous run), so
-  // the quiescence sweep cascades only on new merges.
-  uint64_t messages = 0;
-  internal::PairStreamer streamer(sink, g.NumNodes());
-  bool progressed = true;
-  std::vector<uint8_t> ghost_done(ctx.ghosts().size(), 0);
+  // identity pairs in Eq0). A seeded rematch instead messages only the
+  // dirty candidates, and the quiescence sweep cascades only on new
+  // merges.
   std::vector<uint32_t> to_seed;
-  if (seed != nullptr) {
-    for (const auto& [a, b] : seed->prev_pairs) eq.Union(a, b);
-    streamer.SeedClasses(seed->prev_pairs);
-    for (uint32_t i = 0; i < candidates.size(); ++i) {
-      if (eq.Same(candidates[i].e1, candidates[i].e2)) {
-        flags[i].store(1, std::memory_order_relaxed);
-      }
-    }
-    for (uint32_t gi = 0; gi < ctx.ghosts().size(); ++gi) {
-      const auto& ghost = ctx.ghosts()[gi];
-      if (eq.Same(ghost.e1, ghost.e2)) ghost_done[gi] = 1;
-    }
+  if (run.seeded()) {
     to_seed.assign(seed->active.begin(), seed->active.end());
   } else {
     to_seed.resize(candidates.size());
-    for (uint32_t i = 0; i < candidates.size(); ++i) to_seed[i] = i;
+    std::iota(to_seed.begin(), to_seed.end(), 0);
   }
-  while (progressed && !to_seed.empty()) {
-    GKEYS_RETURN_IF_ERROR(CheckTimeBudget(run.Seconds(),
-                                          opts.time_budget_seconds,
-                                          result.stats.rounds));
-    ++result.stats.rounds;  // engine runs (1 + quiescence sweeps)
-    std::vector<std::pair<uint32_t, VcMessage>> seeds;
-    {
-      // Materialize seed messages through a throwaway engine context is
-      // not possible; instead seed directly inside a bootstrap message
-      // handled by the engine: simplest is to enqueue each candidate's
-      // initial messages here.
-      for (uint32_t idx : to_seed) {
-        const Candidate& c = candidates[idx];
-        uint32_t vertex = pg.CandidateNode(idx);
-        if (vertex == kNoPNode) continue;
-        if (eq.Same(c.e1, c.e2)) continue;
-        for (int ki : *c.keys) {
-          const CompiledKey& ck = ctx.compiled_keys()[ki];
-          if (!ck.cp.matchable) continue;
-          if (opts.bounded_messages > 0) {
-            budget[runner.BudgetSlot(idx, ki)].store(
-                1, std::memory_order_relaxed);
-          }
-          VcMessage msg;
-          msg.key = ki;
-          msg.origin = idx;
-          msg.pos = 0;
-          msg.m.assign(ck.cp.nodes.size(), {kNoNode, kNoNode});
-          msg.m[ck.cp.designated] = {c.e1, c.e2};
-          seeds.emplace_back(vertex, std::move(msg));
-        }
-      }
+  std::vector<std::pair<uint32_t, VcMessage>> seeds;
+  while (!to_seed.empty()) {
+    GKEYS_RETURN_IF_ERROR(run.BeginRound());  // 1 + quiescence sweeps
+    seeds.clear();
+    for (uint32_t idx : to_seed) {
+      const Candidate& c = candidates[idx];
+      if (run.eq().Same(c.e1, c.e2)) continue;
+      runner.Seed(idx, [&](uint32_t vertex, VcMessage&& m) {
+        seeds.emplace_back(vertex, std::move(m));
+      });
     }
     engine.Run(seeds, handler);
-    messages = engine.messages_sent();
-
-    if (sink != nullptr) {
-      result.stats.confirmed = streamer.EmitMerges(merge_log.Drain());
-      result.stats.messages = messages;
-      result.stats.iso_checks = runner.inline_hops.load();
-      sink->OnProgress(result.stats);
-      if (sink->cancelled()) {
-        return Status::Cancelled("entity matching cancelled after round " +
-                                 std::to_string(result.stats.rounds));
-      }
-    }
+    run.stats().messages = engine.messages_sent();
+    run.stats().iso_checks = runner.inline_hops.load();
+    GKEYS_RETURN_IF_ERROR(run.EndRound());
 
     // Quiescence sweep: candidates that became equal purely transitively
-    // never ran MarkIdentified; notify their dependents now and re-run.
+    // never ran MarkIdentified, and ghosts (dropped from L by pairing,
+    // but depended upon) have no messages at all; re-seed their
+    // dependents and run again.
     to_seed.clear();
-    progressed = false;
-    for (uint32_t i = 0; i < candidates.size(); ++i) {
-      if (flags[i].load(std::memory_order_acquire) != 0) continue;
-      const Candidate& c = candidates[i];
-      if (!eq.Same(c.e1, c.e2)) continue;
-      flags[i].store(1, std::memory_order_release);
-      for (uint32_t dep : ctx.dependents()[i]) {
-        if (flags[dep].load(std::memory_order_acquire) == 0) {
-          to_seed.push_back(dep);
-          progressed = true;
-        }
-      }
-    }
-    // Ghost pairs (dropped from L by pairing, but depended upon) that
-    // became equal transitively wake their dependents too.
-    for (uint32_t gi = 0; gi < ghost_done.size(); ++gi) {
-      if (ghost_done[gi]) continue;
-      const auto& ghost = ctx.ghosts()[gi];
-      if (!eq.Same(ghost.e1, ghost.e2)) continue;
-      ghost_done[gi] = 1;
-      for (uint32_t dep : ghost.dependents) {
-        if (flags[dep].load(std::memory_order_acquire) == 0) {
-          to_seed.push_back(dep);
-          progressed = true;
-        }
-      }
-    }
+    run.Sweep([&](uint32_t dep) {
+      if (!run.done(dep)) to_seed.push_back(dep);
+    });
     std::sort(to_seed.begin(), to_seed.end());
     to_seed.erase(std::unique(to_seed.begin(), to_seed.end()),
                   to_seed.end());
   }
-
-  result.stats.run_seconds = run.Seconds();
-  result.stats.messages = messages;
-  result.stats.iso_checks = runner.inline_hops.load();
-  internal::AssembleDerivations(result, seed, opts.record_provenance,
-                                deriv_log.Take());
-  result.pairs = eq.Snapshot().IdentifiedPairs();
-  result.stats.confirmed = result.pairs.size();
-  GKEYS_RETURN_IF_ERROR(streamer.Finish(result.pairs));
-  return result;
+  return run.Finish();
 }
 
 }  // namespace gkeys

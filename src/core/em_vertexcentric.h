@@ -32,15 +32,10 @@ namespace gkeys {
 /// transitively, guaranteeing the chase fixpoint (docs/ARCHITECTURE.md,
 /// "Deviations from the paper").
 ///
-/// This entry point compiles a MatchPlan (pairing, blocking and
-/// processors taken from `options`), whose Gp the run walks.
-MatchResult RunEmVertexCentric(const Graph& g, const KeySet& keys,
-                               const EmOptions& options);
-
-/// Plan-layer entry point: executes EMVC over a pre-built context and
-/// product-graph skeleton with caller-supplied run-time options (bounded
-/// messages, prioritization, processors — independent of how the context
-/// was compiled). When `sink` is non-null, confirmed pairs and per-round
+/// Executes EMVC over a compiled plan's context and product-graph
+/// skeleton with caller-supplied run-time options (bounded messages,
+/// prioritization, processors — independent of how the context was
+/// compiled). When `sink` is non-null, confirmed pairs and per-round
 /// progress are streamed and cancellation is honored between engine runs
 /// (StatusCode::kCancelled).
 /// With a `seed` (Matcher::Rematch), Eq starts from the previous

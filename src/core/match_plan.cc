@@ -26,9 +26,10 @@ StatusOr<MatchPlan> CompileMatchPlan(const Graph& g, const KeySet& keys,
     return Status::InvalidArgument(
         "MatchPlan requires a non-empty key set (nothing to match on)");
   }
-  if (opts.processors < 1) {
+  if (opts.processors < 1 || opts.processors > kMaxProcessors) {
     return Status::InvalidArgument(
-        "PlanOptions::processors must be >= 1, got " +
+        "PlanOptions::processors must be in [1, " +
+        std::to_string(kMaxProcessors) + "], got " +
         std::to_string(opts.processors));
   }
 

@@ -21,8 +21,9 @@ namespace gkeys {
 /// one compiled plan serves many differently-configured runs.
 struct PlanOptions {
   /// Worker threads used while compiling the plan (d-neighbors, pairing,
-  /// dependency index are all built in parallel). Purely a compile-time
-  /// resource choice; it does not constrain later runs.
+  /// dependency index are all built in parallel), 1 to kMaxProcessors.
+  /// Purely a compile-time resource choice; it does not constrain later
+  /// runs.
   int processors = 1;
 
   /// §4.2 / Prop. 9: filter the candidate list L down to pairable pairs

@@ -38,9 +38,10 @@ Status Matcher::Validate(const MatchPlan& plan) const {
     return Status::InvalidArgument(
         "cannot run an empty MatchPlan: obtain one from Matcher::Compile");
   }
-  if (options_.processors < 1) {
-    return Status::InvalidArgument("processors must be >= 1, got " +
-                                   std::to_string(options_.processors));
+  if (options_.processors < 1 || options_.processors > kMaxProcessors) {
+    return Status::InvalidArgument(
+        "processors must be in [1, " + std::to_string(kMaxProcessors) +
+        "], got " + std::to_string(options_.processors));
   }
   if (options_.time_budget_seconds < 0) {
     return Status::InvalidArgument(
@@ -60,37 +61,40 @@ Status Matcher::Validate(const MatchPlan& plan) const {
   return Status::OK();
 }
 
-StatusOr<MatchResult> Matcher::RunWithSink(const MatchPlan& plan,
-                                           MatchSink* sink) const {
-  GKEYS_RETURN_IF_ERROR(Validate(plan));
-  StatusOr<MatchResult> r = [&]() -> StatusOr<MatchResult> {
-    switch (algorithm_) {
-      case Algorithm::kNaiveChase: {
-        // The oracle's own loop (core/chase.cc) over the plan's context,
-        // so plan-based and standalone chase can never diverge.
-        ChaseOptions copts;
-        copts.record_provenance = options_.record_provenance;
-        copts.time_budget_seconds = options_.time_budget_seconds;
-        return RunChase(plan.context(), copts, options_.use_vf2, sink);
-      }
-      case Algorithm::kEmMr:
-      case Algorithm::kEmVf2Mr:
-      case Algorithm::kEmOptMr:
-        return RunEmMapReduce(plan.context(), options_, sink);
-      case Algorithm::kEmVc:
-      case Algorithm::kEmOptVc:
-        return RunEmVertexCentric(plan.context(), plan.product_graph(),
-                                  options_, sink);
-    }
-    return Status::InvalidArgument("unknown algorithm");
-  }();
+StatusOr<MatchResult> Matcher::Dispatch(const MatchPlan& plan,
+                                        MatchSink* sink,
+                                        const RematchSeed* seed) const {
+  StatusOr<MatchResult> r = Status::InvalidArgument("unknown algorithm");
+  switch (algorithm_) {
+    case Algorithm::kNaiveChase:
+      // The oracle's own loop (core/chase.cc) over the plan's context,
+      // so plan-based and standalone chase can never diverge.
+      r = RunChase(plan.context(), options_, sink, seed);
+      break;
+    case Algorithm::kEmMr:
+    case Algorithm::kEmVf2Mr:
+    case Algorithm::kEmOptMr:
+      r = RunEmMapReduce(plan.context(), options_, sink, seed);
+      break;
+    case Algorithm::kEmVc:
+    case Algorithm::kEmOptVc:
+      r = RunEmVertexCentric(plan.context(), plan.product_graph(), options_,
+                             sink, seed);
+      break;
+  }
   if (!r.ok()) return r;
-  // Honest accounting for amortized prep: the plan was compiled once,
-  // possibly long ago; every run still reports what that cost.
+  // Honest accounting for amortized prep: the plan was compiled (or
+  // patched) once, possibly long ago; every run still reports that cost.
   r->stats.prep_seconds = plan.compile_seconds();
   r->stats.plan_bytes =
       plan.memory_bytes() + ProvenanceIndexBytes(r->derivations);
   return r;
+}
+
+StatusOr<MatchResult> Matcher::RunWithSink(const MatchPlan& plan,
+                                           MatchSink* sink) const {
+  GKEYS_RETURN_IF_ERROR(Validate(plan));
+  return Dispatch(plan, sink, nullptr);
 }
 
 bool Matcher::ChooseSeeded(const MatchPlan& plan, const MatchResult& prev,
@@ -203,35 +207,13 @@ StatusOr<MatchResult> Matcher::RematchWithSink(const MatchPlan& plan,
   }
   seed.active = active;
 
-  StatusOr<MatchResult> r = [&]() -> StatusOr<MatchResult> {
-    switch (algorithm_) {
-      case Algorithm::kNaiveChase: {
-        ChaseOptions copts;
-        copts.record_provenance = options_.record_provenance;
-        copts.time_budget_seconds = options_.time_budget_seconds;
-        return RunChase(plan.context(), copts, options_.use_vf2, sink,
-                        &seed);
-      }
-      case Algorithm::kEmMr:
-      case Algorithm::kEmVf2Mr:
-      case Algorithm::kEmOptMr:
-        return RunEmMapReduce(plan.context(), options_, sink, &seed);
-      case Algorithm::kEmVc:
-      case Algorithm::kEmOptVc:
-        return RunEmVertexCentric(plan.context(), plan.product_graph(),
-                                  options_, sink, &seed);
-    }
-    return Status::InvalidArgument("unknown algorithm");
-  }();
+  StatusOr<MatchResult> r = Dispatch(plan, sink, &seed);
   if (!r.ok()) return r;
   r->stats.rematch_seeded = 1;
   r->stats.derivations_retracted = retained.retracted;
   if (delta.has_removals()) {
     r->stats.pairs_retracted = ReportRetractedPairs(prev.pairs, r->pairs, sink);
   }
-  r->stats.prep_seconds = plan.compile_seconds();
-  r->stats.plan_bytes =
-      plan.memory_bytes() + ProvenanceIndexBytes(r->derivations);
   return r;
 }
 

@@ -111,7 +111,7 @@ class Matcher {
     options_ = EmOptions::For(a, options_.processors);
     return *this;
   }
-  /// Worker threads for the run (the paper's p).
+  /// Worker threads for the run (the paper's p), 1 to kMaxProcessors.
   Matcher& processors(int p) {
     options_.processors = p;
     return *this;
@@ -158,14 +158,8 @@ class Matcher {
     options_.record_provenance = v;
     return *this;
   }
-  /// Shard count for the engines' merge/derivation logs; 0 = auto (one
-  /// per processor), 1 = the single global log. See EmOptions::log_shards.
-  Matcher& log_shards(int n) {
-    options_.log_shards = n;
-    return *this;
-  }
   /// Replaces the whole option set at once (for callers that already
-  /// hold an EmOptions, e.g. the legacy wrappers and ablation benches).
+  /// hold an EmOptions, e.g. the ablation bench and the engine tests).
   Matcher& options(const EmOptions& opts) {
     options_ = opts;
     return *this;
@@ -280,6 +274,10 @@ class Matcher {
 
  private:
   Status Validate(const MatchPlan& plan) const;
+  /// Runs the configured engine — seeded when `seed` is non-null — and
+  /// fills the plan-side stats (prep_seconds, plan_bytes).
+  StatusOr<MatchResult> Dispatch(const MatchPlan& plan, MatchSink* sink,
+                                 const RematchSeed* seed) const;
   StatusOr<MatchResult> RunWithSink(const MatchPlan& plan,
                                     MatchSink* sink) const;
   StatusOr<MatchResult> RematchWithSink(const MatchPlan& plan,

@@ -1,69 +1,47 @@
 #include "core/provenance.h"
 
-#include <numeric>
+#include <unordered_map>
 
 #include "common/timer.h"
+#include "core/chase.h"
+#include "isomorph/pairing.h"
 
 namespace gkeys {
 
 ProvenanceResult ChaseWithProvenance(const Graph& g, const KeySet& keys) {
-  Timer prep_timer;
-  EmOptions eopts;
-  EmContext ctx(g, keys, eopts);
-
-  ProvenanceResult out;
-  out.result.stats.prep_seconds = prep_timer.Seconds();
-  out.result.stats.candidates_initial = ctx.candidates_initial();
-  out.result.stats.candidates = ctx.candidates().size();
-
-  Timer run_timer;
-  EquivalenceRelation eq(g.NumNodes());
-  EqView view(&eq);
-  std::vector<uint32_t> active(ctx.candidates().size());
-  std::iota(active.begin(), active.end(), 0);
-  std::vector<uint32_t> next;
-  bool changed = true;
-  while (changed && !active.empty()) {
-    changed = false;
-    ++out.result.stats.rounds;
-    next.clear();
-    for (uint32_t idx : active) {
-      const Candidate& c = ctx.candidates()[idx];
-      if (eq.Same(c.e1, c.e2)) continue;
-      ++out.result.stats.iso_checks;
-      bool fired = false;
-      for (int ki : *c.keys) {
-        const CompiledKey& ck = ctx.compiled_keys()[ki];
-        Witness w;
-        if (!KeyIdentifiesWitness(g, ck.cp, c.e1, c.e2, view, c.nbr1,
-                                  c.nbr2, &w, &out.result.stats.search)) {
-          continue;
-        }
-        ChaseStep step;
-        step.e1 = c.e1;
-        step.e2 = c.e2;
-        step.key = ck.key->name();
-        step.round = out.result.stats.rounds;
-        for (size_t v = 0; v < ck.cp.nodes.size(); ++v) {
-          if (static_cast<int>(v) == ck.cp.designated) continue;
-          if (ck.cp.nodes[v].kind != VarKind::kEntityVar) continue;
-          auto [a, b] = w[v];
-          if (a != b) step.premises.emplace_back(std::min(a, b),
-                                                 std::max(a, b));
-        }
-        out.steps.push_back(std::move(step));
-        eq.Union(c.e1, c.e2);
-        changed = true;
-        fired = true;
-        break;
-      }
-      if (!fired) next.push_back(idx);
+  // Stamps every streamed pair with its round. A direct identification's
+  // pair is new in the round that derived it, so its derivation's pair
+  // carries the step's round.
+  class RoundSink : public MatchSink {
+   public:
+    void OnPair(NodeId a, NodeId b) override {
+      round_of[PackPair(a, b)] = rounds + 1;
     }
-    active.swap(next);
+    void OnProgress(const EmStats& progress) override {
+      rounds = progress.rounds;
+    }
+    std::unordered_map<uint64_t, size_t> round_of;
+    size_t rounds = 0;
+  };
+
+  Timer prep_timer;
+  const EmOptions opts;
+  EmContext ctx(g, keys, opts);
+  const double prep_seconds = prep_timer.Seconds();
+  RoundSink sink;
+  // The sink never cancels and there is no budget, so the run cannot
+  // fail.
+  auto r = RunChase(ctx, opts, &sink);
+  ProvenanceResult out;
+  if (!r.ok()) return out;
+  out.result = *std::move(r);
+  out.result.stats.prep_seconds = prep_seconds;
+  for (const Derivation& d : out.result.derivations) {
+    out.steps.push_back(ChaseStep{d.e1, d.e2,
+                                  ctx.compiled_keys()[d.key].key->name(),
+                                  sink.round_of[PackPair(d.e1, d.e2)],
+                                  d.premises});
   }
-  out.result.stats.run_seconds = run_timer.Seconds();
-  out.result.pairs = eq.IdentifiedPairs();
-  out.result.stats.confirmed = out.result.pairs.size();
   return out;
 }
 

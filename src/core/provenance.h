@@ -11,14 +11,15 @@
 
 namespace gkeys {
 
-// Provenance has two faces here. ChaseStep (below) is the HUMAN-facing
-// one: key names, rounds, formatted explanations, recorded by the
-// sequential ChaseWithProvenance. Derivation (core/em_common.h) is the
+// Provenance has two faces here. Derivation (core/em_common.h) is the
 // MACHINE-facing one: compiled-key indices, premises, and witness
 // triples, recorded by all three engine families on every run and
 // replayed by RetractDerivations to maintain results under removal
-// deltas. Both encode the same §3.1 proof graphs. All functions in this
-// header are pure and thread-compatible (no shared mutable state).
+// deltas. ChaseStep (below) is the HUMAN-facing view of the same record:
+// key names, rounds, formatted explanations, read off the sequential
+// chase's derivations by ChaseWithProvenance. Both encode the same §3.1
+// proof graphs. All functions in this header are pure and
+// thread-compatible (no shared mutable state).
 
 /// One recorded chase step Eq ⇒_(e1,e2) Eq' (paper §3.1): which key fired
 /// for which pair, and which previously derived facts it consumed. The
@@ -30,9 +31,10 @@ struct ChaseStep {
   std::string key;
   /// 1-based chase round in which the step fired.
   size_t round = 0;
-  /// The non-reflexive entity-variable facts the witness used — each one
-  /// was derived by an earlier step (the proof-graph edges). Reflexive
-  /// facts (e, e) are node identity and are omitted.
+  /// The non-reflexive entity-variable facts the witness used, sorted
+  /// and deduplicated (Derivation::premises) — each one was derived by an
+  /// earlier step (the proof-graph edges). Reflexive facts (e, e) are
+  /// node identity and are omitted.
   std::vector<std::pair<NodeId, NodeId>> premises;
 };
 
@@ -44,9 +46,9 @@ struct ProvenanceResult {
   std::vector<ChaseStep> steps;
 };
 
-/// Runs the sequential chase recording provenance. The result equals
-/// Chase(g, keys) (Church–Rosser); steps record one witness per direct
-/// identification.
+/// Runs the sequential chase (RunChase, with provenance on) and reads its
+/// derivations as steps. The result equals Chase(g, keys) (Church–Rosser);
+/// steps record one witness per direct identification.
 ProvenanceResult ChaseWithProvenance(const Graph& g, const KeySet& keys);
 
 /// Renders a step like

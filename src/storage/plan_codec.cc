@@ -167,6 +167,11 @@ StatusOr<SnapshotMeta> PlanCodec::DecodeMeta(const Store& store) {
   if (algo > static_cast<uint8_t>(Algorithm::kEmOptVc))
     return Corrupt("unknown algorithm id " + std::to_string(algo));
   meta.algorithm = static_cast<Algorithm>(algo);
+  for (uint64_t procs : {em_procs, po_procs}) {
+    if (procs < 1 || procs > kMaxProcessors)
+      return Corrupt("processor count " + std::to_string(procs) +
+                     " out of range");
+  }
   meta.em_options.processors = static_cast<int>(em_procs);
   meta.em_options.use_vf2 = em_flags & 1;
   meta.em_options.use_pairing = em_flags & 2;

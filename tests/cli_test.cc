@@ -131,6 +131,49 @@ TEST_F(CliTest, SaveWithoutDirIsUsageError) {
   EXPECT_NE(save.text.find("usage"), std::string::npos) << save.text;
 }
 
+// The paper's Fig. 2 music fragment (G1) with Σ1 = {Q1, Q2, Q3}: Q2
+// identifies the two 1996 albums in round 1, and the recursive Q3 then
+// identifies their artists in round 2, premised on the album pair.
+constexpr char kMusicTriples[] =
+    "ent:artist:a1 name_of val:\"The Beatles\"\n"
+    "ent:artist:a2 name_of val:\"The Beatles\"\n"
+    "ent:artist:a3 name_of val:\"John Farnham\"\n"
+    "ent:album:b1 name_of val:\"Anthology 2\"\n"
+    "ent:album:b2 name_of val:\"Anthology 2\"\n"
+    "ent:album:b3 name_of val:\"Anthology 2\"\n"
+    "ent:album:b1 release_year val:\"1996\"\n"
+    "ent:album:b2 release_year val:\"1996\"\n"
+    "ent:album:b3 release_year val:\"1997\"\n"
+    "ent:album:b1 recorded_by ent:artist:a1\n"
+    "ent:album:b2 recorded_by ent:artist:a2\n"
+    "ent:album:b3 recorded_by ent:artist:a3\n";
+
+constexpr char kMusicKeys[] =
+    "key Q1 for album {\n"
+    "  x -[name_of]-> n*\n"
+    "  x -[recorded_by]-> y:artist\n"
+    "}\n"
+    "key Q2 for album {\n"
+    "  x -[name_of]-> n*\n"
+    "  x -[release_year]-> yr*\n"
+    "}\n"
+    "key Q3 for artist {\n"
+    "  x -[name_of]-> n*\n"
+    "  y:album -[recorded_by]-> x\n"
+    "}\n";
+
+TEST_F(CliTest, MatchProvenancePrintsTheChaseSteps) {
+  std::string graph = TempFile("music.triples", kMusicTriples);
+  std::string keys = TempFile("music.dsl", kMusicKeys);
+  RunOutput out = RunCli("match " + graph + " " + keys + " --provenance");
+  EXPECT_EQ(out.exit_code, 0) << out.text;
+  EXPECT_EQ(out.text,
+            "# 2 identified pairs, 2 chase steps\n"
+            "album#5 == album#7  by Q2  [round 1]\n"
+            "artist#0 == artist#2  by Q3  [round 2]  because album#5 == "
+            "album#7\n");
+}
+
 TEST_F(CliTest, CheckMalformedGraphNamesTheLine) {
   std::string bad = TempFile("bad.triples", "ent:company:c0 name_of\n");
   RunOutput out = RunCli("check " + bad + " " + keys_);
@@ -384,6 +427,41 @@ TEST_F(CliTest, RecoverMissingDirFailsCleanly) {
   EXPECT_NE(recover.exit_code, 0);
   EXPECT_NE(recover.text.find("NotFound"), std::string::npos)
       << recover.text;
+}
+
+// ---- --processors is one integer in [1, 256] on every command --------
+
+TEST_F(CliTest, ProcessorsOutsideOneTo256IsAUsageError) {
+  std::string dir = FreshDir("ddir_procs");
+  ASSERT_EQ(RunCli("save " + graph_ + " " + keys_ + " --dir=" + dir).exit_code,
+            0);
+  const std::string commands[] = {
+      "match " + graph_ + " " + keys_,
+      "save " + graph_ + " " + keys_ + " --dir=" + dir,
+      "ingest " + dir + " " + delta_,
+      "recover " + dir,
+  };
+  for (const char* p : {"0", "-3", "abc", "4x", "", "257", "20000"}) {
+    for (const std::string& cmd : commands) {
+      SCOPED_TRACE(cmd + " --processors=" + p);
+      RunOutput out = RunCli(cmd + " --processors=" + p);
+      EXPECT_EQ(out.exit_code, 2) << out.text;
+      // One diagnostic line naming the flag, and no pairs.
+      EXPECT_EQ(std::count(out.text.begin(), out.text.end(), '\n'), 1)
+          << out.text;
+      EXPECT_NE(out.text.find("--processors"), std::string::npos) << out.text;
+      EXPECT_EQ(out.text.find("=="), std::string::npos) << out.text;
+    }
+  }
+  // Nothing above touched the session: no batch was logged.
+  RunOutput recover = RunCli("recover " + dir + " --quiet --processors=256");
+  EXPECT_EQ(recover.exit_code, 0) << recover.text;
+  EXPECT_NE(recover.text.find("batches_replayed=0"), std::string::npos)
+      << recover.text;
+  RunOutput at_cap = RunCli("match " + graph_ + " " + keys_ +
+                            " --algorithm=EMMR --processors=256");
+  EXPECT_EQ(at_cap.exit_code, 0) << at_cap.text;
+  EXPECT_EQ(LastPairs(at_cap.text), 2) << at_cap.text;
 }
 
 // ---- Corrupt-snapshot audit: recover exits 1 with one line -------------

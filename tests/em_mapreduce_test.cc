@@ -12,6 +12,7 @@
 namespace gkeys {
 namespace {
 
+using testing::CompileAndRun;
 using testing::MakeG1;
 using testing::MakeSigma1;
 using testing::Pairs;
@@ -21,8 +22,7 @@ TEST(EmMapReduce, RoundsMirrorDerivationDepth) {
   // (fixpoint confirmation).
   auto m = MakeG1();
   KeySet sigma1 = MakeSigma1();
-  MatchResult r = RunEmMapReduce(m.g, sigma1, EmOptions::For(
-                                                  Algorithm::kEmMr, 2));
+  MatchResult r = CompileAndRun(m.g, sigma1, Algorithm::kEmMr, 2);
   EXPECT_EQ(r.pairs, Pairs({{m.alb1, m.alb2}, {m.art1, m.art2}}));
   EXPECT_EQ(r.stats.rounds, 3u);
 }
@@ -50,7 +50,7 @@ TEST(EmMapReduce, DependencyDeferralStillComplete) {
   )").ok());
   EmOptions opts = EmOptions::For(Algorithm::kEmMr, 2);
   opts.use_dependency = true;
-  MatchResult r = RunEmMapReduce(g, keys, opts);
+  MatchResult r = CompileAndRun(g, keys, Algorithm::kEmMr, opts);
   EXPECT_EQ(r.pairs, Pairs({{a1, a2}}));
 }
 
@@ -64,8 +64,8 @@ TEST(EmMapReduce, IncrementalSkipsQuietPairsButConverges) {
   EmOptions base = EmOptions::For(Algorithm::kEmMr, 2);
   EmOptions incr = base;
   incr.use_incremental = true;
-  MatchResult rb = RunEmMapReduce(ds.graph, ds.keys, base);
-  MatchResult ri = RunEmMapReduce(ds.graph, ds.keys, incr);
+  MatchResult rb = CompileAndRun(ds.graph, ds.keys, Algorithm::kEmMr, base);
+  MatchResult ri = CompileAndRun(ds.graph, ds.keys, Algorithm::kEmMr, incr);
   EXPECT_EQ(rb.pairs, ri.pairs);
   EXPECT_EQ(ri.pairs, ds.planted);
   EXPECT_LE(ri.stats.iso_checks, rb.stats.iso_checks)
@@ -86,7 +86,7 @@ TEST(EmMapReduce, AllOptimizationTogglesPreserveResult) {
     opts.use_pairing = mask & 2;
     opts.use_dependency = mask & 4;
     opts.use_incremental = mask & 8;
-    MatchResult r = RunEmMapReduce(ds.graph, ds.keys, opts);
+    MatchResult r = CompileAndRun(ds.graph, ds.keys, Algorithm::kEmMr, opts);
     EXPECT_EQ(r.pairs, ds.planted) << "option mask " << mask;
   }
 }
@@ -98,8 +98,7 @@ TEST(EmMapReduce, ResultIndependentOfProcessorCount) {
   cfg.entities_per_type = 14;
   SyntheticDataset ds = GenerateSynthetic(cfg);
   for (int p : {1, 2, 5, 9, 16}) {
-    MatchResult r =
-        RunEmMapReduce(ds.graph, ds.keys, EmOptions::For(Algorithm::kEmMr, p));
+    MatchResult r = CompileAndRun(ds.graph, ds.keys, Algorithm::kEmMr, p);
     EXPECT_EQ(r.pairs, ds.planted) << "p=" << p;
   }
 }
@@ -110,8 +109,7 @@ TEST(EmMapReduce, EmptyCandidatesTerminateImmediately) {
   g.Finalize();
   KeySet keys;
   ASSERT_TRUE(keys.AddFromDsl("key K for t { x -[p]-> v* }").ok());
-  MatchResult r =
-      RunEmMapReduce(g, keys, EmOptions::For(Algorithm::kEmMr, 2));
+  MatchResult r = CompileAndRun(g, keys, Algorithm::kEmMr, 2);
   EXPECT_TRUE(r.pairs.empty());
   EXPECT_LE(r.stats.rounds, 1u);
 }
@@ -158,8 +156,7 @@ TEST(EmMapReduce, GhostPairsWakeDependents) {
   MatchResult oracle = Chase(g, keys);
   EXPECT_EQ(oracle.pairs.size(), 4u);  // 3 album pairs + the artist pair
   for (int p : {1, 4}) {
-    MatchResult r =
-        RunEmMapReduce(g, keys, EmOptions::For(Algorithm::kEmOptMr, p));
+    MatchResult r = CompileAndRun(g, keys, Algorithm::kEmOptMr, p);
     EXPECT_EQ(r.pairs, oracle.pairs) << "EMOptMR p=" << p;
   }
 }
@@ -167,8 +164,7 @@ TEST(EmMapReduce, GhostPairsWakeDependents) {
 TEST(EmMapReduce, StatsConsistent) {
   auto m = MakeG1();
   KeySet sigma1 = MakeSigma1();
-  MatchResult r =
-      RunEmMapReduce(m.g, sigma1, EmOptions::For(Algorithm::kEmMr, 2));
+  MatchResult r = CompileAndRun(m.g, sigma1, Algorithm::kEmMr, 2);
   EXPECT_EQ(r.stats.confirmed, r.pairs.size());
   EXPECT_GT(r.stats.iso_checks, 0u);
   EXPECT_GE(r.stats.candidates_initial, r.stats.candidates);

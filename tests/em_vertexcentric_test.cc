@@ -18,6 +18,7 @@
 namespace gkeys {
 namespace {
 
+using testing::CompileAndRun;
 using testing::MakeG1;
 using testing::MakeSigma1;
 using testing::Pairs;
@@ -25,8 +26,7 @@ using testing::Pairs;
 TEST(EmVertexCentric, MatchesOracleOnG1) {
   auto m = MakeG1();
   KeySet sigma1 = MakeSigma1();
-  MatchResult r = RunEmVertexCentric(m.g, sigma1,
-                                     EmOptions::For(Algorithm::kEmVc, 2));
+  MatchResult r = CompileAndRun(m.g, sigma1, Algorithm::kEmVc, 2);
   EXPECT_EQ(r.pairs, Pairs({{m.alb1, m.alb2}, {m.art1, m.art2}}));
   EXPECT_GT(r.stats.messages, 0u);
   EXPECT_GT(r.stats.product_graph_nodes, 0u);
@@ -44,7 +44,7 @@ TEST(EmVertexCentric, EveryBudgetKIsCorrect) {
   for (int k : {1, 2, 4, 16, 0 /* unbounded */}) {
     EmOptions opts = EmOptions::For(Algorithm::kEmVc, 4);
     opts.bounded_messages = k;
-    MatchResult r = RunEmVertexCentric(ds.graph, ds.keys, opts);
+    MatchResult r = CompileAndRun(ds.graph, ds.keys, Algorithm::kEmVc, opts);
     EXPECT_EQ(r.pairs, ds.planted) << "k=" << k;
   }
 }
@@ -60,7 +60,7 @@ TEST(EmVertexCentric, SmallerBudgetFewerMessages) {
   auto messages_for = [&](int k) {
     EmOptions opts = EmOptions::For(Algorithm::kEmVc, 4);
     opts.bounded_messages = k;
-    MatchResult r = RunEmVertexCentric(ds.graph, ds.keys, opts);
+    MatchResult r = CompileAndRun(ds.graph, ds.keys, Algorithm::kEmVc, opts);
     EXPECT_EQ(r.pairs, ds.planted) << "k=" << k;
     return r.stats.messages;
   };
@@ -80,8 +80,8 @@ TEST(EmVertexCentric, PrioritizedPropagationPreservesResult) {
   EmOptions plain = EmOptions::For(Algorithm::kEmVc, 4);
   EmOptions prio = plain;
   prio.prioritized = true;
-  EXPECT_EQ(RunEmVertexCentric(ds.graph, ds.keys, plain).pairs,
-            RunEmVertexCentric(ds.graph, ds.keys, prio).pairs);
+  EXPECT_EQ(CompileAndRun(ds.graph, ds.keys, Algorithm::kEmVc, plain).pairs,
+            CompileAndRun(ds.graph, ds.keys, Algorithm::kEmVc, prio).pairs);
 }
 
 TEST(EmVertexCentric, DependencyReSeedingResolvesChains) {
@@ -95,8 +95,7 @@ TEST(EmVertexCentric, DependencyReSeedingResolvesChains) {
   cfg.chained_fraction = 1.0;
   cfg.seed = 31;
   SyntheticDataset ds = GenerateSynthetic(cfg);
-  MatchResult r = RunEmVertexCentric(ds.graph, ds.keys,
-                                     EmOptions::For(Algorithm::kEmOptVc, 4));
+  MatchResult r = CompileAndRun(ds.graph, ds.keys, Algorithm::kEmOptVc, 4);
   EXPECT_EQ(r.pairs, ds.planted);
 }
 
@@ -141,8 +140,7 @@ TEST(EmVertexCentric, TransitiveClosureViaSweep) {
   )").ok());
   MatchResult oracle = Chase(g, keys);
   for (int p : {1, 4}) {
-    MatchResult r = RunEmVertexCentric(g, keys,
-                                       EmOptions::For(Algorithm::kEmVc, p));
+    MatchResult r = CompileAndRun(g, keys, Algorithm::kEmVc, p);
     EXPECT_EQ(r.pairs, oracle.pairs) << "p=" << p;
   }
   // The artist pair is in the result (depends on the TC-derived (a, c)).
@@ -158,8 +156,7 @@ TEST(EmVertexCentric, ResultIndependentOfProcessorCount) {
   cfg.scale = 0.6;
   SyntheticDataset ds = GenerateGoogleSim(cfg);
   for (int p : {1, 3, 8}) {
-    MatchResult r = RunEmVertexCentric(ds.graph, ds.keys,
-                                       EmOptions::For(Algorithm::kEmVc, p));
+    MatchResult r = CompileAndRun(ds.graph, ds.keys, Algorithm::kEmVc, p);
     EXPECT_EQ(r.pairs, ds.planted) << "p=" << p;
   }
 }
@@ -170,10 +167,9 @@ TEST(EmVertexCentric, RepeatedRunsAreDeterministicInResult) {
   cfg.chain_length = 2;
   cfg.entities_per_type = 16;
   SyntheticDataset ds = GenerateSynthetic(cfg);
-  EmOptions opts = EmOptions::For(Algorithm::kEmOptVc, 8);
-  MatchResult first = RunEmVertexCentric(ds.graph, ds.keys, opts);
+  MatchResult first = CompileAndRun(ds.graph, ds.keys, Algorithm::kEmOptVc, 8);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(RunEmVertexCentric(ds.graph, ds.keys, opts).pairs,
+    EXPECT_EQ(CompileAndRun(ds.graph, ds.keys, Algorithm::kEmOptVc, 8).pairs,
               first.pairs);
   }
 }

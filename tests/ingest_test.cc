@@ -4,7 +4,8 @@
 //       (tests/triples_reference.h) — identical output on every
 //       accepted input, error-for-error agreement on mangled input,
 //       property-tested over random valid and byte-flipped texts;
-//   (b) sharded derivation/merge logs against the single global log
+//   (b) the sharded derivation log against a single shard, and runs at
+//       1, 2 and 4 processors (one log shard each) against each other
 //       across all six algorithms;
 //   (c) the staged ingest pipeline against the serial
 //       parse → Apply → Patch → Rematch chain, batch for batch,
@@ -22,7 +23,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/mutex.h"
 #include "common/rng.h"
+#include "core/fixpoint.h"
 #include "core/matcher.h"
 #include "core/provenance.h"
 #include "gen/synthetic.h"
@@ -315,7 +318,7 @@ TEST(FastParser, FuzzDeltaByteFlips) {
 }
 
 // ---------------------------------------------------------------------------
-// (b) sharded logs == global log
+// (b) sharded logs == one log
 // ---------------------------------------------------------------------------
 
 const std::vector<Algorithm>& AllAlgorithms() {
@@ -357,26 +360,26 @@ std::vector<std::string> DerivationStrings(
   return out;
 }
 
-TEST(ShardedLogs, PairsAndClosureMatchGlobalAllAlgorithms) {
-  // Multi-threaded runs: the pair set is schedule-independent, so the
-  // global log (shards=1) and the sharded logs (auto and 4) must produce
-  // byte-identical pairs; the recorded derivations, whatever schedule
-  // produced them, must close to exactly those pairs with nothing
-  // retracted on the unchanged graph (i.e. stamp-merged shard order is
-  // replayable, same as the global mutex order).
+TEST(ShardedLogs, PairsAndClosureMatchAcrossProcessorCounts) {
+  // The logs keep one shard per processor. The pair set is schedule-
+  // independent, so runs at 1, 2 and 4 processors must produce byte-
+  // identical pairs; the recorded derivations, whatever schedule produced
+  // them, must close to exactly those pairs with nothing retracted on the
+  // unchanged graph (i.e. stamp-merged shard order is replayable, same as
+  // a single log's order).
   SyntheticDataset ds = ShardWorkload(21);
   for (Algorithm algo : AllAlgorithms()) {
     SCOPED_TRACE(AlgorithmName(algo));
     auto plan = Matcher::Compile(ds.graph, ds.keys, PlanOptions::For(algo, 2));
     ASSERT_TRUE(plan.ok());
-    auto global = Matcher(algo).processors(2).log_shards(1).Run(*plan);
-    ASSERT_TRUE(global.ok());
-    ASSERT_FALSE(global->pairs.empty()) << "workload too boring";
-    for (int shards : {0, 4}) {
-      SCOPED_TRACE("shards " + std::to_string(shards));
-      auto sharded = Matcher(algo).processors(2).log_shards(shards).Run(*plan);
+    auto single = Matcher(algo).processors(1).Run(*plan);
+    ASSERT_TRUE(single.ok());
+    ASSERT_FALSE(single->pairs.empty()) << "workload too boring";
+    for (int p : {1, 2, 4}) {
+      SCOPED_TRACE("processors " + std::to_string(p));
+      auto sharded = Matcher(algo).processors(p).Run(*plan);
       ASSERT_TRUE(sharded.ok());
-      EXPECT_EQ(global->pairs, sharded->pairs);
+      EXPECT_EQ(single->pairs, sharded->pairs);
       RetractionResult retr =
           RetractDerivations(ds.graph, sharded->derivations);
       EXPECT_EQ(retr.retracted, 0u);
@@ -385,24 +388,52 @@ TEST(ShardedLogs, PairsAndClosureMatchGlobalAllAlgorithms) {
   }
 }
 
-TEST(ShardedLogs, DerivationSequenceMatchesGlobalSingleThreaded) {
-  // p=1 pins the schedule, so the sharded log must reproduce the EXACT
-  // derivation sequence (order included) the global log records: one
-  // thread always lands on one shard, and the stamp merge preserves its
-  // record order.
-  SyntheticDataset ds = ShardWorkload(22);
-  for (Algorithm algo : AllAlgorithms()) {
-    SCOPED_TRACE(AlgorithmName(algo));
-    auto plan = Matcher::Compile(ds.graph, ds.keys, PlanOptions::For(algo, 1));
-    ASSERT_TRUE(plan.ok());
-    auto global = Matcher(algo).processors(1).log_shards(1).Run(*plan);
-    auto sharded = Matcher(algo).processors(1).log_shards(4).Run(*plan);
-    ASSERT_TRUE(global.ok());
-    ASSERT_TRUE(sharded.ok());
-    EXPECT_EQ(global->pairs, sharded->pairs);
-    EXPECT_FALSE(global->derivations.empty());
-    EXPECT_EQ(DerivationStrings(global->derivations),
-              DerivationStrings(sharded->derivations));
+Derivation NumberedDerivation(NodeId i) {
+  Derivation d;
+  d.e1 = i;
+  d.e2 = i + 1;
+  d.key = static_cast<int>(i % 3);
+  d.premises = {{i, i + 2}};
+  d.triples = {WitnessTriple{i, 0, i + 1}};
+  return d;
+}
+
+TEST(ShardedLogs, DerivationLogTakesEntriesInRecordOrder) {
+  // One recording thread always lands on one shard, and the stamp merge
+  // keeps its record order: four shards take exactly what one shard
+  // takes.
+  internal::DerivationLog one(1);
+  internal::DerivationLog four(4);
+  for (NodeId i = 0; i < 64; ++i) {
+    one.Record(NumberedDerivation(i));
+    four.Record(NumberedDerivation(i));
+  }
+  std::vector<Derivation> taken = one.Take();
+  ASSERT_EQ(taken.size(), 64u);
+  EXPECT_EQ(DerivationStrings(taken), DerivationStrings(four.Take()));
+
+  // Four threads, one shard each, recording in one global order (the
+  // mutex serializes them): the stamp merge restores that order across
+  // shards — what lets RetractDerivations replay a supporter before its
+  // dependents.
+  internal::DerivationLog log(4);
+  Mutex mu;
+  NodeId next = 0;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int k = 0; k < 50; ++k) {
+        MutexLock lock(mu);
+        log.Record(NumberedDerivation(next++));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  taken = log.Take();
+  ASSERT_EQ(taken.size(), 200u);
+  for (NodeId i = 0; i < taken.size(); ++i) {
+    EXPECT_EQ(DerivationToString(taken[i]),
+              DerivationToString(NumberedDerivation(i)));
   }
 }
 
@@ -410,16 +441,15 @@ TEST(ShardedLogs, RematchRemovalsStayExactWithShardedLogs) {
   // Incremental path: a removal delta seeds from the provenance index
   // that a SHARDED log recorded (forced seeded, so the retraction really
   // runs). The result must be byte-identical to a from-scratch run on
-  // the mutated graph, for the global log and a sharded one alike.
+  // the mutated graph, for one log shard and for several alike.
   SyntheticDataset ds = ShardWorkload(23);
-  for (int shards : {1, 4}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
+  for (int p : {1, 2, 4}) {
+    SCOPED_TRACE("processors " + std::to_string(p));
     Graph g = ds.graph;
     std::vector<Triple> present;
     g.ForEachTriple([&](const Triple& t) { present.push_back(t); });
     Matcher matcher(Algorithm::kEmOptVc);
-    matcher.processors(2).log_shards(shards).rematch_mode(
-        RematchOptions::Mode::kForceSeed);
+    matcher.processors(p).rematch_mode(RematchOptions::Mode::kForceSeed);
     auto plan = Matcher::Compile(g, ds.keys,
                                  PlanOptions::For(Algorithm::kEmOptVc, 2));
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();

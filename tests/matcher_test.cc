@@ -203,16 +203,41 @@ TEST(Matcher, StreamingMutualRecursionSeesBothPairs) {
 }
 
 TEST(Matcher, CooperativeCancellationSurfacesAsCancelled) {
+  // Every engine stops at the first round boundary, on a full run and on
+  // a seeded rematch that has dirty candidates to re-check.
   SyntheticDataset ds = SmallWorkload();
-  for (Algorithm a : {Algorithm::kEmOptMr, Algorithm::kNaiveChase}) {
-    auto plan = Matcher::Compile(ds.graph, ds.keys, PlanOptions::For(a, 2));
+  for (Algorithm a : {Algorithm::kNaiveChase, Algorithm::kEmMr,
+                      Algorithm::kEmVf2Mr, Algorithm::kEmOptMr,
+                      Algorithm::kEmVc, Algorithm::kEmOptVc}) {
+    SCOPED_TRACE(AlgorithmName(a));
+    Graph g = ds.graph;
+    auto plan = Matcher::Compile(g, ds.keys, PlanOptions::For(a, 2));
     ASSERT_TRUE(plan.ok());
+    Matcher matcher(a);
+    matcher.processors(2).rematch_mode(RematchOptions::Mode::kForceSeed);
     RecordingSink sink;
     sink.cancel_after = 1;  // stop at the first round boundary
-    auto r = Matcher(a).processors(2).Run(*plan, sink);
-    ASSERT_FALSE(r.ok()) << AlgorithmName(a);
-    EXPECT_EQ(r.status().code(), StatusCode::kCancelled) << AlgorithmName(a);
-    EXPECT_EQ(sink.progress_calls.size(), 1u) << AlgorithmName(a);
+    auto r = matcher.Run(*plan, sink);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(sink.progress_calls.size(), 1u);
+
+    auto prev = matcher.Run(*plan);
+    ASSERT_TRUE(prev.ok()) << prev.status().ToString();
+    // A new triple on the first candidate's entity makes it dirty.
+    GraphDelta delta(g);
+    const NodeId e = plan->context().candidates().front().e1;
+    ASSERT_TRUE(delta.AddTriple(e, "tag", delta.AddValue("probe")).ok());
+    ASSERT_TRUE(g.Apply(delta).ok());
+    auto patched = plan->Patch(delta);
+    ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+    ASSERT_FALSE(patched->dirty_candidates().empty());
+    RecordingSink rematch_sink;
+    rematch_sink.cancel_after = 1;
+    auto inc = matcher.Rematch(*patched, *prev, delta, rematch_sink);
+    ASSERT_FALSE(inc.ok());
+    EXPECT_EQ(inc.status().code(), StatusCode::kCancelled);
+    EXPECT_EQ(rematch_sink.progress_calls.size(), 1u);
   }
 }
 
@@ -267,6 +292,26 @@ TEST(Matcher, InvalidOptionsAreInvalidArgument) {
   auto r3 = Matcher(Algorithm::kEmOptVc).Run(empty);
   ASSERT_FALSE(r3.ok());
   EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Matcher, ProcessorsAboveTheCapAreInvalidArgument) {
+  auto m = testing::MakeG1();
+  KeySet sigma1 = testing::MakeSigma1();
+  auto over = Matcher::Compile(
+      m.g, sigma1, PlanOptions{.processors = kMaxProcessors + 1});
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kInvalidArgument);
+
+  auto plan = Matcher::Compile(m.g, sigma1);
+  ASSERT_TRUE(plan.ok());
+  for (Algorithm a : {Algorithm::kEmMr, Algorithm::kEmOptVc}) {
+    auto r = Matcher(a).processors(kMaxProcessors + 1).Run(*plan);
+    ASSERT_FALSE(r.ok()) << AlgorithmName(a);
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto at_cap = Matcher(Algorithm::kEmMr).processors(kMaxProcessors).Run(*plan);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->pairs.size(), 2u);
 }
 
 TEST(Matcher, VcOnPlanWithoutProductGraphIsFailedPrecondition) {

@@ -928,5 +928,36 @@ TEST(DecodePlan, RejectsAGpFlagItsPlanOptionsContradict) {
             "options");
 }
 
+TEST(DecodeMeta, ProcessorCountsOutsideOneTo256AreParseErrors) {
+  // Both stored processor counts (the run's and the plan's) are checked
+  // on decode: a snapshot must not hand a session 0 workers, or enough
+  // to exhaust memory.
+  for (int procs : {0, kMaxProcessors + 1, 1 << 20}) {
+    for (bool plan_side : {false, true}) {
+      SCOPED_TRACE(std::to_string(procs) + (plan_side ? " plan" : " run"));
+      storage::SnapshotMeta meta;
+      (plan_side ? meta.plan_options.processors
+                 : meta.em_options.processors) = procs;
+      testing::MapStore store;
+      ASSERT_TRUE(PlanCodec::EncodeMeta(meta, store).ok());
+      auto decoded = PlanCodec::DecodeMeta(store);
+      ASSERT_FALSE(decoded.ok());
+      EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+      EXPECT_EQ(decoded.status().message(),
+                "corrupt snapshot: processor count " + std::to_string(procs) +
+                    " out of range");
+    }
+  }
+  storage::SnapshotMeta meta;
+  meta.em_options.processors = kMaxProcessors;
+  meta.plan_options.processors = 1;
+  testing::MapStore store;
+  ASSERT_TRUE(PlanCodec::EncodeMeta(meta, store).ok());
+  auto decoded = PlanCodec::DecodeMeta(store);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->em_options.processors, kMaxProcessors);
+  EXPECT_EQ(decoded->plan_options.processors, 1);
+}
+
 }  // namespace
 }  // namespace gkeys

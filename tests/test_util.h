@@ -149,28 +149,48 @@ inline std::vector<std::pair<NodeId, NodeId>> Pairs(
   return v;
 }
 
-/// Matcher::Compile with `popts`, then Matcher::Run with the algorithm's
-/// run preset at popts.processors workers. A Status error fails the
-/// calling test and yields an empty result.
+/// Matcher::Compile with `popts`, then `matcher`'s Run. A Status error
+/// fails the calling test and yields an empty result.
 inline MatchResult CompileAndRun(const Graph& g, const KeySet& keys,
-                                 Algorithm a, const PlanOptions& popts) {
+                                 const Matcher& matcher,
+                                 const PlanOptions& popts) {
+  const std::string name = AlgorithmName(matcher.algorithm());
   auto plan = Matcher::Compile(g, keys, popts);
   if (!plan.ok()) {
-    ADD_FAILURE() << AlgorithmName(a) << ": " << plan.status().ToString();
+    ADD_FAILURE() << name << ": " << plan.status().ToString();
     return {};
   }
-  auto r = Matcher(a).processors(popts.processors).Run(*plan);
+  auto r = matcher.Run(*plan);
   if (!r.ok()) {
-    ADD_FAILURE() << AlgorithmName(a) << ": " << r.status().ToString();
+    ADD_FAILURE() << name << ": " << r.status().ToString();
     return {};
   }
   return *std::move(r);
+}
+
+/// Same, running the algorithm's run preset at popts.processors workers.
+inline MatchResult CompileAndRun(const Graph& g, const KeySet& keys,
+                                 Algorithm a, const PlanOptions& popts) {
+  return CompileAndRun(g, keys, Matcher(a).processors(popts.processors),
+                       popts);
 }
 
 /// Same, compiling with the algorithm's plan preset.
 inline MatchResult CompileAndRun(const Graph& g, const KeySet& keys,
                                  Algorithm a, int processors) {
   return CompileAndRun(g, keys, a, PlanOptions::For(a, processors));
+}
+
+/// Compiles the plan `opts` implies (its processors, pairing and
+/// blocking, plus Gp for the EMVC family), then runs algorithm family
+/// `a` with exactly `opts` — how the engine tests vary one knob at a
+/// time.
+inline MatchResult CompileAndRun(const Graph& g, const KeySet& keys,
+                                 Algorithm a, const EmOptions& opts) {
+  PlanOptions popts = PlanOptions::For(a, opts.processors);
+  popts.use_pairing = opts.use_pairing;
+  popts.use_blocking = opts.use_blocking;
+  return CompileAndRun(g, keys, Matcher(a).options(opts), popts);
 }
 
 /// Ordered in-memory Store: codecs write their records here so a test

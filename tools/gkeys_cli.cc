@@ -21,8 +21,12 @@
 //   gkeys recover <dir> [--processors=N] [--quiet]
 //                                       (restart: newest valid snapshot +
 //                                        replay of the write-ahead log)
+//
+// --processors=N is the worker-thread count, an integer from 1 to 256
+// (default 4); any other value is a usage error (exit 2).
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -67,7 +71,9 @@ int Usage() {
                "'---'-separated batches and make each durable in the "
                "write-ahead log; '-' reads from stdin)\n"
                "  recover <dir> [--processors=N] [--quiet]  (rebuild from "
-               "newest valid snapshot + surviving log records)\n");
+               "newest valid snapshot + surviving log records)\n"
+               "  --processors=N: worker threads, 1 to %d (default 4)\n",
+               kMaxProcessors);
   return 2;
 }
 
@@ -86,6 +92,23 @@ bool HasFlag(int argc, char** argv, const char* name) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], name) == 0) return true;
   }
+  return false;
+}
+
+/// --processors=N for match, save, ingest and recover: 4 when absent. A
+/// value that is not an integer in [1, kMaxProcessors] prints one line
+/// and returns false; the command then exits 2.
+bool ProcessorsFlag(int argc, char** argv, int* p) {
+  const std::string v = FlagValue(argc, argv, "--processors", "4");
+  const char* end = v.data() + v.size();
+  auto [last, ec] = std::from_chars(v.data(), end, *p);
+  if (ec == std::errc() && last == end && *p >= 1 && *p <= kMaxProcessors) {
+    return true;
+  }
+  std::fprintf(stderr,
+               "InvalidArgument: --processors must be an integer in [1, "
+               "%d], got '%s'\n",
+               kMaxProcessors, v.c_str());
   return false;
 }
 
@@ -120,6 +143,8 @@ StatusOr<Algorithm> ParseAlgorithm(const std::string& name) {
 
 int CmdMatch(int argc, char** argv) {
   if (argc < 4) return Usage();
+  int p = 0;
+  if (!ProcessorsFlag(argc, argv, &p)) return 2;
   auto loaded = ReadGraph(argv[2]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
@@ -138,8 +163,6 @@ int CmdMatch(int argc, char** argv) {
     return 2;
   }
   Algorithm algo = *algo_or;
-  int p = std::atoi(FlagValue(argc, argv, "--processors", "4").c_str());
-  if (p <= 0) p = 4;
 
   if (HasFlag(argc, argv, "--provenance")) {
     if (!FlagValue(argc, argv, "--delta", "").empty()) {
@@ -357,6 +380,8 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
 int CmdSave(int argc, char** argv) {
   std::string dir = FlagValue(argc, argv, "--dir", "");
   if (argc < 4 || dir.empty()) return Usage();
+  int p = 0;
+  if (!ProcessorsFlag(argc, argv, &p)) return 2;
   auto loaded = ReadGraph(argv[2]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
@@ -374,8 +399,6 @@ int CmdSave(int argc, char** argv) {
     return 2;
   }
   Algorithm algo = *algo_or;
-  int p = std::atoi(FlagValue(argc, argv, "--processors", "4").c_str());
-  if (p <= 0) p = 4;
 
   auto plan =
       Matcher::Compile(loaded->graph, *keys, PlanOptions::For(algo, p));
@@ -471,8 +494,8 @@ std::vector<std::string> SplitDeltaBatches(std::string_view text) {
 int CmdIngest(int argc, char** argv) {
   if (argc < 4) return Usage();
   const std::string dir = argv[2];
-  int p = std::atoi(FlagValue(argc, argv, "--processors", "4").c_str());
-  if (p <= 0) p = 4;
+  int p = 0;
+  if (!ProcessorsFlag(argc, argv, &p)) return 2;
 
   auto text = std::strcmp(argv[3], "-") == 0 ? ReadAllStdin()
                                              : ReadFile(argv[3]);
@@ -562,8 +585,8 @@ int CmdIngest(int argc, char** argv) {
 
 int CmdRecover(int argc, char** argv) {
   if (argc < 3) return Usage();
-  int p = std::atoi(FlagValue(argc, argv, "--processors", "4").c_str());
-  if (p <= 0) p = 4;
+  int p = 0;
+  if (!ProcessorsFlag(argc, argv, &p)) return 2;
 
   Matcher matcher;
   matcher.processors(p);
