@@ -1,11 +1,11 @@
 #include "storage/plan_codec.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,14 +27,28 @@ std::string KeyBe32(char prefix, uint32_t id) {
   return k;
 }
 
-std::string KeyBe64(char prefix, uint64_t id) {
-  std::string k(1, prefix);
-  PutBe64(k, id);
-  return k;
-}
-
 Status Corrupt(const std::string& what) {
   return Status::ParseError("corrupt snapshot: " + what);
+}
+
+/// Reads the section record `prefix`: `count` items back to back, each
+/// decoded by read_item(reader, i). Items are decoded one at a time and
+/// nothing is reserved up front, so a corrupt count costs no more than
+/// the section's bytes.
+template <typename ReadItem>
+Status ReadSection(const Store& store, char prefix, uint64_t count,
+                   const std::string& what, ReadItem&& read_item) {
+  auto section = store.Get(Key1(prefix));
+  if (!section.ok()) return Corrupt("missing " + what + " record");
+  ByteReader r(*section);
+  for (uint64_t i = 0; i < count; ++i) {
+    if (r.AtEnd())
+      return Corrupt(what + " record holds only " + std::to_string(i) +
+                     " of " + std::to_string(count) + " items");
+    GKEYS_RETURN_IF_ERROR(read_item(r, i));
+  }
+  if (!r.AtEnd()) return Corrupt("trailing bytes in " + what + " record");
+  return Status::OK();
 }
 
 /// Sorted ascending uint64 list, delta-encoded.
@@ -50,7 +64,8 @@ void PutDeltaList64(std::string& out, const std::vector<uint64_t>& vals) {
 bool ReadDeltaList64(ByteReader& r, uint64_t max_count,
                      std::vector<uint64_t>* out) {
   uint64_t count = 0;
-  if (!r.ReadVarint(&count) || count > max_count) return false;
+  if (!r.ReadVarint(&count) || count > max_count || count > r.remaining())
+    return false;
   out->clear();
   out->reserve(count);
   uint64_t prev = 0;
@@ -76,7 +91,10 @@ void PutDeltaList32(std::string& out, const std::vector<NodeId>& vals) {
 bool ReadDeltaList32(ByteReader& r, uint64_t max_value,
                      std::vector<NodeId>* out) {
   uint64_t count = 0;
-  if (!r.ReadVarint(&count) || count > max_value + 1) return false;
+  if (!r.ReadVarint(&count) || count > max_value + 1 ||
+      count > r.remaining()) {
+    return false;
+  }
   out->clear();
   out->reserve(count);
   uint64_t prev = 0;
@@ -90,34 +108,50 @@ bool ReadDeltaList32(ByteReader& r, uint64_t max_value,
   return true;
 }
 
-/// Content-deduplicating pool of COW-shared payloads: pointer identity
-/// short-circuits payloads literally shared across plan generations;
-/// equal content stored under distinct pointers still collapses to one
-/// record.
-template <typename T, typename ContentKey>
+const std::vector<NodeId>& Content(const NodeSet& set) { return set.sorted(); }
+const PairingRelation& Content(const PairingRelation& rel) { return rel; }
+
+/// Content-deduplicating pool of COW-shared payloads: payloads shared
+/// across plan generations, and equal content stored under distinct
+/// pointers, collapse to one id, numbered in first-seen order. Ids sit in
+/// an open-addressing table over content hashes, sized up front for
+/// `calls` calls to Id, so it never grows.
+template <typename T>
 class DedupPool {
  public:
-  uint64_t Id(const std::shared_ptr<const T>& item, ContentKey content) {
-    auto by_ptr = by_ptr_.find(item.get());
-    if (by_ptr != by_ptr_.end()) return by_ptr->second;
-    auto [it, inserted] =
-        by_content_.emplace(std::move(content), items_.size());
-    if (inserted) items_.push_back(item.get());
-    by_ptr_.emplace(item.get(), it->second);
-    return it->second;
+  explicit DedupPool(size_t calls)
+      : slots_(std::bit_ceil(2 * calls + 2), kEmpty) {}
+
+  uint64_t Id(const T& item) {
+    const auto& content = Content(item);
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint64_t v : content) h = (h ^ v) * 0x100000001b3ull;
+    h = (h ^ (h >> 33)) * 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = h & mask;; i = (i + 1) & mask) {
+      if (slots_[i] == kEmpty) {
+        slots_[i] = items_.size();
+        items_.push_back(&item);
+        hashes_.push_back(h);
+        return slots_[i];
+      }
+      const size_t id = slots_[i];
+      if (hashes_[id] == h &&
+          (items_[id] == &item || Content(*items_[id]) == content)) {
+        return id;
+      }
+    }
   }
 
   const std::vector<const T*>& items() const { return items_; }
 
  private:
-  std::unordered_map<const T*, uint64_t> by_ptr_;
-  std::map<ContentKey, uint64_t> by_content_;
+  static constexpr size_t kEmpty = SIZE_MAX;
+  std::vector<size_t> slots_;
   std::vector<const T*> items_;
+  std::vector<uint64_t> hashes_;
 };
-
-using NodeSetPool = DedupPool<NodeSet, std::vector<NodeId>>;
-using RelationPool =
-    DedupPool<std::vector<uint64_t>, std::vector<uint64_t>>;
 
 }  // namespace
 
@@ -206,24 +240,26 @@ StatusOr<SnapshotMeta> PlanCodec::DecodeMeta(const Store& store) {
 Status PlanCodec::EncodeGraph(const Graph& g, Store& store,
                               SnapshotMeta* meta) {
   const StringInterner& interner = g.interner();
+  std::string symbols, nodes, edges;
   for (Symbol s = 0; s < interner.size(); ++s) {
-    GKEYS_RETURN_IF_ERROR(store.Put(KeyBe32('S', s), interner.Resolve(s)));
+    std::string_view str = interner.Resolve(s);
+    PutVarint(symbols, str.size());
+    symbols.append(str);
   }
+  nodes.reserve(5 * g.NumNodes());
   for (NodeId n = 0; n < g.NumNodes(); ++n) {
-    std::string v;
-    v.push_back(g.IsEntity(n) ? 0 : 1);
-    PutBe32(v, g.IsEntity(n) ? g.entity_type(n) : g.value_sym(n));
-    GKEYS_RETURN_IF_ERROR(store.Put(KeyBe64('N', n), std::move(v)));
+    nodes.push_back(g.IsEntity(n) ? 0 : 1);
+    PutBe32(nodes, g.IsEntity(n) ? g.entity_type(n) : g.value_sym(n));
     auto out = g.Out(n);
-    if (out.empty()) continue;
-    std::string e;
-    PutVarint(e, out.size());
+    PutVarint(edges, out.size());
     for (const Edge& edge : out) {
-      PutVarint(e, edge.pred);
-      PutVarint(e, edge.dst);
+      PutVarint(edges, edge.pred);
+      PutVarint(edges, edge.dst);
     }
-    GKEYS_RETURN_IF_ERROR(store.Put(KeyBe64('E', n), std::move(e)));
   }
+  GKEYS_RETURN_IF_ERROR(store.Put(Key1('S'), std::move(symbols)));
+  GKEYS_RETURN_IF_ERROR(store.Put(Key1('N'), std::move(nodes)));
+  GKEYS_RETURN_IF_ERROR(store.Put(Key1('E'), std::move(edges)));
   meta->num_symbols = interner.size();
   meta->num_nodes = g.NumNodes();
   return Status::OK();
@@ -234,55 +270,56 @@ StatusOr<Graph> PlanCodec::DecodeGraph(const Store& store,
   Graph g;
   // Interner replay in symbol order reproduces every id (including
   // symbols no node references, e.g. predicates seen only in key DSL).
-  for (Symbol s = 0; s < meta.num_symbols; ++s) {
-    auto v = store.Get(KeyBe32('S', s));
-    if (!v.ok()) return Corrupt("missing string record " + std::to_string(s));
-    if (g.Intern(*v) != s)
-      return Corrupt("duplicate interned string at symbol " +
-                     std::to_string(s));
-  }
+  GKEYS_RETURN_IF_ERROR(ReadSection(
+      store, 'S', meta.num_symbols, "string",
+      [&](ByteReader& r, uint64_t s) -> Status {
+        uint64_t len = 0;
+        std::string_view str;
+        if (!r.ReadVarint(&len) || !r.ReadBytes(len, &str))
+          return Corrupt("bad string " + std::to_string(s));
+        if (g.Intern(str) != s)
+          return Corrupt("duplicate interned string at symbol " +
+                         std::to_string(s));
+        return Status::OK();
+      }));
   // Nodes in id order: AddEntity/AddValue assign ids sequentially, so the
   // replay reproduces kinds, labels, per-type tables, and the value map.
-  for (NodeId n = 0; n < meta.num_nodes; ++n) {
-    auto v = store.Get(KeyBe64('N', n));
-    if (!v.ok()) return Corrupt("missing node record " + std::to_string(n));
-    ByteReader r(*v);
-    uint8_t kind = 0;
-    uint32_t label = 0;
-    if (!r.ReadU8(&kind) || !r.ReadBe32(&label) || !r.AtEnd() || kind > 1 ||
-        label >= meta.num_symbols) {
-      return Corrupt("bad node record " + std::to_string(n));
-    }
-    NodeId got = kind == 0 ? g.AddEntity(label)
-                           : g.AddValue(g.interner().Resolve(label));
-    if (got != n)
-      return Corrupt("node record " + std::to_string(n) +
-                     " does not replay to its id (duplicate value?)");
-  }
-  // Out-edge runs carry every triple once (in-edges are the transpose).
-  Status scan = store.Scan("E", [&](std::string_view key,
-                                    std::string_view value) -> Status {
-    if (key.size() != 9) return Corrupt("bad edge-record key length");
-    uint64_t src = GetBe64(key.data() + 1);
-    if (src >= meta.num_nodes) return Corrupt("edge record for unknown node");
-    ByteReader r(value);
-    uint64_t count = 0;
-    if (!r.ReadVarint(&count) || count > value.size())
-      return Corrupt("bad edge count");
-    for (uint64_t i = 0; i < count; ++i) {
-      uint32_t pred = 0, dst = 0;
-      if (!r.ReadVarint32(&pred) || !r.ReadVarint32(&dst) ||
-          pred >= meta.num_symbols || dst >= meta.num_nodes) {
-        return Corrupt("bad edge in node " + std::to_string(src));
-      }
-      Status st = g.AddTriple(static_cast<NodeId>(src), Symbol{pred},
-                              static_cast<NodeId>(dst));
-      if (!st.ok()) return Corrupt("unreplayable edge: " + st.message());
-    }
-    if (!r.AtEnd()) return Corrupt("trailing bytes in edge record");
-    return Status::OK();
-  });
-  GKEYS_RETURN_IF_ERROR(scan);
+  GKEYS_RETURN_IF_ERROR(ReadSection(
+      store, 'N', meta.num_nodes, "node",
+      [&](ByteReader& r, uint64_t n) -> Status {
+        uint8_t kind = 0;
+        uint32_t label = 0;
+        if (!r.ReadU8(&kind) || !r.ReadBe32(&label) || kind > 1 ||
+            label >= meta.num_symbols) {
+          return Corrupt("bad node record " + std::to_string(n));
+        }
+        NodeId got = kind == 0 ? g.AddEntity(label)
+                               : g.AddValue(g.interner().Resolve(label));
+        if (got != n)
+          return Corrupt("node record " + std::to_string(n) +
+                         " does not replay to its id (duplicate value?)");
+        return Status::OK();
+      }));
+  // One out-edge run per node carries every triple once (in-edges are the
+  // transpose).
+  GKEYS_RETURN_IF_ERROR(ReadSection(
+      store, 'E', meta.num_nodes, "edge",
+      [&](ByteReader& r, uint64_t src) -> Status {
+        uint64_t count = 0;
+        if (!r.ReadVarint(&count) || count > r.remaining())
+          return Corrupt("bad edge count");
+        for (uint64_t i = 0; i < count; ++i) {
+          uint32_t pred = 0, dst = 0;
+          if (!r.ReadVarint32(&pred) || !r.ReadVarint32(&dst) ||
+              pred >= meta.num_symbols || dst >= meta.num_nodes) {
+            return Corrupt("bad edge in node " + std::to_string(src));
+          }
+          Status st = g.AddTriple(static_cast<NodeId>(src), Symbol{pred},
+                                  static_cast<NodeId>(dst));
+          if (!st.ok()) return Corrupt("unreplayable edge: " + st.message());
+        }
+        return Status::OK();
+      }));
   g.Finalize();
   return g;
 }
@@ -305,16 +342,15 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
   // NodeSet pool: d-neighbor sets and pairing-reduced sets,
   // content-deduplicated — a lineage of patched plans shares most
   // payloads, and they are stored exactly once.
-  NodeSetPool pool;
+  DedupPool<NodeSet> pool(ctx.dneighbor_sets_.size() +
+                          ctx.reduced_pool_.size());
   std::vector<uint64_t> slot_pool_ids(ctx.dneighbor_sets_.size());
   for (size_t i = 0; i < ctx.dneighbor_sets_.size(); ++i) {
-    slot_pool_ids[i] =
-        pool.Id(ctx.dneighbor_sets_[i], ctx.dneighbor_sets_[i]->sorted());
+    slot_pool_ids[i] = pool.Id(*ctx.dneighbor_sets_[i]);
   }
   std::vector<uint64_t> reduced_pool_ids(ctx.reduced_pool_.size());
   for (size_t i = 0; i < ctx.reduced_pool_.size(); ++i) {
-    reduced_pool_ids[i] =
-        pool.Id(ctx.reduced_pool_[i], ctx.reduced_pool_[i]->sorted());
+    reduced_pool_ids[i] = pool.Id(*ctx.reduced_pool_[i]);
   }
 
   // Slot → entity inversion (dneighbor_slot_ is the dense transpose).
@@ -372,16 +408,17 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
           x.push_back(step.forward ? 1 : 0);
           PutVarint(x, static_cast<uint64_t>(step.to_node));
         }
-        std::map<NodeId, const std::vector<NodeId>*> effective;
+        // Each entity appears once, so sorting orders by entity.
+        std::vector<std::pair<NodeId, const std::vector<NodeId>*>> effective;
+        effective.reserve(pk.entity_values->size() + pk.patched_values.size());
         for (const auto& [e, vals] : *pk.entity_values) {
-          if (pk.patched_values.find(e) == pk.patched_values.end() &&
-              !vals.empty()) {
-            effective[e] = &vals;
-          }
+          if (!vals.empty() && !pk.patched_values.contains(e))
+            effective.emplace_back(e, &vals);
         }
         for (const auto& [e, vals] : pk.patched_values) {
-          if (!vals.empty()) effective[e] = &vals;
+          if (!vals.empty()) effective.emplace_back(e, &vals);
         }
+        std::sort(effective.begin(), effective.end());
         PutVarint(x, effective.size());
         for (const auto& [e, vals] : effective) {
           PutVarint(x, e);
@@ -395,34 +432,32 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
   // Product graph: only the per-candidate pairing relations persist —
   // Vp, the edge set, and the counts all replay from them (exactly how
   // PatchProductGraph derives them from an empty Gp).
-  RelationPool relations;
+  DedupPool<PairingRelation> relations(
+      rep.pg.has_value() ? rep.pg->candidate_pairs_.size() : 0);
   if (rep.pg.has_value()) {
     const ProductGraph& pg = *rep.pg;
     std::string gp;
     PutVarint(gp, pg.candidate_pairs_.size());
     for (const auto& rel : pg.candidate_pairs_) {
-      PutVarint(gp, relations.Id(rel, *rel));
+      PutVarint(gp, relations.Id(*rel));
     }
     GKEYS_RETURN_IF_ERROR(store.Put(Key1('G'), std::move(gp)));
-    for (size_t i = 0; i < relations.items().size(); ++i) {
-      // Element order is load-bearing: it fixes product-node ids, which
-      // fix the edge-pass output — preserving byte-identical adjacency
-      // for a from-scratch-built plan.
-      std::string rv;
-      const std::vector<uint64_t>& rel = *relations.items()[i];
-      PutVarint(rv, rel.size());
-      for (uint64_t packed : rel) PutVarint(rv, packed);
-      GKEYS_RETURN_IF_ERROR(store.Put(KeyBe64('R', i), std::move(rv)));
+    // Element order is load-bearing: it fixes product-node ids, which fix
+    // the edge-pass output — preserving byte-identical adjacency for a
+    // from-scratch-built plan.
+    std::string rv;
+    for (const PairingRelation* rel : relations.items()) {
+      PutVarint(rv, rel->size());
+      for (uint64_t packed : *rel) PutVarint(rv, packed);
     }
+    GKEYS_RETURN_IF_ERROR(store.Put(Key1('R'), std::move(rv)));
   }
   meta->num_relations = relations.items().size();
 
   // Pool payloads last (ids are now final).
-  for (size_t i = 0; i < pool.items().size(); ++i) {
-    std::string d;
-    PutDeltaList32(d, pool.items()[i]->sorted());
-    GKEYS_RETURN_IF_ERROR(store.Put(KeyBe64('D', i), std::move(d)));
-  }
+  std::string d;
+  for (const NodeSet* set : pool.items()) PutDeltaList32(d, set->sorted());
+  GKEYS_RETURN_IF_ERROR(store.Put(Key1('D'), std::move(d)));
   meta->num_pool_sets = pool.items().size();
   return Status::OK();
 }
@@ -438,26 +473,18 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
                          meta.plan_options, meta.em_options));
   EmContext& ctx = rep->ctx;
 
-  // NodeSet pool. Scan order is id order (be64 keys), so sequential
-  // appends reconstruct the pool without trusting meta's count for a
-  // pre-allocation.
+  // NodeSet pool, in id order.
   std::vector<std::shared_ptr<const NodeSet>> pool;
-  Status scan = store.Scan("D", [&](std::string_view key,
-                                    std::string_view value) -> Status {
-    if (key.size() != 9 || GetBe64(key.data() + 1) != pool.size())
-      return Corrupt("non-sequential NodeSet pool record");
-    ByteReader r(value);
-    std::vector<NodeId> nodes;
-    if (!ReadDeltaList32(r, meta.num_nodes - 1, &nodes) || !r.AtEnd())
-      return Corrupt("bad NodeSet pool record " +
-                     std::to_string(pool.size()));
-    pool.push_back(std::make_shared<const NodeSet>(
-        NodeSet::FromSorted(std::move(nodes))));
-    return Status::OK();
-  });
-  GKEYS_RETURN_IF_ERROR(scan);
-  if (pool.size() != meta.num_pool_sets)
-    return Corrupt("NodeSet pool count mismatch");
+  GKEYS_RETURN_IF_ERROR(ReadSection(
+      store, 'D', meta.num_pool_sets, "NodeSet pool",
+      [&](ByteReader& r, uint64_t i) -> Status {
+        std::vector<NodeId> nodes;
+        if (!ReadDeltaList32(r, meta.num_nodes - 1, &nodes))
+          return Corrupt("bad NodeSet pool set " + std::to_string(i));
+        pool.push_back(std::make_shared<const NodeSet>(
+            NodeSet::FromSorted(std::move(nodes))));
+        return Status::OK();
+      }));
 
   // Plan blob: slots, candidates, dependency scans.
   auto p_blob = store.Get(Key1('P'));
@@ -484,6 +511,9 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
       num_candidates != meta.num_candidates) {
     return Corrupt("candidate count mismatch");
   }
+  // Each candidate takes at least 3 bytes: two varints and a flag byte.
+  if (num_candidates > p.remaining() / 3)
+    return Corrupt("candidate count exceeds the plan record");
   const bool pairing = meta.em_options.use_pairing;
   ctx.candidates_.reserve(num_candidates);
   if (pairing) ctx.reduced_pool_.reserve(2 * num_candidates);
@@ -542,8 +572,8 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
 
   // Signature indexes.
   uint64_t sig_count = 0;
-  scan = store.Scan("X", [&](std::string_view key,
-                             std::string_view value) -> Status {
+  Status scan = store.Scan("X", [&](std::string_view key,
+                                    std::string_view value) -> Status {
     if (key.size() != 5) return Corrupt("bad sig-record key length");
     uint32_t type = GetBe32(key.data() + 1);
     if (type >= meta.num_symbols) return Corrupt("sig record for bad type");
@@ -627,32 +657,26 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
     return Corrupt("product-graph flag disagrees with the plan options");
   if (meta.has_product_graph) {
     std::vector<std::shared_ptr<const PairingRelation>> rels;
-    scan = store.Scan("R", [&](std::string_view key,
-                               std::string_view value) -> Status {
-      if (key.size() != 9 || GetBe64(key.data() + 1) != rels.size())
-        return Corrupt("non-sequential relation record");
-      ByteReader r(value);
-      uint64_t count = 0;
-      if (!r.ReadVarint(&count) || count > value.size())
-        return Corrupt("bad relation count");
-      auto rel = std::make_shared<PairingRelation>();
-      rel->reserve(count);
-      for (uint64_t i = 0; i < count; ++i) {
-        uint64_t packed = 0;
-        if (!r.ReadVarint(&packed)) return Corrupt("bad relation entry");
-        if ((packed >> 32) >= meta.num_nodes ||
-            (packed & 0xffffffffu) >= meta.num_nodes) {
-          return Corrupt("relation pair out of range");
-        }
-        rel->push_back(packed);
-      }
-      if (!r.AtEnd()) return Corrupt("trailing bytes in relation record");
-      rels.push_back(std::move(rel));
-      return Status::OK();
-    });
-    GKEYS_RETURN_IF_ERROR(scan);
-    if (rels.size() != meta.num_relations)
-      return Corrupt("relation pool count mismatch");
+    GKEYS_RETURN_IF_ERROR(ReadSection(
+        store, 'R', meta.num_relations, "relation",
+        [&](ByteReader& r, uint64_t) -> Status {
+          uint64_t count = 0;
+          if (!r.ReadVarint(&count) || count > r.remaining())
+            return Corrupt("bad relation count");
+          auto rel = std::make_shared<PairingRelation>();
+          rel->reserve(count);
+          for (uint64_t i = 0; i < count; ++i) {
+            uint64_t packed = 0;
+            if (!r.ReadVarint(&packed)) return Corrupt("bad relation entry");
+            if ((packed >> 32) >= meta.num_nodes ||
+                (packed & 0xffffffffu) >= meta.num_nodes) {
+              return Corrupt("relation pair out of range");
+            }
+            rel->push_back(packed);
+          }
+          rels.push_back(std::move(rel));
+          return Status::OK();
+        }));
     auto g_blob = store.Get(Key1('G'));
     if (!g_blob.ok()) return Corrupt("missing product-graph record");
     ByteReader gr(*g_blob);
@@ -703,9 +727,8 @@ Status PlanCodec::EncodeResult(const MatchResult& result, Store& store,
     PutVarint(a, y);
   }
   GKEYS_RETURN_IF_ERROR(store.Put(Key1('A'), std::move(a)));
-  for (size_t i = 0; i < result.derivations.size(); ++i) {
-    const Derivation& d = result.derivations[i];
-    std::string v;
+  std::string v;
+  for (const Derivation& d : result.derivations) {
     PutVarint(v, d.e1);
     PutVarint(v, d.e2);
     PutVarint(v, static_cast<uint64_t>(d.key + 1));  // -1 encodes as 0
@@ -720,8 +743,8 @@ Status PlanCodec::EncodeResult(const MatchResult& result, Store& store,
       PutVarint(v, t.p);
       PutVarint(v, t.o);
     }
-    GKEYS_RETURN_IF_ERROR(store.Put(KeyBe64('V', i), std::move(v)));
   }
+  GKEYS_RETURN_IF_ERROR(store.Put(Key1('V'), std::move(v)));
   meta->num_pairs = result.pairs.size();
   meta->num_derivations = result.derivations.size();
   return Status::OK();
@@ -749,56 +772,47 @@ StatusOr<MatchResult> PlanCodec::DecodeResult(const Store& store,
   }
   if (!a.AtEnd()) return Corrupt("trailing bytes in result record");
 
-  // Scan order is index order (be64 keys), so sequential appends keep
-  // the replayable ordering without trusting meta's count up front.
-  Status scan = store.Scan("V", [&](std::string_view key,
-                                    std::string_view value) -> Status {
-    if (key.size() != 9 ||
-        GetBe64(key.data() + 1) != result.derivations.size()) {
-      return Corrupt("non-sequential derivation record");
-    }
-    ByteReader r(value);
-    Derivation d;
-    uint32_t e1 = 0, e2 = 0;
-    uint64_t key_plus_1 = 0, n = 0;
-    if (!r.ReadVarint32(&e1) || !r.ReadVarint32(&e2) ||
-        !r.ReadVarint(&key_plus_1) || e1 >= meta.num_nodes ||
-        e2 >= meta.num_nodes || key_plus_1 > INT32_MAX) {
-      return Corrupt("bad derivation header");
-    }
-    d.e1 = e1;
-    d.e2 = e2;
-    d.key = static_cast<int>(key_plus_1) - 1;
-    if (!r.ReadVarint(&n) || n > value.size())
-      return Corrupt("bad premise count");
-    d.premises.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      uint32_t x = 0, y = 0;
-      if (!r.ReadVarint32(&x) || !r.ReadVarint32(&y) ||
-          x >= meta.num_nodes || y >= meta.num_nodes) {
-        return Corrupt("bad premise");
-      }
-      d.premises.emplace_back(x, y);
-    }
-    if (!r.ReadVarint(&n) || n > value.size())
-      return Corrupt("bad witness-triple count");
-    d.triples.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      uint32_t s = 0, p = 0, o = 0;
-      if (!r.ReadVarint32(&s) || !r.ReadVarint32(&p) || !r.ReadVarint32(&o) ||
-          s >= meta.num_nodes || p >= meta.num_symbols ||
-          o >= meta.num_nodes) {
-        return Corrupt("bad witness triple");
-      }
-      d.triples.push_back(WitnessTriple{s, Symbol{p}, o});
-    }
-    if (!r.AtEnd()) return Corrupt("trailing bytes in derivation record");
-    result.derivations.push_back(std::move(d));
-    return Status::OK();
-  });
-  GKEYS_RETURN_IF_ERROR(scan);
-  if (result.derivations.size() != meta.num_derivations)
-    return Corrupt("derivation count mismatch");
+  // Derivations in index order, the order retraction replays.
+  GKEYS_RETURN_IF_ERROR(ReadSection(
+      store, 'V', meta.num_derivations, "derivation",
+      [&](ByteReader& r, uint64_t) -> Status {
+        Derivation d;
+        uint32_t e1 = 0, e2 = 0;
+        uint64_t key_plus_1 = 0, n = 0;
+        if (!r.ReadVarint32(&e1) || !r.ReadVarint32(&e2) ||
+            !r.ReadVarint(&key_plus_1) || e1 >= meta.num_nodes ||
+            e2 >= meta.num_nodes || key_plus_1 > INT32_MAX) {
+          return Corrupt("bad derivation header");
+        }
+        d.e1 = e1;
+        d.e2 = e2;
+        d.key = static_cast<int>(key_plus_1) - 1;
+        if (!r.ReadVarint(&n) || n > r.remaining())
+          return Corrupt("bad premise count");
+        d.premises.reserve(n);
+        for (uint64_t i = 0; i < n; ++i) {
+          uint32_t x = 0, y = 0;
+          if (!r.ReadVarint32(&x) || !r.ReadVarint32(&y) ||
+              x >= meta.num_nodes || y >= meta.num_nodes) {
+            return Corrupt("bad premise");
+          }
+          d.premises.emplace_back(x, y);
+        }
+        if (!r.ReadVarint(&n) || n > r.remaining())
+          return Corrupt("bad witness-triple count");
+        d.triples.reserve(n);
+        for (uint64_t i = 0; i < n; ++i) {
+          uint32_t s = 0, p = 0, o = 0;
+          if (!r.ReadVarint32(&s) || !r.ReadVarint32(&p) ||
+              !r.ReadVarint32(&o) || s >= meta.num_nodes ||
+              p >= meta.num_symbols || o >= meta.num_nodes) {
+            return Corrupt("bad witness triple");
+          }
+          d.triples.push_back(WitnessTriple{s, Symbol{p}, o});
+        }
+        result.derivations.push_back(std::move(d));
+        return Status::OK();
+      }));
   // Stats are not persisted; confirmed mirrors the stored pair set.
   result.stats.confirmed = result.pairs.size();
   return result;

@@ -39,33 +39,34 @@ struct SnapshotMeta {
 };
 
 /// (De)serializes the three snapshot artifacts — graph, plan, result —
-/// into big-endian length-prefixed records behind the Store interface.
+/// into one record per table behind the Store interface.
 /// Friended into EmContext / MatchPlan / ProductGraph: the codec restores
 /// the private compiled state directly, then replays the cheap
 /// deterministic derivations (CompileKeys, the dependency-index
 /// inversion, the product-graph edge pass) instead of persisting them.
 ///
-/// Key layout (prefix byte + big-endian fixed-width suffix, so scan
-/// order == id order):
+/// Key layout (a prefix byte each; a table's items sit back to back in id
+/// order, meta carries their count, fixed-width integers are big-endian):
 ///
 ///     'M'            meta record (SnapshotMeta)
-///     'S' be32(sym)  interned string, in symbol order
-///     'N' be64(id)   node: u8 kind, be32 label symbol
-///     'E' be64(src)  out-edge run: varint count, per edge varint pred +
-///                    varint dst (absent record == no out-edges)
+///     'S'            interned strings in symbol order, each varint
+///                    length + bytes
+///     'N'            nodes, 5 bytes each: u8 kind, be32 label symbol
+///     'E'            one out-edge run per node: varint count, per edge
+///                    varint pred + varint dst
 ///     'K'            key set as DSL text (ToDsl round-trip)
-///     'T'            entity-name table (gkeys CLI deltas resolve
-///                    through it; optional)
+///     'T'            entity-name table, sorted by node (gkeys CLI deltas
+///                    resolve through it; optional)
 ///     'P'            plan blob: d-neighbor slots, candidates, raw
 ///                    dependency scans
-///     'D' be64(id)   NodeSet pool, content-deduplicated: COW-shared
+///     'D'            NodeSet pool, content-deduplicated: COW-shared
 ///                    d-neighbor / pairing-reduced sets store once
 ///     'X' be32(type) per-type signature index, overlays folded into an
 ///                    effective base map
 ///     'G'            product graph: per-candidate relation pool ids
-///     'R' be64(id)   pairing-relation pool, content-deduplicated
+///     'R'            pairing-relation pool, content-deduplicated
 ///     'A'            result pairs
-///     'V' be64(i)    derivation i of the provenance index, in index
+///     'V'            derivations of the provenance index, in index
 ///                    order (the order retraction replays)
 class PlanCodec {
  public:

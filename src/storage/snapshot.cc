@@ -1,10 +1,11 @@
 #include "storage/snapshot.h"
 
-#include <map>
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/endian.h"
 #include "storage/plan_codec.h"
@@ -32,12 +33,17 @@ Status Snapshot::Save(
   GKEYS_RETURN_IF_ERROR(PlanCodec::EncodeGraph(g, store, &meta));
   GKEYS_RETURN_IF_ERROR(store.Put("K", ToDsl(keys)));
   if (entity_names != nullptr && !entity_names->empty()) {
-    // Sorted by name so the record is deterministic across runs.
-    std::map<std::string_view, NodeId> sorted(entity_names->begin(),
-                                              entity_names->end());
+    // Sorted by node, then name, so the record is deterministic across
+    // runs.
+    std::vector<std::pair<NodeId, std::string_view>> sorted;
+    sorted.reserve(entity_names->size());
+    for (const auto& [name, node] : *entity_names) {
+      sorted.emplace_back(node, name);
+    }
+    std::sort(sorted.begin(), sorted.end());
     std::string t;
     PutVarint(t, sorted.size());
-    for (const auto& [name, node] : sorted) {
+    for (const auto& [node, name] : sorted) {
       PutVarint(t, name.size());
       t.append(name);
       PutVarint(t, node);
@@ -88,7 +94,12 @@ StatusOr<Snapshot> Snapshot::Load(const Store& store) {
           !r.ReadVarint32(&node) || node >= snap.graph_->NumNodes()) {
         return Status::ParseError("corrupt snapshot: bad entity-name entry");
       }
-      snap.entity_names_.emplace(std::string(name), node);
+      if (!snap.graph_->IsEntity(node))
+        return Status::ParseError("corrupt snapshot: entity name " +
+                                  std::string(name) + " names a value node");
+      if (!snap.entity_names_.emplace(std::string(name), node).second)
+        return Status::ParseError("corrupt snapshot: entity name " +
+                                  std::string(name) + " bound twice");
     }
     if (!r.AtEnd())
       return Status::ParseError(

@@ -47,42 +47,42 @@ using testing::MapStore;
 /// "<spec name>/<algorithm>" → digest of the compiled plan's records.
 const std::map<std::string, uint64_t>& GoldenDigests() {
   static const std::map<std::string, uint64_t> kGolden = {
-      {"hostile_neardup_uniform/EMMR", 0x852a621e4e10af59ull},
-      {"hostile_neardup_uniform/EMOptMR", 0x863ec614329fa8d4ull},
-      {"hostile_neardup_uniform/EMOptVC", 0x79f0e54bef56f935ull},
-      {"hostile_neardup_uniform/EMVC", 0x4ab85103e52b7c44ull},
-      {"hostile_neardup_uniform/EMVF2MR", 0x98e392c351601d6eull},
-      {"hostile_neardup_uniform/NaiveChase", 0x221738b884595aedull},
-      {"hostile_powerlaw_churn/EMMR", 0x2f41d474c9ec490aull},
-      {"hostile_powerlaw_churn/EMOptMR", 0x39229a5794b6cb49ull},
-      {"hostile_powerlaw_churn/EMOptVC", 0xff8703a09875b214ull},
-      {"hostile_powerlaw_churn/EMVC", 0xea7065995616fe41ull},
-      {"hostile_powerlaw_churn/EMVF2MR", 0x3c84022004b249d1ull},
-      {"hostile_powerlaw_churn/NaiveChase", 0x9a94692d086dca17ull},
-      {"hostile_powerlaw_hub/EMMR", 0xa70a8df0cd15d6c3ull},
-      {"hostile_powerlaw_hub/EMOptMR", 0x90c0292e31b8c109ull},
-      {"hostile_powerlaw_hub/EMOptVC", 0x107a9d784e4826b4ull},
-      {"hostile_powerlaw_hub/EMVC", 0x8d79c90307db76b7ull},
-      {"hostile_powerlaw_hub/EMVF2MR", 0xbc88c44b02fdda54ull},
-      {"hostile_powerlaw_hub/NaiveChase", 0x0221ecb090607235ull},
-      {"hostile_skew_hub/EMMR", 0xacd4999cde2ab1c0ull},
-      {"hostile_skew_hub/EMOptMR", 0x42e533553c2d9207ull},
-      {"hostile_skew_hub/EMOptVC", 0x2abddb23ba6116dcull},
-      {"hostile_skew_hub/EMVC", 0xda64c6e39675d5cdull},
-      {"hostile_skew_hub/EMVF2MR", 0x26de0c883cf1cc2dull},
-      {"hostile_skew_hub/NaiveChase", 0x1d5c9040fe9845a2ull},
-      {"paper_dbpedia_hub/EMMR", 0xbb7670a012602288ull},
-      {"paper_dbpedia_hub/EMOptMR", 0xd82b64f7a1bfbe36ull},
-      {"paper_dbpedia_hub/EMOptVC", 0x02436a7e3a3e5c0eull},
-      {"paper_dbpedia_hub/EMVC", 0xe231564c34e85b9dull},
-      {"paper_dbpedia_hub/EMVF2MR", 0x9950effef4982c9full},
-      {"paper_dbpedia_hub/NaiveChase", 0x9d27e6a1975ea2e5ull},
-      {"paper_google_uniform/EMMR", 0x87f9ca467efd9c86ull},
-      {"paper_google_uniform/EMOptMR", 0x76707055b8a8f11bull},
-      {"paper_google_uniform/EMOptVC", 0xc9763203c41f9a22ull},
-      {"paper_google_uniform/EMVC", 0x4fafcced8e2172dbull},
-      {"paper_google_uniform/EMVF2MR", 0x506a26b0c9c50bddull},
-      {"paper_google_uniform/NaiveChase", 0xacbbab16ec2ade7aull},
+      {"hostile_neardup_uniform/EMMR", 0xf55cd39285787aedull},
+      {"hostile_neardup_uniform/EMOptMR", 0xf3c4f69151a3640full},
+      {"hostile_neardup_uniform/EMOptVC", 0x2ec750ebc2c73923ull},
+      {"hostile_neardup_uniform/EMVC", 0x0c5f86d9de706b8eull},
+      {"hostile_neardup_uniform/EMVF2MR", 0xf8ce803dc845b382ull},
+      {"hostile_neardup_uniform/NaiveChase", 0xb6f6bb7d90eef779ull},
+      {"hostile_powerlaw_churn/EMMR", 0xad04f43f3f9061f0ull},
+      {"hostile_powerlaw_churn/EMOptMR", 0x7699e7fd5ecd1dbcull},
+      {"hostile_powerlaw_churn/EMOptVC", 0xbdc27550bb1fdcd9ull},
+      {"hostile_powerlaw_churn/EMVC", 0x2d49dcb3b450287aull},
+      {"hostile_powerlaw_churn/EMVF2MR", 0xd23fac9354929f03ull},
+      {"hostile_powerlaw_churn/NaiveChase", 0x1a495a8836a5d379ull},
+      {"hostile_powerlaw_hub/EMMR", 0xcfadb5b36a6456d4ull},
+      {"hostile_powerlaw_hub/EMOptMR", 0xb405f050dd5f0009ull},
+      {"hostile_powerlaw_hub/EMOptVC", 0xedd23548166efc78ull},
+      {"hostile_powerlaw_hub/EMVC", 0xe1e8e2738ba023d9ull},
+      {"hostile_powerlaw_hub/EMVF2MR", 0x3311c9e70698c143ull},
+      {"hostile_powerlaw_hub/NaiveChase", 0x3d38edc5c556da9aull},
+      {"hostile_skew_hub/EMMR", 0x9e8a6427253ddcd0ull},
+      {"hostile_skew_hub/EMOptMR", 0x0851eb4b07aedbc3ull},
+      {"hostile_skew_hub/EMOptVC", 0x094021dfb4fbd315ull},
+      {"hostile_skew_hub/EMVC", 0x8bcf82524727e594ull},
+      {"hostile_skew_hub/EMVF2MR", 0xc666034f3bf3fd7dull},
+      {"hostile_skew_hub/NaiveChase", 0x3e651d7140fc5992ull},
+      {"paper_dbpedia_hub/EMMR", 0x8c0e89e34b5d1f84ull},
+      {"paper_dbpedia_hub/EMOptMR", 0x1363e774a73854eaull},
+      {"paper_dbpedia_hub/EMOptVC", 0x724c1db6900aed55ull},
+      {"paper_dbpedia_hub/EMVC", 0xd2e7266bf901f10aull},
+      {"paper_dbpedia_hub/EMVF2MR", 0xbddb311d31662f6bull},
+      {"paper_dbpedia_hub/NaiveChase", 0x5ff2d83b26e501b9ull},
+      {"paper_google_uniform/EMMR", 0x3f8ba99315d94445ull},
+      {"paper_google_uniform/EMOptMR", 0xaa606adf3348b206ull},
+      {"paper_google_uniform/EMOptVC", 0xe12c3c57fb6b4f26ull},
+      {"paper_google_uniform/EMVC", 0x4b353f7ea56a5b85ull},
+      {"paper_google_uniform/EMVF2MR", 0x734e8022872a90eeull},
+      {"paper_google_uniform/NaiveChase", 0x2703a8060114af41ull},
   };
   return kGolden;
 }
@@ -91,24 +91,24 @@ const std::map<std::string, uint64_t>& GoldenDigests() {
 /// writes for that build of the spec's base graph.
 const std::map<std::string, uint64_t>& GoldenGraphDigests() {
   static const std::map<std::string, uint64_t> kGolden = {
-      {"hostile_neardup_uniform/decoded", 0x19fec2a9d5dfd66full},
-      {"hostile_neardup_uniform/generated", 0x19fec2a9d5dfd66full},
-      {"hostile_neardup_uniform/parsed", 0x19fec2a9d5dfd66full},
-      {"hostile_powerlaw_churn/decoded", 0x73a83dfe3d8e1e6cull},
-      {"hostile_powerlaw_churn/generated", 0x4b402f43cf669ed6ull},
-      {"hostile_powerlaw_churn/parsed", 0x73a83dfe3d8e1e6cull},
-      {"hostile_powerlaw_hub/decoded", 0xabd42330ca457da7ull},
-      {"hostile_powerlaw_hub/generated", 0x07410e09854083e8ull},
-      {"hostile_powerlaw_hub/parsed", 0xabd42330ca457da7ull},
-      {"hostile_skew_hub/decoded", 0x3cba83f53a7e0ef3ull},
-      {"hostile_skew_hub/generated", 0x3cba83f53a7e0ef3ull},
-      {"hostile_skew_hub/parsed", 0x3cba83f53a7e0ef3ull},
-      {"paper_dbpedia_hub/decoded", 0xc1389936965d2cceull},
-      {"paper_dbpedia_hub/generated", 0x3468e92396d8656bull},
-      {"paper_dbpedia_hub/parsed", 0xc1389936965d2cceull},
-      {"paper_google_uniform/decoded", 0x4d533730c0be63feull},
-      {"paper_google_uniform/generated", 0x4d533730c0be63feull},
-      {"paper_google_uniform/parsed", 0x4d533730c0be63feull},
+      {"hostile_neardup_uniform/decoded", 0xdab2f099fd44b85cull},
+      {"hostile_neardup_uniform/generated", 0xdab2f099fd44b85cull},
+      {"hostile_neardup_uniform/parsed", 0xdab2f099fd44b85cull},
+      {"hostile_powerlaw_churn/decoded", 0x8da516087d5df25dull},
+      {"hostile_powerlaw_churn/generated", 0x1efc5958a14e7cf4ull},
+      {"hostile_powerlaw_churn/parsed", 0x8da516087d5df25dull},
+      {"hostile_powerlaw_hub/decoded", 0x43bc8b1b33182994ull},
+      {"hostile_powerlaw_hub/generated", 0x48bf5fb78a9bf34cull},
+      {"hostile_powerlaw_hub/parsed", 0x43bc8b1b33182994ull},
+      {"hostile_skew_hub/decoded", 0x36624f807c981409ull},
+      {"hostile_skew_hub/generated", 0x36624f807c981409ull},
+      {"hostile_skew_hub/parsed", 0x36624f807c981409ull},
+      {"paper_dbpedia_hub/decoded", 0x25b82cb1dfe4ce1eull},
+      {"paper_dbpedia_hub/generated", 0x03fc528135aa11cdull},
+      {"paper_dbpedia_hub/parsed", 0x25b82cb1dfe4ce1eull},
+      {"paper_google_uniform/decoded", 0x348b26ec28568225ull},
+      {"paper_google_uniform/generated", 0x348b26ec28568225ull},
+      {"paper_google_uniform/parsed", 0x348b26ec28568225ull},
   };
   return kGolden;
 }

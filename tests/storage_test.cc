@@ -14,6 +14,7 @@
 #include <tuple>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -334,6 +335,69 @@ TEST(SnapshotRoundTrip, EntityNameTableRidesAlong) {
   EXPECT_EQ(delta->num_added_triples(), 1u);
 }
 
+/// Saves a session with its entity-name table and returns the file bytes.
+std::string SaveBytes(const Graph& g, const KeySet& keys,
+                      const MatchPlan& plan, const MatchResult& result,
+                      Algorithm algo,
+                      const std::unordered_map<std::string, NodeId>& names,
+                      const std::string& name) {
+  std::string path = TempPath(name);
+  auto store = MmapStore::Create(path);
+  EXPECT_TRUE(store.ok()) << store.status().ToString();
+  Status st = Snapshot::Save(**store, g, keys, plan, result, algo, &names);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  st = (*store)->Flush();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return Slurp(path);
+}
+
+void ExpectSameBytes(const std::string& got, const std::string& want) {
+  EXPECT_EQ(got.size(), want.size());
+  size_t same = std::mismatch(got.begin(), got.end(), want.begin(),
+                              want.end()).first - got.begin();
+  EXPECT_EQ(same, std::max(got.size(), want.size()))
+      << "first differing byte at offset " << same;
+}
+
+TEST(SnapshotRoundTrip, SavesAreByteIdentical) {
+  // A snapshot's bytes depend on the session alone: not on the order the
+  // entity-name map was filled in, and not on whether the plan was
+  // compiled or loaded. This pins the write order of every table.
+  DBpediaSimConfig cfg;
+  cfg.scale = 10;
+  SyntheticDataset ds = GenerateDBpediaSim(cfg);
+  for (Algorithm algo :
+       {Algorithm::kEmOptVc, Algorithm::kEmOptMr, Algorithm::kEmVc}) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    auto loaded = FastDeserializeGraphWithNames(SerializeGraph(ds.graph));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    Session s = CompileAndRun(std::move(loaded->graph), ds.keys, algo);
+    const std::unordered_map<std::string, NodeId>& names = loaded->entities;
+    ASSERT_FALSE(names.empty());
+    std::vector<std::pair<std::string, NodeId>> entries(names.begin(),
+                                                        names.end());
+    std::unordered_map<std::string, NodeId> reversed;
+    for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+      reversed.insert(*it);
+    }
+
+    const std::string first = SaveBytes(*s.graph, *s.keys, s.plan, s.result,
+                                        algo, names, "identical_first");
+    ExpectSameBytes(SaveBytes(*s.graph, *s.keys, s.plan, s.result, algo,
+                              reversed, "identical_reversed"),
+                    first);
+
+    auto store = MmapStore::Open(TempPath("identical_first"));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto snap = Snapshot::Load(**store);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ExpectSameBytes(SaveBytes(snap->graph(), snap->keys(), snap->plan(),
+                              snap->result(), algo, snap->entity_names(),
+                              "identical_loaded"),
+                    first);
+  }
+}
+
 TEST(Snapshot, SaveRejectsForeignPlan) {
   Algorithm algo = Algorithm::kEmOptVc;
   Session s = CompileAndRun(testing::MakeG2().g, testing::MakeSigma2(),
@@ -623,15 +687,19 @@ TEST_F(SnapshotCorruption, BadMagicIsParseError) {
 }
 
 TEST_F(SnapshotCorruption, VersionMismatchIsParseErrorNamingVersions) {
-  std::string bad = bytes_;
-  bad[8] = 0;
-  bad[9] = 0;
-  bad[10] = 0;
-  bad[11] = 2;  // be32 version = 2
-  Status st = TryLoad(bad, "version");
-  ASSERT_EQ(st.code(), StatusCode::kParseError) << st.ToString();
-  EXPECT_NE(st.message().find("version"), std::string::npos)
-      << st.message();
+  for (uint32_t version :
+       {MmapStore::kFormatVersion + 1, MmapStore::kFormatVersion - 1}) {
+    SCOPED_TRACE("version=" + std::to_string(version));
+    std::string bad = bytes_;
+    std::string be32;
+    PutBe32(be32, version);
+    bad.replace(8, 4, be32);
+    Status st = TryLoad(bad, "version");
+    ASSERT_EQ(st.code(), StatusCode::kParseError) << st.ToString();
+    EXPECT_NE(st.message().find("format version " + std::to_string(version)),
+              std::string::npos)
+        << st.message();
+  }
 }
 
 TEST_F(SnapshotCorruption, SingleByteFlipsNeverCrashAndNeverLie) {
@@ -657,28 +725,42 @@ TEST_F(SnapshotCorruption, SingleByteFlipsNeverCrashAndNeverLie) {
 }
 
 TEST_F(SnapshotCorruption, MissingRecordsAreParseErrors) {
-  // Rebuild the store without the meta record / without the key record:
-  // Load must fail cleanly, not crash.
-  for (std::string drop : {"M", "K", "P", "A"}) {
-    SCOPED_TRACE("drop=" + drop);
-    auto src = MmapStore::Open(path_);
-    ASSERT_TRUE(src.ok());
-    std::string path = TempPath("drop");
-    auto dst = MmapStore::Create(path);
-    ASSERT_TRUE(dst.ok());
+  // Every record the snapshot holds is required: rebuilt without any one
+  // of them (the entity-name table too, in a session saved with one),
+  // Load must fail cleanly, not crash or load a smaller session.
+  std::unordered_map<std::string, NodeId> names;
+  for (NodeId n = 0; n < session_.graph->NumNodes(); ++n) {
+    if (session_.graph->IsEntity(n))
+      names.emplace("ent:company:c" + std::to_string(n), n);
+  }
+  const std::string path = TempPath("with_names");
+  SaveBytes(*session_.graph, *session_.keys, session_.plan, session_.result,
+            Algorithm::kEmOptVc, names, "with_names");
+  auto src = MmapStore::Open(path);
+  ASSERT_TRUE(src.ok()) << src.status().ToString();
+  std::vector<std::string> keys;
+  std::string kinds;
+  ASSERT_TRUE((*src)
+                  ->Scan("",
+                         [&](std::string_view k, std::string_view) {
+                           keys.emplace_back(k);
+                           if (kinds.empty() || kinds.back() != k[0])
+                             kinds.push_back(k[0]);
+                           return Status::OK();
+                         })
+                  .ok());
+  EXPECT_EQ(kinds, "ADEGKMNPRSTVX");
+  for (const std::string& drop : keys) {
+    SCOPED_TRACE("drop=" + ::testing::PrintToString(drop));
+    testing::MapStore dst;
     ASSERT_TRUE((*src)
                     ->Scan("",
                            [&](std::string_view k, std::string_view v) {
-                             if (std::string(k) == drop)
-                               return Status::OK();
-                             return (*dst)->Put(std::string(k),
-                                                std::string(v));
+                             if (k == drop) return Status::OK();
+                             return dst.Put(std::string(k), std::string(v));
                            })
                     .ok());
-    ASSERT_TRUE((*dst)->Flush().ok());
-    auto reopened = MmapStore::Open(path);
-    ASSERT_TRUE(reopened.ok());
-    auto snap = Snapshot::Load(**reopened);
+    auto snap = Snapshot::Load(dst);
     EXPECT_FALSE(snap.ok());
     EXPECT_EQ(snap.status().code(), StatusCode::kParseError)
         << snap.status().ToString();
@@ -687,12 +769,12 @@ TEST_F(SnapshotCorruption, MissingRecordsAreParseErrors) {
 
 // ---- DecodeGraph record checks ----------------------------------------------
 // A flipped byte in a snapshot file fails MmapStore's checksum before any
-// record decodes, so these cases hand-build the 'S' / 'N' / 'E' records
+// record decodes, so these cases hand-build the 'S' / 'N' / 'E' sections
 // in an in-memory store and decode them directly.
 
-/// Graph records as EncodeGraph lays them out: symbols "t", "p", "x";
+/// Graph sections as EncodeGraph lays them out: symbols "t", "p", "x";
 /// nodes 0 and 1 entities of type "t", node 2 the value "x"; out-edges
-/// 0 -p-> 1 and 0 -p-> 2.
+/// 0 -p-> 1 and 0 -p-> 2 (a node without an entry has an empty run).
 struct GraphRecords {
   std::vector<std::string> symbols = {"t", "p", "x"};
   std::vector<std::pair<uint8_t, uint32_t>> nodes = {{0, 0}, {0, 0}, {1, 2}};
@@ -713,23 +795,21 @@ struct GraphRecords {
 
   StatusOr<Graph> Decode() const {
     testing::MapStore store;
-    for (Symbol s = 0; s < symbols.size(); ++s) {
-      std::string key(1, 'S');
-      PutBe32(key, s);
-      EXPECT_TRUE(store.Put(std::move(key), symbols[s]).ok());
+    std::string s, n, e;
+    for (const std::string& symbol : symbols) {
+      PutVarint(s, symbol.size());
+      s += symbol;
     }
-    for (NodeId n = 0; n < nodes.size(); ++n) {
-      std::string key(1, 'N');
-      PutBe64(key, n);
-      std::string v(1, static_cast<char>(nodes[n].first));
-      PutBe32(v, nodes[n].second);
-      EXPECT_TRUE(store.Put(std::move(key), std::move(v)).ok());
+    for (NodeId id = 0; id < nodes.size(); ++id) {
+      n.push_back(static_cast<char>(nodes[id].first));
+      PutBe32(n, nodes[id].second);
+      auto run = std::find_if(edges.begin(), edges.end(),
+                              [id](const auto& r) { return r.first == id; });
+      e += run == edges.end() ? EdgeRecord({}) : run->second;
     }
-    for (const auto& [n, run] : edges) {
-      std::string key(1, 'E');
-      PutBe64(key, n);
-      EXPECT_TRUE(store.Put(std::move(key), run).ok());
-    }
+    EXPECT_TRUE(store.Put("S", std::move(s)).ok());
+    EXPECT_TRUE(store.Put("N", std::move(n)).ok());
+    EXPECT_TRUE(store.Put("E", std::move(e)).ok());
     storage::SnapshotMeta meta;
     meta.num_symbols = symbols.size();
     meta.num_nodes = nodes.size();
@@ -782,9 +862,10 @@ TEST(DecodeGraph, CorruptRecordsAreParseErrorsNamingTheCheck) {
          r.edges = {{0, run}};
        },
        "corrupt snapshot: bad edge count"},
-      {"trailing bytes in an edge record",
+      {"trailing bytes after the last node's run",
        [](GraphRecords& r) {
-         r.edges = {{0, GraphRecords::EdgeRecord({{1, 1}}) + "z"}};
+         r.edges = {{0, GraphRecords::EdgeRecord({{1, 1}})},
+                    {2, GraphRecords::EdgeRecord({}) + "z"}};
        },
        "corrupt snapshot: trailing bytes in edge record"},
   };
@@ -799,9 +880,173 @@ TEST(DecodeGraph, CorruptRecordsAreParseErrorsNamingTheCheck) {
   }
 }
 
+// ---- Snapshot::Load on edited records -------------------------------
+
+/// The records Snapshot::Save writes for `s`, in an in-memory store.
+testing::MapStore SavedRecords(
+    const Session& s, Algorithm algo,
+    const std::unordered_map<std::string, NodeId>* names = nullptr) {
+  testing::MapStore store;
+  Status st =
+      Snapshot::Save(store, *s.graph, *s.keys, s.plan, s.result, algo, names);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return store;
+}
+
+TEST(SnapshotSections, FramingErrorsAreParseErrors) {
+  // Each table is one record holding meta's count of items back to back.
+  // A section holding fewer items, or bytes after its last item, fails.
+  Algorithm algo = Algorithm::kEmOptVc;
+  Session s = CompileAndRun(testing::MakeG1().g, testing::MakeSigma1(), algo);
+  using Edit = std::function<void(testing::MapStore&, storage::SnapshotMeta&)>;
+  struct Case {
+    std::string what;
+    Edit edit;
+    std::string message;
+  };
+  std::vector<Case> cases = {
+      {"S shorter than meta's count",
+       [](testing::MapStore&, storage::SnapshotMeta& m) { ++m.num_symbols; },
+       "string record holds only"},
+      {"N shorter than meta's count",
+       [](testing::MapStore&, storage::SnapshotMeta& m) { ++m.num_nodes; },
+       "node record holds only"},
+      {"E with fewer runs than nodes",
+       [](testing::MapStore& store, storage::SnapshotMeta&) {
+         std::string e(*store.Get("E"));
+         ASSERT_EQ(e.back(), '\0');  // the last node's run is empty
+         e.pop_back();
+         ASSERT_TRUE(store.Put("E", std::move(e)).ok());
+       },
+       "edge record holds only"},
+      {"D holding fewer sets than meta says",
+       [](testing::MapStore&, storage::SnapshotMeta& m) { ++m.num_pool_sets; },
+       "NodeSet pool record holds only"},
+      {"R holding fewer relations than meta says",
+       [](testing::MapStore&, storage::SnapshotMeta& m) { ++m.num_relations; },
+       "relation record holds only"},
+      {"V holding fewer derivations than meta says",
+       [](testing::MapStore&, storage::SnapshotMeta& m) {
+         ++m.num_derivations;
+       },
+       "derivation record holds only"},
+  };
+  for (auto [key, name] : std::vector<std::pair<std::string, std::string>>{
+           {"S", "string"},
+           {"N", "node"},
+           {"E", "edge"},
+           {"D", "NodeSet pool"},
+           {"R", "relation"},
+           {"V", "derivation"}}) {
+    cases.push_back(
+        {"trailing bytes after the last item of " + key,
+         [key](testing::MapStore& store, storage::SnapshotMeta&) {
+           ASSERT_TRUE(store.Put(key, std::string(*store.Get(key)) + "z").ok());
+         },
+         "trailing bytes in " + name + " record"});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    testing::MapStore store = SavedRecords(s, algo);
+    auto meta = PlanCodec::DecodeMeta(store);
+    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+    ASSERT_GT(meta->num_relations, 0u);
+    ASSERT_GT(meta->num_derivations, 0u);
+    c.edit(store, *meta);
+    ASSERT_TRUE(PlanCodec::EncodeMeta(*meta, store).ok());
+    auto snap = Snapshot::Load(store);
+    ASSERT_FALSE(snap.ok());
+    EXPECT_EQ(snap.status().code(), StatusCode::kParseError);
+    EXPECT_TRUE(snap.status().message().starts_with("corrupt snapshot: " +
+                                                    c.message))
+        << snap.status().message();
+  }
+}
+
+TEST(SnapshotSections, CandidateCountsThePlanRecordCannotHoldAreParseErrors) {
+  // Meta and the 'P' record agreeing on 2^40 candidates must not make the
+  // decoder allocate for them: the record's bytes bound the count first.
+  Algorithm algo = Algorithm::kEmOptVc;
+  Session s = CompileAndRun(testing::MakeG2().g, testing::MakeSigma2(), algo);
+  testing::MapStore store = SavedRecords(s, algo);
+  constexpr uint64_t kHuge = uint64_t{1} << 40;
+  auto meta = PlanCodec::DecodeMeta(store);
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  meta->num_candidates = kHuge;
+  ASSERT_TRUE(PlanCodec::EncodeMeta(*meta, store).ok());
+
+  // 'P' opens with the slot count and an (entity, pool id) pair per slot;
+  // the candidate count follows.
+  const std::string p(*store.Get("P"));
+  ByteReader r(p);
+  uint64_t slots = 0, skip = 0, count = 0;
+  ASSERT_TRUE(r.ReadVarint(&slots));
+  for (uint64_t i = 0; i < 2 * slots; ++i) ASSERT_TRUE(r.ReadVarint(&skip));
+  std::string edited = p.substr(0, p.size() - r.remaining());
+  ASSERT_TRUE(r.ReadVarint(&count));
+  ASSERT_EQ(count, s.plan.num_candidates());
+  PutVarint(edited, kHuge);
+  edited += p.substr(p.size() - r.remaining());
+  ASSERT_TRUE(store.Put("P", std::move(edited)).ok());
+
+  auto snap = Snapshot::Load(store);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_EQ(snap.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(snap.status().message(),
+            "corrupt snapshot: candidate count exceeds the plan record");
+}
+
+/// Loads a saved two-entity session ("ent:t:a", "ent:t:b", one shared
+/// value) whose entity-name record is replaced by `entries`.
+Status LoadWithNameTable(
+    const std::function<std::vector<std::pair<std::string, NodeId>>(
+        const std::unordered_map<std::string, NodeId>& names,
+        NodeId value)>& entries) {
+  auto loaded = FastDeserializeGraphWithNames(
+      "ent:t:a p val:\"1\"\nent:t:b p val:\"1\"\n");
+  EXPECT_TRUE(loaded.ok()) << loaded.status().ToString();
+  NodeId value = 0;
+  while (loaded->graph.IsEntity(value)) ++value;
+  KeySet keys;
+  EXPECT_TRUE(keys.AddFromDsl("key k for t { x -[p]-> v* }").ok());
+  Algorithm algo = Algorithm::kEmOptVc;
+  Session s = CompileAndRun(std::move(loaded->graph), std::move(keys), algo);
+  testing::MapStore store = SavedRecords(s, algo, &loaded->entities);
+  std::string t;
+  const auto table = entries(loaded->entities, value);
+  PutVarint(t, table.size());
+  for (const auto& [name, node] : table) {
+    PutVarint(t, name.size());
+    t += name;
+    PutVarint(t, node);
+  }
+  EXPECT_TRUE(store.Put("T", std::move(t)).ok());
+  auto snap = Snapshot::Load(store);
+  return snap.ok() ? Status::OK() : snap.status();
+}
+
+TEST(SnapshotSections, AnEntityNameBoundTwiceIsAParseError) {
+  Status st = LoadWithNameTable([](const auto& names, NodeId) {
+    return std::vector<std::pair<std::string, NodeId>>{
+        {"ent:t:a", names.at("ent:t:a")}, {"ent:t:a", names.at("ent:t:b")}};
+  });
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_EQ(st.message(), "corrupt snapshot: entity name ent:t:a bound twice");
+}
+
+TEST(SnapshotSections, AnEntityNameBoundToAValueNodeIsAParseError) {
+  Status st = LoadWithNameTable([](const auto& names, NodeId value) {
+    return std::vector<std::pair<std::string, NodeId>>{
+        {"ent:t:a", names.at("ent:t:a")}, {"ent:t:b", value}};
+  });
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_EQ(st.message(),
+            "corrupt snapshot: entity name ent:t:b names a value node");
+}
+
 // ---- DecodePlan: pairing-relation records ---------------------------
 
-/// Per candidate, the id of the 'R' record holding its relation, read
+/// Per candidate, the id of its relation in the 'R' section, read
 /// from the 'G' record (varint count, then one varint id per candidate).
 std::vector<uint64_t> RelationIds(const testing::MapStore& store) {
   auto g = store.Get("G");
@@ -814,30 +1059,31 @@ std::vector<uint64_t> RelationIds(const testing::MapStore& store) {
   return ids;
 }
 
-std::string RelationKey(uint64_t id) {
-  std::string key(1, 'R');
-  PutBe64(key, id);
-  return key;
-}
-
-std::vector<uint64_t> ReadRelation(const testing::MapStore& store,
-                                   uint64_t id) {
-  auto v = store.Get(RelationKey(id));
+/// The 'R' section split into its relations, in id order (each a varint
+/// count, then one varint per packed pair).
+std::vector<std::vector<uint64_t>> ReadRelations(
+    const testing::MapStore& store) {
+  auto v = store.Get("R");
   EXPECT_TRUE(v.ok());
   ByteReader r(v.ok() ? *v : std::string_view());
+  std::vector<std::vector<uint64_t>> rels;
   uint64_t count = 0;
-  EXPECT_TRUE(r.ReadVarint(&count));
-  std::vector<uint64_t> rel(count);
-  for (uint64_t& packed : rel) EXPECT_TRUE(r.ReadVarint(&packed));
-  return rel;
+  while (!r.AtEnd() && r.ReadVarint(&count)) {
+    std::vector<uint64_t>& rel = rels.emplace_back(count);
+    for (uint64_t& packed : rel) EXPECT_TRUE(r.ReadVarint(&packed));
+  }
+  EXPECT_TRUE(r.ok());
+  return rels;
 }
 
-void WriteRelation(testing::MapStore& store, uint64_t id,
-                   const std::vector<uint64_t>& rel) {
+void WriteRelations(testing::MapStore& store,
+                    const std::vector<std::vector<uint64_t>>& rels) {
   std::string v;
-  PutVarint(v, rel.size());
-  for (uint64_t packed : rel) PutVarint(v, packed);
-  EXPECT_TRUE(store.Put(RelationKey(id), std::move(v)).ok());
+  for (const std::vector<uint64_t>& rel : rels) {
+    PutVarint(v, rel.size());
+    for (uint64_t packed : rel) PutVarint(v, packed);
+  }
+  EXPECT_TRUE(store.Put("R", std::move(v)).ok());
 }
 
 TEST(DecodePlan, RejectsRelationRecordsItCannotReplay) {
@@ -886,11 +1132,13 @@ TEST(DecodePlan, RejectsRelationRecordsItCannotReplay) {
     const std::vector<uint64_t> ids = RelationIds(store);
     ASSERT_GT(ids.size(), cand);
     const uint64_t id = ids[cand];
-    std::vector<uint64_t> rel = ReadRelation(store, id);
+    std::vector<std::vector<uint64_t>> rels = ReadRelations(store);
+    ASSERT_LT(id, rels.size());
+    std::vector<uint64_t>& rel = rels[id];
     ASSERT_GE(rel.size(), 2u);
     ASSERT_TRUE(std::binary_search(rel.begin(), rel.end(), own));
     k.edit(rel);
-    WriteRelation(store, id, rel);
+    WriteRelations(store, rels);
 
     const size_t named =
         k.names_first_user
