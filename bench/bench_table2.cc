@@ -56,10 +56,8 @@ void RegisterAll() {
               static_cast<double>(vc.pairs.size());
           state.counters["prep_s"] = plan->compile_seconds();
           state.counters["run_s"] = vc.stats.run_seconds;
-          JsonMatchRow(name + "/EMOptVC", data, vc,
-                       plan->compile_seconds());
-          JsonMatchRow(name + "/EMOptMR", data, mr,
-                       plan->compile_seconds());
+          JsonMatchRow(name + "/EMOptVC", data, *plan, vc);
+          JsonMatchRow(name + "/EMOptMR", data, *plan, mr);
         })
         ->Unit(benchmark::kMillisecond)
         ->Iterations(1);

@@ -5,6 +5,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "core/fixpoint.h"
+#include "core/satisfaction.h"
 
 namespace gkeys {
 
@@ -126,9 +127,7 @@ bool Satisfies(const Graph& g, const Key& key) {
 }
 
 bool Satisfies(const Graph& g, const KeySet& keys) {
-  // G |= Σ iff the chase derives nothing beyond node identity: the first
-  // chase step (if any) uses Eq0 and already witnesses a violation.
-  return Chase(g, keys).pairs.empty();
+  return FindViolations(g, keys, 1).empty();
 }
 
 }  // namespace gkeys

@@ -51,11 +51,13 @@ StatusOr<MatchResult> RunChase(const EmContext& ctx, const EmOptions& opts,
 bool Identified(const Graph& g, const KeySet& keys, NodeId e1, NodeId e2);
 
 /// Key satisfaction G |= Q(x) (paper §2.2): no two *distinct* entities
-/// have coinciding matches of Q. Equivalent to: the chase of {Q} derives
-/// no non-reflexive pair.
+/// have coinciding matches of Q under node identity.
 bool Satisfies(const Graph& g, const Key& key);
 
-/// G |= Σ: satisfaction of every key.
+/// G |= Σ: satisfaction of every key, i.e. FindViolations(g, keys, 1)
+/// (core/satisfaction.h) finds nothing. Equivalent to the chase deriving
+/// no non-reflexive pair — its first step would be such a violation —
+/// but it stops at the first violation instead of running the fixpoint.
 bool Satisfies(const Graph& g, const KeySet& keys);
 
 }  // namespace gkeys

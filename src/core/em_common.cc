@@ -5,7 +5,7 @@
 #include <tuple>
 #include <unordered_set>
 
-#include "common/thread_pool.h"
+#include "common/parallel.h"
 #include "common/timer.h"
 
 #include "isomorph/pairing.h"

@@ -109,13 +109,6 @@ struct EmStats {
   size_t product_graph_edges = 0;  // |Ep|
   uint64_t neighbor_nodes = 0;   // Σ |Gd| over candidate entities
   uint64_t neighbor_nodes_reduced = 0;  // after pairing reduction
-  /// Approximate heap footprint of the plan PLUS the result's provenance
-  /// index, in bytes. Capacity-based (vector capacities, not allocator
-  /// truth), so it is an in-memory figure: a serialized snapshot of the
-  /// same plan is typically much smaller — varint packing, no capacity
-  /// slack, and COW-shared sections stored once (see docs/ARCHITECTURE.md
-  /// "Storage layer").
-  size_t plan_bytes = 0;
   SearchStats search;
   // ---- Incremental re-matching accounting (Matcher::Rematch) ----------
   size_t rematch_seeded = 0;       // 1: this run was seeded from prev
@@ -179,9 +172,9 @@ struct MatchResult {
 
 /// Approximate heap footprint of a provenance index in bytes: the
 /// Derivation vector plus every entry's premises/triples payload.
-/// Capacity-based, matching EmContext::MemoryBytes, and folded into
-/// EmStats::plan_bytes by the Matcher so the number reflects everything
-/// a seeded rematch keeps resident.
+/// Capacity-based, matching EmContext::MemoryBytes. Added to
+/// MatchPlan::memory_bytes() it is the `plan_bytes` figure the workload
+/// and bench rows report: everything a seeded rematch keeps resident.
 size_t ProvenanceIndexBytes(const std::vector<Derivation>& derivations);
 
 /// Observer for streaming runs (Matcher::Run(plan, sink)): receives every
@@ -422,8 +415,8 @@ class EmContext {
   }
   size_t neighbor_entities() const { return dneighbor_sets_.size(); }
 
-  /// Approximate heap footprint of the compiled structures, in bytes,
-  /// reported as EmStats::plan_bytes. The estimate is CAPACITY-based:
+  /// Approximate heap footprint of the compiled structures, in bytes
+  /// (MatchPlan::memory_bytes()). The estimate is CAPACITY-based:
   /// it sums vector capacities (including the candidate list, d-neighbor
   /// and pairing-reduced NodeSet payloads, the dependency index's outer
   /// and per-candidate vectors, and the ghost-tracking entries), not

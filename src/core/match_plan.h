@@ -1,7 +1,6 @@
 #ifndef GKEYS_CORE_MATCH_PLAN_H_
 #define GKEYS_CORE_MATCH_PLAN_H_
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <span>
@@ -107,24 +106,19 @@ class MatchPlan {
   }
 
   /// Approximate heap footprint of the compiled structures in bytes
-  /// (candidates, neighbor sets, dependency index, product graph);
-  /// EmStats::plan_bytes reports this plus the result's provenance index
-  /// (ProvenanceIndexBytes). The estimate is capacity-based (see
-  /// EmContext::MemoryBytes) and computed lazily on first access —
-  /// walking every capacity is measurable next to a sub-millisecond
-  /// Patch. 0 on an empty plan. This is an IN-MEMORY figure, distinct
-  /// from the serialized snapshot size (MmapStore::file_bytes): the
-  /// snapshot varint-packs payloads, carries no capacity slack, and
-  /// stores COW-shared sections once, so it is typically much smaller.
+  /// (candidates, neighbor sets, dependency index, product graph); the
+  /// workload and bench rows report this plus the result's provenance
+  /// index (ProvenanceIndexBytes) as `plan_bytes`. The estimate is
+  /// capacity-based (see EmContext::MemoryBytes) and walks the whole
+  /// plan on every call, so no run or patch calls it. 0 on an empty
+  /// plan. This is an IN-MEMORY figure, distinct from the serialized
+  /// snapshot size (MmapStore::file_bytes): the snapshot varint-packs
+  /// payloads, carries no capacity slack, and stores COW-shared sections
+  /// once, so it is typically much smaller.
   size_t memory_bytes() const {
     if (!valid()) return 0;
-    size_t cached = rep_->memory_bytes.load(std::memory_order_relaxed);
-    if (cached != 0) return cached;
-    size_t bytes =
-        rep_->ctx.MemoryBytes() +
-        (rep_->pg.has_value() ? rep_->pg->MemoryBytes() : 0);
-    rep_->memory_bytes.store(bytes, std::memory_order_relaxed);
-    return bytes;
+    return rep_->ctx.MemoryBytes() +
+           (rep_->pg.has_value() ? rep_->pg->MemoryBytes() : 0);
   }
 
   /// Incremental recompilation: given a delta that has ALREADY been
@@ -225,9 +219,6 @@ class MatchPlan {
     EmContext ctx;
     std::optional<ProductGraph> pg;
     double compile_seconds = 0.0;
-    // Lazily computed by memory_bytes(); 0 = not yet computed
-    // (recomputation is idempotent, so the benign race is harmless).
-    mutable std::atomic<size_t> memory_bytes{0};
     bool patched = false;
     std::vector<uint32_t> dirty_candidates;
     ContextPatchInfo patch_info;

@@ -13,6 +13,14 @@ namespace gkeys {
 
 namespace {
 
+/// kAuto seeds only while the patched plan's dirty_fraction() and
+/// affected_entity_fraction() stay at or below these. 0.5 ≈ the
+/// break-even the bench_incremental datasets show: past half the plan,
+/// re-checking dirty candidates plus the wake-up cascade costs about as
+/// much as checking everything.
+constexpr double kMaxDirtyFraction = 0.5;
+constexpr double kMaxAffectedFraction = 0.5;
+
 /// Reports prev \ cur to the sink (both pair lists sorted): the exact
 /// retractions a removal delta caused, net of everything the fixpoint
 /// re-derived. Called after the new result is final, so every reported
@@ -86,8 +94,6 @@ StatusOr<MatchResult> Matcher::Dispatch(const MatchPlan& plan,
   // Honest accounting for amortized prep: the plan was compiled (or
   // patched) once, possibly long ago; every run still reports that cost.
   r->stats.prep_seconds = plan.compile_seconds();
-  r->stats.plan_bytes =
-      plan.memory_bytes() + ProvenanceIndexBytes(r->derivations);
   return r;
 }
 
@@ -132,9 +138,8 @@ bool Matcher::ChooseSeeded(const MatchPlan& plan, const MatchResult& prev,
   // the seeded path re-checks nearly everything anyway and its wake-up
   // bookkeeping only adds overhead (the README amortization table's
   // ≥ 1 % delta rows are this regime).
-  return plan.dirty_fraction() <= rematch_options_.max_dirty_fraction &&
-         plan.affected_entity_fraction() <=
-             rematch_options_.max_affected_fraction;
+  return plan.dirty_fraction() <= kMaxDirtyFraction &&
+         plan.affected_entity_fraction() <= kMaxAffectedFraction;
 }
 
 StatusOr<MatchResult> Matcher::RematchWithSink(const MatchPlan& plan,

@@ -22,16 +22,17 @@ struct RematchOptions {
   enum class Mode {
     /// Cost model: seed when the patch's affected region is small — both
     /// dirty_fraction() and affected_entity_fraction() of the patched
-    /// plan within the thresholds below — and fall back to a full run of
-    /// the patched plan when the region approaches the whole plan (where
-    /// seeding overhead loses; see the README amortization table's ≥ 1 %
-    /// rows). A removal delta whose previous result carries no provenance
-    /// index (EmOptions::record_provenance was off) always runs full: the
-    /// retained seed would be empty, so seeding saves nothing. Streaming
-    /// rematches (a sink present) never auto-fall-back — a restart would
-    /// re-emit every previously streamed pair, which costs the consumer
-    /// more than the model saves — except in that same provenance-less
-    /// removal case, where the stream restarts either way.
+    /// plan at most 0.5, a fixed threshold in matcher.cc — and fall back
+    /// to a full run of the patched plan when the region approaches the
+    /// whole plan (where seeding overhead loses; see the README
+    /// amortization table's ≥ 1 % rows). A removal delta whose previous
+    /// result carries no provenance index (EmOptions::record_provenance
+    /// was off) always runs full: the retained seed would be empty, so
+    /// seeding saves nothing. Streaming rematches (a sink present) never
+    /// auto-fall-back — a restart would re-emit every previously streamed
+    /// pair, which costs the consumer more than the model saves — except
+    /// in that same provenance-less removal case, where the stream
+    /// restarts either way.
     kAuto,
     /// Always seed, even when the model predicts a full run is cheaper.
     /// The result is byte-identical either way; tests use this to pin the
@@ -42,14 +43,6 @@ struct RematchOptions {
     kForceFull,
   };
   Mode mode = Mode::kAuto;
-
-  /// kAuto thresholds: seed only while the patched plan's
-  /// dirty_fraction() / affected_entity_fraction() stay at or below
-  /// these. 0.5 ≈ the break-even the bench_incremental datasets show —
-  /// past half the plan, re-checking dirty candidates plus the wake-up
-  /// cascade costs about as much as checking everything.
-  double max_dirty_fraction = 0.5;
-  double max_affected_fraction = 0.5;
 };
 
 /// The library's session API: compile once, run many (paper §4–§5; all
@@ -275,7 +268,7 @@ class Matcher {
  private:
   Status Validate(const MatchPlan& plan) const;
   /// Runs the configured engine — seeded when `seed` is non-null — and
-  /// fills the plan-side stats (prep_seconds, plan_bytes).
+  /// reports the plan's compile time as EmStats::prep_seconds.
   StatusOr<MatchResult> Dispatch(const MatchPlan& plan, MatchSink* sink,
                                  const RematchSeed* seed) const;
   StatusOr<MatchResult> RunWithSink(const MatchPlan& plan,

@@ -21,9 +21,10 @@ struct Violation {
 /// chase steps — the direct evidence that G ⊭ Σ. Recursive keys are
 /// evaluated under node identity only, so violations enabled purely by
 /// other derivations are NOT listed (use the chase / provenance API for
-/// the full closure); a graph with no violations here may still fail
-/// deeper recursive checks only if some first step exists, hence
-/// `violations.empty() ⇔ Satisfies(g, keys)` (tested).
+/// the full closure). The chase derives a pair only if some first step
+/// exists, so `violations.empty()` iff the chase derives nothing: that
+/// is G |= Σ, and Satisfies (core/chase.h) is FindViolations(g, keys, 1)
+/// (tested against the chase). `gkeys check` prints these.
 ///
 /// `limit` caps the number of reported violations (0 = unlimited).
 std::vector<Violation> FindViolations(const Graph& g, const KeySet& keys,

@@ -296,18 +296,4 @@ std::string Graph::DescribeNode(NodeId n) const {
   return interner_.Resolve(entity_type(n)) + "#" + std::to_string(n);
 }
 
-size_t Graph::AdjacencyBytes() const {
-  size_t bytes = (out_edges_.capacity() + in_edges_.capacity()) * sizeof(Edge) +
-                 (out_offsets_.capacity() + in_offsets_.capacity()) *
-                     sizeof(size_t);
-  bytes += build_.capacity() * sizeof(Triple);
-  for (const auto& [node, adj] : out_overlay_) {
-    bytes += adj.capacity() * sizeof(Edge);
-  }
-  for (const auto& [node, adj] : in_overlay_) {
-    bytes += adj.capacity() * sizeof(Edge);
-  }
-  return bytes;
-}
-
 }  // namespace gkeys

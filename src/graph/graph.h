@@ -55,8 +55,8 @@ class GraphDelta;
 /// A directed edge-labeled graph over triples (paper §2.1).
 ///
 /// Construction: AddEntity / AddValue / AddTriple, then Finalize(). This
-/// is the one way a graph is built: generators, both text parsers,
-/// snapshot decoding, fusion and normalization all go through it. Until
+/// is the one way a graph is built: generators, the text parser,
+/// snapshot decoding and fusion all go through it. Until
 /// the first Finalize() the added triples sit in one flat list, in
 /// insertion order and with duplicates; nodes have no adjacency of their
 /// own yet. That Finalize() builds both CSR directions — one offset
@@ -226,10 +226,6 @@ class Graph {
 
   /// Human-readable node description for logging and examples.
   std::string DescribeNode(NodeId n) const;
-
-  /// Approximate heap footprint of the adjacency structures, in bytes
-  /// (the bytes-per-plan accounting reads this).
-  size_t AdjacencyBytes() const;
 
  private:
   /// Thaws node `n` only: copies its CSR run into the overlay (first

@@ -5,7 +5,7 @@ namespace gkeys {
 namespace {
 
 // Reusable visited map for the BFS below, thread-local because Phase A of
-// plan compilation runs one DNeighbor per task across a thread pool.
+// plan compilation runs DNeighbor on several threads (ParallelFor).
 // Below this capacity the buffer is never shrunk (reallocation churn would
 // cost more than it frees).
 constexpr size_t kScratchShrinkMinBytes = size_t{1} << 16;

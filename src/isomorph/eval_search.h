@@ -17,11 +17,6 @@ struct SearchStats {
   uint64_t expansions = 0;          // candidate pairs tried
   uint64_t feasibility_checks = 0;  // feasibility condition evaluations
   uint64_t full_instantiations = 0; // complete vectors found
-  void MergeFrom(const SearchStats& o) {
-    expansions += o.expansions;
-    feasibility_checks += o.feasibility_checks;
-    full_instantiations += o.full_instantiations;
-  }
 };
 
 /// Procedure EvalMR (paper §4.1): decides (Gd1 ∪ Gd2, Eq, {Q}) |= (e1, e2)
@@ -59,9 +54,8 @@ bool KeyIdentifiesWitness(const Graph& g, const CompiledPattern& cp,
                           const NodeSet* n1, const NodeSet* n2,
                           Witness* witness, SearchStats* stats = nullptr);
 
-/// Single-sided variant: does G match Q(x) at e (paper §2.1)? Used by the
-/// key-satisfaction checker `Satisfies` and by tests. Equivalent to
-/// KeyIdentifies(g, cp, e, e, identity-Eq).
+/// Single-sided variant: does G match Q(x) at e (paper §2.1)? Used by
+/// tests. Equivalent to KeyIdentifies(g, cp, e, e, identity-Eq).
 bool MatchesAt(const Graph& g, const CompiledPattern& cp, NodeId e,
                const NodeSet* restrict_to = nullptr,
                SearchStats* stats = nullptr);

@@ -102,14 +102,10 @@ class KeySet {
   /// entity-dependency optimization (§4.2).
   std::vector<std::string> ValueBasedTypes() const;
 
-  /// τ → { τ' : some key on τ references an entity variable of type τ' }.
-  const StringMap<std::vector<std::string>>& TypeDependencies() const {
-    return type_deps_;
-  }
-
  private:
   std::vector<Key> keys_;
   StringMap<std::vector<int>> by_type_;
+  /// τ → { τ' : some key on τ references an entity variable of type τ' }.
   StringMap<std::vector<std::string>> type_deps_;
   size_t total_size_ = 0;
 };

@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
+#include "common/parallel.h"
 
 namespace gkeys {
 namespace mapreduce {

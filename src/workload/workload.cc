@@ -34,7 +34,8 @@ std::string RowName(const WorkloadSpec& spec, Algorithm a, int rep) {
 /// The standard bench field layout (bench/bench_util.h JsonMatchRow) so
 /// workload rows land in the same BENCH_*.json trajectory.
 std::vector<std::pair<std::string, double>> FullRunFields(
-    const Graph& g, const EmStats& s) {
+    const Graph& g, const MatchPlan& plan, const MatchResult& r) {
+  const EmStats& s = r.stats;
   return {
       {"nodes", static_cast<double>(g.NumNodes())},
       {"triples", static_cast<double>(g.NumTriples())},
@@ -47,7 +48,8 @@ std::vector<std::pair<std::string, double>> FullRunFields(
       {"rounds", static_cast<double>(s.rounds)},
       {"iso_checks", static_cast<double>(s.iso_checks)},
       {"messages", static_cast<double>(s.messages)},
-      {"plan_bytes", static_cast<double>(s.plan_bytes)},
+      {"plan_bytes", static_cast<double>(plan.memory_bytes() +
+                                         ProvenanceIndexBytes(r.derivations))},
   };
 }
 
@@ -293,7 +295,7 @@ StatusOr<WorkloadReport> RunWorkload(const WorkloadSpec& spec,
       if (!r.ok()) return r.status();
       s->res = std::move(*r);
       report.rows.emplace_back(RowName(spec, a, rep),
-                               FullRunFields(s->g, s->res.stats));
+                               FullRunFields(s->g, s->plan, s->res));
       sessions.push_back(std::move(s));
     }
 

@@ -174,6 +174,54 @@ TEST_F(CliTest, MatchProvenancePrintsTheChaseSteps) {
             "album#7\n");
 }
 
+TEST_F(CliTest, CheckPrintsTheViolations) {
+  std::string graph = TempFile("music.triples", kMusicTriples);
+  std::string keys = TempFile("music.dsl", kMusicKeys);
+  RunOutput out = RunCli("check " + graph + " " + keys);
+  EXPECT_EQ(out.exit_code, 3) << out.text;
+  // Only Q2 fires under node identity; Q3's artist pair needs the album
+  // pair first, so it is no violation of its own.
+  EXPECT_EQ(out.text, "G |= Σ: no\nQ2: album#5 == album#7\n");
+}
+
+TEST_F(CliTest, CheckSatisfiedInputPrintsYes) {
+  // Without Q2 nothing fires: Q1 and Q3 each need the other's pair.
+  std::string graph = TempFile("music.triples", kMusicTriples);
+  std::string keys = TempFile(
+      "music_q1q3.dsl",
+      "key Q1 for album {\n"
+      "  x -[name_of]-> n*\n"
+      "  x -[recorded_by]-> y:artist\n"
+      "}\n"
+      "key Q3 for artist {\n"
+      "  x -[name_of]-> n*\n"
+      "  y:album -[recorded_by]-> x\n"
+      "}\n");
+  RunOutput out = RunCli("check " + graph + " " + keys);
+  EXPECT_EQ(out.exit_code, 0) << out.text;
+  EXPECT_EQ(out.text, "G |= Σ: yes\n");
+}
+
+TEST_F(CliTest, CheckCutsTheViolationListAtTen) {
+  // Twelve identical albums: 66 violating pairs, ten of them printed.
+  std::string triples;
+  for (int i = 0; i < 12; ++i) {
+    const std::string album = "ent:album:b" + std::to_string(i);
+    triples += album + " name_of val:\"Anthology 2\"\n";
+    triples += album + " release_year val:\"1996\"\n";
+  }
+  std::string graph = TempFile("albums.triples", triples);
+  std::string keys = TempFile("music.dsl", kMusicKeys);
+  RunOutput out = RunCli("check " + graph + " " + keys);
+  EXPECT_EQ(out.exit_code, 3) << out.text;
+  // The verdict, ten violations and the marker.
+  EXPECT_EQ(std::count(out.text.begin(), out.text.end(), '\n'), 12)
+      << out.text;
+  const std::string cut = "... (first 10 shown)\n";
+  ASSERT_GE(out.text.size(), cut.size()) << out.text;
+  EXPECT_EQ(out.text.substr(out.text.size() - cut.size()), cut) << out.text;
+}
+
 TEST_F(CliTest, CheckMalformedGraphNamesTheLine) {
   std::string bad = TempFile("bad.triples", "ent:company:c0 name_of\n");
   RunOutput out = RunCli("check " + bad + " " + keys_);

@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "common/interner.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "graph/graph.h"
 #include "io/triples.h"
 
@@ -208,54 +208,6 @@ TEST(Rng, ForkIndependentStream) {
   Rng a(5);
   Rng fork = a.Fork();
   EXPECT_NE(a.Next(), fork.Next());
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&count] { count.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 1);
-  pool.Submit([&count] { count.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(count.load(), 2);
-}
-
-TEST(ThreadPool, ThrowingTaskDoesNotDeadlockWait) {
-  // Regression: the in-flight count used to be decremented only after the
-  // task returned, so a throwing task left Wait() blocked forever.
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  pool.Submit([] { throw std::runtime_error("task failed"); });
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&ran] { ran.fetch_add(1); });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 8);  // the failure did not cancel other tasks
-  // The error was drained: the pool stays usable and a clean batch does
-  // not rethrow a stale exception.
-  pool.Submit([&ran] { ran.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 9);
-}
-
-TEST(ThreadPool, FirstOfManyExceptionsSurfaces) {
-  ThreadPool pool(4);
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit([] { throw std::runtime_error("boom"); });
-  }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  pool.Wait();  // subsequent Wait() is clean
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {

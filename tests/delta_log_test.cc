@@ -1,8 +1,8 @@
 // Write-ahead delta log and fault-injection seam tests: record framing
 // and checksums (torn tails truncate, mid-log corruption is kDataLoss),
 // the fileops shim driving MmapStore's fsync-discipline write path, and
-// the FaultInjectingStore wrapper at the Store seam. The sanitize CI job
-// runs all of this under ASan/UBSan.
+// the FaultInjectingStore test double (fault_store.h) at the Store seam.
+// The sanitize CI job runs all of this under ASan/UBSan.
 
 #include <algorithm>
 #include <cerrno>
@@ -16,8 +16,8 @@
 #include <gtest/gtest.h>
 
 #include "core/matcher.h"
+#include "fault_store.h"
 #include "storage/delta_log.h"
-#include "storage/fault_store.h"
 #include "storage/file_ops.h"
 #include "storage/mmap_store.h"
 #include "storage/snapshot.h"

@@ -1,17 +1,18 @@
-#ifndef GKEYS_STORAGE_FAULT_STORE_H_
-#define GKEYS_STORAGE_FAULT_STORE_H_
+#ifndef GKEYS_TESTS_FAULT_STORE_H_
+#define GKEYS_TESTS_FAULT_STORE_H_
 
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "storage/store.h"
 
 namespace gkeys {
 namespace storage {
 
-/// A Store wrapper that injects scripted failures at the Store seam —
-/// the FESTIval-style layering: the fault layer is a wrapper any backend
+/// A test double that injects scripted failures at the Store seam — the
+/// FESTIval-style layering: the fault layer is a wrapper any backend
 /// slots under, not a fork of one. Where the fileops shim
 /// (storage/file_ops.h) faults the OS primitives BELOW MmapStore and
 /// DeltaLog, this wrapper faults the four Store calls ABOVE any backend,
@@ -55,15 +56,49 @@ class FaultInjectingStore : public Store {
   int64_t gets() const { return gets_; }
   int64_t scans() const { return scans_; }
 
-  Status Put(std::string key, std::string value) override;
-  Status Flush() override;
-  StatusOr<std::string_view> Get(std::string_view key) const override;
-  Status Scan(std::string_view prefix, const ScanFn& fn) const override;
+  Status Put(std::string key, std::string value) override {
+    if (puts_++ == script_.fail_put_at) return script_.error;
+    return base_.Put(std::move(key), std::move(value));
+  }
+
+  Status Flush() override {
+    if (flushes_++ == script_.fail_flush_at) return script_.error;
+    return base_.Flush();
+  }
+
+  StatusOr<std::string_view> Get(std::string_view key) const override {
+    if (gets_++ == script_.fail_get_at) return script_.error;
+    auto value = base_.Get(key);
+    if (!value.ok()) return value;
+    return Tamper(key, *value);
+  }
+
+  Status Scan(std::string_view prefix, const ScanFn& fn) const override {
+    if (scans_++ == script_.fail_scan_at) return script_.error;
+    return base_.Scan(prefix, [this, &fn](std::string_view key,
+                                          std::string_view value) {
+      return fn(key, Tamper(key, value));
+    });
+  }
 
  private:
   /// Applies the corrupt_key tampering to a served value, materializing
   /// it into `scratch_` (views into the base store stay untouched).
-  std::string_view Tamper(std::string_view key, std::string_view value) const;
+  std::string_view Tamper(std::string_view key,
+                          std::string_view value) const {
+    if (script_.corrupt_key.empty() || key != script_.corrupt_key) {
+      return value;
+    }
+    scratch_.assign(value);
+    if (script_.corrupt_at < scratch_.size()) {
+      scratch_[script_.corrupt_at] = static_cast<char>(
+          scratch_[script_.corrupt_at] ^ script_.corrupt_mask);
+    }
+    if (script_.truncate_to < scratch_.size()) {
+      scratch_.resize(script_.truncate_to);
+    }
+    return scratch_;
+  }
 
   Store& base_;
   Script script_;
@@ -78,4 +113,4 @@ class FaultInjectingStore : public Store {
 }  // namespace storage
 }  // namespace gkeys
 
-#endif  // GKEYS_STORAGE_FAULT_STORE_H_
+#endif  // GKEYS_TESTS_FAULT_STORE_H_

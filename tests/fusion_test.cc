@@ -1,79 +1,14 @@
-// Tests for value normalization (similarity matching via canonical forms)
-// and entity fusion (contracting chase(G, Σ) classes).
+// Tests for entity fusion (contracting chase(G, Σ) classes).
 
 #include <gtest/gtest.h>
 
 #include "core/entity_matcher.h"
 #include "gen/datasets.h"
 #include "graph/merge.h"
-#include "graph/normalize.h"
 #include "test_util.h"
 
 namespace gkeys {
 namespace {
-
-TEST(Normalize, BuiltinNormalizers) {
-  EXPECT_EQ(normalizers::Lowercase("The BEATLES"), "the beatles");
-  EXPECT_EQ(normalizers::CollapseWhitespace("  a \t b  "), "a b");
-  EXPECT_EQ(normalizers::AlphaNumericOnly("AT&T, Inc."), "ATTInc");
-  auto composed = ComposeNormalizers(
-      {normalizers::Lowercase, normalizers::AlphaNumericOnly});
-  EXPECT_EQ(composed("The Beatles!"), "thebeatles");
-}
-
-TEST(Normalize, MergesEquivalentValues) {
-  Graph g;
-  NodeId a = g.AddEntity("artist");
-  NodeId b = g.AddEntity("artist");
-  g.AddTriple(a, "name_of", g.AddValue("The Beatles")).IgnoreError();
-  g.AddTriple(b, "name_of", g.AddValue("the  beatles")).IgnoreError();
-  g.Finalize();
-  auto norm = NormalizeValues(
-      g, ComposeNormalizers(
-             {normalizers::Lowercase, normalizers::CollapseWhitespace}));
-  EXPECT_EQ(norm.values_merged, 1u);
-  EXPECT_EQ(norm.graph.NumValues(), 1u);
-  EXPECT_EQ(norm.graph.NumEntities(), 2u);
-  // Both entities now point at one value node.
-  NodeId v = norm.graph.FindValue("the beatles");
-  ASSERT_NE(v, kNoNode);
-  EXPECT_EQ(norm.graph.In(v).size(), 2u);
-}
-
-TEST(Normalize, EnablesSimilarityMatching) {
-  // The paper's §2.2 remark: similarity matching reduces to value
-  // equality after canonicalization. Two albums differing only in case
-  // match only on the normalized graph.
-  Graph g;
-  NodeId a1 = g.AddEntity("album");
-  NodeId a2 = g.AddEntity("album");
-  g.AddTriple(a1, "name_of", g.AddValue("Anthology 2")).IgnoreError();
-  g.AddTriple(a2, "name_of", g.AddValue("ANTHOLOGY 2")).IgnoreError();
-  g.AddTriple(a1, "release_year", g.AddValue("1996")).IgnoreError();
-  g.AddTriple(a2, "release_year", g.AddValue("1996")).IgnoreError();
-  g.Finalize();
-  KeySet keys;
-  ASSERT_TRUE(keys.AddFromDsl(R"(
-    key Q2 for album {
-      x -[name_of]-> n*
-      x -[release_year]-> yr*
-    }
-  )").ok());
-  EXPECT_TRUE(Chase(g, keys).pairs.empty()) << "exact match: no dup";
-  auto norm = NormalizeValues(g, normalizers::Lowercase);
-  MatchResult r = Chase(norm.graph, keys);
-  ASSERT_EQ(r.pairs.size(), 1u);
-  EXPECT_EQ(r.pairs[0].first, norm.node_map[a1]);
-  EXPECT_EQ(r.pairs[0].second, norm.node_map[a2]);
-}
-
-TEST(Normalize, PreservesStructureWhenIdentity) {
-  auto m = testing::MakeG1();
-  auto norm = NormalizeValues(m.g, [](const std::string& s) { return s; });
-  EXPECT_EQ(norm.values_merged, 0u);
-  EXPECT_EQ(norm.graph.NumTriples(), m.g.NumTriples());
-  EXPECT_EQ(norm.graph.NumNodes(), m.g.NumNodes());
-}
 
 TEST(Fusion, ContractsIdentifiedClasses) {
   auto m = testing::MakeG1();

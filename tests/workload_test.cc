@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "workload/json.h"
 
 #ifndef GKEYS_WORKLOADS_DIR
 #error "workload_test needs GKEYS_WORKLOADS_DIR (set by CMakeLists.txt)"
@@ -39,6 +44,42 @@ JsonRows StripTimings(const JsonRows& rows) {
     out.emplace_back(name, std::move(kept));
   }
   return out;
+}
+
+/// Compares `rows` with the committed baseline workloads/baselines/<file>:
+/// every baseline row must be present under its name, with every field
+/// but the noisy ones equal. Returns false when `file` has no baseline.
+bool ExpectRowsMatchBaseline(const std::string& file, const JsonRows& rows) {
+  std::ifstream in(SpecPath("baselines/" + file));
+  if (!in) return false;
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  StatusOr<JsonValue> doc = ParseJson(text);
+  EXPECT_TRUE(doc.ok()) << file << ": " << doc.status().message();
+  if (!doc.ok()) return true;
+  EXPECT_TRUE(doc->is_array() && !doc->array().empty()) << file;
+  for (const JsonValue& want : doc->array()) {
+    const std::string name = want.StringOr("name", "");
+    auto row = std::find_if(rows.begin(), rows.end(), [&](const auto& r) {
+      return r.first == name;
+    });
+    if (row == rows.end()) {
+      ADD_FAILURE() << file << ": no row named '" << name << "'";
+      continue;
+    }
+    for (const auto& [field, value] : want.members()) {
+      if (field == "name" || IsNoisyField(field)) continue;
+      auto got = std::find_if(
+          row->second.begin(), row->second.end(),
+          [&field = field](const auto& f) { return f.first == field; });
+      if (got == row->second.end()) {
+        ADD_FAILURE() << name << ": no field " << field;
+        continue;
+      }
+      EXPECT_EQ(got->second, value.number()) << name << " " << field;
+    }
+  }
+  return true;
 }
 
 TEST(WorkloadSpec, MinimalSpecGetsDefaults) {
@@ -182,8 +223,11 @@ TEST(WorkloadRun, RepetitionsEmitOneRowSetEach) {
 
 /// Every committed spec must pass its own differential oracle across all
 /// listed algorithms, including the removal/churn delta batches — this is
-/// the acceptance bar for shipping a spec in workloads/.
+/// the acceptance bar for shipping a spec in workloads/. A spec with a
+/// committed baseline must also reproduce its rows exactly, noisy fields
+/// aside: the same check the perf gate makes on exact fields.
 TEST(WorkloadRun, AllCommittedSpecsPassTheOracle) {
+  int baselines = 0;
   const char* specs[] = {
       "hostile_powerlaw_churn.json", "hostile_powerlaw_hub.json",
       "hostile_skew_hub.json",       "hostile_neardup_uniform.json",
@@ -198,7 +242,9 @@ TEST(WorkloadRun, AllCommittedSpecsPassTheOracle) {
     ASSERT_TRUE(r.ok()) << file << ": " << r.status().message();
     EXPECT_GT(r->oracle_checks, 0u) << file;
     EXPECT_GT(r->rows.size(), 6u) << file << " should exercise deltas";
+    baselines += ExpectRowsMatchBaseline(file, r->rows);
   }
+  EXPECT_EQ(baselines, 4);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 //               [--stream] [--provenance] [--fuse=OUT.triples]
 //               [--delta=DELTA.triples]
 //   gkeys check <graph.triples> <keys.dsl>
+//                                       (G |= Σ? exit 0 for yes, 3 for no,
+//                                        printing the first violations)
 //   gkeys discover <graph.triples> [--max-attrs=N] [--min-coverage=F]
 //   gkeys generate <out.triples> [--scale=F] [--c=N] [--d=N] [--seed=N]
 //   gkeys stats <graph.triples>
@@ -39,6 +41,7 @@
 #include "core/entity_matcher.h"
 #include "core/ingest_pipeline.h"
 #include "core/provenance.h"
+#include "core/satisfaction.h"
 #include "discovery/key_discovery.h"
 #include "gen/synthetic.h"
 #include "graph/merge.h"
@@ -51,6 +54,9 @@ namespace {
 
 using namespace gkeys;
 
+/// How many violations `check` prints when G does not satisfy Σ.
+constexpr size_t kShownViolations = 10;
+
 int Usage() {
   std::fprintf(stderr,
                "usage: gkeys <match|check|discover|generate|stats|save|"
@@ -60,7 +66,8 @@ int Usage() {
                "        [--stream] [--provenance] [--fuse=out.triples]\n"
                "        [--delta=delta.triples]  (lines: '+ s p o' / "
                "'- s p o'; incremental patch + rematch)\n"
-               "  check <graph> <keys.dsl>\n"
+               "  check <graph> <keys.dsl>  (G |= Σ? exit 0 for yes, 3 for "
+               "no, printing up to %zu violations)\n"
                "  discover <graph> [--max-attrs=N] [--min-coverage=F]\n"
                "  generate <out> [--scale=F] [--c=N] [--d=N] [--seed=N]\n"
                "  stats <graph>\n"
@@ -73,7 +80,7 @@ int Usage() {
                "  recover <dir> [--processors=N] [--quiet]  (rebuild from "
                "newest valid snapshot + surviving log records)\n"
                "  --processors=N: worker threads, 1 to %d (default 4)\n",
-               kMaxProcessors);
+               kShownViolations, kMaxProcessors);
   return 2;
 }
 
@@ -322,9 +329,17 @@ int CmdCheck(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", keys.status().ToString().c_str());
     return 1;
   }
-  bool ok = Satisfies(graph, *keys);
-  std::printf("G |= Σ: %s\n", ok ? "yes" : "no");
-  return ok ? 0 : 3;
+  // One more than is shown, to tell a complete list from a cut one.
+  std::vector<Violation> violations =
+      FindViolations(graph, *keys, kShownViolations + 1);
+  std::printf("G |= Σ: %s\n", violations.empty() ? "yes" : "no");
+  for (size_t i = 0; i < violations.size() && i < kShownViolations; ++i) {
+    std::printf("%s\n", FormatViolation(graph, violations[i]).c_str());
+  }
+  if (violations.size() > kShownViolations) {
+    std::printf("... (first %zu shown)\n", kShownViolations);
+  }
+  return violations.empty() ? 0 : 3;
 }
 
 int CmdDiscover(int argc, char** argv) {

@@ -29,6 +29,15 @@ general C++ rules:
                     repo-standard include guard (GKEYS_<PATH>_H_ derived
                     from its path), and every src/ .cc includes its own
                     header first so headers stay self-contained.
+  shipped-reach     Every header under src/ must be reachable through
+                    quoted #includes from a shipped entry point
+                    (tools/gkeys_cli.cc, tools/gkeys_workload.cc,
+                    benchmark/gkeys_bench.cc, examples/*.cpp); a reached
+                    header also pulls in its own .cc. An unreached
+                    header is code libgkeys carries for no shipped
+                    caller: test-only code belongs in tests/, dead code
+                    goes. (Per header: a dead class inside a live header
+                    still needs a reviewer.)
   nondeterminism    rand() / srand() / time(nullptr) are banned outside
                     common/rng.h and common/timer.h; tests and engines
                     seed explicitly so every failure replays.
@@ -48,6 +57,7 @@ exits 1 otherwise. Pure stdlib + regex: no libclang, no pip installs.
 """
 
 import argparse
+import glob
 import os
 import re
 import sys
@@ -87,6 +97,12 @@ SIMD_MACRO_RE = re.compile(r"__(?:SSE|AVX)\w*__")
 RAND_RE = re.compile(r"\b(rand|srand)\s*\(")
 TIME_RE = re.compile(r"\btime\s*\(\s*(nullptr|NULL|0)\s*\)")
 NONDET_ALLOW = {"src/common/rng.h", "src/common/timer.h"}
+
+# The shipped entry points: every binary a user runs. Headers under src/
+# that none of them reaches are flagged by shipped-reach.
+SHIPPED_ENTRY_POINTS = ("tools/gkeys_cli.cc", "tools/gkeys_workload.cc",
+                        "benchmark/gkeys_bench.cc", "examples/*.cpp")
+QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
 PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\b")
 IFNDEF_RE = re.compile(r"^\s*#\s*ifndef\s+(\w+)")
@@ -139,6 +155,54 @@ class Linter:
     def __init__(self, root):
         self.root = root
         self.findings = []
+        self._shipped = None  # headers reached from the entry points
+
+    def read(self, rel):
+        with open(os.path.join(self.root, rel), encoding="utf-8",
+                  errors="replace") as f:
+            return f.read()
+
+    def exists(self, rel):
+        return os.path.isfile(os.path.join(self.root, rel))
+
+    def resolve_include(self, rel, name):
+        """A quoted include resolves next to the including file first,
+        then under src/ (the library's include root)."""
+        for cand in (os.path.join(os.path.dirname(rel), name),
+                     os.path.join("src", name)):
+            cand = os.path.normpath(cand).replace(os.sep, "/")
+            if self.exists(cand):
+                return cand
+        return None
+
+    def shipped_headers(self):
+        """Every header reached through quoted #includes from the shipped
+        entry points; a reached header's own .cc is walked too."""
+        if self._shipped is not None:
+            return self._shipped
+        todo = []
+        for pattern in SHIPPED_ENTRY_POINTS:
+            todo += sorted(
+                os.path.relpath(p, self.root).replace(os.sep, "/")
+                for p in glob.glob(os.path.join(self.root, pattern)))
+        seen = set(todo)
+        while todo:
+            rel = todo.pop()
+            text = strip_comments_and_strings(self.read(rel),
+                                              keep_strings=True)
+            found = []
+            for line in text.split("\n"):
+                m = QUOTED_INCLUDE_RE.match(line)
+                if m:
+                    found.append(self.resolve_include(rel, m.group(1)))
+            if rel.endswith(".h"):
+                found.append(rel[:-len(".h")] + ".cc")
+            for dep in found:
+                if dep is not None and dep not in seen and self.exists(dep):
+                    seen.add(dep)
+                    todo.append(dep)
+        self._shipped = {rel for rel in seen if rel.endswith((".h", ".hpp"))}
+        return self._shipped
 
     def report(self, rel, line, rule, msg):
         self.findings.append((rel, line, rule, msg))
@@ -149,10 +213,8 @@ class Linter:
                 self.report(rel, lineno, rule, msg)
 
     def lint_file(self, rel):
-        path = os.path.join(self.root, rel)
         try:
-            with open(path, encoding="utf-8", errors="replace") as f:
-                raw = f.read()
+            raw = self.read(rel)
         except OSError as e:
             self.report(rel, 0, "io", f"cannot read: {e}")
             return
@@ -209,6 +271,13 @@ class Linter:
 
         if rel.endswith((".h", ".hpp")):
             self.lint_header_guard(rel, struct_lines)
+            if rel.startswith("src/") and rel not in self.shipped_headers():
+                self.report(
+                    rel, 1, "shipped-reach",
+                    "no shipped entry point (" +
+                    ", ".join(SHIPPED_ENTRY_POINTS) + ") reaches this "
+                    "header through #includes: move test-only code to "
+                    "tests/ or delete it")
         if rel.endswith(".cc") and rel.startswith("src/"):
             self.lint_own_header_first(rel, struct_lines)
 

@@ -22,6 +22,7 @@ FIXTURE_EXPECTATIONS = {
     "nondeterminism.cc": ("nondeterminism", 3),
     "cow_aliasing.cc": ("cow-aliasing", 1),
     "simd_confinement.cc": ("simd-confinement", 5),
+    "src/common/orphan.h": ("shipped-reach", 1),
 }
 
 
