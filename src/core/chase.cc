@@ -73,7 +73,7 @@ StatusOr<MatchResult> ChaseFixpoint(const EmContext& ctx,
     if (run.seeded()) {
       for (uint32_t idx : merged) {
         run.MarkDone(idx);
-        for (uint32_t dep : ctx.dependents()[idx]) wake(dep);
+        for (uint32_t dep : ctx.dependents(idx)) wake(dep);
       }
       run.Sweep(wake);
     }

@@ -278,71 +278,123 @@ bool EmContext::SigIndexStillValid(const SigIndex& prev_idx,
   return at == prev_idx.keys.size();
 }
 
-void EmContext::BuildDependencyIndex(const EmContext* prev,
-                                     const std::vector<int64_t>* reuse) {
+void EmContext::ScanDependencies(const Candidate& c,
+                                 std::vector<uint64_t>& out) const {
+  // Every same-type pair of keyed entities lying inside c's neighbors
+  // (one per side, either orientation) whose type matches an entity
+  // variable of a recursive key on c (§4.2) — whether or not the pair is
+  // in L. Only keyed types matter: every Eq merge starts from a keyed
+  // candidate, so pairs of unkeyed types can never become equal.
   const Graph& g = *g_;
-  // Inline below the thread-spawn break-even point (identical semantics;
-  // matters for sub-millisecond plan patches).
-  const int p =
-      candidates_.size() < 256 ? 1 : std::max(1, opts_.processors);
-  depends_on_pairs_.assign(candidates_.size(), {});
-  // Scan phase: for each candidate j with a recursive key, every
-  // same-type pair of keyed entities lying inside j's neighbors (one per
-  // side, either orientation) whose type matches an entity variable of a
-  // recursive key on j (§4.2) — whether or not the pair is in L. Only
-  // keyed types matter: every Eq merge starts from a keyed candidate, so
-  // pairs of unkeyed types can never become equal. A patched context
-  // copies the scan of every carried-over candidate (its balls, keys, and
-  // the keyed-type set are all unchanged) instead of re-walking it.
-  ParallelFor(p, candidates_.size(), [&](size_t j) {
-    if (prev != nullptr && reuse != nullptr && (*reuse)[j] >= 0) {
-      depends_on_pairs_[j] = prev->depends_on_pairs_[(*reuse)[j]];
-      return;
+  std::vector<Symbol> dep_types;
+  for (int ki : *c.keys) {
+    const CompiledPattern& cp = compiled_[ki].cp;
+    for (const CompiledNode& n : cp.nodes) {
+      if (n.kind == VarKind::kEntityVar) dep_types.push_back(n.type);
     }
-    const Candidate& cj = candidates_[j];
-    if (!cj.has_recursive_key) return;
-    std::vector<Symbol> dep_types;
-    for (int ki : *cj.keys) {
-      const CompiledPattern& cp = compiled_[ki].cp;
-      for (const CompiledNode& n : cp.nodes) {
-        if (n.kind == VarKind::kEntityVar) dep_types.push_back(n.type);
+  }
+  if (dep_types.empty()) return;
+  std::sort(dep_types.begin(), dep_types.end());
+  dep_types.erase(std::unique(dep_types.begin(), dep_types.end()),
+                  dep_types.end());
+  const size_t start = out.size();
+  auto scan_side = [&](const NodeSet& near, const NodeSet& far) {
+    std::unordered_map<Symbol, std::vector<NodeId>> far_by_type;
+    for (NodeId m : far) {
+      if (!g.IsEntity(m)) continue;
+      Symbol t = g.entity_type(m);
+      if (std::binary_search(dep_types.begin(), dep_types.end(), t) &&
+          keys_by_type_.find(t) != keys_by_type_.end()) {
+        far_by_type[t].push_back(m);
       }
     }
-    if (dep_types.empty()) return;
-    std::sort(dep_types.begin(), dep_types.end());
-    dep_types.erase(std::unique(dep_types.begin(), dep_types.end()),
-                    dep_types.end());
-    std::vector<uint64_t>& out = depends_on_pairs_[j];
-    auto scan_side = [&](const NodeSet& near, const NodeSet& far) {
-      std::unordered_map<Symbol, std::vector<NodeId>> far_by_type;
-      for (NodeId m : far) {
-        if (!g.IsEntity(m)) continue;
-        Symbol t = g.entity_type(m);
-        if (std::binary_search(dep_types.begin(), dep_types.end(), t) &&
-            keys_by_type_.find(t) != keys_by_type_.end()) {
-          far_by_type[t].push_back(m);
-        }
+    if (far_by_type.empty()) return;
+    for (NodeId n : near) {
+      if (!g.IsEntity(n)) continue;
+      Symbol t = g.entity_type(n);
+      if (!std::binary_search(dep_types.begin(), dep_types.end(), t)) {
+        continue;
       }
-      if (far_by_type.empty()) return;
-      for (NodeId n : near) {
-        if (!g.IsEntity(n)) continue;
-        Symbol t = g.entity_type(n);
-        if (!std::binary_search(dep_types.begin(), dep_types.end(), t)) {
-          continue;
-        }
-        auto ft = far_by_type.find(t);
-        if (ft == far_by_type.end()) continue;
-        for (NodeId m : ft->second) {
-          if (m == n) continue;
-          out.push_back(PackPair(std::min(n, m), std::max(n, m)));
-        }
+      auto ft = far_by_type.find(t);
+      if (ft == far_by_type.end()) continue;
+      for (NodeId m : ft->second) {
+        if (m == n) continue;
+        out.push_back(PackPair(std::min(n, m), std::max(n, m)));
       }
-    };
-    scan_side(*cj.nbr1, *cj.nbr2);
-    scan_side(*cj.nbr2, *cj.nbr1);
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
+    }
+  };
+  scan_side(*c.nbr1, *c.nbr2);
+  scan_side(*c.nbr2, *c.nbr1);
+  std::sort(out.begin() + start, out.end());
+  out.erase(std::unique(out.begin() + start, out.end()), out.end());
+}
+
+void EmContext::BuildDependencyIndex(const EmContext& prev,
+                                     std::span<const int64_t> reuse) {
+  const size_t n = candidates_.size();
+  // Scan phase, recompiled candidates only: a carried candidate's balls,
+  // keys and the keyed-type set are all unchanged, so its scan is copied
+  // below instead of re-walked. Below the thread-spawn break-even point
+  // the scan runs inline (a small patch scans a handful of candidates).
+  std::vector<uint32_t> fresh;
+  for (uint32_t j = 0; j < n; ++j) {
+    if (reuse[j] < 0 && candidates_[j].has_recursive_key) fresh.push_back(j);
+  }
+  const int p = fresh.size() < 256 ? 1 : std::max(1, opts_.processors);
+  std::vector<std::vector<uint64_t>> shard_scans(p);
+  std::vector<size_t> fresh_size(fresh.size());
+  ParallelShards(p, fresh.size(), [&](int shard, size_t begin, size_t end) {
+    std::vector<uint64_t>& out = shard_scans[shard];
+    for (size_t k = begin; k < end; ++k) {
+      const size_t before = out.size();
+      ScanDependencies(candidates_[fresh[k]], out);
+      fresh_size[k] = out.size() - before;
+    }
   });
+  // Shards cover contiguous ranges of `fresh` in order, so their
+  // concatenation lists the fresh scans in candidate order.
+  std::vector<uint64_t> fresh_scans = std::move(shard_scans[0]);
+  for (int t = 1; t < p; ++t) {
+    fresh_scans.insert(fresh_scans.end(), shard_scans[t].begin(),
+                       shard_scans[t].end());
+  }
+
+  // Assembly in candidate order. Source indices of carried candidates
+  // ascend with j (both lists are sorted by pair), so a run of carried
+  // candidates with consecutive sources is one range of prev's values.
+  const Rows<uint64_t>& old = prev.depends_on_pairs_;
+  Rows<uint64_t>& scans = depends_on_pairs_;
+  scans.Clear();
+  scans.offsets.reserve(n + 1);
+  size_t total = fresh_scans.size();
+  for (uint32_t j = 0; j < n; ++j) {
+    if (reuse[j] >= 0) total += old[reuse[j]].size();
+  }
+  scans.values.reserve(total);
+  size_t next_fresh = 0, fresh_at = 0;
+  for (uint32_t j = 0; j < n;) {
+    if (reuse[j] < 0) {
+      if (next_fresh < fresh.size() && fresh[next_fresh] == j) {
+        const auto from = fresh_scans.begin() + fresh_at;
+        fresh_at += fresh_size[next_fresh++];
+        scans.values.insert(scans.values.end(), from,
+                            fresh_scans.begin() + fresh_at);
+      }
+      scans.CloseRow();
+      ++j;
+      continue;
+    }
+    uint32_t end = j + 1;
+    while (end < n && reuse[end] == reuse[end - 1] + 1) ++end;
+    const size_t first = old.offsets[reuse[j]];
+    const size_t shift = scans.values.size() - first;
+    for (uint32_t i = j; i < end; ++i) {
+      scans.offsets.push_back(old.offsets[reuse[i] + 1] + shift);
+    }
+    scans.values.insert(scans.values.end(), old.values.begin() + first,
+                        old.values.begin() + old.offsets[reuse[end - 1] + 1]);
+    j = end;
+  }
   InvertDependencyIndex();
 }
 
@@ -351,36 +403,63 @@ void EmContext::InvertDependencyIndex() {
   // excluded pairs with dependents become ghosts. Deterministic given
   // depends_on_pairs_ + candidates_, so the storage layer replays it on
   // load instead of persisting the derived index.
-  dependents_.assign(candidates_.size(), {});
-  ghosts_.clear();
-  std::unordered_map<uint64_t, uint32_t> in_l;
-  in_l.reserve(candidates_.size() * 2);
-  for (uint32_t i = 0; i < candidates_.size(); ++i) {
-    in_l.emplace(PackPair(candidates_[i].e1, candidates_[i].e2), i);
-  }
-  std::unordered_map<uint64_t, std::vector<uint32_t>> ghost_deps;
-  for (uint32_t j = 0; j < depends_on_pairs_.size(); ++j) {
-    for (uint64_t packed : depends_on_pairs_[j]) {
-      auto it = in_l.find(packed);
-      if (it != in_l.end()) {
-        if (it->second != j) dependents_[it->second].push_back(j);
-      } else {
-        ghost_deps[packed].push_back(j);
+  const size_t n = candidates_.size();
+  const Rows<uint64_t>& scans = depends_on_pairs_;
+  constexpr uint32_t kNotInL = UINT32_MAX;
+  auto index_in_l = [this](uint64_t packed) -> uint32_t {
+    auto it = std::lower_bound(
+        candidates_.begin(), candidates_.end(), packed,
+        [](const Candidate& c, uint64_t v) { return PackPair(c.e1, c.e2) < v; });
+    if (it == candidates_.end() || PackPair(it->e1, it->e2) != packed) {
+      return kNotInL;
+    }
+    return static_cast<uint32_t>(it - candidates_.begin());
+  };
+  // Counting pass: resolve every scanned pair once, count each
+  // candidate's dependents, and list the (ghost pair, dependent) entries.
+  std::vector<uint32_t> target(scans.values.size());
+  std::vector<std::pair<uint64_t, uint32_t>> ghost_entries;
+  dependents_.offsets.assign(n + 1, 0);
+  for (uint32_t j = 0; j < n; ++j) {
+    for (size_t e = scans.offsets[j]; e < scans.offsets[j + 1]; ++e) {
+      const uint32_t i = index_in_l(scans.values[e]);
+      target[e] = i;
+      if (i == kNotInL) {
+        ghost_entries.emplace_back(scans.values[e], j);
+      } else if (i != j) {
+        ++dependents_.offsets[i + 1];
       }
     }
   }
-  ghosts_.reserve(ghost_deps.size());
-  for (auto& [packed, deps] : ghost_deps) {
-    std::sort(deps.begin(), deps.end());
-    deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
-    ghosts_.push_back(GhostPair{static_cast<NodeId>(packed >> 32),
-                                static_cast<NodeId>(packed & 0xffffffffu),
-                                std::move(deps)});
+  for (size_t i = 0; i < n; ++i) {
+    dependents_.offsets[i + 1] += dependents_.offsets[i];
   }
-  std::sort(ghosts_.begin(), ghosts_.end(),
-            [](const GhostPair& a, const GhostPair& b) {
-              return std::tie(a.e1, a.e2) < std::tie(b.e1, b.e2);
-            });
+  // Scatter pass: j ascends, so every row comes out ascending.
+  dependents_.values.resize(dependents_.offsets[n]);
+  std::vector<size_t> cursor(dependents_.offsets.begin(),
+                             dependents_.offsets.end() - 1);
+  for (uint32_t j = 0; j < n; ++j) {
+    for (size_t e = scans.offsets[j]; e < scans.offsets[j + 1]; ++e) {
+      const uint32_t i = target[e];
+      if (i != kNotInL && i != j) dependents_.values[cursor[i]++] = j;
+    }
+  }
+  // Ghosts: the sorted (pair, dependent) list, grouped by pair. A scan
+  // row holds each pair once, so no entry repeats.
+  std::sort(ghost_entries.begin(), ghost_entries.end());
+  ghosts_.clear();
+  ghost_dependents_.Clear();
+  ghost_dependents_.values.reserve(ghost_entries.size());
+  for (size_t e = 0; e < ghost_entries.size(); ++e) {
+    const uint64_t packed = ghost_entries[e].first;
+    if (e == 0 || packed != ghost_entries[e - 1].first) {
+      if (e != 0) ghost_dependents_.CloseRow();
+      ghosts_.push_back(GhostPair{static_cast<NodeId>(packed >> 32),
+                                  static_cast<NodeId>(packed & 0xffffffffu)});
+    }
+    ghost_dependents_.values.push_back(ghost_entries[e].second);
+  }
+  if (!ghost_entries.empty()) ghost_dependents_.CloseRow();
 }
 
 EmContext::EmContext(const EmContext& prev,
@@ -847,10 +926,10 @@ EmContext::EmContext(const EmContext& prev,
     candidates_.push_back(std::move(c));
   }
 
-  // The dependency index and ghosts are candidate-index-relative; rebuild
-  // them over the new L, copying the neighbor-ball scans of every
-  // carried-over candidate.
-  BuildDependencyIndex(&prev, &candidate_reuse);
+  // The dependency index and ghosts are candidate-index-relative;
+  // re-assemble them over the new L, copying the neighbor-ball scans of
+  // every carried-over candidate.
+  BuildDependencyIndex(prev, candidate_reuse);
   if (info != nullptr) info->depindex_seconds = section.Seconds();
 
   if (info != nullptr) {
@@ -870,21 +949,14 @@ size_t EmContext::MemoryBytes() const {
       compiled_.capacity() * sizeof(CompiledKey) +
       dneighbor_sets_.capacity() * sizeof(std::shared_ptr<const NodeSet>) +
       reduced_pool_.capacity() * sizeof(std::shared_ptr<const NodeSet>) +
-      dependents_.capacity() * sizeof(std::vector<uint32_t>) +
-      ghosts_.capacity() * sizeof(GhostPair);
+      depends_on_pairs_.MemoryBytes() + dependents_.MemoryBytes() +
+      ghosts_.capacity() * sizeof(GhostPair) +
+      ghost_dependents_.MemoryBytes();
   for (const auto& s : dneighbor_sets_) {
     bytes += sizeof(NodeSet) + s->MemoryBytes();
   }
   for (const auto& s : reduced_pool_) {
     bytes += sizeof(NodeSet) + s->MemoryBytes();
-  }
-  for (const auto& d : dependents_) bytes += d.capacity() * sizeof(uint32_t);
-  for (const auto& d : depends_on_pairs_) {
-    bytes += d.capacity() * sizeof(uint64_t);
-  }
-  bytes += depends_on_pairs_.capacity() * sizeof(std::vector<uint64_t>);
-  for (const auto& gh : ghosts_) {
-    bytes += gh.dependents.capacity() * sizeof(uint32_t);
   }
   for (const auto& [type, idx] : sig_index_) {
     bytes += sizeof(SigIndex);

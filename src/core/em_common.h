@@ -321,10 +321,13 @@ class EmContext {
   /// intersects `dirty_nodes` — and sharing every untouched section with
   /// `prev` (d-neighbor sets and pairing-reduced sets are copy-on-write
   /// via shared ownership; untouched candidates are carried over without
-  /// re-running the pairing fixpoint). The dependency index and ghost set
-  /// are rebuilt (they are candidate-index-relative and cheap at |L|
-  /// scale). `prev` must outlive nothing — the new context is
-  /// self-contained apart from the shared immutable NodeSet payloads.
+  /// re-running the pairing fixpoint). The dependency index is candidate-
+  /// index-relative, so it is re-assembled: carried candidates' scans are
+  /// block-copied from `prev`, only recompiled candidates are scanned,
+  /// and the inversion into dependents and ghosts is a counting pass plus
+  /// a binary search per scanned pair, with no hash map. `prev` must
+  /// outlive nothing — the new context is self-contained apart from the
+  /// shared immutable NodeSet payloads.
   ///
   /// Counters: candidates_initial() is the size of the enumerated L
   /// before pairing (carried pairs included). candidates_blocked() counts
@@ -352,11 +355,12 @@ class EmContext {
   /// Same-type pairs signature blocking kept out of the enumeration.
   size_t candidates_blocked() const { return candidates_blocked_; }
 
-  /// Dependency index (§4.2): dependents_[i] lists candidate indices j
-  /// such that candidate j depends on candidate i — i.e., identifying
-  /// candidate i can newly enable a recursive key on candidate j.
-  const std::vector<std::vector<uint32_t>>& dependents() const {
-    return dependents_;
+  /// Dependency index (§4.2): the candidate indices j, ascending, that
+  /// depend on candidate i — identifying candidate i can newly enable a
+  /// recursive key on candidate j. One row of a flat offsets-plus-values
+  /// index over L.
+  std::span<const uint32_t> dependents(uint32_t i) const {
+    return dependents_[i];
   }
 
   /// A same-type pair excluded from L (by the pairing filter, Prop. 9, or
@@ -369,12 +373,16 @@ class EmContext {
   /// dependency optimizations would be incomplete (a regression test in
   /// em_mapreduce_test.cc pins the exact scenario). Ghosts are discovered
   /// lazily from the d-neighbor overlaps of recursive-key candidates, so
-  /// excluded pairs never need materializing.
+  /// excluded pairs never need materializing. Ghosts are sorted by
+  /// (e1, e2), e1 < e2; ghost_dependents(g) lists the candidates that
+  /// depend on ghost g, ascending.
   struct GhostPair {
     NodeId e1, e2;
-    std::vector<uint32_t> dependents;  // candidate indices
   };
-  const std::vector<GhostPair>& ghosts() const { return ghosts_; }
+  std::span<const GhostPair> ghosts() const { return ghosts_; }
+  std::span<const uint32_t> ghost_dependents(uint32_t g) const {
+    return ghost_dependents_[g];
+  }
 
   /// Decides (Gd1 ∪ Gd2, Eq, Σ) |= (e1, e2) for candidate `c`, trying each
   /// of its keys until one fires, with the search strategy chosen by the
@@ -418,8 +426,8 @@ class EmContext {
   /// Approximate heap footprint of the compiled structures, in bytes
   /// (MatchPlan::memory_bytes()). The estimate is CAPACITY-based:
   /// it sums vector capacities (including the candidate list, d-neighbor
-  /// and pairing-reduced NodeSet payloads, the dependency index's outer
-  /// and per-candidate vectors, and the ghost-tracking entries), not
+  /// and pairing-reduced NodeSet payloads, the dependency index's offset
+  /// and value arrays, and the ghost-tracking entries), not
   /// allocator truth — good for trend lines, not for accounting. For a
   /// patched context, NodeSets shared with the source plan are counted in
   /// full on both sides. Excludes the referenced Graph and KeySet.
@@ -531,17 +539,48 @@ class EmContext {
     std::vector<SigPerKey> keys;
   };
 
+  /// Rows of values in one flat array: row i is
+  /// values[offsets[i], offsets[i + 1]). The graph and Gp store their
+  /// adjacency the same way.
+  template <typename T>
+  struct Rows {
+    std::vector<size_t> offsets{0};
+    std::vector<T> values;
+
+    size_t size() const { return offsets.size() - 1; }
+    std::span<const T> operator[](size_t i) const {
+      return {values.data() + offsets[i], offsets[i + 1] - offsets[i]};
+    }
+    /// Ends row size() - 1 at the current end of `values`.
+    void CloseRow() { offsets.push_back(values.size()); }
+    void Clear() {
+      offsets.assign(1, 0);
+      values.clear();
+    }
+    size_t MemoryBytes() const {
+      return offsets.capacity() * sizeof(size_t) +
+             values.capacity() * sizeof(T);
+    }
+  };
+
   /// Builds the §4.2 dependency index (dependents_/ghosts_) from the
-  /// per-candidate depended-on pair scans. When patching, candidates
-  /// carried over via `reuse` copy their scan from `prev` instead of
-  /// re-walking their neighbor balls.
-  void BuildDependencyIndex(const EmContext* prev,
-                            const std::vector<int64_t>* reuse);
+  /// per-candidate depended-on pair scans. Candidates carried over from
+  /// `prev` (reuse[j] >= 0, ascending over j like every source index)
+  /// copy their scans as ranges; only the recompiled ones re-walk their
+  /// neighbor balls.
+  void BuildDependencyIndex(const EmContext& prev,
+                            std::span<const int64_t> reuse);
+
+  /// Appends candidate c's depended-on pairs to `out`, ascending and
+  /// deduplicated (the scan of BuildDependencyIndex).
+  void ScanDependencies(const Candidate& c, std::vector<uint64_t>& out) const;
 
   /// Derives dependents_/ghosts_ from depends_on_pairs_ + candidates_
-  /// (the inversion tail of BuildDependencyIndex). Deterministic given
-  /// those inputs; the snapshot codec calls it after restoring the raw
-  /// scans so the derived index never needs serializing.
+  /// (the inversion tail of BuildDependencyIndex). Candidates are sorted
+  /// in PackPair order, so a binary search decides membership in L and
+  /// no hash map is needed. Deterministic given those inputs; the
+  /// snapshot codec calls it after restoring the raw scans so the derived
+  /// index never needs serializing.
   void InvertDependencyIndex();
 
   /// All signature sources of `cp` (BFS over the pattern from x).
@@ -591,15 +630,17 @@ class EmContext {
   // Signature index per keyed type (use_blocking only); shared with the
   // source plan for types the delta did not touch.
   std::unordered_map<Symbol, std::shared_ptr<const SigIndex>> sig_index_;
-  // Per candidate: the packed same-type keyed pairs inside its neighbor
-  // balls that a recursive key could consume (the §4.2 scan's raw
-  // output). Kept so a patch copies clean candidates' scans instead of
-  // re-walking their balls; dependents_/ghosts_ are derived from it.
-  std::vector<std::vector<uint64_t>> depends_on_pairs_;
+  // Row j: the packed same-type keyed pairs inside candidate j's
+  // neighbor balls that a recursive key could consume (the §4.2 scan's
+  // raw output), ascending. Kept so a patch copies clean candidates'
+  // scans instead of re-walking their balls; dependents_/ghosts_ are
+  // derived from it.
+  Rows<uint64_t> depends_on_pairs_;
   size_t candidates_initial_ = 0;
   size_t candidates_blocked_ = 0;
   std::vector<GhostPair> ghosts_;
-  std::vector<std::vector<uint32_t>> dependents_;
+  Rows<uint32_t> ghost_dependents_;  // row g: dependents of ghosts_[g]
+  Rows<uint32_t> dependents_;        // row i: dependents of candidate i
   uint64_t neighbor_nodes_ = 0;
   uint64_t neighbor_nodes_reduced_ = 0;
 };

@@ -142,7 +142,7 @@ StatusOr<MatchResult> RunEmMapReduce(const EmContext& ctx,
     // every watched candidate or ghost that became equal transitively.
     std::vector<uint8_t> dirty(candidates.size(), 0);
     for (uint32_t idx : identified) {
-      for (uint32_t dep : ctx.dependents()[idx]) dirty[dep] = 1;
+      for (uint32_t dep : ctx.dependents(idx)) dirty[dep] = 1;
     }
     run.Sweep([&](uint32_t dep) { dirty[dep] = 1; });
 

@@ -85,7 +85,7 @@ struct VcRun {
     const Candidate& c = ctx.candidates()[idx];
     run.Record(c, msg.key, msg.m);
     run.Merge(c.e1, c.e2);
-    for (uint32_t dep : ctx.dependents()[idx]) {
+    for (uint32_t dep : ctx.dependents(idx)) {
       if (run.done(dep)) continue;
       Seed(dep, [&](uint32_t vertex, VcMessage&& m) {
         vctx.Send(vertex, std::move(m));

@@ -105,9 +105,9 @@ FixpointRun::FixpointRun(const EmContext& ctx, const EmOptions& opts,
     for (uint32_t i = 0; i < candidates.size(); ++i) {
       if (eq_.Same(candidates[i].e1, candidates[i].e2)) MarkDone(i);
     }
-    for (uint32_t gi = 0; gi < ctx.ghosts().size(); ++gi) {
-      const auto& ghost = ctx.ghosts()[gi];
-      if (eq_.Same(ghost.e1, ghost.e2)) ghost_done_[gi] = 1;
+    const auto ghosts = ctx.ghosts();
+    for (uint32_t gi = 0; gi < ghosts.size(); ++gi) {
+      if (eq_.Same(ghosts[gi].e1, ghosts[gi].e2)) ghost_done_[gi] = 1;
     }
   }
   swept_merges_ = eq_.num_merges();

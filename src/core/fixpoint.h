@@ -267,13 +267,15 @@ class FixpointRun {
     for (uint32_t i = 0; i < candidates.size(); ++i) {
       if (done(i) || !eq_.Same(candidates[i].e1, candidates[i].e2)) continue;
       MarkDone(i);
-      for (uint32_t dep : ctx_.dependents()[i]) wake(dep);
+      for (uint32_t dep : ctx_.dependents(i)) wake(dep);
     }
-    for (uint32_t gi = 0; gi < ctx_.ghosts().size(); ++gi) {
-      const auto& ghost = ctx_.ghosts()[gi];
-      if (ghost_done_[gi] != 0 || !eq_.Same(ghost.e1, ghost.e2)) continue;
+    const auto ghosts = ctx_.ghosts();
+    for (uint32_t gi = 0; gi < ghosts.size(); ++gi) {
+      if (ghost_done_[gi] != 0 || !eq_.Same(ghosts[gi].e1, ghosts[gi].e2)) {
+        continue;
+      }
       ghost_done_[gi] = 1;
-      for (uint32_t dep : ghost.dependents) wake(dep);
+      for (uint32_t dep : ctx_.ghost_dependents(gi)) wake(dep);
     }
   }
 

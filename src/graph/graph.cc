@@ -141,45 +141,73 @@ void Graph::Finalize() {
     build_.shrink_to_fit();
   } else {
     // Re-finalization after per-node thaws: sort + dedup only the dirty
-    // overlays, then splice them into fresh flat arrays while untouched
-    // runs are block-copied from the old CSR (no re-sort).
-    auto merge = [this, n](std::unordered_map<NodeId, std::vector<Edge>>&
-                               overlay,
-                           std::vector<size_t>& offsets,
-                           std::vector<Edge>& edges) -> size_t {
-      size_t total = 0;
-      for (auto& [node, adj] : overlay) {
+    // runs, then rebuild each direction by walking the sorted dirty ids.
+    // The clean nodes between two dirty ids are one block copy of edges,
+    // their offsets shifted by the running size change; each dirty id
+    // takes its overlay run, or keeps its CSR run when this direction
+    // never thawed it (a new node without edges gets an empty run). No
+    // clean node costs a map probe.
+    std::sort(dirty_nodes_.begin(), dirty_nodes_.end());
+    dirty_nodes_.erase(std::unique(dirty_nodes_.begin(), dirty_nodes_.end()),
+                       dirty_nodes_.end());
+    auto splice = [this, n](std::unordered_map<NodeId, std::vector<Edge>>&
+                                overlay,
+                            std::vector<size_t>& offsets,
+                            std::vector<Edge>& edges) -> size_t {
+      auto old_run = [&](NodeId i) {
+        return i < csr_nodes_
+                   ? std::span<const Edge>(edges.data() + offsets[i],
+                                           offsets[i + 1] - offsets[i])
+                   : std::span<const Edge>();
+      };
+      std::vector<std::span<const Edge>> runs;
+      runs.reserve(dirty_nodes_.size());
+      size_t total = edges.size();
+      for (NodeId d : dirty_nodes_) {
+        auto it = overlay.find(d);
+        if (it == overlay.end()) {
+          runs.push_back(old_run(d));
+          continue;
+        }
+        std::vector<Edge>& adj = it->second;
         std::sort(adj.begin(), adj.end());
         adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
         total += adj.size();
+        total -= old_run(d).size();
+        runs.push_back(adj);
       }
-      for (NodeId i = 0; i < csr_nodes_; ++i) {
-        if (overlay.find(i) == overlay.end()) {
-          total += offsets[i + 1] - offsets[i];
-        }
-      }
-      std::vector<size_t> new_offsets(n + 1, 0);
+      std::vector<size_t> new_offsets(n + 1);
       std::vector<Edge> new_edges;
       new_edges.reserve(total);
-      for (NodeId i = 0; i < n; ++i) {
-        new_offsets[i] = new_edges.size();
-        auto it = overlay.find(i);
-        if (it != overlay.end()) {
-          new_edges.insert(new_edges.end(), it->second.begin(),
-                           it->second.end());
-        } else if (i < csr_nodes_) {
-          new_edges.insert(new_edges.end(), edges.begin() + offsets[i],
-                           edges.begin() + offsets[i + 1]);
+      NodeId next = 0;  // first node not placed yet
+      // Copies the clean nodes [next, end). Every node past the old CSR
+      // is dirty (TouchNewNode), so a clean range lies inside the CSR.
+      auto copy_clean = [&](NodeId end) {
+        if (next == end) return;
+        assert(end <= csr_nodes_);
+        const size_t shift = new_edges.size() - offsets[next];
+        for (NodeId i = next; i < end; ++i) {
+          new_offsets[i] = offsets[i] + shift;
         }
+        new_edges.insert(new_edges.end(), edges.begin() + offsets[next],
+                         edges.begin() + offsets[end]);
+      };
+      for (size_t k = 0; k < dirty_nodes_.size(); ++k) {
+        const NodeId d = dirty_nodes_[k];
+        copy_clean(d);
+        new_offsets[d] = new_edges.size();
+        new_edges.insert(new_edges.end(), runs[k].begin(), runs[k].end());
+        next = d + 1;
       }
+      copy_clean(static_cast<NodeId>(n));
       new_offsets[n] = new_edges.size();
       offsets = std::move(new_offsets);
       edges = std::move(new_edges);
       overlay.clear();
       return total;
     };
-    num_triples_ = merge(out_overlay_, out_offsets_, out_edges_);
-    merge(in_overlay_, in_offsets_, in_edges_);
+    num_triples_ = splice(out_overlay_, out_offsets_, out_edges_);
+    splice(in_overlay_, in_offsets_, in_edges_);
   }
   dirty_nodes_.clear();
   csr_nodes_ = n;

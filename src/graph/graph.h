@@ -75,11 +75,12 @@ class GraphDelta;
 /// Mutating a finalized graph thaws only the touched nodes: their
 /// adjacency is copied out of the CSR into a per-node overlay and edited
 /// there, while every other node keeps serving straight from the CSR.
-/// The next Finalize() merges the overlays back — sorting only the dirty
-/// runs and block-copying the untouched ones — instead of re-sorting the
-/// whole edge array. The set of touched nodes is recorded (DirtyNodes())
-/// so incremental consumers (MatchPlan::Patch) can recompile exactly the
-/// affected region.
+/// The next Finalize() splices the overlays back: it sorts only the dirty
+/// runs and block-copies the untouched ranges between dirty ids, with
+/// their offsets shifted, instead of re-sorting the whole edge array or
+/// probing the overlay for every node. The set of touched nodes is
+/// recorded (DirtyNodes()) so incremental consumers (MatchPlan::Patch)
+/// can recompile exactly the affected region.
 ///
 /// Strings (types, predicates, values) are interned in a per-graph
 /// StringInterner so they compare by integer.
@@ -121,9 +122,9 @@ class Graph {
   }
 
   /// Sorts and deduplicates adjacency and freezes it into CSR arrays.
-  /// After post-finalize mutations, merges only the dirty nodes' runs
-  /// back into the CSR (untouched runs are block-copied, not re-sorted).
-  /// Idempotent.
+  /// After post-finalize mutations, splices only the dirty nodes' runs
+  /// back into the CSR (untouched ranges are block-copied, not re-sorted
+  /// and not looked up). Idempotent.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -134,7 +135,7 @@ class Graph {
   /// Applies `delta` (built against this graph via GraphDelta's staging
   /// API) and re-finalizes: new entities/values are materialized with
   /// exactly the NodeIds the delta staged, triples are added/removed
-  /// through the per-node thaw path, and the CSR is merge-rebuilt.
+  /// through the per-node thaw path, and the CSR is spliced.
   /// Returns the sorted dirty node set (endpoints of every added/removed
   /// triple plus all new nodes) — the input MatchPlan::Patch consumes.
   /// All or nothing: every removal is checked before anything changes,
@@ -251,7 +252,7 @@ class Graph {
   std::vector<Edge> out_edges_;
   std::vector<Edge> in_edges_;
   // Per-node thaw: dirty nodes' true adjacency while the CSR is stale for
-  // them. Emptied by Finalize()'s merge pass.
+  // them. Emptied by Finalize()'s splice.
   std::unordered_map<NodeId, std::vector<Edge>> out_overlay_;
   std::unordered_map<NodeId, std::vector<Edge>> in_overlay_;
   // Nodes touched since the last Finalize (may contain duplicates until

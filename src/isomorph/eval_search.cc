@@ -157,11 +157,4 @@ bool KeyIdentifiesWitness(const Graph& g, const CompiledPattern& cp,
   return true;
 }
 
-bool MatchesAt(const Graph& g, const CompiledPattern& cp, NodeId e,
-               const NodeSet* restrict_to, SearchStats* stats) {
-  EqView identity;  // Eq0: node identity only
-  return KeyIdentifies(g, cp, e, e, identity, restrict_to, restrict_to,
-                       stats);
-}
-
 }  // namespace gkeys

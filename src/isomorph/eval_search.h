@@ -54,12 +54,6 @@ bool KeyIdentifiesWitness(const Graph& g, const CompiledPattern& cp,
                           const NodeSet* n1, const NodeSet* n2,
                           Witness* witness, SearchStats* stats = nullptr);
 
-/// Single-sided variant: does G match Q(x) at e (paper §2.1)? Used by
-/// tests. Equivalent to KeyIdentifies(g, cp, e, e, identity-Eq).
-bool MatchesAt(const Graph& g, const CompiledPattern& cp, NodeId e,
-               const NodeSet* restrict_to = nullptr,
-               SearchStats* stats = nullptr);
-
 }  // namespace gkeys
 
 #endif  // GKEYS_ISOMORPH_EVAL_SEARCH_H_

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -52,7 +53,7 @@ Status ReadSection(const Store& store, char prefix, uint64_t count,
 }
 
 /// Sorted ascending uint64 list, delta-encoded.
-void PutDeltaList64(std::string& out, const std::vector<uint64_t>& vals) {
+void PutDeltaList64(std::string& out, std::span<const uint64_t> vals) {
   PutVarint(out, vals.size());
   uint64_t prev = 0;
   for (uint64_t v : vals) {
@@ -61,21 +62,37 @@ void PutDeltaList64(std::string& out, const std::vector<uint64_t>& vals) {
   }
 }
 
-bool ReadDeltaList64(ByteReader& r, uint64_t max_count,
-                     std::vector<uint64_t>* out) {
+/// Reads dependency scan `j` (a PutDeltaList64 list of PackPair values)
+/// onto the end of `scans`. The inversion looks pairs up by binary search
+/// and the engines index the union-find with their halves, so each pair
+/// must name two nodes of the graph, smaller first, and the list must be
+/// strictly ascending.
+Status ReadDependencyScan(ByteReader& r, uint64_t j, uint64_t num_nodes,
+                          std::vector<uint64_t>& scans) {
+  const std::string what = "dependency scan " + std::to_string(j);
   uint64_t count = 0;
-  if (!r.ReadVarint(&count) || count > max_count || count > r.remaining())
-    return false;
-  out->clear();
-  out->reserve(count);
+  if (!r.ReadVarint(&count) || count > r.remaining())
+    return Corrupt("bad " + what);
   uint64_t prev = 0;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t d = 0;
-    if (!r.ReadVarint(&d)) return false;
+    if (!r.ReadVarint(&d)) return Corrupt("bad " + what);
+    if (i > 0 && d == 0) return Corrupt(what + " repeats a pair");
+    if (d > UINT64_MAX - prev) return Corrupt(what + " wraps past 2^64");
     prev += d;
-    out->push_back(prev);
+    const uint64_t first = prev >> 32, second = prev & 0xffffffffu;
+    if (first >= num_nodes || second >= num_nodes) {
+      return Corrupt(what + " names node " +
+                     std::to_string(std::max(first, second)) +
+                     " past the graph");
+    }
+    if (first >= second) {
+      return Corrupt(what + " holds a pair whose first node is not below "
+                     "its second");
+    }
+    scans.push_back(prev);
   }
-  return true;
+  return Status::OK();
 }
 
 /// Sorted ascending NodeId list, delta-encoded.
@@ -383,8 +400,8 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
   }
   // Raw dependency scans; the derived dependents_/ghosts_ re-invert on
   // load (InvertDependencyIndex is deterministic given these).
-  for (const std::vector<uint64_t>& deps : ctx.depends_on_pairs_) {
-    PutDeltaList64(p, deps);
+  for (size_t j = 0; j < ctx.depends_on_pairs_.size(); ++j) {
+    PutDeltaList64(p, ctx.depends_on_pairs_[j]);
   }
   GKEYS_RETURN_IF_ERROR(store.Put(Key1('P'), std::move(p)));
 
@@ -524,6 +541,21 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
         e1 >= g.NumNodes() || e2 >= g.NumNodes() || !g.IsEntity(e1)) {
       return Corrupt("bad candidate " + std::to_string(i));
     }
+    // L is a set of same-type entity pairs (e1 < e2) sorted by (e1, e2):
+    // the inversion finds a candidate by binary search over that order.
+    if (e1 >= e2) {
+      return Corrupt("candidate " + std::to_string(i) + " has e1 >= e2");
+    }
+    if (!g.IsEntity(e2) || g.entity_type(e2) != g.entity_type(e1)) {
+      return Corrupt("candidate " + std::to_string(i) +
+                     " pairs an entity with a node of another type");
+    }
+    if (i > 0 && PackPair(e1, e2) <= PackPair(ctx.candidates_.back().e1,
+                                              ctx.candidates_.back().e2)) {
+      return Corrupt("candidate " + std::to_string(i) +
+                     " does not follow candidate " + std::to_string(i - 1) +
+                     " in (e1, e2) order");
+    }
     Candidate c;
     c.e1 = e1;
     c.e2 = e2;
@@ -556,12 +588,11 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
     }
     ctx.candidates_.push_back(c);
   }
-  ctx.depends_on_pairs_.resize(num_candidates);
-  for (uint64_t i = 0; i < num_candidates; ++i) {
-    if (!ReadDeltaList64(p, meta.num_nodes * meta.num_nodes + 1,
-                         &ctx.depends_on_pairs_[i])) {
-      return Corrupt("bad dependency scan " + std::to_string(i));
-    }
+  ctx.depends_on_pairs_.offsets.reserve(num_candidates + 1);
+  for (uint64_t j = 0; j < num_candidates; ++j) {
+    GKEYS_RETURN_IF_ERROR(ReadDependencyScan(
+        p, j, g.NumNodes(), ctx.depends_on_pairs_.values));
+    ctx.depends_on_pairs_.CloseRow();
   }
   if (!p.AtEnd()) return Corrupt("trailing bytes in plan record");
   ctx.candidates_initial_ = meta.candidates_initial;

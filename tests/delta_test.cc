@@ -1,6 +1,6 @@
 // Graph-layer tests for the incremental mutation path: GraphDelta
 // staging, Graph::Apply, per-node thaw (overlay) semantics, and the
-// merge-based re-Finalize that replaces the old whole-graph Thaw().
+// splice-based re-Finalize that replaces the old whole-graph Thaw().
 
 #include <algorithm>
 #include <set>
@@ -239,83 +239,157 @@ TEST(CsrGraph, RemoveTripleWorksInBothRepresentations) {
   }
 }
 
-/// Property: a finalized graph that suffers random post-finalize
-/// mutations and re-finalizes (the merge path) is indistinguishable from
-/// a graph built from scratch with the same final triple set.
+/// Property: after every delta of a Graph::Apply chain, each re-finalized
+/// by splicing only the dirty runs into the CSR, the graph is
+/// indistinguishable from one built from scratch with the same triples.
+/// The deltas cover the splice's edge cases: new nodes past the old CSR
+/// (some left without edges, so their runs are empty), a node stripped of
+/// every edge, and node 0 and the last node touched every time.
 TEST(CsrGraph, MergeRefinalizeEqualsFromScratchBuild) {
+  constexpr int kPreds = 5;
+  auto pred = [](int p) { return "p" + std::to_string(p); };
   for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
-    Graph g;
-    const int n_entities = 30;
-    const int n_values = 10;
-    std::vector<NodeId> nodes;
-    for (int i = 0; i < n_entities; ++i) {
-      nodes.push_back(g.AddEntity("t" + std::to_string(i % 3)));
-    }
-    for (int i = 0; i < n_values; ++i) {
-      nodes.push_back(g.AddValue("v" + std::to_string(i)));
-    }
-    // Pre-intern predicates in a fixed order so symbol ids line up with
-    // the from-scratch graph built below (Edge compares by Symbol).
-    for (int p = 0; p < 5; ++p) (void)g.Intern("p" + std::to_string(p));
-    auto random_triple = [&]() {
-      NodeId s = nodes[rng.Below(n_entities)];
-      NodeId o = nodes[rng.Below(nodes.size())];
-      return std::pair<NodeId, NodeId>(s, o);
-    };
+    // Every node in id order: (is entity, type or literal).
+    std::vector<std::pair<bool, std::string>> nodes;
     std::set<std::tuple<NodeId, int, NodeId>> triples;
-    for (int i = 0; i < 120; ++i) {
-      auto [s, o] = random_triple();
-      int p = static_cast<int>(rng.Below(5));
-      triples.emplace(s, p, o);
-      ASSERT_TRUE(g.AddTriple(s, "p" + std::to_string(p), o).ok());
-    }
-    g.Finalize();
-
-    // Random mutation burst: some removals of existing triples, some
-    // additions (possibly duplicating existing ones — dedup applies).
-    std::vector<std::tuple<NodeId, int, NodeId>> current(triples.begin(),
-                                                         triples.end());
-    for (int i = 0; i < 20 && !current.empty(); ++i) {
-      size_t pick = rng.Below(current.size());
-      auto [s, p, o] = current[pick];
-      ASSERT_TRUE(g.RemoveTriple(s, "p" + std::to_string(p), o).ok());
-      triples.erase({s, p, o});
-      current.erase(current.begin() + pick);
-    }
+    // Predicates are interned first, so their symbols line up with the
+    // from-scratch graph's (Edge compares by Symbol).
+    auto make_graph = [&]() {
+      Graph g;
+      for (int p = 0; p < kPreds; ++p) (void)g.Intern(pred(p));
+      for (const auto& [entity, label] : nodes) {
+        if (entity) {
+          g.AddEntity(label);
+        } else {
+          g.AddValue(label);
+        }
+      }
+      for (const auto& [s, p, o] : triples) {
+        EXPECT_TRUE(g.AddTriple(s, pred(p), o).ok());
+      }
+      g.Finalize();
+      return g;
+    };
     for (int i = 0; i < 30; ++i) {
-      auto [s, o] = random_triple();
-      int p = static_cast<int>(rng.Below(5));
-      triples.emplace(s, p, o);
-      ASSERT_TRUE(g.AddTriple(s, "p" + std::to_string(p), o).ok());
+      nodes.emplace_back(true, "t" + std::to_string(i % 3));
     }
-    g.Finalize();
+    for (int i = 0; i < 10; ++i) {
+      nodes.emplace_back(false, "v" + std::to_string(i));
+    }
+    auto random_entity = [&]() {
+      NodeId e;
+      do {
+        e = static_cast<NodeId>(rng.Below(nodes.size()));
+      } while (!nodes[e].first);
+      return e;
+    };
+    for (int i = 0; i < 120; ++i) {
+      triples.emplace(random_entity(), static_cast<int>(rng.Below(kPreds)),
+                      static_cast<NodeId>(rng.Below(nodes.size())));
+    }
+    Graph g = make_graph();
 
-    Graph fresh;
-    for (int i = 0; i < n_entities; ++i) {
-      fresh.AddEntity("t" + std::to_string(i % 3));
-    }
-    for (int i = 0; i < n_values; ++i) {
-      fresh.AddValue("v" + std::to_string(i));
-    }
-    for (int p = 0; p < 5; ++p) (void)fresh.Intern("p" + std::to_string(p));
-    for (const auto& [s, p, o] : triples) {
-      ASSERT_TRUE(fresh.AddTriple(s, "p" + std::to_string(p), o).ok());
-    }
-    fresh.Finalize();
+    for (int step = 0; step < 12; ++step) {
+      SCOPED_TRACE("delta " + std::to_string(step));
+      GraphDelta delta(g);
+      std::set<std::tuple<NodeId, int, NodeId>> adds, removes;
+      // One old node other than node 0 and the last one loses every edge.
+      const NodeId strip =
+          1 + static_cast<NodeId>(rng.Below(g.NumNodes() - 2));
+      auto other_entity = [&]() {
+        NodeId e;
+        do {
+          e = random_entity();
+        } while (e == strip);
+        return e;
+      };
+      const size_t old_nodes = g.NumNodes();
+      auto other_old_node = [&]() {
+        NodeId n;
+        do {
+          n = static_cast<NodeId>(rng.Below(old_nodes));
+        } while (n == strip);
+        return n;
+      };
+      for (const auto& t : triples) {
+        if (std::get<0>(t) == strip || std::get<2>(t) == strip) {
+          removes.insert(t);
+        }
+      }
+      // New entities and values past the old CSR; every other one gets
+      // no edge of its own.
+      const int new_nodes = static_cast<int>(rng.Below(4));
+      for (int i = 0; i < new_nodes; ++i) {
+        NodeId id;
+        if (rng.Chance(0.5)) {
+          nodes.emplace_back(true, "t" + std::to_string(i % 3));
+          id = delta.AddEntity(nodes.back().second);
+        } else {
+          nodes.emplace_back(false, "n" + std::to_string(step) + "_" +
+                                        std::to_string(i));
+          id = delta.AddValue(nodes.back().second);
+        }
+        ASSERT_EQ(id, nodes.size() - 1);
+        if (i % 2 != 0) continue;
+        const int p = static_cast<int>(rng.Below(kPreds));
+        if (nodes[id].first) {
+          adds.emplace(id, p, other_old_node());
+        } else {
+          adds.emplace(other_entity(), p, id);
+        }
+      }
+      // Random churn among the old nodes.
+      std::vector<std::tuple<NodeId, int, NodeId>> present(triples.begin(),
+                                                           triples.end());
+      for (int i = 0; i < 4 && !present.empty(); ++i) {
+        removes.insert(present[rng.Below(present.size())]);
+      }
+      for (int i = 0; i < 6; ++i) {
+        adds.emplace(other_entity(), static_cast<int>(rng.Below(kPreds)),
+                     other_old_node());
+      }
+      // Node 0 and the last node (new or old) are touched every time: the
+      // triple between them is added if absent, removed if present.
+      const NodeId last = static_cast<NodeId>(nodes.size() - 1);
+      const auto link = std::make_tuple(NodeId{0}, step % kPreds, last);
+      if (triples.count(link) != 0) {
+        removes.insert(link);
+      } else {
+        adds.insert(link);
+      }
+      for (const auto& t : removes) adds.erase(t);
+      for (const auto& [s, p, o] : adds) {
+        ASSERT_TRUE(delta.AddTriple(s, pred(p), o).ok());
+        triples.emplace(s, p, o);
+      }
+      for (const auto& [s, p, o] : removes) {
+        ASSERT_TRUE(delta.RemoveTriple(s, pred(p), o).ok());
+        triples.erase({s, p, o});
+      }
+      auto dirty = g.Apply(delta);
+      ASSERT_TRUE(dirty.ok()) << dirty.status().ToString();
+      ASSERT_TRUE(std::binary_search(dirty->begin(), dirty->end(), NodeId{0}));
+      ASSERT_TRUE(std::binary_search(dirty->begin(), dirty->end(), last));
 
-    ASSERT_EQ(g.NumTriples(), fresh.NumTriples()) << "seed " << seed;
-    for (NodeId node = 0; node < g.NumNodes(); ++node) {
-      auto out_g = g.Out(node);
-      auto out_f = fresh.Out(node);
-      ASSERT_EQ(std::vector<Edge>(out_g.begin(), out_g.end()),
-                std::vector<Edge>(out_f.begin(), out_f.end()))
-          << "seed " << seed << " node " << node;
-      auto in_g = g.In(node);
-      auto in_f = fresh.In(node);
-      ASSERT_EQ(std::vector<Edge>(in_g.begin(), in_g.end()),
-                std::vector<Edge>(in_f.begin(), in_f.end()))
-          << "seed " << seed << " node " << node;
+      const Graph fresh_build = make_graph();
+      ASSERT_EQ(g.NumNodes(), fresh_build.NumNodes());
+      ASSERT_EQ(g.NumTriples(), fresh_build.NumTriples());
+      EXPECT_TRUE(g.Out(strip).empty());
+      EXPECT_TRUE(g.In(strip).empty());
+      for (NodeId node = 0; node < g.NumNodes(); ++node) {
+        auto out_g = g.Out(node);
+        auto out_f = fresh_build.Out(node);
+        ASSERT_EQ(std::vector<Edge>(out_g.begin(), out_g.end()),
+                  std::vector<Edge>(out_f.begin(), out_f.end()))
+            << "node " << node;
+        auto in_g = g.In(node);
+        auto in_f = fresh_build.In(node);
+        ASSERT_EQ(std::vector<Edge>(in_g.begin(), in_g.end()),
+                  std::vector<Edge>(in_f.begin(), in_f.end()))
+            << "node " << node;
+      }
     }
   }
 }

@@ -182,6 +182,11 @@ TEST(EvalSearch, StatsAreCounted) {
 }
 
 TEST(EvalSearch, MatchesAtSingleSide) {
+  // Does G match Q(x) at e (paper §2.1)? The pair (e, e) under node
+  // identity.
+  auto MatchesAt = [](const Graph& g, const CompiledPattern& cp, NodeId e) {
+    return KeyIdentifies(g, cp, e, e, EqView());
+  };
   auto m = MakeG1();
   CompiledPattern q1 = CompileDsl(m.g, R"(
     key Q1 for album {

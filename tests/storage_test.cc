@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <tuple>
 #include <memory>
 #include <string>
@@ -169,15 +170,16 @@ struct Session {
   MatchResult result;
 };
 
-Session CompileAndRun(Graph g, KeySet keys, Algorithm algo) {
+Session CompileAndRun(Graph g, KeySet keys, Algorithm algo,
+                      int processors = 2) {
   Session s;
   s.graph = std::make_unique<Graph>(std::move(g));
   s.keys = std::make_unique<KeySet>(std::move(keys));
-  auto plan =
-      Matcher::Compile(*s.graph, *s.keys, PlanOptions::For(algo, 2));
+  auto plan = Matcher::Compile(*s.graph, *s.keys,
+                               PlanOptions::For(algo, processors));
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   s.plan = *std::move(plan);
-  auto run = Matcher(algo).processors(2).Run(s.plan);
+  auto run = Matcher(algo).processors(processors).Run(s.plan);
   EXPECT_TRUE(run.ok()) << run.status().ToString();
   s.result = *std::move(run);
   return s;
@@ -359,10 +361,140 @@ void ExpectSameBytes(const std::string& got, const std::string& want) {
       << "first differing byte at offset " << same;
 }
 
+/// The dependency index of two plans over the same candidate list.
+void ExpectSameDependencyIndex(const EmContext& got, const EmContext& want) {
+  ASSERT_EQ(got.candidates().size(), want.candidates().size());
+  for (uint32_t i = 0; i < want.candidates().size(); ++i) {
+    ASSERT_TRUE(std::ranges::equal(got.dependents(i), want.dependents(i)))
+        << "dependents of candidate " << i;
+  }
+  ASSERT_EQ(got.ghosts().size(), want.ghosts().size());
+  for (uint32_t g = 0; g < want.ghosts().size(); ++g) {
+    EXPECT_EQ(got.ghosts()[g].e1, want.ghosts()[g].e1) << "ghost " << g;
+    EXPECT_EQ(got.ghosts()[g].e2, want.ghosts()[g].e2) << "ghost " << g;
+    ASSERT_TRUE(std::ranges::equal(got.ghost_dependents(g),
+                                   want.ghost_dependents(g)))
+        << "dependents of ghost " << g;
+  }
+}
+
+/// Per candidate pair, the pairs it depends on: the candidates and the
+/// ghosts whose dependents list it. This is the candidate's dependency
+/// scan minus its own pair, keyed by pairs rather than indices, so plans
+/// whose candidate lists differ can be compared.
+std::map<uint64_t, std::vector<uint64_t>> DependsOn(const EmContext& ctx) {
+  std::map<uint64_t, std::vector<uint64_t>> out;
+  const std::vector<Candidate>& cands = ctx.candidates();
+  auto pair = [&](uint32_t i) { return PackPair(cands[i].e1, cands[i].e2); };
+  for (uint32_t i = 0; i < cands.size(); ++i) {
+    out[pair(i)];
+    for (uint32_t j : ctx.dependents(i)) out[pair(j)].push_back(pair(i));
+  }
+  for (uint32_t g = 0; g < ctx.ghosts().size(); ++g) {
+    const uint64_t ghost = PackPair(ctx.ghosts()[g].e1, ctx.ghosts()[g].e2);
+    for (uint32_t j : ctx.ghost_dependents(g)) out[pair(j)].push_back(ghost);
+  }
+  for (auto& [c, deps] : out) std::sort(deps.begin(), deps.end());
+  return out;
+}
+
+/// A plan patched at p = 4 through a churn chain assembles its dependency
+/// index from carried ranges and fresh scans. Saving it, loading the file
+/// and saving again must give the same bytes, and the loaded plan must
+/// re-invert to the same dependents and ghosts. Every candidate the
+/// patched plan shares with a fresh serial compile of the same graph must
+/// depend on the same pairs (a carried scan is copied, a recompiled one
+/// may come from a worker thread). The re-add delta recompiles enough
+/// recursive-key candidates (>= 256) for the parallel dependency scan to
+/// run.
+void ExpectPatchedPlansSaveIdentically(const SyntheticDataset& ds) {
+  for (Algorithm algo : {Algorithm::kEmOptVc, Algorithm::kEmOptMr}) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    auto loaded = FastDeserializeGraphWithNames(SerializeGraph(ds.graph));
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    const std::unordered_map<std::string, NodeId> names = loaded->entities;
+    Session s =
+        CompileAndRun(std::move(loaded->graph), ds.keys, algo, /*p=*/4);
+    Matcher matcher(algo);
+    matcher.processors(4);
+    std::vector<Triple> all;
+    s.graph->ForEachTriple([&](const Triple& t) { all.push_back(t); });
+    Rng rng(5);
+    std::vector<size_t> picks;
+    for (int i = 0; i < 400; ++i) picks.push_back(rng.Below(all.size()));
+    std::sort(picks.begin(), picks.end());
+    picks.erase(std::unique(picks.begin(), picks.end()), picks.end());
+    // Per delta, (triples added, triples removed) as indices into `all`:
+    // remove the picks, re-add them all at once, then churn a few.
+    const std::vector<size_t> few(picks.begin(), picks.begin() + 8);
+    const std::vector<size_t> other(picks.begin() + 8, picks.begin() + 12);
+    const std::vector<std::pair<std::vector<size_t>, std::vector<size_t>>>
+        chain = {{{}, picks}, {picks, {}}, {{}, few}, {few, other}};
+    size_t most_recompiled = 0;
+    for (size_t step = 0; step < chain.size(); ++step) {
+      SCOPED_TRACE("delta " + std::to_string(step));
+      GraphDelta delta(*s.graph);
+      for (size_t i : chain[step].first) {
+        ASSERT_TRUE(delta.AddTriple(all[i].subject,
+                                    s.graph->interner().Resolve(all[i].pred),
+                                    all[i].object)
+                        .ok());
+      }
+      for (size_t i : chain[step].second) {
+        ASSERT_TRUE(
+            delta.RemoveTriple(all[i].subject,
+                               s.graph->interner().Resolve(all[i].pred),
+                               all[i].object)
+                .ok());
+      }
+      ASSERT_TRUE(s.graph->Apply(delta).ok());
+      auto patched = s.plan.Patch(delta);
+      ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+      auto rematched = matcher.Rematch(*patched, s.result, delta);
+      ASSERT_TRUE(rematched.ok()) << rematched.status().ToString();
+      s.plan = *std::move(patched);
+      s.result = *std::move(rematched);
+      size_t recompiled = 0;
+      for (uint32_t i : s.plan.dirty_candidates()) {
+        recompiled += s.plan.context().candidates()[i].has_recursive_key;
+      }
+      most_recompiled = std::max(most_recompiled, recompiled);
+
+      const std::string first = SaveBytes(*s.graph, *s.keys, s.plan,
+                                          s.result, algo, names,
+                                          "patched_first");
+      auto store = MmapStore::Open(TempPath("patched_first"));
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      auto snap = Snapshot::Load(**store);
+      ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+      ExpectSameBytes(SaveBytes(snap->graph(), snap->keys(), snap->plan(),
+                                snap->result(), algo, snap->entity_names(),
+                                "patched_loaded"),
+                      first);
+      ExpectSameDependencyIndex(snap->plan().context(), s.plan.context());
+
+      auto fresh = Matcher::Compile(*s.graph, *s.keys,
+                                    PlanOptions::For(algo, 1));
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      const auto want = DependsOn(fresh->context());
+      size_t shared = 0;
+      for (const auto& [c, deps] : DependsOn(s.plan.context())) {
+        auto it = want.find(c);
+        if (it == want.end()) continue;
+        ++shared;
+        ASSERT_EQ(deps, it->second) << "candidate pair " << c;
+      }
+      EXPECT_GT(shared, 0u);
+    }
+    EXPECT_GE(most_recompiled, 256u);
+  }
+}
+
 TEST(SnapshotRoundTrip, SavesAreByteIdentical) {
   // A snapshot's bytes depend on the session alone: not on the order the
   // entity-name map was filled in, and not on whether the plan was
-  // compiled or loaded. This pins the write order of every table.
+  // compiled, patched or loaded. This pins the write order of every
+  // table.
   DBpediaSimConfig cfg;
   cfg.scale = 10;
   SyntheticDataset ds = GenerateDBpediaSim(cfg);
@@ -396,6 +528,7 @@ TEST(SnapshotRoundTrip, SavesAreByteIdentical) {
                               "identical_loaded"),
                     first);
   }
+  ExpectPatchedPlansSaveIdentically(ds);
 }
 
 TEST(Snapshot, SaveRejectsForeignPlan) {
@@ -1174,6 +1307,185 @@ TEST(DecodePlan, RejectsAGpFlagItsPlanOptionsContradict) {
   EXPECT_EQ(loaded.status().message(),
             "corrupt snapshot: product-graph flag disagrees with the plan "
             "options");
+}
+
+// ---- DecodePlan: candidates and dependency scans ----------------------
+
+/// The 'P' record split into the parts the decoder checks per item: the
+/// slot table verbatim; per candidate its pair and the rest of its entry
+/// (flags, pool refs) verbatim; per candidate its dependency scan.
+struct PlanRecord {
+  struct Entry {
+    uint64_t e1, e2;
+    std::string rest;
+  };
+  std::string slots;
+  std::vector<Entry> candidates;
+  std::vector<std::vector<uint64_t>> scans;
+
+  PlanRecord(std::string_view p, bool pairing) {
+    ByteReader r(p);
+    auto at = [&] { return p.size() - r.remaining(); };
+    uint64_t count = 0, skip = 0;
+    EXPECT_TRUE(r.ReadVarint(&count));
+    for (uint64_t i = 0; i < 2 * count; ++i) EXPECT_TRUE(r.ReadVarint(&skip));
+    slots = p.substr(0, at());
+    EXPECT_TRUE(r.ReadVarint(&count));
+    for (uint64_t i = 0; i < count; ++i) {
+      Entry& c = candidates.emplace_back();
+      EXPECT_TRUE(r.ReadVarint(&c.e1) && r.ReadVarint(&c.e2));
+      const size_t from = at();
+      uint8_t flags = 0;
+      EXPECT_TRUE(r.ReadU8(&flags));
+      for (int k = 0; pairing && k < 2; ++k) EXPECT_TRUE(r.ReadVarint(&skip));
+      c.rest = p.substr(from, at() - from);
+    }
+    for (uint64_t i = 0; i < count; ++i) {
+      std::vector<uint64_t>& scan = scans.emplace_back();
+      uint64_t size = 0, value = 0, delta = 0;
+      EXPECT_TRUE(r.ReadVarint(&size));
+      for (uint64_t k = 0; k < size; ++k) {
+        EXPECT_TRUE(r.ReadVarint(&delta));
+        scan.push_back(value += delta);
+      }
+    }
+    EXPECT_TRUE(r.AtEnd());
+  }
+
+  /// Re-encodes the record; scan deltas wrap modulo 2^64, as a crafted
+  /// file can make them.
+  std::string Write() const {
+    std::string p = slots;
+    PutVarint(p, candidates.size());
+    for (const Entry& c : candidates) {
+      PutVarint(p, c.e1);
+      PutVarint(p, c.e2);
+      p += c.rest;
+    }
+    for (const std::vector<uint64_t>& scan : scans) {
+      PutVarint(p, scan.size());
+      uint64_t prev = 0;
+      for (uint64_t v : scan) {
+        PutVarint(p, v - prev);
+        prev = v;
+      }
+    }
+    return p;
+  }
+};
+
+/// Saves a DBpedia-sim session (recursive keys, so candidates carry
+/// dependency scans), lets `edit` change its 'P' record, and loads it.
+/// `edit` also sees the graph and the index of the last candidate with a
+/// scan of two or more pairs.
+Status LoadWithPlanEdit(
+    const std::function<void(PlanRecord&, const Graph&, size_t)>& edit) {
+  static const Session* session = [] {
+    auto* s = new Session;
+    SyntheticDataset ds = GenerateDBpediaSim(DBpediaSimConfig{});
+    *s = CompileAndRun(std::move(ds.graph), std::move(ds.keys),
+                       Algorithm::kEmOptVc);
+    return s;
+  }();
+  testing::MapStore store = SavedRecords(*session, Algorithm::kEmOptVc);
+  PlanRecord record(*store.Get("P"), /*pairing=*/true);
+  size_t scanned = record.scans.size();
+  while (scanned > 0 && record.scans[scanned - 1].size() < 2) --scanned;
+  EXPECT_GT(scanned, 0u);
+  edit(record, *session->graph, scanned - 1);
+  EXPECT_TRUE(store.Put("P", record.Write()).ok());
+  auto snap = Snapshot::Load(store);
+  return snap.ok() ? Status::OK() : snap.status();
+}
+
+TEST(DecodePlan, RejectsACandidateWhoseFirstEntityIsNotTheSmaller) {
+  size_t edited = 0;
+  Status st = LoadWithPlanEdit([&](PlanRecord& r, const Graph&, size_t) {
+    edited = r.candidates.size() - 1;
+    std::swap(r.candidates.back().e1, r.candidates.back().e2);
+  });
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_EQ(st.message(), "corrupt snapshot: candidate " +
+                              std::to_string(edited) + " has e1 >= e2");
+}
+
+TEST(DecodePlan, RejectsACandidatePairingNodesOfTwoTypes) {
+  size_t edited = 0;
+  Status st = LoadWithPlanEdit([&](PlanRecord& r, const Graph& g, size_t) {
+    edited = r.candidates.size() - 1;
+    PlanRecord::Entry& c = r.candidates.back();
+    NodeId other = static_cast<NodeId>(c.e1) + 1;
+    while (g.IsEntity(other) &&
+           g.entity_type(other) == g.entity_type(static_cast<NodeId>(c.e1))) {
+      ++other;
+    }
+    c.e2 = other;
+  });
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_EQ(st.message(), "corrupt snapshot: candidate " +
+                              std::to_string(edited) +
+                              " pairs an entity with a node of another type");
+}
+
+TEST(DecodePlan, RejectsCandidatesOutOfPairOrder) {
+  Status st = LoadWithPlanEdit([](PlanRecord& r, const Graph&, size_t) {
+    std::swap(r.candidates[0], r.candidates[1]);
+  });
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_EQ(st.message(),
+            "corrupt snapshot: candidate 1 does not follow candidate 0 in "
+            "(e1, e2) order");
+}
+
+TEST(DecodePlan, RejectsADependencyScanNamingANodePastTheGraph) {
+  // Loaded, this scan left a ghost whose e1 lies past the graph, and the
+  // first run on the plan indexed the union-find with it.
+  size_t edited = 0;
+  Status st = LoadWithPlanEdit([&](PlanRecord& r, const Graph&, size_t j) {
+    edited = j;
+    r.scans[j].back() = PackPair(uint32_t{1} << 31, UINT32_MAX);
+  });
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_EQ(st.message(), "corrupt snapshot: dependency scan " +
+                              std::to_string(edited) +
+                              " names node 4294967295 past the graph");
+}
+
+TEST(DecodePlan, RejectsADependencyScanPairWhoseFirstNodeIsNotSmaller) {
+  size_t edited = 0;
+  Status st = LoadWithPlanEdit([&](PlanRecord& r, const Graph&, size_t j) {
+    edited = j;
+    const uint64_t last = r.scans[j].back();
+    const NodeId second = static_cast<NodeId>(last & 0xffffffffu);
+    r.scans[j].back() = PackPair(second, second);  // still ascending
+  });
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_EQ(st.message(), "corrupt snapshot: dependency scan " +
+                              std::to_string(edited) +
+                              " holds a pair whose first node is not "
+                              "below its second");
+}
+
+TEST(DecodePlan, RejectsADependencyScanThatRepeatsAPair) {
+  size_t edited = 0;
+  Status st = LoadWithPlanEdit([&](PlanRecord& r, const Graph&, size_t j) {
+    edited = j;
+    r.scans[j].push_back(r.scans[j].back());
+  });
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_EQ(st.message(), "corrupt snapshot: dependency scan " +
+                              std::to_string(edited) + " repeats a pair");
+}
+
+TEST(DecodePlan, RejectsADependencyScanDeltaThatWraps) {
+  size_t edited = 0;
+  Status st = LoadWithPlanEdit([&](PlanRecord& r, const Graph&, size_t j) {
+    edited = j;
+    r.scans[j].push_back(r.scans[j].front());  // encodes as a wrapping delta
+  });
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_EQ(st.message(), "corrupt snapshot: dependency scan " +
+                              std::to_string(edited) + " wraps past 2^64");
 }
 
 TEST(DecodeMeta, ProcessorCountsOutsideOneTo256AreParseErrors) {
