@@ -278,6 +278,79 @@ bool EmContext::SigIndexStillValid(const SigIndex& prev_idx,
   return at == prev_idx.keys.size();
 }
 
+EmContext::SigPerKey EmContext::ResignOverlay(
+    const SigPerKey& prev, std::span<const NodeId> affected) const {
+  SigPerKey pk;
+  pk.key = prev.key;
+  pk.source = prev.source;
+  pk.buckets = prev.buckets;
+  pk.entity_values = prev.entity_values;
+  const CompiledPattern& cp = compiled_[pk.key].cp;
+  // Entities and rows: one merge of the previous overlay and the affected
+  // entities (both ascending); an affected entity gets fresh values.
+  const std::vector<NodeId>& old = prev.patched_entities;
+  std::vector<std::pair<NodeId, NodeId>> added;  // fresh (value, entity)
+  for (size_t i = 0, j = 0; i < old.size() || j < affected.size();) {
+    if (j == affected.size() || (i < old.size() && old[i] < affected[j])) {
+      pk.patched_entities.push_back(old[i]);
+      auto row = prev.patched_values[i++];
+      pk.patched_values.values.insert(pk.patched_values.values.end(),
+                                      row.begin(), row.end());
+    } else {
+      if (i < old.size() && old[i] == affected[j]) ++i;
+      const NodeId e = affected[j++];
+      pk.patched_entities.push_back(e);
+      for (NodeId v : ReachableValues(e, pk.source, cp)) {
+        pk.patched_values.values.push_back(v);
+        added.emplace_back(v, e);
+      }
+    }
+    pk.patched_values.CloseRow();
+  }
+  // Transpose: the previous memberships of entities not re-signed, merged
+  // with the fresh ones.
+  std::sort(added.begin(), added.end());
+  pk.patched_members.reserve(prev.patched_members.size() + added.size());
+  auto fresh = added.begin();
+  for (const auto& member : prev.patched_members) {
+    if (std::binary_search(affected.begin(), affected.end(), member.second)) {
+      continue;
+    }
+    for (; fresh != added.end() && *fresh < member; ++fresh) {
+      pk.patched_members.push_back(*fresh);
+    }
+    pk.patched_members.push_back(member);
+  }
+  pk.patched_members.insert(pk.patched_members.end(), fresh, added.end());
+  return pk;
+}
+
+void EmContext::CompactOverlay(SigPerKey& pk) {
+  auto buckets = std::make_shared<SigMap>();
+  auto entity_values = std::make_shared<SigMap>();
+  for (const auto& [e, vals] : *pk.entity_values) {
+    if (!vals.empty() && !pk.Overlaid(e)) entity_values->emplace(e, vals);
+  }
+  for (size_t i = 0; i < pk.patched_entities.size(); ++i) {
+    auto vals = pk.patched_values[i];
+    if (!vals.empty()) {
+      entity_values->emplace(pk.patched_entities[i],
+                             std::vector<NodeId>(vals.begin(), vals.end()));
+    }
+  }
+  for (const auto& [e, vals] : *entity_values) {
+    for (NodeId v : vals) (*buckets)[v].push_back(e);
+  }
+  for (auto& [v, members] : *buckets) {
+    std::sort(members.begin(), members.end());
+  }
+  pk.buckets = std::move(buckets);
+  pk.entity_values = std::move(entity_values);
+  pk.patched_entities.clear();
+  pk.patched_values.Clear();
+  pk.patched_members.clear();
+}
+
 void EmContext::ScanDependencies(const Candidate& c,
                                  std::vector<uint64_t>& out) const {
   // Every same-type pair of keyed entities lying inside c's neighbors
@@ -490,84 +563,94 @@ EmContext::EmContext(const EmContext& prev,
   // leaves both (dirty) endpoints in place, and any old ≤d path from an
   // entity to a dirty node has a surviving prefix that already reaches a
   // dirty node within d. One multi-source BFS from the dirty set to the
-  // maximum radius, instead of one BFS per entity.
+  // maximum radius, instead of one BFS per entity. It lists the nodes it
+  // reaches level by level, so the affected entities are read off the
+  // ball, not found by a scan of every keyed entity.
   int dmax = 0;
   for (const auto& [type, r] : radius_by_type_) dmax = std::max(dmax, r);
   constexpr uint8_t kUnreached = 0xFF;
   std::vector<uint8_t> dist(g.NumNodes(), kUnreached);
-  std::vector<NodeId> frontier, next_frontier;
+  std::vector<NodeId> reached;
   for (NodeId n : dirty_nodes) {
     if (n < g.NumNodes() && dist[n] == kUnreached) {
       dist[n] = 0;
-      frontier.push_back(n);
+      reached.push_back(n);
     }
   }
-  for (int depth = 1; depth <= dmax && !frontier.empty(); ++depth) {
-    next_frontier.clear();
-    for (NodeId n : frontier) {
+  for (size_t level = 0, depth = 1;
+       depth <= static_cast<size_t>(dmax) && level < reached.size();
+       ++depth) {
+    const size_t level_end = reached.size();
+    for (; level < level_end; ++level) {
+      const NodeId n = reached[level];
       auto visit = [&](NodeId m) {
         if (dist[m] == kUnreached) {
           dist[m] = static_cast<uint8_t>(depth);
-          next_frontier.push_back(m);
+          reached.push_back(m);
         }
       };
       for (const Edge& e : g.Out(n)) visit(e.dst);
       for (const Edge& e : g.In(n)) visit(e.dst);
     }
-    frontier.swap(next_frontier);
   }
-
-  std::vector<uint8_t> affected(g.NumNodes(), 0);
+  // An entity of keyed type t is affected iff dist[e] <= radius(t).
   std::vector<NodeId> affected_list;
-  for (const auto& [type, key_ids] : keys_by_type_) {
-    int d = radius_by_type_.at(type);
-    for (NodeId e : g.EntitiesOfType(type)) {
-      if (dist[e] != kUnreached && dist[e] <= d) {
-        affected[e] = 1;
-        affected_list.push_back(e);
-      }
+  for (NodeId n : reached) {
+    if (!g.IsEntity(n)) continue;
+    auto r = radius_by_type_.find(g.entity_type(n));
+    if (r != radius_by_type_.end() && dist[n] <= r->second) {
+      affected_list.push_back(n);
     }
   }
   std::sort(affected_list.begin(), affected_list.end());
+  std::unordered_map<Symbol, std::vector<NodeId>> affected_by_type;
+  for (NodeId e : affected_list) {
+    affected_by_type[g.entity_type(e)].push_back(e);
+  }
   if (info != nullptr) info->affected_seconds = section.Seconds();
   section.Reset();
 
-  // Phase A': d-neighbor slots. Untouched keyed entities share the
-  // previous context's immutable sets; affected and new ones recompute.
-  std::vector<std::pair<NodeId, int>> todo;  // (entity, radius) to redo
-  std::vector<size_t> todo_slot;
-  size_t slots = 0;
-  dneighbor_slot_.assign(g.NumNodes(), kNoSlot);
+  // Phase A': d-neighbor chunks. The table shares every chunk of the
+  // previous context; the chunks holding an affected entity are cloned
+  // and get its recomputed set. Affected includes every keyed entity
+  // the delta added, and a compile's every keyed entity. The sets are
+  // computed type by type in key-map order, the order the snapshot
+  // encoder reads them in, so a compile lays their payloads out in it.
+  std::vector<std::pair<NodeId, std::shared_ptr<const NodeSet>>> fresh;
+  fresh.reserve(affected_list.size());
   for (const auto& [type, key_ids] : keys_by_type_) {
-    int d = radius_by_type_.at(type);
-    for (NodeId e : g.EntitiesOfType(type)) {
-      dneighbor_slot_[e] = static_cast<uint32_t>(slots++);
-      if (affected[e] == 0 && e < prev.dneighbor_slot_.size() &&
-          prev.dneighbor_slot_[e] != kNoSlot) {
-        continue;  // shared below
-      }
-      todo.emplace_back(e, d);
-      todo_slot.push_back(slots - 1);
-    }
+    auto it = affected_by_type.find(type);
+    if (it == affected_by_type.end()) continue;
+    for (NodeId e : it->second) fresh.emplace_back(e, nullptr);
   }
-  dneighbor_sets_.resize(slots);
-  size_t shared_sets = 0;
-  for (const auto& [type, key_ids] : keys_by_type_) {
-    for (NodeId e : g.EntitiesOfType(type)) {
-      if (affected[e] == 0 && e < prev.dneighbor_slot_.size() &&
-          prev.dneighbor_slot_[e] != kNoSlot) {
-        dneighbor_sets_[dneighbor_slot_[e]] =
-            prev.dneighbor_sets_[prev.dneighbor_slot_[e]];
-        ++shared_sets;
-      }
-    }
-  }
-  ParallelFor(workers(todo.size()), todo.size(), [&](size_t i) {
-    dneighbor_sets_[todo_slot[i]] =
-        std::make_shared<const NodeSet>(DNeighbor(g, todo[i].first,
-                                                  todo[i].second));
+  ParallelFor(workers(fresh.size()), fresh.size(), [&](size_t i) {
+    const NodeId e = fresh[i].first;
+    fresh[i].second = std::make_shared<const NodeSet>(
+        DNeighbor(g, e, radius_by_type_.find(g.entity_type(e))->second));
   });
-  for (const auto& s : dneighbor_sets_) neighbor_nodes_ += s->size();
+  std::sort(fresh.begin(), fresh.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  dn_chunks_ = prev.dn_chunks_;
+  dn_chunks_.resize((g.NumNodes() + kDnChunkSpan - 1) >> kDnChunkBits);
+  neighbor_nodes_ = prev.neighbor_nodes_;
+  neighbor_entities_ = prev.neighbor_entities_;
+  for (size_t i = 0; i < fresh.size();) {
+    const size_t c = fresh[i].first >> kDnChunkBits;
+    auto chunk = dn_chunks_[c] != nullptr
+                     ? std::make_shared<DnChunk>(*dn_chunks_[c])
+                     : std::make_shared<DnChunk>();
+    for (; i < fresh.size() && fresh[i].first >> kDnChunkBits == c; ++i) {
+      auto& set = chunk->sets[fresh[i].first & (kDnChunkSpan - 1)];
+      if (set != nullptr) {
+        neighbor_nodes_ -= set->size();
+      } else {
+        ++neighbor_entities_;
+      }
+      neighbor_nodes_ += fresh[i].second->size();
+      set = std::move(fresh[i].second);
+    }
+    dn_chunks_[c] = std::move(chunk);
+  }
   if (info != nullptr) info->dneighbor_seconds = section.Seconds();
   section.Reset();
 
@@ -614,6 +697,8 @@ EmContext::EmContext(const EmContext& prev,
   std::unordered_set<uint64_t> seen;
   for (const auto& [type, key_ids] : keys_by_type_) {
     auto entities = g.EntitiesOfType(type);
+    const int d = radius_by_type_.at(type);
+    auto affected = [&](NodeId e) { return dist[e] <= d; };
     bool recursive = false, value_based = false;
     for (int ki : key_ids) {
       if (compiled_[ki].key->recursive()) {
@@ -622,16 +707,16 @@ EmContext::EmContext(const EmContext& prev,
         value_based = true;
       }
     }
-    std::vector<NodeId> affected_here;
-    for (NodeId e : entities) {
-      if (affected[e] != 0) affected_here.push_back(e);
+    std::span<const NodeId> affected_here;
+    if (auto it = affected_by_type.find(type); it != affected_by_type.end()) {
+      affected_here = it->second;
     }
     auto prev_candidates_it = prev_by_type.find(type);
     auto carry_clean_pairs = [&]() {
       if (prev_candidates_it == prev_by_type.end()) return;
       for (uint32_t i : prev_candidates_it->second) {
         const Candidate& c = prev.candidates_[i];
-        if (affected[c.e1] != 0 || affected[c.e2] != 0) continue;
+        if (affected(c.e1) || affected(c.e2)) continue;
         raw.push_back(RawPair{c.e1, c.e2, &key_ids, recursive, value_based,
                               static_cast<int64_t>(i)});
       }
@@ -660,7 +745,7 @@ EmContext::EmContext(const EmContext& prev,
     auto emit_affected_pairs = [&]() {
       for (NodeId a : affected_here) {
         for (NodeId b : entities) {
-          if (b == a || (affected[b] != 0 && b < a)) continue;
+          if (b == a || (affected(b) && b < a)) continue;
           raw.push_back(RawPair{std::min(a, b), std::max(a, b), &key_ids,
                                 recursive, value_based, -1});
         }
@@ -686,65 +771,16 @@ EmContext::EmContext(const EmContext& prev,
         auto updated = std::make_shared<SigIndex>();
         updated->blockable = true;
         for (const SigPerKey& old_pk : prev_sig->keys) {
-          SigPerKey pk;
-          pk.key = old_pk.key;
-          pk.source = old_pk.source;
-          pk.buckets = old_pk.buckets;
-          pk.entity_values = old_pk.entity_values;
-          pk.patched_values = old_pk.patched_values;
-          pk.patched_buckets = old_pk.patched_buckets;
-          const CompiledPattern& cp = compiled_[pk.key].cp;
-          for (NodeId e : affected_here) {
-            auto prior = pk.patched_values.find(e);
-            if (prior != pk.patched_values.end()) {
-              // Re-signed by an earlier patch generation: retract those
-              // overlay memberships before re-adding.
-              for (NodeId v : prior->second) {
-                auto bucket = pk.patched_buckets.find(v);
-                if (bucket == pk.patched_buckets.end()) continue;
-                auto& members = bucket->second;
-                members.erase(std::remove(members.begin(), members.end(),
-                                          e),
-                              members.end());
-                if (members.empty()) pk.patched_buckets.erase(bucket);
-              }
-            }
-            std::vector<NodeId> vals = ReachableValues(e, pk.source, cp);
-            for (NodeId v : vals) pk.patched_buckets[v].push_back(e);
-            pk.patched_values[e] = std::move(vals);
-          }
-          if (pk.patched_values.size() >
+          SigPerKey pk = ResignOverlay(old_pk, affected_here);
+          if (pk.patched_entities.size() >
               std::max<size_t>(64, pk.entity_values->size() / 4)) {
-            // Compact: materialize a fresh shared base from the overlay.
-            auto buckets = std::make_shared<SigMap>();
-            auto entity_values = std::make_shared<SigMap>();
-            for (const auto& [e, vals] : *pk.entity_values) {
-              if (pk.patched_values.find(e) != pk.patched_values.end()) {
-                continue;
-              }
-              if (!vals.empty()) entity_values->emplace(e, vals);
-            }
-            for (const auto& [e, vals] : pk.patched_values) {
-              if (!vals.empty()) entity_values->emplace(e, vals);
-            }
-            for (const auto& [e, vals] : *entity_values) {
-              for (NodeId v : vals) (*buckets)[v].push_back(e);
-            }
-            for (auto& [v, members] : *buckets) {
-              std::sort(members.begin(), members.end());
-            }
-            pk.buckets = std::move(buckets);
-            pk.entity_values = std::move(entity_values);
-            pk.patched_values.clear();
-            pk.patched_buckets.clear();
+            CompactOverlay(pk);
           }
           updated->keys.push_back(std::move(pk));
         }
         for (const SigPerKey& pk : updated->keys) {
           for (NodeId e : affected_here) {
-            const std::vector<NodeId>* vals = pk.ValuesOf(e);
-            if (vals == nullptr) continue;
-            for (NodeId v : *vals) {
+            for (NodeId v : pk.ValuesOf(e)) {
               pk.ForEachMember(v, [&](NodeId m) {
                 if (m != e) emit(e, m);
               });
@@ -770,7 +806,7 @@ EmContext::EmContext(const EmContext& prev,
             for (size_t i = 0; i < members.size(); ++i) {
               for (size_t j = i + 1; j < members.size(); ++j) {
                 NodeId a = members[i], b = members[j];
-                if (affected[a] == 0 && affected[b] == 0) {
+                if (!affected(a) && !affected(b)) {
                   int64_t from = lookup_prev_pair(a, b);
                   if (from >= 0) {
                     if (seen.insert(PackPair(a, b)).second) {
@@ -874,7 +910,6 @@ EmContext::EmContext(const EmContext& prev,
   std::vector<int64_t> candidate_reuse;
   candidate_reuse.reserve(raw.size());
   std::vector<std::shared_ptr<const PairingRelation>> relations;
-  size_t reused = 0;
   for (size_t i = 0; i < raw.size(); ++i) {
     const RawPair& rp = raw[i];
     Candidate c;
@@ -884,7 +919,6 @@ EmContext::EmContext(const EmContext& prev,
     c.has_recursive_key = rp.recursive;
     c.has_value_based_key = rp.value_based;
     if (rp.reuse >= 0) {
-      ++reused;
       if (opts_.use_pairing) {
         // reduced_pool_[2i] / [2i+1] are candidate i's sides, in both
         // the full and the patched build.
@@ -935,8 +969,6 @@ EmContext::EmContext(const EmContext& prev,
   if (info != nullptr) {
     info->affected_entities = std::move(affected_list);
     info->dirty_candidates = std::move(dirty_candidates);
-    info->dneighbors_reused = shared_sets;
-    info->candidates_reused = reused;
     info->candidate_reuse = std::move(candidate_reuse);
     info->relations = std::move(relations);
   }
@@ -945,15 +977,18 @@ EmContext::EmContext(const EmContext& prev,
 size_t EmContext::MemoryBytes() const {
   size_t bytes =
       candidates_.capacity() * sizeof(Candidate) +
-      dneighbor_slot_.capacity() * sizeof(uint32_t) +
       compiled_.capacity() * sizeof(CompiledKey) +
-      dneighbor_sets_.capacity() * sizeof(std::shared_ptr<const NodeSet>) +
+      dn_chunks_.capacity() * sizeof(std::shared_ptr<const DnChunk>) +
       reduced_pool_.capacity() * sizeof(std::shared_ptr<const NodeSet>) +
       depends_on_pairs_.MemoryBytes() + dependents_.MemoryBytes() +
       ghosts_.capacity() * sizeof(GhostPair) +
       ghost_dependents_.MemoryBytes();
-  for (const auto& s : dneighbor_sets_) {
-    bytes += sizeof(NodeSet) + s->MemoryBytes();
+  for (const auto& chunk : dn_chunks_) {
+    if (chunk == nullptr) continue;
+    bytes += sizeof(DnChunk);
+    for (const auto& s : chunk->sets) {
+      if (s != nullptr) bytes += sizeof(NodeSet) + s->MemoryBytes();
+    }
   }
   for (const auto& s : reduced_pool_) {
     bytes += sizeof(NodeSet) + s->MemoryBytes();
@@ -962,10 +997,12 @@ size_t EmContext::MemoryBytes() const {
     bytes += sizeof(SigIndex);
     if (idx == nullptr) continue;
     for (const SigPerKey& pk : idx->keys) {
-      bytes += pk.source.path.capacity() * sizeof(SigStep);
-      for (const SigMap* m :
-           {pk.buckets.get(), pk.entity_values.get(), &pk.patched_values,
-            &pk.patched_buckets}) {
+      bytes += pk.source.path.capacity() * sizeof(SigStep) +
+               pk.patched_entities.capacity() * sizeof(NodeId) +
+               pk.patched_values.MemoryBytes() +
+               pk.patched_members.capacity() *
+                   sizeof(std::pair<NodeId, NodeId>);
+      for (const SigMap* m : {pk.buckets.get(), pk.entity_values.get()}) {
         if (m == nullptr) continue;
         for (const auto& [k, vals] : *m) {
           bytes += sizeof(NodeId) + vals.capacity() * sizeof(NodeId);

@@ -7,6 +7,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -96,7 +97,7 @@ Status ReadDependencyScan(ByteReader& r, uint64_t j, uint64_t num_nodes,
 }
 
 /// Sorted ascending NodeId list, delta-encoded.
-void PutDeltaList32(std::string& out, const std::vector<NodeId>& vals) {
+void PutDeltaList32(std::string& out, std::span<const NodeId> vals) {
   PutVarint(out, vals.size());
   NodeId prev = 0;
   for (NodeId v : vals) {
@@ -356,25 +357,31 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
   meta->neighbor_nodes = ctx.neighbor_nodes_;
   meta->neighbor_nodes_reduced = ctx.neighbor_nodes_reduced_;
 
+  // One d-neighbor slot per keyed entity, keyed types in key-map order
+  // and each type's entities ascending.
+  const Graph& g = ctx.graph();
+  std::vector<NodeId> slot_entity;
+  std::vector<const NodeSet*> slot_set;
+  slot_entity.reserve(ctx.neighbor_entities_);
+  slot_set.reserve(ctx.neighbor_entities_);
+  for (const auto& [type, key_ids] : ctx.keys_by_type_) {
+    for (NodeId e : g.EntitiesOfType(type)) {
+      slot_entity.push_back(e);
+      slot_set.push_back(&ctx.DNbr(e));
+    }
+  }
+
   // NodeSet pool: d-neighbor sets and pairing-reduced sets,
   // content-deduplicated — a lineage of patched plans shares most
   // payloads, and they are stored exactly once.
-  DedupPool<NodeSet> pool(ctx.dneighbor_sets_.size() +
-                          ctx.reduced_pool_.size());
-  std::vector<uint64_t> slot_pool_ids(ctx.dneighbor_sets_.size());
-  for (size_t i = 0; i < ctx.dneighbor_sets_.size(); ++i) {
-    slot_pool_ids[i] = pool.Id(*ctx.dneighbor_sets_[i]);
+  DedupPool<NodeSet> pool(slot_entity.size() + ctx.reduced_pool_.size());
+  std::vector<uint64_t> slot_pool_ids(slot_entity.size());
+  for (size_t i = 0; i < slot_entity.size(); ++i) {
+    slot_pool_ids[i] = pool.Id(*slot_set[i]);
   }
   std::vector<uint64_t> reduced_pool_ids(ctx.reduced_pool_.size());
   for (size_t i = 0; i < ctx.reduced_pool_.size(); ++i) {
     reduced_pool_ids[i] = pool.Id(*ctx.reduced_pool_[i]);
-  }
-
-  // Slot → entity inversion (dneighbor_slot_ is the dense transpose).
-  std::vector<NodeId> slot_entity(ctx.dneighbor_sets_.size(), kNoNode);
-  for (NodeId n = 0; n < ctx.dneighbor_slot_.size(); ++n) {
-    uint32_t slot = ctx.dneighbor_slot_[n];
-    if (slot != UINT32_MAX) slot_entity[slot] = n;
   }
 
   const bool pairing = ctx.opts_.use_pairing;
@@ -425,21 +432,33 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
           x.push_back(step.forward ? 1 : 0);
           PutVarint(x, static_cast<uint64_t>(step.to_node));
         }
-        // Each entity appears once, so sorting orders by entity.
-        std::vector<std::pair<NodeId, const std::vector<NodeId>*>> effective;
-        effective.reserve(pk.entity_values->size() + pk.patched_values.size());
+        // Sorted by entity, an overlay row ahead of the stale base entry
+        // of the same entity, which is then skipped.
+        struct Row {
+          NodeId e;
+          bool base;
+          std::span<const NodeId> vals;
+        };
+        std::vector<Row> rows;
+        rows.reserve(pk.entity_values->size() + pk.patched_entities.size());
         for (const auto& [e, vals] : *pk.entity_values) {
-          if (!vals.empty() && !pk.patched_values.contains(e))
-            effective.emplace_back(e, &vals);
+          rows.push_back({e, true, vals});
         }
-        for (const auto& [e, vals] : pk.patched_values) {
-          if (!vals.empty()) effective.emplace_back(e, &vals);
+        for (size_t i = 0; i < pk.patched_entities.size(); ++i) {
+          rows.push_back({pk.patched_entities[i], false, pk.patched_values[i]});
         }
-        std::sort(effective.begin(), effective.end());
+        std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+          return std::tie(a.e, a.base) < std::tie(b.e, b.base);
+        });
+        std::vector<const Row*> effective;
+        for (size_t i = 0; i < rows.size(); ++i) {
+          if (i > 0 && rows[i].e == rows[i - 1].e) continue;
+          if (!rows[i].vals.empty()) effective.push_back(&rows[i]);
+        }
         PutVarint(x, effective.size());
-        for (const auto& [e, vals] : effective) {
-          PutVarint(x, e);
-          PutDeltaList32(x, *vals);
+        for (const Row* row : effective) {
+          PutVarint(x, row->e);
+          PutDeltaList32(x, row->vals);
         }
       }
     }
@@ -510,18 +529,50 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
   uint64_t num_slots = 0;
   if (!p.ReadVarint(&num_slots) || num_slots > meta.num_nodes)
     return Corrupt("bad slot count");
-  ctx.dneighbor_slot_.assign(g.NumNodes(), EmContext::kNoSlot);
-  ctx.dneighbor_sets_.resize(num_slots);
+  // A patch shares or recomputes the d-neighbor of every keyed entity,
+  // and keeps neighbor_nodes by difference: the slots must name each
+  // keyed entity exactly once, and their sets must sum to meta's count.
+  using DnChunk = EmContext::DnChunk;
+  std::vector<std::shared_ptr<DnChunk>> chunks(
+      (g.NumNodes() + EmContext::kDnChunkSpan - 1) >> EmContext::kDnChunkBits);
+  uint64_t neighbor_nodes = 0;
   for (uint64_t i = 0; i < num_slots; ++i) {
+    const std::string slot = "d-neighbor slot " + std::to_string(i);
     uint32_t entity = 0;
     uint64_t pool_id = 0;
     if (!p.ReadVarint32(&entity) || !p.ReadVarint(&pool_id) ||
-        entity >= g.NumNodes() || pool_id >= pool.size() ||
-        ctx.dneighbor_slot_[entity] != EmContext::kNoSlot) {
-      return Corrupt("bad d-neighbor slot " + std::to_string(i));
+        entity >= g.NumNodes() || pool_id >= pool.size()) {
+      return Corrupt("bad " + slot);
     }
-    ctx.dneighbor_slot_[entity] = static_cast<uint32_t>(i);
-    ctx.dneighbor_sets_[i] = pool[pool_id];
+    if (!g.IsEntity(entity))
+      return Corrupt(slot + " names value node " + std::to_string(entity));
+    if (!ctx.keys_by_type_.contains(g.entity_type(entity))) {
+      return Corrupt(slot + " names an entity of an unkeyed type, " +
+                     std::to_string(entity));
+    }
+    auto& chunk = chunks[entity >> EmContext::kDnChunkBits];
+    if (chunk == nullptr) chunk = std::make_shared<DnChunk>();
+    auto& set = chunk->sets[entity & (EmContext::kDnChunkSpan - 1)];
+    if (set != nullptr) return Corrupt("bad " + slot);
+    set = pool[pool_id];
+    neighbor_nodes += set->size();
+  }
+  ctx.dn_chunks_.assign(chunks.begin(), chunks.end());
+  ctx.neighbor_entities_ = num_slots;
+  for (const auto& [type, key_ids] : ctx.keys_by_type_) {
+    for (NodeId e : g.EntitiesOfType(type)) {
+      const auto& chunk = chunks[e >> EmContext::kDnChunkBits];
+      if (chunk == nullptr ||
+          chunk->sets[e & (EmContext::kDnChunkSpan - 1)] == nullptr) {
+        return Corrupt("keyed entity " + std::to_string(e) +
+                       " has no d-neighbor slot");
+      }
+    }
+  }
+  if (neighbor_nodes != meta.neighbor_nodes) {
+    return Corrupt("meta counts " + std::to_string(meta.neighbor_nodes) +
+                   " d-neighbor nodes, but the slots' sets hold " +
+                   std::to_string(neighbor_nodes));
   }
   uint64_t num_candidates = 0;
   if (!p.ReadVarint(&num_candidates) ||
@@ -579,12 +630,9 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
       ctx.reduced_pool_.push_back(pool[p2]);
       c.nbr2 = ctx.reduced_pool_.back().get();
     } else {
-      if (ctx.dneighbor_slot_[e1] == EmContext::kNoSlot ||
-          ctx.dneighbor_slot_[e2] == EmContext::kNoSlot) {
-        return Corrupt("candidate entity without d-neighbor slot");
-      }
-      c.nbr1 = ctx.dneighbor_sets_[ctx.dneighbor_slot_[e1]].get();
-      c.nbr2 = ctx.dneighbor_sets_[ctx.dneighbor_slot_[e2]].get();
+      // Both ends are keyed entities, so both have a slot.
+      c.nbr1 = &ctx.DNbr(e1);
+      c.nbr2 = &ctx.DNbr(e2);
     }
     ctx.candidates_.push_back(c);
   }
@@ -597,7 +645,7 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
   if (!p.AtEnd()) return Corrupt("trailing bytes in plan record");
   ctx.candidates_initial_ = meta.candidates_initial;
   ctx.candidates_blocked_ = meta.candidates_blocked;
-  ctx.neighbor_nodes_ = meta.neighbor_nodes;
+  ctx.neighbor_nodes_ = neighbor_nodes;
   ctx.neighbor_nodes_reduced_ = meta.neighbor_nodes_reduced;
   ctx.InvertDependencyIndex();
 

@@ -57,12 +57,14 @@ struct SnapshotMeta {
 ///     'K'            key set as DSL text (ToDsl round-trip)
 ///     'T'            entity-name table, sorted by node (gkeys CLI deltas
 ///                    resolve through it; optional)
-///     'P'            plan blob: d-neighbor slots, candidates, raw
-///                    dependency scans
+///     'P'            plan blob: d-neighbor slots (one per keyed entity,
+///                    keyed types in key-map order, each type's
+///                    entities ascending: varint entity + varint 'D'
+///                    id), candidates, raw dependency scans
 ///     'D'            NodeSet pool, content-deduplicated: COW-shared
 ///                    d-neighbor / pairing-reduced sets store once
-///     'X' be32(type) per-type signature index, overlays folded into an
-///                    effective base map
+///     'X' be32(type) per-type signature index, the flat overlay folded
+///                    into an effective base map (entities ascending)
 ///     'G'            product graph: per-candidate relation pool ids
 ///     'R'            pairing-relation pool, content-deduplicated
 ///     'A'            result pairs
@@ -91,10 +93,13 @@ class PlanCodec {
                            SnapshotMeta* meta);
   /// Rebuilds a runnable MatchPlan against `g`/`keys` (which must be the
   /// decoded counterparts and must outlive the plan). The expensive build
-  /// phases are skipped: keys recompile, slots/candidates/signature
-  /// indexes restore from records, the dependency index re-inverts from
-  /// the raw scans, and the product graph replays its edge pass from the
-  /// restored relations.
+  /// phases are skipped: keys recompile, the d-neighbor chunk table,
+  /// candidates and signature indexes restore from records, the
+  /// dependency index re-inverts from the raw scans, and the product
+  /// graph replays its edge pass from the restored relations. The slots
+  /// must name every keyed entity exactly once and no other node, and
+  /// their sets must sum to meta's neighbor_nodes: a later patch keeps
+  /// both by difference.
   static StatusOr<MatchPlan> DecodePlan(const Store& store,
                                         const SnapshotMeta& meta,
                                         const Graph& g, const KeySet& keys);

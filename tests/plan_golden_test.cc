@@ -13,6 +13,12 @@
 // two-phase parser, and that parse decoded from its own records. Any
 // change to symbol ids, NodeIds or adjacency runs shows up there.
 //
+// A third table pins patched plans: two hostile specs' compiled plans,
+// patched by a fixed chain of their own delta generator's batches. A
+// compiled plan's signature overlays are always empty; along the chain
+// they fill, and at least one compacts into a fresh base, so the table
+// also pins what a patch carries, re-signs and folds.
+//
 // Slot order follows the iteration order of the per-type key map, so the
 // table pins one standard library's hash tables (libstdc++).
 
@@ -29,6 +35,7 @@
 #include <gtest/gtest.h>
 
 #include "core/matcher.h"
+#include "gen/hostile.h"
 #include "io/fast_triples.h"
 #include "io/triples.h"
 #include "storage/plan_codec.h"
@@ -113,6 +120,25 @@ const std::map<std::string, uint64_t>& GoldenGraphDigests() {
   return kGolden;
 }
 
+/// Batches of the spec's delta generator applied, one Patch each, before
+/// a lineage digest is taken. Long enough that a signature overlay of
+/// each spec outgrows its base and compacts at least once on the way.
+constexpr int kLineageBatches = 24;
+
+/// "<spec name>/<algorithm>" → digest of the plan records after
+/// kLineageBatches patches of the spec's compiled plan.
+const std::map<std::string, uint64_t>& GoldenLineageDigests() {
+  static const std::map<std::string, uint64_t> kGolden = {
+      {"hostile_powerlaw_churn/EMMR", 0xccc4b02f968a007cull},
+      {"hostile_powerlaw_churn/EMOptMR", 0xf156ed295b37c82cull},
+      {"hostile_powerlaw_churn/EMOptVC", 0x4d8acac8c07c22c7ull},
+      {"hostile_powerlaw_hub/EMMR", 0xb7fd05016ac509bcull},
+      {"hostile_powerlaw_hub/EMOptMR", 0xcfc8dca37546c987ull},
+      {"hostile_powerlaw_hub/EMOptVC", 0x03285c79aa486184ull},
+  };
+  return kGolden;
+}
+
 /// Renders a digest table as rows ready to paste into the source.
 std::string FormatTable(const std::map<std::string, uint64_t>& digests) {
   std::string table;
@@ -193,6 +219,44 @@ TEST(PlanGolden, GraphRecordsMatchTheGoldenTable) {
   }
   EXPECT_EQ(got, GoldenGraphDigests())
       << "graph records changed; if deliberate, the new table is:\n"
+      << FormatTable(got);
+}
+
+TEST(PlanGolden, PatchedLineageRecordsMatchTheGoldenTable) {
+  // EMMR's candidates point at the d-neighbor sets themselves, the other
+  // two at pairing-reduced sets; EMOptVC also patches Gp.
+  const Algorithm algos[] = {Algorithm::kEmMr, Algorithm::kEmOptMr,
+                             Algorithm::kEmOptVc};
+  std::map<std::string, uint64_t> got;
+  for (const char* name : {"hostile_powerlaw_churn", "hostile_powerlaw_hub"}) {
+    auto spec = LoadWorkloadSpec(std::string(GKEYS_WORKLOADS_DIR) + "/" +
+                                 name + ".json");
+    ASSERT_TRUE(spec.ok()) << name << ": " << spec.status().message();
+    for (Algorithm a : algos) {
+      SCOPED_TRACE(spec->name + "/" + AlgorithmName(a));
+      auto ds = BuildWorkloadDataset(*spec);
+      ASSERT_TRUE(ds.ok()) << ds.status().message();
+      auto plan = Matcher::Compile(ds->graph, ds->keys, PlanOptions::For(a, 2));
+      ASSERT_TRUE(plan.ok()) << plan.status().message();
+      auto gen = MakeDeltaGenerator(spec->delta_kind, spec->delta_config);
+      ASSERT_TRUE(gen.ok()) << gen.status().message();
+      for (int k = 0; k < kLineageBatches; ++k) {
+        GraphDelta delta = (*gen)->Next(ds->graph);
+        ASSERT_TRUE(ds->graph.Apply(delta).ok());
+        auto patched = plan->Patch(delta);
+        ASSERT_TRUE(patched.ok()) << patched.status().message();
+        *plan = *std::move(patched);
+      }
+      MapStore store;
+      storage::SnapshotMeta meta;
+      meta.algorithm = a;
+      ASSERT_TRUE(storage::PlanCodec::EncodePlan(*plan, store, &meta).ok());
+      ASSERT_TRUE(storage::PlanCodec::EncodeMeta(meta, store).ok());
+      got[spec->name + "/" + AlgorithmName(a)] = store.Digest();
+    }
+  }
+  EXPECT_EQ(got, GoldenLineageDigests())
+      << "patched plan records changed; if deliberate, the new table is:\n"
       << FormatTable(got);
 }
 

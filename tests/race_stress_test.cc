@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -164,6 +165,101 @@ TEST(RaceStress, ConcurrentRunsOverPatchedCowPlan) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Many patches of ONE plan at once: each thread patches the shared parent
+// with the same applied delta, runs its patched plan and drops it, while
+// other threads read the parent. Patched plans share the parent's
+// d-neighbor chunks and NodeSets, and clone only the chunks that hold an
+// affected entity, so the threads copy, read and release the same
+// refcounted chunks concurrently. EMMR's candidates point at the
+// d-neighbor sets themselves, EMOptVC's at pairing-reduced sets.
+TEST(RaceStress, ConcurrentPatchesOfOneSharedPlan) {
+  for (Algorithm algo : {Algorithm::kEmMr, Algorithm::kEmOptVc}) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    SyntheticConfig cfg = StressConfig();
+    cfg.entities_per_type = 60;
+    SyntheticDataset data = GenerateSynthetic(cfg);
+    Graph& g = data.graph;
+    // Several hundred nodes: the d-neighbor table spans many chunks, and
+    // the delta below leaves most of them shared.
+    ASSERT_GE(g.NumNodes(), 512u);
+    auto parent = Matcher::Compile(g, data.keys, PlanOptions::For(algo, 2));
+    ASSERT_TRUE(parent.ok()) << parent.status().ToString();
+    auto sizes = [](const MatchPlan& plan) {
+      size_t total = 0;
+      for (const Candidate& c : plan.context().candidates()) {
+        total += c.nbr1->size() + c.nbr2->size();
+      }
+      return total;
+    };
+    const size_t parent_sizes = sizes(*parent);
+    const size_t parent_entities = parent->context().neighbor_entities();
+
+    // Remove one out-edge at four points spread over the id space.
+    std::vector<NodeId> sources;
+    for (NodeId n = 0; n < g.NumNodes(); ++n) {
+      if (!g.Out(n).empty()) sources.push_back(n);
+    }
+    GraphDelta delta(g);
+    for (size_t k = 0; k < 4; ++k) {
+      const NodeId s = sources[k * sources.size() / 4];
+      const Edge& e = g.Out(s)[0];
+      const std::string pred(g.interner().Resolve(e.pred));
+      ASSERT_TRUE(delta.RemoveTriple(s, pred, e.dst).ok());
+    }
+    ASSERT_TRUE(g.Apply(delta).ok());
+    {
+      auto probe = parent->Patch(delta);
+      ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+      const size_t affected = probe->patch_info()->affected_entities.size();
+      EXPECT_GT(affected, 0u);
+      EXPECT_LT(2 * affected, parent_entities);
+    }
+    auto fresh = Matcher::Compile(g, data.keys, PlanOptions::For(algo, 2));
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    auto want = Matcher(algo).processors(2).Run(*fresh);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+
+    constexpr int kThreads = 6;
+    constexpr int kPatchesPerThread = 3;
+    std::vector<std::thread> threads;
+    std::atomic<int> failures{0};
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        if (t % 3 == 2) {
+          // Reader: walks the parent's sets while the others release
+          // their shares of them.
+          for (int rep = 0; rep < 20; ++rep) {
+            if (sizes(*parent) != parent_sizes ||
+                parent->context().neighbor_entities() != parent_entities) {
+              failures.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          return;
+        }
+        std::vector<MatchPlan> plans;
+        for (int k = 0; k < kPatchesPerThread; ++k) {
+          auto patched = parent->Patch(delta);
+          if (!patched.ok()) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+            return;
+          }
+          auto r = Matcher(algo).processors(2).Run(*patched);
+          if (!r.ok() || r->pairs != want->pairs) {
+            failures.fetch_add(1, std::memory_order_relaxed);
+          }
+          plans.push_back(*std::move(patched));
+        }
+        // Threads release their plans in different orders.
+        if (t % 2 == 0) std::reverse(plans.begin(), plans.end());
+        while (!plans.empty()) plans.erase(plans.begin());
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(failures.load(), 0);
+  }
 }
 
 // Misuse: Patch with a delta that was never applied to the graph must

@@ -1311,15 +1311,19 @@ TEST(DecodePlan, RejectsAGpFlagItsPlanOptionsContradict) {
 
 // ---- DecodePlan: candidates and dependency scans ----------------------
 
-/// The 'P' record split into the parts the decoder checks per item: the
-/// slot table verbatim; per candidate its pair and the rest of its entry
-/// (flags, pool refs) verbatim; per candidate its dependency scan.
+/// The 'P' record split into the parts the decoder checks per item: per
+/// d-neighbor slot its entity and pool id; per candidate its pair and the
+/// rest of its entry (flags, pool refs) verbatim; per candidate its
+/// dependency scan.
 struct PlanRecord {
+  struct Slot {
+    uint64_t entity, pool;
+  };
   struct Entry {
     uint64_t e1, e2;
     std::string rest;
   };
-  std::string slots;
+  std::vector<Slot> slots;
   std::vector<Entry> candidates;
   std::vector<std::vector<uint64_t>> scans;
 
@@ -1328,8 +1332,10 @@ struct PlanRecord {
     auto at = [&] { return p.size() - r.remaining(); };
     uint64_t count = 0, skip = 0;
     EXPECT_TRUE(r.ReadVarint(&count));
-    for (uint64_t i = 0; i < 2 * count; ++i) EXPECT_TRUE(r.ReadVarint(&skip));
-    slots = p.substr(0, at());
+    for (uint64_t i = 0; i < count; ++i) {
+      Slot& s = slots.emplace_back();
+      EXPECT_TRUE(r.ReadVarint(&s.entity) && r.ReadVarint(&s.pool));
+    }
     EXPECT_TRUE(r.ReadVarint(&count));
     for (uint64_t i = 0; i < count; ++i) {
       Entry& c = candidates.emplace_back();
@@ -1355,7 +1361,12 @@ struct PlanRecord {
   /// Re-encodes the record; scan deltas wrap modulo 2^64, as a crafted
   /// file can make them.
   std::string Write() const {
-    std::string p = slots;
+    std::string p;
+    PutVarint(p, slots.size());
+    for (const Slot& s : slots) {
+      PutVarint(p, s.entity);
+      PutVarint(p, s.pool);
+    }
     PutVarint(p, candidates.size());
     for (const Entry& c : candidates) {
       PutVarint(p, c.e1);
@@ -1378,8 +1389,7 @@ struct PlanRecord {
 /// dependency scans), lets `edit` change its 'P' record, and loads it.
 /// `edit` also sees the graph and the index of the last candidate with a
 /// scan of two or more pairs.
-Status LoadWithPlanEdit(
-    const std::function<void(PlanRecord&, const Graph&, size_t)>& edit) {
+const Session& DBpediaSession() {
   static const Session* session = [] {
     auto* s = new Session;
     SyntheticDataset ds = GenerateDBpediaSim(DBpediaSimConfig{});
@@ -1387,6 +1397,12 @@ Status LoadWithPlanEdit(
                        Algorithm::kEmOptVc);
     return s;
   }();
+  return *session;
+}
+
+Status LoadWithPlanEdit(
+    const std::function<void(PlanRecord&, const Graph&, size_t)>& edit) {
+  const Session* session = &DBpediaSession();
   testing::MapStore store = SavedRecords(*session, Algorithm::kEmOptVc);
   PlanRecord record(*store.Get("P"), /*pairing=*/true);
   size_t scanned = record.scans.size();
@@ -1396,6 +1412,67 @@ Status LoadWithPlanEdit(
   EXPECT_TRUE(store.Put("P", record.Write()).ok());
   auto snap = Snapshot::Load(store);
   return snap.ok() ? Status::OK() : snap.status();
+}
+
+// The slots name the keyed entities, each exactly once: a patch shares
+// or recomputes the d-neighbor of every keyed entity and of no other
+// node, and keeps the neighbor-node sum by difference from the loaded
+// one.
+
+TEST(DecodePlan, RejectsADNeighborSlotThatNamesNoKeyedEntity) {
+  for (bool value_node : {true, false}) {
+    size_t edited = 0;
+    NodeId named = kNoNode;
+    Status st = LoadWithPlanEdit([&](PlanRecord& r, const Graph& g, size_t) {
+      // The first value node, or the first entity no slot names (an
+      // entity of a type with no key).
+      std::vector<bool> slotted(g.NumNodes());
+      for (const PlanRecord::Slot& slot : r.slots) slotted[slot.entity] = true;
+      NodeId n = 0;
+      while (n < g.NumNodes() && (g.IsEntity(n) == value_node || slotted[n])) {
+        ++n;
+      }
+      ASSERT_LT(n, g.NumNodes());
+      named = n;
+      edited = r.slots.size() - 1;
+      r.slots.back().entity = n;
+    });
+    EXPECT_EQ(st.code(), StatusCode::kParseError);
+    EXPECT_EQ(st.message(),
+              "corrupt snapshot: d-neighbor slot " + std::to_string(edited) +
+                  (value_node ? " names value node "
+                              : " names an entity of an unkeyed type, ") +
+                  std::to_string(named));
+  }
+}
+
+TEST(DecodePlan, RejectsAKeyedEntityWithoutADNeighborSlot) {
+  NodeId dropped = kNoNode;
+  Status st = LoadWithPlanEdit([&](PlanRecord& r, const Graph&, size_t) {
+    dropped = static_cast<NodeId>(r.slots.back().entity);
+    r.slots.pop_back();
+  });
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_EQ(st.message(), "corrupt snapshot: keyed entity " +
+                              std::to_string(dropped) +
+                              " has no d-neighbor slot");
+}
+
+TEST(DecodePlan, RejectsANeighborNodeCountTheSlotsDoNotSum) {
+  testing::MapStore store =
+      SavedRecords(DBpediaSession(), Algorithm::kEmOptVc);
+  auto meta = PlanCodec::DecodeMeta(store);
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  const uint64_t sum = meta->neighbor_nodes;
+  ++meta->neighbor_nodes;
+  ASSERT_TRUE(PlanCodec::EncodeMeta(*meta, store).ok());
+  auto snap = Snapshot::Load(store);
+  ASSERT_FALSE(snap.ok());
+  EXPECT_EQ(snap.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(snap.status().message(),
+            "corrupt snapshot: meta counts " + std::to_string(sum + 1) +
+                " d-neighbor nodes, but the slots' sets hold " +
+                std::to_string(sum));
 }
 
 TEST(DecodePlan, RejectsACandidateWhoseFirstEntityIsNotTheSmaller) {
