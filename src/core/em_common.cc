@@ -1013,13 +1013,35 @@ size_t EmContext::MemoryBytes() const {
   return bytes;
 }
 
-size_t ProvenanceIndexBytes(const std::vector<Derivation>& derivations) {
-  size_t bytes = derivations.capacity() * sizeof(Derivation);
-  for (const Derivation& d : derivations) {
-    bytes += d.premises.capacity() * sizeof(std::pair<NodeId, NodeId>) +
-             d.triples.capacity() * sizeof(WitnessTriple);
-  }
-  return bytes;
+void ProvenanceIndex::Append(const Derivation& d) {
+  heads.push_back(Head{d.e1, d.e2, d.key});
+  premises.AddRow(d.premises);
+  triples.AddRow(d.triples);
+}
+
+void ProvenanceIndex::Append(const ProvenanceIndex& from, size_t i) {
+  heads.push_back(from.heads[i]);
+  premises.AddRow(from.premises[i]);
+  triples.AddRow(from.triples[i]);
+}
+
+void ProvenanceIndex::Append(const ProvenanceIndex& from) {
+  heads.insert(heads.end(), from.heads.begin(), from.heads.end());
+  premises.AddRows(from.premises);
+  triples.AddRows(from.triples);
+}
+
+void ProvenanceIndex::Reserve(size_t entries, size_t num_premises,
+                              size_t num_triples) {
+  heads.reserve(heads.size() + entries);
+  premises.Reserve(entries, num_premises);
+  triples.Reserve(entries, num_triples);
+}
+
+size_t ProvenanceIndexBytes(const ProvenanceIndex& derivations) {
+  return derivations.heads.capacity() * sizeof(ProvenanceIndex::Head) +
+         derivations.premises.MemoryBytes() +
+         derivations.triples.MemoryBytes();
 }
 
 bool EmContext::IdentifiesWitness(const Candidate& c, const EqView& eq,

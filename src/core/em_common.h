@@ -157,6 +157,80 @@ struct Derivation {
   std::vector<WitnessTriple> triples;
 };
 
+/// Rows of values in one flat array: row i is
+/// values[offsets[i], offsets[i + 1]). The graph and Gp store their
+/// adjacency the same way.
+template <typename T>
+struct Rows {
+  std::vector<size_t> offsets{0};
+  std::vector<T> values;
+
+  size_t size() const { return offsets.size() - 1; }
+  std::span<const T> operator[](size_t i) const {
+    return {values.data() + offsets[i], offsets[i + 1] - offsets[i]};
+  }
+  /// Ends row size() - 1 at the current end of `values`.
+  void CloseRow() { offsets.push_back(values.size()); }
+  /// Appends `row` as a new last row.
+  void AddRow(std::span<const T> row) {
+    values.insert(values.end(), row.begin(), row.end());
+    CloseRow();
+  }
+  /// Appends every row of `from`: one block copy of its values.
+  void AddRows(const Rows& from) {
+    const size_t base = values.size();
+    values.insert(values.end(), from.values.begin(), from.values.end());
+    for (size_t i = 1; i < from.offsets.size(); ++i) {
+      offsets.push_back(base + from.offsets[i]);
+    }
+  }
+  void Reserve(size_t rows, size_t num_values) {
+    offsets.reserve(offsets.size() + rows);
+    values.reserve(values.size() + num_values);
+  }
+  void Clear() {
+    offsets.assign(1, 0);
+    values.clear();
+  }
+  size_t MemoryBytes() const {
+    return offsets.capacity() * sizeof(size_t) +
+           values.capacity() * sizeof(T);
+  }
+  friend bool operator==(const Rows&, const Rows&) = default;
+};
+
+/// A provenance index, flat: one head per derivation, with the
+/// derivations' premises and witness triples as rows (row i belongs to
+/// heads[i]). Readers see entry i as heads[i], premises[i] and
+/// triples[i]. Copying or freeing an index costs one block copy or free
+/// per array, however many derivations it holds.
+struct ProvenanceIndex {
+  /// The identified pair (e1 < e2) and the compiled key that fired
+  /// (EmContext::compiled_keys()).
+  struct Head {
+    NodeId e1, e2;
+    int key = -1;
+    friend bool operator==(const Head&, const Head&) = default;
+  };
+  std::vector<Head> heads;
+  Rows<std::pair<NodeId, NodeId>> premises;
+  Rows<WitnessTriple> triples;
+
+  size_t size() const { return heads.size(); }
+  bool empty() const { return heads.empty(); }
+  /// Appends one derivation.
+  void Append(const Derivation& d);
+  /// Appends entry i of `from`.
+  void Append(const ProvenanceIndex& from, size_t i);
+  /// Appends every entry of `from`, one block copy per array.
+  void Append(const ProvenanceIndex& from);
+  /// Reserves room for `entries` more derivations holding `num_premises`
+  /// premises and `num_triples` witness triples between them.
+  void Reserve(size_t entries, size_t num_premises, size_t num_triples);
+  friend bool operator==(const ProvenanceIndex&,
+                         const ProvenanceIndex&) = default;
+};
+
 /// The output of entity matching: chase(G, Σ).
 struct MatchResult {
   /// All identified pairs (a, b), a < b, sorted — the non-reflexive part
@@ -167,17 +241,17 @@ struct MatchResult {
   /// every premise is supported by earlier entries' transitive closure.
   /// The Eq-closure of the recorded merges equals `pairs`. Feed the whole
   /// result back into Matcher::Rematch so removal deltas can retract
-  /// exactly the derivations a removed triple invalidates.
-  std::vector<Derivation> derivations;
+  /// exactly the derivations a removed triple invalidates. Flat, so a
+  /// seeded rematch carries it forward with one block copy per array.
+  ProvenanceIndex derivations;
   EmStats stats;
 };
 
-/// Approximate heap footprint of a provenance index in bytes: the
-/// Derivation vector plus every entry's premises/triples payload.
-/// Capacity-based, matching EmContext::MemoryBytes. Added to
+/// Approximate heap footprint of a provenance index in bytes: the sum of
+/// its array capacities, matching EmContext::MemoryBytes. Added to
 /// MatchPlan::memory_bytes() it is the `plan_bytes` figure the workload
 /// and bench rows report: everything a seeded rematch keeps resident.
-size_t ProvenanceIndexBytes(const std::vector<Derivation>& derivations);
+size_t ProvenanceIndexBytes(const ProvenanceIndex& derivations);
 
 /// Observer for streaming runs (Matcher::Run(plan, sink)): receives every
 /// confirmed pair exactly once, a progress snapshot after every round of
@@ -231,17 +305,22 @@ class MatchSink {
 /// every candidate whose outcome can have changed — both hold by
 /// construction, so the result stays byte-identical to a from-scratch run.
 struct RematchSeed {
-  /// The retained pairs: unioned into Eq up front, streamed as already-
-  /// emitted (sinks see only pairs beyond this seed).
+  /// The retained pairs, (a, b) with a < b < NumNodes(), strictly
+  /// ascending (Matcher::Rematch checks this): unioned into Eq up front,
+  /// streamed as already-emitted (sinks see only pairs beyond this
+  /// seed). The result lists its pairs from the seed unions and the
+  /// run's merges, so a run pays for the classes it touched, not for
+  /// every node.
   std::span<const std::pair<NodeId, NodeId>> prev_pairs;
   /// Candidate indices to re-check initially: a patched plan's
   /// dirty_candidates(), plus the retracted candidates under removals.
   std::span<const uint32_t> active;
   /// The provenance index carried over from the previous result — every
-  /// derivation still valid on the post-delta graph. Engines prepend
-  /// these to the derivations they record, so MatchResult::derivations
-  /// stays a complete, replayable index across chained rematches.
-  std::span<const Derivation> carried;
+  /// derivation still valid on the post-delta graph; null carries none.
+  /// The shell copies it ahead of the derivations this run records, one
+  /// block copy per array, so MatchResult::derivations stays a complete,
+  /// replayable index across chained rematches.
+  const ProvenanceIndex* carried = nullptr;
 };
 
 /// A candidate pair from L with its per-pair working set. The neighbor
@@ -461,30 +540,6 @@ class EmContext {
 
   /// 0 … g.NumNodes()-1: the dirty set that turns a patch into a compile.
   static std::vector<NodeId> EveryNode(const Graph& g);
-
-  /// Rows of values in one flat array: row i is
-  /// values[offsets[i], offsets[i + 1]). The graph and Gp store their
-  /// adjacency the same way.
-  template <typename T>
-  struct Rows {
-    std::vector<size_t> offsets{0};
-    std::vector<T> values;
-
-    size_t size() const { return offsets.size() - 1; }
-    std::span<const T> operator[](size_t i) const {
-      return {values.data() + offsets[i], offsets[i + 1] - offsets[i]};
-    }
-    /// Ends row size() - 1 at the current end of `values`.
-    void CloseRow() { offsets.push_back(values.size()); }
-    void Clear() {
-      offsets.assign(1, 0);
-      values.clear();
-    }
-    size_t MemoryBytes() const {
-      return offsets.capacity() * sizeof(size_t) +
-             values.capacity() * sizeof(T);
-    }
-  };
 
   // ---- Signature index (blocking), kept per plan so a patch re-signs
   // ---- only the affected entities.

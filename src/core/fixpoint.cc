@@ -59,10 +59,9 @@ void PairStreamer::SeedClasses(
     std::span<const std::pair<NodeId, NodeId>> pairs) {
   if (sink_ == nullptr) return;
   for (const auto& [a, b] : pairs) {
-    // Pre-mark as emitted (a < b in MatchResult::pairs; normalize
-    // defensively) so later merges skip everything the previous run
-    // already streamed.
-    emitted_.insert(PackPair(std::min(a, b), std::max(a, b)));
+    // Pre-mark as emitted (a < b, checked by Matcher::Rematch) so later
+    // merges skip everything the previous run already streamed.
+    emitted_.insert(PackPair(a, b));
     Join(a, b, /*emit=*/false);
   }
 }
@@ -99,7 +98,10 @@ FixpointRun::FixpointRun(const EmContext& ctx, const EmOptions& opts,
   stats_.neighbor_nodes_reduced = ctx.neighbor_nodes_reduced();
   for (auto& d : done_) d.store(0, std::memory_order_relaxed);
   if (seed != nullptr) {
-    for (const auto& [a, b] : seed->prev_pairs) eq_.Union(a, b);
+    merged_.reserve(seed->prev_pairs.size());
+    for (const auto& [a, b] : seed->prev_pairs) {
+      if (eq_.Union(a, b)) merged_.emplace_back(a, b);
+    }
     streamer_.SeedClasses(seed->prev_pairs);
     const auto& candidates = ctx.candidates();
     for (uint32_t i = 0; i < candidates.size(); ++i) {
@@ -128,7 +130,11 @@ Status FixpointRun::BeginRound() {
 
 Status FixpointRun::EndRound() {
   if (sink_ == nullptr) return Status::OK();
-  stats_.confirmed = streamer_.EmitMerges(merge_log_.Drain());
+  const size_t from = merged_.size();
+  std::vector<std::pair<NodeId, NodeId>> merges = merge_log_.Drain();
+  merged_.insert(merged_.end(), merges.begin(), merges.end());
+  stats_.confirmed =
+      streamer_.EmitMerges(std::span(merged_).subspan(from));
   sink_->OnProgress(stats_);
   if (sink_->cancelled()) {
     return Status::Cancelled("entity matching cancelled after round " +
@@ -140,14 +146,27 @@ Status FixpointRun::EndRound() {
 StatusOr<MatchResult> FixpointRun::Finish() {
   stats_.run_seconds = timer_.Seconds();
   MatchResult result;
-  if (seed_ != nullptr && opts_.record_provenance) {
-    result.derivations.assign(seed_->carried.begin(), seed_->carried.end());
+  const ProvenanceIndex none;
+  const ProvenanceIndex& carried =
+      seed_ != nullptr && opts_.record_provenance && seed_->carried != nullptr
+          ? *seed_->carried
+          : none;
+  const std::vector<Derivation> recorded = deriv_log_.Take();
+  // Sized exactly up front: the carried prefix is copied once.
+  size_t premises = carried.premises.values.size();
+  size_t triples = carried.triples.values.size();
+  for (const Derivation& d : recorded) {
+    premises += d.premises.size();
+    triples += d.triples.size();
   }
-  std::vector<Derivation> recorded = deriv_log_.Take();
-  result.derivations.insert(result.derivations.end(),
-                            std::make_move_iterator(recorded.begin()),
-                            std::make_move_iterator(recorded.end()));
-  result.pairs = eq_.Snapshot().IdentifiedPairs();
+  result.derivations.Reserve(carried.size() + recorded.size(), premises,
+                             triples);
+  result.derivations.Append(carried);
+  for (const Derivation& d : recorded) result.derivations.Append(d);
+
+  std::vector<std::pair<NodeId, NodeId>> rest = merge_log_.Drain();
+  merged_.insert(merged_.end(), rest.begin(), rest.end());
+  result.pairs = PairsOfMergedClasses(eq_, merged_);
   result.stats = stats_;
   result.stats.confirmed = result.pairs.size();
   GKEYS_RETURN_IF_ERROR(streamer_.Finish(result.pairs));

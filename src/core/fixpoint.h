@@ -36,8 +36,9 @@ inline uint32_t ThreadLogSlot() {
   return slot;
 }
 
-/// Collects the Eq merges an engine performs during a round so the
-/// streamer can expand exactly the classes that changed. Sharded: each
+/// Collects the Eq merges an engine performs, so the streamer can expand
+/// exactly the classes a round changed and Finish can list the pairs of
+/// exactly the classes the run touched. Sharded: each
 /// worker thread records into a cache-line-padded local shard (fixed
 /// thread → shard mapping via ThreadLogSlot), so the map/compute phases
 /// never contend on one global mutex; Drain concatenates shards in
@@ -212,7 +213,7 @@ class FixpointRun {
   FixpointRun(const FixpointRun&) = delete;
   FixpointRun& operator=(const FixpointRun&) = delete;
 
-  /// Eq grows only through Merge, so the stream sees every merge.
+  /// Eq grows only through Merge, so the merge log sees every merge.
   const ConcurrentEquivalence& eq() const { return eq_; }
   EqView view() const { return EqView(&eq_); }
   EmStats& stats() { return stats_; }
@@ -237,10 +238,11 @@ class FixpointRun {
     }
   }
   /// Unions (a, b) into Eq; true iff the classes were distinct. Thread-
-  /// safe; the merge is streamed at the next EndRound.
+  /// safe; the merge is logged, streamed at the next EndRound and listed
+  /// by Finish.
   bool Merge(NodeId a, NodeId b) {
     if (!eq_.Union(a, b)) return false;
-    if (sink_ != nullptr) merge_log_.Record(a, b);
+    merge_log_.Record(a, b);
     return true;
   }
 
@@ -284,7 +286,10 @@ class FixpointRun {
   /// run's records — empty with recording off, since a carried-only
   /// index would break the closure == pairs contract and mislead the
   /// next rematch's cost model), and the final stream sweep that checks
-  /// the exactly-once invariant.
+  /// the exactly-once invariant. The pairs are listed from the seed's
+  /// and the run's merging unions (PairsOfMergedClasses), so Finish
+  /// costs the merges and the pairs, not the nodes, on cold and seeded
+  /// runs alike, and allocates nothing NumNodes()-sized.
   StatusOr<MatchResult> Finish();
 
  private:
@@ -296,6 +301,9 @@ class FixpointRun {
   EmStats stats_;
   ConcurrentEquivalence eq_;
   MergeLog merge_log_;
+  // Every union that merged so far: the seed's, then the run's merges as
+  // rounds drain them from merge_log_.
+  std::vector<std::pair<NodeId, NodeId>> merged_;
   DerivationLog deriv_log_;
   PairStreamer streamer_;
   std::vector<std::atomic<uint8_t>> done_;

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <numeric>
+#include <span>
+#include <string>
 
 #include "core/chase.h"
 #include "core/em_mapreduce.h"
 #include "core/em_vertexcentric.h"
 #include "core/provenance.h"
-#include "eq/equivalence.h"
 
 namespace gkeys {
 
@@ -37,6 +38,55 @@ size_t ReportRetractedPairs(const std::vector<std::pair<NodeId, NodeId>>& prev,
     if (sink != nullptr) sink->OnPairRetracted(p.first, p.second);
   }
   return retracted;
+}
+
+/// InvalidArgument naming the first pair of `pairs` that a result on a
+/// graph of `num_nodes` nodes cannot hold: every pair is (a, b) with
+/// a < b < num_nodes, and the list ascends strictly.
+Status CheckPrevPairs(std::span<const std::pair<NodeId, NodeId>> pairs,
+                      size_t num_nodes) {
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [a, b] = pairs[i];
+    const char* problem = nullptr;
+    if (a >= num_nodes || b >= num_nodes) {
+      problem = "names a node past the graph's end";
+    } else if (a >= b) {
+      problem = "is not ordered a < b";
+    } else if (i > 0 && pairs[i - 1] >= pairs[i]) {
+      problem = "does not ascend strictly";
+    }
+    if (problem != nullptr) {
+      return Status::InvalidArgument(
+          "previous result's pair " + std::to_string(i) + " (" +
+          std::to_string(a) + ", " + std::to_string(b) + ") " + problem +
+          " (the graph has " + std::to_string(num_nodes) + " nodes)");
+    }
+  }
+  return Status::OK();
+}
+
+/// InvalidArgument naming the first derivation of `index` whose pair,
+/// premises or witness triples name a node past `num_nodes`.
+Status CheckPrevDerivations(const ProvenanceIndex& index, size_t num_nodes) {
+  for (size_t i = 0; i < index.size(); ++i) {
+    bool in_range =
+        index.heads[i].e1 < num_nodes && index.heads[i].e2 < num_nodes;
+    for (const auto& [a, b] : index.premises[i]) {
+      in_range = in_range && a < num_nodes && b < num_nodes;
+    }
+    for (const WitnessTriple& t : index.triples[i]) {
+      in_range = in_range && t.s < num_nodes && t.o < num_nodes;
+    }
+    if (!in_range) {
+      return Status::InvalidArgument(
+          "previous result's derivation " + std::to_string(i) + " of (" +
+          std::to_string(index.heads[i].e1) + ", " +
+          std::to_string(index.heads[i].e2) +
+          ") names a node past the graph's " + std::to_string(num_nodes) +
+          " nodes");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -147,6 +197,8 @@ StatusOr<MatchResult> Matcher::RematchWithSink(const MatchPlan& plan,
                                                const GraphDelta& delta,
                                                MatchSink* sink) const {
   GKEYS_RETURN_IF_ERROR(Validate(plan));
+  const size_t num_nodes = plan.context().graph().NumNodes();
+  GKEYS_RETURN_IF_ERROR(CheckPrevPairs(prev.pairs, num_nodes));
   if (!ChooseSeeded(plan, prev, delta, /*streaming=*/sink != nullptr)) {
     // Full run of the patched plan — still exact for the post-delta
     // graph, just unseeded.
@@ -166,14 +218,15 @@ StatusOr<MatchResult> Matcher::RematchWithSink(const MatchPlan& plan,
   if (delta.has_removals()) {
     // Over-delete the derivations the removals invalidate (transitively
     // over premises); the survivors seed Eq (DRed — see RematchSeed).
+    GKEYS_RETURN_IF_ERROR(CheckPrevDerivations(prev.derivations, num_nodes));
     retained = RetractDerivations(plan.context().graph(), prev.derivations);
     seed.prev_pairs = retained.seed_pairs;
-    seed.carried = retained.surviving;
+    seed.carried = &retained.surviving;
   } else {
     // Additive: identification is monotone in G, so the whole previous
     // result is a sound seed and every previous derivation stays valid.
     seed.prev_pairs = prev.pairs;
-    seed.carried = prev.derivations;
+    seed.carried = &prev.derivations;
   }
   const auto& candidates = plan.context().candidates();
   std::vector<uint32_t> active;
@@ -193,16 +246,18 @@ StatusOr<MatchResult> Matcher::RematchWithSink(const MatchPlan& plan,
     // shrink matches; additions are covered by the dirty set), and a
     // clean positive either survived retraction or is now active. The
     // retained closure is always a subset of the previous one, so equal
-    // pair counts mean nothing was lost and the O(nodes + |L|) scan is
-    // skipped — the common small-delta case stays delta-proportional.
+    // pair counts mean nothing was lost and the O(|L|) scan is skipped —
+    // the common small-delta case stays delta-proportional. Both pair
+    // lists are sorted, so the scan binary-searches them.
     if (delta.has_removals() &&
         retained.seed_pairs.size() != prev.pairs.size()) {
-      EquivalenceRelation prev_eq(plan.context().graph().NumNodes());
-      for (const auto& [a, b] : prev.pairs) prev_eq.Union(a, b);
       for (uint32_t i = 0; i < candidates.size(); ++i) {
         const Candidate& c = candidates[i];
-        if (prev_eq.Same(c.e1, c.e2) &&
-            !retained.closure.Same(c.e1, c.e2)) {
+        const std::pair<NodeId, NodeId> pair(std::min(c.e1, c.e2),
+                                             std::max(c.e1, c.e2));
+        if (std::binary_search(prev.pairs.begin(), prev.pairs.end(), pair) &&
+            !std::binary_search(retained.seed_pairs.begin(),
+                                retained.seed_pairs.end(), pair)) {
           active.push_back(i);
         }
       }

@@ -36,11 +36,14 @@ ProvenanceResult ChaseWithProvenance(const Graph& g, const KeySet& keys) {
   if (!r.ok()) return out;
   out.result = *std::move(r);
   out.result.stats.prep_seconds = prep_seconds;
-  for (const Derivation& d : out.result.derivations) {
+  const ProvenanceIndex& index = out.result.derivations;
+  for (size_t i = 0; i < index.size(); ++i) {
+    const ProvenanceIndex::Head& d = index.heads[i];
+    const auto premises = index.premises[i];
     out.steps.push_back(ChaseStep{d.e1, d.e2,
                                   ctx.compiled_keys()[d.key].key->name(),
                                   sink.round_of[PackPair(d.e1, d.e2)],
-                                  d.premises});
+                                  {premises.begin(), premises.end()}});
   }
   return out;
 }
@@ -73,20 +76,21 @@ bool ValidateDerivation(const Graph& g, const KeySet& keys,
   return true;
 }
 
-RetractionResult RetractDerivations(
-    const Graph& g, std::span<const Derivation> derivations) {
+RetractionResult RetractDerivations(const Graph& g,
+                                    const ProvenanceIndex& derivations) {
   RetractionResult out;
   EquivalenceRelation replay(g.NumNodes());
-  for (const Derivation& d : derivations) {
+  std::vector<std::pair<NodeId, NodeId>> merges;
+  for (size_t i = 0; i < derivations.size(); ++i) {
     bool valid = true;
-    for (const WitnessTriple& t : d.triples) {
+    for (const WitnessTriple& t : derivations.triples[i]) {
       if (!g.HasTriple(t.s, t.p, t.o)) {
         valid = false;
         break;
       }
     }
     if (valid) {
-      for (const auto& [a, b] : d.premises) {
+      for (const auto& [a, b] : derivations.premises[i]) {
         if (!replay.Same(a, b)) {
           valid = false;
           break;
@@ -97,11 +101,11 @@ RetractionResult RetractDerivations(
       ++out.retracted;
       continue;
     }
-    replay.Union(d.e1, d.e2);
-    out.surviving.push_back(d);
+    const ProvenanceIndex::Head& d = derivations.heads[i];
+    if (replay.Union(d.e1, d.e2)) merges.emplace_back(d.e1, d.e2);
+    out.surviving.Append(derivations, i);
   }
-  out.seed_pairs = replay.IdentifiedPairs();
-  out.closure = std::move(replay);
+  out.seed_pairs = PairsOfMergedClasses(replay, merges);
   return out;
 }
 

@@ -1,7 +1,6 @@
 #ifndef GKEYS_CORE_PROVENANCE_H_
 #define GKEYS_CORE_PROVENANCE_H_
 
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,9 +12,9 @@ namespace gkeys {
 
 // Provenance has two faces here. Derivation (core/em_common.h) is the
 // MACHINE-facing one: compiled-key indices, premises, and witness
-// triples, recorded by all three engine families on every run and
-// replayed by RetractDerivations to maintain results under removal
-// deltas. ChaseStep (below) is the HUMAN-facing view of the same record:
+// triples, recorded by all three engine families on every run, kept
+// flat in a ProvenanceIndex, and replayed by RetractDerivations to
+// maintain results under removal deltas. ChaseStep (below) is the HUMAN-facing view of the same record:
 // key names, rounds, formatted explanations, read off the sequential
 // chase's derivations by ChaseWithProvenance. Both encode the same §3.1
 // proof graphs. All functions in this header are pure and
@@ -72,14 +71,12 @@ struct RetractionResult {
   /// whose premises are supported by earlier surviving derivations, in
   /// the original (replayable) order. Every one is a valid chase step on
   /// the mutated graph, so their merges are a sound rematch seed.
-  std::vector<Derivation> surviving;
+  ProvenanceIndex surviving;
   /// The Eq-closure of the surviving derivations' merges: all pairs
-  /// (a, b), a < b, sorted — RematchSeed::prev_pairs for a seeded re-run.
+  /// (a, b), a < b, sorted — RematchSeed::prev_pairs for a seeded re-run,
+  /// and what Matcher::Rematch binary-searches for the retracted
+  /// candidates. Listed from the merges' classes (PairsOfMergedClasses).
   std::vector<std::pair<NodeId, NodeId>> seed_pairs;
-  /// The same closure as a queryable union-find (the replay relation,
-  /// handed out rather than discarded — Matcher::Rematch probes it when
-  /// computing the retracted-candidate re-check set).
-  EquivalenceRelation closure = EquivalenceRelation(0);
   /// Derivations dropped. DRed-style over-deletion: a dropped derivation
   /// may still hold through another witness — Matcher::Rematch re-checks
   /// every retracted candidate, re-deriving exactly the survivors.
@@ -100,8 +97,10 @@ struct RetractionResult {
 /// the replay is additionally robust to unsupported entries (they are
 /// over-deleted and re-derived by the seeded run — wasted work, never
 /// wrong answers), which future engines may lean on.
+/// Every node an entry names must be below g.NumNodes();
+/// Matcher::Rematch checks that before it calls this.
 RetractionResult RetractDerivations(const Graph& g,
-                                    std::span<const Derivation> derivations);
+                                    const ProvenanceIndex& derivations);
 
 }  // namespace gkeys
 

@@ -120,13 +120,30 @@ bool ConcurrentEquivalence::Union(NodeId a, NodeId b) {
   }
 }
 
-EquivalenceRelation ConcurrentEquivalence::Snapshot() const {
-  EquivalenceRelation seq(parent_.size());
-  for (NodeId n = 0; n < parent_.size(); ++n) {
-    NodeId p = parent_[n].load(std::memory_order_acquire);
-    if (p != n) seq.Union(n, p);
+std::vector<std::pair<NodeId, NodeId>> ClassPairs(
+    std::vector<uint64_t> members) {
+  std::sort(members.begin(), members.end());
+  members.erase(std::unique(members.begin(), members.end()), members.end());
+  auto root = [&members](size_t i) { return members[i] >> 32; };
+  auto member = [&members](size_t i) {
+    return static_cast<NodeId>(members[i]);
+  };
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (size_t begin = 0, end = 0; begin < members.size(); begin = end) {
+    while (end < members.size() && root(end) == root(begin)) ++end;
+    for (size_t i = begin; i < end; ++i) {
+      for (size_t j = i + 1; j < end; ++j) {
+        pairs.emplace_back(member(i), member(j));
+      }
+    }
   }
-  return seq;
+  // Classes come out in root order, each one's pairs ascending: sorted
+  // already unless some class's members reach past the next class's
+  // first member.
+  if (!std::is_sorted(pairs.begin(), pairs.end())) {
+    std::sort(pairs.begin(), pairs.end());
+  }
+  return pairs;
 }
 
 }  // namespace gkeys

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -73,13 +74,35 @@ class ConcurrentEquivalence {
     return merges_.load(std::memory_order_relaxed);
   }
 
-  /// Sequential snapshot (call only when workers are quiescent).
-  EquivalenceRelation Snapshot() const;
-
  private:
   mutable std::vector<std::atomic<NodeId>> parent_;
   std::atomic<size_t> merges_{0};
 };
+
+/// The identified pairs (a, b), a < b, ascending, of the classes whose
+/// members are listed as (root << 32) | member entries, in any order,
+/// duplicates allowed. Every member of a listed class must appear.
+std::vector<std::pair<NodeId, NodeId>> ClassPairs(
+    std::vector<uint64_t> members);
+
+/// The identified pairs of `eq` (either flavor, with no union running),
+/// listed from `merges`, the unions that merged two classes, in any
+/// order. A node leaves its singleton class only through a union naming
+/// it, so this lists what IdentifiedPairs() lists without reading any
+/// other node: a sort of the merges' endpoints by root, plus a sort of
+/// the pairs when classes interleave. A ConcurrentEquivalence root is
+/// its class's smallest member, so classes of two never interleave.
+template <typename Relation>
+std::vector<std::pair<NodeId, NodeId>> PairsOfMergedClasses(
+    const Relation& eq, std::span<const std::pair<NodeId, NodeId>> merges) {
+  std::vector<uint64_t> members;
+  members.reserve(2 * merges.size());
+  for (const auto& [a, b] : merges) {
+    members.push_back((static_cast<uint64_t>(eq.Find(a)) << 32) | a);
+    members.push_back((static_cast<uint64_t>(eq.Find(b)) << 32) | b);
+  }
+  return ClassPairs(std::move(members));
+}
 
 /// Read-only view over either relation flavor, so matchers take one type.
 class EqView {

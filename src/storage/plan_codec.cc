@@ -807,17 +807,19 @@ Status PlanCodec::EncodeResult(const MatchResult& result, Store& store,
   }
   GKEYS_RETURN_IF_ERROR(store.Put(Key1('A'), std::move(a)));
   std::string v;
-  for (const Derivation& d : result.derivations) {
+  const ProvenanceIndex& index = result.derivations;
+  for (size_t i = 0; i < index.size(); ++i) {
+    const ProvenanceIndex::Head& d = index.heads[i];
     PutVarint(v, d.e1);
     PutVarint(v, d.e2);
     PutVarint(v, static_cast<uint64_t>(d.key + 1));  // -1 encodes as 0
-    PutVarint(v, d.premises.size());
-    for (const auto& [x, y] : d.premises) {
+    PutVarint(v, index.premises[i].size());
+    for (const auto& [x, y] : index.premises[i]) {
       PutVarint(v, x);
       PutVarint(v, y);
     }
-    PutVarint(v, d.triples.size());
-    for (const WitnessTriple& t : d.triples) {
+    PutVarint(v, index.triples[i].size());
+    for (const WitnessTriple& t : index.triples[i]) {
       PutVarint(v, t.s);
       PutVarint(v, t.p);
       PutVarint(v, t.o);
@@ -851,11 +853,12 @@ StatusOr<MatchResult> PlanCodec::DecodeResult(const Store& store,
   }
   if (!a.AtEnd()) return Corrupt("trailing bytes in result record");
 
-  // Derivations in index order, the order retraction replays.
+  // Derivations in index order, the order retraction replays, appended
+  // straight into the flat index.
+  ProvenanceIndex& index = result.derivations;
   GKEYS_RETURN_IF_ERROR(ReadSection(
       store, 'V', meta.num_derivations, "derivation",
       [&](ByteReader& r, uint64_t) -> Status {
-        Derivation d;
         uint32_t e1 = 0, e2 = 0;
         uint64_t key_plus_1 = 0, n = 0;
         if (!r.ReadVarint32(&e1) || !r.ReadVarint32(&e2) ||
@@ -863,23 +866,21 @@ StatusOr<MatchResult> PlanCodec::DecodeResult(const Store& store,
             e2 >= meta.num_nodes || key_plus_1 > INT32_MAX) {
           return Corrupt("bad derivation header");
         }
-        d.e1 = e1;
-        d.e2 = e2;
-        d.key = static_cast<int>(key_plus_1) - 1;
+        index.heads.push_back(ProvenanceIndex::Head{
+            e1, e2, static_cast<int>(key_plus_1) - 1});
         if (!r.ReadVarint(&n) || n > r.remaining())
           return Corrupt("bad premise count");
-        d.premises.reserve(n);
         for (uint64_t i = 0; i < n; ++i) {
           uint32_t x = 0, y = 0;
           if (!r.ReadVarint32(&x) || !r.ReadVarint32(&y) ||
               x >= meta.num_nodes || y >= meta.num_nodes) {
             return Corrupt("bad premise");
           }
-          d.premises.emplace_back(x, y);
+          index.premises.values.emplace_back(x, y);
         }
+        index.premises.CloseRow();
         if (!r.ReadVarint(&n) || n > r.remaining())
           return Corrupt("bad witness-triple count");
-        d.triples.reserve(n);
         for (uint64_t i = 0; i < n; ++i) {
           uint32_t s = 0, p = 0, o = 0;
           if (!r.ReadVarint32(&s) || !r.ReadVarint32(&p) ||
@@ -887,9 +888,9 @@ StatusOr<MatchResult> PlanCodec::DecodeResult(const Store& store,
               p >= meta.num_symbols || o >= meta.num_nodes) {
             return Corrupt("bad witness triple");
           }
-          d.triples.push_back(WitnessTriple{s, Symbol{p}, o});
+          index.triples.values.push_back(WitnessTriple{s, Symbol{p}, o});
         }
-        result.derivations.push_back(std::move(d));
+        index.triples.CloseRow();
         return Status::OK();
       }));
   // Stats are not persisted; confirmed mirrors the stored pair set.

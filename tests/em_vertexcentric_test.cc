@@ -175,22 +175,23 @@ TEST(EmVertexCentric, RepeatedRunsAreDeterministicInResult) {
 }
 
 /// FNV-1a-64 over a derivation list, in list order.
-uint64_t DerivationDigest(const std::vector<Derivation>& derivations) {
+uint64_t DerivationDigest(const ProvenanceIndex& derivations) {
   std::string bytes;
   auto put = [&bytes](uint64_t x) {
     bytes += std::to_string(x);
     bytes += ',';
   };
-  for (const Derivation& d : derivations) {
+  for (size_t i = 0; i < derivations.size(); ++i) {
+    const ProvenanceIndex::Head& d = derivations.heads[i];
     put(d.e1);
     put(d.e2);
     put(static_cast<uint64_t>(d.key + 1));
-    for (const auto& [a, b] : d.premises) {
+    for (const auto& [a, b] : derivations.premises[i]) {
       put(a);
       put(b);
     }
     bytes += '|';
-    for (const WitnessTriple& t : d.triples) {
+    for (const WitnessTriple& t : derivations.triples[i]) {
       put(t.s);
       put(t.p);
       put(t.o);

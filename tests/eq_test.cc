@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace gkeys {
@@ -85,16 +88,55 @@ TEST(ConcurrentEquivalence, BasicSemantics) {
   EXPECT_EQ(eq.num_merges(), 2u);
 }
 
-TEST(ConcurrentEquivalence, SnapshotMatches) {
+/// Whether the two relations agree on Same over every pair of nodes.
+bool SameOverAllPairs(const ConcurrentEquivalence& a,
+                      const EquivalenceRelation& b) {
+  if (a.num_nodes() != b.num_nodes()) return false;
+  for (NodeId x = 0; x < a.num_nodes(); ++x) {
+    for (NodeId y = x + 1; y < a.num_nodes(); ++y) {
+      if (a.Same(x, y) != b.Same(x, y)) return false;
+    }
+  }
+  return true;
+}
+
+TEST(ConcurrentEquivalence, MatchesSequentialUnions) {
   ConcurrentEquivalence eq(6);
   eq.Union(0, 3);
   eq.Union(3, 5);
   eq.Union(1, 2);
-  EquivalenceRelation snap = eq.Snapshot();
-  EXPECT_TRUE(snap.Same(0, 5));
-  EXPECT_TRUE(snap.Same(1, 2));
-  EXPECT_FALSE(snap.Same(0, 1));
-  EXPECT_EQ(snap.IdentifiedPairs().size(), 4u);  // {0,3,5}:3 + {1,2}:1
+  EquivalenceRelation expected(6);
+  expected.Union(0, 3);
+  expected.Union(3, 5);
+  expected.Union(1, 2);
+  EXPECT_TRUE(SameOverAllPairs(eq, expected));
+  EXPECT_TRUE(eq.Same(0, 5));
+  EXPECT_FALSE(eq.Same(0, 1));
+  // {0,3,5}:3 + {1,2}:1, listed from the unions that merged.
+  const std::vector<std::pair<NodeId, NodeId>> merges = {{0, 3}, {3, 5},
+                                                         {1, 2}};
+  EXPECT_EQ(PairsOfMergedClasses(eq, merges), expected.IdentifiedPairs());
+}
+
+TEST(Equivalence, PairsOfMergedClassesListsIdentifiedPairs) {
+  // Random unions over few nodes make large, interleaving classes; both
+  // relation flavors must list exactly IdentifiedPairs() from the unions
+  // that merged, whatever order those arrive in.
+  std::mt19937 rng(17);
+  for (int round = 0; round < 20; ++round) {
+    const NodeId n = 60;
+    EquivalenceRelation seq(n);
+    ConcurrentEquivalence conc(n);
+    std::vector<std::pair<NodeId, NodeId>> merges;
+    for (int k = 0; k < 4 * round; ++k) {
+      const NodeId a = rng() % n, b = rng() % n;
+      conc.Union(a, b);
+      if (seq.Union(a, b)) merges.emplace_back(a, b);
+    }
+    std::shuffle(merges.begin(), merges.end(), rng);
+    EXPECT_EQ(PairsOfMergedClasses(seq, merges), seq.IdentifiedPairs());
+    EXPECT_EQ(PairsOfMergedClasses(conc, merges), seq.IdentifiedPairs());
+  }
 }
 
 TEST(ConcurrentEquivalence, ParallelUnionsConverge) {
@@ -120,8 +162,7 @@ TEST(ConcurrentEquivalence, ParallelUnionsConverge) {
       expected.Union(i, i + t + 1);
     }
   }
-  EquivalenceRelation actual = eq.Snapshot();
-  EXPECT_TRUE(actual == expected);
+  EXPECT_TRUE(SameOverAllPairs(eq, expected));
 }
 
 TEST(ConcurrentEquivalence, ParallelSameDuringUnions) {

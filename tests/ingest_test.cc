@@ -366,24 +366,29 @@ TEST(ShardedLogs, PairsAndClosureMatchAcrossProcessorCounts) {
   // identical pairs; the recorded derivations, whatever schedule produced
   // them, must close to exactly those pairs with nothing retracted on the
   // unchanged graph (i.e. stamp-merged shard order is replayable, same as
-  // a single log's order).
-  SyntheticDataset ds = ShardWorkload(21);
-  for (Algorithm algo : AllAlgorithms()) {
-    SCOPED_TRACE(AlgorithmName(algo));
-    auto plan = Matcher::Compile(ds.graph, ds.keys, PlanOptions::For(algo, 2));
-    ASSERT_TRUE(plan.ok());
-    auto single = Matcher(algo).processors(1).Run(*plan);
-    ASSERT_TRUE(single.ok());
-    ASSERT_FALSE(single->pairs.empty()) << "workload too boring";
-    for (int p : {1, 2, 4}) {
-      SCOPED_TRACE("processors " + std::to_string(p));
-      auto sharded = Matcher(algo).processors(p).Run(*plan);
-      ASSERT_TRUE(sharded.ok());
-      EXPECT_EQ(single->pairs, sharded->pairs);
-      RetractionResult retr =
-          RetractDerivations(ds.graph, sharded->derivations);
-      EXPECT_EQ(retr.retracted, 0u);
-      EXPECT_EQ(retr.seed_pairs, sharded->pairs);
+  // a single log's order). Every run lists its pairs from the merges its
+  // workers logged, so the sparse layout (the same graph padded with
+  // isolated values) checks that listing under every shard count.
+  const SyntheticDataset ds = ShardWorkload(21);
+  const Graph sparse = testing::PadWithIsolatedValues(ds.graph);
+  for (const Graph* g : {&ds.graph, &sparse}) {
+    SCOPED_TRACE(g == &sparse ? "sparse" : "dense");
+    for (Algorithm algo : AllAlgorithms()) {
+      SCOPED_TRACE(AlgorithmName(algo));
+      auto plan = Matcher::Compile(*g, ds.keys, PlanOptions::For(algo, 2));
+      ASSERT_TRUE(plan.ok());
+      auto single = Matcher(algo).processors(1).Run(*plan);
+      ASSERT_TRUE(single.ok());
+      ASSERT_FALSE(single->pairs.empty()) << "workload too boring";
+      for (int p : {1, 2, 4}) {
+        SCOPED_TRACE("processors " + std::to_string(p));
+        auto sharded = Matcher(algo).processors(p).Run(*plan);
+        ASSERT_TRUE(sharded.ok());
+        EXPECT_EQ(single->pairs, sharded->pairs);
+        RetractionResult retr = RetractDerivations(*g, sharded->derivations);
+        EXPECT_EQ(retr.retracted, 0u);
+        EXPECT_EQ(retr.seed_pairs, sharded->pairs);
+      }
     }
   }
 }

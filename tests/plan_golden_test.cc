@@ -19,6 +19,12 @@
 // they fill, and at least one compacts into a fresh base, so the table
 // also pins what a patch carries, re-signs and folds.
 //
+// A fourth table pins results along the same chains: each batch is
+// rematched on the seeded path at one processor, and the result records
+// ('A' pairs, 'V' provenance index) are digested after every batch. The
+// churn spec removes triples, so retraction and the carried index are
+// pinned too.
+//
 // Slot order follows the iteration order of the per-type key map, so the
 // table pins one standard library's hash tables (libstdc++).
 
@@ -135,6 +141,21 @@ const std::map<std::string, uint64_t>& GoldenLineageDigests() {
       {"hostile_powerlaw_hub/EMMR", 0xb7fd05016ac509bcull},
       {"hostile_powerlaw_hub/EMOptMR", 0xcfc8dca37546c987ull},
       {"hostile_powerlaw_hub/EMOptVC", 0x03285c79aa486184ull},
+  };
+  return kGolden;
+}
+
+/// "<spec name>/<algorithm>" → digest of the result records ('A' pairs,
+/// 'V' provenance index) after each of kLineageBatches seeded rematches,
+/// folded in batch order.
+const std::map<std::string, uint64_t>& GoldenRematchedResultDigests() {
+  static const std::map<std::string, uint64_t> kGolden = {
+      {"hostile_powerlaw_churn/EMMR", 0xb0e58e746ef9ca41ull},
+      {"hostile_powerlaw_churn/EMOptMR", 0x25b76431956a45d1ull},
+      {"hostile_powerlaw_churn/EMOptVC", 0x25b76431956a45d1ull},
+      {"hostile_powerlaw_hub/EMMR", 0x032e45cd512f5a07ull},
+      {"hostile_powerlaw_hub/EMOptMR", 0x032e45cd512f5a07ull},
+      {"hostile_powerlaw_hub/EMOptVC", 0x032e45cd512f5a07ull},
   };
   return kGolden;
 }
@@ -257,6 +278,61 @@ TEST(PlanGolden, PatchedLineageRecordsMatchTheGoldenTable) {
   }
   EXPECT_EQ(got, GoldenLineageDigests())
       << "patched plan records changed; if deliberate, the new table is:\n"
+      << FormatTable(got);
+}
+
+TEST(PlanGolden, RematchedLineageResultRecordsMatchTheGoldenTable) {
+  // The lineage specs again, now matched: every batch is applied, patched
+  // and rematched on the seeded path, so the churn spec's removals run
+  // retraction and every later index carries the survivors forward. One
+  // processor keeps the derivation order deterministic.
+  const Algorithm algos[] = {Algorithm::kEmMr, Algorithm::kEmOptMr,
+                             Algorithm::kEmOptVc};
+  std::map<std::string, uint64_t> got;
+  for (const char* name : {"hostile_powerlaw_churn", "hostile_powerlaw_hub"}) {
+    auto spec = LoadWorkloadSpec(std::string(GKEYS_WORKLOADS_DIR) + "/" +
+                                 name + ".json");
+    ASSERT_TRUE(spec.ok()) << name << ": " << spec.status().message();
+    for (Algorithm a : algos) {
+      SCOPED_TRACE(spec->name + "/" + AlgorithmName(a));
+      auto ds = BuildWorkloadDataset(*spec);
+      ASSERT_TRUE(ds.ok()) << ds.status().message();
+      auto plan = Matcher::Compile(ds->graph, ds->keys, PlanOptions::For(a, 1));
+      ASSERT_TRUE(plan.ok()) << plan.status().message();
+      Matcher matcher(a);
+      matcher.processors(1).rematch_mode(RematchOptions::Mode::kForceSeed);
+      auto result = matcher.Run(*plan);
+      ASSERT_TRUE(result.ok()) << result.status().message();
+      auto gen = MakeDeltaGenerator(spec->delta_kind, spec->delta_config);
+      ASSERT_TRUE(gen.ok()) << gen.status().message();
+      uint64_t digest = Fnv1a64("");
+      size_t retracted = 0;
+      for (int k = 0; k < kLineageBatches; ++k) {
+        GraphDelta delta = (*gen)->Next(ds->graph);
+        ASSERT_TRUE(ds->graph.Apply(delta).ok());
+        auto patched = plan->Patch(delta);
+        ASSERT_TRUE(patched.ok()) << patched.status().message();
+        auto rematched = matcher.Rematch(*patched, *result, delta);
+        ASSERT_TRUE(rematched.ok()) << rematched.status().message();
+        retracted += rematched->stats.derivations_retracted;
+        *plan = *std::move(patched);
+        *result = *std::move(rematched);
+        MapStore store;
+        storage::SnapshotMeta meta;
+        ASSERT_TRUE(
+            storage::PlanCodec::EncodeResult(*result, store, &meta).ok());
+        digest = Fnv1a64(std::to_string(store.Digest()), digest);
+      }
+      EXPECT_FALSE(result->derivations.empty());
+      if (spec->name == "hostile_powerlaw_churn") {
+        EXPECT_GT(retracted, 0u);
+      }
+      got[spec->name + "/" + AlgorithmName(a)] = digest;
+    }
+  }
+  EXPECT_EQ(got, GoldenRematchedResultDigests())
+      << "rematched result records changed; if deliberate, the new table "
+         "is:\n"
       << FormatTable(got);
 }
 

@@ -160,9 +160,9 @@ TEST(Provenance, RetractionCascadesThroughPremises) {
   KeySet sigma1 = MakeSigma1();
   MatchResult r = MusicResult(m, sigma1);
   ASSERT_EQ(r.derivations.size(), 2u);
-  EXPECT_EQ(r.derivations[0].premises.size(), 0u);  // Q2, value-based
-  ASSERT_EQ(r.derivations[1].premises.size(), 1u);  // Q3's album premise
-  EXPECT_EQ(r.derivations[1].premises[0],
+  EXPECT_EQ(r.derivations.premises[0].size(), 0u);  // Q2, value-based
+  ASSERT_EQ(r.derivations.premises[1].size(), 1u);  // Q3's album premise
+  EXPECT_EQ(r.derivations.premises[1][0],
             (std::pair<NodeId, NodeId>{m.alb1, m.alb2}));
 
   GraphDelta delta(m.g);
@@ -194,8 +194,8 @@ TEST(Provenance, RetractionKeepsIndependentDerivations) {
   RetractionResult retr = RetractDerivations(m.g, r.derivations);
   EXPECT_EQ(retr.retracted, 1u);
   ASSERT_EQ(retr.surviving.size(), 1u);
-  EXPECT_EQ(retr.surviving[0].e1, std::min(m.alb1, m.alb2));
-  EXPECT_EQ(retr.surviving[0].e2, std::max(m.alb1, m.alb2));
+  EXPECT_EQ(retr.surviving.heads[0].e1, std::min(m.alb1, m.alb2));
+  EXPECT_EQ(retr.surviving.heads[0].e2, std::max(m.alb1, m.alb2));
   EXPECT_EQ(retr.seed_pairs, testing::Pairs({{m.alb1, m.alb2}}));
 }
 
@@ -208,7 +208,8 @@ TEST(Provenance, RetractionDropsDanglingPremises) {
   KeySet sigma1 = MakeSigma1();
   MatchResult r = MusicResult(m, sigma1);
   ASSERT_EQ(r.derivations.size(), 2u);
-  std::vector<Derivation> tampered = {r.derivations[1]};  // premise first
+  ProvenanceIndex tampered;
+  tampered.Append(r.derivations, 1);  // premise first
   RetractionResult retr = RetractDerivations(m.g, tampered);
   EXPECT_EQ(retr.retracted, 1u);
   EXPECT_TRUE(retr.surviving.empty());

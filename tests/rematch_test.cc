@@ -74,6 +74,39 @@ Workload MakeWorkload(uint64_t seed) {
   return w;
 }
 
+/// MakeWorkload padded with isolated value nodes (PadWithIsolatedValues):
+/// the same keys, triples and classes, at least 20 node ids per paired
+/// entity. `all_triples` keeps the dense order, so a seeded Rng picks the
+/// same triples in both layouts.
+Workload MakeSparseWorkload(uint64_t seed) {
+  Workload dense = MakeWorkload(seed);
+  Workload w;
+  w.keys = std::move(dense.keys);
+  w.graph = testing::PadWithIsolatedValues(dense.graph);
+  for (const Triple& t : dense.all_triples) {
+    w.all_triples.push_back(
+        Triple{testing::PaddedId(t.subject),
+               w.graph.Intern(dense.graph.interner().Resolve(t.pred)),
+               testing::PaddedId(t.object)});
+  }
+  return w;
+}
+
+enum class Layout { kDense, kSparse };
+
+Workload MakeWorkload(uint64_t seed, Layout layout) {
+  return layout == Layout::kSparse ? MakeSparseWorkload(seed)
+                                   : MakeWorkload(seed);
+}
+
+/// The result's provenance index replays on the graph it was computed on
+/// without retracting anything, and closes to exactly its pairs.
+void ExpectIndexClosesToPairs(const Graph& g, const MatchResult& r) {
+  RetractionResult retr = RetractDerivations(g, r.derivations);
+  EXPECT_EQ(retr.retracted, 0u);
+  EXPECT_EQ(retr.seed_pairs, r.pairs);
+}
+
 std::vector<std::pair<NodeId, NodeId>> FromScratch(const Graph& g,
                                                    const KeySet& keys,
                                                    Algorithm algo) {
@@ -90,14 +123,17 @@ std::vector<std::pair<NodeId, NodeId>> FromScratch(const Graph& g,
 /// must agree byte-for-byte with a from-scratch compile + run. In
 /// kForceSeed mode, additionally asserts every chunk really ran seeded
 /// (EmStats::rematch_fallback stays 0 — no full-run fallback taken).
+/// After every step the result's provenance index closes to its pairs.
 void RunStream(uint64_t seed, Algorithm algo, size_t hold_out,
                size_t chunks, size_t removals_per_chunk,
-               RematchOptions::Mode mode = RematchOptions::Mode::kAuto) {
+               RematchOptions::Mode mode = RematchOptions::Mode::kAuto,
+               Layout layout = Layout::kDense) {
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " algo=" + AlgorithmName(algo) +
                " hold_out=" + std::to_string(hold_out) +
-               " removals=" + std::to_string(removals_per_chunk));
-  Workload w = MakeWorkload(seed);
+               " removals=" + std::to_string(removals_per_chunk) +
+               (layout == Layout::kSparse ? " sparse" : ""));
+  Workload w = MakeWorkload(seed, layout);
   Rng rng(seed * 7919 + 13);
 
   std::vector<uint8_t> keep(w.all_triples.size(), 1);
@@ -120,6 +156,7 @@ void RunStream(uint64_t seed, Algorithm algo, size_t hold_out,
   ASSERT_TRUE(result_or.ok()) << result_or.status().ToString();
   MatchResult result = *std::move(result_or);
   ASSERT_EQ(result.pairs, FromScratch(g, w.keys, algo)) << "base run";
+  ExpectIndexClosesToPairs(g, result);
 
   // Current triple membership, for sampling removals.
   std::vector<Triple> present;
@@ -168,12 +205,15 @@ void RunStream(uint64_t seed, Algorithm algo, size_t hold_out,
     result = *std::move(rematched);
 
     ASSERT_EQ(result.pairs, FromScratch(g, w.keys, algo));
+    ExpectIndexClosesToPairs(g, result);
   }
 }
 
 TEST(Rematch, AdditiveStreamsMatchFromScratchAllAlgorithms) {
   // Delta sizes: small chunks (4 triples ≈ 0.5% of edges) and large ones
   // (15 triples ≈ 2%), per seed, per algorithm.
+  // The sparse layout repeats the first stream with its classes spread
+  // over 21 times the node ids.
   for (Algorithm algo : AllAlgorithms()) {
     for (uint64_t seed : {1u, 2u}) {
       RunStream(seed, algo, /*hold_out=*/12, /*chunks=*/3,
@@ -181,20 +221,29 @@ TEST(Rematch, AdditiveStreamsMatchFromScratchAllAlgorithms) {
       RunStream(seed, algo, /*hold_out=*/30, /*chunks=*/2,
                 /*removals_per_chunk=*/0);
     }
+    RunStream(/*seed=*/1, algo, /*hold_out=*/12, /*chunks=*/3,
+              /*removals_per_chunk=*/0, RematchOptions::Mode::kAuto,
+              Layout::kSparse);
   }
 }
 
 TEST(Rematch, DeletionHeavyStreamsMatchFromScratchAllAlgorithms) {
   for (Algorithm algo : AllAlgorithms()) {
-    RunStream(/*seed=*/3, algo, /*hold_out=*/0, /*chunks=*/3,
-              /*removals_per_chunk=*/10);
+    for (Layout layout : {Layout::kDense, Layout::kSparse}) {
+      RunStream(/*seed=*/3, algo, /*hold_out=*/0, /*chunks=*/3,
+                /*removals_per_chunk=*/10, RematchOptions::Mode::kAuto,
+                layout);
+    }
   }
 }
 
 TEST(Rematch, MixedStreamsMatchFromScratchAllAlgorithms) {
   for (Algorithm algo : AllAlgorithms()) {
-    RunStream(/*seed=*/4, algo, /*hold_out=*/9, /*chunks=*/3,
-              /*removals_per_chunk=*/4);
+    for (Layout layout : {Layout::kDense, Layout::kSparse}) {
+      RunStream(/*seed=*/4, algo, /*hold_out=*/9, /*chunks=*/3,
+                /*removals_per_chunk=*/4, RematchOptions::Mode::kAuto,
+                layout);
+    }
   }
 }
 
@@ -242,10 +291,10 @@ TEST(Rematch, DerivationClosureEqualsPairsAllAlgorithms) {
         RetractDerivations(w.graph, r->derivations);
     EXPECT_EQ(retr.retracted, 0u);
     EXPECT_EQ(retr.seed_pairs, r->pairs);
-    for (const Derivation& d : r->derivations) {
-      EXPECT_LT(d.e1, d.e2);
-      EXPECT_GE(d.key, 0);
-      EXPECT_FALSE(d.triples.empty());
+    for (size_t i = 0; i < r->derivations.size(); ++i) {
+      EXPECT_LT(r->derivations.heads[i].e1, r->derivations.heads[i].e2);
+      EXPECT_GE(r->derivations.heads[i].key, 0);
+      EXPECT_FALSE(r->derivations.triples[i].empty());
     }
   }
 }
@@ -263,7 +312,7 @@ TEST(Rematch, RemovalWithoutProvenanceAutoFallsBackAndStaysExact) {
   auto prev = matcher.Run(*plan);
   ASSERT_TRUE(prev.ok());
   ASSERT_FALSE(prev->pairs.empty());
-  prev->derivations.clear();  // simulate record_provenance(false)
+  prev->derivations = {};  // simulate record_provenance(false)
 
   Triple victim;
   bool have = false;
@@ -316,7 +365,7 @@ TEST(Rematch, AutoSeedsSmallDeltasAndReportsRetractions) {
 
   // Remove one triple some derivation's witness realized, so at least
   // one retraction provably happens.
-  WitnessTriple victim = prev->derivations.front().triples.front();
+  WitnessTriple victim = prev->derivations.triples[0].front();
   GraphDelta delta(g);
   ASSERT_TRUE(delta
                   .RemoveTriple(victim.s, g.interner().Resolve(victim.p),
@@ -385,8 +434,9 @@ TEST(Rematch, NewEntitiesArriveViaDeltaAndGetIdentified) {
   }
 }
 
-TEST(Rematch, StreamingSinkSeesExactlyTheDelta) {
-  Workload w = MakeWorkload(5);
+/// Holds out 10 triples of `w`, runs, re-adds them and rematches seeded
+/// under a sink: the sink must see exactly the new pairs, each once.
+void ExpectStreamSeesExactlyTheDelta(Workload w) {
   Rng rng(99);
   std::vector<uint8_t> keep(w.all_triples.size(), 1);
   std::vector<size_t> held;
@@ -445,6 +495,13 @@ TEST(Rematch, StreamingSinkSeesExactlyTheDelta) {
   EXPECT_EQ(sink.pairs, expected);
   EXPECT_GT(rematched->pairs.size(), base->pairs.size())
       << "the held-out triples were chosen too boringly";
+}
+
+TEST(Rematch, StreamingSinkSeesExactlyTheDelta) {
+  for (Layout layout : {Layout::kDense, Layout::kSparse}) {
+    SCOPED_TRACE(layout == Layout::kSparse ? "sparse" : "dense");
+    ExpectStreamSeesExactlyTheDelta(MakeWorkload(5, layout));
+  }
 }
 
 TEST(Rematch, AutoNeverFallsBackUnderAStreamingSink) {
@@ -538,6 +595,162 @@ TEST(Rematch, PatchedPlanRecordsDirtyCandidatesAndReuse) {
   // A one-entity delta dirties at most the candidates touching its
   // d-ball — far fewer than |L|.
   EXPECT_LT(patched->dirty_candidates().size(), before);
+}
+
+TEST(Rematch, SparseClassesJoinAndSplitExactly) {
+  // A hand-built chain the generator does not produce: persons {a1, a2}
+  // share a name, as do {b1, b2}. Commit 1 adds an unrelated triple (no
+  // merge); commit 2 gives b1 a2's email, so one merge joins the two
+  // 2-member classes; commit 3 removes it again, which splits the class.
+  // Padding spreads the four paired entities over more than 20 times as
+  // many node ids.
+  KeySet keys;
+  ASSERT_TRUE(keys.AddFromDsl(R"(
+    key ByName for person {
+      x -[name_of]-> n*
+    }
+    key ByEmail for person {
+      x -[email]-> e*
+    }
+  )").ok());
+  Graph dense;
+  auto person = [&dense](const char* name, const char* email) {
+    NodeId p = dense.AddEntity("person");
+    dense.AddTriple(p, "name_of", dense.AddValue(name)).IgnoreError();
+    dense.AddTriple(p, "email", dense.AddValue(email)).IgnoreError();
+    return p;
+  };
+  const NodeId a1 = person("Ann", "a1@x");
+  const NodeId a2 = person("Ann", "a2@x");
+  const NodeId b1 = person("Bob", "b1@x");
+  const NodeId b2 = person("Bob", "b2@x");
+  const NodeId c1 = person("Cy", "c1@x");
+  const NodeId a2_email = dense.FindValue("a2@x");
+  dense.Finalize();
+  using testing::PaddedId;
+
+  for (Algorithm algo : AllAlgorithms()) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    Graph g = testing::PadWithIsolatedValues(dense);
+    auto plan = Matcher::Compile(g, keys, PlanOptions::For(algo, 2));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    Matcher matcher(algo);
+    matcher.processors(2).rematch_mode(RematchOptions::Mode::kForceSeed);
+    auto base = matcher.Run(*plan);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    MatchResult result = *std::move(base);
+    ASSERT_EQ(result.pairs, testing::Pairs({{PaddedId(a1), PaddedId(a2)},
+                                            {PaddedId(b1), PaddedId(b2)}}));
+    EXPECT_GE(g.NumNodes(), 20u * 4u);
+
+    struct Step {
+      const char* name;
+      bool add;
+      NodeId s;
+      const char* pred;
+      NodeId o;
+      size_t pairs;
+    };
+    const Step steps[] = {
+        {"no merge", true, PaddedId(c1), "nickname", PaddedId(a2_email), 2},
+        {"join", true, PaddedId(b1), "email", PaddedId(a2_email), 6},
+        {"split", false, PaddedId(b1), "email", PaddedId(a2_email), 2},
+    };
+    for (const Step& step : steps) {
+      SCOPED_TRACE(step.name);
+      GraphDelta delta(g);
+      Status st = step.add ? delta.AddTriple(step.s, step.pred, step.o)
+                           : delta.RemoveTriple(step.s, step.pred, step.o);
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      ASSERT_TRUE(g.Apply(delta).ok());
+      auto patched = plan->Patch(delta);
+      ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+      auto rematched = matcher.Rematch(*patched, result, delta);
+      ASSERT_TRUE(rematched.ok()) << rematched.status().ToString();
+      EXPECT_EQ(rematched->stats.rematch_seeded, 1u);
+      *plan = *std::move(patched);
+      result = *std::move(rematched);
+      EXPECT_EQ(result.pairs.size(), step.pairs);
+      EXPECT_EQ(result.pairs, FromScratch(g, keys, algo));
+      ExpectIndexClosesToPairs(g, result);
+    }
+  }
+}
+
+TEST(Rematch, RejectsAPrevResultNotFromThisGraph) {
+  // A previous result must come from this graph: its pairs name nodes
+  // of it, each (a, b) with a < b, strictly ascending, and under a
+  // removal its derivations name nodes of it too. Anything else is
+  // InvalidArgument naming the first bad item, before any seeding.
+  Workload w = MakeWorkload(14);
+  Graph& g = w.graph;
+  const Algorithm algo = Algorithm::kEmOptVc;
+  auto plan = Matcher::Compile(g, w.keys, PlanOptions::For(algo, 1));
+  ASSERT_TRUE(plan.ok());
+  Matcher matcher(algo);
+  matcher.rematch_mode(RematchOptions::Mode::kForceSeed);
+  auto prev = matcher.Run(*plan);
+  ASSERT_TRUE(prev.ok());
+  ASSERT_GE(prev->pairs.size(), 2u) << "workload too boring";
+  ASSERT_FALSE(prev->derivations.empty());
+
+  GraphDelta add(g);
+  NodeId fresh = add.AddValue("a value no key reads");
+  ASSERT_TRUE(add.AddTriple(prev->pairs[0].first, "unread_pred", fresh).ok());
+  ASSERT_TRUE(g.Apply(add).ok());
+  auto added = plan->Patch(add);
+  ASSERT_TRUE(added.ok());
+
+  auto expect_rejected = [](const StatusOr<MatchResult>& r,
+                            const std::string& item) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(item), std::string::npos)
+        << r.status().message();
+  };
+  const size_t last = prev->pairs.size() - 1;
+  {
+    SCOPED_TRACE("a pair past the graph");
+    MatchResult bad = *prev;
+    bad.pairs[last].second = 0xFFFFFF00;
+    expect_rejected(matcher.Rematch(*added, bad, add),
+                    "pair " + std::to_string(last) + " ");
+  }
+  {
+    SCOPED_TRACE("unsorted pairs");
+    MatchResult bad = *prev;
+    std::swap(bad.pairs[0], bad.pairs[1]);
+    expect_rejected(matcher.Rematch(*added, bad, add), "pair 1 ");
+  }
+  {
+    SCOPED_TRACE("a reflexive pair");
+    MatchResult bad = *prev;
+    bad.pairs[0].second = bad.pairs[0].first;
+    expect_rejected(matcher.Rematch(*added, bad, add), "pair 0 ");
+  }
+  auto mid = matcher.Rematch(*added, *prev, add);
+  ASSERT_TRUE(mid.ok()) << mid.status().ToString();
+  {
+    SCOPED_TRACE("a derivation past the graph, under a removal");
+    const WitnessTriple victim = mid->derivations.triples[0].front();
+    GraphDelta remove(g);
+    ASSERT_TRUE(remove
+                    .RemoveTriple(victim.s, g.interner().Resolve(victim.p),
+                                  victim.o)
+                    .ok());
+    ASSERT_TRUE(g.Apply(remove).ok());
+    auto removed = added->Patch(remove);
+    ASSERT_TRUE(removed.ok());
+    MatchResult bad = *mid;
+    const size_t k = bad.derivations.size() - 1;
+    bad.derivations.heads[k].e2 = g.NumNodes();
+    expect_rejected(matcher.Rematch(*removed, bad, remove),
+                    "derivation " + std::to_string(k) + " ");
+    // The untampered result still rematches.
+    auto good = matcher.Rematch(*removed, *mid, remove);
+    ASSERT_TRUE(good.ok()) << good.status().ToString();
+    EXPECT_EQ(good->pairs, FromScratch(g, w.keys, algo));
+  }
 }
 
 }  // namespace

@@ -198,18 +198,6 @@ std::string SaveToFile(const Session& s, Algorithm algo,
   return path;
 }
 
-void ExpectSameDerivations(const std::vector<Derivation>& a,
-                           const std::vector<Derivation>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].e1, b[i].e1);
-    EXPECT_EQ(a[i].e2, b[i].e2);
-    EXPECT_EQ(a[i].key, b[i].key);
-    EXPECT_EQ(a[i].premises, b[i].premises);
-    EXPECT_EQ(a[i].triples, b[i].triples);
-  }
-}
-
 using CanonDerivation =
     std::tuple<NodeId, NodeId, int,
                std::vector<std::pair<NodeId, NodeId>>,
@@ -219,17 +207,19 @@ using CanonDerivation =
 /// (dirty-candidate order, dependent traversal) that legitimately differ
 /// between a freshly decoded plan and an in-memory patched one — compare
 /// provenance as a canonical multiset instead.
-std::vector<CanonDerivation> Canon(const std::vector<Derivation>& ds) {
+std::vector<CanonDerivation> Canon(const ProvenanceIndex& ds) {
   std::vector<CanonDerivation> out;
   out.reserve(ds.size());
-  for (const Derivation& d : ds) {
+  for (size_t i = 0; i < ds.size(); ++i) {
+    const ProvenanceIndex::Head& d = ds.heads[i];
     std::vector<std::tuple<NodeId, Symbol, NodeId>> triples;
-    triples.reserve(d.triples.size());
-    for (const WitnessTriple& t : d.triples) {
+    triples.reserve(ds.triples[i].size());
+    for (const WitnessTriple& t : ds.triples[i]) {
       triples.emplace_back(t.s, t.p, t.o);
     }
     std::sort(triples.begin(), triples.end());
-    std::vector<std::pair<NodeId, NodeId>> premises = d.premises;
+    std::vector<std::pair<NodeId, NodeId>> premises(ds.premises[i].begin(),
+                                                    ds.premises[i].end());
     std::sort(premises.begin(), premises.end());
     out.emplace_back(d.e1, d.e2, d.key, std::move(premises),
                      std::move(triples));
@@ -238,8 +228,8 @@ std::vector<CanonDerivation> Canon(const std::vector<Derivation>& ds) {
   return out;
 }
 
-void ExpectEquivalentDerivations(const std::vector<Derivation>& a,
-                                 const std::vector<Derivation>& b) {
+void ExpectEquivalentDerivations(const ProvenanceIndex& a,
+                                 const ProvenanceIndex& b) {
   EXPECT_EQ(Canon(a), Canon(b));
 }
 
@@ -262,7 +252,8 @@ void ExpectRoundTrip(Graph g, KeySet keys, Algorithm algo,
 
   // The stored result restores exactly, provenance index included.
   EXPECT_EQ(snap->result().pairs, s.result.pairs);
-  ExpectSameDerivations(snap->result().derivations, s.result.derivations);
+  EXPECT_EQ(snap->result().derivations.size(), s.result.derivations.size());
+  EXPECT_TRUE(snap->result().derivations == s.result.derivations);
 
   // The restored plan is structurally equivalent...
   EXPECT_EQ(snap->plan().num_candidates(), s.plan.num_candidates());

@@ -137,6 +137,42 @@ inline KeySet MakeSigma2() {
   return keys;
 }
 
+/// Isolated value nodes PadWithIsolatedValues puts ahead of each node in
+/// the sparse test layouts: the classes then sit in a node-id space
+/// kSparsePad + 1 times larger than the graph's own.
+inline constexpr size_t kSparsePad = 20;
+
+/// Where PadWithIsolatedValues(src, pad) puts node n of `src`.
+inline NodeId PaddedId(NodeId n, size_t pad = kSparsePad) {
+  return static_cast<NodeId>((n + 1) * (pad + 1) - 1);
+}
+
+/// `src` rebuilt with `pad` fresh isolated value nodes ahead of each of
+/// its nodes, every triple kept (node n becomes PaddedId(n, pad)).
+/// Matching answers the same, but a step that walks every node now
+/// walks mostly singletons.
+inline Graph PadWithIsolatedValues(const Graph& src, size_t pad = kSparsePad) {
+  Graph g;
+  size_t next_pad = 0;
+  for (NodeId n = 0; n < src.NumNodes(); ++n) {
+    for (size_t k = 0; k < pad; ++k) {
+      g.AddValue("isolated pad " + std::to_string(next_pad++));
+    }
+    if (src.IsEntity(n)) {
+      g.AddEntity(src.interner().Resolve(src.entity_type(n)));
+    } else {
+      g.AddValue(src.value_str(n));
+    }
+  }
+  src.ForEachTriple([&](const Triple& t) {
+    g.AddTriple(PaddedId(t.subject, pad), src.interner().Resolve(t.pred),
+                PaddedId(t.object, pad))
+        .IgnoreError();
+  });
+  g.Finalize();
+  return g;
+}
+
 /// Normalizes a pair list for comparison.
 inline std::vector<std::pair<NodeId, NodeId>> Pairs(
     std::initializer_list<std::pair<NodeId, NodeId>> pairs) {
