@@ -23,16 +23,18 @@ struct MicroFixture {
   std::unique_ptr<EmContext> ctx;
   const Candidate* planted_candidate = nullptr;
   const Candidate* negative_candidate = nullptr;
-  EquivalenceRelation eq{0};
+  // The Eq type the engines' iso checks read.
+  ConcurrentEquivalence eq;
 
-  MicroFixture() : ds(MakeDataset(Dataset::kSynthetic, 1.0, 2, 2)) {
+  MicroFixture()
+      : ds(MakeDataset(Dataset::kSynthetic, 1.0, 2, 2)),
+        eq(ds.graph.NumNodes()) {
     EmOptions opts;
     // Unblocked enumeration: these benches probe single candidate-pair
     // calls, and with signature blocking on every surviving candidate can
     // be a planted (positive) pair — the negative probe would not exist.
     opts.use_blocking = false;
     ctx = std::make_unique<EmContext>(ds.graph, ds.keys, opts);
-    eq = EquivalenceRelation(ds.graph.NumNodes());
     for (auto [a, b] : ds.planted) eq.Union(a, b);
     for (const Candidate& c : ctx->candidates()) {
       if (eq.Same(c.e1, c.e2) && planted_candidate == nullptr) {
@@ -264,18 +266,6 @@ void BM_DNeighborExtraction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DNeighborExtraction)->Arg(1)->Arg(2)->Arg(3);
-
-void BM_UnionFindOps(benchmark::State& state) {
-  size_t n = 100000;
-  for (auto _ : state) {
-    EquivalenceRelation eq(n);
-    for (NodeId i = 0; i + 1 < n; i += 2) eq.Union(i, i + 1);
-    bool same = eq.Same(0, 1);
-    benchmark::DoNotOptimize(same);
-  }
-  state.SetItemsProcessed(state.iterations() * (n / 2));
-}
-BENCHMARK(BM_UnionFindOps);
 
 void BM_ConcurrentUnionFindOps(benchmark::State& state) {
   size_t n = 100000;

@@ -8,10 +8,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/entity_matcher.h"
 #include "core/provenance.h"
-#include "eq/equivalence.h"
 #include "gen/datasets.h"
 #include "graph/merge.h"
 
@@ -61,10 +63,18 @@ int main(int argc, char** argv) {
   std::printf("  streamed %zu pair(s), each exactly once\n\n",
               sink.streamed());
 
-  // Group the identified pairs into fusion classes per entity type.
-  EquivalenceRelation classes(g.NumNodes());
-  for (auto [a, b] : r.pairs) classes.Union(a, b);
-  std::vector<std::vector<NodeId>> class_list = classes.NontrivialClasses();
+  // Fuse: contract every identified class into one entity. A class is
+  // the nodes sharing a fused id; fused ids follow each class's smallest
+  // member, so the classes come out in that order, members ascending.
+  FusionResult fused = FuseEntities(g, r.pairs);
+  std::vector<std::vector<NodeId>> by_fused_id(fused.graph.NumNodes());
+  for (NodeId n = 0; n < g.NumNodes(); ++n) {
+    by_fused_id[fused.node_map[n]].push_back(n);
+  }
+  std::vector<std::vector<NodeId>> class_list;
+  for (auto& members : by_fused_id) {
+    if (members.size() >= 2) class_list.push_back(std::move(members));
+  }
   std::map<std::string, int> fused_by_type;
   for (const auto& cls : class_list) {
     fused_by_type[g.interner().Resolve(g.entity_type(cls[0]))]++;
@@ -107,8 +117,6 @@ int main(int argc, char** argv) {
     std::printf("  %s\n", FormatChaseStep(g, prov.steps[i]).c_str());
   }
 
-  // Fuse: contract every identified class into one entity.
-  FusionResult fused = FuseEntities(g, r.pairs);
   std::printf("\nfused knowledge base: %zu -> %zu entities "
               "(%zu duplicates eliminated), %zu -> %zu triples\n",
               g.NumEntities(), fused.graph.NumEntities(),

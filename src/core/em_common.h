@@ -310,7 +310,10 @@ struct RematchSeed {
   /// streamed as already-emitted (sinks see only pairs beyond this
   /// seed). The result lists its pairs from the seed unions and the
   /// run's merges, so a run pays for the classes it touched, not for
-  /// every node.
+  /// every node. Closed under transitivity, as a result's pairs and a
+  /// retraction's seed_pairs are: a sink's stream counts every pair of
+  /// the seed's classes as streamed, so an unclosed seed fails the
+  /// stream's exactly-once check (Status::Internal).
   std::span<const std::pair<NodeId, NodeId>> prev_pairs;
   /// Candidate indices to re-check initially: a patched plan's
   /// dirty_candidates(), plus the retracted candidates under removals.

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <string>
 
-#include "isomorph/pairing.h"
-
 namespace gkeys {
 namespace internal {
 
@@ -19,66 +17,6 @@ int LogShards(const EmOptions& opts) {
 
 }  // namespace
 
-void PairStreamer::EmitPair(NodeId a, NodeId b) {
-  if (a > b) std::swap(a, b);
-  if (!emitted_.insert(PackPair(a, b)).second) return;
-  sink_->OnPair(a, b);
-}
-
-void PairStreamer::Join(NodeId a, NodeId b, bool emit) {
-  NodeId ra = mirror_.Find(a);
-  NodeId rb = mirror_.Find(b);
-  if (ra == rb) return;
-  auto take = [&](NodeId root) {
-    auto it = members_.find(root);
-    if (it == members_.end()) return std::vector<NodeId>{root};
-    std::vector<NodeId> m = std::move(it->second);
-    members_.erase(it);
-    return m;
-  };
-  std::vector<NodeId> ca = take(ra);
-  std::vector<NodeId> cb = take(rb);
-  if (emit) {
-    for (NodeId x : ca) {
-      for (NodeId y : cb) EmitPair(x, y);
-    }
-  }
-  mirror_.Union(ra, rb);
-  ca.insert(ca.end(), cb.begin(), cb.end());
-  members_[mirror_.Find(ra)] = std::move(ca);
-}
-
-size_t PairStreamer::EmitMerges(
-    std::span<const std::pair<NodeId, NodeId>> merges) {
-  if (sink_ == nullptr) return 0;
-  for (const auto& [a, b] : merges) Join(a, b, /*emit=*/true);
-  return emitted_.size();
-}
-
-void PairStreamer::SeedClasses(
-    std::span<const std::pair<NodeId, NodeId>> pairs) {
-  if (sink_ == nullptr) return;
-  for (const auto& [a, b] : pairs) {
-    // Pre-mark as emitted (a < b, checked by Matcher::Rematch) so later
-    // merges skip everything the previous run already streamed.
-    emitted_.insert(PackPair(a, b));
-    Join(a, b, /*emit=*/false);
-  }
-}
-
-Status PairStreamer::Finish(
-    const std::vector<std::pair<NodeId, NodeId>>& final_pairs) {
-  if (sink_ == nullptr) return Status::OK();
-  for (const auto& [a, b] : final_pairs) {
-    if (!emitted_.insert(PackPair(a, b)).second) continue;
-    sink_->OnPair(a, b);
-  }
-  if (emitted_.size() != final_pairs.size()) {
-    return Status::Internal("streamed pair count diverged from result");
-  }
-  return Status::OK();
-}
-
 FixpointRun::FixpointRun(const EmContext& ctx, const EmOptions& opts,
                          MatchSink* sink, const RematchSeed* seed)
     : ctx_(ctx),
@@ -88,7 +26,6 @@ FixpointRun::FixpointRun(const EmContext& ctx, const EmOptions& opts,
       eq_(ctx.graph().NumNodes()),
       merge_log_(LogShards(opts)),
       deriv_log_(LogShards(opts)),
-      streamer_(sink, ctx.graph().NumNodes()),
       done_(ctx.candidates().size()),
       ghost_done_(ctx.ghosts().size(), 0) {
   stats_.candidates_initial = ctx.candidates_initial();
@@ -102,7 +39,16 @@ FixpointRun::FixpointRun(const EmContext& ctx, const EmOptions& opts,
     for (const auto& [a, b] : seed->prev_pairs) {
       if (eq_.Union(a, b)) merged_.emplace_back(a, b);
     }
-    streamer_.SeedClasses(seed->prev_pairs);
+    if (sink_ != nullptr) {
+      // The seed's classes count as streamed: later merges stream only
+      // the pairs beyond them.
+      streamed_.reserve(2 * merged_.size());
+      for (const auto& [a, b] : merged_) {
+        streamed_.push_back(ClassEntry(eq_.Find(a), a));
+        streamed_.push_back(ClassEntry(eq_.Find(b), b));
+      }
+      stats_.confirmed = seed->prev_pairs.size();
+    }
     const auto& candidates = ctx.candidates();
     for (uint32_t i = 0; i < candidates.size(); ++i) {
       if (eq_.Same(candidates[i].e1, candidates[i].e2)) MarkDone(i);
@@ -128,13 +74,52 @@ Status FixpointRun::BeginRound() {
   return Status::OK();
 }
 
+void FixpointRun::StreamMerges(
+    std::span<const std::pair<NodeId, NodeId>> merges) {
+  if (merges.empty()) return;
+  std::vector<NodeId> roots;
+  roots.reserve(merges.size());
+  for (const auto& [a, b] : merges) roots.push_back(eq_.Find(a));
+  std::sort(roots.begin(), roots.end());
+  roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
+  // A joined class's members: before under their old labels, after (and
+  // from now on) under the new root, plus the merges' own endpoints.
+  std::vector<uint64_t> before;
+  std::vector<uint64_t> after;
+  for (uint64_t& entry : streamed_) {
+    const NodeId member = static_cast<NodeId>(entry);
+    const NodeId root = eq_.Find(member);
+    if (!std::binary_search(roots.begin(), roots.end(), root)) continue;
+    before.push_back(entry);
+    entry = ClassEntry(root, member);
+    after.push_back(entry);
+  }
+  for (const auto& [a, b] : merges) {
+    streamed_.push_back(ClassEntry(eq_.Find(a), a));
+    after.push_back(streamed_.back());
+    streamed_.push_back(ClassEntry(eq_.Find(b), b));
+    after.push_back(streamed_.back());
+  }
+  const auto old_pairs = ClassPairs(std::move(before));
+  const auto new_pairs = ClassPairs(std::move(after));
+  // Classes only grow, so old_pairs ⊆ new_pairs; both are sorted.
+  auto old_it = old_pairs.begin();
+  for (const auto& pair : new_pairs) {
+    if (old_it != old_pairs.end() && *old_it == pair) {
+      ++old_it;
+    } else {
+      sink_->OnPair(pair.first, pair.second);
+    }
+  }
+  stats_.confirmed += new_pairs.size() - old_pairs.size();
+}
+
 Status FixpointRun::EndRound() {
   if (sink_ == nullptr) return Status::OK();
   const size_t from = merged_.size();
   std::vector<std::pair<NodeId, NodeId>> merges = merge_log_.Drain();
   merged_.insert(merged_.end(), merges.begin(), merges.end());
-  stats_.confirmed =
-      streamer_.EmitMerges(std::span(merged_).subspan(from));
+  StreamMerges(std::span(merged_).subspan(from));
   sink_->OnProgress(stats_);
   if (sink_->cancelled()) {
     return Status::Cancelled("entity matching cancelled after round " +
@@ -164,12 +149,18 @@ StatusOr<MatchResult> FixpointRun::Finish() {
   result.derivations.Append(carried);
   for (const Derivation& d : recorded) result.derivations.Append(d);
 
+  const size_t from = merged_.size();
   std::vector<std::pair<NodeId, NodeId>> rest = merge_log_.Drain();
   merged_.insert(merged_.end(), rest.begin(), rest.end());
   result.pairs = PairsOfMergedClasses(eq_, merged_);
+  if (sink_ != nullptr) {
+    StreamMerges(std::span(merged_).subspan(from));
+    if (stats_.confirmed != result.pairs.size()) {
+      return Status::Internal("streamed pair count diverged from result");
+    }
+  }
   result.stats = stats_;
   result.stats.confirmed = result.pairs.size();
-  GKEYS_RETURN_IF_ERROR(streamer_.Finish(result.pairs));
   return result;
 }
 

@@ -10,8 +10,6 @@
 #include <cstdint>
 #include <iterator>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -36,16 +34,16 @@ inline uint32_t ThreadLogSlot() {
   return slot;
 }
 
-/// Collects the Eq merges an engine performs, so the streamer can expand
+/// Collects the Eq merges an engine performs, so the stream can list
 /// exactly the classes a round changed and Finish can list the pairs of
 /// exactly the classes the run touched. Sharded: each
 /// worker thread records into a cache-line-padded local shard (fixed
 /// thread → shard mapping via ThreadLogSlot), so the map/compute phases
 /// never contend on one global mutex; Drain concatenates shards in
 /// shard-index order, which is deterministic given what each thread
-/// recorded. Consumers are order-insensitive: PairStreamer::EmitMerges
-/// replays merges through a union-find, and the set of newly implied
-/// pairs is independent of merge order.
+/// recorded. Consumers are order-insensitive: both group the merges'
+/// endpoints by their current root (ClassPairs), which no merge order
+/// changes.
 class MergeLog {
  public:
   explicit MergeLog(int shards = 1)
@@ -145,49 +143,6 @@ class DerivationLog {
   std::vector<Shard> shards_;
 };
 
-/// Streams the delta of the growing Eq relation to a MatchSink,
-/// guaranteeing exactly-once emission per identified pair across rounds.
-/// Instead of re-materializing the full pair set per round (quadratic in
-/// class sizes every round), it mirrors the engine's union-find and
-/// expands only the classes each recorded merge joins: one merge of
-/// classes A and B emits exactly |A|·|B| new pairs, so total streaming
-/// work equals the number of pairs emitted.
-class PairStreamer {
- public:
-  /// `num_nodes` sizes the mirror union-find; with a null sink the
-  /// streamer is an inert no-op and allocates nothing.
-  PairStreamer(MatchSink* sink, size_t num_nodes)
-      : sink_(sink), mirror_(sink == nullptr ? 0 : num_nodes) {}
-
-  /// Replays `merges` (a MergeLog drain) against the mirror and emits
-  /// every newly implied pair. Returns total pairs emitted so far.
-  size_t EmitMerges(std::span<const std::pair<NodeId, NodeId>> merges);
-
-  /// Seeds the mirror with an already-known fixpoint WITHOUT emitting:
-  /// the pairs count as emitted, so a seeded rematch streams exactly the
-  /// delta beyond the previous result. Call before any EmitMerges.
-  void SeedClasses(std::span<const std::pair<NodeId, NodeId>> pairs);
-
-  /// Final sweep after the fixpoint: emits whatever the per-round deltas
-  /// did not cover (zero-round runs; merges after the last emission),
-  /// reusing the engine's already-materialized pair list. Verifies the
-  /// exactly-once invariant; no-op without a sink.
-  Status Finish(const std::vector<std::pair<NodeId, NodeId>>& final_pairs);
-
- private:
-  /// Joins the mirror classes of a and b; with `emit`, streams the pairs
-  /// the join newly implies — the cross product of the two classes.
-  void Join(NodeId a, NodeId b, bool emit);
-  void EmitPair(NodeId a, NodeId b);
-
-  MatchSink* sink_;
-  EquivalenceRelation mirror_;
-  // Members of each nontrivial mirror class, keyed by its current root.
-  // Singleton classes are implicit.
-  std::unordered_map<NodeId, std::vector<NodeId>> members_;
-  std::unordered_set<uint64_t> emitted_;
-};
-
 /// One engine run's fixpoint shell. It owns what every engine needs
 /// around its check step: the run timer and EmStats, the shared Eq, the
 /// merge and derivation logs (one shard per processor, at most 64), the
@@ -205,8 +160,8 @@ class PairStreamer {
 class FixpointRun {
  public:
   /// Starts the run timer and fills the plan-derived EmStats fields.
-  /// With a `seed`, Eq starts from seed->prev_pairs (streamed as already
-  /// emitted) and the seed-equal candidates and ghosts are marked done.
+  /// With a `seed`, Eq starts from seed->prev_pairs (counted as already
+  /// streamed) and the seed-equal candidates and ghosts are marked done.
   FixpointRun(const EmContext& ctx, const EmOptions& opts, MatchSink* sink,
               const RematchSeed* seed);
   // Workers and callbacks hold its address for the whole run.
@@ -285,14 +240,23 @@ class FixpointRun {
   /// the index stays replayable across chained rematches, then this
   /// run's records — empty with recording off, since a carried-only
   /// index would break the closure == pairs contract and mislead the
-  /// next rematch's cost model), and the final stream sweep that checks
-  /// the exactly-once invariant. The pairs are listed from the seed's
-  /// and the run's merging unions (PairsOfMergedClasses), so Finish
-  /// costs the merges and the pairs, not the nodes, on cold and seeded
-  /// runs alike, and allocates nothing NumNodes()-sized.
+  /// next rematch's cost model), and the stream of the merges since the
+  /// last round, checking the exactly-once invariant (seed pairs plus
+  /// streamed pairs == result pairs). The pairs are listed from the
+  /// seed's and the run's merging unions (PairsOfMergedClasses), so
+  /// Finish costs the merges and the pairs, not the nodes, on cold and
+  /// seeded runs alike, and allocates nothing NumNodes()-sized.
   StatusOr<MatchResult> Finish();
 
  private:
+  /// Streams the pairs that `merges`, the merges since the last stream,
+  /// newly imply, and counts them into stats_.confirmed: ClassPairs of
+  /// the joined classes' members under their roots now, minus ClassPairs
+  /// of the same members under their labels in streamed_ — one sorted
+  /// set difference. Only classes a merge joined are listed; every other
+  /// class kept its members and implies nothing new.
+  void StreamMerges(std::span<const std::pair<NodeId, NodeId>> merges);
+
   const Timer timer_;
   const EmContext& ctx_;
   const EmOptions& opts_;
@@ -305,7 +269,10 @@ class FixpointRun {
   // rounds drain them from merge_log_.
   std::vector<std::pair<NodeId, NodeId>> merged_;
   DerivationLog deriv_log_;
-  PairStreamer streamer_;
+  // With a sink: one ClassEntry per endpoint of every merge streamed so
+  // far (the seed's included), labelled with its class's root as of the
+  // last stream that touched the class.
+  std::vector<uint64_t> streamed_;
   std::vector<std::atomic<uint8_t>> done_;
   std::vector<uint8_t> ghost_done_;
   size_t swept_merges_ = 0;

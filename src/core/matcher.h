@@ -236,7 +236,9 @@ class Matcher {
   /// stream cannot un-emit), and pairs that stay lost simply do not
   /// appear; diff against `prev` for exact removal notifications. Under a
   /// full-run fallback the stream restarts: every pair of the new result
-  /// is emitted.
+  /// is emitted. `prev.pairs` must be closed under transitivity, as every
+  /// result's are: the stream counts all pairs of the seed's classes as
+  /// already emitted, so an unclosed list fails with Status::Internal.
   StatusOr<MatchResult> Rematch(const MatchPlan& plan,
                                 const MatchResult& prev,
                                 const GraphDelta& delta,

@@ -63,23 +63,10 @@ std::string FormatChaseStep(const Graph& g, const ChaseStep& step) {
   return s;
 }
 
-bool ValidateDerivation(const Graph& g, const KeySet& keys,
-                        const std::vector<ChaseStep>& steps) {
-  (void)keys;
-  EquivalenceRelation derived(g.NumNodes());
-  for (const ChaseStep& step : steps) {
-    for (const auto& [a, b] : step.premises) {
-      if (!derived.Same(a, b)) return false;  // dangling premise
-    }
-    derived.Union(step.e1, step.e2);
-  }
-  return true;
-}
-
 RetractionResult RetractDerivations(const Graph& g,
                                     const ProvenanceIndex& derivations) {
   RetractionResult out;
-  EquivalenceRelation replay(g.NumNodes());
+  ConcurrentEquivalence replay(g.NumNodes());
   std::vector<std::pair<NodeId, NodeId>> merges;
   for (size_t i = 0; i < derivations.size(); ++i) {
     bool valid = true;

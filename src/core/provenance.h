@@ -55,14 +55,6 @@ ProvenanceResult ChaseWithProvenance(const Graph& g, const KeySet& keys);
 ///   `artist#0 == artist#1  by Q3  [round 2]  because album#3 == album#4`.
 std::string FormatChaseStep(const Graph& g, const ChaseStep& step);
 
-/// Validates a derivation against the chase semantics: every premise of
-/// every step must have been derivable (union of earlier steps' pairs and
-/// node identity, transitively closed) when the step fired. Returns false
-/// on a dangling premise. Used by tests and by consumers that persist and
-/// re-check derivations.
-bool ValidateDerivation(const Graph& g, const KeySet& keys,
-                        const std::vector<ChaseStep>& steps);
-
 /// The outcome of replaying a provenance index (MatchResult::derivations)
 /// against a mutated graph: the derivations still valid, the seed they
 /// imply, and how many were over-deleted.

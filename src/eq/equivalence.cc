@@ -1,75 +1,8 @@
 #include "eq/equivalence.h"
 
 #include <algorithm>
-#include <numeric>
-#include <unordered_map>
 
 namespace gkeys {
-
-EquivalenceRelation::EquivalenceRelation(size_t num_nodes)
-    : parent_(num_nodes), rank_(num_nodes, 0) {
-  std::iota(parent_.begin(), parent_.end(), 0);
-}
-
-NodeId EquivalenceRelation::Find(NodeId n) const {
-  NodeId root = n;
-  while (parent_[root] != root) root = parent_[root];
-  // Path compression.
-  while (parent_[n] != root) {
-    NodeId next = parent_[n];
-    parent_[n] = root;
-    n = next;
-  }
-  return root;
-}
-
-bool EquivalenceRelation::Union(NodeId a, NodeId b) {
-  NodeId ra = Find(a), rb = Find(b);
-  if (ra == rb) return false;
-  if (rank_[ra] < rank_[rb]) std::swap(ra, rb);
-  parent_[rb] = ra;
-  if (rank_[ra] == rank_[rb]) ++rank_[ra];
-  ++merges_;
-  return true;
-}
-
-std::vector<std::vector<NodeId>> EquivalenceRelation::NontrivialClasses()
-    const {
-  // Two counting passes instead of a hash-of-vectors over every node:
-  // nodes in singleton classes (almost all of them) never allocate.
-  std::vector<uint32_t> count(parent_.size(), 0);
-  for (NodeId n = 0; n < parent_.size(); ++n) ++count[Find(n)];
-  constexpr uint32_t kNoClass = UINT32_MAX;
-  std::vector<uint32_t> slot(parent_.size(), kNoClass);
-  std::vector<std::vector<NodeId>> classes;
-  for (NodeId n = 0; n < parent_.size(); ++n) {
-    NodeId root = Find(n);
-    if (count[root] < 2) continue;
-    if (slot[root] == kNoClass) {
-      slot[root] = static_cast<uint32_t>(classes.size());
-      classes.emplace_back();
-      classes.back().reserve(count[root]);
-    }
-    // Ascending n keeps every class sorted.
-    classes[slot[root]].push_back(n);
-  }
-  std::sort(classes.begin(), classes.end());
-  return classes;
-}
-
-std::vector<std::pair<NodeId, NodeId>> EquivalenceRelation::IdentifiedPairs()
-    const {
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  for (const auto& cls : NontrivialClasses()) {
-    for (size_t i = 0; i < cls.size(); ++i) {
-      for (size_t j = i + 1; j < cls.size(); ++j) {
-        pairs.emplace_back(cls[i], cls[j]);
-      }
-    }
-  }
-  std::sort(pairs.begin(), pairs.end());
-  return pairs;
-}
 
 ConcurrentEquivalence::ConcurrentEquivalence(size_t num_nodes)
     : parent_(num_nodes) {
@@ -144,6 +77,18 @@ std::vector<std::pair<NodeId, NodeId>> ClassPairs(
     std::sort(pairs.begin(), pairs.end());
   }
   return pairs;
+}
+
+std::vector<std::pair<NodeId, NodeId>> PairsOfMergedClasses(
+    const ConcurrentEquivalence& eq,
+    std::span<const std::pair<NodeId, NodeId>> merges) {
+  std::vector<uint64_t> members;
+  members.reserve(2 * merges.size());
+  for (const auto& [a, b] : merges) {
+    members.push_back(ClassEntry(eq.Find(a), a));
+    members.push_back(ClassEntry(eq.Find(b), b));
+  }
+  return ClassPairs(std::move(members));
 }
 
 }  // namespace gkeys

@@ -7,27 +7,25 @@ namespace gkeys {
 FusionResult FuseEntities(
     const Graph& g,
     const std::vector<std::pair<NodeId, NodeId>>& identified_pairs) {
-  EquivalenceRelation classes(g.NumNodes());
+  ConcurrentEquivalence classes(g.NumNodes());
   for (auto [a, b] : identified_pairs) classes.Union(a, b);
 
   FusionResult out;
-  out.node_map.assign(g.NumNodes(), kNoNode);
-  // One pass in id order: the smallest member of each class (its root
-  // visit order) becomes the representative, so output ids are stable.
+  out.node_map.resize(g.NumNodes());
+  // One pass in id order: a class's root is its smallest member, so it
+  // is seen first and becomes the representative, and output ids are
+  // stable.
   for (NodeId n = 0; n < g.NumNodes(); ++n) {
-    NodeId root = classes.Find(n);
-    if (out.node_map[root] == kNoNode) {
-      // First member of this class seen: materialize the node.
-      if (g.IsEntity(n)) {
-        out.node_map[root] = out.graph.AddEntity(
-            g.interner().Resolve(g.entity_type(n)));
-      } else {
-        out.node_map[root] = out.graph.AddValue(g.value_str(n));
-      }
+    const NodeId root = classes.Find(n);
+    if (root != n) {
+      out.node_map[n] = out.node_map[root];
+      if (g.IsEntity(n)) ++out.entities_fused;
     } else if (g.IsEntity(n)) {
-      ++out.entities_fused;
+      out.node_map[n] =
+          out.graph.AddEntity(g.interner().Resolve(g.entity_type(n)));
+    } else {
+      out.node_map[n] = out.graph.AddValue(g.value_str(n));
     }
-    out.node_map[n] = out.node_map[root];
   }
   g.ForEachTriple([&](const Triple& t) {
     out.graph.AddTriple(out.node_map[t.subject],

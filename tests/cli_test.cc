@@ -10,7 +10,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -25,8 +27,12 @@ struct RunOutput {
   std::string text;  // stdout + stderr, interleaved
 };
 
-RunOutput RunCli(const std::string& args) {
-  std::string cmd = std::string(GKEYS_CLI_BINARY) + " " + args + " 2>&1";
+/// Runs the CLI; its stderr goes to `stderr_to` (a path, or "&1" to
+/// interleave it with stdout).
+RunOutput RunCli(const std::string& args,
+                 const std::string& stderr_to = "&1") {
+  std::string cmd =
+      std::string(GKEYS_CLI_BINARY) + " " + args + " 2>" + stderr_to;
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   RunOutput out{-1, {}};
@@ -124,6 +130,40 @@ TEST_F(CliTest, MatchWithEmptyDeltaIsNoOp) {
   EXPECT_EQ(LastPairs(out.text), 2) << out.text;
 }
 
+/// Runs the CLI with stdout and stderr kept apart.
+struct SplitOutput {
+  int exit_code;
+  std::string out;
+  std::vector<std::string> err;  // lines
+};
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+SplitOutput RunCliSplit(const std::string& args) {
+  const std::string err_path = ::testing::TempDir() + "gkeys_cli_stderr";
+  RunOutput run = RunCli(args, err_path);
+  std::ifstream err(err_path);
+  return {run.exit_code, run.text,
+          Lines(std::string(std::istreambuf_iterator<char>(err), {}))};
+}
+
+/// The output lines that name a pair ("a == b"), not comments, sorted.
+std::vector<std::string> PairLines(const std::string& text) {
+  std::vector<std::string> pairs;
+  for (const std::string& line : Lines(text)) {
+    if (!line.starts_with("#") && line.find(" == ") != std::string::npos) {
+      pairs.push_back(line);
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
 TEST_F(CliTest, SaveWithoutDirIsUsageError) {
   std::string snap = ::testing::TempDir() + "gkeys_cli_snap.gks";
   RunOutput save = RunCli("save " + graph_ + " " + keys_ + " " + snap);
@@ -161,6 +201,64 @@ constexpr char kMusicKeys[] =
     "  x -[name_of]-> n*\n"
     "  y:album -[recorded_by]-> x\n"
     "}\n";
+
+// Σ1 on three copies of one album by three same-named artists: the
+// albums match in round 1, the artists only once their albums did, in
+// classes of three each (6 pairs).
+constexpr char kMusicTrioTriples[] =
+    "ent:artist:a1 name_of val:\"The Beatles\"\n"
+    "ent:artist:a2 name_of val:\"The Beatles\"\n"
+    "ent:artist:a3 name_of val:\"The Beatles\"\n"
+    "ent:artist:a4 name_of val:\"John Farnham\"\n"
+    "ent:album:b1 name_of val:\"Anthology 2\"\n"
+    "ent:album:b2 name_of val:\"Anthology 2\"\n"
+    "ent:album:b3 name_of val:\"Anthology 2\"\n"
+    "ent:album:b4 name_of val:\"Anthology 2\"\n"
+    "ent:album:b1 release_year val:\"1996\"\n"
+    "ent:album:b2 release_year val:\"1996\"\n"
+    "ent:album:b3 release_year val:\"1996\"\n"
+    "ent:album:b4 release_year val:\"1997\"\n"
+    "ent:album:b1 recorded_by ent:artist:a1\n"
+    "ent:album:b2 recorded_by ent:artist:a2\n"
+    "ent:album:b3 recorded_by ent:artist:a3\n"
+    "ent:album:b4 recorded_by ent:artist:a4\n";
+
+TEST_F(CliTest, MatchStreamPrintsEveryPairOnceWithMonotoneProgress) {
+  const std::string graph = TempFile("music_trio.triples", kMusicTrioTriples);
+  const std::string keys = TempFile("music.dsl", kMusicKeys);
+  for (const char* algo : {"NaiveChase", "EMMR", "EMVF2MR", "EMOptMR", "EMVC",
+                           "EMOptVC"}) {
+    SCOPED_TRACE(algo);
+    const std::string args = "match " + graph + " " + keys +
+                             " --algorithm=" + algo + " --processors=2";
+    SplitOutput plain = RunCliSplit(args);
+    ASSERT_EQ(plain.exit_code, 0);
+    const std::vector<std::string> expected = PairLines(plain.out);
+    ASSERT_EQ(expected.size(), 6u) << plain.out;
+
+    SplitOutput streamed = RunCliSplit(args + " --stream");
+    ASSERT_EQ(streamed.exit_code, 0);
+    const std::vector<std::string> pairs = PairLines(streamed.out);
+    EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()), pairs.end())
+        << "a pair line printed twice";
+    EXPECT_EQ(pairs, expected);
+    EXPECT_EQ(LastPairs(streamed.out), 6) << streamed.out;
+
+    size_t last = 0, rounds = 0;
+    for (const std::string& line : streamed.err) {
+      size_t round = 0, confirmed = 0;
+      ASSERT_EQ(std::sscanf(line.c_str(), "# round %zu: %zu pair(s) confirmed",
+                            &round, &confirmed),
+                2)
+          << line;
+      EXPECT_GE(confirmed, last) << line;
+      last = confirmed;
+      ++rounds;
+    }
+    EXPECT_GT(rounds, 0u);
+    EXPECT_EQ(last, 6u);
+  }
+}
 
 TEST_F(CliTest, MatchProvenancePrintsTheChaseSteps) {
   std::string graph = TempFile("music.triples", kMusicTriples);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <random>
 #include <thread>
 #include <utility>
@@ -11,132 +12,177 @@
 namespace gkeys {
 namespace {
 
-TEST(Equivalence, StartsAsIdentity) {
-  EquivalenceRelation eq(5);
+using Pairs = std::vector<std::pair<NodeId, NodeId>>;
+
+/// Brute-force Eq: every node carries its class label, and a union
+/// relabels one whole class. Quadratic, and obviously right.
+class ClosureReference {
+ public:
+  explicit ClosureReference(NodeId n) : label_(n) {
+    for (NodeId i = 0; i < n; ++i) label_[i] = i;
+  }
+  bool Union(NodeId a, NodeId b) {
+    const NodeId from = label_[b], to = label_[a];
+    if (from == to) return false;
+    for (NodeId& l : label_) {
+      if (l == from) l = to;
+    }
+    return true;
+  }
+  bool Same(NodeId a, NodeId b) const { return label_[a] == label_[b]; }
+  /// Every identified pair (a, b), a < b, ascending.
+  Pairs AllPairs() const {
+    Pairs pairs;
+    for (NodeId a = 0; a < label_.size(); ++a) {
+      for (NodeId b = a + 1; b < label_.size(); ++b) {
+        if (Same(a, b)) pairs.emplace_back(a, b);
+      }
+    }
+    return pairs;
+  }
+
+ private:
+  std::vector<NodeId> label_;
+};
+
+/// Unions `unions` in order; returns the ones that merged two classes.
+Pairs UnionAll(ConcurrentEquivalence& eq, const Pairs& unions) {
+  Pairs merges;
+  for (const auto& [a, b] : unions) {
+    if (eq.Union(a, b)) merges.emplace_back(a, b);
+  }
+  return merges;
+}
+
+/// Whether the relation agrees with the reference on Same over every pair
+/// of nodes.
+bool SameOverAllPairs(const ConcurrentEquivalence& eq,
+                      const ClosureReference& ref, NodeId n) {
+  if (eq.num_nodes() != n) return false;
+  for (NodeId x = 0; x < n; ++x) {
+    for (NodeId y = 0; y < n; ++y) {
+      if (eq.Same(x, y) != ref.Same(x, y)) return false;
+    }
+  }
+  return true;
+}
+
+TEST(ConcurrentEquivalence, StartsAsIdentity) {
+  ConcurrentEquivalence eq(5);
   for (NodeId i = 0; i < 5; ++i) {
+    EXPECT_EQ(eq.Find(i), i);
     for (NodeId j = 0; j < 5; ++j) {
       EXPECT_EQ(eq.Same(i, j), i == j);
     }
   }
-  EXPECT_TRUE(eq.IdentifiedPairs().empty());
+  EXPECT_EQ(eq.num_merges(), 0u);
+  EXPECT_TRUE(PairsOfMergedClasses(eq, {}).empty());
 }
 
-TEST(Equivalence, UnionReportsGrowth) {
-  EquivalenceRelation eq(4);
+TEST(ConcurrentEquivalence, UnionReportsGrowth) {
+  ConcurrentEquivalence eq(4);
   EXPECT_TRUE(eq.Union(0, 1));
   EXPECT_FALSE(eq.Union(0, 1));  // already same
   EXPECT_FALSE(eq.Union(1, 0));
   EXPECT_EQ(eq.num_merges(), 1u);
+  EXPECT_TRUE(eq.Union(3, 1));
+  EXPECT_FALSE(eq.Union(0, 3));  // already same through 1
+  EXPECT_EQ(eq.num_merges(), 2u);
 }
 
-TEST(Equivalence, TransitivityIsImplicit) {
-  EquivalenceRelation eq(5);
+TEST(ConcurrentEquivalence, TransitivityIsImplicit) {
+  ConcurrentEquivalence eq(5);
   eq.Union(0, 1);
   eq.Union(1, 2);
   EXPECT_TRUE(eq.Same(0, 2));  // the chase's TC rule
   EXPECT_FALSE(eq.Same(0, 3));
 }
 
-TEST(Equivalence, SymmetricAndReflexive) {
-  EquivalenceRelation eq(3);
+TEST(ConcurrentEquivalence, SymmetricAndReflexive) {
+  ConcurrentEquivalence eq(3);
   eq.Union(2, 0);
   EXPECT_TRUE(eq.Same(0, 2));
   EXPECT_TRUE(eq.Same(2, 0));
   EXPECT_TRUE(eq.Same(1, 1));
+  EXPECT_FALSE(eq.Same(1, 2));
 }
 
-TEST(Equivalence, NontrivialClasses) {
-  EquivalenceRelation eq(6);
-  eq.Union(0, 1);
-  eq.Union(1, 2);
-  eq.Union(4, 5);
-  auto classes = eq.NontrivialClasses();
-  ASSERT_EQ(classes.size(), 2u);
-  EXPECT_EQ(classes[0], (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(classes[1], (std::vector<NodeId>{4, 5}));
+TEST(ConcurrentEquivalence, RootIsTheSmallestMember) {
+  ConcurrentEquivalence eq(6);
+  eq.Union(5, 4);
+  eq.Union(4, 2);
+  eq.Union(3, 1);
+  for (NodeId n : {2, 4, 5}) EXPECT_EQ(eq.Find(n), 2u);
+  for (NodeId n : {1, 3}) EXPECT_EQ(eq.Find(n), 1u);
+  EXPECT_EQ(eq.Find(0), 0u);
 }
 
-TEST(Equivalence, IdentifiedPairsEnumeratesWithinClasses) {
-  EquivalenceRelation eq(5);
-  eq.Union(0, 1);
-  eq.Union(1, 2);
-  auto pairs = eq.IdentifiedPairs();
-  // {0,1,2} yields 3 pairs.
-  ASSERT_EQ(pairs.size(), 3u);
-  EXPECT_EQ(pairs[0], (std::pair<NodeId, NodeId>{0, 1}));
-  EXPECT_EQ(pairs[1], (std::pair<NodeId, NodeId>{0, 2}));
-  EXPECT_EQ(pairs[2], (std::pair<NodeId, NodeId>{1, 2}));
+TEST(ConcurrentEquivalence, PairsAreListedWithinClasses) {
+  ConcurrentEquivalence eq(6);
+  const Pairs merges = UnionAll(eq, {{0, 1}, {1, 2}, {2, 0}, {5, 4}});
+  EXPECT_EQ(merges, (Pairs{{0, 1}, {1, 2}, {5, 4}}));
+  // {0,1,2} yields 3 pairs, {4,5} one; 3 stays alone.
+  EXPECT_EQ(PairsOfMergedClasses(eq, merges),
+            (Pairs{{0, 1}, {0, 2}, {1, 2}, {4, 5}}));
 }
 
-TEST(Equivalence, EqualityComparesPairSets) {
-  EquivalenceRelation a(4), b(4);
-  a.Union(0, 1);
-  b.Union(1, 0);
-  EXPECT_TRUE(a == b);
-  b.Union(2, 3);
-  EXPECT_FALSE(a == b);
-}
-
-TEST(ConcurrentEquivalence, BasicSemantics) {
-  ConcurrentEquivalence eq(5);
-  EXPECT_FALSE(eq.Same(0, 1));
-  EXPECT_TRUE(eq.Union(0, 1));
-  EXPECT_FALSE(eq.Union(1, 0));
-  EXPECT_TRUE(eq.Same(0, 1));
-  eq.Union(1, 2);
-  EXPECT_TRUE(eq.Same(0, 2));
-  EXPECT_EQ(eq.num_merges(), 2u);
-}
-
-/// Whether the two relations agree on Same over every pair of nodes.
-bool SameOverAllPairs(const ConcurrentEquivalence& a,
-                      const EquivalenceRelation& b) {
-  if (a.num_nodes() != b.num_nodes()) return false;
-  for (NodeId x = 0; x < a.num_nodes(); ++x) {
-    for (NodeId y = x + 1; y < a.num_nodes(); ++y) {
-      if (a.Same(x, y) != b.Same(x, y)) return false;
-    }
-  }
-  return true;
+TEST(ConcurrentEquivalence, SameClassesListTheSamePairs) {
+  // Union order and direction do not change the pairs a relation lists;
+  // one more union does.
+  ConcurrentEquivalence a(4), b(4);
+  const Pairs merges_a = UnionAll(a, {{0, 1}});
+  Pairs merges_b = UnionAll(b, {{1, 0}});
+  EXPECT_EQ(PairsOfMergedClasses(a, merges_a),
+            PairsOfMergedClasses(b, merges_b));
+  const Pairs more = UnionAll(b, {{2, 3}});
+  merges_b.insert(merges_b.end(), more.begin(), more.end());
+  EXPECT_NE(PairsOfMergedClasses(a, merges_a),
+            PairsOfMergedClasses(b, merges_b));
 }
 
 TEST(ConcurrentEquivalence, MatchesSequentialUnions) {
+  const Pairs unions = {{0, 3}, {3, 5}, {1, 2}, {5, 0}};
   ConcurrentEquivalence eq(6);
-  eq.Union(0, 3);
-  eq.Union(3, 5);
-  eq.Union(1, 2);
-  EquivalenceRelation expected(6);
-  expected.Union(0, 3);
-  expected.Union(3, 5);
-  expected.Union(1, 2);
-  EXPECT_TRUE(SameOverAllPairs(eq, expected));
+  ClosureReference ref(6);
+  for (const auto& [a, b] : unions) {
+    EXPECT_EQ(eq.Union(a, b), ref.Union(a, b));
+  }
+  EXPECT_EQ(eq.num_merges(), 3u);
+  EXPECT_TRUE(SameOverAllPairs(eq, ref, 6));
   EXPECT_TRUE(eq.Same(0, 5));
   EXPECT_FALSE(eq.Same(0, 1));
   // {0,3,5}:3 + {1,2}:1, listed from the unions that merged.
-  const std::vector<std::pair<NodeId, NodeId>> merges = {{0, 3}, {3, 5},
-                                                         {1, 2}};
-  EXPECT_EQ(PairsOfMergedClasses(eq, merges), expected.IdentifiedPairs());
+  const Pairs merges = {{0, 3}, {3, 5}, {1, 2}};
+  EXPECT_EQ(PairsOfMergedClasses(eq, merges), ref.AllPairs());
 }
 
-TEST(Equivalence, PairsOfMergedClassesListsIdentifiedPairs) {
-  // Random unions over few nodes make large, interleaving classes; both
-  // relation flavors must list exactly IdentifiedPairs() from the unions
-  // that merged, whatever order those arrive in.
+TEST(ConcurrentEquivalence, PairsOfMergedClassesListsEveryPair) {
+  // Random unions over few nodes make large, interleaving classes; the
+  // unions that merged, in any order, must list exactly the closure.
   std::mt19937 rng(17);
   for (int round = 0; round < 20; ++round) {
     const NodeId n = 60;
-    EquivalenceRelation seq(n);
-    ConcurrentEquivalence conc(n);
-    std::vector<std::pair<NodeId, NodeId>> merges;
+    ConcurrentEquivalence eq(n);
+    ClosureReference ref(n);
+    Pairs merges;
     for (int k = 0; k < 4 * round; ++k) {
       const NodeId a = rng() % n, b = rng() % n;
-      conc.Union(a, b);
-      if (seq.Union(a, b)) merges.emplace_back(a, b);
+      const bool merged = eq.Union(a, b);
+      EXPECT_EQ(merged, ref.Union(a, b));
+      if (merged) merges.emplace_back(a, b);
     }
+    EXPECT_EQ(eq.num_merges(), merges.size());
     std::shuffle(merges.begin(), merges.end(), rng);
-    EXPECT_EQ(PairsOfMergedClasses(seq, merges), seq.IdentifiedPairs());
-    EXPECT_EQ(PairsOfMergedClasses(conc, merges), seq.IdentifiedPairs());
+    EXPECT_EQ(PairsOfMergedClasses(eq, merges), ref.AllPairs());
   }
+}
+
+TEST(ClassPairs, ListsInterleavingClassesAscending) {
+  // Classes {1,5,9} and {3,4} interleave: (5,9) sorts after (3,4).
+  EXPECT_EQ(ClassPairs({ClassEntry(1, 9), ClassEntry(3, 4), ClassEntry(1, 5),
+                        ClassEntry(3, 3), ClassEntry(1, 1), ClassEntry(1, 9)}),
+            (Pairs{{1, 5}, {1, 9}, {3, 4}, {5, 9}}));
+  EXPECT_TRUE(ClassPairs({ClassEntry(7, 7)}).empty());
 }
 
 TEST(ConcurrentEquivalence, ParallelUnionsConverge) {
@@ -156,13 +202,15 @@ TEST(ConcurrentEquivalence, ParallelUnionsConverge) {
   }
   for (auto& th : threads) th.join();
 
-  EquivalenceRelation expected(kNodes);
+  ClosureReference expected(kNodes);
+  size_t merges = 0;
   for (int t = 0; t < kThreads; ++t) {
     for (int i = t; i + t + 1 < kNodes; i += 2) {
-      expected.Union(i, i + t + 1);
+      merges += expected.Union(i, i + t + 1) ? 1 : 0;
     }
   }
-  EXPECT_TRUE(SameOverAllPairs(eq, expected));
+  EXPECT_TRUE(SameOverAllPairs(eq, expected, kNodes));
+  EXPECT_EQ(eq.num_merges(), merges);
 }
 
 TEST(ConcurrentEquivalence, ParallelSameDuringUnions) {

@@ -47,7 +47,7 @@ TEST(EvalSearch, RecursiveKeyNeedsEqFact) {
   EqView eq0;
   EXPECT_FALSE(KeyIdentifies(m.g, q3, m.art1, m.art2, eq0));
   // After (alb1, alb2) enters Eq, Q3 fires (paper Example 7).
-  EquivalenceRelation eq(m.g.NumNodes());
+  ConcurrentEquivalence eq(m.g.NumNodes());
   eq.Union(m.alb1, m.alb2);
   EXPECT_TRUE(KeyIdentifies(m.g, q3, m.art1, m.art2, EqView(&eq)));
   // art3 records a different-named album: never identified.
@@ -106,7 +106,7 @@ TEST(EvalSearch, EntityVarBlocksWhereWildcardWouldPass) {
     })");
   EqView eq0;
   EXPECT_FALSE(KeyIdentifies(c.g, strict, c.com4, c.com5, eq0));
-  EquivalenceRelation eq(c.g.NumNodes());
+  ConcurrentEquivalence eq(c.g.NumNodes());
   eq.Union(c.com1, c.com2);
   EXPECT_TRUE(KeyIdentifies(c.g, strict, c.com4, c.com5, EqView(&eq)));
 }

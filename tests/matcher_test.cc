@@ -13,6 +13,7 @@
 
 #include "core/entity_matcher.h"
 #include "gen/synthetic.h"
+#include "graph/delta.h"
 #include "test_util.h"
 
 namespace gkeys {
@@ -238,6 +239,106 @@ TEST(Matcher, CooperativeCancellationSurfacesAsCancelled) {
     ASSERT_FALSE(inc.ok());
     EXPECT_EQ(inc.status().code(), StatusCode::kCancelled);
     EXPECT_EQ(rematch_sink.progress_calls.size(), 1u);
+  }
+}
+
+/// Checks the per-round stream contract at every progress call: the sink
+/// has seen exactly `confirmed` minus the seed's pairs, none twice.
+class RoundCheckingSink : public MatchSink {
+ public:
+  explicit RoundCheckingSink(size_t seed_pairs) : seed_pairs_(seed_pairs) {}
+
+  void OnPair(NodeId a, NodeId b) override {
+    EXPECT_LT(a, b);
+    EXPECT_TRUE(seen_.emplace(a, b).second)
+        << "(" << a << ", " << b << ") streamed twice";
+  }
+  void OnProgress(const EmStats& progress) override {
+    EXPECT_EQ(seen_.size() + seed_pairs_, progress.confirmed)
+        << "round " << progress.rounds;
+    confirmed.push_back(progress.confirmed);
+  }
+
+  /// Every streamed pair is in `result` and not in `seed`, and the
+  /// stream plus the seed make up all of the result.
+  void ExpectPartOf(const MatchResult& result,
+                    const std::vector<std::pair<NodeId, NodeId>>& seed) const {
+    for (const auto& pair : seen_) {
+      EXPECT_TRUE(std::binary_search(result.pairs.begin(), result.pairs.end(),
+                                     pair))
+          << "(" << pair.first << ", " << pair.second << ") not in result";
+      EXPECT_FALSE(std::binary_search(seed.begin(), seed.end(), pair))
+          << "(" << pair.first << ", " << pair.second << ") is a seed pair";
+    }
+    EXPECT_EQ(seen_.size() + seed_pairs_, result.pairs.size());
+  }
+
+  std::vector<size_t> confirmed;  // one entry per OnProgress
+
+ private:
+  const size_t seed_pairs_;
+  std::set<std::pair<NodeId, NodeId>> seen_;
+};
+
+TEST(Matcher, EveryRoundStreamsExactlyItsConfirmedPairs) {
+  // Pairs stream round by round, not at the end: at each progress call
+  // the sink holds exactly the confirmed pairs beyond the seed, on a
+  // cold run and on a seeded rematch, with classes dense in the node ids
+  // and padded apart.
+  const SyntheticDataset ds = SmallWorkload();
+  for (bool padded : {false, true}) {
+    SCOPED_TRACE(padded ? "padded" : "plain");
+    const Graph full =
+        padded ? testing::PadWithIsolatedValues(ds.graph) : ds.graph;
+    // The seeded run's graph holds out every 7th triple, and its delta
+    // adds them back.
+    std::vector<Triple> triples;
+    full.ForEachTriple([&](const Triple& t) { triples.push_back(t); });
+    std::vector<uint8_t> keep(triples.size(), 1);
+    for (size_t i = 0; i < keep.size(); i += 7) keep[i] = 0;
+    for (Algorithm a : {Algorithm::kNaiveChase, Algorithm::kEmMr,
+                        Algorithm::kEmVf2Mr, Algorithm::kEmOptMr,
+                        Algorithm::kEmVc, Algorithm::kEmOptVc}) {
+      SCOPED_TRACE(AlgorithmName(a));
+      Matcher matcher(a);
+      matcher.processors(2).rematch_mode(RematchOptions::Mode::kForceSeed);
+
+      auto plan = Matcher::Compile(full, ds.keys, PlanOptions::For(a, 2));
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      RoundCheckingSink cold_sink(0);
+      auto cold = matcher.Run(*plan, cold_sink);
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      cold_sink.ExpectPartOf(*cold, {});
+      ASSERT_FALSE(cold_sink.confirmed.empty());
+      EXPECT_GT(cold_sink.confirmed.front(), 0u)
+          << "the first round streamed no pair";
+
+      Graph g = testing::RebuildWithout(full, triples, keep);
+      auto held_plan = Matcher::Compile(g, ds.keys, PlanOptions::For(a, 2));
+      ASSERT_TRUE(held_plan.ok()) << held_plan.status().ToString();
+      auto prev = matcher.Run(*held_plan);
+      ASSERT_TRUE(prev.ok()) << prev.status().ToString();
+      GraphDelta delta(g);
+      for (size_t i = 0; i < keep.size(); i += 7) {
+        ASSERT_TRUE(delta
+                        .AddTriple(triples[i].subject,
+                                   full.interner().Resolve(triples[i].pred),
+                                   triples[i].object)
+                        .ok());
+      }
+      ASSERT_TRUE(g.Apply(delta).ok());
+      auto patched = held_plan->Patch(delta);
+      ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+      RoundCheckingSink seeded_sink(prev->pairs.size());
+      auto seeded = matcher.Rematch(*patched, *prev, delta, seeded_sink);
+      ASSERT_TRUE(seeded.ok()) << seeded.status().ToString();
+      EXPECT_EQ(seeded->stats.rematch_seeded, 1u);
+      EXPECT_EQ(seeded->pairs, cold->pairs);
+      ASSERT_GT(seeded->pairs.size(), prev->pairs.size())
+          << "the held-out triples lost no pair";
+      seeded_sink.ExpectPartOf(*seeded, prev->pairs);
+      EXPECT_FALSE(seeded_sink.confirmed.empty());
+    }
   }
 }
 

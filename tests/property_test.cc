@@ -67,7 +67,7 @@ TEST_P(WorkloadProperty, PairingIsNecessary) {
   SyntheticDataset ds = MakeDataset();
   EmOptions opts;
   EmContext ctx(ds.graph, ds.keys, opts);
-  EquivalenceRelation final_eq(ds.graph.NumNodes());
+  ConcurrentEquivalence final_eq(ds.graph.NumNodes());
   for (auto [a, b] : ds.planted) final_eq.Union(a, b);
   for (const Candidate& c : ctx.candidates()) {
     if (!final_eq.Same(c.e1, c.e2)) continue;  // only identified pairs
@@ -92,7 +92,7 @@ TEST_P(WorkloadProperty, EvalSearchAgreesWithVf2Enumeration) {
   SyntheticDataset ds = MakeDataset();
   EmOptions opts;
   EmContext ctx(ds.graph, ds.keys, opts);
-  EquivalenceRelation eq(ds.graph.NumNodes());
+  ConcurrentEquivalence eq(ds.graph.NumNodes());
   for (auto [a, b] : ds.planted) eq.Union(a, b);
   EqView view(&eq);
   size_t checked = 0;
@@ -116,7 +116,7 @@ TEST_P(WorkloadProperty, MonotoneInEq) {
   SyntheticDataset ds = MakeDataset();
   EmOptions opts;
   EmContext ctx(ds.graph, ds.keys, opts);
-  EquivalenceRelation eq(ds.graph.NumNodes());
+  ConcurrentEquivalence eq(ds.graph.NumNodes());
   for (auto [a, b] : ds.planted) eq.Union(a, b);
   EqView view(&eq);
   for (const Candidate& c : ctx.candidates()) {

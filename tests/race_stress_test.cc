@@ -90,7 +90,8 @@ TEST(RaceStress, ConcurrentRunsOverSharedPlan) {
 
 // Concurrent STREAMING runs: one sink per thread over the shared plan.
 // Each stream must deliver the full result exactly once — the per-run
-// PairStreamer mirrors must not bleed into each other.
+// stream state (each FixpointRun's carried class entries) must not bleed
+// into another run's.
 TEST(RaceStress, ConcurrentStreamingSinks) {
   SyntheticDataset data = GenerateSynthetic(StressConfig());
   auto plan = Matcher::Compile(data.graph, data.keys,

@@ -35,28 +35,7 @@ struct Workload {
   std::vector<Triple> all_triples;  // of the FULL generated graph
 };
 
-/// Rebuilds the generated graph node-for-node (same NodeIds) keeping only
-/// the triples `keep[i]` flags. The full triple list is returned so tests
-/// can stage the held-out ones as additions.
-Graph RebuildWithout(const Graph& src, const std::vector<Triple>& triples,
-                     const std::vector<uint8_t>& keep) {
-  Graph g;
-  for (NodeId n = 0; n < src.NumNodes(); ++n) {
-    NodeId id = src.IsEntity(n)
-                    ? g.AddEntity(src.interner().Resolve(src.entity_type(n)))
-                    : g.AddValue(src.value_str(n));
-    EXPECT_EQ(id, n);
-  }
-  for (size_t i = 0; i < triples.size(); ++i) {
-    if (!keep[i]) continue;
-    const Triple& t = triples[i];
-    EXPECT_TRUE(
-        g.AddTriple(t.subject, src.interner().Resolve(t.pred), t.object)
-            .ok());
-  }
-  g.Finalize();
-  return g;
-}
+using testing::RebuildWithout;
 
 Workload MakeWorkload(uint64_t seed) {
   SyntheticConfig cfg;

@@ -173,6 +173,30 @@ inline Graph PadWithIsolatedValues(const Graph& src, size_t pad = kSparsePad) {
   return g;
 }
 
+/// `src` rebuilt node for node (same NodeIds) with only the triples of
+/// `triples` that `keep[i]` flags, so a test can stage the rest as
+/// additions.
+inline Graph RebuildWithout(const Graph& src,
+                            const std::vector<Triple>& triples,
+                            const std::vector<uint8_t>& keep) {
+  Graph g;
+  for (NodeId n = 0; n < src.NumNodes(); ++n) {
+    NodeId id = src.IsEntity(n)
+                    ? g.AddEntity(src.interner().Resolve(src.entity_type(n)))
+                    : g.AddValue(src.value_str(n));
+    EXPECT_EQ(id, n);
+  }
+  for (size_t i = 0; i < triples.size(); ++i) {
+    if (!keep[i]) continue;
+    const Triple& t = triples[i];
+    EXPECT_TRUE(
+        g.AddTriple(t.subject, src.interner().Resolve(t.pred), t.object)
+            .ok());
+  }
+  g.Finalize();
+  return g;
+}
+
 /// Normalizes a pair list for comparison.
 inline std::vector<std::pair<NodeId, NodeId>> Pairs(
     std::initializer_list<std::pair<NodeId, NodeId>> pairs) {

@@ -85,7 +85,7 @@ TEST(Vf2, CoincideChecksEntityVarsAndValues) {
   // Same name but distinct artists: coincide only once artists are in Eq.
   EqView eq0;
   EXPECT_FALSE(Coincide(m.g, q1, m1[0], m2[0], eq0));
-  EquivalenceRelation eq(m.g.NumNodes());
+  ConcurrentEquivalence eq(m.g.NumNodes());
   eq.Union(m.art1, m.art2);
   EXPECT_TRUE(Coincide(m.g, q1, m1[0], m2[0], EqView(&eq)));
 }
@@ -108,7 +108,7 @@ TEST(Vf2, IdentifiesByEnumerationMatchesEvalSearch) {
         y:album -[recorded_by]-> x
       })",
   };
-  EquivalenceRelation eq(m.g.NumNodes());
+  ConcurrentEquivalence eq(m.g.NumNodes());
   eq.Union(m.alb1, m.alb2);  // one derived fact, to exercise entity vars
   EqView view(&eq);
   std::vector<NodeId> all = {m.alb1, m.alb2, m.alb3,
