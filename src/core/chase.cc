@@ -60,8 +60,8 @@ StatusOr<MatchResult> ChaseFixpoint(const EmContext& ctx,
       ++run.stats().iso_checks;
       int fired = -1;
       const bool found = ctx.IdentifiesWitness(
-          c, run.view(), &fired, opts.record_provenance ? &witness : nullptr,
-          &run.stats().search, oracle.unrestricted_neighbors, opts.use_vf2);
+          c, run.view(), &fired, &witness, &run.stats().search,
+          oracle.unrestricted_neighbors, opts.use_vf2);
       if (!found) {
         next.push_back(idx);
         continue;

@@ -67,14 +67,6 @@ struct EmOptions {
   int bounded_messages = 0;
   /// §5.2: prioritized propagation (highest-potential edges first).
   bool prioritized = false;
-  /// Record a Derivation (fired key, premises, witness triples) per direct
-  /// identification into MatchResult::derivations. Required for removal
-  /// deltas to be seeded by Matcher::Rematch (the provenance index is what
-  /// retraction replays); the overhead is one witness copy per successful
-  /// identification, so it stays on by default. With it off, a removal
-  /// Rematch retracts every previous pair and re-derives from scratch
-  /// (still exact, just slower).
-  bool record_provenance = true;
   /// Graceful-degradation budget: when > 0, the run checks a wall-clock
   /// deadline at the top of every fixpoint round and returns
   /// kDeadlineExceeded once the budget is spent. A streaming sink keeps
@@ -113,8 +105,7 @@ struct EmStats {
   uint64_t neighbor_nodes_reduced = 0;  // after pairing reduction
   SearchStats search;
   // ---- Incremental re-matching accounting (Matcher::Rematch) ----------
-  size_t rematch_seeded = 0;       // 1: this run was seeded from prev
-  size_t rematch_fallback = 0;     // 1: Rematch ran the patched plan full
+  size_t rematch_seeded = 0;       // 1: a Rematch, seeded from prev
   size_t derivations_retracted = 0;  // removal handling: over-deleted
   /// Pairs of the previous result absent from this one (Rematch only) —
   /// the exact retractions a removal delta caused, net of re-derivation.
@@ -236,13 +227,14 @@ struct MatchResult {
   /// All identified pairs (a, b), a < b, sorted — the non-reflexive part
   /// of chase(G, Σ).
   std::vector<std::pair<NodeId, NodeId>> pairs;
-  /// Per-derivation provenance index (EmOptions::record_provenance, on by
-  /// default): one entry per direct identification, in an order where
-  /// every premise is supported by earlier entries' transitive closure.
-  /// The Eq-closure of the recorded merges equals `pairs`. Feed the whole
-  /// result back into Matcher::Rematch so removal deltas can retract
-  /// exactly the derivations a removed triple invalidates. Flat, so a
-  /// seeded rematch carries it forward with one block copy per array.
+  /// Per-derivation provenance index, recorded by every run: one entry
+  /// per direct identification (fired key, premises, witness triples), in
+  /// an order where every premise is supported by earlier entries'
+  /// transitive closure. The Eq-closure of the recorded merges equals
+  /// `pairs`. Feed the whole result back into Matcher::Rematch so removal
+  /// deltas can retract exactly the derivations a removed triple
+  /// invalidates. Flat, so a seeded rematch carries it forward with one
+  /// block copy per array.
   ProvenanceIndex derivations;
   EmStats stats;
 };
@@ -312,8 +304,8 @@ struct RematchSeed {
   /// run's merges, so a run pays for the classes it touched, not for
   /// every node. Closed under transitivity, as a result's pairs and a
   /// retraction's seed_pairs are: a sink's stream counts every pair of
-  /// the seed's classes as streamed, so an unclosed seed fails the
-  /// stream's exactly-once check (Status::Internal).
+  /// the seed's classes as streamed, so under a sink an unclosed seed
+  /// fails the run with InvalidArgument before any callback.
   std::span<const std::pair<NodeId, NodeId>> prev_pairs;
   /// Candidate indices to re-check initially: a patched plan's
   /// dirty_candidates(), plus the retracted candidates under removals.

@@ -51,8 +51,8 @@ StatusOr<MatchResult> RunEmMapReduce(const EmContext& ctx,
           thread_local Witness witness;
           int fired = -1;
           const bool found = ctx.IdentifiesWitness(
-              c, view, &fired, opts.record_provenance ? &witness : nullptr,
-              &local, /*unrestricted=*/false, opts.use_vf2);
+              c, view, &fired, &witness, &local, /*unrestricted=*/false,
+              opts.use_vf2);
           // Recorded in map order: premises were Same under the previous
           // rounds' Eq, whose derivations are already logged.
           if (found) run.Record(c, fired, witness);

@@ -48,6 +48,15 @@ FixpointRun::FixpointRun(const EmContext& ctx, const EmOptions& opts,
         streamed_.push_back(ClassEntry(eq_.Find(b), b));
       }
       stats_.confirmed = seed->prev_pairs.size();
+      // Each seed pair lies in one class, so the list is closed exactly
+      // when it holds as many pairs as the seed's classes do.
+      const size_t class_pairs = ClassPairs(streamed_).size();
+      if (class_pairs != seed->prev_pairs.size()) {
+        seed_status_ = Status::InvalidArgument(
+            "previous result's " + std::to_string(seed->prev_pairs.size()) +
+            " pairs are not closed under transitivity: their classes hold " +
+            std::to_string(class_pairs) + " pairs");
+      }
     }
     const auto& candidates = ctx.candidates();
     for (uint32_t i = 0; i < candidates.size(); ++i) {
@@ -62,6 +71,7 @@ FixpointRun::FixpointRun(const EmContext& ctx, const EmOptions& opts,
 }
 
 Status FixpointRun::BeginRound() {
+  GKEYS_RETURN_IF_ERROR(seed_status_);
   const double budget = opts_.time_budget_seconds;
   if (budget > 0 && timer_.Seconds() >= budget) {
     char buf[64];
@@ -129,13 +139,12 @@ Status FixpointRun::EndRound() {
 }
 
 StatusOr<MatchResult> FixpointRun::Finish() {
+  GKEYS_RETURN_IF_ERROR(seed_status_);
   stats_.run_seconds = timer_.Seconds();
   MatchResult result;
   const ProvenanceIndex none;
   const ProvenanceIndex& carried =
-      seed_ != nullptr && opts_.record_provenance && seed_->carried != nullptr
-          ? *seed_->carried
-          : none;
+      seed_ != nullptr && seed_->carried != nullptr ? *seed_->carried : none;
   const std::vector<Derivation> recorded = deriv_log_.Take();
   // Sized exactly up front: the carried prefix is copied once.
   size_t premises = carried.premises.values.size();

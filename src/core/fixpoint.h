@@ -162,6 +162,9 @@ class FixpointRun {
   /// Starts the run timer and fills the plan-derived EmStats fields.
   /// With a `seed`, Eq starts from seed->prev_pairs (counted as already
   /// streamed) and the seed-equal candidates and ghosts are marked done.
+  /// With a seed and a sink, a seed list not closed under transitivity
+  /// fails the run with InvalidArgument at the first BeginRound (or
+  /// Finish), before the sink sees any callback.
   FixpointRun(const EmContext& ctx, const EmOptions& opts, MatchSink* sink,
               const RematchSeed* seed);
   // Workers and callbacks hold its address for the whole run.
@@ -185,12 +188,10 @@ class FixpointRun {
   }
 
   /// Records the Derivation of candidate `c` identified by compiled key
-  /// `key` under `witness`; no-op when provenance recording is off. Call
-  /// BEFORE Merge, so the log replays supporters ahead of dependents.
+  /// `key` under `witness`. Call BEFORE Merge, so the log replays
+  /// supporters ahead of dependents.
   void Record(const Candidate& c, int key, const Witness& witness) {
-    if (opts_.record_provenance) {
-      deriv_log_.Record(ctx_.MakeDerivation(c, key, witness));
-    }
+    deriv_log_.Record(ctx_.MakeDerivation(c, key, witness));
   }
   /// Unions (a, b) into Eq; true iff the classes were distinct. Thread-
   /// safe; the merge is logged, streamed at the next EndRound and listed
@@ -201,9 +202,10 @@ class FixpointRun {
     return true;
   }
 
-  /// Top of a round: kDeadlineExceeded once EmOptions::
-  /// time_budget_seconds is spent (a run that converges within budget
-  /// never fails — the check precedes rounds), else counts the round.
+  /// Top of a round: the seed's InvalidArgument (see the constructor),
+  /// kDeadlineExceeded once EmOptions::time_budget_seconds is spent (a
+  /// run that converges within budget never fails — the check precedes
+  /// rounds), else counts the round.
   Status BeginRound();
   /// End of a round, with the workers quiescent: streams the round's
   /// merges and reports progress to the sink, and returns kCancelled
@@ -238,14 +240,12 @@ class FixpointRun {
 
   /// The result: pairs, the derivations (the seed's carried prefix, so
   /// the index stays replayable across chained rematches, then this
-  /// run's records — empty with recording off, since a carried-only
-  /// index would break the closure == pairs contract and mislead the
-  /// next rematch's cost model), and the stream of the merges since the
-  /// last round, checking the exactly-once invariant (seed pairs plus
-  /// streamed pairs == result pairs). The pairs are listed from the
-  /// seed's and the run's merging unions (PairsOfMergedClasses), so
-  /// Finish costs the merges and the pairs, not the nodes, on cold and
-  /// seeded runs alike, and allocates nothing NumNodes()-sized.
+  /// run's records), and the stream of the merges since the last round,
+  /// checking the exactly-once invariant (seed pairs plus streamed pairs
+  /// == result pairs). The pairs are listed from the seed's and the run's
+  /// merging unions (PairsOfMergedClasses), so Finish costs the merges
+  /// and the pairs, not the nodes, on cold and seeded runs alike, and
+  /// allocates nothing NumNodes()-sized.
   StatusOr<MatchResult> Finish();
 
  private:
@@ -269,6 +269,9 @@ class FixpointRun {
   // rounds drain them from merge_log_.
   std::vector<std::pair<NodeId, NodeId>> merged_;
   DerivationLog deriv_log_;
+  // With a seed and a sink: OK, or the InvalidArgument of a seed list
+  // that is not closed under transitivity.
+  Status seed_status_;
   // With a sink: one ClassEntry per endpoint of every merge streamed so
   // far (the seed's included), labelled with its class's root as of the
   // last stream that touched the class.

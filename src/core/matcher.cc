@@ -14,14 +14,6 @@ namespace gkeys {
 
 namespace {
 
-/// kAuto seeds only while the patched plan's dirty_fraction() and
-/// affected_entity_fraction() stay at or below these. 0.5 ≈ the
-/// break-even the bench_incremental datasets show: past half the plan,
-/// re-checking dirty candidates plus the wake-up cascade costs about as
-/// much as checking everything.
-constexpr double kMaxDirtyFraction = 0.5;
-constexpr double kMaxAffectedFraction = 0.5;
-
 /// Reports prev \ cur to the sink (both pair lists sorted): the exact
 /// retractions a removal delta caused, net of everything the fixpoint
 /// re-derived. Called after the new result is final, so every reported
@@ -153,45 +145,6 @@ StatusOr<MatchResult> Matcher::RunWithSink(const MatchPlan& plan,
   return Dispatch(plan, sink, nullptr);
 }
 
-bool Matcher::ChooseSeeded(const MatchPlan& plan, const MatchResult& prev,
-                           const GraphDelta& delta, bool streaming) const {
-  switch (rematch_options_.mode) {
-    case RematchOptions::Mode::kForceSeed:
-      return true;
-    case RematchOptions::Mode::kForceFull:
-      return false;
-    case RematchOptions::Mode::kAuto:
-      break;
-  }
-  if (delta.has_removals() && prev.derivations.empty() &&
-      !prev.pairs.empty()) {
-    // No provenance index to retract against: the retained seed would be
-    // empty and every previously identified candidate would re-enter the
-    // pipeline — a full run does the same work without the bookkeeping
-    // (and a streaming sink re-receives everything either way).
-    return false;
-  }
-  if (streaming) {
-    // A fallback restarts the pair stream — every previously emitted
-    // pair again. For a long-lived sink that cost dwarfs the model's
-    // saving, so kAuto never falls back under a sink; kForceFull above
-    // remains the explicit override.
-    return true;
-  }
-  if (!plan.patched()) {
-    // No dirty set to narrow the re-check, but seeding still skips the
-    // re-derivation of everything already known.
-    return true;
-  }
-  // The affected region as a share of the plan: when either the dirty
-  // slice of L or the recompiled keyed entities approach the whole plan,
-  // the seeded path re-checks nearly everything anyway and its wake-up
-  // bookkeeping only adds overhead (the README amortization table's
-  // ≥ 1 % delta rows are this regime).
-  return plan.dirty_fraction() <= kMaxDirtyFraction &&
-         plan.affected_entity_fraction() <= kMaxAffectedFraction;
-}
-
 StatusOr<MatchResult> Matcher::RematchWithSink(const MatchPlan& plan,
                                                const MatchResult& prev,
                                                const GraphDelta& delta,
@@ -199,19 +152,6 @@ StatusOr<MatchResult> Matcher::RematchWithSink(const MatchPlan& plan,
   GKEYS_RETURN_IF_ERROR(Validate(plan));
   const size_t num_nodes = plan.context().graph().NumNodes();
   GKEYS_RETURN_IF_ERROR(CheckPrevPairs(prev.pairs, num_nodes));
-  if (!ChooseSeeded(plan, prev, delta, /*streaming=*/sink != nullptr)) {
-    // Full run of the patched plan — still exact for the post-delta
-    // graph, just unseeded.
-    StatusOr<MatchResult> r = RunWithSink(plan, sink);
-    if (r.ok()) {
-      r->stats.rematch_fallback = 1;
-      if (delta.has_removals()) {
-        r->stats.pairs_retracted =
-            ReportRetractedPairs(prev.pairs, r->pairs, sink);
-      }
-    }
-    return r;
-  }
 
   RematchSeed seed;
   RetractionResult retained;  // owns the removal path's seed storage

@@ -15,36 +15,6 @@ namespace storage {
 struct RecoveredSession;  // src/storage/recovery.h
 }  // namespace storage
 
-/// Options steering Matcher::Rematch's execution strategy. Orthogonal to
-/// EmOptions (which shape the fixpoint itself): these only decide HOW an
-/// incremental re-run uses the previous result.
-struct RematchOptions {
-  enum class Mode {
-    /// Cost model: seed when the patch's affected region is small — both
-    /// dirty_fraction() and affected_entity_fraction() of the patched
-    /// plan at most 0.5, a fixed threshold in matcher.cc — and fall back
-    /// to a full run of the patched plan when the region approaches the
-    /// whole plan (where seeding overhead loses; see the README
-    /// amortization table's ≥ 1 % rows). A removal delta whose previous
-    /// result carries no provenance index (EmOptions::record_provenance
-    /// was off) always runs full: the retained seed would be empty, so
-    /// seeding saves nothing. Streaming rematches (a sink present) never
-    /// auto-fall-back — a restart would re-emit every previously streamed
-    /// pair, which costs the consumer more than the model saves — except
-    /// in that same provenance-less removal case, where the stream
-    /// restarts either way.
-    kAuto,
-    /// Always seed, even when the model predicts a full run is cheaper.
-    /// The result is byte-identical either way; tests use this to pin the
-    /// seeded path (EmStats::rematch_fallback stays 0).
-    kForceSeed,
-    /// Always run the patched plan in full, ignoring the previous result
-    /// (except that prep accounting still reports the patch cost).
-    kForceFull,
-  };
-  Mode mode = Mode::kAuto;
-};
-
 /// The library's session API: compile once, run many (paper §4–§5; all
 /// algorithms share DriverMR's expensive line-1 preparation, so it is
 /// hoisted into an immutable MatchPlan).
@@ -71,9 +41,10 @@ struct RematchOptions {
 /// continues from the previous result instead of recomputing — seeded
 /// for additive deltas outright, and for removal deltas through
 /// provenance retraction (every result carries a per-derivation
-/// provenance index by default; see MatchResult::derivations and
-/// RematchOptions above). Every mode returns pairs byte-identical to a
-/// from-scratch Compile + Run on the post-delta graph.
+/// provenance index; see MatchResult::derivations). Identification is
+/// monotone in G and the chase is Church–Rosser (paper §3.1), so the
+/// seeded run returns pairs byte-identical to a from-scratch Compile +
+/// Run on the post-delta graph.
 ///
 /// A Matcher is a small value object holding only configuration; it is
 /// cheap to construct and copy, and one plan can be shared by matchers on
@@ -96,8 +67,8 @@ class Matcher {
 
   // ---- Builder-style configuration ----------------------------------
   // algorithm() loads the paper preset for `a` (EmOptions::For),
-  // preserving the configured processor count; later setters refine it.
-  // Order matters: set the algorithm first, then override knobs.
+  // preserving the configured processor count; options() replaces the
+  // whole set. Order matters: set the algorithm first, then the rest.
 
   Matcher& algorithm(Algorithm a) {
     algorithm_ = a;
@@ -107,31 +78,6 @@ class Matcher {
   /// Worker threads for the run (the paper's p), 1 to kMaxProcessors.
   Matcher& processors(int p) {
     options_.processors = p;
-    return *this;
-  }
-  /// Replace the combined EvalMR search by full VF2 enumeration.
-  Matcher& use_vf2(bool v) {
-    options_.use_vf2 = v;
-    return *this;
-  }
-  /// §4.2: process value-based pairs first (L0 seeds; MapReduce family).
-  Matcher& use_dependency(bool v) {
-    options_.use_dependency = v;
-    return *this;
-  }
-  /// §4.2: re-check a pair only after one of its dependencies fired.
-  Matcher& use_incremental(bool v) {
-    options_.use_incremental = v;
-    return *this;
-  }
-  /// §5.2: per-(pair, key) message budget k; 0 = unbounded.
-  Matcher& bounded_messages(int k) {
-    options_.bounded_messages = k;
-    return *this;
-  }
-  /// §5.2: prioritized propagation (highest-potential edges first).
-  Matcher& prioritized(bool v) {
-    options_.prioritized = v;
     return *this;
   }
   /// Graceful degradation for over-budget runs: a wall-clock budget in
@@ -144,33 +90,15 @@ class Matcher {
     options_.time_budget_seconds = s;
     return *this;
   }
-  /// Record a per-derivation provenance index into every result
-  /// (MatchResult::derivations; default on). Required for removal deltas
-  /// to run seeded — see Rematch below.
-  Matcher& record_provenance(bool v) {
-    options_.record_provenance = v;
-    return *this;
-  }
   /// Replaces the whole option set at once (for callers that already
   /// hold an EmOptions, e.g. the ablation bench and the engine tests).
   Matcher& options(const EmOptions& opts) {
     options_ = opts;
     return *this;
   }
-  /// Rematch strategy (seeded-vs-full choice); see RematchOptions.
-  Matcher& rematch_options(const RematchOptions& opts) {
-    rematch_options_ = opts;
-    return *this;
-  }
-  /// Shorthand for rematch_options({.mode = m}) keeping the thresholds.
-  Matcher& rematch_mode(RematchOptions::Mode m) {
-    rematch_options_.mode = m;
-    return *this;
-  }
 
   Algorithm algorithm() const { return algorithm_; }
   const EmOptions& options() const { return options_; }
-  const RematchOptions& rematch_options() const { return rematch_options_; }
 
   // ---- Execution -----------------------------------------------------
 
@@ -197,7 +125,7 @@ class Matcher {
   /// result of the previous run on the pre-delta graph — pass it back
   /// whole, its derivations ARE the provenance index removals need. The
   /// result is byte-identical to a from-scratch Run on the post-delta
-  /// graph in every mode.
+  /// graph.
   ///
   /// Additive deltas: the fixpoint is seeded from `prev` and only the
   /// plan's dirty candidates are re-checked (the dependency/ghost
@@ -210,14 +138,12 @@ class Matcher {
   /// over-deletion; RetractDerivations in core/provenance.h). The run is
   /// then seeded from the SURVIVING derivations, re-checking the dirty
   /// candidates plus every candidate whose pair was retracted — survivors
-  /// of the over-deletion re-derive through the normal fixpoint. Requires
-  /// `prev` to carry derivations (recorded by default); without them the
-  /// retained seed is empty, which is still exact but re-checks every
-  /// previously identified pair.
+  /// of the over-deletion re-derive through the normal fixpoint. A `prev`
+  /// without derivations (only a hand-built one lacks them) retains an
+  /// empty seed, which is still exact but re-checks every previously
+  /// identified pair.
   ///
-  /// RematchOptions::mode picks seeded vs. a full run of the patched plan
-  /// (kAuto consults the plan's affected-region statistics). The result's
-  /// stats record what happened: rematch_seeded / rematch_fallback /
+  /// The result's stats record the seeding: rematch_seeded (always 1) and
   /// derivations_retracted.
   ///
   /// The returned result is complete (retained pairs included), with
@@ -234,11 +160,11 @@ class Matcher {
   /// outlives successive additive rematches). When removals retract
   /// derivations, retracted-then-re-derived pairs are re-emitted (the
   /// stream cannot un-emit), and pairs that stay lost simply do not
-  /// appear; diff against `prev` for exact removal notifications. Under a
-  /// full-run fallback the stream restarts: every pair of the new result
-  /// is emitted. `prev.pairs` must be closed under transitivity, as every
-  /// result's are: the stream counts all pairs of the seed's classes as
-  /// already emitted, so an unclosed list fails with Status::Internal.
+  /// appear; OnPairRetracted reports the pairs of `prev` the result lost.
+  /// `prev.pairs` must be closed under transitivity, as every result's
+  /// are: the stream counts all pairs of the seed's classes as already
+  /// emitted, so an additive rematch from an unclosed list is
+  /// InvalidArgument before the sink sees any callback.
   StatusOr<MatchResult> Rematch(const MatchPlan& plan,
                                 const MatchResult& prev,
                                 const GraphDelta& delta,
@@ -279,16 +205,8 @@ class Matcher {
                                         const MatchResult& prev,
                                         const GraphDelta& delta,
                                         MatchSink* sink) const;
-  /// The kAuto cost model (and the kForce* overrides): should this
-  /// rematch seed from `prev` rather than run the patched plan in full?
-  /// `streaming` disables the kAuto fallback (a restart would re-emit
-  /// every previously streamed pair).
-  bool ChooseSeeded(const MatchPlan& plan, const MatchResult& prev,
-                    const GraphDelta& delta, bool streaming) const;
-
   Algorithm algorithm_ = Algorithm::kEmOptVc;
   EmOptions options_;
-  RematchOptions rematch_options_;
 };
 
 }  // namespace gkeys

@@ -43,8 +43,8 @@ namespace gkeys {
 /// ids or a non-entity subject, eagerly; existence of removed triples is
 /// checked by Graph::Apply (NotFound), not at staging time. Removal
 /// deltas are first-class downstream: Matcher::Rematch retracts the
-/// derivations a removed triple invalidates and re-seeds, instead of
-/// rerunning the world (see RematchOptions in core/matcher.h).
+/// derivations a removed triple invalidates and seeds from the rest,
+/// instead of rerunning the world (see Rematch in core/matcher.h).
 class GraphDelta {
  public:
   /// Stages against `base` as it is right now (captures the node count).

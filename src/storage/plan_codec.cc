@@ -180,10 +180,12 @@ Status PlanCodec::EncodeMeta(const SnapshotMeta& meta, Store& store) {
   v.push_back(static_cast<char>(meta.algorithm));
   const EmOptions& em = meta.em_options;
   PutVarint(v, static_cast<uint64_t>(em.processors));
+  // Bit 6 is provenance recording, which every run does. It stays set so
+  // the record's bytes do not change and older builds read it as on;
+  // DecodeMeta ignores it.
   uint8_t em_flags = (em.use_vf2 << 0) | (em.use_pairing << 1) |
                      (em.use_dependency << 2) | (em.use_incremental << 3) |
-                     (em.use_blocking << 4) | (em.prioritized << 5) |
-                     (em.record_provenance << 6);
+                     (em.use_blocking << 4) | (em.prioritized << 5) | (1 << 6);
   v.push_back(static_cast<char>(em_flags));
   PutVarint(v, static_cast<uint64_t>(em.bounded_messages));
   const PlanOptions& po = meta.plan_options;
@@ -231,7 +233,6 @@ StatusOr<SnapshotMeta> PlanCodec::DecodeMeta(const Store& store) {
   meta.em_options.use_incremental = em_flags & 8;
   meta.em_options.use_blocking = em_flags & 16;
   meta.em_options.prioritized = em_flags & 32;
-  meta.em_options.record_provenance = em_flags & 64;
   meta.em_options.bounded_messages = static_cast<int>(em_bounded);
   meta.plan_options.processors = static_cast<int>(po_procs);
   meta.plan_options.use_pairing = po_flags & 1;

@@ -66,7 +66,6 @@ std::vector<std::pair<std::string, double>> DeltaBatchFields(
       {"pairs", static_cast<double>(r.pairs.size())},
       {"dirty_candidates", static_cast<double>(dirty_candidates)},
       {"seeded", static_cast<double>(s.rematch_seeded)},
-      {"fallback", static_cast<double>(s.rematch_fallback)},
       {"derivations_retracted",
        static_cast<double>(s.derivations_retracted)},
       {"pairs_retracted", static_cast<double>(s.pairs_retracted)},
@@ -95,17 +94,6 @@ StatusOr<WorkloadSpec> ParseWorkloadSpec(std::string_view json_text) {
   spec.processors =
       std::max(1, static_cast<int>(doc->NumberOr("processors", 2)));
   spec.oracle = doc->BoolOr("oracle", true);
-
-  std::string mode = doc->StringOr("rematch_mode", "auto");
-  if (mode == "auto") {
-    spec.rematch_mode = RematchOptions::Mode::kAuto;
-  } else if (mode == "seed") {
-    spec.rematch_mode = RematchOptions::Mode::kForceSeed;
-  } else if (mode == "full") {
-    spec.rematch_mode = RematchOptions::Mode::kForceFull;
-  } else {
-    return Status::InvalidArgument("rematch_mode must be auto, seed, or full");
-  }
 
   const JsonValue* algos = doc->Find("algorithms");
   if (algos == nullptr || (algos->is_string() && algos->string() == "all")) {
@@ -336,9 +324,8 @@ StatusOr<WorkloadReport> RunWorkload(const WorkloadSpec& spec,
           if (!dirty.ok()) return dirty.status();
           StatusOr<MatchPlan> patched = s->plan.Patch(delta);
           if (!patched.ok()) return patched.status();
-          Matcher m(s->algo);
-          m.processors(p).rematch_mode(spec.rematch_mode);
-          StatusOr<MatchResult> r = m.Rematch(*patched, s->res, delta);
+          StatusOr<MatchResult> r = Matcher(s->algo).processors(p).Rematch(
+              *patched, s->res, delta);
           if (!r.ok()) return r.status();
           double patch_s = patched->compile_seconds();
           size_t dirty_candidates = patched->dirty_candidates().size();

@@ -42,7 +42,6 @@ namespace gkeys {
 ///     "repetitions": 1,                      // timing reps, same seed
 ///     "processors": 2,
 ///     "algorithms": "all" | ["EMOptMR", ...],// default "all" (six)
-///     "rematch_mode": "auto"|"seed"|"full",  // default "auto"
 ///     "oracle": true,
 ///     "dataset": {
 ///       "generator": "synthetic" | "google" | "dbpedia" |
@@ -68,7 +67,6 @@ struct WorkloadSpec {
   int repetitions = 1;
   int processors = 2;
   std::vector<Algorithm> algorithms;
-  RematchOptions::Mode rematch_mode = RematchOptions::Mode::kAuto;
   bool oracle = true;
 
   std::string generator;

@@ -16,11 +16,15 @@
 
 #include <gtest/gtest.h>
 
+#include "test_util.h"
+
 #ifndef GKEYS_CLI_BINARY
 #error "cli_test requires GKEYS_CLI_BINARY (set by CMakeLists.txt)"
 #endif
 
 namespace {
+
+using gkeys::testing::TempPath;
 
 struct RunOutput {
   int exit_code;
@@ -48,7 +52,7 @@ RunOutput RunCli(const std::string& args,
 }
 
 std::string TempFile(const std::string& name, const std::string& content) {
-  std::string path = ::testing::TempDir() + "gkeys_cli_" + name;
+  std::string path = TempPath(name);
   std::ofstream out(path, std::ios::trunc);
   out << content;
   EXPECT_TRUE(out.good()) << path;
@@ -145,7 +149,7 @@ std::vector<std::string> Lines(const std::string& text) {
 }
 
 SplitOutput RunCliSplit(const std::string& args) {
-  const std::string err_path = ::testing::TempDir() + "gkeys_cli_stderr";
+  const std::string err_path = TempPath("stderr");
   RunOutput run = RunCli(args, err_path);
   std::ifstream err(err_path);
   return {run.exit_code, run.text,
@@ -165,7 +169,7 @@ std::vector<std::string> PairLines(const std::string& text) {
 }
 
 TEST_F(CliTest, SaveWithoutDirIsUsageError) {
-  std::string snap = ::testing::TempDir() + "gkeys_cli_snap.gks";
+  std::string snap = TempPath("snap.gks");
   RunOutput save = RunCli("save " + graph_ + " " + keys_ + " " + snap);
   EXPECT_EQ(save.exit_code, 2) << save.text;
   EXPECT_NE(save.text.find("usage"), std::string::npos) << save.text;
@@ -349,7 +353,7 @@ void SpitBinary(const std::string& path, const std::string& bytes) {
 }
 
 std::string FreshDir(const std::string& name) {
-  std::string dir = ::testing::TempDir() + "gkeys_cli_" + name;
+  std::string dir = TempPath(name);
   std::string cmd = "rm -rf '" + dir + "'";
   (void)std::system(cmd.c_str());
   return dir;

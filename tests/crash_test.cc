@@ -49,9 +49,7 @@ const std::vector<Algorithm>& AllAlgorithms() {
   return algos;
 }
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "gkeys_crash_" + name;
-}
+using testing::TempPath;
 
 void RemoveTree(const std::string& dir) {
   // Test-only cleanup of a flat DurableDir (no subdirectories).

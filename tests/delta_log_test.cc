@@ -32,9 +32,7 @@ using storage::MmapStore;
 using storage::Snapshot;
 namespace fileops = storage::fileops;
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "gkeys_wal_" + name;
-}
+using testing::TempPath;
 
 std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

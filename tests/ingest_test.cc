@@ -444,9 +444,9 @@ TEST(ShardedLogs, DerivationLogTakesEntriesInRecordOrder) {
 
 TEST(ShardedLogs, RematchRemovalsStayExactWithShardedLogs) {
   // Incremental path: a removal delta seeds from the provenance index
-  // that a SHARDED log recorded (forced seeded, so the retraction really
-  // runs). The result must be byte-identical to a from-scratch run on
-  // the mutated graph, for one log shard and for several alike.
+  // that a SHARDED log recorded, so the retraction really runs. The
+  // result must be byte-identical to a from-scratch run on the mutated
+  // graph, for one log shard and for several alike.
   SyntheticDataset ds = ShardWorkload(23);
   for (int p : {1, 2, 4}) {
     SCOPED_TRACE("processors " + std::to_string(p));
@@ -454,7 +454,7 @@ TEST(ShardedLogs, RematchRemovalsStayExactWithShardedLogs) {
     std::vector<Triple> present;
     g.ForEachTriple([&](const Triple& t) { present.push_back(t); });
     Matcher matcher(Algorithm::kEmOptVc);
-    matcher.processors(p).rematch_mode(RematchOptions::Mode::kForceSeed);
+    matcher.processors(p);
     auto plan = Matcher::Compile(g, ds.keys,
                                  PlanOptions::For(Algorithm::kEmOptVc, 2));
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -479,7 +479,7 @@ TEST(ShardedLogs, RematchRemovalsStayExactWithShardedLogs) {
     ASSERT_TRUE(patched.ok()) << patched.status().ToString();
     auto inc = matcher.Rematch(*patched, *r, delta);
     ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-    EXPECT_EQ(inc->stats.rematch_fallback, 0u);
+    EXPECT_EQ(inc->stats.rematch_seeded, 1u);
 
     auto scratch_plan = Matcher::Compile(
         g, ds.keys, PlanOptions::For(Algorithm::kEmOptVc, 2));

@@ -124,7 +124,7 @@ TEST(TriplesIo, EntityReferencesAreStable) {
 
 TEST(TriplesIo, FileRoundTrip) {
   auto m = testing::MakeG1();
-  std::string path = ::testing::TempDir() + "/gkeys_io_test.triples";
+  std::string path = testing::TempPath("io_test.triples");
   ASSERT_TRUE(SaveGraph(m.g, path).ok());
   auto loaded = ReadGraphFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

@@ -215,7 +215,7 @@ TEST(Matcher, CooperativeCancellationSurfacesAsCancelled) {
     auto plan = Matcher::Compile(g, ds.keys, PlanOptions::For(a, 2));
     ASSERT_TRUE(plan.ok());
     Matcher matcher(a);
-    matcher.processors(2).rematch_mode(RematchOptions::Mode::kForceSeed);
+    matcher.processors(2);
     RecordingSink sink;
     sink.cancel_after = 1;  // stop at the first round boundary
     auto r = matcher.Run(*plan, sink);
@@ -301,7 +301,7 @@ TEST(Matcher, EveryRoundStreamsExactlyItsConfirmedPairs) {
                         Algorithm::kEmVc, Algorithm::kEmOptVc}) {
       SCOPED_TRACE(AlgorithmName(a));
       Matcher matcher(a);
-      matcher.processors(2).rematch_mode(RematchOptions::Mode::kForceSeed);
+      matcher.processors(2);
 
       auto plan = Matcher::Compile(full, ds.keys, PlanOptions::For(a, 2));
       ASSERT_TRUE(plan.ok()) << plan.status().ToString();
@@ -384,7 +384,9 @@ TEST(Matcher, InvalidOptionsAreInvalidArgument) {
   ASSERT_FALSE(r1.ok());
   EXPECT_EQ(r1.status().code(), StatusCode::kInvalidArgument);
 
-  auto r2 = Matcher(Algorithm::kEmOptVc).bounded_messages(-1).Run(*plan);
+  EmOptions negative_budget = EmOptions::For(Algorithm::kEmOptVc, 1);
+  negative_budget.bounded_messages = -1;
+  auto r2 = Matcher(Algorithm::kEmOptVc).options(negative_budget).Run(*plan);
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
 

@@ -300,7 +300,7 @@ TEST(PlanGolden, RematchedLineageResultRecordsMatchTheGoldenTable) {
       auto plan = Matcher::Compile(ds->graph, ds->keys, PlanOptions::For(a, 1));
       ASSERT_TRUE(plan.ok()) << plan.status().message();
       Matcher matcher(a);
-      matcher.processors(1).rematch_mode(RematchOptions::Mode::kForceSeed);
+      matcher.processors(1);
       auto result = matcher.Run(*plan);
       ASSERT_TRUE(result.ok()) << result.status().message();
       auto gen = MakeDeltaGenerator(spec->delta_kind, spec->delta_config);

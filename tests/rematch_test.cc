@@ -5,8 +5,8 @@
 // (each step patches the previous step's patched plan).
 
 #include <algorithm>
+#include <iterator>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -98,15 +98,13 @@ std::vector<std::pair<NodeId, NodeId>> FromScratch(const Graph& g,
 
 /// Drives one delta stream for one algorithm: starting graph = the full
 /// graph minus `held_out`; each chunk re-adds some held-out triples
-/// and/or removes some present ones. After every chunk the patched chain
-/// must agree byte-for-byte with a from-scratch compile + run. In
-/// kForceSeed mode, additionally asserts every chunk really ran seeded
-/// (EmStats::rematch_fallback stays 0 — no full-run fallback taken).
-/// After every step the result's provenance index closes to its pairs.
+/// and/or removes some present ones. After every chunk the seeded
+/// rematch must agree byte-for-byte with a from-scratch compile + run
+/// and, with `run_patched`, with a full Run of the patched plan. After
+/// every step the result's provenance index closes to its pairs.
 void RunStream(uint64_t seed, Algorithm algo, size_t hold_out,
                size_t chunks, size_t removals_per_chunk,
-               RematchOptions::Mode mode = RematchOptions::Mode::kAuto,
-               Layout layout = Layout::kDense) {
+               Layout layout = Layout::kDense, bool run_patched = false) {
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " algo=" + AlgorithmName(algo) +
                " hold_out=" + std::to_string(hold_out) +
@@ -130,7 +128,7 @@ void RunStream(uint64_t seed, Algorithm algo, size_t hold_out,
   ASSERT_TRUE(plan_or.ok()) << plan_or.status().ToString();
   MatchPlan plan = *plan_or;
   Matcher matcher(algo);
-  matcher.processors(2).rematch_mode(mode);
+  matcher.processors(2);
   auto result_or = matcher.Run(plan);
   ASSERT_TRUE(result_or.ok()) << result_or.status().ToString();
   MatchResult result = *std::move(result_or);
@@ -176,9 +174,11 @@ void RunStream(uint64_t seed, Algorithm algo, size_t hold_out,
     ASSERT_TRUE(patched.ok()) << patched.status().ToString();
     auto rematched = matcher.Rematch(*patched, result, delta);
     ASSERT_TRUE(rematched.ok()) << rematched.status().ToString();
-    if (mode == RematchOptions::Mode::kForceSeed) {
-      EXPECT_EQ(rematched->stats.rematch_fallback, 0u);
-      EXPECT_EQ(rematched->stats.rematch_seeded, 1u);
+    EXPECT_EQ(rematched->stats.rematch_seeded, 1u);
+    if (run_patched) {
+      auto full = matcher.Run(*patched);
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      EXPECT_EQ(full->pairs, rematched->pairs);
     }
     plan = *std::move(patched);
     result = *std::move(rematched);
@@ -201,8 +201,7 @@ TEST(Rematch, AdditiveStreamsMatchFromScratchAllAlgorithms) {
                 /*removals_per_chunk=*/0);
     }
     RunStream(/*seed=*/1, algo, /*hold_out=*/12, /*chunks=*/3,
-              /*removals_per_chunk=*/0, RematchOptions::Mode::kAuto,
-              Layout::kSparse);
+              /*removals_per_chunk=*/0, Layout::kSparse);
   }
 }
 
@@ -210,8 +209,7 @@ TEST(Rematch, DeletionHeavyStreamsMatchFromScratchAllAlgorithms) {
   for (Algorithm algo : AllAlgorithms()) {
     for (Layout layout : {Layout::kDense, Layout::kSparse}) {
       RunStream(/*seed=*/3, algo, /*hold_out=*/0, /*chunks=*/3,
-                /*removals_per_chunk=*/10, RematchOptions::Mode::kAuto,
-                layout);
+                /*removals_per_chunk=*/10, layout);
     }
   }
 }
@@ -220,37 +218,37 @@ TEST(Rematch, MixedStreamsMatchFromScratchAllAlgorithms) {
   for (Algorithm algo : AllAlgorithms()) {
     for (Layout layout : {Layout::kDense, Layout::kSparse}) {
       RunStream(/*seed=*/4, algo, /*hold_out=*/9, /*chunks=*/3,
-                /*removals_per_chunk=*/4, RematchOptions::Mode::kAuto,
-                layout);
+                /*removals_per_chunk=*/4, layout);
     }
   }
 }
 
 TEST(Rematch, RemovalOnlyStreamsRunSeededAllAlgorithms) {
-  // kForceSeed pins the provenance-retraction path: every chunk must run
-  // seeded (no full-run fallback, asserted inside RunStream via the
-  // rematch_fallback counter) and still be byte-identical to from-scratch.
+  // The provenance-retraction path: every chunk runs seeded (asserted
+  // inside RunStream) and is byte-identical to from-scratch.
   for (Algorithm algo : AllAlgorithms()) {
     for (uint64_t seed : {7u, 8u}) {
       RunStream(seed, algo, /*hold_out=*/0, /*chunks=*/3,
-                /*removals_per_chunk=*/6, RematchOptions::Mode::kForceSeed);
+                /*removals_per_chunk=*/6);
     }
   }
 }
 
 TEST(Rematch, RemovalHeavyStreamsRunSeededAllAlgorithms) {
-  // Removal-heavy mixed streams (few re-additions, many removals) under
-  // forced seeding: retraction plus the dirty re-check must stay exact
-  // even when most of each delta is destructive.
+  // Removal-heavy mixed streams (few re-additions, many removals):
+  // retraction plus the dirty re-check must stay exact even when most of
+  // each delta is destructive.
   for (Algorithm algo : AllAlgorithms()) {
     RunStream(/*seed=*/9, algo, /*hold_out=*/4, /*chunks=*/3,
-              /*removals_per_chunk=*/12, RematchOptions::Mode::kForceSeed);
+              /*removals_per_chunk=*/12);
   }
 }
 
-TEST(Rematch, ForceFullStreamsStayExact) {
+TEST(Rematch, FullRunsOfPatchedPlansStayExact) {
+  // A patched plan also runs unseeded: a full Run of it equals the
+  // seeded rematch after every chunk.
   RunStream(/*seed=*/10, Algorithm::kEmOptVc, /*hold_out=*/8, /*chunks=*/2,
-            /*removals_per_chunk=*/5, RematchOptions::Mode::kForceFull);
+            /*removals_per_chunk=*/5, Layout::kDense, /*run_patched=*/true);
 }
 
 TEST(Rematch, DerivationClosureEqualsPairsAllAlgorithms) {
@@ -278,10 +276,10 @@ TEST(Rematch, DerivationClosureEqualsPairsAllAlgorithms) {
   }
 }
 
-TEST(Rematch, RemovalWithoutProvenanceAutoFallsBackAndStaysExact) {
-  // A previous result stripped of its derivations cannot seed a removal:
-  // kAuto must run the patched plan in full (rematch_fallback == 1) and
-  // the result must still match from-scratch.
+TEST(Rematch, RemovalWithoutProvenanceSeedsAndStaysExact) {
+  // A previous result stripped of its derivations retains an empty seed
+  // under a removal: every candidate whose pair it held is re-checked,
+  // and the seeded result still matches from-scratch.
   Workload w = MakeWorkload(12);
   Graph& g = w.graph;
   Algorithm algo = Algorithm::kEmOptVc;
@@ -291,7 +289,7 @@ TEST(Rematch, RemovalWithoutProvenanceAutoFallsBackAndStaysExact) {
   auto prev = matcher.Run(*plan);
   ASSERT_TRUE(prev.ok());
   ASSERT_FALSE(prev->pairs.empty());
-  prev->derivations = {};  // simulate record_provenance(false)
+  prev->derivations = {};  // only a hand-built result lacks them
 
   Triple victim;
   bool have = false;
@@ -313,24 +311,16 @@ TEST(Rematch, RemovalWithoutProvenanceAutoFallsBackAndStaysExact) {
   ASSERT_TRUE(patched.ok());
 
   auto rematched = matcher.Rematch(*patched, *prev, delta);
-  ASSERT_TRUE(rematched.ok());
-  EXPECT_EQ(rematched->stats.rematch_fallback, 1u);
-  EXPECT_EQ(rematched->stats.rematch_seeded, 0u);
+  ASSERT_TRUE(rematched.ok()) << rematched.status().ToString();
+  EXPECT_EQ(rematched->stats.rematch_seeded, 1u);
+  EXPECT_EQ(rematched->stats.derivations_retracted, 0u);
   EXPECT_EQ(rematched->pairs, FromScratch(g, w.keys, algo));
-
-  // Forced seeding without provenance is the degenerate seed (empty
-  // retained fixpoint, every previously-equal candidate re-checked) —
-  // slower, but still exact.
-  auto forced = matcher.rematch_mode(RematchOptions::Mode::kForceSeed)
-                    .Rematch(*patched, *prev, delta);
-  ASSERT_TRUE(forced.ok());
-  EXPECT_EQ(forced->stats.rematch_seeded, 1u);
-  EXPECT_EQ(forced->pairs, rematched->pairs);
+  // Every pair was re-derived, so the next rematch has a full index.
+  ExpectIndexClosesToPairs(g, *rematched);
 }
 
-TEST(Rematch, AutoSeedsSmallDeltasAndReportsRetractions) {
-  // A delta removing one triple out of hundreds leaves a small affected
-  // region: the kAuto cost model must choose the seeded path, and the
+TEST(Rematch, SmallRemovalSeedsAndReportsRetractions) {
+  // A delta removing one triple a derivation's witness realized: the
   // retraction counter must reflect the over-deleted derivations.
   Workload w = MakeWorkload(13);
   Graph& g = w.graph;
@@ -353,12 +343,10 @@ TEST(Rematch, AutoSeedsSmallDeltasAndReportsRetractions) {
   ASSERT_TRUE(g.Apply(delta).ok());
   auto patched = plan->Patch(delta);
   ASSERT_TRUE(patched.ok());
-  EXPECT_LT(patched->dirty_fraction(), 0.5);
 
   auto rematched = matcher.Rematch(*patched, *prev, delta);
   ASSERT_TRUE(rematched.ok());
   EXPECT_EQ(rematched->stats.rematch_seeded, 1u);
-  EXPECT_EQ(rematched->stats.rematch_fallback, 0u);
   EXPECT_GE(rematched->stats.derivations_retracted, 1u);
   EXPECT_EQ(rematched->pairs, FromScratch(g, w.keys, algo));
 }
@@ -413,6 +401,23 @@ TEST(Rematch, NewEntitiesArriveViaDeltaAndGetIdentified) {
   }
 }
 
+/// Records every pair a run streams.
+struct RecordingSink : MatchSink {
+  void OnPair(NodeId a, NodeId b) override { pairs.emplace_back(a, b); }
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+};
+
+/// `sink` saw exactly the pairs of `result` not in `base`, each once.
+void ExpectStreamedResultMinusBase(RecordingSink sink, const MatchResult& base,
+                                   const MatchResult& result) {
+  std::vector<std::pair<NodeId, NodeId>> expected;
+  std::set_difference(result.pairs.begin(), result.pairs.end(),
+                      base.pairs.begin(), base.pairs.end(),
+                      std::back_inserter(expected));
+  std::sort(sink.pairs.begin(), sink.pairs.end());
+  EXPECT_EQ(sink.pairs, expected);
+}
+
 /// Holds out 10 triples of `w`, runs, re-adds them and rematches seeded
 /// under a sink: the sink must see exactly the new pairs, each once.
 void ExpectStreamSeesExactlyTheDelta(Workload w) {
@@ -431,9 +436,7 @@ void ExpectStreamSeesExactlyTheDelta(Workload w) {
   auto plan = Matcher::Compile(g, w.keys, PlanOptions::For(algo, 2));
   ASSERT_TRUE(plan.ok());
   Matcher matcher(algo);
-  // Force the seeded path: the exactly-the-delta stream contract is what
-  // this test pins (a kAuto fallback would legitimately restart it).
-  matcher.processors(2).rematch_mode(RematchOptions::Mode::kForceSeed);
+  matcher.processors(2);
   auto base = matcher.Run(*plan);
   ASSERT_TRUE(base.ok());
 
@@ -449,29 +452,10 @@ void ExpectStreamSeesExactlyTheDelta(Workload w) {
   auto patched = plan->Patch(delta);
   ASSERT_TRUE(patched.ok());
 
-  class Collect : public MatchSink {
-   public:
-    void OnPair(NodeId a, NodeId b) override { pairs.emplace_back(a, b); }
-    std::vector<std::pair<NodeId, NodeId>> pairs;
-  };
-  Collect sink;
+  RecordingSink sink;
   auto rematched = matcher.Rematch(*patched, *base, delta, sink);
   ASSERT_TRUE(rematched.ok()) << rematched.status().ToString();
-
-  // The sink got exactly result-minus-prev, each pair once.
-  std::unordered_set<uint64_t> prev_set;
-  for (const auto& [a, b] : base->pairs) {
-    prev_set.insert((static_cast<uint64_t>(a) << 32) | b);
-  }
-  std::vector<std::pair<NodeId, NodeId>> expected;
-  for (const auto& [a, b] : rematched->pairs) {
-    if (prev_set.count((static_cast<uint64_t>(a) << 32) | b) == 0) {
-      expected.emplace_back(a, b);
-    }
-  }
-  std::sort(sink.pairs.begin(), sink.pairs.end());
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(sink.pairs, expected);
+  ExpectStreamedResultMinusBase(sink, *base, *rematched);
   EXPECT_GT(rematched->pairs.size(), base->pairs.size())
       << "the held-out triples were chosen too boringly";
 }
@@ -483,54 +467,126 @@ TEST(Rematch, StreamingSinkSeesExactlyTheDelta) {
   }
 }
 
-TEST(Rematch, AutoNeverFallsBackUnderAStreamingSink) {
-  // A kAuto fallback restarts the pair stream (every previously emitted
-  // pair again), so with a sink present the cost model must keep
-  // seeding even when the delta dirties most of the plan.
-  Workload w = MakeWorkload(5);
-  std::vector<uint8_t> keep(w.all_triples.size(), 1);
-  // Hold out a third of all edges — far past the kAuto thresholds.
-  Rng rng(7);
-  size_t hold = w.all_triples.size() / 3;
-  for (size_t chosen = 0; chosen < hold;) {
-    size_t pick = rng.Below(w.all_triples.size());
-    if (keep[pick]) {
-      keep[pick] = 0;
-      ++chosen;
+TEST(Rematch, LargeDeltasSeedSilentAndStreaming) {
+  // Re-adding a third of all edges dirties more than half of L. Every
+  // algorithm still seeds, silent and under a sink, in both layouts: the
+  // pairs equal a fresh Compile + Run, and the sink sees exactly the
+  // result minus the base.
+  for (Layout layout : {Layout::kDense, Layout::kSparse}) {
+    SCOPED_TRACE(layout == Layout::kSparse ? "sparse" : "dense");
+    const Workload w = MakeWorkload(5, layout);
+    std::vector<uint8_t> keep(w.all_triples.size(), 1);
+    Rng rng(7);
+    for (size_t chosen = 0; chosen < w.all_triples.size() / 3;) {
+      size_t pick = rng.Below(w.all_triples.size());
+      if (keep[pick]) {
+        keep[pick] = 0;
+        ++chosen;
+      }
+    }
+    for (Algorithm algo : AllAlgorithms()) {
+      SCOPED_TRACE(AlgorithmName(algo));
+      Graph g = RebuildWithout(w.graph, w.all_triples, keep);
+      auto plan = Matcher::Compile(g, w.keys, PlanOptions::For(algo, 2));
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      Matcher matcher(algo);
+      matcher.processors(2);
+      auto base = matcher.Run(*plan);
+      ASSERT_TRUE(base.ok()) << base.status().ToString();
+      GraphDelta delta(g);
+      for (size_t i = 0; i < w.all_triples.size(); ++i) {
+        if (keep[i]) continue;
+        const Triple& t = w.all_triples[i];
+        ASSERT_TRUE(delta
+                        .AddTriple(t.subject,
+                                   w.graph.interner().Resolve(t.pred),
+                                   t.object)
+                        .ok());
+      }
+      ASSERT_TRUE(g.Apply(delta).ok());
+      auto patched = plan->Patch(delta);
+      ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+      ASSERT_GT(2 * patched->dirty_candidates().size(),
+                patched->num_candidates())
+          << "delta too small to test";
+      const auto expected = FromScratch(g, w.keys, algo);
+
+      auto silent = matcher.Rematch(*patched, *base, delta);
+      ASSERT_TRUE(silent.ok()) << silent.status().ToString();
+      EXPECT_EQ(silent->stats.rematch_seeded, 1u);
+      EXPECT_EQ(silent->pairs, expected);
+
+      RecordingSink sink;
+      auto streamed = matcher.Rematch(*patched, *base, delta, sink);
+      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+      EXPECT_EQ(streamed->stats.rematch_seeded, 1u);
+      EXPECT_EQ(streamed->pairs, expected);
+      ExpectStreamedResultMinusBase(sink, *base, *streamed);
     }
   }
-  Graph g = RebuildWithout(w.graph, w.all_triples, keep);
-  Algorithm algo = Algorithm::kEmOptVc;
-  auto plan = Matcher::Compile(g, w.keys, PlanOptions::For(algo, 1));
-  ASSERT_TRUE(plan.ok());
-  Matcher matcher(algo);  // default kAuto
-  auto base = matcher.Run(*plan);
-  ASSERT_TRUE(base.ok());
-  GraphDelta delta(g);
-  for (size_t i = 0; i < w.all_triples.size(); ++i) {
-    if (keep[i]) continue;
-    const Triple& t = w.all_triples[i];
-    ASSERT_TRUE(delta
-                    .AddTriple(t.subject,
-                               w.graph.interner().Resolve(t.pred), t.object)
-                    .ok());
+}
+
+TEST(Rematch, UnclosedPrevUnderASinkIsInvalidArgumentBeforeAnyCallback) {
+  // Q2 identifies three albums, and a hand-built previous result lists
+  // (a, b) and (b, c) without (a, c). The silent rematch returns the
+  // closed result. Under a sink the stream would count (a, c) as already
+  // emitted, so the rematch is InvalidArgument before any callback.
+  KeySet keys;
+  ASSERT_TRUE(keys.AddFromDsl(R"(
+    key Q2 for album {
+      x -[name_of]-> n*
+      x -[release_year]-> yr*
+    }
+  )").ok());
+  class CountingSink : public MatchSink {
+   public:
+    void OnPair(NodeId, NodeId) override { ++callbacks; }
+    void OnPairRetracted(NodeId, NodeId) override { ++callbacks; }
+    void OnProgress(const EmStats&) override { ++callbacks; }
+    int callbacks = 0;
+  };
+  for (Algorithm algo : AllAlgorithms()) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    Graph g;
+    NodeId album[3];
+    for (NodeId& a : album) {
+      a = g.AddEntity("album");
+      g.AddTriple(a, "name_of", g.AddValue("Anthology 2")).IgnoreError();
+      g.AddTriple(a, "release_year", g.AddValue("1996")).IgnoreError();
+    }
+    g.Finalize();
+    auto plan = Matcher::Compile(g, keys, PlanOptions::For(algo, 2));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    Matcher matcher(algo);
+    matcher.processors(2);
+    auto prev = matcher.Run(*plan);
+    ASSERT_TRUE(prev.ok()) << prev.status().ToString();
+    const auto closed = testing::Pairs(
+        {{album[0], album[1]}, {album[0], album[2]}, {album[1], album[2]}});
+    ASSERT_EQ(prev->pairs, closed);
+    prev->pairs = testing::Pairs({{album[0], album[1]}, {album[1], album[2]}});
+
+    GraphDelta delta(g);
+    ASSERT_TRUE(
+        delta.AddTriple(album[0], "unread_pred", delta.AddValue("x")).ok());
+    ASSERT_TRUE(g.Apply(delta).ok());
+    auto patched = plan->Patch(delta);
+    ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+
+    auto silent = matcher.Rematch(*patched, *prev, delta);
+    ASSERT_TRUE(silent.ok()) << silent.status().ToString();
+    EXPECT_EQ(silent->pairs, closed);
+
+    CountingSink sink;
+    auto streamed = matcher.Rematch(*patched, *prev, delta, sink);
+    ASSERT_FALSE(streamed.ok());
+    EXPECT_EQ(streamed.status().code(), StatusCode::kInvalidArgument)
+        << streamed.status().ToString();
+    EXPECT_NE(streamed.status().message().find("not closed"),
+              std::string::npos)
+        << streamed.status().message();
+    EXPECT_EQ(sink.callbacks, 0);
   }
-  ASSERT_TRUE(g.Apply(delta).ok());
-  auto patched = plan->Patch(delta);
-  ASSERT_TRUE(patched.ok());
-  ASSERT_GT(patched->dirty_fraction(), 0.5) << "delta too small to test";
-
-  MatchSink sink;  // inert default sink — presence is what matters
-  auto streamed = matcher.Rematch(*patched, *base, delta, sink);
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_EQ(streamed->stats.rematch_fallback, 0u);
-  EXPECT_EQ(streamed->stats.rematch_seeded, 1u);
-
-  // Without the sink the same rematch falls back (the model's call).
-  auto plain = matcher.Rematch(*patched, *base, delta);
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain->stats.rematch_fallback, 1u);
-  EXPECT_EQ(plain->pairs, streamed->pairs);
 }
 
 TEST(Rematch, PatchBeforeApplyIsFailedPrecondition) {
@@ -614,7 +670,7 @@ TEST(Rematch, SparseClassesJoinAndSplitExactly) {
     auto plan = Matcher::Compile(g, keys, PlanOptions::For(algo, 2));
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     Matcher matcher(algo);
-    matcher.processors(2).rematch_mode(RematchOptions::Mode::kForceSeed);
+    matcher.processors(2);
     auto base = matcher.Run(*plan);
     ASSERT_TRUE(base.ok()) << base.status().ToString();
     MatchResult result = *std::move(base);
@@ -667,7 +723,6 @@ TEST(Rematch, RejectsAPrevResultNotFromThisGraph) {
   auto plan = Matcher::Compile(g, w.keys, PlanOptions::For(algo, 1));
   ASSERT_TRUE(plan.ok());
   Matcher matcher(algo);
-  matcher.rematch_mode(RematchOptions::Mode::kForceSeed);
   auto prev = matcher.Run(*plan);
   ASSERT_TRUE(prev.ok());
   ASSERT_GE(prev->pairs.size(), 2u) << "workload too boring";

@@ -51,39 +51,33 @@ struct TwoPairFixture {
   }
 };
 
-TEST(RetractSink, RemovalRetractsAcrossAllAlgorithmsAndModes) {
+TEST(RetractSink, RemovalRetractsAcrossAllAlgorithms) {
   for (Algorithm a : kAll) {
-    for (RematchOptions::Mode mode :
-         {RematchOptions::Mode::kForceSeed, RematchOptions::Mode::kForceFull,
-          RematchOptions::Mode::kAuto}) {
-      TwoPairFixture f;
-      auto plan = Matcher::Compile(f.g, f.keys, PlanOptions::For(a, 2));
-      ASSERT_TRUE(plan.ok()) << AlgorithmName(a);
-      Matcher m(a);
-      m.processors(2).rematch_mode(mode);
-      auto prev = m.Run(*plan);
-      ASSERT_TRUE(prev.ok()) << AlgorithmName(a);
-      ASSERT_EQ(prev->pairs,
-                (std::vector<Pair>{{f.p[0], f.p[1]}, {f.p[2], f.p[3]}}));
+    TwoPairFixture f;
+    auto plan = Matcher::Compile(f.g, f.keys, PlanOptions::For(a, 2));
+    ASSERT_TRUE(plan.ok()) << AlgorithmName(a);
+    Matcher m(a);
+    m.processors(2);
+    auto prev = m.Run(*plan);
+    ASSERT_TRUE(prev.ok()) << AlgorithmName(a);
+    ASSERT_EQ(prev->pairs,
+              (std::vector<Pair>{{f.p[0], f.p[1]}, {f.p[2], f.p[3]}}));
 
-      GraphDelta delta(f.g);
-      ASSERT_TRUE(delta.RemoveTriple(f.p[1], "a", f.dup1_value).ok());
-      ASSERT_TRUE(f.g.Apply(delta).ok());
-      auto patched = plan->Patch(delta);
-      ASSERT_TRUE(patched.ok()) << AlgorithmName(a);
+    GraphDelta delta(f.g);
+    ASSERT_TRUE(delta.RemoveTriple(f.p[1], "a", f.dup1_value).ok());
+    ASSERT_TRUE(f.g.Apply(delta).ok());
+    auto patched = plan->Patch(delta);
+    ASSERT_TRUE(patched.ok()) << AlgorithmName(a);
 
-      RecordingSink sink;
-      auto r = m.Rematch(*patched, *prev, delta, sink);
-      ASSERT_TRUE(r.ok()) << AlgorithmName(a) << " mode "
-                          << static_cast<int>(mode) << ": "
-                          << r.status().message();
-      // (p0, p1) lost its only witness; (p2, p3) is untouched.
-      EXPECT_EQ(r->pairs, (std::vector<Pair>{{f.p[2], f.p[3]}}))
-          << AlgorithmName(a);
-      EXPECT_EQ(sink.retracted, (std::vector<Pair>{{f.p[0], f.p[1]}}))
-          << AlgorithmName(a) << " mode " << static_cast<int>(mode);
-      EXPECT_EQ(r->stats.pairs_retracted, 1u) << AlgorithmName(a);
-    }
+    RecordingSink sink;
+    auto r = m.Rematch(*patched, *prev, delta, sink);
+    ASSERT_TRUE(r.ok()) << AlgorithmName(a) << ": " << r.status().message();
+    // (p0, p1) lost its only witness; (p2, p3) is untouched.
+    EXPECT_EQ(r->pairs, (std::vector<Pair>{{f.p[2], f.p[3]}}))
+        << AlgorithmName(a);
+    EXPECT_EQ(sink.retracted, (std::vector<Pair>{{f.p[0], f.p[1]}}))
+        << AlgorithmName(a);
+    EXPECT_EQ(r->stats.pairs_retracted, 1u) << AlgorithmName(a);
   }
 }
 

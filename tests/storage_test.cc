@@ -49,9 +49,7 @@ const std::vector<Algorithm>& AllAlgorithms() {
   return algos;
 }
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "gkeys_storage_" + name;
-}
+using testing::TempPath;
 
 std::string Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

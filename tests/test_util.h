@@ -1,11 +1,15 @@
 #ifndef GKEYS_TESTS_TEST_UTIL_H_
 #define GKEYS_TESTS_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -195,6 +199,22 @@ inline Graph RebuildWithout(const Graph& src,
   }
   g.Finalize();
   return g;
+}
+
+/// A scratch path `name` in ::testing::TempDir()/gkeys_<pid>/: the pid
+/// keeps two runs of one suite at once out of each other's files. The
+/// directory is made on first use and removed, with all in it, at exit.
+inline std::string TempPath(std::string_view name) {
+  static const struct ScratchDir {
+    std::filesystem::path path = std::filesystem::path(::testing::TempDir()) /
+                                 ("gkeys_" + std::to_string(::getpid()));
+    ScratchDir() { std::filesystem::create_directories(path); }
+    ~ScratchDir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } dir;
+  return (dir.path / name).string();
 }
 
 /// Normalizes a pair list for comparison.

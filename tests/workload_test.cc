@@ -91,7 +91,6 @@ TEST(WorkloadSpec, MinimalSpecGetsDefaults) {
   EXPECT_EQ(spec->repetitions, 1);
   EXPECT_EQ(spec->algorithms.size(), 6u);  // "all"
   EXPECT_TRUE(spec->oracle);
-  EXPECT_EQ(spec->rematch_mode, RematchOptions::Mode::kAuto);
   EXPECT_TRUE(spec->delta_kind.empty());
   EXPECT_EQ(spec->delta_batches, 0);
 }
@@ -103,7 +102,6 @@ TEST(WorkloadSpec, ReadsAllFields) {
     "repetitions": 2,
     "processors": 3,
     "algorithms": ["EMOptMR", "NaiveChase"],
-    "rematch_mode": "seed",
     "oracle": false,
     "dataset": {"generator": "powerlaw", "scale": 2.0, "num_hubs": 5},
     "deltas": {"kind": "churn", "batches": 3, "ops_per_batch": 4,
@@ -116,7 +114,6 @@ TEST(WorkloadSpec, ReadsAllFields) {
   ASSERT_EQ(spec->algorithms.size(), 2u);
   EXPECT_EQ(spec->algorithms[0], Algorithm::kEmOptMr);
   EXPECT_EQ(spec->algorithms[1], Algorithm::kNaiveChase);
-  EXPECT_EQ(spec->rematch_mode, RematchOptions::Mode::kForceSeed);
   EXPECT_FALSE(spec->oracle);
   EXPECT_EQ(spec->generator, "powerlaw");
   EXPECT_DOUBLE_EQ(spec->scale, 2.0);
@@ -145,8 +142,6 @@ TEST(WorkloadSpec, RejectsSchemaViolations) {
           "algorithms": ["Bogus"]})",                           // algorithm
       R"({"name": "t", "dataset": {"generator": "neardup"},
           "algorithms": []})",                                  // empty list
-      R"({"name": "t", "dataset": {"generator": "neardup"},
-          "rematch_mode": "sometimes"})",                       // mode
       R"({"name": "t", "dataset": {"generator": "neardup"},
           "deltas": {"kind": "sideways"}})",                    // delta kind
       R"({"name": "t" "dataset")",                              // bad JSON
