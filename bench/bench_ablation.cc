@@ -13,7 +13,7 @@ namespace {
 struct Variant {
   const char* name;
   Algorithm base;
-  void (*tweak)(EmOptions&);
+  void (*tweak)(PlanOptions&, EmOptions&);
 };
 
 void RegisterAll() {
@@ -21,22 +21,22 @@ void RegisterAll() {
       MakeDataset(Dataset::kSynthetic, /*scale=*/1.0, /*c=*/3, /*d=*/2));
 
   static const Variant kVariants[] = {
-      {"MR/base", Algorithm::kEmMr, [](EmOptions&) {}},
+      {"MR/base", Algorithm::kEmMr, [](PlanOptions&, EmOptions&) {}},
       {"MR/vf2", Algorithm::kEmMr,
-       [](EmOptions& o) { o.use_vf2 = true; }},
+       [](PlanOptions&, EmOptions& o) { o.use_vf2 = true; }},
       {"MR/pairing", Algorithm::kEmMr,
-       [](EmOptions& o) { o.use_pairing = true; }},
+       [](PlanOptions& p, EmOptions&) { p.use_pairing = true; }},
       {"MR/dependency", Algorithm::kEmMr,
-       [](EmOptions& o) { o.use_dependency = true; }},
+       [](PlanOptions&, EmOptions& o) { o.use_dependency = true; }},
       {"MR/incremental", Algorithm::kEmMr,
-       [](EmOptions& o) { o.use_incremental = true; }},
-      {"MR/all_opts", Algorithm::kEmOptMr, [](EmOptions&) {}},
-      {"VC/base", Algorithm::kEmVc, [](EmOptions&) {}},
+       [](PlanOptions&, EmOptions& o) { o.use_incremental = true; }},
+      {"MR/all_opts", Algorithm::kEmOptMr, [](PlanOptions&, EmOptions&) {}},
+      {"VC/base", Algorithm::kEmVc, [](PlanOptions&, EmOptions&) {}},
       {"VC/bounded_k4", Algorithm::kEmVc,
-       [](EmOptions& o) { o.bounded_messages = 4; }},
+       [](PlanOptions&, EmOptions& o) { o.bounded_messages = 4; }},
       {"VC/prioritized", Algorithm::kEmVc,
-       [](EmOptions& o) { o.prioritized = true; }},
-      {"VC/all_opts", Algorithm::kEmOptVc, [](EmOptions&) {}},
+       [](PlanOptions&, EmOptions& o) { o.prioritized = true; }},
+      {"VC/all_opts", Algorithm::kEmOptVc, [](PlanOptions&, EmOptions&) {}},
   };
 
   for (const Variant& v : kVariants) {
@@ -46,12 +46,11 @@ void RegisterAll() {
     benchmark::RegisterBenchmark(
         name.c_str(),
         [data, base, tweak](benchmark::State& state) {
-          EmOptions opts = EmOptions::For(base, /*p=*/4);
-          tweak(opts);
           // Pairing is a compile-time choice; everything else is a run-time
           // knob on the Matcher, so each variant compiles once and reruns.
           PlanOptions popts = PlanOptions::For(base, /*p=*/4);
-          popts.use_pairing = opts.use_pairing;
+          EmOptions opts = EmOptions::For(base, /*p=*/4);
+          tweak(popts, opts);
           auto plan = Matcher::Compile(data->graph, data->keys, popts);
           if (!plan.ok()) {
             state.SkipWithError(plan.status().ToString().c_str());
@@ -90,7 +89,8 @@ int main(int argc, char** argv) {
   gkeys::bench::InitJson(&argc, argv);
   gkeys::bench::RegisterAll();
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  gkeys::bench::JsonRowReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   gkeys::bench::FlushJson();
   return 0;

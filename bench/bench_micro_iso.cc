@@ -29,12 +29,12 @@ struct MicroFixture {
   MicroFixture()
       : ds(MakeDataset(Dataset::kSynthetic, 1.0, 2, 2)),
         eq(ds.graph.NumNodes()) {
-    EmOptions opts;
     // Unblocked enumeration: these benches probe single candidate-pair
     // calls, and with signature blocking on every surviving candidate can
     // be a planted (positive) pair — the negative probe would not exist.
-    opts.use_blocking = false;
-    ctx = std::make_unique<EmContext>(ds.graph, ds.keys, opts);
+    ctx = std::make_unique<EmContext>(
+        ds.graph, ds.keys,
+        PlanOptions{.use_pairing = false, .use_blocking = false});
     for (auto [a, b] : ds.planted) eq.Union(a, b);
     for (const Candidate& c : ctx->candidates()) {
       if (eq.Same(c.e1, c.e2) && planted_candidate == nullptr) {
@@ -193,7 +193,8 @@ struct HubFixture {
   const Candidate* hot = nullptr;
 
   HubFixture() : ds(GeneratePowerLaw(Config())) {
-    ctx = std::make_unique<EmContext>(ds.graph, ds.keys, EmOptions());
+    ctx = std::make_unique<EmContext>(ds.graph, ds.keys,
+                                      PlanOptions{.use_pairing = false});
     auto ball = [](const Candidate& c) {
       return c.nbr1->size() + c.nbr2->size();
     };

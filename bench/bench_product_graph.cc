@@ -53,7 +53,8 @@ int main(int argc, char** argv) {
   gkeys::bench::InitJson(&argc, argv);
   gkeys::bench::RegisterAll();
   benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  gkeys::bench::JsonRowReporter reporter;
+  benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   gkeys::bench::FlushJson();
   return 0;

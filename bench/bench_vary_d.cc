@@ -37,8 +37,8 @@ void RegisterAll() {
               MakeDataset(Dataset::kSynthetic, /*scale=*/0.5, /*c=*/2, d);
           double full_avg = 0, reduced_avg = 0;
           for (auto _ : state) {
-            EmOptions opts = EmOptions::For(Algorithm::kEmOptMr, 1);
-            EmContext ctx(ds.graph, ds.keys, opts);
+            EmContext ctx(ds.graph, ds.keys,
+                          PlanOptions::For(Algorithm::kEmOptMr, 1));
             full_avg = static_cast<double>(ctx.neighbor_nodes()) /
                        std::max<size_t>(1, ctx.neighbor_entities());
             reduced_avg =

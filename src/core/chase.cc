@@ -2,34 +2,18 @@
 
 #include <numeric>
 
-#include "common/rng.h"
-#include "common/timer.h"
 #include "core/fixpoint.h"
 #include "core/satisfaction.h"
 
 namespace gkeys {
 
-namespace {
-
-/// The chase fixpoint, with the oracle's own knobs from `oracle`: its
-/// shuffle_seed shuffles the first round's visiting order, and
-/// unrestricted_neighbors widens the search to all of G (the search
-/// strategy comes from opts.use_vf2).
-StatusOr<MatchResult> ChaseFixpoint(const EmContext& ctx,
-                                    const EmOptions& opts,
-                                    const ChaseOptions& oracle,
-                                    MatchSink* sink, const RematchSeed* seed) {
+StatusOr<MatchResult> RunChase(const EmContext& ctx, const EmOptions& opts,
+                               MatchSink* sink, const RematchSeed* seed) {
   const size_t num_candidates = ctx.candidates().size();
   std::vector<uint32_t> active;
   if (seed == nullptr) {
     active.resize(num_candidates);
     std::iota(active.begin(), active.end(), 0);
-    if (oracle.shuffle_seed != 0) {
-      Rng rng(oracle.shuffle_seed);
-      for (size_t i = active.size(); i > 1; --i) {
-        std::swap(active[i - 1], active[rng.Below(i)]);
-      }
-    }
   } else {
     active.assign(seed->active.begin(), seed->active.end());
   }
@@ -59,9 +43,10 @@ StatusOr<MatchResult> ChaseFixpoint(const EmContext& ctx,
       if (run.eq().Same(c.e1, c.e2)) continue;  // already identified (or TC)
       ++run.stats().iso_checks;
       int fired = -1;
-      const bool found = ctx.IdentifiesWitness(
-          c, run.view(), &fired, &witness, &run.stats().search,
-          oracle.unrestricted_neighbors, opts.use_vf2);
+      const bool found =
+          ctx.IdentifiesWitness(c, run.view(), &fired, &witness,
+                                &run.stats().search,
+                                /*unrestricted=*/false, opts.use_vf2);
       if (!found) {
         next.push_back(idx);
         continue;
@@ -82,48 +67,6 @@ StatusOr<MatchResult> ChaseFixpoint(const EmContext& ctx,
     if (merged.empty()) break;  // no chase step applies: the fixpoint
   }
   return run.Finish();
-}
-
-}  // namespace
-
-StatusOr<MatchResult> RunChase(const EmContext& ctx, const EmOptions& opts,
-                               MatchSink* sink, const RematchSeed* seed) {
-  return ChaseFixpoint(ctx, opts, ChaseOptions{}, sink, seed);
-}
-
-MatchResult Chase(const Graph& g, const KeySet& keys,
-                  const ChaseOptions& options) {
-  Timer prep_timer;
-  EmOptions eopts;
-  eopts.processors = 1;
-  eopts.use_vf2 = options.use_vf2;
-  // The oracle enumerates exhaustively (blocked/unblocked equivalence
-  // tests compare the algorithms against this).
-  eopts.use_blocking = false;
-  EmContext ctx(g, keys, eopts);
-  double prep_seconds = prep_timer.Seconds();
-
-  // No sink, so the run cannot fail.
-  auto r = ChaseFixpoint(ctx, eopts, options, nullptr, nullptr);
-  MatchResult result = r.ok() ? *std::move(r) : MatchResult{};
-  result.stats.prep_seconds = prep_seconds;
-  return result;
-}
-
-bool Identified(const Graph& g, const KeySet& keys, NodeId e1, NodeId e2) {
-  if (e1 == e2) return true;
-  MatchResult r = Chase(g, keys);
-  if (e1 > e2) std::swap(e1, e2);
-  for (const auto& [a, b] : r.pairs) {
-    if (a == e1 && b == e2) return true;
-  }
-  return false;
-}
-
-bool Satisfies(const Graph& g, const Key& key) {
-  KeySet single;
-  single.Add(key);
-  return Satisfies(g, single);
 }
 
 bool Satisfies(const Graph& g, const KeySet& keys) {

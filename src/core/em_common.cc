@@ -25,32 +25,36 @@ std::string AlgorithmName(Algorithm a) {
   return "?";
 }
 
+PlanOptions PlanOptions::For(Algorithm a, int p) {
+  PlanOptions o;
+  o.processors = p;
+  // Pairing per §4.2 (EMOptMR) and §5.1 (Gp is built from pairing, so the
+  // EMVC family too); the un-optimized EMMR baselines go without.
+  o.use_pairing = a == Algorithm::kEmOptMr || a == Algorithm::kEmVc ||
+                  a == Algorithm::kEmOptVc;
+  // The naive chase enumerates exhaustively, so comparisons against it
+  // exercise the blocked/unblocked equivalence.
+  o.use_blocking = a != Algorithm::kNaiveChase;
+  o.build_product_graph = a == Algorithm::kEmVc || a == Algorithm::kEmOptVc;
+  return o;
+}
+
 EmOptions EmOptions::For(Algorithm a, int p) {
   EmOptions o;
   o.processors = p;
   switch (a) {
     case Algorithm::kNaiveChase:
-      // The correctness oracle enumerates exhaustively; blocking stays off
-      // so oracle comparisons exercise the blocked/unblocked equivalence.
-      o.use_blocking = false;
-      break;
     case Algorithm::kEmMr:
+    case Algorithm::kEmVc:  // neither bounded messages nor prioritization
       break;
     case Algorithm::kEmVf2Mr:
       o.use_vf2 = true;
       break;
     case Algorithm::kEmOptMr:
-      o.use_pairing = true;
       o.use_dependency = true;
       o.use_incremental = true;
       break;
-    case Algorithm::kEmVc:
-      // The product graph is built from pairing (paper §5.1), but plain
-      // EMVC uses neither bounded messages nor prioritization.
-      o.use_pairing = true;
-      break;
     case Algorithm::kEmOptVc:
-      o.use_pairing = true;
       o.bounded_messages = 4;  // the paper's k = 4
       o.prioritized = true;
       break;
@@ -88,22 +92,16 @@ std::vector<NodeId> EmContext::EveryNode(const Graph& g) {
 }
 
 EmContext::EmContext(const Graph& g, const KeySet& keys,
-                     const EmOptions& opts)
+                     const PlanOptions& opts)
     : EmContext(EmContext(DeserializeShell{}, g, keys, opts), EveryNode(g),
                 nullptr) {}
 
 EmContext::EmContext(DeserializeShell, const Graph& g, const KeySet& keys,
-                     const EmOptions& opts)
+                     const PlanOptions& opts)
     : g_(&g), keys_(&keys), opts_(opts) {
   // Compiling the keys is cheap and deterministic; everything else is
   // filled by the patch constructor or by storage::PlanCodec.
   CompileKeys();
-}
-
-const std::vector<int>& EmContext::KeysForType(Symbol t) const {
-  static const std::vector<int> kEmpty;
-  auto it = keys_by_type_.find(t);
-  return it == keys_by_type_.end() ? kEmpty : it->second;
 }
 
 /// All signature sources of `cp`: BFS over the pattern graph from the

@@ -27,11 +27,10 @@ namespace storage {
 class PlanCodec;  // snapshot (de)serialization, src/storage/plan_codec.h
 }  // namespace storage
 class MatchPlan;     // src/core/match_plan.h
-struct PlanOptions;  // src/core/match_plan.h
 
 /// Which entity-matching algorithm to run (paper §6 "Algorithms").
 enum class Algorithm {
-  kNaiveChase,  // sequential reference chase (correctness oracle)
+  kNaiveChase,  // sequential chase (§3.1), exhaustive enumeration
   kEmMr,        // EMMR        (§4.1)
   kEmVf2Mr,     // EMVF2MR     (EMMR with VF2 full enumeration, no early stop)
   kEmOptMr,     // EMOptMR     (EMMR + §4.2 optimizations)
@@ -41,28 +40,58 @@ enum class Algorithm {
 
 std::string AlgorithmName(Algorithm a);
 
-/// Tunables shared by the algorithm family.
+/// Options that shape plan *compilation* (the expensive preparation phase
+/// every algorithm shares — DriverMR line 1). An EmContext keeps the set
+/// it was compiled with. Run-time knobs (algorithm, bounded messages,
+/// prioritization, VF2, …) are EmOptions on the Matcher instead, so one
+/// compiled plan serves many differently-configured runs.
+struct PlanOptions {
+  /// Worker threads used while compiling the plan (d-neighbors, pairing,
+  /// dependency index are all built in parallel), 1 to kMaxProcessors.
+  /// Purely a compile-time resource choice; it does not constrain later
+  /// runs.
+  int processors = 1;
+
+  /// §4.2 / Prop. 9: filter the candidate list L down to pairable pairs
+  /// and shrink d-neighbors with the maximum pairing relation. Baked into
+  /// the plan because it determines the candidate and neighbor structures.
+  /// Leave on unless reproducing the un-optimized EMMR/EMVF2MR baselines.
+  bool use_pairing = true;
+
+  /// Signature blocking: enumerate only same-type pairs that share at
+  /// least one (predicate, value) signature some key requires on the
+  /// designated variable, instead of all O(n²) same-type pairs. Two
+  /// entities can only be identified by a key whose value variables /
+  /// constants adjacent to x they agree on, so skipped pairs are provably
+  /// not directly identifiable (the same guarantee Prop. 9 gives the
+  /// pairing filter); types carrying a purely recursive / variable-only
+  /// key fall back to full enumeration, and skipped pairs stay visible to
+  /// ghost/dependency tracking. Output-preserving for every algorithm;
+  /// baked into the plan because it shapes the candidate list. Leave on
+  /// unless reproducing exhaustive-enumeration baselines.
+  bool use_blocking = true;
+
+  /// Build the product-graph skeleton Gp (§5.1) at compile time. Required
+  /// to run the EMVC family from this plan; the MapReduce family and the
+  /// naive chase ignore it.
+  bool build_product_graph = true;
+
+  /// The compilation preset matching a paper algorithm: pairing per the
+  /// algorithm's §4.2/§5.1 prescription, no blocking for the naive chase
+  /// (it enumerates exhaustively), product graph only for EMVC.
+  static PlanOptions For(Algorithm a, int p);
+};
+
+/// Run-time tunables shared by the algorithm family.
 struct EmOptions {
   /// Number of processors p (worker threads), 1 to kMaxProcessors.
   int processors = 1;
   /// EMMR family: replace the combined EvalMR search by VF2 enumeration.
   bool use_vf2 = false;
-  /// §4.2: filter L and shrink d-neighbors with the pairing relation.
-  bool use_pairing = false;
   /// §4.2: process pairs carrying only value-based keys first (L0 seeds).
   bool use_dependency = false;
   /// §4.2: re-check a pair only in round 1 or after a dependency changed.
   bool use_incremental = false;
-  /// Signature blocking: enumerate only same-type pairs that share at
-  /// least one (predicate, value) signature some key requires on the
-  /// designated variable, instead of all O(n²) same-type pairs. A pair
-  /// two entities can only be identified by a key whose value variables /
-  /// constants adjacent to x they agree on, so skipped pairs are provably
-  /// not directly identifiable (the same guarantee Prop. 9 gives the
-  /// pairing filter); types carrying a purely recursive / variable-only
-  /// key fall back to full enumeration, and skipped pairs stay visible to
-  /// ghost/dependency tracking. Output-preserving for every algorithm.
-  bool use_blocking = true;
   /// §5.2: per-(pair, key) message budget k; 0 = unbounded (plain EMVC).
   int bounded_messages = 0;
   /// §5.2: prioritized propagation (highest-potential edges first).
@@ -73,9 +102,9 @@ struct EmOptions {
   /// every pair emitted so far — the partial result is usable, exactly
   /// like cooperative cancellation. A run that completes within budget
   /// never fails, even if it finishes at the wire (the check precedes
-  /// rounds, not follows them). 0 = unbounded. Run-scoped: deliberately
-  /// NOT persisted in snapshots (storage/plan_codec.h packs only the
-  /// semantic options).
+  /// rounds, not follows them). 0 = unbounded. Like every run option it
+  /// is not persisted: a snapshot keeps the algorithm and the plan's
+  /// PlanOptions (storage/plan_codec.h).
   double time_budget_seconds = 0.0;
 
   /// Presets matching the paper's five evaluated algorithms.
@@ -385,8 +414,9 @@ class EmContext {
   /// Builds the context. `g` must be finalized. A compile is the patch
   /// constructor below run over an empty context (keys compiled, no
   /// d-neighbors, candidates or signature index) with every node dirty,
-  /// so there is one plan builder.
-  EmContext(const Graph& g, const KeySet& keys, const EmOptions& opts);
+  /// so there is one plan builder. The context keeps `opts`; it reads
+  /// processors, use_pairing and use_blocking.
+  EmContext(const Graph& g, const KeySet& keys, const PlanOptions& opts);
 
   /// Incremental rebuild: compiles the same key set against `prev`'s
   /// graph AFTER a delta was applied to it (Graph::Apply), recompiling
@@ -417,12 +447,10 @@ class EmContext {
             ContextPatchInfo* info, bool collect_relations = false);
 
   const Graph& graph() const { return *g_; }
-  const EmOptions& options() const { return opts_; }
+  /// The options the context was compiled with (a patch keeps `prev`'s).
+  const PlanOptions& options() const { return opts_; }
 
   const std::vector<CompiledKey>& compiled_keys() const { return compiled_; }
-
-  /// Key indices defined on entity type symbol `t` (graph interner ids).
-  const std::vector<int>& KeysForType(Symbol t) const;
 
   /// The candidate list L (after optional pairing reduction).
   const std::vector<Candidate>& candidates() const { return candidates_; }
@@ -472,13 +500,6 @@ class EmContext {
   bool IdentifiesWitness(const Candidate& c, const EqView& eq, int* key_out,
                          Witness* witness, SearchStats* stats,
                          bool unrestricted, bool use_vf2) const;
-
-  /// Same, as a yes/no answer with the context's own search strategy.
-  bool Identifies(const Candidate& c, const EqView& eq) const {
-    int key = -1;
-    return IdentifiesWitness(c, eq, &key, nullptr, nullptr,
-                             /*unrestricted=*/false, opts_.use_vf2);
-  }
 
   /// Assembles the Derivation of candidate `c` identified by compiled key
   /// `key` under `witness`: premises are the witness's non-reflexive
@@ -531,7 +552,7 @@ class EmContext {
   /// it from snapshot records instead of running the expensive build
   /// phases (d-neighbors, enumeration, pairing, dependency scan).
   EmContext(DeserializeShell, const Graph& g, const KeySet& keys,
-            const EmOptions& opts);
+            const PlanOptions& opts);
 
   /// 0 … g.NumNodes()-1: the dirty set that turns a patch into a compile.
   static std::vector<NodeId> EveryNode(const Graph& g);
@@ -704,7 +725,7 @@ class EmContext {
 
   const Graph* g_;
   const KeySet* keys_;
-  EmOptions opts_;
+  PlanOptions opts_;
   std::vector<CompiledKey> compiled_;
   std::unordered_map<Symbol, std::vector<int>> keys_by_type_;
   std::unordered_map<Symbol, int> radius_by_type_;

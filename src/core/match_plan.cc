@@ -4,17 +4,6 @@
 
 namespace gkeys {
 
-PlanOptions PlanOptions::For(Algorithm a, int p) {
-  EmOptions preset = EmOptions::For(a, p);
-  PlanOptions popts;
-  popts.processors = p;
-  popts.use_pairing = preset.use_pairing;
-  popts.use_blocking = preset.use_blocking;
-  popts.build_product_graph =
-      a == Algorithm::kEmVc || a == Algorithm::kEmOptVc;
-  return popts;
-}
-
 StatusOr<MatchPlan> CompileMatchPlan(const Graph& g, const KeySet& keys,
                                      const PlanOptions& opts) {
   if (!g.finalized()) {
@@ -34,19 +23,15 @@ StatusOr<MatchPlan> CompileMatchPlan(const Graph& g, const KeySet& keys,
   }
 
   Timer timer;
-  EmOptions eopts;
-  eopts.processors = opts.processors;
-  eopts.use_pairing = opts.use_pairing;
-  eopts.use_blocking = opts.use_blocking;
   // Compile is Patch from an empty plan: the patch constructor over the
   // deserialization shell with every node dirty, and the product graph
   // patched from an empty one. Not make_shared: Rep is private and
   // friendship does not reach into the standard library's allocation
   // helpers.
-  const EmContext empty(EmContext::DeserializeShell{}, g, keys, eopts);
+  const EmContext empty(EmContext::DeserializeShell{}, g, keys, opts);
   ContextPatchInfo info;
-  std::shared_ptr<MatchPlan::Rep> rep(new MatchPlan::Rep(
-      empty, keys, opts, EmContext::EveryNode(g), &info));
+  std::shared_ptr<MatchPlan::Rep> rep(
+      new MatchPlan::Rep(empty, keys, EmContext::EveryNode(g), &info));
   if (opts.build_product_graph) {
     rep->pg.emplace(PatchProductGraph(ProductGraph(), rep->ctx, info, {}));
   }
@@ -76,9 +61,9 @@ StatusOr<MatchPlan> MatchPlan::Patch(const GraphDelta& delta) const {
   Timer timer;
   std::vector<NodeId> dirty = delta.TouchedNodes();
   ContextPatchInfo info;
-  std::shared_ptr<MatchPlan::Rep> rep(new MatchPlan::Rep(
-      rep_->ctx, *rep_->keys, rep_->options, dirty, &info));
-  if (rep_->options.build_product_graph) {
+  std::shared_ptr<MatchPlan::Rep> rep(
+      new MatchPlan::Rep(rep_->ctx, *rep_->keys, dirty, &info));
+  if (rep_->ctx.options().build_product_graph) {
     // Gp is patched at |L| scale: carried-over candidates re-share their
     // relations; dirty ones bring the relations their pairing pass just
     // collected, which Gp now owns.

@@ -14,40 +14,6 @@
 
 namespace gkeys {
 
-/// Options that shape plan *compilation* (the expensive preparation phase
-/// every algorithm shares — DriverMR line 1). Run-time knobs (algorithm,
-/// bounded messages, prioritization, VF2, …) live on Matcher instead, so
-/// one compiled plan serves many differently-configured runs.
-struct PlanOptions {
-  /// Worker threads used while compiling the plan (d-neighbors, pairing,
-  /// dependency index are all built in parallel), 1 to kMaxProcessors.
-  /// Purely a compile-time resource choice; it does not constrain later
-  /// runs.
-  int processors = 1;
-
-  /// §4.2 / Prop. 9: filter the candidate list L down to pairable pairs
-  /// and shrink d-neighbors with the maximum pairing relation. Baked into
-  /// the plan because it determines the candidate and neighbor structures.
-  /// Leave on unless reproducing the un-optimized EMMR/EMVF2MR baselines.
-  bool use_pairing = true;
-
-  /// Signature blocking (EmOptions::use_blocking): enumerate only
-  /// same-type pairs that share a (predicate, value) signature some key
-  /// requires, instead of all O(n²) same-type pairs. Output-preserving;
-  /// baked into the plan because it shapes the candidate list. Leave on
-  /// unless reproducing exhaustive-enumeration baselines.
-  bool use_blocking = true;
-
-  /// Build the product-graph skeleton Gp (§5.1) at compile time. Required
-  /// to run the EMVC family from this plan; the MapReduce family and the
-  /// naive chase ignore it.
-  bool build_product_graph = true;
-
-  /// The compilation preset matching a paper algorithm: pairing per the
-  /// algorithm's §4.2/§5.1 prescription, product graph only for EMVC.
-  static PlanOptions For(Algorithm a, int p);
-};
-
 /// An immutable, reusable matching plan: the key set compiled against a
 /// graph. Holds the CompiledKeys (pattern + EMVC tour), per-type d-neighbor
 /// bounds, the candidate list L (optionally pairing-reduced, with ghost
@@ -83,8 +49,9 @@ class MatchPlan {
   const Graph& graph() const { return rep_->ctx.graph(); }
   const KeySet& keys() const { return *rep_->keys; }
 
+  /// The options the plan was compiled with (PlanOptions{} when empty).
   PlanOptions options() const {
-    return valid() ? rep_->options : PlanOptions{};
+    return valid() ? rep_->ctx.options() : PlanOptions{};
   }
 
   /// The shared preparation product (compiled keys, candidates, neighbor
@@ -173,24 +140,24 @@ class MatchPlan {
   friend class storage::PlanCodec;
 
   struct Rep {
-    // Patch: incremental rebuild sharing untouched state with `prev`. A
-    // compile passes the empty deserialization shell with every node
-    // dirty. A plan that builds Gp collects the dirty candidates'
-    // pairing relations into `info`.
-    Rep(const EmContext& prev, const KeySet& k, const PlanOptions& popts,
+    // Patch: incremental rebuild sharing untouched state (and the plan
+    // options) with `prev`. A compile passes the empty deserialization
+    // shell with every node dirty. A plan that builds Gp collects the
+    // dirty candidates' pairing relations into `info`.
+    Rep(const EmContext& prev, const KeySet& k,
         std::span<const NodeId> dirty_nodes, ContextPatchInfo* info)
         : keys(&k),
-          options(popts),
-          ctx(prev, dirty_nodes, info, popts.build_product_graph) {}
+          ctx(prev, dirty_nodes, info,
+              prev.options().build_product_graph) {}
 
     // Deserialization shell (storage::PlanCodec): the context binds
-    // graph/keys and compiles the keys; the codec restores the rest.
+    // graph/keys/options and compiles the keys; the codec restores the
+    // rest.
     Rep(EmContext::DeserializeShell shell, const Graph& g, const KeySet& k,
-        const PlanOptions& popts, const EmOptions& eopts)
-        : keys(&k), options(popts), ctx(shell, g, k, eopts) {}
+        const PlanOptions& popts)
+        : keys(&k), ctx(shell, g, k, popts) {}
 
     const KeySet* keys;
-    PlanOptions options;
     EmContext ctx;
     std::optional<ProductGraph> pg;
     double compile_seconds = 0.0;

@@ -25,13 +25,12 @@ ProvenanceResult ChaseWithProvenance(const Graph& g, const KeySet& keys) {
   };
 
   Timer prep_timer;
-  const EmOptions opts;
-  EmContext ctx(g, keys, opts);
+  const EmContext ctx(g, keys, PlanOptions{.use_pairing = false});
   const double prep_seconds = prep_timer.Seconds();
   RoundSink sink;
   // The sink never cancels and there is no budget, so the run cannot
   // fail.
-  auto r = RunChase(ctx, opts, &sink);
+  auto r = RunChase(ctx, EmOptions{}, &sink);
   ProvenanceResult out;
   if (!r.ok()) return out;
   out.result = *std::move(r);

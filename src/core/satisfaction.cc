@@ -8,8 +8,7 @@ namespace gkeys {
 std::vector<Violation> FindViolations(const Graph& g, const KeySet& keys,
                                       size_t limit) {
   std::vector<Violation> out;
-  EmOptions opts;
-  EmContext ctx(g, keys, opts);
+  const EmContext ctx(g, keys, PlanOptions{.use_pairing = false});
   EqView identity;  // Eq0
   for (const Candidate& c : ctx.candidates()) {
     for (int ki : *c.keys) {

@@ -232,16 +232,4 @@ std::vector<DiscoveredKey> DiscoverKeys(const Graph& g,
   return out;
 }
 
-KeySet DiscoverAllKeys(const Graph& g, const DiscoveryConfig& config) {
-  KeySet keys;
-  for (Symbol t : g.EntityTypes()) {
-    if (g.EntitiesOfType(t).size() < 2) continue;
-    for (DiscoveredKey& dk :
-         DiscoverKeys(g, g.interner().Resolve(t), config)) {
-      keys.Add(std::move(dk.key));
-    }
-  }
-  return keys;
-}
-
 }  // namespace gkeys

@@ -47,10 +47,6 @@ std::vector<DiscoveredKey> DiscoverKeys(const Graph& g,
                                         std::string_view type,
                                         const DiscoveryConfig& config = {});
 
-/// Convenience: mines keys for every keyed-worthy type (any type with
-/// ≥ 2 entities) and returns them as one KeySet.
-KeySet DiscoverAllKeys(const Graph& g, const DiscoveryConfig& config = {});
-
 }  // namespace gkeys
 
 #endif  // GKEYS_DISCOVERY_KEY_DISCOVERY_H_

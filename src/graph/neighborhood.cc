@@ -62,15 +62,4 @@ NodeSet DNeighbor(const Graph& g, NodeId center, int d) {
   return NodeSet::FromSorted(std::move(found));
 }
 
-size_t InducedTripleCount(const Graph& g, const NodeSet& nodes) {
-  size_t count = 0;
-  for (NodeId n : nodes) {
-    if (!g.IsEntity(n)) continue;
-    for (const Edge& e : g.Out(n)) {
-      if (nodes.Contains(e.dst)) ++count;
-    }
-  }
-  return count;
-}
-
 }  // namespace gkeys

@@ -105,10 +105,6 @@ class NodeSet {
 /// is always included. `d` ≥ 0.
 NodeSet DNeighbor(const Graph& g, NodeId center, int d);
 
-/// Number of triples of `g` induced by `nodes` (|Gd| in the paper's cost
-/// analysis; used by the optimization-effectiveness benchmarks).
-size_t InducedTripleCount(const Graph& g, const NodeSet& nodes);
-
 namespace internal {
 /// Capacity in bytes of the calling thread's DNeighbor visited scratch.
 /// Test hook for the shrink-on-much-smaller-graph policy; the buffer is

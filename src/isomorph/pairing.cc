@@ -122,9 +122,6 @@ struct PairingScratch::State {
 
 PairingScratch::PairingScratch() : state_(std::make_unique<State>()) {}
 PairingScratch::~PairingScratch() = default;
-PairingScratch::PairingScratch(PairingScratch&&) noexcept = default;
-PairingScratch& PairingScratch::operator=(PairingScratch&&) noexcept =
-    default;
 
 class PairingEngine {
  public:

@@ -44,8 +44,6 @@ class PairingScratch {
  public:
   PairingScratch();
   ~PairingScratch();
-  PairingScratch(PairingScratch&&) noexcept;
-  PairingScratch& operator=(PairingScratch&&) noexcept;
   PairingScratch(const PairingScratch&) = delete;
   PairingScratch& operator=(const PairingScratch&) = delete;
 

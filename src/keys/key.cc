@@ -36,26 +36,12 @@ Status KeySet::AddFromDsl(std::string_view dsl) {
   return Status::OK();
 }
 
-std::vector<int> KeySet::KeysForType(std::string_view type) const {
-  auto it = by_type_.find(type);  // heterogeneous: no temporary string
-  if (it == by_type_.end()) return {};
-  return it->second;
-}
-
 std::vector<std::string> KeySet::KeyedTypes() const {
   std::vector<std::string> types;
   types.reserve(by_type_.size());
   for (const auto& [type, _] : by_type_) types.push_back(type);
   std::sort(types.begin(), types.end());
   return types;
-}
-
-int KeySet::MaxRadiusForType(std::string_view type) const {
-  auto it = by_type_.find(type);  // heterogeneous: no temporary string
-  if (it == by_type_.end()) return 0;
-  int d = 0;
-  for (int i : it->second) d = std::max(d, keys_[i].radius());
-  return d;
 }
 
 int KeySet::MaxRadius() const {
@@ -128,14 +114,6 @@ std::string ToDsl(const KeySet& keys) {
   std::string out;
   for (const Key& k : keys.keys()) out += ToDsl(k);
   return out;
-}
-
-std::vector<std::string> KeySet::ValueBasedTypes() const {
-  std::set<std::string> types;
-  for (const Key& k : keys_) {
-    if (!k.recursive()) types.insert(k.type());
-  }
-  return std::vector<std::string>(types.begin(), types.end());
 }
 
 }  // namespace gkeys

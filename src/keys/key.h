@@ -72,9 +72,6 @@ class KeySet {
   const Key& key(size_t i) const { return keys_[i]; }
   const std::vector<Key>& keys() const { return keys_; }
 
-  /// Indices of keys defined on entity type `type` (by name).
-  std::vector<int> KeysForType(std::string_view type) const;
-
   /// All types some key is defined on.
   std::vector<std::string> KeyedTypes() const;
 
@@ -83,10 +80,6 @@ class KeySet {
   bool HasKeyForType(std::string_view type) const {
     return by_type_.find(type) != by_type_.end();
   }
-
-  /// The d-neighbor bound for entities of `type`: the maximum radius of
-  /// the keys defined on it (0 if none).
-  int MaxRadiusForType(std::string_view type) const;
 
   /// Maximum radius over all keys (the paper's parameter d).
   int MaxRadius() const;
@@ -97,10 +90,6 @@ class KeySet {
   /// value-based key yields c = 1; mutual recursion (album ↔ artist)
   /// yields c = number of distinct types on the cycle.
   int LongestDependencyChain() const;
-
-  /// Types on which a *value-based* key is defined — the seeds for the
-  /// entity-dependency optimization (§4.2).
-  std::vector<std::string> ValueBasedTypes() const;
 
  private:
   std::vector<Key> keys_;

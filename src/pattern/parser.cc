@@ -228,14 +228,4 @@ StatusOr<std::vector<NamedPattern>> ParseKeys(std::string_view text) {
   return result;
 }
 
-StatusOr<NamedPattern> ParseKey(std::string_view text) {
-  auto keys = ParseKeys(text);
-  if (!keys.ok()) return keys.status();
-  if (keys->size() != 1) {
-    return Status::ParseError("expected exactly one key, found " +
-                              std::to_string(keys->size()));
-  }
-  return std::move((*keys)[0]);
-}
-
 }  // namespace gkeys

@@ -38,9 +38,6 @@ struct NamedPattern {
 /// Returns the keys in declaration order, each validated.
 StatusOr<std::vector<NamedPattern>> ParseKeys(std::string_view text);
 
-/// Parses exactly one key; error if the input holds zero or several.
-StatusOr<NamedPattern> ParseKey(std::string_view text);
-
 }  // namespace gkeys
 
 #endif  // GKEYS_PATTERN_PARSER_H_

@@ -65,13 +65,6 @@ Status Pattern::AddTriple(int subject, std::string_view pred, int object) {
   return Status::OK();
 }
 
-int Pattern::FindNode(std::string_view name) const {
-  for (int i = 0; i < static_cast<int>(nodes_.size()); ++i) {
-    if (nodes_[i].name == name) return i;
-  }
-  return -1;
-}
-
 Status Pattern::Validate() const {
   if (designated_ < 0) {
     return Status::InvalidArgument("pattern has no designated variable x");
@@ -168,26 +161,6 @@ const std::vector<std::vector<int>>& Pattern::IncidentTriples() const {
     }
   }
   return incident_;
-}
-
-std::string Pattern::ToString() const {
-  auto render = [&](int i) -> std::string {
-    const PatternNode& n = nodes_[i];
-    switch (n.kind) {
-      case VarKind::kDesignated: return n.name + ":" + n.type;
-      case VarKind::kEntityVar: return n.name + ":" + n.type;
-      case VarKind::kValueVar: return n.name + "*";
-      case VarKind::kWildcard: return "_" + n.name + ":" + n.type;
-      case VarKind::kConstant: return "\"" + n.name + "\"";
-    }
-    return "?";
-  };
-  std::string out;
-  for (const auto& t : triples_) {
-    out += render(t.subject) + " -[" + t.pred + "]-> " + render(t.object);
-    out += "\n";
-  }
-  return out;
 }
 
 CompiledPattern Compile(const Pattern& p, const Graph& g) {

@@ -93,9 +93,6 @@ class Pattern {
   /// |Q|: the number of triples.
   size_t size() const { return triples_.size(); }
 
-  /// Node index by name, or -1.
-  int FindNode(std::string_view name) const;
-
   /// d(Q, x): the longest undirected distance from x to any pattern node
   /// (paper Table 1). Requires a valid pattern.
   int Radius() const;
@@ -107,9 +104,6 @@ class Pattern {
   /// Triple indices incident to each node (both directions), in triple
   /// order. Computed on demand and cached.
   const std::vector<std::vector<int>>& IncidentTriples() const;
-
-  /// Human-readable rendering, one triple per line.
-  std::string ToString() const;
 
  private:
   int AddNode(VarKind kind, std::string_view name, std::string_view type);

@@ -28,36 +28,7 @@ FaultAction Consult(OpKind kind, const std::string& path) {
 
 }  // namespace
 
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kOpen: return "open";
-    case OpKind::kWrite: return "write";
-    case OpKind::kFsync: return "fsync";
-    case OpKind::kRename: return "rename";
-    case OpKind::kFsyncDir: return "fsync_dir";
-    case OpKind::kTruncate: return "truncate";
-  }
-  return "unknown";
-}
-
 void SetFaultInjector(FaultInjector* injector) { g_injector = injector; }
-FaultInjector* GetFaultInjector() { return g_injector; }
-
-FaultAction ScriptedFaultInjector::OnOp(OpKind kind, const std::string&) {
-  if (crashed) {
-    FaultAction dead;
-    dead.fail_errno = EIO;
-    return dead;
-  }
-  if (has_kind_filter && kind != only_kind) return {};
-  int64_t index = ops_seen++;
-  if (fail_at >= 0 && index == fail_at) {
-    fired = true;
-    if (crash_after) crashed = true;
-    return action;
-  }
-  return {};
-}
 
 StatusOr<int> OpenForWrite(const std::string& path, bool truncate,
                            bool append) {

@@ -14,12 +14,13 @@ namespace fileops {
 
 /// The faultable file primitives MmapStore and DeltaLog write through.
 /// Production behavior is the plain POSIX call (with the full-write /
-/// EINTR loop the raw syscalls need); tests install a FaultInjector to
-/// script the Nth write failing with ENOSPC, a short (torn) write, a bit
-/// flip that reaches disk, or a hard crash point after which every later
-/// operation fails — which is how the crash-point enumeration harness
-/// walks a save → append×k → save schedule and proves recovery lands on
-/// exactly the last durable state at every point.
+/// EINTR loop the raw syscalls need); tests install a FaultInjector
+/// (tests/fault_store.h has a scripted one) to script the Nth write
+/// failing with ENOSPC, a short (torn) write, a bit flip that reaches
+/// disk, or a hard crash point after which every later operation fails —
+/// which is how the crash-point enumeration harness walks a save →
+/// append×k → save schedule and proves recovery lands on exactly the
+/// last durable state at every point.
 ///
 /// Durability contract the callers build on:
 ///   - WriteFull returns OK only when every byte was accepted by the
@@ -38,7 +39,6 @@ enum class OpKind : uint8_t {
   kFsyncDir,
   kTruncate,
 };
-const char* OpKindName(OpKind kind);
 
 /// What the injector tells one faultable primitive to do.
 struct FaultAction {
@@ -67,43 +67,6 @@ class FaultInjector {
 /// behavior). Test-only and not synchronized: install before exercising
 /// the storage layer, from the thread that will drive it.
 void SetFaultInjector(FaultInjector* injector);
-FaultInjector* GetFaultInjector();
-
-/// A scriptable injector covering the fault menu the tests need: fail
-/// the `fail_at`-th faultable op (0-based, counted across every kind, or
-/// only ops of `only_kind` when set); optionally enter a crashed state
-/// where all later ops fail EIO — the in-process stand-in for SIGKILL,
-/// after which the test discards its in-memory state and runs recovery
-/// on whatever reached the filesystem.
-class ScriptedFaultInjector : public FaultInjector {
- public:
-  int64_t fail_at = -1;  // -1 = never fire (pure op counting)
-  bool has_kind_filter = false;
-  OpKind only_kind = OpKind::kWrite;
-  FaultAction action{/*fail_errno=*/5 /*EIO*/};
-  bool crash_after = false;
-
-  /// Faultable ops observed so far (matching the kind filter). A dry run
-  /// with fail_at = -1 counts the injection points of a schedule; the
-  /// harness then replays it once per point.
-  int64_t ops_seen = 0;
-  bool fired = false;
-  bool crashed = false;
-
-  FaultAction OnOp(OpKind kind, const std::string& path) override;
-};
-
-/// RAII installer so a test failure cannot leak an injector into later
-/// tests.
-class ScopedFaultInjector {
- public:
-  explicit ScopedFaultInjector(FaultInjector* injector) {
-    SetFaultInjector(injector);
-  }
-  ~ScopedFaultInjector() { SetFaultInjector(nullptr); }
-  ScopedFaultInjector(const ScopedFaultInjector&) = delete;
-  ScopedFaultInjector& operator=(const ScopedFaultInjector&) = delete;
-};
 
 // ---- Faultable primitives ---------------------------------------------
 

@@ -216,10 +216,6 @@ size_t MmapStore::LowerBound(std::string_view key) const {
   return lo;
 }
 
-size_t MmapStore::num_records() const {
-  return writable_ ? staged_.size() : record_count_;
-}
-
 StatusOr<std::string_view> MmapStore::Get(std::string_view key) const {
   if (writable_) {
     auto it = staged_.find(key);

@@ -63,7 +63,6 @@ class MmapStore : public Store {
 
   /// Size in bytes of the flushed / opened file (0 before Flush).
   uint64_t file_bytes() const { return file_bytes_; }
-  size_t num_records() const;
   const std::string& path() const { return path_; }
 
   /// The current snapshot-file format version Create() writes.

@@ -171,24 +171,40 @@ class DedupPool {
   std::vector<uint64_t> hashes_;
 };
 
-}  // namespace
-
 // ---- Meta ------------------------------------------------------------
+
+/// The run-option block of the meta record. A plan carries no run
+/// option, so the block's bytes are fixed by its plan options: the
+/// plan's processors, its pairing (bit 1) and blocking (bit 4) flags,
+/// every run knob off, and bit 6 (provenance recording, which every run
+/// does) set. The block stays so that format 2 keeps one meta layout:
+/// snapshots already on disk read unchanged, and plan_golden_test's
+/// digests hold.
+struct RunOptionBytes {
+  uint64_t processors = 0;
+  uint8_t flags = 0;
+  uint64_t bounded_messages = 0;
+  friend bool operator==(const RunOptionBytes&,
+                         const RunOptionBytes&) = default;
+};
+
+RunOptionBytes ImpliedRunOptions(const PlanOptions& po) {
+  return {static_cast<uint64_t>(po.processors),
+          static_cast<uint8_t>((po.use_pairing << 1) |
+                               (po.use_blocking << 4) | (1 << 6)),
+          0};
+}
+
+}  // namespace
 
 Status PlanCodec::EncodeMeta(const SnapshotMeta& meta, Store& store) {
   std::string v;
   v.push_back(static_cast<char>(meta.algorithm));
-  const EmOptions& em = meta.em_options;
-  PutVarint(v, static_cast<uint64_t>(em.processors));
-  // Bit 6 is provenance recording, which every run does. It stays set so
-  // the record's bytes do not change and older builds read it as on;
-  // DecodeMeta ignores it.
-  uint8_t em_flags = (em.use_vf2 << 0) | (em.use_pairing << 1) |
-                     (em.use_dependency << 2) | (em.use_incremental << 3) |
-                     (em.use_blocking << 4) | (em.prioritized << 5) | (1 << 6);
-  v.push_back(static_cast<char>(em_flags));
-  PutVarint(v, static_cast<uint64_t>(em.bounded_messages));
   const PlanOptions& po = meta.plan_options;
+  const RunOptionBytes run = ImpliedRunOptions(po);
+  PutVarint(v, run.processors);
+  v.push_back(static_cast<char>(run.flags));
+  PutVarint(v, run.bounded_messages);
   PutVarint(v, static_cast<uint64_t>(po.processors));
   uint8_t po_flags = (po.use_pairing << 0) | (po.use_blocking << 1) |
                      (po.build_product_graph << 2);
@@ -211,33 +227,27 @@ StatusOr<SnapshotMeta> PlanCodec::DecodeMeta(const Store& store) {
   if (!blob.ok()) return Corrupt("missing meta record");
   ByteReader r(*blob);
   SnapshotMeta meta;
-  uint8_t algo = 0, em_flags = 0, po_flags = 0, has_pg = 0, has_names = 0;
-  uint64_t em_procs = 0, em_bounded = 0, po_procs = 0;
-  if (!r.ReadU8(&algo) || !r.ReadVarint(&em_procs) || !r.ReadU8(&em_flags) ||
-      !r.ReadVarint(&em_bounded) || !r.ReadVarint(&po_procs) ||
-      !r.ReadU8(&po_flags) || !r.ReadU8(&has_pg) || !r.ReadU8(&has_names)) {
+  uint8_t algo = 0, po_flags = 0, has_pg = 0, has_names = 0;
+  uint64_t po_procs = 0;
+  RunOptionBytes run;
+  if (!r.ReadU8(&algo) || !r.ReadVarint(&run.processors) ||
+      !r.ReadU8(&run.flags) || !r.ReadVarint(&run.bounded_messages) ||
+      !r.ReadVarint(&po_procs) || !r.ReadU8(&po_flags) ||
+      !r.ReadU8(&has_pg) || !r.ReadU8(&has_names)) {
     return Corrupt("truncated meta record");
   }
   if (algo > static_cast<uint8_t>(Algorithm::kEmOptVc))
     return Corrupt("unknown algorithm id " + std::to_string(algo));
   meta.algorithm = static_cast<Algorithm>(algo);
-  for (uint64_t procs : {em_procs, po_procs}) {
-    if (procs < 1 || procs > kMaxProcessors)
-      return Corrupt("processor count " + std::to_string(procs) +
-                     " out of range");
-  }
-  meta.em_options.processors = static_cast<int>(em_procs);
-  meta.em_options.use_vf2 = em_flags & 1;
-  meta.em_options.use_pairing = em_flags & 2;
-  meta.em_options.use_dependency = em_flags & 4;
-  meta.em_options.use_incremental = em_flags & 8;
-  meta.em_options.use_blocking = em_flags & 16;
-  meta.em_options.prioritized = em_flags & 32;
-  meta.em_options.bounded_messages = static_cast<int>(em_bounded);
+  if (po_procs < 1 || po_procs > kMaxProcessors)
+    return Corrupt("processor count " + std::to_string(po_procs) +
+                   " out of range");
   meta.plan_options.processors = static_cast<int>(po_procs);
   meta.plan_options.use_pairing = po_flags & 1;
   meta.plan_options.use_blocking = po_flags & 2;
   meta.plan_options.build_product_graph = po_flags & 4;
+  if (run != ImpliedRunOptions(meta.plan_options))
+    return Corrupt("meta run options disagree with the plan options");
   meta.has_product_graph = has_pg != 0;
   meta.has_entity_names = has_names != 0;
   for (uint64_t* n :
@@ -349,8 +359,7 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
                              SnapshotMeta* meta) {
   const MatchPlan::Rep& rep = *plan.rep_;
   const EmContext& ctx = rep.ctx;
-  meta->plan_options = rep.options;
-  meta->em_options = ctx.opts_;
+  meta->plan_options = ctx.opts_;
   meta->has_product_graph = rep.pg.has_value();
   meta->num_candidates = ctx.candidates_.size();
   meta->candidates_initial = ctx.candidates_initial_;
@@ -507,7 +516,7 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
     return Corrupt("graph/meta node-count mismatch");
   std::shared_ptr<MatchPlan::Rep> rep(
       new MatchPlan::Rep(EmContext::DeserializeShell{}, g, keys,
-                         meta.plan_options, meta.em_options));
+                         meta.plan_options));
   EmContext& ctx = rep->ctx;
 
   // NodeSet pool, in id order.
@@ -583,7 +592,7 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
   // Each candidate takes at least 3 bytes: two varints and a flag byte.
   if (num_candidates > p.remaining() / 3)
     return Corrupt("candidate count exceeds the plan record");
-  const bool pairing = meta.em_options.use_pairing;
+  const bool pairing = meta.plan_options.use_pairing;
   ctx.candidates_.reserve(num_candidates);
   if (pairing) ctx.reduced_pool_.reserve(2 * num_candidates);
   for (uint64_t i = 0; i < num_candidates; ++i) {

@@ -17,9 +17,15 @@ namespace storage {
 /// other records' counts and to reconstruct the options the plan was
 /// compiled with. Written last (the codecs fill the counts as they
 /// encode), read first.
+///
+/// Record bytes: u8 algorithm; a run-option block (varint processors, u8
+/// flags, varint bounded messages) whose bytes the plan options fix, so
+/// DecodeMeta rejects a block that disagrees with them (plan_codec.cc,
+/// RunOptionBytes); varint plan processors; u8 plan flags (pairing,
+/// blocking, product graph); u8 has_product_graph; u8 has_entity_names;
+/// then the counts below as varints, in order.
 struct SnapshotMeta {
   Algorithm algorithm = Algorithm::kEmOptVc;
-  EmOptions em_options;
   PlanOptions plan_options;
   bool has_product_graph = false;
   bool has_entity_names = false;

@@ -24,9 +24,17 @@ bool FileExists(const std::string& path) {
   return ::access(path.c_str(), F_OK) == 0;
 }
 
+/// A failure to replay acknowledged batch `batch_index`: data loss,
+/// unless the caller's deadline ran out, which loses nothing.
 Status LossAt(size_t batch_index, const Status& cause) {
-  return Status::DataLoss("acknowledged batch " + std::to_string(batch_index) +
-                          " is unrecoverable: " + std::string(cause.message()));
+  const std::string batch = "acknowledged batch " +
+                            std::to_string(batch_index);
+  if (cause.code() == StatusCode::kDeadlineExceeded) {
+    return Status::DeadlineExceeded("replaying " + batch + ": " +
+                                    std::string(cause.message()));
+  }
+  return Status::DataLoss(batch + " is unrecoverable: " +
+                          std::string(cause.message()));
 }
 
 std::string GenName(const char* prefix, uint64_t g, const char* suffix) {
@@ -111,11 +119,14 @@ StatusOr<RecoveredSession> Recover(const std::string& dir,
   // as the per-batch chain would reach it. Replay follows the
   // SNAPSHOT's algorithm when the caller's differs — the stored plan was
   // compiled for it (e.g. the EMVC family needs its product graph), and
-  // all six produce identical pairs anyway.
+  // all six produce identical pairs anyway. The switch loads that
+  // algorithm's preset; the caller's processors and deadline carry over.
   Matcher replayer = matcher;
   if (replayer.algorithm() != session.snapshot.algorithm()) {
-    int procs = replayer.options().processors;
-    replayer.algorithm(session.snapshot.algorithm()).processors(procs);
+    const EmOptions& mine = matcher.options();
+    replayer.algorithm(session.snapshot.algorithm())
+        .processors(mine.processors)
+        .deadline_seconds(mine.time_budget_seconds);
   }
   const std::vector<std::string>& records = replay->records;
   std::vector<TokenizedText> texts;

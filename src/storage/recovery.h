@@ -63,9 +63,12 @@ struct RecoveredSession {
 ///                not tagged as text, after the batches before it. Replay
 ///                runs under `matcher` reconfigured to the snapshot's
 ///                stored algorithm when they differ (the stored plan was
-///                compiled for it); processors carry over.
+///                compiled for it); processors and the deadline carry
+///                over.
 ///
 /// Status contract: NotFound when `dir` has no snapshot at all;
+/// kDeadlineExceeded, naming the batch, when the matcher's deadline
+/// (Matcher::deadline_seconds) expires during a replayed rematch;
 /// kDataLoss ONLY when an ACKNOWLEDGED batch is unrecoverable — every
 /// snapshot corrupt (the message names the newest one and why it failed
 /// to load), a checksum-valid log record that is not a text batch or

@@ -1,6 +1,9 @@
 #include "workload/workload.h"
 
 #include <algorithm>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <utility>
@@ -25,6 +28,31 @@ StatusOr<Algorithm> AlgorithmByName(const std::string& name) {
   return Status::InvalidArgument(
       "unknown algorithm '" + name +
       "' (expected NaiveChase, EMMR, EMVF2MR, EMOptMR, EMVC, or EMOptVC)");
+}
+
+/// Reads integer field `key` of `obj` into `*out`, leaving `*out` as it
+/// is when the field is absent. InvalidArgument naming the field unless
+/// the value is a number, integral and in [lo, hi]: a float-to-integer
+/// cast of anything else would truncate or be undefined.
+template <typename T>
+Status ReadInt(const JsonValue& obj, std::string_view key, T lo, T hi,
+               T* out) {
+  const JsonValue* v = obj.Find(key);
+  if (v == nullptr) return Status::OK();
+  // hi + 1.0 rounds to 2^64 for a 64-bit hi, so `<` admits exactly the
+  // doubles that convert to a value in range.
+  const double x = v->is_number() ? v->number() : std::nan("");
+  if (x == std::floor(x) && x >= static_cast<double>(lo) &&
+      x < static_cast<double>(hi) + 1.0) {
+    *out = static_cast<T>(x);
+    return Status::OK();
+  }
+  char got[32] = "a non-number";
+  if (v->is_number()) std::snprintf(got, sizeof(got), "%g", x);
+  return Status::InvalidArgument(
+      "workload spec field \"" + std::string(key) +
+      "\" must be an integer in [" + std::to_string(lo) + ", " +
+      std::to_string(hi) + "], got " + got);
 }
 
 std::string RowName(const WorkloadSpec& spec, Algorithm a, int rep) {
@@ -88,11 +116,12 @@ StatusOr<WorkloadSpec> ParseWorkloadSpec(std::string_view json_text) {
   if (spec.name.empty()) {
     return Status::InvalidArgument("workload spec requires a \"name\"");
   }
-  spec.seed = static_cast<uint64_t>(doc->NumberOr("seed", 42));
-  spec.repetitions =
-      std::max(1, static_cast<int>(doc->NumberOr("repetitions", 1)));
-  spec.processors =
-      std::max(1, static_cast<int>(doc->NumberOr("processors", 2)));
+  GKEYS_RETURN_IF_ERROR(
+      ReadInt(*doc, "seed", uint64_t{0}, UINT64_MAX, &spec.seed));
+  GKEYS_RETURN_IF_ERROR(
+      ReadInt(*doc, "repetitions", 1, INT_MAX, &spec.repetitions));
+  GKEYS_RETURN_IF_ERROR(
+      ReadInt(*doc, "processors", 1, kMaxProcessors, &spec.processors));
   spec.oracle = doc->BoolOr("oracle", true);
 
   const JsonValue* algos = doc->Find("algorithms");
@@ -136,17 +165,19 @@ StatusOr<WorkloadSpec> ParseWorkloadSpec(std::string_view json_text) {
       return Status::InvalidArgument("\"deltas\" must be an object");
     }
     spec.delta_kind = deltas->StringOr("kind", "uniform");
-    spec.delta_batches =
-        std::max(0, static_cast<int>(deltas->NumberOr("batches", 4)));
+    spec.delta_batches = 4;
+    GKEYS_RETURN_IF_ERROR(
+        ReadInt(*deltas, "batches", 0, INT_MAX, &spec.delta_batches));
     DeltaGenConfig& dc = spec.delta_config;
-    dc.seed = static_cast<uint64_t>(
-        deltas->NumberOr("seed", static_cast<double>(spec.seed + 1)));
-    dc.ops_per_batch =
-        static_cast<size_t>(deltas->NumberOr("ops_per_batch", 8));
+    dc.seed = spec.seed + 1;
+    GKEYS_RETURN_IF_ERROR(
+        ReadInt(*deltas, "seed", uint64_t{0}, UINT64_MAX, &dc.seed));
+    GKEYS_RETURN_IF_ERROR(ReadInt(*deltas, "ops_per_batch", size_t{0},
+                                  size_t{INT_MAX}, &dc.ops_per_batch));
+    GKEYS_RETURN_IF_ERROR(
+        ReadInt(*deltas, "churn_repeats", 1, INT_MAX, &dc.churn_repeats));
     dc.remove_fraction = deltas->NumberOr("remove_fraction", 0.4);
     dc.hub_fraction = deltas->NumberOr("hub_fraction", 0.05);
-    dc.churn_repeats =
-        std::max(1, static_cast<int>(deltas->NumberOr("churn_repeats", 2)));
     StatusOr<std::unique_ptr<DeltaGenerator>> probe =
         MakeDeltaGenerator(spec.delta_kind, dc);
     if (!probe.ok()) return probe.status();
@@ -162,79 +193,86 @@ StatusOr<WorkloadSpec> LoadWorkloadSpec(const std::string& path) {
 
 StatusOr<SyntheticDataset> BuildWorkloadDataset(const WorkloadSpec& spec) {
   const JsonValue& d = spec.dataset_params;
-  auto geti = [&](std::string_view key, int fallback) {
-    return static_cast<int>(d.NumberOr(key, fallback));
+  // Reads a non-negative count; the first bad one is returned below.
+  Status bad;
+  auto geti = [&](std::string_view key, int& field) {
+    if (bad.ok()) bad = ReadInt(d, key, 0, INT_MAX, &field);
   };
   if (spec.generator == "synthetic") {
     SyntheticConfig c;
     c.seed = spec.seed;
     c.scale = spec.scale;
-    c.num_groups = geti("num_groups", c.num_groups);
-    c.chain_length = geti("chain_length", c.chain_length);
-    c.radius = geti("radius", c.radius);
-    c.entities_per_type = geti("entities_per_type", c.entities_per_type);
+    geti("num_groups", c.num_groups);
+    geti("chain_length", c.chain_length);
+    geti("radius", c.radius);
+    geti("entities_per_type", c.entities_per_type);
     c.duplicate_fraction =
         d.NumberOr("duplicate_fraction", c.duplicate_fraction);
     c.chained_fraction = d.NumberOr("chained_fraction", c.chained_fraction);
-    c.noise_edges_per_entity =
-        geti("noise_edges_per_entity", c.noise_edges_per_entity);
-    c.noise_predicates = geti("noise_predicates", c.noise_predicates);
+    geti("noise_edges_per_entity", c.noise_edges_per_entity);
+    geti("noise_predicates", c.noise_predicates);
+    GKEYS_RETURN_IF_ERROR(bad);
     return GenerateSynthetic(c);
   }
   if (spec.generator == "google") {
     GoogleSimConfig c;
     c.seed = spec.seed;
     c.scale = spec.scale;
-    c.num_persons = geti("num_persons", c.num_persons);
-    c.num_employers = geti("num_employers", c.num_employers);
-    c.num_universities = geti("num_universities", c.num_universities);
-    c.num_places = geti("num_places", c.num_places);
-    c.num_majors = geti("num_majors", c.num_majors);
-    c.duplicate_pairs = geti("duplicate_pairs", c.duplicate_pairs);
+    geti("num_persons", c.num_persons);
+    geti("num_employers", c.num_employers);
+    geti("num_universities", c.num_universities);
+    geti("num_places", c.num_places);
+    geti("num_majors", c.num_majors);
+    geti("duplicate_pairs", c.duplicate_pairs);
+    GKEYS_RETURN_IF_ERROR(bad);
     return GenerateGoogleSim(c);
   }
   if (spec.generator == "dbpedia") {
     DBpediaSimConfig c;
     c.seed = spec.seed;
     c.scale = spec.scale;
-    c.num_artists = geti("num_artists", c.num_artists);
-    c.num_albums = geti("num_albums", c.num_albums);
-    c.num_companies = geti("num_companies", c.num_companies);
-    c.num_books = geti("num_books", c.num_books);
-    c.num_locations = geti("num_locations", c.num_locations);
-    c.num_streets = geti("num_streets", c.num_streets);
-    c.duplicate_pairs = geti("duplicate_pairs", c.duplicate_pairs);
+    geti("num_artists", c.num_artists);
+    geti("num_albums", c.num_albums);
+    geti("num_companies", c.num_companies);
+    geti("num_books", c.num_books);
+    geti("num_locations", c.num_locations);
+    geti("num_streets", c.num_streets);
+    geti("duplicate_pairs", c.duplicate_pairs);
+    GKEYS_RETURN_IF_ERROR(bad);
     return GenerateDBpediaSim(c);
   }
   if (spec.generator == "powerlaw") {
     PowerLawConfig c;
     c.seed = spec.seed;
     c.scale = spec.scale;
-    c.num_hubs = geti("num_hubs", c.num_hubs);
-    c.num_leaves = geti("num_leaves", c.num_leaves);
+    geti("num_hubs", c.num_hubs);
+    geti("num_leaves", c.num_leaves);
     c.alpha = d.NumberOr("alpha", c.alpha);
-    c.hub_dup_pairs = geti("hub_dup_pairs", c.hub_dup_pairs);
-    c.leaf_dup_pairs = geti("leaf_dup_pairs", c.leaf_dup_pairs);
+    geti("hub_dup_pairs", c.hub_dup_pairs);
+    geti("leaf_dup_pairs", c.leaf_dup_pairs);
     c.chained_fraction = d.NumberOr("chained_fraction", c.chained_fraction);
-    c.follows_per_leaf = geti("follows_per_leaf", c.follows_per_leaf);
+    geti("follows_per_leaf", c.follows_per_leaf);
+    GKEYS_RETURN_IF_ERROR(bad);
     return GeneratePowerLaw(c);
   }
   if (spec.generator == "skew") {
     SkewedSelectivityConfig c;
     c.seed = spec.seed;
     c.scale = spec.scale;
-    c.num_items = geti("num_items", c.num_items);
+    geti("num_items", c.num_items);
     c.hot_fraction = d.NumberOr("hot_fraction", c.hot_fraction);
-    c.dup_pairs = geti("dup_pairs", c.dup_pairs);
+    geti("dup_pairs", c.dup_pairs);
     c.chained_fraction = d.NumberOr("chained_fraction", c.chained_fraction);
+    GKEYS_RETURN_IF_ERROR(bad);
     return GenerateSkewedSelectivity(c);
   }
   if (spec.generator == "neardup") {
     NearDuplicateConfig c;
     c.seed = spec.seed;
     c.scale = spec.scale;
-    c.num_clusters = geti("num_clusters", c.num_clusters);
-    c.cluster_size = geti("cluster_size", c.cluster_size);
+    geti("num_clusters", c.num_clusters);
+    geti("cluster_size", c.cluster_size);
+    GKEYS_RETURN_IF_ERROR(bad);
     return GenerateNearDuplicates(c);
   }
   return Status::InvalidArgument(

@@ -61,6 +61,11 @@ namespace gkeys {
 ///       "seed": 43                           // default spec seed + 1
 ///     }
 ///   }
+///
+/// Integer fields must hold an integral value in range: processors in
+/// [1, kMaxProcessors], repetitions and churn_repeats at least 1, seeds
+/// any uint64, every count at least 0. Anything else is InvalidArgument
+/// naming the field, at parse time.
 struct WorkloadSpec {
   std::string name;
   uint64_t seed = 42;

@@ -8,6 +8,7 @@
 #include "core/entity_matcher.h"
 #include "gen/datasets.h"
 #include "gen/synthetic.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {

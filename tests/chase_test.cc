@@ -1,4 +1,6 @@
-#include "core/chase.h"
+// The sequential reference chase (tests/chase_reference.h), the oracle
+// the engines are checked against.
+#include "chase_reference.h"
 
 #include <gtest/gtest.h>
 

@@ -1,5 +1,6 @@
-// End-to-end regression tests for the `gkeys` CLI, driving the real
-// binary (path injected by CMake as GKEYS_CLI_BINARY) through popen.
+// End-to-end regression tests for the `gkeys` CLI and the
+// `gkeys_workload` runner, driving the real binaries (paths injected by
+// CMake as GKEYS_CLI_BINARY and GKEYS_WORKLOAD_BINARY) through popen.
 // Covers the durable-session commands — a session saved by one process
 // must recover and ingest correctly in another, and a corrupt snapshot
 // must fail with one line — and the empty-delta no-op short-circuit on
@@ -18,8 +19,8 @@
 
 #include "test_util.h"
 
-#ifndef GKEYS_CLI_BINARY
-#error "cli_test requires GKEYS_CLI_BINARY (set by CMakeLists.txt)"
+#if !defined(GKEYS_CLI_BINARY) || !defined(GKEYS_WORKLOAD_BINARY)
+#error "cli_test needs GKEYS_CLI_BINARY, GKEYS_WORKLOAD_BINARY (CMakeLists.txt)"
 #endif
 
 namespace {
@@ -31,12 +32,11 @@ struct RunOutput {
   std::string text;  // stdout + stderr, interleaved
 };
 
-/// Runs the CLI; its stderr goes to `stderr_to` (a path, or "&1" to
+/// Runs `binary`; its stderr goes to `stderr_to` (a path, or "&1" to
 /// interleave it with stdout).
-RunOutput RunCli(const std::string& args,
-                 const std::string& stderr_to = "&1") {
-  std::string cmd =
-      std::string(GKEYS_CLI_BINARY) + " " + args + " 2>" + stderr_to;
+RunOutput RunBinary(const char* binary, const std::string& args,
+                    const std::string& stderr_to) {
+  std::string cmd = std::string(binary) + " " + args + " 2>" + stderr_to;
   FILE* pipe = popen(cmd.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << cmd;
   RunOutput out{-1, {}};
@@ -49,6 +49,12 @@ RunOutput RunCli(const std::string& args,
   int status = pclose(pipe);
   out.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return out;
+}
+
+/// Runs the gkeys CLI (see RunBinary).
+RunOutput RunCli(const std::string& args,
+                 const std::string& stderr_to = "&1") {
+  return RunBinary(GKEYS_CLI_BINARY, args, stderr_to);
 }
 
 std::string TempFile(const std::string& name, const std::string& content) {
@@ -612,6 +618,72 @@ TEST_F(CliTest, ProcessorsOutsideOneTo256IsAUsageError) {
                             " --algorithm=EMMR --processors=256");
   EXPECT_EQ(at_cap.exit_code, 0) << at_cap.text;
   EXPECT_EQ(LastPairs(at_cap.text), 2) << at_cap.text;
+}
+
+// ---- Every numeric flag is checked the way --processors is ---------------
+
+/// Expects exit 2 with exactly one line: the InvalidArgument for `flag`.
+void ExpectFlagError(const RunOutput& out, const std::string& flag) {
+  EXPECT_EQ(out.exit_code, 2) << out.text;
+  EXPECT_EQ(std::count(out.text.begin(), out.text.end(), '\n'), 1)
+      << out.text;
+  EXPECT_EQ(out.text.rfind("InvalidArgument: " + flag + " must be ", 0), 0u)
+      << out.text;
+}
+
+TEST_F(CliTest, BadNumericFlagsAreUsageErrorsBeforeAnyInputIsRead) {
+  const std::string generated = TempPath("generated.triples");
+  // discover gets a graph path that does not exist: the flag is checked
+  // before the graph is read.
+  const std::string missing = TempPath("no_such_graph.triples");
+  const struct {
+    std::string args;
+    const char* flag;
+  } cases[] = {
+      {"generate " + generated + " --scale=abc", "--scale"},
+      {"generate " + generated + " --scale=0", "--scale"},
+      {"generate " + generated + " --c=two", "--c"},
+      {"generate " + generated + " --d=-3", "--d"},
+      {"generate " + generated + " --seed=12x", "--seed"},
+      {"generate " + generated + " --seed=-1", "--seed"},
+      {"discover " + missing + " --max-attrs=zz", "--max-attrs"},
+      {"discover " + missing + " --max-attrs=0", "--max-attrs"},
+      {"discover " + missing + " --min-coverage=high", "--min-coverage"},
+      {"discover " + missing + " --min-coverage=1.5", "--min-coverage"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.args);
+    ExpectFlagError(RunCli(c.args), c.flag);
+  }
+  EXPECT_FALSE(std::ifstream(generated).good()) << "a bad flag wrote output";
+
+  RunOutput gen =
+      RunCli("generate " + generated + " --scale=0.5 --c=1 --d=1 --seed=7");
+  EXPECT_EQ(gen.exit_code, 0) << gen.text;
+  RunOutput disc =
+      RunCli("discover " + graph_ + " --max-attrs=1 --min-coverage=0.5");
+  EXPECT_EQ(disc.exit_code, 0) << disc.text;
+}
+
+TEST(WorkloadCli, ProcessorsOutsideOneTo256IsAUsageErrorBeforeTheSpecIsRead) {
+  // The spec does not exist: a bad flag must stop the run before the spec
+  // is read (or a dataset built).
+  const std::string missing = TempPath("no_such_spec.json");
+  for (const char* p : {"2x", "300", "0", "-1", "", "abc"}) {
+    SCOPED_TRACE(std::string("--processors=") + p);
+    ExpectFlagError(RunBinary(GKEYS_WORKLOAD_BINARY,
+                              "run " + missing + " --processors=" + p, "&1"),
+                    "--processors");
+  }
+  const std::string spec = TempFile(
+      "tiny_spec.json",
+      R"({"name": "tiny", "algorithms": ["EMOptVC"], "oracle": false,)"
+      R"( "dataset": {"generator": "neardup", "scale": 0.2}})");
+  RunOutput ok = RunBinary(GKEYS_WORKLOAD_BINARY,
+                           "run " + spec + " --processors=1", "/dev/null");
+  EXPECT_EQ(ok.exit_code, 0) << ok.text;
+  EXPECT_NE(ok.text.find("\"tiny/EMOptVC/rep0\""), std::string::npos)
+      << ok.text;
 }
 
 // ---- Corrupt-snapshot audit: recover exits 1 with one line -------------

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "core/matcher.h"
+#include "fault_store.h"
 #include "io/fast_triples.h"
 #include "storage/delta_log.h"
 #include "storage/durable_dir.h"
@@ -636,6 +637,47 @@ TEST(Deadline, SinkKeepsPairsStreamedBeforeTheBudgetExpired) {
   for (const auto& p : streamed) {
     EXPECT_NE(std::find(truth.begin(), truth.end(), p), truth.end());
   }
+}
+
+// An EMOptVC session with one logged removal batch: replaying it runs a
+// retraction rematch, so a budget can expire inside the replay.
+std::string DirWithOneLoggedRemoval(const std::string& tag) {
+  const std::string dir = TempPath(tag);
+  MakeLoggedDir(dir, MakeBase(), Algorithm::kEmOptVc,
+                {"- ent:company:3 parent_of ent:company:5\n"});
+  return dir;
+}
+
+TEST(Deadline, ExpiredBudgetDuringReplayIsDeadlineExceededNotDataLoss) {
+  // The log is intact, so nothing was lost: the caller learns its budget
+  // ran out at which batch, and a later Recover with time succeeds.
+  const std::string dir = DirWithOneLoggedRemoval("deadline_replay");
+  auto rec = Matcher(Algorithm::kEmOptVc)
+                 .processors(1)
+                 .deadline_seconds(1e-12)
+                 .Recover(dir);
+  ASSERT_FALSE(rec.ok());
+  EXPECT_EQ(rec.status().code(), StatusCode::kDeadlineExceeded)
+      << rec.status().ToString();
+  EXPECT_NE(rec.status().message().find("acknowledged batch 0"),
+            std::string::npos)
+      << rec.status().ToString();
+  auto again = Matcher(Algorithm::kEmOptVc).processors(1).Recover(dir);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again->report.batches_replayed, 1u);
+}
+
+TEST(Deadline, ReplayUnderTheSnapshotsAlgorithmKeepsTheCallersBudget) {
+  // Recover switches to the snapshot's algorithm (EMOptVC here) for the
+  // replay; the caller's deadline carries over, as its processors do.
+  const std::string dir = DirWithOneLoggedRemoval("deadline_switch");
+  auto rec = Matcher(Algorithm::kEmOptMr)
+                 .processors(1)
+                 .deadline_seconds(1e-12)
+                 .Recover(dir);
+  ASSERT_FALSE(rec.ok()) << "the budget was dropped by the switch";
+  EXPECT_EQ(rec.status().code(), StatusCode::kDeadlineExceeded)
+      << rec.status().ToString();
 }
 
 TEST(Deadline, NegativeBudgetIsInvalidArgument) {

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/chase.h"
 #include "gen/synthetic.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {
@@ -80,13 +80,16 @@ TEST(EmMapReduce, AllOptimizationTogglesPreserveResult) {
   cfg.seed = 77;
   SyntheticDataset ds = GenerateSynthetic(cfg);
   for (int mask = 0; mask < 16; ++mask) {
+    PlanOptions popts = PlanOptions::For(Algorithm::kEmMr, 3);
+    popts.use_pairing = mask & 2;
     EmOptions opts;
     opts.processors = 3;
     opts.use_vf2 = mask & 1;
-    opts.use_pairing = mask & 2;
     opts.use_dependency = mask & 4;
     opts.use_incremental = mask & 8;
-    MatchResult r = CompileAndRun(ds.graph, ds.keys, Algorithm::kEmMr, opts);
+    MatchResult r = CompileAndRun(ds.graph, ds.keys,
+                                  Matcher(Algorithm::kEmMr).options(opts),
+                                  popts);
     EXPECT_EQ(r.pairs, ds.planted) << "option mask " << mask;
   }
 }

@@ -9,10 +9,10 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "core/chase.h"
 #include "core/matcher.h"
 #include "gen/datasets.h"
 #include "gen/synthetic.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {

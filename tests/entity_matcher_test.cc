@@ -17,18 +17,19 @@ TEST(EmOptionsPresets, MatchThePaperVariants) {
   EmOptions mr = EmOptions::For(Algorithm::kEmMr, 4);
   EXPECT_EQ(mr.processors, 4);
   EXPECT_FALSE(mr.use_vf2);
-  EXPECT_FALSE(mr.use_pairing);
+  EXPECT_FALSE(PlanOptions::For(Algorithm::kEmMr, 4).use_pairing);
 
   EmOptions vf2 = EmOptions::For(Algorithm::kEmVf2Mr, 4);
   EXPECT_TRUE(vf2.use_vf2);
 
   EmOptions opt_mr = EmOptions::For(Algorithm::kEmOptMr, 4);
-  EXPECT_TRUE(opt_mr.use_pairing);
+  EXPECT_TRUE(PlanOptions::For(Algorithm::kEmOptMr, 4).use_pairing);
   EXPECT_TRUE(opt_mr.use_dependency);
   EXPECT_TRUE(opt_mr.use_incremental);
 
   EmOptions vc = EmOptions::For(Algorithm::kEmVc, 4);
-  EXPECT_TRUE(vc.use_pairing);  // Gp is built from pairing (§5.1)
+  // Gp is built from pairing (§5.1).
+  EXPECT_TRUE(PlanOptions::For(Algorithm::kEmVc, 4).use_pairing);
   EXPECT_EQ(vc.bounded_messages, 0);
   EXPECT_FALSE(vc.prioritized);
 
@@ -51,7 +52,6 @@ TEST(EntityMatcher, CustomOptionsDispatch) {
   KeySet sigma1 = testing::MakeSigma1();
   EmOptions custom;
   custom.processors = 2;
-  custom.use_pairing = true;
   custom.bounded_messages = 2;
   auto plan = Matcher::Compile(m.g, sigma1);
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();

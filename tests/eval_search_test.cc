@@ -12,6 +12,7 @@ namespace {
 
 using testing::MakeG1;
 using testing::MakeG2;
+using testing::ParseKey;
 
 CompiledPattern CompileDsl(const Graph& g, const char* dsl) {
   auto key = ParseKey(dsl);

@@ -1,11 +1,13 @@
 #ifndef GKEYS_TESTS_FAULT_STORE_H_
 #define GKEYS_TESTS_FAULT_STORE_H_
 
+#include <cerrno>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
 
+#include "storage/file_ops.h"
 #include "storage/store.h"
 
 namespace gkeys {
@@ -110,6 +112,66 @@ class FaultInjectingStore : public Store {
   mutable std::string scratch_;
 };
 
+namespace fileops {
+
+inline const char* OpKindName(OpKind kind) {
+  switch (kind) {
+    case OpKind::kOpen: return "open";
+    case OpKind::kWrite: return "write";
+    case OpKind::kFsync: return "fsync";
+    case OpKind::kRename: return "rename";
+    case OpKind::kFsyncDir: return "fsync_dir";
+    case OpKind::kTruncate: return "truncate";
+  }
+  return "unknown";
+}
+
+/// A scriptable injector at the file-ops seam (storage/file_ops.h),
+/// covering the fault menu the tests need: fail the `fail_at`-th
+/// faultable op (0-based, counted across every kind, or only ops of
+/// `only_kind` when set); optionally enter a crashed state where all
+/// later ops fail EIO — the in-process stand-in for SIGKILL, after which
+/// the test discards its in-memory state and runs recovery on whatever
+/// reached the filesystem.
+class ScriptedFaultInjector : public FaultInjector {
+ public:
+  int64_t fail_at = -1;  // -1 = never fire (pure op counting)
+  bool has_kind_filter = false;
+  OpKind only_kind = OpKind::kWrite;
+  FaultAction action{/*fail_errno=*/EIO};
+  bool crash_after = false;
+
+  /// Faultable ops observed so far (matching the kind filter). A dry run
+  /// with fail_at = -1 counts the injection points of a schedule; the
+  /// harness then replays it once per point.
+  int64_t ops_seen = 0;
+  bool fired = false;
+  bool crashed = false;
+
+  FaultAction OnOp(OpKind kind, const std::string&) override {
+    if (crashed) return FaultAction{/*fail_errno=*/EIO};
+    if (has_kind_filter && kind != only_kind) return {};
+    const int64_t index = ops_seen++;
+    if (fail_at < 0 || index != fail_at) return {};
+    fired = true;
+    if (crash_after) crashed = true;
+    return action;
+  }
+};
+
+/// RAII installer so a test failure cannot leak an injector into later
+/// tests.
+class ScopedFaultInjector {
+ public:
+  explicit ScopedFaultInjector(FaultInjector* injector) {
+    SetFaultInjector(injector);
+  }
+  ~ScopedFaultInjector() { SetFaultInjector(nullptr); }
+  ScopedFaultInjector(const ScopedFaultInjector&) = delete;
+  ScopedFaultInjector& operator=(const ScopedFaultInjector&) = delete;
+};
+
+}  // namespace fileops
 }  // namespace storage
 }  // namespace gkeys
 

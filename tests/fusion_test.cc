@@ -6,6 +6,7 @@
 #include "eq/equivalence.h"
 #include "gen/datasets.h"
 #include "graph/merge.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {

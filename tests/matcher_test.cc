@@ -104,7 +104,7 @@ TEST(Matcher, PresetsMatchThePaperFlagCombinations) {
     EmOptions o = EmOptions::For(a, 3);
     EXPECT_EQ(o.processors, 3);
     EXPECT_FALSE(o.use_vf2);
-    EXPECT_FALSE(o.use_pairing);
+    EXPECT_FALSE(PlanOptions::For(a, 3).use_pairing);
     EXPECT_FALSE(o.use_dependency);
     EXPECT_FALSE(o.use_incremental);
     EXPECT_EQ(o.bounded_messages, 0);
@@ -113,21 +113,21 @@ TEST(Matcher, PresetsMatchThePaperFlagCombinations) {
   // kEmVf2Mr: full enumeration only.
   EmOptions vf2 = EmOptions::For(Algorithm::kEmVf2Mr, 3);
   EXPECT_TRUE(vf2.use_vf2);
-  EXPECT_FALSE(vf2.use_pairing);
+  EXPECT_FALSE(PlanOptions::For(Algorithm::kEmVf2Mr, 3).use_pairing);
   // kEmOptMr: the three §4.2 optimizations.
   EmOptions opt_mr = EmOptions::For(Algorithm::kEmOptMr, 3);
-  EXPECT_TRUE(opt_mr.use_pairing);
+  EXPECT_TRUE(PlanOptions::For(Algorithm::kEmOptMr, 3).use_pairing);
   EXPECT_TRUE(opt_mr.use_dependency);
   EXPECT_TRUE(opt_mr.use_incremental);
   EXPECT_FALSE(opt_mr.use_vf2);
   // kEmVc: product graph from pairing, no §5.2 extras.
   EmOptions vc = EmOptions::For(Algorithm::kEmVc, 3);
-  EXPECT_TRUE(vc.use_pairing);
+  EXPECT_TRUE(PlanOptions::For(Algorithm::kEmVc, 3).use_pairing);
   EXPECT_EQ(vc.bounded_messages, 0);
   EXPECT_FALSE(vc.prioritized);
   // kEmOptVc: bounded messages (the paper's k = 4) + prioritization.
   EmOptions opt_vc = EmOptions::For(Algorithm::kEmOptVc, 3);
-  EXPECT_TRUE(opt_vc.use_pairing);
+  EXPECT_TRUE(PlanOptions::For(Algorithm::kEmOptVc, 3).use_pairing);
   EXPECT_EQ(opt_vc.bounded_messages, 4);
   EXPECT_TRUE(opt_vc.prioritized);
 

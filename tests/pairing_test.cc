@@ -19,6 +19,7 @@ namespace {
 
 using testing::MakeG1;
 using testing::MakeG2;
+using testing::ParseKey;
 
 CompiledPattern CompileDsl(const Graph& g, const char* dsl) {
   auto key = ParseKey(dsl);
@@ -306,9 +307,9 @@ TEST(PairingOracle, DenseWorklistMatchesReferenceOnRandomWorkloads) {
       cfg.radius = d;
       cfg.entities_per_type = 10;
       SyntheticDataset ds = GenerateSynthetic(cfg);
-      EmOptions opts;
-      opts.use_blocking = false;  // keep every same-type pair comparable
-      EmContext ctx(ds.graph, ds.keys, opts);
+      // No blocking: keep every same-type pair comparable.
+      EmContext ctx(ds.graph, ds.keys,
+                    PlanOptions{.use_pairing = false, .use_blocking = false});
       SCOPED_TRACE("seed=" + std::to_string(seed) +
                    " d=" + std::to_string(d));
       CheckAgainstOracle(ds, ctx);
@@ -327,9 +328,8 @@ TEST(PairingOracle, DenseWorklistMatchesReferenceOnHotPowerLawLeaves) {
     cfg.follows_per_leaf = 2;
     cfg.scale = blocking ? 12.0 : 2.0;
     SyntheticDataset ds = GeneratePowerLaw(cfg);
-    EmOptions opts;
-    opts.use_blocking = blocking;
-    EmContext ctx(ds.graph, ds.keys, opts);
+    EmContext ctx(ds.graph, ds.keys,
+                  PlanOptions{.use_pairing = false, .use_blocking = blocking});
     SCOPED_TRACE(blocking ? "blocked" : "unblocked");
     CheckAgainstOracle(ds, ctx);
   }

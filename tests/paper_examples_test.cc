@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/entity_matcher.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {

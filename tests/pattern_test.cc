@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "pattern/parser.h"
+#include "test_util.h"
 
 namespace gkeys {
 namespace {
+
+using testing::ParseKey;
 
 Pattern MusicKeyQ1() {
   // Q1: album by name + recording artist (recursive).
@@ -82,9 +85,8 @@ TEST(Pattern, ValidateRejectsDuplicateNames) {
 
 TEST(Pattern, AddTripleRejectsValueSubject) {
   Pattern p;
-  p.AddDesignated("t");
+  int x = p.AddDesignated("t");
   int v = p.AddValueVar("v");
-  int x = p.FindNode("x");
   EXPECT_FALSE(p.AddTriple(v, "p", x).ok());
 }
 

@@ -10,13 +10,13 @@
 #include <utility>
 #include <vector>
 
-#include "core/chase.h"
 #include "core/matcher.h"
 #include "gen/datasets.h"
 #include "gen/hostile.h"
 #include "gen/synthetic.h"
 #include "graph/delta.h"
 #include "storage/plan_codec.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {

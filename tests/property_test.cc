@@ -7,6 +7,7 @@
 #include "gen/synthetic.h"
 #include "isomorph/pairing.h"
 #include "isomorph/vf2.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {
@@ -65,8 +66,7 @@ TEST_P(WorkloadProperty, PairingIsNecessary) {
   // Prop. 9(a): an unpairable pair is never identified. Equivalently the
   // identified pairs must all be paired by some key.
   SyntheticDataset ds = MakeDataset();
-  EmOptions opts;
-  EmContext ctx(ds.graph, ds.keys, opts);
+  EmContext ctx(ds.graph, ds.keys, PlanOptions{.use_pairing = false});
   ConcurrentEquivalence final_eq(ds.graph.NumNodes());
   for (auto [a, b] : ds.planted) final_eq.Union(a, b);
   for (const Candidate& c : ctx.candidates()) {
@@ -90,8 +90,7 @@ TEST_P(WorkloadProperty, EvalSearchAgreesWithVf2Enumeration) {
   // decides exactly like full enumeration + coincidence, under the final
   // (hardest) Eq.
   SyntheticDataset ds = MakeDataset();
-  EmOptions opts;
-  EmContext ctx(ds.graph, ds.keys, opts);
+  EmContext ctx(ds.graph, ds.keys, PlanOptions{.use_pairing = false});
   ConcurrentEquivalence eq(ds.graph.NumNodes());
   for (auto [a, b] : ds.planted) eq.Union(a, b);
   EqView view(&eq);
@@ -114,14 +113,17 @@ TEST_P(WorkloadProperty, MonotoneInEq) {
   // whose planted pairs are pre-merged must still be a fixpoint (nothing
   // new appears, nothing disappears).
   SyntheticDataset ds = MakeDataset();
-  EmOptions opts;
-  EmContext ctx(ds.graph, ds.keys, opts);
+  EmContext ctx(ds.graph, ds.keys, PlanOptions{.use_pairing = false});
   ConcurrentEquivalence eq(ds.graph.NumNodes());
   for (auto [a, b] : ds.planted) eq.Union(a, b);
   EqView view(&eq);
   for (const Candidate& c : ctx.candidates()) {
     if (eq.Same(c.e1, c.e2)) continue;
-    EXPECT_FALSE(ctx.Identifies(c, view))
+    int key = -1;
+    EXPECT_FALSE(ctx.IdentifiesWitness(c, view, &key, /*witness=*/nullptr,
+                                       /*stats=*/nullptr,
+                                       /*unrestricted=*/false,
+                                       /*use_vf2=*/false))
         << "fixpoint must be stable: (" << c.e1 << "," << c.e2 << ")";
   }
 }

@@ -1,6 +1,5 @@
 #include "core/provenance.h"
 
-#include "core/chase.h"
 
 #include <gtest/gtest.h>
 
@@ -13,6 +12,7 @@
 #include "eq/equivalence.h"
 #include "gen/synthetic.h"
 #include "graph/delta.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {

@@ -4,9 +4,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/chase.h"
 #include "gen/datasets.h"
 #include "gen/synthetic.h"
+#include "chase_reference.h"
 #include "test_util.h"
 
 namespace gkeys {

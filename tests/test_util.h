@@ -18,12 +18,37 @@
 #include "common/hash.h"
 #include "core/matcher.h"
 #include "graph/graph.h"
+#include "graph/neighborhood.h"
 #include "keys/key.h"
 #include "pattern/parser.h"
 #include "storage/store.h"
 
 namespace gkeys {
 namespace testing {
+
+/// Parses exactly one key; error if the input holds zero or several.
+inline StatusOr<NamedPattern> ParseKey(std::string_view text) {
+  auto keys = ParseKeys(text);
+  if (!keys.ok()) return keys.status();
+  if (keys->size() != 1) {
+    return Status::ParseError("expected exactly one key, found " +
+                              std::to_string(keys->size()));
+  }
+  return std::move((*keys)[0]);
+}
+
+/// Number of triples of `g` induced by `nodes` (|Gd| in the paper's cost
+/// analysis).
+inline size_t InducedTripleCount(const Graph& g, const NodeSet& nodes) {
+  size_t count = 0;
+  for (NodeId n : nodes) {
+    if (!g.IsEntity(n)) continue;
+    for (const Edge& e : g.Out(n)) {
+      if (nodes.Contains(e.dst)) ++count;
+    }
+  }
+  return count;
+}
 
 /// The paper's Fig. 2 graph G1 (music fragment). Node handles exposed for
 /// assertions.
@@ -261,16 +286,13 @@ inline MatchResult CompileAndRun(const Graph& g, const KeySet& keys,
   return CompileAndRun(g, keys, a, PlanOptions::For(a, processors));
 }
 
-/// Compiles the plan `opts` implies (its processors, pairing and
-/// blocking, plus Gp for the EMVC family), then runs algorithm family
-/// `a` with exactly `opts` — how the engine tests vary one knob at a
-/// time.
+/// Compiles the algorithm's plan preset at opts.processors, then runs
+/// algorithm family `a` with exactly `opts` — how the engine tests vary
+/// one run knob at a time.
 inline MatchResult CompileAndRun(const Graph& g, const KeySet& keys,
                                  Algorithm a, const EmOptions& opts) {
-  PlanOptions popts = PlanOptions::For(a, opts.processors);
-  popts.use_pairing = opts.use_pairing;
-  popts.use_blocking = opts.use_blocking;
-  return CompileAndRun(g, keys, Matcher(a).options(opts), popts);
+  return CompileAndRun(g, keys, Matcher(a).options(opts),
+                       PlanOptions::For(a, opts.processors));
 }
 
 /// Ordered in-memory Store: codecs write their records here so a test

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "pattern/parser.h"
+#include "test_util.h"
 
 namespace gkeys {
 namespace {
+
+using testing::ParseKey;
 
 /// Builds a small graph whose interner covers the pattern's vocabulary so
 /// Compile() produces a matchable pattern.

@@ -155,6 +155,76 @@ TEST(WorkloadSpec, RejectsSchemaViolations) {
   }
 }
 
+// ---- Integer fields: integral and in range, or InvalidArgument ---------
+
+/// A neardup spec with `top` members added at the top level, `dataset`
+/// ones in "dataset" and, when nonempty, a uniform "deltas" object.
+std::string SpecWith(const std::string& top, const std::string& dataset = "",
+                     const std::string& deltas = "") {
+  std::string text = R"({"name": "t", )" + top + (top.empty() ? "" : ", ") +
+                     R"("dataset": {"generator": "neardup")" +
+                     (dataset.empty() ? "" : ", " + dataset) + "}";
+  if (!deltas.empty()) {
+    text += R"(, "deltas": {"kind": "uniform", )" + deltas + "}";
+  }
+  return text + "}";
+}
+
+/// Expects the spec to fail to parse with InvalidArgument naming `field`.
+void ExpectBadField(const std::string& text, const std::string& field) {
+  SCOPED_TRACE(text);
+  auto spec = ParseWorkloadSpec(text);
+  ASSERT_FALSE(spec.ok());
+  EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(spec.status().message().find("\"" + field + "\""),
+            std::string::npos)
+      << spec.status().message();
+}
+
+TEST(WorkloadSpec, NonIntegralIntegerFieldIsInvalidArgument) {
+  ExpectBadField(SpecWith(R"("processors": 2.7)"), "processors");
+  ExpectBadField(SpecWith(R"("repetitions": 1.5)"), "repetitions");
+  ExpectBadField(SpecWith("", R"("cluster_size": 2.5)"), "cluster_size");
+  ExpectBadField(SpecWith("", "", R"("batches": 0.5)"), "batches");
+}
+
+TEST(WorkloadSpec, ProcessorsOutsideOneToMaxIsInvalidArgument) {
+  for (const char* p : {"0", "-1", "257", "300"}) {
+    ExpectBadField(SpecWith(std::string(R"("processors": )") + p),
+                   "processors");
+  }
+  auto at_cap = ParseWorkloadSpec(SpecWith(R"("processors": 256)"));
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().message();
+  EXPECT_EQ(at_cap->processors, kMaxProcessors);
+}
+
+TEST(WorkloadSpec, ValueBeyondTheFieldsTypeIsInvalidArgument) {
+  // Each of these used to be an out-of-range float-to-integer cast.
+  ExpectBadField(SpecWith(R"("processors": 1e12)"), "processors");
+  ExpectBadField(SpecWith(R"("repetitions": 1e12)"), "repetitions");
+  ExpectBadField(SpecWith(R"("seed": 1e20)"), "seed");
+  ExpectBadField(SpecWith("", R"("num_clusters": 1e12)"), "num_clusters");
+  ExpectBadField(SpecWith("", "", R"("ops_per_batch": 1e12)"),
+                 "ops_per_batch");
+}
+
+TEST(WorkloadSpec, NegativeSeedIsInvalidArgument) {
+  ExpectBadField(SpecWith(R"("seed": -1)"), "seed");
+  ExpectBadField(SpecWith("", "", R"("seed": -5)"), "seed");
+}
+
+TEST(WorkloadSpec, NegativeCountIsInvalidArgument) {
+  ExpectBadField(SpecWith("", "", R"("ops_per_batch": -1)"), "ops_per_batch");
+  ExpectBadField(SpecWith("", "", R"("batches": -2)"), "batches");
+  ExpectBadField(SpecWith("", "", R"("churn_repeats": 0)"), "churn_repeats");
+  ExpectBadField(SpecWith("", R"("cluster_size": -3)"), "cluster_size");
+}
+
+TEST(WorkloadSpec, NonNumberIntegerFieldIsInvalidArgument) {
+  ExpectBadField(SpecWith(R"("processors": "two")"), "processors");
+  ExpectBadField(SpecWith(R"("seed": true)"), "seed");
+}
+
 TEST(WorkloadRun, CommittedSpecRerunsBitIdentically) {
   auto spec = LoadWorkloadSpec(SpecPath("hostile_neardup_uniform.json"));
   ASSERT_TRUE(spec.ok()) << spec.status().message();

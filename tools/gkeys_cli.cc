@@ -25,11 +25,13 @@
 //                                        replay of the write-ahead log)
 //
 // --processors=N is the worker-thread count, an integer from 1 to 256
-// (default 4); any other value is a usage error (exit 2).
+// (default 4). Every numeric flag is range-checked the same way: a value
+// that does not parse whole, or falls outside its range, is a usage error
+// (exit 2) reported before any input is read.
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -47,6 +49,7 @@
 #include "graph/merge.h"
 #include "io/fast_triples.h"
 #include "io/triples.h"
+#include "numeric_flag.h"
 #include "storage/durable_dir.h"
 #include "storage/recovery.h"
 
@@ -102,21 +105,19 @@ bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
-/// --processors=N for match, save, ingest and recover: 4 when absent. A
-/// value that is not an integer in [1, kMaxProcessors] prints one line
-/// and returns false; the command then exits 2.
+/// Numeric flag `name` (`def` when absent) in [lo, hi]: false, with one
+/// InvalidArgument line printed, when it is not (ParseNumericFlag); the
+/// command then exits 2.
+template <typename T>
+bool NumericFlag(int argc, char** argv, const char* name, const char* def,
+                 T lo, T hi, T* out) {
+  return ParseNumericFlag(name, FlagValue(argc, argv, name, def), lo, hi,
+                          out);
+}
+
+/// --processors=N for match, save, ingest and recover: 4 when absent.
 bool ProcessorsFlag(int argc, char** argv, int* p) {
-  const std::string v = FlagValue(argc, argv, "--processors", "4");
-  const char* end = v.data() + v.size();
-  auto [last, ec] = std::from_chars(v.data(), end, *p);
-  if (ec == std::errc() && last == end && *p >= 1 && *p <= kMaxProcessors) {
-    return true;
-  }
-  std::fprintf(stderr,
-               "InvalidArgument: --processors must be an integer in [1, "
-               "%d], got '%s'\n",
-               kMaxProcessors, v.c_str());
-  return false;
+  return NumericFlag(argc, argv, "--processors", "4", 1, kMaxProcessors, p);
 }
 
 /// Reads and parses a graph file, keeping its entity-reference table so
@@ -344,17 +345,19 @@ int CmdCheck(int argc, char** argv) {
 
 int CmdDiscover(int argc, char** argv) {
   if (argc < 3) return Usage();
+  DiscoveryConfig cfg;
+  if (!NumericFlag(argc, argv, "--max-attrs", "2", 1, 3,
+                   &cfg.max_attributes) ||
+      !NumericFlag(argc, argv, "--min-coverage", "0.6", 0.0, 1.0,
+                   &cfg.min_coverage)) {
+    return 2;
+  }
   auto loaded = ReadGraph(argv[2]);
   if (!loaded.ok()) {
     std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
     return 1;
   }
   const Graph& graph = loaded->graph;
-  DiscoveryConfig cfg;
-  cfg.max_attributes =
-      std::atoi(FlagValue(argc, argv, "--max-attrs", "2").c_str());
-  cfg.min_coverage =
-      std::atof(FlagValue(argc, argv, "--min-coverage", "0.6").c_str());
   for (Symbol t : graph.EntityTypes()) {
     const std::string& type = graph.interner().Resolve(t);
     for (const DiscoveredKey& dk : DiscoverKeys(graph, type, cfg)) {
@@ -369,11 +372,14 @@ int CmdDiscover(int argc, char** argv) {
 int CmdGenerate(int argc, char** argv) {
   if (argc < 3) return Usage();
   SyntheticConfig cfg;
-  cfg.scale = std::atof(FlagValue(argc, argv, "--scale", "1.0").c_str());
-  cfg.chain_length = std::atoi(FlagValue(argc, argv, "--c", "2").c_str());
-  cfg.radius = std::atoi(FlagValue(argc, argv, "--d", "2").c_str());
-  cfg.seed = std::strtoull(FlagValue(argc, argv, "--seed", "42").c_str(),
-                           nullptr, 10);
+  if (!NumericFlag(argc, argv, "--scale", "1.0", 0.001, 10000.0,
+                   &cfg.scale) ||
+      !NumericFlag(argc, argv, "--c", "2", 1, 64, &cfg.chain_length) ||
+      !NumericFlag(argc, argv, "--d", "2", 1, 64, &cfg.radius) ||
+      !NumericFlag(argc, argv, "--seed", "42", uint64_t{0}, UINT64_MAX,
+                   &cfg.seed)) {
+    return 2;
+  }
   SyntheticDataset ds = GenerateSynthetic(cfg);
   Status st = SaveGraph(ds.graph, argv[2]);
   if (!st.ok()) {

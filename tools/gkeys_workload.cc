@@ -6,15 +6,18 @@
 // Executes the spec end to end (full runs + delta batches across every
 // listed algorithm) with the differential oracle on by default, and
 // prints / writes the standard bench JSON rows. Exit 0 only when the run
-// and every oracle check passed.
+// and every oracle check passed. --processors=N must be an integer in
+// [1, 256]; any other value exits 2 before the spec is read.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json_writer.h"
+#include "core/em_common.h"
+#include "numeric_flag.h"
 #include "workload/workload.h"
 
 namespace {
@@ -37,9 +40,9 @@ int CmdRun(const std::vector<std::string>& args) {
     } else if (a == "--no-oracle") {
       opts.disable_oracle = true;
     } else if (a.rfind("--processors=", 0) == 0) {
-      opts.processors = std::atoi(a.c_str() + 13);
-      if (opts.processors < 1) {
-        std::fprintf(stderr, "gkeys_workload: bad --processors value\n");
+      if (!gkeys::ParseNumericFlag("--processors",
+                                   std::string_view(a).substr(13), 1,
+                                   gkeys::kMaxProcessors, &opts.processors)) {
         return 2;
       }
     } else if (!a.empty() && a[0] == '-') {
