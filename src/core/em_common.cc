@@ -185,14 +185,74 @@ std::vector<NodeId> EmContext::ReachableValues(
   return frontier;
 }
 
+EmContext::SigTable EmContext::Sign(std::span<const NodeId> entities,
+                                    const SigSource& src,
+                                    const CompiledPattern& cp,
+                                    bool keep_empty) const {
+  SigTable t;
+  t.entities.reserve(entities.size());
+  t.values.Reserve(entities.size(), entities.size());
+  for (NodeId e : entities) {
+    std::vector<NodeId> vals = ReachableValues(e, src, cp);
+    if (vals.empty() && !keep_empty) continue;
+    t.entities.push_back(e);
+    t.values.AddRow(vals);
+  }
+  t.Transpose();
+  return t;
+}
+
+void EmContext::SigTable::Transpose() {
+  members.clear();
+  members.reserve(values.values.size());
+  for (size_t i = 0; i < entities.size(); ++i) {
+    for (NodeId v : values[i]) members.emplace_back(v, entities[i]);
+  }
+  std::sort(members.begin(), members.end());
+}
+
+EmContext::SigTable EmContext::Merge(const SigTable& older,
+                                     const SigTable& newer, bool keep_empty) {
+  SigTable t;
+  t.entities.reserve(older.entities.size() + newer.entities.size());
+  t.values.Reserve(older.entities.size() + newer.entities.size(),
+                   older.values.values.size() + newer.values.values.size());
+  auto put = [&](const SigTable& from, size_t i) {
+    if (from.values[i].empty() && !keep_empty) return;
+    t.entities.push_back(from.entities[i]);
+    t.values.AddRow(from.values[i]);
+  };
+  const std::vector<NodeId>& a = older.entities;
+  const std::vector<NodeId>& b = newer.entities;
+  for (size_t i = 0, j = 0; i < a.size() || j < b.size();) {
+    if (j == b.size() || (i < a.size() && a[i] < b[j])) {
+      put(older, i++);
+    } else {
+      if (i < a.size() && a[i] == b[j]) ++i;
+      put(newer, j++);
+    }
+  }
+  // Transpose: the memberships of older's entities newer does not
+  // replace, merged with newer's (empty rows have none).
+  t.members.reserve(older.members.size() + newer.members.size());
+  auto fresh = newer.members.begin();
+  for (const auto& member : older.members) {
+    if (newer.Holds(member.second)) continue;
+    for (; fresh != newer.members.end() && *fresh < member; ++fresh) {
+      t.members.push_back(*fresh);
+    }
+    t.members.push_back(member);
+  }
+  t.members.insert(t.members.end(), fresh, newer.members.end());
+  return t;
+}
+
 std::shared_ptr<const EmContext::SigIndex> EmContext::BuildSigIndex(
     const std::vector<int>& key_ids, std::span<const NodeId> entities) const {
   auto idx = std::make_shared<SigIndex>();
   // Signature sources per matchable key. A key that reaches no value
   // variable or constant from x pins nothing Eq-independent and makes
   // the whole type unblockable (full enumeration).
-  auto pair_count = [](size_t n) { return n * (n - 1) / 2; };
-  std::unordered_map<NodeId, size_t> counts;
   for (int ki : key_ids) {
     const CompiledPattern& cp = compiled_[ki].cp;
     if (!cp.matchable) continue;  // can never fire: imposes nothing
@@ -202,40 +262,29 @@ std::shared_ptr<const EmContext::SigIndex> EmContext::BuildSigIndex(
       idx->keys.clear();
       return idx;  // purely variable-only key: full enumeration
     }
-    // Pick the most selective source (fewest pairs) per key; unioning one
-    // source per key over all keys covers every directly identifiable
-    // pair. (A constant terminal needs no extra filter — ReachableValues
-    // already pins the last hop to the constant node.)
-    size_t best = 0;
+    // Keep the most selective source (fewest pairs sharing a value, the
+    // first on a tie) per key; unioning one source per key over all keys
+    // covers every directly identifiable pair. (A constant terminal needs
+    // no extra filter — ReachableValues already pins the last hop to the
+    // constant node.)
+    SigPerKey pk;
+    pk.key = ki;
     size_t best_pairs = SIZE_MAX;
-    for (size_t s = 0; sources.size() > 1 && s < sources.size(); ++s) {
-      counts.clear();
-      for (NodeId e : entities) {
-        for (NodeId v : ReachableValues(e, sources[s], cp)) ++counts[v];
-      }
+    for (SigSource& src : sources) {
+      auto table =
+          std::make_shared<SigTable>(Sign(entities, src, cp, false));
       size_t pairs = 0;
-      for (const auto& [value, count] : counts) {
-        pairs += pair_count(count);
+      if (sources.size() > 1) {
+        table->ForEachBucket([&pairs](auto bucket) {
+          pairs += bucket.size() * (bucket.size() - 1) / 2;
+        });
       }
       if (pairs < best_pairs) {
         best_pairs = pairs;
-        best = s;
+        pk.source = std::move(src);
+        pk.base = std::move(table);
       }
     }
-    SigPerKey pk;
-    pk.key = ki;
-    pk.source = std::move(sources[best]);
-    auto buckets = std::make_shared<SigMap>();
-    auto entity_values = std::make_shared<SigMap>();
-    for (NodeId e : entities) {
-      std::vector<NodeId> vals = ReachableValues(e, pk.source, cp);
-      if (vals.empty()) continue;
-      // EntitiesOfType yields ascending NodeIds, so buckets stay sorted.
-      for (NodeId v : vals) (*buckets)[v].push_back(e);
-      entity_values->emplace(e, std::move(vals));
-    }
-    pk.buckets = std::move(buckets);
-    pk.entity_values = std::move(entity_values);
     idx->keys.push_back(std::move(pk));
   }
   // All keys unmatchable: blockable with no buckets — zero pairs, which
@@ -278,75 +327,17 @@ bool EmContext::SigIndexStillValid(const SigIndex& prev_idx,
 
 EmContext::SigPerKey EmContext::ResignOverlay(
     const SigPerKey& prev, std::span<const NodeId> affected) const {
-  SigPerKey pk;
-  pk.key = prev.key;
-  pk.source = prev.source;
-  pk.buckets = prev.buckets;
-  pk.entity_values = prev.entity_values;
-  const CompiledPattern& cp = compiled_[pk.key].cp;
-  // Entities and rows: one merge of the previous overlay and the affected
-  // entities (both ascending); an affected entity gets fresh values.
-  const std::vector<NodeId>& old = prev.patched_entities;
-  std::vector<std::pair<NodeId, NodeId>> added;  // fresh (value, entity)
-  for (size_t i = 0, j = 0; i < old.size() || j < affected.size();) {
-    if (j == affected.size() || (i < old.size() && old[i] < affected[j])) {
-      pk.patched_entities.push_back(old[i]);
-      auto row = prev.patched_values[i++];
-      pk.patched_values.values.insert(pk.patched_values.values.end(),
-                                      row.begin(), row.end());
-    } else {
-      if (i < old.size() && old[i] == affected[j]) ++i;
-      const NodeId e = affected[j++];
-      pk.patched_entities.push_back(e);
-      for (NodeId v : ReachableValues(e, pk.source, cp)) {
-        pk.patched_values.values.push_back(v);
-        added.emplace_back(v, e);
-      }
-    }
-    pk.patched_values.CloseRow();
+  SigPerKey pk{prev.key, prev.source, prev.base,
+               Merge(prev.overlay,
+                     Sign(affected, prev.source, compiled_[prev.key].cp, true),
+                     true)};
+  if (pk.overlay.entities.size() >
+      std::max<size_t>(64, pk.base->entities.size() / 4)) {
+    pk.base =
+        std::make_shared<const SigTable>(Merge(*pk.base, pk.overlay, false));
+    pk.overlay = SigTable();
   }
-  // Transpose: the previous memberships of entities not re-signed, merged
-  // with the fresh ones.
-  std::sort(added.begin(), added.end());
-  pk.patched_members.reserve(prev.patched_members.size() + added.size());
-  auto fresh = added.begin();
-  for (const auto& member : prev.patched_members) {
-    if (std::binary_search(affected.begin(), affected.end(), member.second)) {
-      continue;
-    }
-    for (; fresh != added.end() && *fresh < member; ++fresh) {
-      pk.patched_members.push_back(*fresh);
-    }
-    pk.patched_members.push_back(member);
-  }
-  pk.patched_members.insert(pk.patched_members.end(), fresh, added.end());
   return pk;
-}
-
-void EmContext::CompactOverlay(SigPerKey& pk) {
-  auto buckets = std::make_shared<SigMap>();
-  auto entity_values = std::make_shared<SigMap>();
-  for (const auto& [e, vals] : *pk.entity_values) {
-    if (!vals.empty() && !pk.Overlaid(e)) entity_values->emplace(e, vals);
-  }
-  for (size_t i = 0; i < pk.patched_entities.size(); ++i) {
-    auto vals = pk.patched_values[i];
-    if (!vals.empty()) {
-      entity_values->emplace(pk.patched_entities[i],
-                             std::vector<NodeId>(vals.begin(), vals.end()));
-    }
-  }
-  for (const auto& [e, vals] : *entity_values) {
-    for (NodeId v : vals) (*buckets)[v].push_back(e);
-  }
-  for (auto& [v, members] : *buckets) {
-    std::sort(members.begin(), members.end());
-  }
-  pk.buckets = std::move(buckets);
-  pk.entity_values = std::move(entity_values);
-  pk.patched_entities.clear();
-  pk.patched_values.Clear();
-  pk.patched_members.clear();
 }
 
 void EmContext::ScanDependencies(const Candidate& c,
@@ -654,9 +645,9 @@ EmContext::EmContext(const EmContext& prev,
 
   // Phase B': enumerate L per type. Types with no affected entity carry
   // their surviving candidates (and signature index) over verbatim.
-  // Affected types update their signature index in place — remove each
-  // affected entity's stale bucket memberships, re-sign it, re-insert —
-  // and enumerate only the pairs INVOLVING an affected entity; pairs of
+  // Affected types re-sign each affected entity into their signature
+  // index's overlay (its overlay row hides its stale base row) and
+  // enumerate only the pairs INVOLVING an affected entity; pairs of
   // two untouched entities are carried from the previous L (their bucket
   // memberships, pairing verdicts, and reduced sets cannot have changed).
   // The previous source choice per key is pinned (any single source per
@@ -763,20 +754,14 @@ EmContext::EmContext(const EmContext& prev,
           continue;
         }
         // Re-sign exactly the affected entities against the pinned
-        // sources: the base bucket maps are shared untouched; the
-        // re-signed entities go into the per-key overlay (compacted into
-        // a fresh base once the overlay outgrows it).
+        // sources: the base tables are shared untouched; the re-signed
+        // entities go into the per-key overlay (folded into a fresh base
+        // once the overlay outgrows it).
         auto updated = std::make_shared<SigIndex>();
         updated->blockable = true;
         for (const SigPerKey& old_pk : prev_sig->keys) {
-          SigPerKey pk = ResignOverlay(old_pk, affected_here);
-          if (pk.patched_entities.size() >
-              std::max<size_t>(64, pk.entity_values->size() / 4)) {
-            CompactOverlay(pk);
-          }
-          updated->keys.push_back(std::move(pk));
-        }
-        for (const SigPerKey& pk : updated->keys) {
+          const SigPerKey& pk =
+              updated->keys.emplace_back(ResignOverlay(old_pk, affected_here));
           for (NodeId e : affected_here) {
             for (NodeId v : pk.ValuesOf(e)) {
               pk.ForEachMember(v, [&](NodeId m) {
@@ -800,10 +785,10 @@ EmContext::EmContext(const EmContext& prev,
       if (idx->blockable) {
         const size_t before = raw.size();
         for (const SigPerKey& pk : idx->keys) {
-          for (const auto& [value, members] : *pk.buckets) {
-            for (size_t i = 0; i < members.size(); ++i) {
-              for (size_t j = i + 1; j < members.size(); ++j) {
-                NodeId a = members[i], b = members[j];
+          pk.base->ForEachBucket([&](auto bucket) {
+            for (size_t i = 0; i < bucket.size(); ++i) {
+              for (size_t j = i + 1; j < bucket.size(); ++j) {
+                NodeId a = bucket[i].second, b = bucket[j].second;
                 if (!affected(a) && !affected(b)) {
                   int64_t from = lookup_prev_pair(a, b);
                   if (from >= 0) {
@@ -817,7 +802,7 @@ EmContext::EmContext(const EmContext& prev,
                 emit(a, b);
               }
             }
-          }
+          });
         }
         const size_t all_pairs = entities.size() * (entities.size() - 1) / 2;
         candidates_blocked_ += all_pairs - (raw.size() - before);
@@ -993,19 +978,9 @@ size_t EmContext::MemoryBytes() const {
   }
   for (const auto& [type, idx] : sig_index_) {
     bytes += sizeof(SigIndex);
-    if (idx == nullptr) continue;
     for (const SigPerKey& pk : idx->keys) {
       bytes += pk.source.path.capacity() * sizeof(SigStep) +
-               pk.patched_entities.capacity() * sizeof(NodeId) +
-               pk.patched_values.MemoryBytes() +
-               pk.patched_members.capacity() *
-                   sizeof(std::pair<NodeId, NodeId>);
-      for (const SigMap* m : {pk.buckets.get(), pk.entity_values.get()}) {
-        if (m == nullptr) continue;
-        for (const auto& [k, vals] : *m) {
-          bytes += sizeof(NodeId) + vals.capacity() * sizeof(NodeId);
-        }
-      }
+               pk.base->MemoryBytes() + pk.overlay.MemoryBytes();
     }
   }
   return bytes;

@@ -520,14 +520,14 @@ class EmContext {
   size_t neighbor_entities() const { return neighbor_entities_; }
 
   /// Approximate heap footprint of the compiled structures, in bytes
-  /// (MatchPlan::memory_bytes()). The estimate is CAPACITY-based:
-  /// it sums vector capacities (including the candidate list, the
-  /// d-neighbor chunks and their NodeSet payloads, the pairing-reduced
-  /// sets, the dependency index's offset and value arrays, and the
-  /// ghost-tracking entries), not allocator truth — good for trend lines,
-  /// not for accounting. For a patched context, chunks and NodeSets
-  /// shared with the source plan are counted in full on both sides.
-  /// Excludes the referenced Graph and KeySet.
+  /// (MatchPlan::memory_bytes()): the capacities of every array (the
+  /// candidate list, d-neighbor chunks and NodeSets, pairing-reduced
+  /// sets, dependency index, ghosts, signature tables) plus each chunk's
+  /// and set's fixed size. Allocator headers, control blocks and the
+  /// per-type maps are left out, so the heap is somewhat larger
+  /// (plan_memory_test bounds the ratio). Sections shared with a patch's
+  /// source plan are counted in full on both sides. Excludes the
+  /// referenced Graph and KeySet.
   size_t MemoryBytes() const;
 
  private:
@@ -566,10 +566,7 @@ class EmContext {
     Symbol pred;
     bool forward;
     int to_node;
-    friend bool operator==(const SigStep& a, const SigStep& b) {
-      return a.pred == b.pred && a.forward == b.forward &&
-             a.to_node == b.to_node;
-    }
+    friend bool operator==(const SigStep&, const SigStep&) = default;
   };
   /// A signature source of one key: a path from x to a value variable
   /// (constant == kNoNode) or a graph-resolved constant. Any match maps
@@ -579,67 +576,77 @@ class EmContext {
   struct SigSource {
     std::vector<SigStep> path;
     NodeId constant = kNoNode;
-    friend bool operator==(const SigSource& a, const SigSource& b) {
-      return a.constant == b.constant && a.path == b.path;
+    friend bool operator==(const SigSource&, const SigSource&) = default;
+  };
+  /// Signed entities of one source: `entities` ascending, row i of
+  /// `values` the ascending values entities[i] reaches, and `members`,
+  /// the transpose: every (value, entity) pair, ascending, so a value's
+  /// bucket is one run. A base drops empty rows; an overlay keeps them,
+  /// an empty row meaning "reaches no terminal any more".
+  struct SigTable {
+    std::vector<NodeId> entities;
+    Rows<NodeId> values;
+    std::vector<std::pair<NodeId, NodeId>> members;
+
+    /// Fills `members` from the rows.
+    void Transpose();
+    /// Whether `e` has a row.
+    bool Holds(NodeId e) const {
+      return std::binary_search(entities.begin(), entities.end(), e);
+    }
+    /// Value `v`'s bucket: its (v, entity) pairs, entities ascending.
+    std::span<const std::pair<NodeId, NodeId>> Bucket(NodeId v) const {
+      auto lo = std::lower_bound(members.begin(), members.end(),
+                                 std::pair<NodeId, NodeId>(v, 0));
+      return {lo, std::upper_bound(lo, members.end(),
+                                   std::pair<NodeId, NodeId>(v, kNoNode))};
+    }
+    /// Invokes fn(bucket) for every value's run of `members`, in value
+    /// order.
+    template <typename Fn>
+    void ForEachBucket(Fn&& fn) const {
+      for (size_t lo = 0, hi = 0; lo < members.size(); lo = hi) {
+        while (hi < members.size() && members[hi].first == members[lo].first) {
+          ++hi;
+        }
+        fn(std::span<const std::pair<NodeId, NodeId>>(members.data() + lo,
+                                                      hi - lo));
+      }
+    }
+    size_t MemoryBytes() const {
+      return entities.capacity() * sizeof(NodeId) + values.MemoryBytes() +
+             members.capacity() * sizeof(std::pair<NodeId, NodeId>);
     }
   };
-  using SigMap = std::unordered_map<NodeId, std::vector<NodeId>>;
 
-  /// The chosen (most selective) source of one matchable key, with its
-  /// value buckets. entity_values is the bucket transpose: it lets a
-  /// patch remove an affected entity's stale memberships without knowing
-  /// the pre-delta graph. The base maps are immutable and shared across
-  /// plan generations; a patch records re-signed entities in a small
-  /// flat overlay (base memberships of an overlaid entity are ignored at
-  /// read time), rebuilt by one merge pass per patch, and compacts once
-  /// the overlay outgrows the base — the same per-node-thaw idea Graph
-  /// uses for its CSR.
+  /// The chosen (most selective) source of one matchable key with its
+  /// signatures: an immutable base table shared across plan generations,
+  /// and an overlay of the entities re-signed since, whose rows hide
+  /// theirs in the base — the per-node-thaw idea Graph uses for its CSR.
   struct SigPerKey {
     int key = -1;  // compiled-key index
     SigSource source;
-    std::shared_ptr<const SigMap> buckets;        // value → entities (asc)
-    std::shared_ptr<const SigMap> entity_values;  // entity → values
-    // Overlay: the entities re-signed since the base was materialized,
-    // ascending; row i of patched_values holds the current values of
-    // patched_entities[i] (an empty row means "reaches no terminal");
-    // patched_members is its transpose, (value, entity) ascending.
-    std::vector<NodeId> patched_entities;
-    Rows<NodeId> patched_values;
-    std::vector<std::pair<NodeId, NodeId>> patched_members;
+    std::shared_ptr<const SigTable> base;
+    SigTable overlay;
 
-    /// Whether `e` was re-signed since the base was materialized.
-    bool Overlaid(NodeId e) const {
-      return std::binary_search(patched_entities.begin(),
-                                patched_entities.end(), e);
-    }
-
-    /// Current values of `e` through the overlay (empty if none).
+    /// Current values of `e` (empty if none).
     std::span<const NodeId> ValuesOf(NodeId e) const {
-      auto it = std::lower_bound(patched_entities.begin(),
-                                 patched_entities.end(), e);
-      if (it != patched_entities.end() && *it == e) {
-        return patched_values[it - patched_entities.begin()];
+      for (const SigTable* t : {&overlay, base.get()}) {
+        auto it = std::lower_bound(t->entities.begin(), t->entities.end(), e);
+        if (it != t->entities.end() && *it == e) {
+          return t->values[it - t->entities.begin()];
+        }
       }
-      auto base = entity_values->find(e);
-      if (base == entity_values->end()) return {};
-      return base->second;
+      return {};
     }
 
     /// Invokes fn(entity) for every current member of value `v`'s bucket.
     template <typename Fn>
     void ForEachMember(NodeId v, Fn&& fn) const {
-      auto base = buckets->find(v);
-      if (base != buckets->end()) {
-        for (NodeId m : base->second) {
-          if (!Overlaid(m)) fn(m);
-        }
+      for (const auto& member : base->Bucket(v)) {
+        if (!overlay.Holds(member.second)) fn(member.second);
       }
-      for (auto it = std::lower_bound(patched_members.begin(),
-                                      patched_members.end(),
-                                      std::pair<NodeId, NodeId>(v, 0));
-           it != patched_members.end() && it->first == v; ++it) {
-        fn(it->second);
-      }
+      for (const auto& member : overlay.Bucket(v)) fn(member.second);
     }
   };
   /// Signature state of one keyed type. blockable == false means some
@@ -676,8 +683,19 @@ class EmContext {
   std::vector<NodeId> ReachableValues(NodeId e, const SigSource& src,
                                       const CompiledPattern& cp) const;
 
+  /// Signs `entities` (ascending) along `src`: one row each, empty rows
+  /// kept only with `keep_empty`.
+  SigTable Sign(std::span<const NodeId> entities, const SigSource& src,
+                const CompiledPattern& cp, bool keep_empty) const;
+
+  /// `older` with `newer`'s rows put in: a row of `newer` replaces the
+  /// same entity's row of `older`. Empty rows are dropped unless
+  /// `keep_empty`.
+  static SigTable Merge(const SigTable& older, const SigTable& newer,
+                        bool keep_empty);
+
   /// Compiles the signature index of one keyed type: per matchable key,
-  /// picks the most selective source and materializes its buckets.
+  /// signs every entity along each source and keeps the most selective.
   std::shared_ptr<const SigIndex> BuildSigIndex(
       const std::vector<int>& key_ids,
       std::span<const NodeId> entities) const;
@@ -688,14 +706,12 @@ class EmContext {
   bool SigIndexStillValid(const SigIndex& prev_idx,
                           const std::vector<int>& key_ids) const;
 
-  /// `prev` with the `affected` entities (ascending) re-signed: the base
-  /// maps are shared, and the next overlay is one merge pass over the
-  /// previous overlay and the fresh values.
+  /// `prev` with the `affected` entities (ascending) re-signed into its
+  /// overlay; the base is shared. Once the overlay holds more than 64
+  /// rows and more than a quarter of the base's, it is folded into a
+  /// fresh base.
   SigPerKey ResignOverlay(const SigPerKey& prev,
                           std::span<const NodeId> affected) const;
-
-  /// Folds `pk`'s overlay into a fresh base and empties the overlay.
-  static void CompactOverlay(SigPerKey& pk);
 
   /// Compiles the key set against *g_ (shared by both constructors).
   void CompileKeys();

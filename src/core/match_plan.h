@@ -73,15 +73,15 @@ class MatchPlan {
   }
 
   /// Approximate heap footprint of the compiled structures in bytes
-  /// (candidates, neighbor sets, dependency index, product graph); the
-  /// workload and bench rows report this plus the result's provenance
-  /// index (ProvenanceIndexBytes) as `plan_bytes`. The estimate is
-  /// capacity-based (see EmContext::MemoryBytes) and walks the whole
-  /// plan on every call, so no run or patch calls it. 0 on an empty
-  /// plan. This is an IN-MEMORY figure, distinct from the serialized
-  /// snapshot size (MmapStore::file_bytes): the snapshot varint-packs
-  /// payloads, carries no capacity slack, and stores COW-shared sections
-  /// once, so it is typically much smaller.
+  /// (candidates, neighbor sets, dependency index, signature tables,
+  /// product graph); the workload and bench rows report this plus the
+  /// result's provenance index (ProvenanceIndexBytes) as `plan_bytes`.
+  /// It sums array capacities (see EmContext::MemoryBytes), so the heap
+  /// is somewhat larger, and walks the whole plan, so no run or patch
+  /// calls it. 0 on an empty plan. This IN-MEMORY figure is distinct
+  /// from the serialized snapshot size (MmapStore::file_bytes): the
+  /// snapshot varint-packs payloads, carries no capacity slack, and
+  /// stores COW-shared sections once, so it is typically much smaller.
   size_t memory_bytes() const {
     if (!valid()) return 0;
     return rep_->ctx.MemoryBytes() +

@@ -19,7 +19,6 @@ Key::Key(std::string name, Pattern pattern)
 
 void KeySet::Add(Key key) {
   total_size_ += key.size();
-  by_type_[key.type()].push_back(static_cast<int>(keys_.size()));
   auto& deps = type_deps_[key.type()];
   for (const std::string& t : key.dependency_types()) {
     if (std::find(deps.begin(), deps.end(), t) == deps.end()) {
@@ -38,8 +37,8 @@ Status KeySet::AddFromDsl(std::string_view dsl) {
 
 std::vector<std::string> KeySet::KeyedTypes() const {
   std::vector<std::string> types;
-  types.reserve(by_type_.size());
-  for (const auto& [type, _] : by_type_) types.push_back(type);
+  types.reserve(type_deps_.size());
+  for (const auto& [type, _] : type_deps_) types.push_back(type);
   std::sort(types.begin(), types.end());
   return types;
 }
@@ -66,14 +65,14 @@ int KeySet::LongestDependencyChain() const {
         if (on_path.count(next)) continue;
         // Only follow dependencies into types that themselves carry keys;
         // a dangling entity variable cannot extend the chase chain.
-        if (by_type_.count(next) == 0) continue;
+        if (!HasKeyForType(next)) continue;
         longest = std::max(longest, 1 + dfs(next));
       }
     }
     on_path.erase(type);
     return longest;
   };
-  for (const auto& [type, _] : by_type_) {
+  for (const auto& [type, _] : type_deps_) {
     best = std::max(best, dfs(type));
   }
   return best;

@@ -78,7 +78,7 @@ class KeySet {
   /// Whether any key is defined on `type`. Heterogeneous lookup: no
   /// std::string is materialized per call.
   bool HasKeyForType(std::string_view type) const {
-    return by_type_.find(type) != by_type_.end();
+    return type_deps_.find(type) != type_deps_.end();
   }
 
   /// Maximum radius over all keys (the paper's parameter d).
@@ -93,8 +93,8 @@ class KeySet {
 
  private:
   std::vector<Key> keys_;
-  StringMap<std::vector<int>> by_type_;
-  /// τ → { τ' : some key on τ references an entity variable of type τ' }.
+  /// τ → { τ' : some key on τ references an entity variable of type τ' },
+  /// with one entry per keyed type τ.
   StringMap<std::vector<std::string>> type_deps_;
   size_t total_size_ = 0;
 };

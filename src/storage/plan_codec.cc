@@ -7,7 +7,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -422,54 +421,29 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
   }
   GKEYS_RETURN_IF_ERROR(store.Put(Key1('P'), std::move(p)));
 
-  // Signature indexes, overlays folded into an effective base — read
+  // Signature indexes, each overlay merged into its base — read
   // behavior is identical (ValuesOf/ForEachMember see the same data),
   // and the loaded plan starts overlay-free like a compacted one.
   meta->num_sig_types = ctx.sig_index_.size();
   for (const auto& [type, idx] : ctx.sig_index_) {
-    std::string x;
-    x.push_back(idx != nullptr && idx->blockable ? 1 : 0);
-    uint64_t nkeys = idx == nullptr ? 0 : idx->keys.size();
-    PutVarint(x, nkeys);
-    if (idx != nullptr) {
-      for (const EmContext::SigPerKey& pk : idx->keys) {
-        PutVarint(x, static_cast<uint64_t>(pk.key));
-        x.push_back(pk.source.constant != kNoNode ? 1 : 0);
-        if (pk.source.constant != kNoNode) PutVarint(x, pk.source.constant);
-        PutVarint(x, pk.source.path.size());
-        for (const EmContext::SigStep& step : pk.source.path) {
-          PutVarint(x, step.pred);
-          x.push_back(step.forward ? 1 : 0);
-          PutVarint(x, static_cast<uint64_t>(step.to_node));
-        }
-        // Sorted by entity, an overlay row ahead of the stale base entry
-        // of the same entity, which is then skipped.
-        struct Row {
-          NodeId e;
-          bool base;
-          std::span<const NodeId> vals;
-        };
-        std::vector<Row> rows;
-        rows.reserve(pk.entity_values->size() + pk.patched_entities.size());
-        for (const auto& [e, vals] : *pk.entity_values) {
-          rows.push_back({e, true, vals});
-        }
-        for (size_t i = 0; i < pk.patched_entities.size(); ++i) {
-          rows.push_back({pk.patched_entities[i], false, pk.patched_values[i]});
-        }
-        std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-          return std::tie(a.e, a.base) < std::tie(b.e, b.base);
-        });
-        std::vector<const Row*> effective;
-        for (size_t i = 0; i < rows.size(); ++i) {
-          if (i > 0 && rows[i].e == rows[i - 1].e) continue;
-          if (!rows[i].vals.empty()) effective.push_back(&rows[i]);
-        }
-        PutVarint(x, effective.size());
-        for (const Row* row : effective) {
-          PutVarint(x, row->e);
-          PutDeltaList32(x, row->vals);
-        }
+    std::string x(1, idx->blockable ? '\1' : '\0');
+    PutVarint(x, idx->keys.size());
+    for (const EmContext::SigPerKey& pk : idx->keys) {
+      PutVarint(x, static_cast<uint64_t>(pk.key));
+      x.push_back(pk.source.constant != kNoNode ? 1 : 0);
+      if (pk.source.constant != kNoNode) PutVarint(x, pk.source.constant);
+      PutVarint(x, pk.source.path.size());
+      for (const EmContext::SigStep& step : pk.source.path) {
+        PutVarint(x, step.pred);
+        x.push_back(step.forward ? 1 : 0);
+        PutVarint(x, static_cast<uint64_t>(step.to_node));
+      }
+      const EmContext::SigTable rows =
+          EmContext::Merge(*pk.base, pk.overlay, /*keep_empty=*/false);
+      PutVarint(x, rows.entities.size());
+      for (size_t i = 0; i < rows.entities.size(); ++i) {
+        PutVarint(x, rows.entities[i]);
+        PutDeltaList32(x, rows.values[i]);
       }
     }
     GKEYS_RETURN_IF_ERROR(store.Put(KeyBe32('X', type), std::move(x)));
@@ -666,6 +640,10 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
     if (key.size() != 5) return Corrupt("bad sig-record key length");
     uint32_t type = GetBe32(key.data() + 1);
     if (type >= meta.num_symbols) return Corrupt("sig record for bad type");
+    if (!ctx.keys_by_type_.contains(type)) {
+      return Corrupt("sig record for type " + std::to_string(type) +
+                     ", which has no key");
+    }
     ByteReader r(value);
     uint8_t blockable = 0;
     uint64_t nkeys = 0;
@@ -707,26 +685,40 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
         pk.source.path.push_back(EmContext::SigStep{
             Symbol{pred}, forward != 0, static_cast<int>(to_node)});
       }
+      // Each row takes at least 3 bytes: the entity, a count and a value.
       uint64_t nentities = 0;
-      if (!r.ReadVarint(&nentities) || nentities > meta.num_nodes)
+      if (!r.ReadVarint(&nentities) || nentities > meta.num_nodes ||
+          nentities > r.remaining() / 3) {
         return Corrupt("bad sig entity count");
-      auto entity_values = std::make_shared<EmContext::SigMap>();
-      auto buckets = std::make_shared<EmContext::SigMap>();
-      entity_values->reserve(nentities);
+      }
+      EmContext::SigTable base;
+      base.entities.reserve(nentities);
+      base.values.Reserve(nentities, nentities);
+      std::vector<NodeId> vals;
       for (uint64_t e = 0; e < nentities; ++e) {
         uint32_t entity = 0;
-        std::vector<NodeId> vals;
         if (!r.ReadVarint32(&entity) || entity >= meta.num_nodes ||
             !ReadDeltaList32(r, meta.num_nodes - 1, &vals) || vals.empty()) {
           return Corrupt("bad sig entity values");
         }
-        // Entities arrive ascending, so bucket members stay ascending —
-        // the order the blocked enumeration relies on.
-        for (NodeId v : vals) (*buckets)[v].push_back(entity);
-        (*entity_values)[entity] = std::move(vals);
+        // A patch pairs a re-signed entity with every member of its
+        // buckets, and finds a row by binary search.
+        auto bad_row = [&](const std::string& problem) {
+          return Corrupt("sig row " + std::to_string(e) + " of type " +
+                         std::to_string(type) + " " + problem);
+        };
+        if (!g.IsEntity(entity) || g.entity_type(entity) != type) {
+          return bad_row("names node " + std::to_string(entity) +
+                         ", not an entity of its type");
+        }
+        if (e > 0 && entity <= base.entities.back()) {
+          return bad_row("does not follow its predecessor's entity");
+        }
+        base.entities.push_back(entity);
+        base.values.AddRow(vals);
       }
-      pk.entity_values = std::move(entity_values);
-      pk.buckets = std::move(buckets);
+      base.Transpose();
+      pk.base = std::make_shared<const EmContext::SigTable>(std::move(base));
       idx->keys.push_back(std::move(pk));
     }
     if (!r.AtEnd()) return Corrupt("trailing bytes in sig record");

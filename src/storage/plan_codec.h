@@ -69,8 +69,10 @@ struct SnapshotMeta {
 ///                    id), candidates, raw dependency scans
 ///     'D'            NodeSet pool, content-deduplicated: COW-shared
 ///                    d-neighbor / pairing-reduced sets store once
-///     'X' be32(type) per-type signature index, the flat overlay folded
-///                    into an effective base map (entities ascending)
+///     'X' be32(type) per-type signature index: per key its source and
+///                    its overlay merged into its base table (entities
+///                    strictly ascending, each of the record's keyed
+///                    type, with a nonempty delta-encoded value row)
 ///     'G'            product graph: per-candidate relation pool ids
 ///     'R'            pairing-relation pool, content-deduplicated
 ///     'A'            result pairs

@@ -49,10 +49,6 @@ class JsonValue {
   }
 
   // ---- Typed spec-field helpers (defaults when absent) -----------------
-  double NumberOr(std::string_view key, double fallback) const {
-    const JsonValue* v = Find(key);
-    return v != nullptr && v->is_number() ? v->number() : fallback;
-  }
   bool BoolOr(std::string_view key, bool fallback) const {
     const JsonValue* v = Find(key);
     return v != nullptr && v->is_bool() ? v->bool_value() : fallback;

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/match_plan.h"
@@ -30,29 +32,38 @@ StatusOr<Algorithm> AlgorithmByName(const std::string& name) {
       "' (expected NaiveChase, EMMR, EMVF2MR, EMOptMR, EMVC, or EMOptVC)");
 }
 
-/// Reads integer field `key` of `obj` into `*out`, leaving `*out` as it
-/// is when the field is absent. InvalidArgument naming the field unless
-/// the value is a number, integral and in [lo, hi]: a float-to-integer
-/// cast of anything else would truncate or be undefined.
+/// Reads number field `key` of `obj` into `*out`, kept when the field is
+/// absent. InvalidArgument naming the field unless the value is in
+/// [lo, hi] ((lo, hi] with `open_lo`), integral for an integer T and
+/// finite for a real one (the generators scale counts by those).
 template <typename T>
-Status ReadInt(const JsonValue& obj, std::string_view key, T lo, T hi,
-               T* out) {
+Status ReadNumber(const JsonValue& obj, std::string_view key,
+                  std::type_identity_t<T> lo, std::type_identity_t<T> hi,
+                  T* out, bool open_lo = false) {
   const JsonValue* v = obj.Find(key);
   if (v == nullptr) return Status::OK();
-  // hi + 1.0 rounds to 2^64 for a 64-bit hi, so `<` admits exactly the
-  // doubles that convert to a value in range.
   const double x = v->is_number() ? v->number() : std::nan("");
-  if (x == std::floor(x) && x >= static_cast<double>(lo) &&
-      x < static_cast<double>(hi) + 1.0) {
+  constexpr bool kInt = std::is_integral_v<T>;
+  // hi + 1.0 rounds to 2^64 for a 64-bit hi, so `<` admits exactly the
+  // integral doubles that convert to a value in range.
+  if (kInt ? x == std::floor(x) && x >= static_cast<double>(lo) &&
+                 x < static_cast<double>(hi) + 1.0
+           : std::isfinite(x) && (open_lo ? x > lo : x >= lo) && x <= hi) {
     *out = static_cast<T>(x);
     return Status::OK();
   }
-  char got[32] = "a non-number";
-  if (v->is_number()) std::snprintf(got, sizeof(got), "%g", x);
+  auto text = [](double n) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", n);
+    return std::string(buf);
+  };
+  auto bound = [&](T n) { return kInt ? std::to_string(n) : text(n); };
   return Status::InvalidArgument(
-      "workload spec field \"" + std::string(key) +
-      "\" must be an integer in [" + std::to_string(lo) + ", " +
-      std::to_string(hi) + "], got " + got);
+      "workload spec field \"" + std::string(key) + "\" must be " +
+      (kInt ? "an integer in [" : open_lo ? "a finite number in ("
+                                          : "a finite number in [") +
+      bound(lo) + ", " + bound(hi) + "], got " +
+      (v->is_number() ? text(x) : "a non-number"));
 }
 
 std::string RowName(const WorkloadSpec& spec, Algorithm a, int rep) {
@@ -117,11 +128,11 @@ StatusOr<WorkloadSpec> ParseWorkloadSpec(std::string_view json_text) {
     return Status::InvalidArgument("workload spec requires a \"name\"");
   }
   GKEYS_RETURN_IF_ERROR(
-      ReadInt(*doc, "seed", uint64_t{0}, UINT64_MAX, &spec.seed));
+      ReadNumber(*doc, "seed", uint64_t{0}, UINT64_MAX, &spec.seed));
   GKEYS_RETURN_IF_ERROR(
-      ReadInt(*doc, "repetitions", 1, INT_MAX, &spec.repetitions));
+      ReadNumber(*doc, "repetitions", 1, INT_MAX, &spec.repetitions));
   GKEYS_RETURN_IF_ERROR(
-      ReadInt(*doc, "processors", 1, kMaxProcessors, &spec.processors));
+      ReadNumber(*doc, "processors", 1, kMaxProcessors, &spec.processors));
   spec.oracle = doc->BoolOr("oracle", true);
 
   const JsonValue* algos = doc->Find("algorithms");
@@ -149,7 +160,9 @@ StatusOr<WorkloadSpec> ParseWorkloadSpec(std::string_view json_text) {
         "workload spec requires a \"dataset\" object");
   }
   spec.generator = dataset->StringOr("generator", "");
-  spec.scale = dataset->NumberOr("scale", 1.0);
+  // The range `gkeys generate --scale` accepts.
+  GKEYS_RETURN_IF_ERROR(
+      ReadNumber(*dataset, "scale", 0.001, 10000, &spec.scale));
   spec.dataset_params = *dataset;
   // Validate the generator name now, not at run time.
   {
@@ -167,17 +180,19 @@ StatusOr<WorkloadSpec> ParseWorkloadSpec(std::string_view json_text) {
     spec.delta_kind = deltas->StringOr("kind", "uniform");
     spec.delta_batches = 4;
     GKEYS_RETURN_IF_ERROR(
-        ReadInt(*deltas, "batches", 0, INT_MAX, &spec.delta_batches));
+        ReadNumber(*deltas, "batches", 0, INT_MAX, &spec.delta_batches));
     DeltaGenConfig& dc = spec.delta_config;
     dc.seed = spec.seed + 1;
     GKEYS_RETURN_IF_ERROR(
-        ReadInt(*deltas, "seed", uint64_t{0}, UINT64_MAX, &dc.seed));
-    GKEYS_RETURN_IF_ERROR(ReadInt(*deltas, "ops_per_batch", size_t{0},
-                                  size_t{INT_MAX}, &dc.ops_per_batch));
+        ReadNumber(*deltas, "seed", uint64_t{0}, UINT64_MAX, &dc.seed));
+    GKEYS_RETURN_IF_ERROR(ReadNumber(*deltas, "ops_per_batch", size_t{0},
+                                     size_t{INT_MAX}, &dc.ops_per_batch));
     GKEYS_RETURN_IF_ERROR(
-        ReadInt(*deltas, "churn_repeats", 1, INT_MAX, &dc.churn_repeats));
-    dc.remove_fraction = deltas->NumberOr("remove_fraction", 0.4);
-    dc.hub_fraction = deltas->NumberOr("hub_fraction", 0.05);
+        ReadNumber(*deltas, "churn_repeats", 1, INT_MAX, &dc.churn_repeats));
+    GKEYS_RETURN_IF_ERROR(
+        ReadNumber(*deltas, "remove_fraction", 0, 1, &dc.remove_fraction));
+    GKEYS_RETURN_IF_ERROR(
+        ReadNumber(*deltas, "hub_fraction", 0, 1, &dc.hub_fraction));
     StatusOr<std::unique_ptr<DeltaGenerator>> probe =
         MakeDeltaGenerator(spec.delta_kind, dc);
     if (!probe.ok()) return probe.status();
@@ -193,10 +208,14 @@ StatusOr<WorkloadSpec> LoadWorkloadSpec(const std::string& path) {
 
 StatusOr<SyntheticDataset> BuildWorkloadDataset(const WorkloadSpec& spec) {
   const JsonValue& d = spec.dataset_params;
-  // Reads a non-negative count; the first bad one is returned below.
+  // Reads a non-negative count or a fraction in [0, 1]; the first bad
+  // field is returned below.
   Status bad;
   auto geti = [&](std::string_view key, int& field) {
-    if (bad.ok()) bad = ReadInt(d, key, 0, INT_MAX, &field);
+    if (bad.ok()) bad = ReadNumber(d, key, 0, INT_MAX, &field);
+  };
+  auto getf = [&](std::string_view key, double& field) {
+    if (bad.ok()) bad = ReadNumber(d, key, 0, 1, &field);
   };
   if (spec.generator == "synthetic") {
     SyntheticConfig c;
@@ -206,9 +225,8 @@ StatusOr<SyntheticDataset> BuildWorkloadDataset(const WorkloadSpec& spec) {
     geti("chain_length", c.chain_length);
     geti("radius", c.radius);
     geti("entities_per_type", c.entities_per_type);
-    c.duplicate_fraction =
-        d.NumberOr("duplicate_fraction", c.duplicate_fraction);
-    c.chained_fraction = d.NumberOr("chained_fraction", c.chained_fraction);
+    getf("duplicate_fraction", c.duplicate_fraction);
+    getf("chained_fraction", c.chained_fraction);
     geti("noise_edges_per_entity", c.noise_edges_per_entity);
     geti("noise_predicates", c.noise_predicates);
     GKEYS_RETURN_IF_ERROR(bad);
@@ -247,10 +265,10 @@ StatusOr<SyntheticDataset> BuildWorkloadDataset(const WorkloadSpec& spec) {
     c.scale = spec.scale;
     geti("num_hubs", c.num_hubs);
     geti("num_leaves", c.num_leaves);
-    c.alpha = d.NumberOr("alpha", c.alpha);
+    if (bad.ok()) bad = ReadNumber(d, "alpha", 0, HUGE_VAL, &c.alpha, true);
     geti("hub_dup_pairs", c.hub_dup_pairs);
     geti("leaf_dup_pairs", c.leaf_dup_pairs);
-    c.chained_fraction = d.NumberOr("chained_fraction", c.chained_fraction);
+    getf("chained_fraction", c.chained_fraction);
     geti("follows_per_leaf", c.follows_per_leaf);
     GKEYS_RETURN_IF_ERROR(bad);
     return GeneratePowerLaw(c);
@@ -260,9 +278,9 @@ StatusOr<SyntheticDataset> BuildWorkloadDataset(const WorkloadSpec& spec) {
     c.seed = spec.seed;
     c.scale = spec.scale;
     geti("num_items", c.num_items);
-    c.hot_fraction = d.NumberOr("hot_fraction", c.hot_fraction);
+    getf("hot_fraction", c.hot_fraction);
     geti("dup_pairs", c.dup_pairs);
-    c.chained_fraction = d.NumberOr("chained_fraction", c.chained_fraction);
+    getf("chained_fraction", c.chained_fraction);
     GKEYS_RETURN_IF_ERROR(bad);
     return GenerateSkewedSelectivity(c);
   }

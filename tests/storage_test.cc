@@ -1553,6 +1553,222 @@ TEST(DecodePlan, RejectsADependencyScanDeltaThatWraps) {
                               std::to_string(edited) + " wraps past 2^64");
 }
 
+// ---- DecodePlan: signature records ------------------------------------
+
+/// One 'X' record: the blockable flag, and per key its source bytes
+/// verbatim (key index, constant, path) and its rows (entity, ascending
+/// values).
+struct SigRecord {
+  struct Key {
+    std::string source;
+    std::vector<std::pair<uint64_t, std::vector<uint64_t>>> rows;
+  };
+  uint8_t blockable = 0;
+  std::vector<Key> keys;
+
+  SigRecord() = default;
+  explicit SigRecord(std::string_view x) {
+    ByteReader r(x);
+    auto at = [&] { return x.size() - r.remaining(); };
+    uint64_t count = 0, v = 0;
+    uint8_t flag = 0;
+    EXPECT_TRUE(r.ReadU8(&blockable) && r.ReadVarint(&count));
+    for (uint64_t k = 0; k < count; ++k) {
+      Key& key = keys.emplace_back();
+      const size_t from = at();
+      uint64_t steps = 0;
+      EXPECT_TRUE(r.ReadVarint(&v) && r.ReadU8(&flag));
+      if (flag != 0) {
+        EXPECT_TRUE(r.ReadVarint(&v));
+      }
+      EXPECT_TRUE(r.ReadVarint(&steps));
+      for (uint64_t s = 0; s < steps; ++s) {
+        EXPECT_TRUE(r.ReadVarint(&v) && r.ReadU8(&flag) && r.ReadVarint(&v));
+      }
+      key.source = std::string(x.substr(from, at() - from));
+      uint64_t rows = 0;
+      EXPECT_TRUE(r.ReadVarint(&rows));
+      for (uint64_t i = 0; i < rows; ++i) {
+        auto& row = key.rows.emplace_back();
+        uint64_t size = 0, value = 0, delta = 0;
+        EXPECT_TRUE(r.ReadVarint(&row.first) && r.ReadVarint(&size));
+        for (uint64_t c = 0; c < size; ++c) {
+          EXPECT_TRUE(r.ReadVarint(&delta));
+          row.second.push_back(value += delta);
+        }
+      }
+    }
+    EXPECT_TRUE(r.AtEnd());
+  }
+
+  std::string Write() const {
+    std::string x(1, static_cast<char>(blockable));
+    PutVarint(x, keys.size());
+    for (const Key& key : keys) {
+      x += key.source;
+      PutVarint(x, key.rows.size());
+      for (const auto& [entity, values] : key.rows) {
+        PutVarint(x, entity);
+        PutVarint(x, values.size());
+        uint64_t prev = 0;
+        for (uint64_t v : values) {
+          PutVarint(x, v - prev);
+          prev = v;
+        }
+      }
+    }
+    return x;
+  }
+};
+
+/// The DBpedia session's records, with the first 'X' record whose first
+/// key holds two or more rows parsed out for editing.
+struct SigEdit {
+  testing::MapStore store =
+      SavedRecords(DBpediaSession(), Algorithm::kEmOptVc);
+  uint32_t type = 0;
+  SigRecord record;
+
+  SigEdit() {
+    Status st = store.Scan("X", [&](std::string_view key,
+                                    std::string_view value) {
+      SigRecord r(value);
+      if (record.keys.empty() && !r.keys.empty() &&
+          r.keys[0].rows.size() >= 2) {
+        type = GetBe32(key.data() + 1);
+        record = std::move(r);
+      }
+      return Status::OK();
+    });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EXPECT_FALSE(record.keys.empty());
+  }
+
+  /// Adds a row for `node` to the first key, in entity order, with the
+  /// first row's values (so the node shares its buckets); returns the
+  /// new row's index.
+  size_t AddRowSharingTheFirstsValues(NodeId node) {
+    auto& rows = record.keys[0].rows;
+    auto at = std::lower_bound(
+        rows.begin(), rows.end(), node,
+        [](const auto& row, NodeId n) { return row.first < n; });
+    const size_t index = at - rows.begin();
+    rows.insert(at, {node, rows[0].second});
+    return index;
+  }
+
+  /// Stores the edited record under `type` and loads the snapshot.
+  StatusOr<Snapshot> Load() {
+    std::string key = "X";
+    PutBe32(key, type);
+    EXPECT_TRUE(store.Put(key, record.Write()).ok());
+    return Snapshot::Load(store);
+  }
+};
+
+// A patch pairs each re-signed entity with every member of the buckets
+// it shares, reading both d-neighbor sets, and finds rows by binary
+// search: a row must name an entity of the record's keyed type, and the
+// rows must strictly ascend.
+
+TEST(DecodePlan, RejectsASigRowNamingANodeOutsideItsType) {
+  const Graph& g = *DBpediaSession().graph;
+  for (bool value_node : {true, false}) {
+    SigEdit edit;
+    // The first value node, or the first entity of another type.
+    auto wanted = [&](NodeId n) {
+      return value_node ? !g.IsEntity(n)
+                        : g.IsEntity(n) && g.entity_type(n) != edit.type;
+    };
+    NodeId n = 0;
+    while (n < g.NumNodes() && !wanted(n)) ++n;
+    ASSERT_LT(n, g.NumNodes());
+    const size_t row = edit.AddRowSharingTheFirstsValues(n);
+    auto snap = edit.Load();
+    ASSERT_FALSE(snap.ok()) << "loaded a sig row naming node " << n;
+    EXPECT_EQ(snap.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(snap.status().message(),
+              "corrupt snapshot: sig row " + std::to_string(row) +
+                  " of type " + std::to_string(edit.type) + " names node " +
+                  std::to_string(n) + ", not an entity of its type");
+  }
+}
+
+TEST(DecodePlan, RejectsSigRowsThatDoNotStrictlyAscend) {
+  for (bool repeat : {false, true}) {
+    SigEdit edit;
+    auto& rows = edit.record.keys[0].rows;
+    if (repeat) {
+      rows.insert(rows.begin() + 1, rows[0]);
+    } else {
+      std::swap(rows[0], rows[1]);
+    }
+    auto snap = edit.Load();
+    ASSERT_FALSE(snap.ok());
+    EXPECT_EQ(snap.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(snap.status().message(),
+              "corrupt snapshot: sig row 1 of type " +
+                  std::to_string(edit.type) +
+                  " does not follow its predecessor's entity");
+  }
+}
+
+TEST(DecodePlan, RejectsASigRecordForATypeWithoutAKey) {
+  const Session& session = DBpediaSession();
+  SigEdit edit;
+  // A copy of the record under a symbol no key is defined on, counted in
+  // meta as one more index.
+  uint32_t unkeyed = 0;
+  while (session.keys->HasKeyForType(
+      session.graph->interner().Resolve(unkeyed))) {
+    ++unkeyed;
+  }
+  edit.type = unkeyed;
+  auto meta = PlanCodec::DecodeMeta(edit.store);
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  ASSERT_LT(unkeyed, meta->num_symbols);
+  ++meta->num_sig_types;
+  ASSERT_TRUE(PlanCodec::EncodeMeta(*meta, edit.store).ok());
+  auto snap = edit.Load();
+  ASSERT_FALSE(snap.ok());
+  EXPECT_EQ(snap.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(snap.status().message(),
+            "corrupt snapshot: sig record for type " +
+                std::to_string(unkeyed) + ", which has no key");
+}
+
+TEST(DecodePlan, ASigRowNamingAValueNodeNeverReachesAPatch) {
+  // Loaded, this record put a value node into the buckets of an entity's
+  // values; the first patch that re-signed the entity paired it with the
+  // value node and read the value node's d-neighbor set, which does not
+  // exist (SIGSEGV).
+  const Graph& g = *DBpediaSession().graph;
+  SigEdit edit;
+  const NodeId e = static_cast<NodeId>(edit.record.keys[0].rows[0].first);
+  NodeId n = 0;
+  while (n < g.NumNodes() && g.IsEntity(n)) ++n;
+  ASSERT_LT(n, g.NumNodes());
+  const size_t row = edit.AddRowSharingTheFirstsValues(n);
+  auto snap = edit.Load();
+  if (snap.ok()) {
+    // A triple on a predicate no key reads makes `e` affected without
+    // changing its signature.
+    GraphDelta delta(snap->graph());
+    ASSERT_TRUE(delta.AddTriple(e, "probe_of", delta.AddValue("probe")).ok());
+    auto names = snap->entity_names();
+    IngestStats stats;
+    Status patched = CommitDelta(Matcher(snap->algorithm()),
+                                 snap->session(names), delta, stats);
+    FAIL() << "loaded a sig row naming value node " << n
+           << "; the patch returned " << patched.ToString();
+  }
+  EXPECT_EQ(snap.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(snap.status().message(),
+            "corrupt snapshot: sig row " + std::to_string(row) + " of type " +
+                std::to_string(edit.type) + " names node " +
+                std::to_string(n) + ", not an entity of its type");
+}
+
 TEST(DecodeMeta, ProcessorCountsOutsideOneTo256AreParseErrors) {
   // The stored processor count is checked on decode: a snapshot must not
   // hand a session 0 workers, or enough to exhaust memory.

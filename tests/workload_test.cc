@@ -225,6 +225,71 @@ TEST(WorkloadSpec, NonNumberIntegerFieldIsInvalidArgument) {
   ExpectBadField(SpecWith(R"("seed": true)"), "seed");
 }
 
+// ---- Real-valued fields: finite and in range, or InvalidArgument -------
+
+/// A spec whose dataset uses `generator` with `field` set to `value`.
+std::string DatasetSpec(const std::string& generator, const std::string& field,
+                        const std::string& value) {
+  return R"({"name": "t", "dataset": {"generator": ")" + generator +
+         R"(", ")" + field + R"(": )" + value + "}}";
+}
+
+TEST(WorkloadSpec, NegativeHubFractionIsInvalidArgument) {
+  // Parsed, this spec killed `gkeys_workload run` with SIGSEGV: the hub
+  // delta generator cast entities.size() * hub_fraction to a count.
+  ExpectBadField(R"({"name": "t", "dataset": {"generator": "neardup"},
+                     "deltas": {"kind": "hub", "hub_fraction": -1}})",
+                 "hub_fraction");
+  ExpectBadField(SpecWith("", "", R"("remove_fraction": -0.5)"),
+                 "remove_fraction");
+}
+
+TEST(WorkloadSpec, FractionAboveOneIsInvalidArgument) {
+  ExpectBadField(SpecWith("", "", R"("remove_fraction": 7.5)"),
+                 "remove_fraction");
+  ExpectBadField(SpecWith("", "", R"("hub_fraction": 1.01)"), "hub_fraction");
+  ExpectBadField(DatasetSpec("synthetic", "duplicate_fraction", "2"),
+                 "duplicate_fraction");
+  ExpectBadField(DatasetSpec("powerlaw", "chained_fraction", "1.5"),
+                 "chained_fraction");
+  ExpectBadField(DatasetSpec("skew", "hot_fraction", "3"), "hot_fraction");
+  // Both ends of [0, 1] are fractions.
+  auto edges = ParseWorkloadSpec(
+      SpecWith("", "", R"("remove_fraction": 0, "hub_fraction": 1)"));
+  ASSERT_TRUE(edges.ok()) << edges.status().message();
+  EXPECT_EQ(edges->delta_config.remove_fraction, 0.0);
+  EXPECT_EQ(edges->delta_config.hub_fraction, 1.0);
+}
+
+TEST(WorkloadSpec, ScaleOutsideTheGenerateRangeIsInvalidArgument) {
+  // `gkeys generate --scale` accepts [0.001, 10000]; a negative scale
+  // used to build a graph of 18 nodes and write rows for it.
+  for (const char* scale : {"-3", "0", "0.0009", "10001", "1e999"}) {
+    ExpectBadField(SpecWith("", std::string(R"("scale": )") + scale),
+                   "scale");
+  }
+  for (double scale : {0.001, 10000.0}) {
+    auto spec = ParseWorkloadSpec(
+        SpecWith("", R"("scale": )" + std::to_string(scale)));
+    ASSERT_TRUE(spec.ok()) << spec.status().message();
+    EXPECT_EQ(spec->scale, scale);
+  }
+}
+
+TEST(WorkloadSpec, NonPositiveAlphaIsInvalidArgument) {
+  for (const char* alpha : {"0", "-1.2"}) {
+    ExpectBadField(DatasetSpec("powerlaw", "alpha", alpha), "alpha");
+  }
+}
+
+TEST(WorkloadSpec, NonNumberRealFieldIsInvalidArgument) {
+  // "big" used to fall back to the default scale 1.0 without a word.
+  ExpectBadField(SpecWith("", R"("scale": "big")"), "scale");
+  ExpectBadField(SpecWith("", "", R"("remove_fraction": true)"),
+                 "remove_fraction");
+  ExpectBadField(DatasetSpec("powerlaw", "alpha", R"("steep")"), "alpha");
+}
+
 TEST(WorkloadRun, CommittedSpecRerunsBitIdentically) {
   auto spec = LoadWorkloadSpec(SpecPath("hostile_neardup_uniform.json"));
   ASSERT_TRUE(spec.ok()) << spec.status().message();
@@ -309,7 +374,7 @@ TEST(WorkloadRun, AllCommittedSpecsPassTheOracle) {
     EXPECT_GT(r->rows.size(), 6u) << file << " should exercise deltas";
     baselines += ExpectRowsMatchBaseline(file, r->rows);
   }
-  EXPECT_EQ(baselines, 4);
+  EXPECT_EQ(baselines, 6);
 }
 
 }  // namespace
