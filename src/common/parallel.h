@@ -6,6 +6,18 @@
 
 namespace gkeys {
 
+/// Below this many independent work items, starting threads costs more
+/// than it saves: a std::thread start and join is ~100 µs, real money
+/// against a sub-millisecond patch or a seeded round of a few candidates.
+inline constexpr size_t kParallelBreakEven = 256;
+
+/// The worker count for `items` work items on `processors` processors:
+/// one (run inline) below kParallelBreakEven, else `processors` (at
+/// least one).
+inline int WorkersFor(size_t items, int processors) {
+  return items < kParallelBreakEven ? 1 : (processors < 1 ? 1 : processors);
+}
+
 /// Runs `fn(i)` for i in [0, n) across `num_threads` threads, blocking until
 /// all iterations finish. Work is divided into contiguous chunks. If an
 /// iteration throws, the first exception is rethrown on the calling thread

@@ -13,6 +13,14 @@
 
 namespace gkeys {
 
+namespace {
+
+// The patch constructor's node marks: the affected-region BFS, then the
+// affected entities.
+thread_local NodeMarks tl_patch_marks;
+
+}  // namespace
+
 std::string AlgorithmName(Algorithm a) {
   switch (a) {
     case Algorithm::kNaiveChase: return "NaiveChase";
@@ -62,26 +70,46 @@ EmOptions EmOptions::For(Algorithm a, int p) {
   return o;
 }
 
-void EmContext::CompileKeys() {
+void EmContext::CompileKeys(const EmContext* prev) {
   const Graph& g = *g_;
   const KeySet& keys = *keys_;
   compiled_.clear();
   compiled_.reserve(keys.count());
   keys_by_type_.clear();
   radius_by_type_.clear();
+  std::vector<Symbol> types;
+  types.reserve(keys.count());
   for (size_t i = 0; i < keys.count(); ++i) {
     const Key& k = keys.key(i);
     CompiledKey ck;
     ck.key = &k;
     ck.cp = Compile(k.pattern(), g);
     ck.tour = ComputeTour(ck.cp);
-    Symbol t = ck.cp.nodes[ck.cp.designated].type;
-    if (t != kNoSymbol) {
-      keys_by_type_[t].push_back(static_cast<int>(i));
-      int& r = radius_by_type_[t];
-      r = std::max(r, k.radius());
-    }
+    types.push_back(ck.cp.nodes[ck.cp.designated].type);
     compiled_.push_back(std::move(ck));
+  }
+  // A type's list is created at its first key, so the map is filled in
+  // key order (the key-map order the snapshot encoder reads).
+  for (size_t i = 0; i < types.size(); ++i) {
+    const Symbol t = types[i];
+    if (t == kNoSymbol || keys_by_type_.contains(t)) continue;
+    std::vector<int> list;
+    int radius = 0;
+    for (size_t j = i; j < types.size(); ++j) {
+      if (types[j] != t) continue;
+      list.push_back(static_cast<int>(j));
+      radius = std::max(radius, keys.key(j).radius());
+    }
+    radius_by_type_[t] = radius;
+    std::shared_ptr<const std::vector<int>>& slot = keys_by_type_[t];
+    if (prev != nullptr) {
+      auto it = prev->keys_by_type_.find(t);
+      if (it != prev->keys_by_type_.end() && *it->second == list) {
+        slot = it->second;
+        continue;
+      }
+    }
+    slot = std::make_shared<const std::vector<int>>(std::move(list));
   }
 }
 
@@ -101,7 +129,7 @@ EmContext::EmContext(DeserializeShell, const Graph& g, const KeySet& keys,
     : g_(&g), keys_(&keys), opts_(opts) {
   // Compiling the keys is cheap and deterministic; everything else is
   // filled by the patch constructor or by storage::PlanCodec.
-  CompileKeys();
+  CompileKeys(nullptr);
 }
 
 /// All signature sources of `cp`: BFS over the pattern graph from the
@@ -366,7 +394,7 @@ void EmContext::ScanDependencies(const Candidate& c,
       if (!g.IsEntity(m)) continue;
       Symbol t = g.entity_type(m);
       if (std::binary_search(dep_types.begin(), dep_types.end(), t) &&
-          keys_by_type_.find(t) != keys_by_type_.end()) {
+          keys_by_type_.contains(t)) {
         far_by_type[t].push_back(m);
       }
     }
@@ -392,17 +420,18 @@ void EmContext::ScanDependencies(const Candidate& c,
 }
 
 void EmContext::BuildDependencyIndex(const EmContext& prev,
-                                     std::span<const int64_t> reuse) {
+                                     std::span<const int64_t> old_to_new,
+                                     std::span<const int64_t> new_to_old,
+                                     std::span<const uint32_t> dirty) {
   const size_t n = candidates_.size();
   // Scan phase, recompiled candidates only: a carried candidate's balls,
   // keys and the keyed-type set are all unchanged, so its scan is copied
-  // below instead of re-walked. Below the thread-spawn break-even point
-  // the scan runs inline (a small patch scans a handful of candidates).
+  // below instead of re-walked.
   std::vector<uint32_t> fresh;
-  for (uint32_t j = 0; j < n; ++j) {
-    if (reuse[j] < 0 && candidates_[j].has_recursive_key) fresh.push_back(j);
+  for (uint32_t j : dirty) {
+    if (candidates_[j].has_recursive_key) fresh.push_back(j);
   }
-  const int p = fresh.size() < 256 ? 1 : std::max(1, opts_.processors);
+  const int p = WorkersFor(fresh.size(), opts_.processors);
   std::vector<std::vector<uint64_t>> shard_scans(p);
   std::vector<size_t> fresh_size(fresh.size());
   ParallelShards(p, fresh.size(), [&](int shard, size_t begin, size_t end) {
@@ -430,12 +459,12 @@ void EmContext::BuildDependencyIndex(const EmContext& prev,
   scans.offsets.reserve(n + 1);
   size_t total = fresh_scans.size();
   for (uint32_t j = 0; j < n; ++j) {
-    if (reuse[j] >= 0) total += old[reuse[j]].size();
+    if (new_to_old[j] >= 0) total += old[new_to_old[j]].size();
   }
   scans.values.reserve(total);
   size_t next_fresh = 0, fresh_at = 0;
   for (uint32_t j = 0; j < n;) {
-    if (reuse[j] < 0) {
+    if (new_to_old[j] < 0) {
       if (next_fresh < fresh.size() && fresh[next_fresh] == j) {
         const auto from = fresh_scans.begin() + fresh_at;
         fresh_at += fresh_size[next_fresh++];
@@ -447,81 +476,263 @@ void EmContext::BuildDependencyIndex(const EmContext& prev,
       continue;
     }
     uint32_t end = j + 1;
-    while (end < n && reuse[end] == reuse[end - 1] + 1) ++end;
-    const size_t first = old.offsets[reuse[j]];
+    while (end < n && new_to_old[end] == new_to_old[end - 1] + 1) ++end;
+    const size_t first = old.offsets[new_to_old[j]];
     const size_t shift = scans.values.size() - first;
     for (uint32_t i = j; i < end; ++i) {
-      scans.offsets.push_back(old.offsets[reuse[i] + 1] + shift);
+      scans.offsets.push_back(old.offsets[new_to_old[i] + 1] + shift);
     }
-    scans.values.insert(scans.values.end(), old.values.begin() + first,
-                        old.values.begin() + old.offsets[reuse[end - 1] + 1]);
+    scans.values.insert(
+        scans.values.end(), old.values.begin() + first,
+        old.values.begin() + old.offsets[new_to_old[end - 1] + 1]);
     j = end;
   }
-  InvertDependencyIndex();
+  IndexDependencies(&prev, old_to_new, new_to_old, dirty);
 }
 
-void EmContext::InvertDependencyIndex() {
-  // Inversion: pairs in L become dependency edges (dependents_[i] ∋ j);
-  // excluded pairs with dependents become ghosts. Deterministic given
-  // depends_on_pairs_ + candidates_, so the storage layer replays it on
-  // load instead of persisting the derived index.
+void EmContext::IndexDependencies(const EmContext* prev,
+                                  std::span<const int64_t> old_to_new,
+                                  std::span<const int64_t> new_to_old,
+                                  std::span<const uint32_t> dirty) {
+  // Dependents of a pair are the candidates whose scans hold it (its own
+  // candidate excluded): a row of dependents_ when the pair is in L, a
+  // ghost row otherwise. prev's rows are right for every carried
+  // candidate, whose scan is prev's, so the edit keeps them (through the
+  // position maps), drops the entries of prev's uncarried candidates,
+  // adds the dirty candidates' scans, and re-files a row whose pair
+  // entered or left L. Deterministic given L and the scans, which is why
+  // the snapshot keeps only the scans.
+  const Rows<uint64_t> no_scans;
+  const Rows<uint32_t> no_rows;
+  const std::span<const Candidate> old_l =
+      prev != nullptr ? std::span<const Candidate>(prev->candidates_)
+                      : std::span<const Candidate>();
+  const Rows<uint64_t>& old_scans =
+      prev != nullptr ? prev->depends_on_pairs_ : no_scans;
+  const Rows<uint32_t>& old_deps =
+      prev != nullptr ? prev->dependents_ : no_rows;
+  const std::span<const GhostPair> old_ghosts =
+      prev != nullptr ? std::span<const GhostPair>(prev->ghosts_)
+                      : std::span<const GhostPair>();
+  const Rows<uint32_t>& old_gdeps =
+      prev != nullptr ? prev->ghost_dependents_ : no_rows;
   const size_t n = candidates_.size();
-  const Rows<uint64_t>& scans = depends_on_pairs_;
-  constexpr uint32_t kNotInL = UINT32_MAX;
-  auto index_in_l = [this](uint64_t packed) -> uint32_t {
-    auto it = std::lower_bound(
-        candidates_.begin(), candidates_.end(), packed,
-        [](const Candidate& c, uint64_t v) { return PackPair(c.e1, c.e2) < v; });
-    if (it == candidates_.end() || PackPair(it->e1, it->e2) != packed) {
-      return kNotInL;
-    }
-    return static_cast<uint32_t>(it - candidates_.begin());
+  const size_t n_old = old_l.size();
+  auto packed = [](const Candidate& c) { return PackPair(c.e1, c.e2); };
+  auto ghost_packed = [](const GhostPair& gp) {
+    return PackPair(gp.e1, gp.e2);
   };
-  // Counting pass: resolve every scanned pair once, count each
-  // candidate's dependents, and list the (ghost pair, dependent) entries.
-  std::vector<uint32_t> target(scans.values.size());
-  std::vector<std::pair<uint64_t, uint32_t>> ghost_entries;
-  dependents_.offsets.assign(n + 1, 0);
-  for (uint32_t j = 0; j < n; ++j) {
-    for (size_t e = scans.offsets[j]; e < scans.offsets[j + 1]; ++e) {
-      const uint32_t i = index_in_l(scans.values[e]);
-      target[e] = i;
-      if (i == kNotInL) {
-        ghost_entries.emplace_back(scans.values[e], j);
-      } else if (i != j) {
-        ++dependents_.offsets[i + 1];
+  // Index of pair `p` in a list sorted by pair, or -1. L is sorted in
+  // PackPair order, so membership is a binary search, no hash map.
+  auto find = [&](auto list, uint64_t p, auto key) -> int64_t {
+    auto it = std::lower_bound(
+        list.begin(), list.end(), p,
+        [&](const auto& item, uint64_t v) { return key(item) < v; });
+    if (it == list.end() || key(*it) != p) return -1;
+    return it - list.begin();
+  };
+  auto in_l = [&](uint64_t p) {
+    return find(std::span<const Candidate>(candidates_), p, packed);
+  };
+  auto in_old_l = [&](uint64_t p) { return find(old_l, p, packed); };
+  auto old_ghost = [&](uint64_t p) {
+    return find(old_ghosts, p, ghost_packed);
+  };
+
+  // prev's uncarried candidates: their entries leave the rows of the
+  // pairs their old scans hold, which must be filtered. A pair that left
+  // L files its row as a ghost.
+  bool moved = false;
+  std::vector<uint32_t> filter_rows, filter_ghosts, left;
+  for (uint32_t j = 0; j < n_old; ++j) {
+    if (old_to_new[j] >= 0) {
+      moved |= old_to_new[j] != j;
+      continue;
+    }
+    const uint64_t self = packed(old_l[j]);
+    if (in_l(self) < 0) left.push_back(j);
+    for (uint64_t p : old_scans[j]) {
+      if (p == self) continue;
+      if (const int64_t i = in_old_l(p); i >= 0) {
+        filter_rows.push_back(static_cast<uint32_t>(i));
+      } else if (const int64_t gh = old_ghost(p); gh >= 0) {
+        filter_ghosts.push_back(static_cast<uint32_t>(gh));
       }
     }
   }
-  for (size_t i = 0; i < n; ++i) {
-    dependents_.offsets[i + 1] += dependents_.offsets[i];
-  }
-  // Scatter pass: j ascends, so every row comes out ascending.
-  dependents_.values.resize(dependents_.offsets[n]);
-  std::vector<size_t> cursor(dependents_.offsets.begin(),
-                             dependents_.offsets.end() - 1);
-  for (uint32_t j = 0; j < n; ++j) {
-    for (size_t e = scans.offsets[j]; e < scans.offsets[j + 1]; ++e) {
-      const uint32_t i = target[e];
-      if (i != kNotInL && i != j) dependents_.values[cursor[i]++] = j;
+  auto sort_unique = [](std::vector<uint32_t>& v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  };
+  sort_unique(filter_ghosts);
+  // The dirty candidates' entries: (row << 32 | candidate) for pairs in
+  // L, (pair, candidate) for the rest. Generated in candidate order.
+  std::vector<uint64_t> add_rows;
+  std::vector<std::pair<uint64_t, uint32_t>> add_ghosts;
+  for (uint32_t k : dirty) {
+    const uint64_t self = packed(candidates_[k]);
+    for (uint64_t p : depends_on_pairs_[k]) {
+      if (p == self) continue;
+      if (const int64_t i = in_l(p); i >= 0) {
+        add_rows.push_back((static_cast<uint64_t>(i) << 32) | k);
+      } else {
+        add_ghosts.emplace_back(p, k);
+      }
     }
   }
-  // Ghosts: the sorted (pair, dependent) list, grouped by pair. A scan
-  // row holds each pair once, so no entry repeats.
-  std::sort(ghost_entries.begin(), ghost_entries.end());
-  ghosts_.clear();
-  ghost_dependents_.Clear();
-  ghost_dependents_.values.reserve(ghost_entries.size());
-  for (size_t e = 0; e < ghost_entries.size(); ++e) {
-    const uint64_t packed = ghost_entries[e].first;
-    if (e == 0 || packed != ghost_entries[e - 1].first) {
-      if (e != 0) ghost_dependents_.CloseRow();
-      ghosts_.push_back(GhostPair{static_cast<NodeId>(packed >> 32),
-                                  static_cast<NodeId>(packed & 0xffffffffu)});
-    }
-    ghost_dependents_.values.push_back(ghost_entries[e].second);
+  // Grouped by row, each row's candidates ascending.
+  GroupByRow(add_rows, n, [](uint64_t e) { return e >> 32; });
+  std::sort(add_ghosts.begin(), add_ghosts.end());
+
+  // Rows assembled one by one: the dirty ones, the ones that gain an
+  // entry, and carried rows that lose one. Every other row is a carried
+  // row with carried entries only: runs of them are block-copied.
+  std::vector<uint32_t> gained, lost, edited;
+  for (uint64_t e : add_rows) {
+    const auto row = static_cast<uint32_t>(e >> 32);
+    if (gained.empty() || gained.back() != row) gained.push_back(row);
   }
-  if (!ghost_entries.empty()) ghost_dependents_.CloseRow();
+  for (uint32_t i : filter_rows) {
+    if (old_to_new[i] >= 0) {
+      lost.push_back(static_cast<uint32_t>(old_to_new[i]));
+    }
+  }
+  sort_unique(lost);
+  std::set_union(dirty.begin(), dirty.end(), gained.begin(), gained.end(),
+                 std::back_inserter(edited));
+  gained.clear();
+  std::set_union(edited.begin(), edited.end(), lost.begin(), lost.end(),
+                 std::back_inserter(gained));
+  edited.swap(gained);
+
+  // Appends row `src`'s carried entries, mapped to new positions, merged
+  // with the dirty entries [add, add_end) (ascending, disjoint from them).
+  auto merge_row = [&](std::span<const uint32_t> src, auto add, auto add_end,
+                       auto value_of, std::vector<uint32_t>& out) {
+    for (uint32_t j : src) {
+      const int64_t to = old_to_new[j];
+      if (to < 0) continue;
+      for (; add != add_end && value_of(*add) < to; ++add) {
+        out.push_back(value_of(*add));
+      }
+      out.push_back(static_cast<uint32_t>(to));
+    }
+    for (; add != add_end; ++add) out.push_back(value_of(*add));
+  };
+  // Appends old rows [o_begin, o_end) of `from` to `to` as one block.
+  auto copy_rows = [&](const Rows<uint32_t>& from, size_t o_begin, size_t o_end,
+                       Rows<uint32_t>& to) {
+    const size_t first = from.offsets[o_begin];
+    const size_t shift = to.values.size() - first;
+    for (size_t o = o_begin + 1; o <= o_end; ++o) {
+      to.offsets.push_back(from.offsets[o] + shift);
+    }
+    const auto b = from.values.begin() + first;
+    const auto e = from.values.begin() + from.offsets[o_end];
+    if (!moved) {
+      to.values.insert(to.values.end(), b, e);
+    } else {
+      for (auto v = b; v != e; ++v) {
+        to.values.push_back(static_cast<uint32_t>(old_to_new[*v]));
+      }
+    }
+  };
+
+  Rows<uint32_t> deps;
+  deps.Reserve(n, old_deps.values.size() + add_rows.size());
+  std::vector<uint32_t> consumed;  // old ghosts whose pair entered L
+  auto row_value = [](uint64_t e) { return static_cast<uint32_t>(e); };
+  size_t a = 0, next_edit = 0;
+  for (size_t i = 0; i < n;) {
+    const size_t stop = next_edit < edited.size() ? edited[next_edit] : n;
+    if (i == stop) {
+      std::span<const uint32_t> src;
+      if (new_to_old[i] >= 0) {
+        src = old_deps[new_to_old[i]];
+      } else if (const int64_t o = in_old_l(packed(candidates_[i])); o >= 0) {
+        src = old_deps[o];
+      } else if (const int64_t gh = old_ghost(packed(candidates_[i]));
+                 gh >= 0) {
+        src = old_gdeps[gh];
+        consumed.push_back(static_cast<uint32_t>(gh));
+      }
+      size_t a_end = a;
+      while (a_end < add_rows.size() && (add_rows[a_end] >> 32) == i) ++a_end;
+      merge_row(src, add_rows.begin() + a, add_rows.begin() + a_end,
+                row_value, deps.values);
+      deps.CloseRow();
+      a = a_end;
+      ++next_edit;
+      ++i;
+      continue;
+    }
+    size_t end = i + 1;
+    while (end < stop && new_to_old[end] == new_to_old[end - 1] + 1) ++end;
+    copy_rows(old_deps, new_to_old[i], new_to_old[end - 1] + 1, deps);
+    i = end;
+  }
+
+  // Ghosts: one merge by pair over prev's ghosts (minus those that
+  // entered L), the pairs that left L, and the dirty entries' ghost
+  // pairs. A ghost keeps its row only while some candidate depends on it.
+  std::vector<GhostPair> ghosts;
+  Rows<uint32_t> gdeps;
+  gdeps.values.reserve(old_gdeps.values.size() + add_ghosts.size());
+  auto ghost_value = [](const std::pair<uint64_t, uint32_t>& e) {
+    return e.second;
+  };
+  std::vector<uint32_t> row;
+  size_t g = 0, lv = 0, ad = 0, fg = 0, cg = 0;
+  while (g < old_ghosts.size() || lv < left.size() || ad < add_ghosts.size()) {
+    constexpr uint64_t kEnd = UINT64_MAX;
+    const uint64_t pg =
+        g < old_ghosts.size() ? ghost_packed(old_ghosts[g]) : kEnd;
+    const uint64_t pl = lv < left.size() ? packed(old_l[left[lv]]) : kEnd;
+    const uint64_t pa = ad < add_ghosts.size() ? add_ghosts[ad].first : kEnd;
+    const uint64_t next_filter =
+        fg < filter_ghosts.size() ? filter_ghosts[fg] : kEnd;
+    const uint64_t next_consumed = cg < consumed.size() ? consumed[cg] : kEnd;
+    if (pg < pl && pg < pa && g != next_filter && g != next_consumed) {
+      // A run of prev's ghosts that no entry joins or leaves.
+      size_t end = g + 1;
+      const uint64_t bound = std::min(pl, pa);
+      while (end < old_ghosts.size() && end < next_filter &&
+             end < next_consumed && ghost_packed(old_ghosts[end]) < bound) {
+        ++end;
+      }
+      ghosts.insert(ghosts.end(), old_ghosts.begin() + g,
+                    old_ghosts.begin() + end);
+      copy_rows(old_gdeps, g, end, gdeps);
+      g = end;
+      continue;
+    }
+    const uint64_t p = std::min({pg, pl, pa});
+    std::span<const uint32_t> src;
+    if (p == pg) {
+      const bool entered = g == next_consumed;
+      fg += g == next_filter;
+      cg += entered;
+      src = old_gdeps[g++];
+      if (entered) continue;  // its row moved to dependents_
+    } else if (p == pl) {
+      src = old_deps[left[lv++]];
+    }
+    size_t ad_end = ad;
+    while (ad_end < add_ghosts.size() && add_ghosts[ad_end].first == p) {
+      ++ad_end;
+    }
+    row.clear();
+    merge_row(src, add_ghosts.begin() + ad, add_ghosts.begin() + ad_end,
+              ghost_value, row);
+    ad = ad_end;
+    if (row.empty()) continue;
+    ghosts.push_back(GhostPair{static_cast<NodeId>(p >> 32),
+                               static_cast<NodeId>(p & 0xffffffffu)});
+    gdeps.AddRow(row);
+  }
+  dependents_ = std::move(deps);
+  ghosts_ = std::move(ghosts);
+  ghost_dependents_ = std::move(gdeps);
 }
 
 EmContext::EmContext(const EmContext& prev,
@@ -529,11 +740,10 @@ EmContext::EmContext(const EmContext& prev,
                      ContextPatchInfo* info, bool collect_relations)
     : g_(prev.g_), keys_(prev.keys_), opts_(prev.opts_) {
   const Graph& g = *g_;
-  // Spawning worker threads costs ~100µs each — real money against a
-  // sub-millisecond patch. Parallel phases below fall back to inline
-  // execution unless the affected region is big enough to pay for them.
+  // Parallel phases below run inline unless the affected region is big
+  // enough to pay for the threads.
   auto workers = [this](size_t work) {
-    return work < 256 ? 1 : std::max(1, opts_.processors);
+    return WorkersFor(work, opts_.processors);
   };
   Timer section;
 
@@ -542,7 +752,7 @@ EmContext::EmContext(const EmContext& prev,
   // cp.matchable. Any NEW match such a flip enables must use delta edges
   // and therefore lies inside an affected entity's ball, so the per-type
   // reuse below stays sound.
-  CompileKeys();
+  CompileKeys(&prev);
   if (info != nullptr) info->keys_seconds = section.Seconds();
   section.Reset();
 
@@ -553,16 +763,17 @@ EmContext::EmContext(const EmContext& prev,
   // entity to a dirty node has a surviving prefix that already reaches a
   // dirty node within d. One multi-source BFS from the dirty set to the
   // maximum radius, instead of one BFS per entity. It lists the nodes it
-  // reaches level by level, so the affected entities are read off the
-  // ball, not found by a scan of every keyed entity.
+  // reaches level by level (so a node's depth is its level), marking
+  // them in this thread's scratch, which the pass clears again: the BFS
+  // costs the ball, not NumNodes().
   int dmax = 0;
   for (const auto& [type, r] : radius_by_type_) dmax = std::max(dmax, r);
-  constexpr uint8_t kUnreached = 0xFF;
-  std::vector<uint8_t> dist(g.NumNodes(), kUnreached);
+  NodeMarks::Pass marks(tl_patch_marks, g.NumNodes());
   std::vector<NodeId> reached;
+  std::vector<size_t> level_begin{0};
   for (NodeId n : dirty_nodes) {
-    if (n < g.NumNodes() && dist[n] == kUnreached) {
-      dist[n] = 0;
+    if (n < g.NumNodes() && marks[n] == 0) {
+      marks.Set(n, 1);
       reached.push_back(n);
     }
   }
@@ -570,11 +781,12 @@ EmContext::EmContext(const EmContext& prev,
        depth <= static_cast<size_t>(dmax) && level < reached.size();
        ++depth) {
     const size_t level_end = reached.size();
+    level_begin.push_back(level_end);
     for (; level < level_end; ++level) {
       const NodeId n = reached[level];
       auto visit = [&](NodeId m) {
-        if (dist[m] == kUnreached) {
-          dist[m] = static_cast<uint8_t>(depth);
+        if (marks[m] == 0) {
+          marks.Set(m, 1);
           reached.push_back(m);
         }
       };
@@ -582,16 +794,27 @@ EmContext::EmContext(const EmContext& prev,
       for (const Edge& e : g.In(n)) visit(e.dst);
     }
   }
-  // An entity of keyed type t is affected iff dist[e] <= radius(t).
+  // An entity of keyed type t is affected iff its depth <= radius(t).
   std::vector<NodeId> affected_list;
-  for (NodeId n : reached) {
-    if (!g.IsEntity(n)) continue;
-    auto r = radius_by_type_.find(g.entity_type(n));
-    if (r != radius_by_type_.end() && dist[n] <= r->second) {
-      affected_list.push_back(n);
+  for (size_t depth = 0; depth < level_begin.size(); ++depth) {
+    const size_t level_end = depth + 1 < level_begin.size()
+                                 ? level_begin[depth + 1]
+                                 : reached.size();
+    for (size_t k = level_begin[depth]; k < level_end; ++k) {
+      const NodeId n = reached[k];
+      if (!g.IsEntity(n)) continue;
+      auto r = radius_by_type_.find(g.entity_type(n));
+      if (r != radius_by_type_.end() &&
+          depth <= static_cast<size_t>(r->second)) {
+        affected_list.push_back(n);
+      }
     }
   }
   std::sort(affected_list.begin(), affected_list.end());
+  // From here on a mark means "affected".
+  marks.Reset();
+  for (NodeId e : affected_list) marks.Set(e, 1);
+  auto affected = [&marks](NodeId e) { return marks[e] != 0; };
   std::unordered_map<Symbol, std::vector<NodeId>> affected_by_type;
   for (NodeId e : affected_list) {
     affected_by_type[g.entity_type(e)].push_back(e);
@@ -643,18 +866,19 @@ EmContext::EmContext(const EmContext& prev,
   if (info != nullptr) info->dneighbor_seconds = section.Seconds();
   section.Reset();
 
-  // Phase B': enumerate L per type. Types with no affected entity carry
-  // their surviving candidates (and signature index) over verbatim.
-  // Affected types re-sign each affected entity into their signature
-  // index's overlay (its overlay row hides its stale base row) and
-  // enumerate only the pairs INVOLVING an affected entity; pairs of
-  // two untouched entities are carried from the previous L (their bucket
-  // memberships, pairing verdicts, and reduced sets cannot have changed).
-  // The previous source choice per key is pinned (any single source per
-  // key is an output-preserving filter), so a patched plan's L can differ
-  // from a from-scratch compile's L without changing chase(G, Σ). A
-  // compile is this pass over an empty context with every entity
-  // affected: each type builds its index and enumerates in full.
+  // Phase B': enumerate, per type, only the pairs INVOLVING an affected
+  // entity. Affected types re-sign each affected entity into their
+  // signature index's overlay (its overlay row hides its stale base row)
+  // and enumerate its bucket partners; types with no affected entity
+  // share their signature index untouched. Pairs of two untouched
+  // entities are not enumerated: the merge below carries them from the
+  // previous L (their bucket memberships, pairing verdicts, and reduced
+  // sets cannot have changed). The previous source choice per key is
+  // pinned (any single source per key is an output-preserving filter),
+  // so a patched plan's L can differ from a from-scratch compile's L
+  // without changing chase(G, Σ). A compile is this pass over an empty
+  // context with every entity affected: each type builds its index and
+  // enumerates in full.
   // Pair → previous-candidate lookup, needed only when a type's
   // signature structure changed (rare); built on first use so the common
   // patch path never pays the O(|L|) hashing.
@@ -670,11 +894,6 @@ EmContext::EmContext(const EmContext& prev,
     auto it = prev_by_pair.find(PackPair(a, b));
     return it == prev_by_pair.end() ? -1 : static_cast<int64_t>(it->second);
   };
-  // Previous candidates grouped by type, for the carry-over passes.
-  std::unordered_map<Symbol, std::vector<uint32_t>> prev_by_type;
-  for (uint32_t i = 0; i < prev.candidates_.size(); ++i) {
-    prev_by_type[g.entity_type(prev.candidates_[i].e1)].push_back(i);
-  }
 
   struct RawPair {
     NodeId e1, e2;
@@ -684,10 +903,13 @@ EmContext::EmContext(const EmContext& prev,
   };
   std::vector<RawPair> raw;
   std::unordered_set<uint64_t> seen;
-  for (const auto& [type, key_ids] : keys_by_type_) {
+  // Types whose index was rebuilt: their full enumeration lists every
+  // surviving pair itself, so none of their previous candidates is
+  // carried by the merge.
+  std::vector<Symbol> relisted;
+  for (const auto& [type, key_list] : keys_by_type_) {
+    const std::vector<int>& key_ids = *key_list;
     auto entities = g.EntitiesOfType(type);
-    const int d = radius_by_type_.at(type);
-    auto affected = [&](NodeId e) { return dist[e] <= d; };
     bool recursive = false, value_based = false;
     for (int ki : key_ids) {
       if (compiled_[ki].key->recursive()) {
@@ -700,20 +922,9 @@ EmContext::EmContext(const EmContext& prev,
     if (auto it = affected_by_type.find(type); it != affected_by_type.end()) {
       affected_here = it->second;
     }
-    auto prev_candidates_it = prev_by_type.find(type);
-    auto carry_clean_pairs = [&]() {
-      if (prev_candidates_it == prev_by_type.end()) return;
-      for (uint32_t i : prev_candidates_it->second) {
-        const Candidate& c = prev.candidates_[i];
-        if (affected(c.e1) || affected(c.e2)) continue;
-        raw.push_back(RawPair{c.e1, c.e2, &key_ids, recursive, value_based,
-                              static_cast<int64_t>(i)});
-      }
-    };
     if (affected_here.empty()) {
-      // Entirely clean type: carry candidates and share the signature
-      // index untouched.
-      carry_clean_pairs();
+      // Entirely clean type: every candidate is carried, and the
+      // signature index is shared untouched.
       auto sig_it = prev.sig_index_.find(type);
       if (sig_it != prev.sig_index_.end()) sig_index_[type] = sig_it->second;
       continue;
@@ -749,7 +960,6 @@ EmContext::EmContext(const EmContext& prev,
         if (!prev_sig->blockable) {
           // Still unblockable: full enumeration of affected × all.
           sig_index_[type] = prev_sig;
-          carry_clean_pairs();
           emit_affected_pairs();
           continue;
         }
@@ -771,7 +981,6 @@ EmContext::EmContext(const EmContext& prev,
           }
         }
         sig_index_[type] = std::move(updated);
-        carry_clean_pairs();
         continue;
       }
       // No index yet (a compile) or the delta changed the signature
@@ -783,6 +992,7 @@ EmContext::EmContext(const EmContext& prev,
       auto idx = BuildSigIndex(key_ids, entities);
       sig_index_[type] = idx;
       if (idx->blockable) {
+        relisted.push_back(type);
         const size_t before = raw.size();
         for (const SigPerKey& pk : idx->keys) {
           pk.base->ForEachBucket([&](auto bucket) {
@@ -811,17 +1021,32 @@ EmContext::EmContext(const EmContext& prev,
       // Unblockable: fall through to full enumeration.
     }
     // No blocking (or unblockable): affected × all pairs are dirty,
-    // clean × clean pairs carry over from the previous L. (With pairing
-    // but no blocking, a clean pair the pairing filter dropped before is
-    // re-checked only if it involves an affected entity — clean dropped
-    // pairs stay dropped because nothing in their balls moved.)
-    carry_clean_pairs();
+    // clean × clean pairs are carried. (With pairing but no blocking, a
+    // clean pair the pairing filter dropped before is re-checked only if
+    // it involves an affected entity — clean dropped pairs stay dropped
+    // because nothing in their balls moved.)
     emit_affected_pairs();
   }
-  candidates_initial_ = raw.size();
   std::sort(raw.begin(), raw.end(), [](const RawPair& a, const RawPair& b) {
     return std::tie(a.e1, a.e2) < std::tie(b.e1, b.e2);
   });
+  // The position map, first as "carried or not": a previous candidate
+  // is carried unless it has an affected endpoint or its type was
+  // relisted. No carried pair is in `raw`.
+  const std::vector<Candidate>& old_l = prev.candidates_;
+  std::vector<int64_t> old_to_new(old_l.size(), 0);
+  size_t carried = old_l.size();
+  for (size_t i = 0; i < old_l.size(); ++i) {
+    const Candidate& c = old_l[i];
+    if (affected(c.e1) || affected(c.e2) ||
+        (!relisted.empty() &&
+         std::find(relisted.begin(), relisted.end(), g.entity_type(c.e1)) !=
+             relisted.end())) {
+      old_to_new[i] = -1;
+      --carried;
+    }
+  }
+  candidates_initial_ = carried + raw.size();
 
   if (info != nullptr) info->enumerate_seconds = section.Seconds();
   section.Reset();
@@ -837,8 +1062,8 @@ EmContext::EmContext(const EmContext& prev,
   const bool pair_dirty = opts_.use_pairing || collect_relations;
   std::vector<Reduction> reductions(pair_dirty ? raw.size() : 0);
   if (pair_dirty) {
-    // Shard over the dirty pairs only, so carried pairs cannot leave one
-    // worker with every pairing call.
+    // Shard over the dirty pairs only, so pairs re-found in a previous L
+    // cannot leave one worker with every pairing call.
     std::vector<uint32_t> dirty;
     for (size_t i = 0; i < raw.size(); ++i) {
       if (raw[i].reuse < 0) dirty.push_back(static_cast<uint32_t>(i));
@@ -885,74 +1110,103 @@ EmContext::EmContext(const EmContext& prev,
   if (info != nullptr) info->pairing_seconds = section.Seconds();
   section.Reset();
 
-  // Assembly: reused pairs share the previous reduced sets; dirty pairs
-  // get fresh ones. Candidates stay sorted by (e1, e2) as in a full
-  // compile.
-  candidates_.reserve(raw.size());
+  // Assembly: one linear merge of the previous L's carried runs (each a
+  // block copy) with the enumerated pairs, in (e1, e2) order as in a full
+  // compile. It completes the position maps. Dirty pairs the pairing
+  // filter drops leave no candidate.
+  candidates_.reserve(candidates_initial_);
+  std::vector<int64_t> new_to_old;
+  new_to_old.reserve(candidates_initial_);
   std::vector<uint32_t> dirty_candidates;
-  std::vector<int64_t> candidate_reuse;
-  candidate_reuse.reserve(raw.size());
+  std::vector<std::shared_ptr<const NodeSet>> fresh_sets;
   std::vector<std::shared_ptr<const PairingRelation>> relations;
-  for (size_t i = 0; i < raw.size(); ++i) {
-    const RawPair& rp = raw[i];
+  // Maps previous candidate `from` to new position `to`.
+  auto carry = [&](size_t from, size_t to) {
+    old_to_new[from] = static_cast<int64_t>(to);
+    new_to_old.push_back(static_cast<int64_t>(from));
+  };
+  size_t next_old = 0;
+  for (size_t r = 0; r <= raw.size(); ++r) {
+    const uint64_t bound =
+        r < raw.size() ? PackPair(raw[r].e1, raw[r].e2) : UINT64_MAX;
+    while (next_old < old_l.size() &&
+           PackPair(old_l[next_old].e1, old_l[next_old].e2) < bound) {
+      if (old_to_new[next_old] < 0) {
+        ++next_old;
+        continue;
+      }
+      size_t end = next_old + 1;
+      while (end < old_l.size() && old_to_new[end] >= 0 &&
+             PackPair(old_l[end].e1, old_l[end].e2) < bound) {
+        ++end;
+      }
+      for (size_t i = next_old; i < end; ++i) {
+        carry(i, candidates_.size() + (i - next_old));
+      }
+      candidates_.insert(candidates_.end(), old_l.begin() + next_old,
+                         old_l.begin() + end);
+      next_old = end;
+    }
+    if (r == raw.size()) break;
+    const RawPair& rp = raw[r];
+    if (rp.reuse >= 0) {
+      // Re-found in a relisted type's full enumeration. The scan above
+      // stopped at its previous position (same pair), so step past it.
+      carry(static_cast<size_t>(rp.reuse), candidates_.size());
+      candidates_.push_back(old_l[rp.reuse]);
+      next_old = static_cast<size_t>(rp.reuse) + 1;
+      continue;
+    }
     Candidate c;
     c.e1 = rp.e1;
     c.e2 = rp.e2;
     c.keys = rp.keys;
     c.has_recursive_key = rp.recursive;
     c.has_value_based_key = rp.value_based;
-    if (rp.reuse >= 0) {
-      if (opts_.use_pairing) {
-        // reduced_pool_[2i] / [2i+1] are candidate i's sides, in both
-        // the full and the patched build.
-        const auto& r1 = prev.reduced_pool_[2 * rp.reuse];
-        const auto& r2 = prev.reduced_pool_[2 * rp.reuse + 1];
-        neighbor_nodes_reduced_ += r1->size() + r2->size();
-        reduced_pool_.push_back(r1);
-        c.nbr1 = r1.get();
-        reduced_pool_.push_back(r2);
-        c.nbr2 = r2.get();
-      } else {
-        c.nbr1 = &DNbr(rp.e1);
-        c.nbr2 = &DNbr(rp.e2);
-      }
-      candidate_reuse.push_back(rp.reuse);
-      if (collect_relations) relations.push_back(nullptr);
-      candidates_.push_back(std::move(c));
-      continue;
-    }
     if (opts_.use_pairing) {
-      Reduction& red = reductions[i];
+      Reduction& red = reductions[r];
       if (!red.keep) continue;
       neighbor_nodes_reduced_ += red.r1.size() + red.r2.size();
-      reduced_pool_.push_back(
-          std::make_shared<const NodeSet>(std::move(red.r1)));
-      c.nbr1 = reduced_pool_.back().get();
-      reduced_pool_.push_back(
-          std::make_shared<const NodeSet>(std::move(red.r2)));
-      c.nbr2 = reduced_pool_.back().get();
+      for (NodeSet* side : {&red.r1, &red.r2}) {
+        fresh_sets.push_back(std::make_shared<const NodeSet>(std::move(*side)));
+      }
+      c.nbr1 = fresh_sets[fresh_sets.size() - 2].get();
+      c.nbr2 = fresh_sets.back().get();
     } else {
       c.nbr1 = &DNbr(rp.e1);
       c.nbr2 = &DNbr(rp.e2);
     }
     dirty_candidates.push_back(static_cast<uint32_t>(candidates_.size()));
-    candidate_reuse.push_back(-1);
+    new_to_old.push_back(-1);
     if (collect_relations) {
-      relations.push_back(std::move(reductions[i].relation));
+      relations.push_back(std::move(reductions[r].relation));
     }
-    candidates_.push_back(std::move(c));
+    candidates_.push_back(c);
+  }
+  if (opts_.use_pairing) {
+    // Σ of the reduced sets, by difference: the dirty candidates' sets
+    // were added above; the uncarried previous candidates' go.
+    neighbor_nodes_reduced_ += prev.neighbor_nodes_reduced_;
+    for (size_t i = 0; i < old_l.size(); ++i) {
+      if (old_to_new[i] < 0) {
+        neighbor_nodes_reduced_ -=
+            prev.reduced_.at(i, 0).size() + prev.reduced_.at(i, 1).size();
+      }
+    }
+    reduced_ = CandidateTable<NodeSet, 2>::Patch(prev.reduced_, new_to_old,
+                                                  std::move(fresh_sets));
   }
 
-  // The dependency index and ghosts are candidate-index-relative;
-  // re-assemble them over the new L, copying the neighbor-ball scans of
-  // every carried-over candidate.
-  BuildDependencyIndex(prev, candidate_reuse);
+  // The dependency index and ghosts are candidate-index-relative: copy
+  // the carried candidates' scans, scan the dirty ones, and edit prev's
+  // index through the position maps.
+  BuildDependencyIndex(prev, old_to_new, new_to_old, dirty_candidates);
   if (info != nullptr) info->depindex_seconds = section.Seconds();
 
   if (info != nullptr) {
     info->affected_entities = std::move(affected_list);
     info->dirty_candidates = std::move(dirty_candidates);
-    info->candidate_reuse = std::move(candidate_reuse);
+    info->candidate_reuse = std::move(old_to_new);
     info->relations = std::move(relations);
   }
 }
@@ -962,7 +1216,6 @@ size_t EmContext::MemoryBytes() const {
       candidates_.capacity() * sizeof(Candidate) +
       compiled_.capacity() * sizeof(CompiledKey) +
       dn_chunks_.capacity() * sizeof(std::shared_ptr<const DnChunk>) +
-      reduced_pool_.capacity() * sizeof(std::shared_ptr<const NodeSet>) +
       depends_on_pairs_.MemoryBytes() + dependents_.MemoryBytes() +
       ghosts_.capacity() * sizeof(GhostPair) +
       ghost_dependents_.MemoryBytes();
@@ -973,9 +1226,8 @@ size_t EmContext::MemoryBytes() const {
       if (s != nullptr) bytes += sizeof(NodeSet) + s->MemoryBytes();
     }
   }
-  for (const auto& s : reduced_pool_) {
-    bytes += sizeof(NodeSet) + s->MemoryBytes();
-  }
+  bytes += reduced_.MemoryBytes(
+      [](const NodeSet& s) { return sizeof(NodeSet) + s.MemoryBytes(); });
   for (const auto& [type, idx] : sig_index_) {
     bytes += sizeof(SigIndex);
     for (const SigPerKey& pk : idx->keys) {

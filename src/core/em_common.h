@@ -219,6 +219,28 @@ struct Rows {
   friend bool operator==(const Rows&, const Rows&) = default;
 };
 
+/// Groups `v` by row_of(e) in [0, rows), each row's entries kept in
+/// their order in `v`: a stable sort while `v` holds fewer than rows / 16
+/// entries (a patch's few edits), else a counting pass over the rows (a
+/// compile or load edits every row). Timed on 4.6k to 50k rows with
+/// 8- and 12-byte entries, the two cross over between rows / 32 and
+/// rows / 16; at rows / 8 the counting pass is 2 to 7 times faster.
+template <class T, class RowOf>
+void GroupByRow(std::vector<T>& v, size_t rows, RowOf row_of) {
+  if (v.size() < rows / 16) {
+    std::stable_sort(v.begin(), v.end(), [&](const T& a, const T& b) {
+      return row_of(a) < row_of(b);
+    });
+    return;
+  }
+  std::vector<size_t> at(rows + 1, 0);
+  for (const T& e : v) ++at[row_of(e) + 1];
+  for (size_t r = 0; r < rows; ++r) at[r + 1] += at[r];
+  std::vector<T> grouped(v.size());
+  for (const T& e : v) grouped[at[row_of(e)]++] = e;
+  v.swap(grouped);
+}
+
 /// A provenance index, flat: one head per derivation, with the
 /// derivations' premises and witness triples as rows (row i belongs to
 /// heads[i]). Readers see entry i as heads[i], premises[i] and
@@ -364,6 +386,94 @@ struct Candidate {
   bool has_value_based_key = false;
 };
 
+/// Per-candidate shared values in immutable chunks of kSpan positions of
+/// L, shared by a plan and the plans patched from it the way the
+/// d-neighbor table is: EmContext's pairing-reduced sets (two per
+/// candidate) and Gp's pairing relations (one). A patch clones only the
+/// chunks that hold a recompiled candidate, or a different candidate than
+/// before (after an insertion into or a removal from L every later
+/// position does), so a carried candidate's values are neither copied one
+/// by one nor reference-counted.
+template <typename T, size_t Width>
+class CandidateTable {
+ public:
+  using Ptr = std::shared_ptr<const T>;
+
+  /// The number of candidate positions.
+  size_t size() const { return size_; }
+  /// Value k of position i.
+  const Ptr& ptr(size_t i, size_t k = 0) const {
+    return chunks_[i >> kBits]->values[(i & (kSpan - 1)) * Width + k];
+  }
+  const T& at(size_t i, size_t k = 0) const { return *ptr(i, k); }
+
+  /// The table of a candidate list of new_to_old.size() positions:
+  /// position i takes prev's values at position new_to_old[i] when that
+  /// is >= 0, else the next Width values of `fresh` (the values of the
+  /// recompiled positions, in position order). A chunk is shared with
+  /// prev when each position it covers is carried from the same position
+  /// and prev's chunk covers as many positions. With an empty prev every
+  /// chunk is built.
+  static CandidateTable Patch(const CandidateTable& prev,
+                              std::span<const int64_t> new_to_old,
+                              std::vector<Ptr> fresh) {
+    CandidateTable t;
+    const size_t n = new_to_old.size();
+    t.size_ = n;
+    t.chunks_.reserve((n + kSpan - 1) >> kBits);
+    size_t next_fresh = 0;
+    for (size_t begin = 0; begin < n; begin += kSpan) {
+      const size_t end = std::min(n, begin + kSpan);
+      bool same = begin < prev.size_ &&
+                  std::min(prev.size_, begin + kSpan) == end;
+      for (size_t i = begin; same && i < end; ++i) {
+        same = new_to_old[i] == static_cast<int64_t>(i);
+      }
+      if (same) {
+        t.chunks_.push_back(prev.chunks_[begin >> kBits]);
+        continue;
+      }
+      auto chunk = std::make_shared<Chunk>();
+      for (size_t i = begin; i < end; ++i) {
+        for (size_t k = 0; k < Width; ++k) {
+          // Not a ?: of the two: its result would be a const temporary,
+          // so a fresh value would be copied (two refcount updates), not
+          // moved.
+          Ptr& slot = chunk->values[(i - begin) * Width + k];
+          if (new_to_old[i] >= 0) {
+            slot = prev.ptr(new_to_old[i], k);
+          } else {
+            slot = std::move(fresh[next_fresh++]);
+          }
+        }
+      }
+      t.chunks_.push_back(std::move(chunk));
+    }
+    return t;
+  }
+
+  /// Approximate heap bytes: the chunk table, every chunk, and
+  /// value_bytes(v) per value held.
+  template <typename Fn>
+  size_t MemoryBytes(Fn&& value_bytes) const {
+    size_t bytes = chunks_.capacity() * sizeof(std::shared_ptr<const Chunk>) +
+                   chunks_.size() * sizeof(Chunk);
+    for (size_t i = 0; i < size_; ++i) {
+      for (size_t k = 0; k < Width; ++k) bytes += value_bytes(at(i, k));
+    }
+    return bytes;
+  }
+
+ private:
+  static constexpr unsigned kBits = 5;
+  static constexpr size_t kSpan = size_t{1} << kBits;
+  struct Chunk {
+    std::array<Ptr, kSpan * Width> values;
+  };
+  std::vector<std::shared_ptr<const Chunk>> chunks_;
+  size_t size_ = 0;
+};
+
 /// A key compiled against the target graph, with its EMVC traversal order.
 struct CompiledKey {
   const Key* key = nullptr;
@@ -386,15 +496,18 @@ struct ContextPatchInfo {
   /// Indices into candidates() whose isomorphism-check outcome may have
   /// changed: at least one affected endpoint, or newly enumerated. A
   /// seeded rematch re-checks exactly these (plus the dependency/ghost
-  /// cascade the engines already perform).
+  /// cascade the engines already perform). Ascending; every other
+  /// candidate was carried over from the source plan.
   std::vector<uint32_t> dirty_candidates;
-  /// Per new-candidate index: the source plan's candidate index it was
-  /// carried over from, or -1 when recompiled. PatchProductGraph replays
-  /// the cached pairing relations of the carried candidates.
+  /// The position map, per source-plan candidate index: the index of the
+  /// same candidate in the new L when it was carried over unchanged, or
+  /// -1 when it left L or was recompiled. Monotone over its carried
+  /// entries (both lists are sorted by pair). PatchProductGraph reads it
+  /// to share the carried candidates' relations and product nodes.
   std::vector<int64_t> candidate_reuse;
-  /// Per new-candidate index, when relations were collected: the
-  /// recompiled candidate's relation from the pairing pass, or null when
-  /// carried over. PatchProductGraph adds these to Gp.
+  /// Per dirty candidate (parallel to dirty_candidates), when relations
+  /// were collected: its relation from the pairing pass.
+  /// PatchProductGraph adds these to Gp.
   std::vector<std::shared_ptr<const PairingRelation>> relations;
   /// Where the patch time went (seconds; bench_incremental reports them).
   double keys_seconds = 0;
@@ -422,17 +535,26 @@ class EmContext {
   /// graph AFTER a delta was applied to it (Graph::Apply), recompiling
   /// only the affected region — entities whose d-ball around them
   /// intersects `dirty_nodes` — and sharing every untouched section with
-  /// `prev` (the d-neighbor table shares every chunk that holds no
-  /// affected entity, pairing-reduced sets are shared per set, and
-  /// untouched candidates are carried over without re-running the
-  /// pairing fixpoint). Every keyed entity the delta added is dirty, so
-  /// it is affected. The dependency index is candidate-index-relative,
-  /// so it is re-assembled: carried candidates' scans are block-copied
-  /// from `prev`, only recompiled candidates are scanned, and the
-  /// inversion into dependents and ghosts is a counting pass plus a
-  /// binary search per scanned pair, with no hash map. `prev` must
-  /// outlive nothing — the new context is self-contained apart from the
-  /// shared immutable chunks, NodeSet payloads and signature bases.
+  /// `prev`. Every keyed entity the delta added is dirty, so it is
+  /// affected. A patch touches an element only when the delta dirtied it
+  /// and moves the rest by block:
+  ///   - L: only the pairs involving an affected entity are enumerated
+  ///     (and paired); the new L is one linear merge of them with the
+  ///     runs of prev's candidates that have no affected endpoint. A type
+  ///     whose signature index must be rebuilt is enumerated in full; its
+  ///     clean pairs found in prev's L are carried from there, once each.
+  ///     The merge yields the position map
+  ///     (ContextPatchInfo::candidate_reuse).
+  ///   - The d-neighbor table and the pairing-reduced sets sit in shared
+  ///     chunks; only the chunks holding an affected entity, a recompiled
+  ///     candidate or a shifted position are cloned.
+  ///   - The dependency index is edited, not re-inverted: carried
+  ///     candidates' scans are block-copied, only recompiled candidates
+  ///     are scanned, and dependents and ghosts are carried through the
+  ///     position map (IndexDependencies).
+  /// `prev` must outlive nothing — the new context is self-contained
+  /// apart from the shared immutable chunks, NodeSet payloads, key lists
+  /// and signature bases.
   ///
   /// Counters: candidates_initial() is the size of the enumerated L
   /// before pairing (carried pairs included). candidates_blocked() counts
@@ -658,23 +780,36 @@ class EmContext {
 
   /// Builds the §4.2 dependency index (dependents_/ghosts_) from the
   /// per-candidate depended-on pair scans. Candidates carried over from
-  /// `prev` (reuse[j] >= 0, ascending over j like every source index)
-  /// copy their scans as ranges; only the recompiled ones re-walk their
-  /// neighbor balls.
+  /// `prev` (new_to_old[j] >= 0, ascending over j) copy their scans as
+  /// ranges; only the recompiled ones (`dirty`, ascending) re-walk their
+  /// neighbor balls (inline below the thread-spawn break-even). Then
+  /// IndexDependencies edits prev's index into this one.
   void BuildDependencyIndex(const EmContext& prev,
-                            std::span<const int64_t> reuse);
+                            std::span<const int64_t> old_to_new,
+                            std::span<const int64_t> new_to_old,
+                            std::span<const uint32_t> dirty);
 
   /// Appends candidate c's depended-on pairs to `out`, ascending and
   /// deduplicated (the scan of BuildDependencyIndex).
   void ScanDependencies(const Candidate& c, std::vector<uint64_t>& out) const;
 
-  /// Derives dependents_/ghosts_ from depends_on_pairs_ + candidates_
-  /// (the inversion tail of BuildDependencyIndex). Candidates are sorted
-  /// in PackPair order, so a binary search decides membership in L and
-  /// no hash map is needed. Deterministic given those inputs; the
-  /// snapshot codec calls it after restoring the raw scans so the derived
-  /// index never needs serializing.
-  void InvertDependencyIndex();
+  /// Derives dependents_/ghosts_ over candidates_ and depends_on_pairs_
+  /// by editing `prev`'s index (null: an empty one) instead of inverting
+  /// every scan. old_to_new / new_to_old are the position maps of the
+  /// carried candidates, whose scans equal prev's; `dirty` lists the
+  /// other new positions, ascending. The edit carries prev's rows through
+  /// the maps (a block copy of every unedited run, with no value remapped
+  /// when no carried candidate moved), drops the entries of prev's
+  /// uncarried candidates, adds the dirty candidates' scans, and moves a
+  /// pair's dependents between the ghost table and dependents_ when it
+  /// enters or leaves L. The result equals the inversion of every scan
+  /// over L (tests/dependency_reference.h). Compile and the snapshot
+  /// decoder call it with every candidate dirty, so the derived index is
+  /// never serialized.
+  void IndexDependencies(const EmContext* prev,
+                         std::span<const int64_t> old_to_new,
+                         std::span<const int64_t> new_to_old,
+                         std::span<const uint32_t> dirty);
 
   /// All signature sources of `cp` (BFS over the pattern from x).
   static std::vector<SigSource> FindSigSources(const CompiledPattern& cp);
@@ -714,7 +849,11 @@ class EmContext {
                           std::span<const NodeId> affected) const;
 
   /// Compiles the key set against *g_ (shared by both constructors).
-  void CompileKeys();
+  /// A type's key list is shared with `prev`'s when equal, which it
+  /// always is for a type `prev` had: a designated type, once resolved,
+  /// stays resolved (the interner only grows). So a carried candidate's
+  /// `keys` pointer stays valid in the patched context.
+  void CompileKeys(const EmContext* prev);
 
   /// The d-neighbor table is split into chunks of kDnChunkSpan node ids.
   /// A patch copies one pointer per chunk and clones only the chunks
@@ -743,19 +882,21 @@ class EmContext {
   const KeySet* keys_;
   PlanOptions opts_;
   std::vector<CompiledKey> compiled_;
-  std::unordered_map<Symbol, std::vector<int>> keys_by_type_;
+  // Per keyed type, its compiled-key indices (Candidate::keys points into
+  // them), shared across patches (CompileKeys).
+  std::unordered_map<Symbol, std::shared_ptr<const std::vector<int>>>
+      keys_by_type_;
   std::unordered_map<Symbol, int> radius_by_type_;
   std::vector<Candidate> candidates_;
   // Storage for the NodeSets candidates point into: the d-neighbor
   // table, indexed by node id in shared immutable chunks (DNbr; a chunk
-  // with no keyed entity is null), plus a pool for the per-pair
-  // pairing-reduced sets — reduced_pool_[2i] / [2i+1] are candidate i's
-  // two sides (the patch constructor relies on that pairing). Payloads
-  // are shared immutable NodeSets so a patched context reuses untouched
-  // sections copy-on-write, and the raw pointers handed to Candidate
-  // stay stable across context moves.
+  // with no keyed entity is null), and with use_pairing the per-pair
+  // pairing-reduced sets, indexed by candidate position (side 0 and 1 of
+  // candidate i). Payloads are shared immutable NodeSets so a patched
+  // context reuses untouched sections copy-on-write, and the raw
+  // pointers handed to Candidate stay stable across context moves.
   std::vector<std::shared_ptr<const DnChunk>> dn_chunks_;
-  std::vector<std::shared_ptr<const NodeSet>> reduced_pool_;
+  CandidateTable<NodeSet, 2> reduced_;
   // Signature index per keyed type (use_blocking only); shared with the
   // source plan for types the delta did not touch.
   std::unordered_map<Symbol, std::shared_ptr<const SigIndex>> sig_index_;

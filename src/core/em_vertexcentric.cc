@@ -4,6 +4,7 @@
 #include <atomic>
 #include <numeric>
 
+#include "common/parallel.h"
 #include "core/fixpoint.h"
 #include "core/product_graph.h"
 #include "vertexcentric/engine.h"
@@ -285,7 +286,6 @@ StatusOr<MatchResult> RunEmVertexCentric(const EmContext& ctx,
   for (auto& b : budget) b.store(0, std::memory_order_relaxed);
 
   VcRun runner{ctx, pg, opts, run, budget, max_slots};
-  VcEngine engine(opts.processors);
   VcEngine::Handler handler = [&](VcEngine::Context& vctx, uint32_t vertex,
                                   VcMessage&& msg) {
     runner.Process(vctx, vertex, std::move(msg));
@@ -304,6 +304,7 @@ StatusOr<MatchResult> RunEmVertexCentric(const EmContext& ctx,
     std::iota(to_seed.begin(), to_seed.end(), 0);
   }
   std::vector<std::pair<uint32_t, VcMessage>> seeds;
+  uint64_t messages = 0;
   while (!to_seed.empty()) {
     GKEYS_RETURN_IF_ERROR(run.BeginRound());  // 1 + quiescence sweeps
     seeds.clear();
@@ -314,8 +315,12 @@ StatusOr<MatchResult> RunEmVertexCentric(const EmContext& ctx,
         seeds.emplace_back(vertex, std::move(m));
       });
     }
+    // A round of few seeds (a seeded rematch's, or a late sweep's) runs
+    // on the calling thread: starting p workers would cost more than it.
+    VcEngine engine(WorkersFor(seeds.size(), opts.processors));
     engine.Run(seeds, handler);
-    run.stats().messages = engine.messages_sent();
+    messages += engine.messages_sent();
+    run.stats().messages = messages;
     run.stats().iso_checks = runner.inline_hops.load();
     GKEYS_RETURN_IF_ERROR(run.EndRound());
 

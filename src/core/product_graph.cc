@@ -1,14 +1,17 @@
 #include "core/product_graph.h"
 
 #include <algorithm>
-#include <numeric>
 #include <tuple>
 
+#include "graph/neighborhood.h"
 #include "isomorph/pairing.h"
 
 namespace gkeys {
 
 namespace {
+
+// The edge pass's marks of the graph nodes a delta touched.
+thread_local NodeMarks tl_dirty_endpoints;
 
 /// splitmix64's finalizer: every bit of a packed pair reaches the low
 /// bits the table is indexed by.
@@ -76,16 +79,14 @@ size_t ProductGraph::MemoryBytes() const {
   size_t bytes = nodes_.capacity() * sizeof(nodes_[0]) +
                  slots_.capacity() * sizeof(uint32_t) +
                  candidate_nodes_.capacity() * sizeof(uint32_t) +
-                 candidate_pairs_.capacity() *
-                     sizeof(std::shared_ptr<const PairingRelation>) +
                  node_refs_.capacity() * sizeof(uint32_t);
   for (const Csr* csr : {&out_csr_, &in_csr_}) {
     bytes += csr->offsets.capacity() * sizeof(uint32_t) +
              csr->edges.capacity() * sizeof(PEdge);
   }
-  for (const auto& pairs : candidate_pairs_) {
-    if (pairs != nullptr) bytes += pairs->capacity() * sizeof(uint64_t);
-  }
+  bytes += relations_.MemoryBytes([](const PairingRelation& pairs) {
+    return pairs.capacity() * sizeof(uint64_t);
+  });
   return bytes;
 }
 
@@ -104,125 +105,208 @@ void ProductGraph::AddNodeRef(ProductGraph& pg, uint64_t packed) {
 }
 
 void ProductGraph::Finish(const EmContext& ctx, ProductGraph& pg,
-                          const ProductGraph& prev,
-                          const std::vector<uint32_t>& prev_to_new,
+                          const ProductGraph& prev, const NodeMap& map,
+                          std::span<const int64_t> cand_new_to_old,
                           std::span<const NodeId> graph_dirty) {
   const Graph& g = ctx.graph();
-  // Ep: ((s1, s2), p, (o1, o2)) iff (s1, p, o1) ∈ G and (s2, p, o2) ∈ G.
-  // A product node needs its out-run recomputed only if it is new or one
-  // of its graph endpoints had its adjacency touched by the delta; every
-  // other node's run is valid in the new graph and is copied (dropping
-  // edges whose target died), with the edges into the NEW nodes,
-  // discovered from the new nodes' in-side, merged in. prev_of[v] is the
-  // node v's run is copied from, or kNoPNode to recompute it.
-  std::vector<uint8_t> endpoint_dirty(g.NumNodes(), 0);
-  for (NodeId n : graph_dirty) {
-    if (n < g.NumNodes()) endpoint_dirty[n] = 1;
-  }
   const uint32_t num_nodes = static_cast<uint32_t>(pg.nodes_.size());
-  std::vector<uint32_t> prev_of(num_nodes, kNoPNode);
-  for (uint32_t v = 0; v < prev_to_new.size(); ++v) {
-    if (prev_to_new[v] != kNoPNode) prev_of[prev_to_new[v]] = v;
+  const uint32_t survivors = map.survivors;
+  const bool renumbered = !map.prev_to_new.empty();
+  auto prev_id = [&](uint32_t v) {
+    return renumbered ? map.new_to_prev[v] : v;
+  };
+  auto new_id = [&](uint32_t u) {
+    return renumbered ? map.prev_to_new[u] : u;
+  };
+  // A survivor's rows stay valid unless one of its graph endpoints had
+  // its adjacency touched by the delta (a delta edge touches both ends).
+  NodeMarks::Pass dirty(tl_dirty_endpoints, g.NumNodes());
+  for (NodeId n : graph_dirty) {
+    if (n < g.NumNodes()) dirty.Set(n, 1);
   }
-  std::vector<uint32_t> fresh_nodes;
-  bool any_clean = false;
-  for (uint32_t v = 0; v < num_nodes; ++v) {
-    auto [a, b] = pg.nodes_[v];
-    if (prev_of[v] == kNoPNode) {
-      fresh_nodes.push_back(v);
-    } else if (endpoint_dirty[a] != 0 || endpoint_dirty[b] != 0) {
-      prev_of[v] = kNoPNode;
-    } else {
-      any_clean = true;
+  auto touched = [&](uint32_t v) {
+    return dirty[pg.nodes_[v].first] != 0 || dirty[pg.nodes_[v].second] != 0;
+  };
+  std::vector<uint32_t> recompute;  // survivors with a dirty endpoint
+  if (!graph_dirty.empty()) {
+    for (uint32_t v = 0; v < survivors; ++v) {
+      if (touched(v)) recompute.push_back(v);
     }
   }
+  auto clean = [&](uint32_t v) { return v < survivors && !touched(v); };
+
+  auto recomputed = [&](uint32_t v) { return !clean(v); };
+
   // An edge `e` of node `node`'s run, built outside the run's array.
   struct RunEdge {
     uint32_t node;
     PEdge e;
   };
-  // Edges from clean sources into fresh nodes (the copied runs cannot
-  // contain them — the target did not exist), sorted by (source, pred,
-  // target): each predicate's run lists its copied edges first, then
-  // these. Without a clean node (a build from scratch) there are none.
-  std::vector<RunEdge> extra;
-  if (!any_clean) fresh_nodes.clear();
-  for (uint32_t w : fresh_nodes) {
-    auto [o1, o2] = pg.nodes_[w];
-    ForEachSharedPred(g.In(o1), g.In(o2),
-                      [&](Symbol p, NodeId s1, NodeId s2) {
-                        uint32_t v = pg.Find(s1, s2);
-                        if (v != kNoPNode && prev_of[v] != kNoPNode) {
-                          extra.push_back({v, PEdge{p, w}});
-                        }
-                      });
-  }
-  std::sort(extra.begin(), extra.end(),
-            [](const RunEdge& a, const RunEdge& b) {
-              return std::tie(a.node, a.e.pred, a.e.dst) <
-                     std::tie(b.node, b.e.pred, b.e.dst);
-            });
-
-  // The out-CSR in one pass over the nodes.
-  Csr& out = pg.out_csr_;
-  out.offsets.reserve(num_nodes + 1);
-  out.edges.reserve(prev.NumEdges() + extra.size());
-  size_t x = 0;
-  for (uint32_t v = 0; v < num_nodes; ++v) {
-    if (prev_of[v] == kNoPNode) {
-      auto [a, b] = pg.nodes_[v];
-      ForEachSharedPred(g.Out(a), g.Out(b),
-                        [&](Symbol p, NodeId o1, NodeId o2) {
-                          uint32_t dst = pg.Find(o1, o2);
-                          if (dst != kNoPNode) out.edges.push_back({p, dst});
+  auto by_run = [](const RunEdge& a, const RunEdge& b) {
+    return std::tie(a.node, a.e.pred, a.e.dst) <
+           std::tie(b.node, b.e.pred, b.e.dst);
+  };
+  // Out-edges of clean sources into new nodes: a copied run cannot hold
+  // them (the new node did not exist). They come from the new nodes'
+  // in-side; sorted by (node, pred, target), each predicate's run lists
+  // its copied edges first, then these.
+  std::vector<RunEdge> extra_out;
+  if (survivors > 0) {
+    for (uint32_t w = survivors; w < num_nodes; ++w) {
+      auto [o1, o2] = pg.nodes_[w];
+      ForEachSharedPred(g.In(o1), g.In(o2),
+                        [&](Symbol p, NodeId s1, NodeId s2) {
+                          uint32_t v = pg.Find(s1, s2);
+                          if (v != kNoPNode && clean(v)) {
+                            extra_out.push_back({v, PEdge{p, w}});
+                          }
                         });
-    } else {
-      for (const PEdge& e : prev.Out(prev_of[v])) {
-        for (; x < extra.size() && extra[x].node == v &&
-               extra[x].e.pred < e.pred;
-             ++x) {
-          out.edges.push_back(extra[x].e);
-        }
-        uint32_t dst = prev_to_new[e.dst];
-        if (dst != kNoPNode) out.edges.push_back({e.pred, dst});
-      }
-      for (; x < extra.size() && extra[x].node == v; ++x) {
-        out.edges.push_back(extra[x].e);
-      }
     }
-    out.offsets.push_back(static_cast<uint32_t>(out.edges.size()));
   }
+  std::sort(extra_out.begin(), extra_out.end(), by_run);
 
-  // The in-CSR: two stable counting passes over the out-edges, by
-  // predicate and then by target, leave each in-run sorted by
-  // (pred, source), as a scan of the out-runs in node order meets them.
-  Symbol max_pred = 0;
-  for (const PEdge& e : out.edges) max_pred = std::max(max_pred, e.pred);
-  std::vector<uint32_t> pred_at(out.edges.empty() ? 0 : max_pred + 2, 0);
-  Csr& in = pg.in_csr_;
-  in.offsets.assign(num_nodes + 1, 0);
-  for (const PEdge& e : out.edges) {
-    ++pred_at[e.pred + 1];
-    ++in.offsets[e.dst + 1];
-  }
-  std::partial_sum(pred_at.begin(), pred_at.end(), pred_at.begin());
-  std::partial_sum(in.offsets.begin(), in.offsets.end(), in.offsets.begin());
-  std::vector<RunEdge> by_pred(out.edges.size());
-  for (uint32_t v = 0; v < num_nodes; ++v) {
-    for (const PEdge& e : out.Run(v)) {
-      by_pred[pred_at[e.pred]++] = {e.dst, PEdge{e.pred, v}};
+  // One direction's CSR in one pass over the nodes: a recomputed node's
+  // run comes from recompute(v); a clean node's is copied from `old` —
+  // ranges of them as one block when no node died — with its `extra`
+  // edges merged into their predicate runs.
+  auto build = [&](Csr& csr, const Csr& old, const std::vector<RunEdge>& extra,
+                   size_t num_edges, auto&& recompute_run) {
+    csr.offsets.reserve(num_nodes + 1);
+    csr.edges.reserve(num_edges);
+    size_t x = 0, r = 0;
+    for (uint32_t v = 0; v < num_nodes;) {
+      if (v >= survivors || (r < recompute.size() && recompute[r] == v)) {
+        r += v < survivors;
+        recompute_run(v, csr.edges);
+        csr.offsets.push_back(static_cast<uint32_t>(csr.edges.size()));
+        ++v;
+        continue;
+      }
+      const uint32_t stop = std::min<uint32_t>(
+          r < recompute.size() ? recompute[r] : survivors,
+          x < extra.size() ? extra[x].node : survivors);
+      if (v == stop) {
+        // A clean node gaining edges to or from new nodes.
+        for (const PEdge& e : old.Run(prev_id(v))) {
+          for (; x < extra.size() && extra[x].node == v &&
+                 extra[x].e.pred < e.pred;
+               ++x) {
+            csr.edges.push_back(extra[x].e);
+          }
+          const uint32_t dst = new_id(e.dst);
+          if (dst != kNoPNode) csr.edges.push_back({e.pred, dst});
+        }
+        for (; x < extra.size() && extra[x].node == v; ++x) {
+          csr.edges.push_back(extra[x].e);
+        }
+        csr.offsets.push_back(static_cast<uint32_t>(csr.edges.size()));
+        ++v;
+        continue;
+      }
+      if (!renumbered) {
+        const uint32_t first = old.offsets[v];
+        const uint32_t shift = static_cast<uint32_t>(csr.edges.size()) - first;
+        for (uint32_t u = v + 1; u <= stop; ++u) {
+          csr.offsets.push_back(old.offsets[u] + shift);
+        }
+        csr.edges.insert(csr.edges.end(), old.edges.begin() + first,
+                         old.edges.begin() + old.offsets[stop]);
+        v = stop;
+        continue;
+      }
+      for (; v < stop; ++v) {
+        for (const PEdge& e : old.Run(prev_id(v))) {
+          const uint32_t dst = new_id(e.dst);
+          if (dst != kNoPNode) csr.edges.push_back({e.pred, dst});
+        }
+        csr.offsets.push_back(static_cast<uint32_t>(csr.edges.size()));
+      }
+    }
+  };
+
+  // Out-runs: a recomputed node's from G, in nested-loop order (the
+  // order EMOptVC tries targets in).
+  build(pg.out_csr_, prev.out_csr_, extra_out,
+        prev.NumEdges() + extra_out.size(),
+        [&](uint32_t v, std::vector<PEdge>& edges) {
+          auto [a, b] = pg.nodes_[v];
+          ForEachSharedPred(g.Out(a), g.Out(b),
+                            [&](Symbol p, NodeId o1, NodeId o2) {
+                              uint32_t dst = pg.Find(o1, o2);
+                              if (dst != kNoPNode) edges.push_back({p, dst});
+                            });
+        });
+
+  // In-runs follow from the out-runs, with no walk of G: an edge whose
+  // source or target is recomputed is read off the recomputed source's
+  // new out-run or the clean source's extra edges; prev's in-runs hold
+  // every edge between clean nodes, and every edge from a recomputed
+  // survivor into a clean node (its endpoints were not touched, so that
+  // edge did not change). Each in-run is sorted by (pred, source). The
+  // new edges are grouped by target (GroupByRow); a recomputed run is
+  // sorted as it is built.
+  std::vector<RunEdge> gathered;  // (target, PEdge{pred, source})
+  size_t gather_bound = extra_out.size() + pg.out_csr_.edges.size() -
+                        pg.out_csr_.offsets[survivors];
+  for (uint32_t v : recompute) gather_bound += pg.out_csr_.Run(v).size();
+  gathered.reserve(gather_bound);
+  for (uint32_t v : recompute) {
+    for (const PEdge& e : pg.out_csr_.Run(v)) {
+      if (recomputed(e.dst)) gathered.push_back({e.dst, PEdge{e.pred, v}});
     }
   }
-  std::vector<uint32_t> fill(in.offsets.begin(), in.offsets.end() - 1);
-  in.edges.resize(out.edges.size());
-  for (const RunEdge& t : by_pred) in.edges[fill[t.node]++] = t.e;
+  for (uint32_t v = survivors; v < num_nodes; ++v) {
+    for (const PEdge& e : pg.out_csr_.Run(v)) {
+      gathered.push_back({e.dst, PEdge{e.pred, v}});
+    }
+  }
+  for (const RunEdge& t : extra_out) {
+    gathered.push_back({t.e.dst, PEdge{t.e.pred, t.node}});
+  }
+  GroupByRow(gathered, num_nodes, [](const RunEdge& t) { return t.node; });
+  // Gathered edges into clean nodes come from new sources only; they
+  // merge into the copied runs.
+  std::vector<RunEdge> extra_in;
+  for (const RunEdge& t : gathered) {
+    if (!recomputed(t.node)) extra_in.push_back(t);
+  }
+  std::sort(extra_in.begin(), extra_in.end(), by_run);
+  size_t next = 0;
+  build(pg.in_csr_, prev.in_csr_, extra_in, pg.out_csr_.edges.size(),
+        [&](uint32_t x, std::vector<PEdge>& edges) {
+          const size_t start = edges.size();
+          if (x < survivors) {
+            for (const PEdge& e : prev.in_csr_.Run(prev_id(x))) {
+              const uint32_t src = new_id(e.dst);
+              if (src != kNoPNode && !recomputed(src)) {
+                edges.push_back({e.pred, src});
+              }
+            }
+          }
+          while (next < gathered.size() && gathered[next].node < x) ++next;
+          for (; next < gathered.size() && gathered[next].node == x; ++next) {
+            edges.push_back(gathered[next].e);
+          }
+          auto by_pred = [](const PEdge& e, const PEdge& f) {
+            return std::tie(e.pred, e.dst) < std::tie(f.pred, f.dst);
+          };
+          if (!std::is_sorted(edges.begin() + start, edges.end(), by_pred)) {
+            std::sort(edges.begin() + start, edges.end(), by_pred);
+          }
+        });
 
   // A nonempty relation always contains its candidate pair.
-  pg.candidate_nodes_.assign(ctx.candidates().size(), kNoPNode);
-  for (uint32_t i = 0; i < ctx.candidates().size(); ++i) {
-    const Candidate& c = ctx.candidates()[i];
-    if (!pg.candidate_pairs_[i]->empty()) {
-      pg.candidate_nodes_[i] = pg.Find(c.e1, c.e2);
+  const std::vector<Candidate>& cands = ctx.candidates();
+  pg.candidate_nodes_.resize(cands.size());
+  for (uint32_t i = 0; i < cands.size(); ++i) {
+    const int64_t from = cand_new_to_old[i];
+    if (from >= 0) {
+      const uint32_t u = prev.candidate_nodes_[from];
+      pg.candidate_nodes_[i] = u == kNoPNode ? kNoPNode : new_id(u);
+    } else {
+      pg.candidate_nodes_[i] = pg.relations_.at(i).empty()
+                                   ? kNoPNode
+                                   : pg.Find(cands[i].e1, cands[i].e2);
     }
   }
 }
@@ -243,45 +327,52 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
   pg.slots_ = prev.slots_;
   pg.node_refs_ = prev.node_refs_;
   const uint32_t prev_count = static_cast<uint32_t>(prev.nodes_.size());
-  std::vector<uint8_t> carried(prev.candidate_pairs_.size(), 0);
-  for (int64_t from : info.candidate_reuse) {
-    if (from >= 0) carried[from] = 1;
-  }
-  for (uint32_t i = 0; i < prev.candidate_pairs_.size(); ++i) {
-    if (carried[i] != 0) continue;
-    for (uint64_t p : *prev.candidate_pairs_[i]) {
-      --pg.node_refs_[pg.slots_[pg.Probe(p)]];
-    }
-  }
-  pg.candidate_pairs_.resize(ctx.candidates().size());
-  for (uint32_t i = 0; i < ctx.candidates().size(); ++i) {
-    const int64_t from = info.candidate_reuse[i];
-    if (from >= 0) {
-      pg.candidate_pairs_[i] = prev.candidate_pairs_[from];
+  const std::vector<int64_t>& reuse = info.candidate_reuse;
+  std::vector<int64_t> new_to_old(ctx.candidates().size(), -1);
+  bool died = false;
+  for (size_t i = 0; i < reuse.size(); ++i) {
+    if (reuse[i] >= 0) {
+      new_to_old[reuse[i]] = static_cast<int64_t>(i);
       continue;
     }
-    pg.candidate_pairs_[i] = info.relations[i];
-    for (uint64_t p : *info.relations[i]) ProductGraph::AddNodeRef(pg, p);
+    for (uint64_t p : prev.relations_.at(i)) {
+      died |= --pg.node_refs_[pg.slots_[pg.Probe(p)]] == 0;
+    }
   }
+  for (const auto& relation : info.relations) {
+    for (uint64_t p : *relation) ProductGraph::AddNodeRef(pg, p);
+  }
+  pg.relations_ = CandidateTable<PairingRelation, 1>::Patch(
+      prev.relations_, new_to_old, info.relations);
   // Compact away nodes no relation supports anymore (removals and
   // re-paired candidates shrink Vp), in place and in id order, keeping
-  // the prev-id → new-id map the edge pass needs.
-  std::vector<uint32_t> prev_to_new(prev_count);
-  uint32_t id = 0;
-  for (uint32_t v = 0; v < pg.nodes_.size(); ++v) {
-    const bool dead = pg.node_refs_[v] == 0;
-    if (v < prev_count) prev_to_new[v] = dead ? kNoPNode : id;
-    if (dead) continue;
-    pg.nodes_[id] = pg.nodes_[v];
-    pg.node_refs_[id++] = pg.node_refs_[v];
-  }
-  if (id < pg.nodes_.size()) {
-    pg.nodes_.resize(id);
-    pg.node_refs_.resize(id);
-    pg.Rehash(pg.slots_.size());
+  // the id maps the edge pass needs. Only a previous node can be dead.
+  ProductGraph::NodeMap map;
+  map.survivors = prev_count;
+  if (died) {
+    map.prev_to_new.resize(prev_count);
+    uint32_t id = 0;
+    for (uint32_t v = 0; v < pg.nodes_.size(); ++v) {
+      const bool dead = pg.node_refs_[v] == 0;
+      if (v < prev_count) {
+        map.prev_to_new[v] = dead ? kNoPNode : id;
+        if (!dead) map.new_to_prev.push_back(v);
+      }
+      if (dead) continue;
+      pg.nodes_[id] = pg.nodes_[v];
+      pg.node_refs_[id++] = pg.node_refs_[v];
+    }
+    map.survivors = static_cast<uint32_t>(map.new_to_prev.size());
+    if (id < pg.nodes_.size()) {
+      pg.nodes_.resize(id);
+      pg.node_refs_.resize(id);
+      pg.Rehash(pg.slots_.size());
+    } else {
+      map = ProductGraph::NodeMap{prev_count, {}, {}};
+    }
   }
 
-  ProductGraph::Finish(ctx, pg, prev, prev_to_new, graph_dirty);
+  ProductGraph::Finish(ctx, pg, prev, map, new_to_old, graph_dirty);
   return pg;
 }
 

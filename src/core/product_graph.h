@@ -81,7 +81,7 @@ class ProductGraph {
   friend ProductGraph PatchProductGraph(
       const ProductGraph& prev, const EmContext& ctx,
       const ContextPatchInfo& info, std::span<const NodeId> graph_dirty);
-  // Snapshot (de)serialization: restores nodes_ and the relation pool,
+  // Snapshot (de)serialization: restores nodes_ and the relation table,
   // then replays Finish() to rebuild the derived adjacency.
   friend class storage::PlanCodec;
 
@@ -108,17 +108,32 @@ class ProductGraph {
   /// Resizes slots_ to `num_slots` (a power of two) and reinserts nodes_.
   void Rehash(size_t num_slots);
 
-  /// The edge pass, run once Vp (nodes_, slots_, candidate_pairs_) is
-  /// final. Out-runs are recomputed for nodes that are new or touch a
-  /// graph node in `graph_dirty`, and copied from `prev` (through
-  /// prev_to_new, prev node id → new id or kNoPNode) for the rest, with
-  /// the edges from those clean nodes into new nodes merged into their
-  /// predicate runs; the in-CSR and candidate_nodes_ are derived from
-  /// the out-CSR. With an empty `prev` every node is new — the
-  /// from-scratch pass.
+  /// How a patched Vp relates to its source's: nodes [0, survivors) are
+  /// the source's surviving nodes in their order, and the nodes after
+  /// them are new. The maps are empty when no source node died (then a
+  /// survivor keeps its id).
+  struct NodeMap {
+    uint32_t survivors = 0;
+    std::vector<uint32_t> prev_to_new;  // source id → id, or kNoPNode
+    std::vector<uint32_t> new_to_prev;  // survivor id → source id
+  };
+
+  /// The edge pass, run once Vp (nodes_, slots_, relations_) is final.
+  /// Ep is ((s1, s2), p, (o1, o2)) iff (s1, p, o1) and (s2, p, o2) are in
+  /// G. Both directions are edited the same way: the runs of new nodes
+  /// and of survivors with an endpoint in `graph_dirty` are recomputed
+  /// from G (an in-run sorted by (pred, source)); every other run is
+  /// valid in the new graph and copied from `prev` — a block copy of each
+  /// range of such nodes when no node died, else remapped edge by edge
+  /// dropping edges to dead nodes — with its edges to or from new nodes
+  /// merged into their predicate runs. A carried candidate's product
+  /// node comes from the node map (cand_new_to_old: the candidate
+  /// position map), a recompiled one's from Find. The dirty endpoints
+  /// are marked in a per-thread scratch cleared by the entries it set.
+  /// With an empty `prev` every node is new — the from-scratch pass.
   static void Finish(const EmContext& ctx, ProductGraph& pg,
-                     const ProductGraph& prev,
-                     const std::vector<uint32_t>& prev_to_new,
+                     const ProductGraph& prev, const NodeMap& map,
+                     std::span<const int64_t> cand_new_to_old,
                      std::span<const NodeId> graph_dirty);
 
   std::vector<std::pair<NodeId, NodeId>> nodes_;
@@ -129,10 +144,11 @@ class ProductGraph {
   Csr out_csr_;
   Csr in_csr_;
   std::vector<uint32_t> candidate_nodes_;
-  // Per candidate, its union-over-keys pairing relation (collected by
-  // the plan's pairing pass), shared across plan generations.
-  // PatchProductGraph re-shares carried-over candidates' relations.
-  std::vector<std::shared_ptr<const PairingRelation>> candidate_pairs_;
+  // Per candidate position, its union-over-keys pairing relation
+  // (collected by the plan's pairing pass), in chunks shared across plan
+  // generations: PatchProductGraph clones only the chunks holding a
+  // recompiled or shifted candidate.
+  CandidateTable<PairingRelation, 1> relations_;
   // Per product node: how many candidate relations contain it. Lets a
   // patch retire the contributions of dropped/re-paired candidates and
   // keep only supported nodes, without rediscovering Vp from scratch.
@@ -141,14 +157,15 @@ class ProductGraph {
 
 /// Builds Gp for the plan context `ctx` that the patch constructor made
 /// from `prev`'s context, with `info` its output: candidates carried over
-/// (info.candidate_reuse[i] >= 0, an index into `prev`'s candidates)
-/// re-share their relations from `prev`, every other candidate brings the
-/// relation the pairing pass collected (info.relations[i]), and retired
-/// contributions are reference-counted away. The edge pass recomputes
-/// only product nodes that are new or touch a graph node in `graph_dirty`
-/// (the delta's touched set); every other node's out-run is copied from
-/// `prev`. A compile passes an empty `prev`. Product-node ids may differ
-/// from a from-scratch build; Gp semantics do not depend on them.
+/// (through info.candidate_reuse, the position map) re-share their
+/// relations from `prev`, every dirty candidate brings the relation the
+/// pairing pass collected (info.relations), and the retired candidates'
+/// contributions are reference-counted away; Vp is compacted only when a
+/// node lost its last one. The edge pass recomputes only the rows of
+/// product nodes that are new or touch a graph node in `graph_dirty`
+/// (the delta's touched set); every other row is copied from `prev`. A
+/// compile passes an empty `prev`. Product-node ids may differ from a
+/// from-scratch build; Gp semantics do not depend on them.
 ProductGraph PatchProductGraph(const ProductGraph& prev,
                                const EmContext& ctx,
                                const ContextPatchInfo& info,

@@ -4,34 +4,37 @@ namespace gkeys {
 
 namespace {
 
-// Reusable visited map for the BFS below, thread-local because Phase A of
-// plan compilation runs DNeighbor on several threads (ParallelFor).
-// Below this capacity the buffer is never shrunk (reallocation churn would
-// cost more than it frees).
+// Below this capacity a NodeMarks array is never shrunk (reallocation
+// churn would cost more than it frees).
 constexpr size_t kScratchShrinkMinBytes = size_t{1} << 16;
-thread_local std::vector<uint8_t> tl_visited;
+
+// Visited map of the BFS below, thread-local because Phase A of plan
+// compilation runs DNeighbor on several threads (ParallelFor).
+thread_local NodeMarks tl_visited;
 
 }  // namespace
 
+void NodeMarks::Reserve(size_t num_nodes) {
+  if (bytes_.size() < num_nodes) {
+    bytes_.resize(num_nodes, 0);
+  } else if (bytes_.capacity() >= kScratchShrinkMinBytes &&
+             bytes_.capacity() / 4 >= num_nodes) {
+    std::vector<uint8_t>(num_nodes, 0).swap(bytes_);
+  }
+}
+
 namespace internal {
-size_t DNeighborScratchBytes() { return tl_visited.capacity(); }
+size_t DNeighborScratchBytes() { return tl_visited.capacity_bytes(); }
 }  // namespace internal
 
 NodeSet DNeighbor(const Graph& g, NodeId center, int d) {
   // Level-order BFS over the CSR adjacency with a reusable visited map,
   // wiped by unmarking only the nodes actually reached, so a call costs
   // O(|Gd| + edges scanned), not O(|G|).
-  std::vector<uint8_t>& visited = tl_visited;
-  const size_t need = g.NumNodes();
-  if (visited.size() < need) {
-    visited.resize(need, 0);
-  } else if (visited.capacity() >= kScratchShrinkMinBytes &&
-             visited.capacity() / 4 >= need) {
-    // The scratch was sized for a much larger graph than the current one;
-    // without this it would pin the largest graph ever seen on this
-    // thread for the thread's whole lifetime.
-    std::vector<uint8_t>(need, 0).swap(visited);
-  }
+  // (The loop marks and clears the bytes itself: `found` already lists
+  // every node it marks.)
+  tl_visited.Reserve(g.NumNodes());
+  std::vector<uint8_t>& visited = tl_visited.bytes_;
 
   std::vector<NodeId> found;
   found.push_back(center);

@@ -100,6 +100,56 @@ class NodeSet {
   std::vector<NodeId> nodes_;
 };
 
+/// One byte per node, owned by one thread and reused across passes, so a
+/// sparse pass over a large graph pays for the nodes it touches, not for
+/// NumNodes(). Every byte is zero between passes: a pass marks the nodes
+/// it needs and clears exactly those (Pass does this on scope exit). Each
+/// use site keeps its own thread_local instance, so nested passes at
+/// different sites never share one; DNeighbor's visited map is one.
+class NodeMarks {
+ public:
+  /// A pass over a graph of `num_nodes` nodes. Every mark reads zero at
+  /// the start; the ones Set() are cleared when the pass ends.
+  class Pass {
+   public:
+    Pass(NodeMarks& marks, size_t num_nodes) : marks_(marks) {
+      marks_.Reserve(num_nodes);
+    }
+    ~Pass() { Reset(); }
+    Pass(const Pass&) = delete;
+    Pass& operator=(const Pass&) = delete;
+
+    uint8_t operator[](NodeId n) const { return marks_.bytes_[n]; }
+    /// Sets n's mark to `v` (nonzero).
+    void Set(NodeId n, uint8_t v) {
+      if (marks_.bytes_[n] == 0) marks_.touched_.push_back(n);
+      marks_.bytes_[n] = v;
+    }
+    /// Clears every mark set so far (the pass goes on).
+    void Reset() {
+      for (NodeId n : marks_.touched_) marks_.bytes_[n] = 0;
+      marks_.touched_.clear();
+    }
+
+   private:
+    NodeMarks& marks_;
+  };
+
+  /// Capacity of the mark array in bytes.
+  size_t capacity_bytes() const { return bytes_.capacity(); }
+
+ private:
+  friend NodeSet DNeighbor(const Graph& g, NodeId center, int d);
+
+  /// Grows the array to `num_nodes` zeroed bytes, or releases it when it
+  /// is at least 4× that (and at least 64 KiB): without this it would pin
+  /// the largest graph this thread ever saw for the thread's lifetime.
+  void Reserve(size_t num_nodes);
+
+  std::vector<uint8_t> bytes_;
+  std::vector<NodeId> touched_;
+};
+
 /// Computes the d-neighbor of `center`: all nodes within `d` hops of
 /// `center`, treating edges as undirected (paper §4.1). The center itself
 /// is always included. `d` ≥ 0.
@@ -107,8 +157,7 @@ NodeSet DNeighbor(const Graph& g, NodeId center, int d);
 
 namespace internal {
 /// Capacity in bytes of the calling thread's DNeighbor visited scratch.
-/// Test hook for the shrink-on-much-smaller-graph policy; the buffer is
-/// released when it is ≥ 4× the current graph (and ≥ 64 KiB).
+/// Test hook for NodeMarks' shrink-on-much-smaller-graph policy.
 size_t DNeighborScratchBytes();
 }  // namespace internal
 

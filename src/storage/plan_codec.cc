@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
@@ -63,10 +64,10 @@ void PutDeltaList64(std::string& out, std::span<const uint64_t> vals) {
 }
 
 /// Reads dependency scan `j` (a PutDeltaList64 list of PackPair values)
-/// onto the end of `scans`. The inversion looks pairs up by binary search
-/// and the engines index the union-find with their halves, so each pair
-/// must name two nodes of the graph, smaller first, and the list must be
-/// strictly ascending.
+/// onto the end of `scans`. The dependency index looks pairs up by
+/// binary search and the engines index the union-find with their halves,
+/// so each pair must name two nodes of the graph, smaller first, and the
+/// list must be strictly ascending.
 Status ReadDependencyScan(ByteReader& r, uint64_t j, uint64_t num_nodes,
                           std::vector<uint64_t>& scans) {
   const std::string what = "dependency scan " + std::to_string(j);
@@ -383,14 +384,16 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
   // NodeSet pool: d-neighbor sets and pairing-reduced sets,
   // content-deduplicated — a lineage of patched plans shares most
   // payloads, and they are stored exactly once.
-  DedupPool<NodeSet> pool(slot_entity.size() + ctx.reduced_pool_.size());
+  const size_t num_reduced = 2 * ctx.reduced_.size();
+  DedupPool<NodeSet> pool(slot_entity.size() + num_reduced);
   std::vector<uint64_t> slot_pool_ids(slot_entity.size());
   for (size_t i = 0; i < slot_entity.size(); ++i) {
     slot_pool_ids[i] = pool.Id(*slot_set[i]);
   }
-  std::vector<uint64_t> reduced_pool_ids(ctx.reduced_pool_.size());
-  for (size_t i = 0; i < ctx.reduced_pool_.size(); ++i) {
-    reduced_pool_ids[i] = pool.Id(*ctx.reduced_pool_[i]);
+  // Candidate i's two sides are ids 2i and 2i + 1.
+  std::vector<uint64_t> reduced_pool_ids(num_reduced);
+  for (size_t i = 0; i < num_reduced; ++i) {
+    reduced_pool_ids[i] = pool.Id(ctx.reduced_.at(i / 2, i % 2));
   }
 
   const bool pairing = ctx.opts_.use_pairing;
@@ -408,14 +411,12 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
     uint8_t flags = (c.has_recursive_key << 0) | (c.has_value_based_key << 1);
     p.push_back(static_cast<char>(flags));
     if (pairing) {
-      // Assembly invariant: candidate i's sides are reduced_pool_[2i]
-      // and [2i+1] (the patch constructor preserves it).
       PutVarint(p, reduced_pool_ids[2 * i]);
       PutVarint(p, reduced_pool_ids[2 * i + 1]);
     }
   }
-  // Raw dependency scans; the derived dependents_/ghosts_ re-invert on
-  // load (InvertDependencyIndex is deterministic given these).
+  // Raw dependency scans; the derived dependents_/ghosts_ are indexed
+  // again on load (IndexDependencies is deterministic given these).
   for (size_t j = 0; j < ctx.depends_on_pairs_.size(); ++j) {
     PutDeltaList64(p, ctx.depends_on_pairs_[j]);
   }
@@ -453,13 +454,13 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
   // Vp, the edge set, and the counts all replay from them (exactly how
   // PatchProductGraph derives them from an empty Gp).
   DedupPool<PairingRelation> relations(
-      rep.pg.has_value() ? rep.pg->candidate_pairs_.size() : 0);
+      rep.pg.has_value() ? rep.pg->relations_.size() : 0);
   if (rep.pg.has_value()) {
     const ProductGraph& pg = *rep.pg;
     std::string gp;
-    PutVarint(gp, pg.candidate_pairs_.size());
-    for (const auto& rel : pg.candidate_pairs_) {
-      PutVarint(gp, relations.Id(*rel));
+    PutVarint(gp, pg.relations_.size());
+    for (size_t i = 0; i < pg.relations_.size(); ++i) {
+      PutVarint(gp, relations.Id(pg.relations_.at(i)));
     }
     GKEYS_RETURN_IF_ERROR(store.Put(Key1('G'), std::move(gp)));
     // Element order is load-bearing: it fixes product-node ids, which fix
@@ -568,7 +569,8 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
     return Corrupt("candidate count exceeds the plan record");
   const bool pairing = meta.plan_options.use_pairing;
   ctx.candidates_.reserve(num_candidates);
-  if (pairing) ctx.reduced_pool_.reserve(2 * num_candidates);
+  std::vector<std::shared_ptr<const NodeSet>> reduced;
+  if (pairing) reduced.reserve(2 * num_candidates);
   for (uint64_t i = 0; i < num_candidates; ++i) {
     uint32_t e1 = 0, e2 = 0;
     uint8_t flags = 0;
@@ -577,7 +579,7 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
       return Corrupt("bad candidate " + std::to_string(i));
     }
     // L is a set of same-type entity pairs (e1 < e2) sorted by (e1, e2):
-    // the inversion finds a candidate by binary search over that order.
+    // the dependency index finds a candidate by binary search in it.
     if (e1 >= e2) {
       return Corrupt("candidate " + std::to_string(i) + " has e1 >= e2");
     }
@@ -599,20 +601,19 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
     auto keys_it = ctx.keys_by_type_.find(g.entity_type(e1));
     if (keys_it == ctx.keys_by_type_.end())
       return Corrupt("candidate of unkeyed type");
-    c.keys = &keys_it->second;
+    c.keys = keys_it->second.get();
     if (pairing) {
       uint64_t p1 = 0, p2 = 0;
       if (!p.ReadVarint(&p1) || !p.ReadVarint(&p2) || p1 >= pool.size() ||
           p2 >= pool.size()) {
         return Corrupt("bad candidate pool refs");
       }
-      // Re-establish the reduced_pool_[2i]/[2i+1] assembly invariant;
-      // deduplicated entries may share one payload, which is fine —
+      // Deduplicated entries may share one payload, which is fine —
       // nothing relies on pointer distinctness.
-      ctx.reduced_pool_.push_back(pool[p1]);
-      c.nbr1 = ctx.reduced_pool_.back().get();
-      ctx.reduced_pool_.push_back(pool[p2]);
-      c.nbr2 = ctx.reduced_pool_.back().get();
+      reduced.push_back(pool[p1]);
+      c.nbr1 = reduced.back().get();
+      reduced.push_back(pool[p2]);
+      c.nbr2 = reduced.back().get();
     } else {
       // Both ends are keyed entities, so both have a slot.
       c.nbr1 = &ctx.DNbr(e1);
@@ -631,7 +632,16 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
   ctx.candidates_blocked_ = meta.candidates_blocked;
   ctx.neighbor_nodes_ = neighbor_nodes;
   ctx.neighbor_nodes_reduced_ = meta.neighbor_nodes_reduced;
-  ctx.InvertDependencyIndex();
+  // Every candidate is new to the sections built from scratch here: the
+  // reduced-set table and the dependency index, as a compile builds them.
+  const std::vector<int64_t> all_new(num_candidates, -1);
+  std::vector<uint32_t> all_dirty(num_candidates);
+  std::iota(all_dirty.begin(), all_dirty.end(), 0u);
+  if (pairing) {
+    ctx.reduced_ =
+        CandidateTable<NodeSet, 2>::Patch({}, all_new, std::move(reduced));
+  }
+  ctx.IndexDependencies(nullptr, {}, all_new, all_dirty);
 
   // Signature indexes.
   uint64_t sig_count = 0;
@@ -765,7 +775,8 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
     if (!gr.ReadVarint(&count) || count != num_candidates)
       return Corrupt("product-graph candidate count mismatch");
     ProductGraph pg;
-    pg.candidate_pairs_.resize(count);
+    std::vector<std::shared_ptr<const PairingRelation>> cand_rels;
+    cand_rels.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       uint64_t rel_id = 0;
       if (!gr.ReadVarint(&rel_id) || rel_id >= rels.size() ||
@@ -786,11 +797,14 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
       if (!rel.empty() &&
           !std::binary_search(rel.begin(), rel.end(), PackPair(c.e1, c.e2)))
         return unreplayable("lacks its candidate's pair");
-      pg.candidate_pairs_[i] = rels[rel_id];
+      cand_rels.push_back(rels[rel_id]);
       for (uint64_t packed : rel) ProductGraph::AddNodeRef(pg, packed);
     }
     if (!gr.AtEnd()) return Corrupt("trailing bytes in product-graph record");
-    ProductGraph::Finish(ctx, pg, ProductGraph(), {}, {});
+    pg.relations_ = CandidateTable<PairingRelation, 1>::Patch(
+        {}, all_new, std::move(cand_rels));
+    ProductGraph::Finish(ctx, pg, ProductGraph(), ProductGraph::NodeMap{},
+                         all_new, {});
     rep->pg.emplace(std::move(pg));
   }
 

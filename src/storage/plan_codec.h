@@ -48,8 +48,8 @@ struct SnapshotMeta {
 /// into one record per table behind the Store interface.
 /// Friended into EmContext / MatchPlan / ProductGraph: the codec restores
 /// the private compiled state directly, then replays the cheap
-/// deterministic derivations (CompileKeys, the dependency-index
-/// inversion, the product-graph edge pass) instead of persisting them.
+/// deterministic derivations (CompileKeys, the dependency index, the
+/// product-graph edge pass) instead of persisting them.
 ///
 /// Key layout (a prefix byte each; a table's items sit back to back in id
 /// order, meta carries their count, fixed-width integers are big-endian):
@@ -102,9 +102,10 @@ class PlanCodec {
   /// Rebuilds a runnable MatchPlan against `g`/`keys` (which must be the
   /// decoded counterparts and must outlive the plan). The expensive build
   /// phases are skipped: keys recompile, the d-neighbor chunk table,
-  /// candidates and signature indexes restore from records, the
-  /// dependency index re-inverts from the raw scans, and the product
-  /// graph replays its edge pass from the restored relations. The slots
+  /// candidates, their candidate-chunked sections and signature indexes
+  /// restore from records, and the dependency index and the product
+  /// graph's edge pass run from the raw scans and the restored relations
+  /// with every candidate dirty, as a compile runs them. The slots
   /// must name every keyed entity exactly once and no other node, and
   /// their sets must sum to meta's neighbor_nodes: a later patch keeps
   /// both by difference.

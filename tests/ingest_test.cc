@@ -24,10 +24,12 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/fixpoint.h"
 #include "core/matcher.h"
 #include "core/provenance.h"
+#include "gen/datasets.h"
 #include "gen/synthetic.h"
 #include "graph/delta.h"
 #include "io/triples.h"
@@ -389,6 +391,62 @@ TEST(ShardedLogs, PairsAndClosureMatchAcrossProcessorCounts) {
         EXPECT_EQ(retr.retracted, 0u);
         EXPECT_EQ(retr.seed_pairs, sharded->pairs);
       }
+    }
+  }
+
+  // A seeded rematch whose first round re-checks at least
+  // kParallelBreakEven unidentified candidates runs on every worker (a
+  // smaller round runs inline): re-add a third of a larger workload's
+  // triples and rematch at 1, 2 and 4 processors. The pairs must equal a
+  // fresh serial run's.
+  DBpediaSimConfig cfg;
+  cfg.seed = 21;
+  cfg.scale = 3;
+  const SyntheticDataset big = GenerateDBpediaSim(cfg);
+  std::vector<Triple> all;
+  big.graph.ForEachTriple([&](const Triple& t) { all.push_back(t); });
+  std::vector<uint8_t> keep(all.size(), 1);
+  for (size_t i = 0; i < all.size(); i += 3) keep[i] = 0;
+  for (Algorithm algo : AllAlgorithms()) {
+    // The naive chase runs sequentially, and pairs every two entities.
+    if (algo == Algorithm::kNaiveChase) continue;
+    SCOPED_TRACE(std::string("seeded ") + AlgorithmName(algo));
+    Graph g = testing::RebuildWithout(big.graph, all, keep);
+    auto plan = Matcher::Compile(g, big.keys, PlanOptions::For(algo, 2));
+    ASSERT_TRUE(plan.ok());
+    auto base = Matcher(algo).processors(2).Run(*plan);
+    ASSERT_TRUE(base.ok());
+    GraphDelta delta(g);
+    for (size_t i = 0; i < all.size(); ++i) {
+      if (keep[i]) continue;
+      ASSERT_TRUE(delta
+                      .AddTriple(all[i].subject,
+                                 big.graph.interner().Resolve(all[i].pred),
+                                 all[i].object)
+                      .ok());
+    }
+    ASSERT_TRUE(g.Apply(delta).ok());
+    auto patched = plan->Patch(delta);
+    ASSERT_TRUE(patched.ok());
+    size_t unidentified = 0;
+    for (uint32_t i : patched->dirty_candidates()) {
+      const Candidate& c = patched->context().candidates()[i];
+      unidentified += !std::binary_search(base->pairs.begin(),
+                                          base->pairs.end(),
+                                          std::pair(c.e1, c.e2));
+    }
+    ASSERT_GE(unidentified, kParallelBreakEven);
+    auto fresh = Matcher::Compile(g, big.keys, PlanOptions::For(algo, 1));
+    ASSERT_TRUE(fresh.ok());
+    auto want = Matcher(algo).processors(1).Run(*fresh);
+    ASSERT_TRUE(want.ok());
+    for (int p : {1, 2, 4}) {
+      SCOPED_TRACE("processors " + std::to_string(p));
+      auto rematched = Matcher(algo).processors(p).Rematch(*patched, *base,
+                                                           delta);
+      ASSERT_TRUE(rematched.ok()) << rematched.status().ToString();
+      EXPECT_EQ(rematched->stats.rematch_seeded, 1u);
+      EXPECT_EQ(rematched->pairs, want->pairs);
     }
   }
 }

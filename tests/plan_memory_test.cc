@@ -1,59 +1,31 @@
 // Plan memory accounting: MatchPlan::memory_bytes() must stay within a
-// stated factor of the heap bytes a compile leaves allocated. This
-// executable replaces the global operator new and delete and counts the
-// live bytes the allocator hands out (malloc_usable_size, relaxed
-// atomics), so it checks the estimate against what the heap really holds
-// for a plan, not against the plan's own view of itself.
+// stated factor of the heap bytes a compile leaves allocated, and a
+// patch's allocations must not grow with the session's node count. This
+// executable replaces the global operator new and delete with the
+// allocation ledger (tests/alloc_ledger.h), so it checks the plan against
+// what the heap really holds and hands out, not against the plan's own
+// view of itself.
 
-#include <malloc.h>
-
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "alloc_ledger.h"
+#include "common/rng.h"
 #include "core/matcher.h"
+#include "gen/datasets.h"
+#include "graph/delta.h"
+#include "test_util.h"
 #include "workload/workload.h"
 
 #ifndef GKEYS_WORKLOADS_DIR
 #error "plan_memory_test needs GKEYS_WORKLOADS_DIR (set by CMakeLists.txt)"
 #endif
-
-namespace {
-
-std::atomic<int64_t> live_bytes{0};
-
-/// Frees a block operator new took from malloc. Out of line, so that
-/// GCC does not read the free() as the mismatched release of an
-/// operator new block (-Wmismatched-new-delete).
-[[gnu::noinline]] void Release(void* p) {
-  live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
-                       std::memory_order_relaxed);
-  std::free(p);
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
-                       std::memory_order_relaxed);
-  return p;
-}
-
-void operator delete(void* p) noexcept {
-  if (p != nullptr) Release(p);
-}
-
-void* operator new[](std::size_t size) { return operator new(size); }
-void operator delete[](void* p) noexcept { operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { operator delete(p); }
 
 namespace gkeys {
 namespace {
@@ -73,11 +45,11 @@ constexpr double kMaxHeapOverReported = 1.5;
 std::pair<int64_t, size_t> CompiledPlanHeap(const Graph& g,
                                             const KeySet& keys,
                                             Algorithm algo) {
-  const int64_t before = live_bytes.load(std::memory_order_relaxed);
+  testing::AllocScope scope;
   auto plan = Matcher::Compile(g, keys, PlanOptions::For(algo, 1));
-  const int64_t after = live_bytes.load(std::memory_order_relaxed);
+  const int64_t heap = scope.live();
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-  return {after - before, plan.ok() ? plan->memory_bytes() : 0};
+  return {heap, plan.ok() ? plan->memory_bytes() : 0};
 }
 
 TEST(PlanMemory, ReportedBytesTrackTheHeapACompileHolds) {
@@ -99,6 +71,88 @@ TEST(PlanMemory, ReportedBytesTrackTheHeapACompileHolds) {
                 reported, ratio);
     EXPECT_GE(ratio, 1.0) << "memory_bytes() counts more than the heap holds";
     EXPECT_LE(ratio, kMaxHeapOverReported);
+  }
+}
+
+/// Bytes a Patch may allocate beyond the plain session's in a session
+/// padded with isolated values, besides the d-neighbor chunk table's
+/// growth: the padded layout spreads the affected entities over more
+/// d-neighbor chunks, and each clone allocates a chunk (0.5 KiB).
+constexpr int64_t kPatchSlackBytes = 32 << 10;
+
+/// The bytes `Patch` allocates for the second of two 4-triple additive
+/// commits re-adding `held` (ids of `g`'s layout) after compiling `g`
+/// under `algo`: the first commit sizes every per-thread scratch.
+int64_t SecondPatchBytes(Graph g, const KeySet& keys, Algorithm algo,
+                         const std::vector<Triple>& held,
+                         const StringInterner& names) {
+  auto plan = Matcher::Compile(g, keys, PlanOptions::For(algo, 1));
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  if (!plan.ok()) return 0;
+  MatchPlan current = *std::move(plan);
+  int64_t bytes = 0;
+  for (size_t commit = 0; commit < 2; ++commit) {
+    GraphDelta delta(g);
+    for (size_t k = 4 * commit; k < 4 * commit + 4; ++k) {
+      EXPECT_TRUE(delta
+                      .AddTriple(held[k].subject, names.Resolve(held[k].pred),
+                                 held[k].object)
+                      .ok());
+    }
+    EXPECT_TRUE(g.Apply(delta).ok());
+    testing::AllocScope scope;
+    auto next = current.Patch(delta);
+    bytes = scope.bytes();
+    EXPECT_TRUE(next.ok()) << next.status().ToString();
+    if (!next.ok()) return 0;
+    current = *std::move(next);
+  }
+  return bytes;
+}
+
+TEST(PlanMemory, APatchAllocatesNoMoreInASparserSession) {
+  // The same session twice: as generated, and padded with isolated
+  // values (20 node ids per node, no new edge, candidate or d-ball).
+  // Beyond the d-neighbor chunk table (16 B per 32 node ids) and a small
+  // slack, a small commit's patch must not allocate more in the padded
+  // session: nothing it builds is sized by the node count.
+  DBpediaSimConfig cfg;
+  cfg.seed = 3;
+  cfg.scale = 4;
+  SyntheticDataset ds = GenerateDBpediaSim(cfg);
+  std::vector<Triple> all;
+  ds.graph.ForEachTriple([&](const Triple& t) { all.push_back(t); });
+  std::vector<uint8_t> keep(all.size(), 1);
+  std::vector<Triple> held, held_padded;
+  Rng rng(11);
+  while (held.size() < 8) {
+    const size_t pick = rng.Below(all.size());
+    if (!keep[pick]) continue;
+    keep[pick] = 0;
+    held.push_back(all[pick]);
+  }
+  const Graph plain = testing::RebuildWithout(ds.graph, all, keep);
+  const Graph padded = testing::PadWithIsolatedValues(plain);
+  for (const Triple& t : held) {
+    held_padded.push_back(Triple{testing::PaddedId(t.subject), t.pred,
+                                 testing::PaddedId(t.object)});
+  }
+  const int64_t table_growth =
+      static_cast<int64_t>(padded.NumNodes() - plain.NumNodes()) / 32 * 16;
+  for (Algorithm algo : {Algorithm::kEmOptVc, Algorithm::kEmOptMr}) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    const int64_t plain_bytes =
+        SecondPatchBytes(plain, ds.keys, algo, held, ds.graph.interner());
+    const int64_t padded_bytes = SecondPatchBytes(
+        padded, ds.keys, algo, held_padded, ds.graph.interner());
+    std::printf("%s: %zu → %zu nodes, patch allocates %lld → %lld B "
+                "(table growth %lld B)\n",
+                AlgorithmName(algo).c_str(), plain.NumNodes(),
+                padded.NumNodes(), static_cast<long long>(plain_bytes),
+                static_cast<long long>(padded_bytes),
+                static_cast<long long>(table_growth));
+    ASSERT_GT(plain_bytes, 0);
+    EXPECT_LE(padded_bytes, plain_bytes + table_growth + kPatchSlackBytes);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -17,6 +18,8 @@
 #include "graph/delta.h"
 #include "storage/plan_codec.h"
 #include "chase_reference.h"
+#include "dependency_reference.h"
+#include "pairing_reference.h"
 #include "test_util.h"
 
 namespace gkeys {
@@ -207,70 +210,290 @@ void ExpectSameGp(const MatchPlan& patched, const MatchPlan& loaded) {
   }
 }
 
-TEST(ProductGraph, PatchedGpMatchesItsReloadedReplay) {
-  // Removal batches alternate with batches that re-add exactly what was
-  // just removed, so Vp shrinks (compaction) and regrows (clean → fresh
-  // edges) across the lineage. After every Patch the plan is saved and
-  // loaded back; the load replays Gp from scratch over the relations.
-  for (const std::string_view dataset : {"dbpedia", "google"}) {
-    for (int p : {1, 2}) {
-      SCOPED_TRACE(std::string(dataset) + " p=" + std::to_string(p));
-      SyntheticDataset ds;
-      if (dataset == "dbpedia") {
-        DBpediaSimConfig cfg;
-        cfg.seed = 5;
-        cfg.scale = 2;
-        ds = GenerateDBpediaSim(cfg);
-      } else {
-        GoogleSimConfig cfg;
-        cfg.seed = 5;
-        cfg.scale = 1;
-        ds = GenerateGoogleSim(cfg);
+/// Gp from its §5.1 definition over `g` and the node set `vp`: an edge
+/// ((s1, s2), p, (o1, o2)) for every pair of p-edges (s1, o1), (s2, o2)
+/// of G whose ends are both in Vp, seen through graph-node pairs.
+std::map<PairKey, CanonNode> ReferenceGp(const Graph& g,
+                                         const std::set<PairKey>& vp) {
+  std::map<PairKey, CanonNode> nodes;
+  for (const PairKey& v : vp) nodes[v];
+  for (const PairKey& v : vp) {
+    for (const Edge& x : g.Out(v.first)) {
+      for (const Edge& y : g.Out(v.second)) {
+        const PairKey w{x.dst, y.dst};
+        if (x.pred != y.pred || !vp.contains(w)) continue;
+        nodes[v].out.emplace_back(x.pred, w);
+        nodes[w].in.emplace_back(x.pred, v);
       }
-      Graph& g = ds.graph;
-      MatchPlan plan =
-          CompilePlan(g, ds.keys, PlanOptions::For(Algorithm::kEmOptVc, p));
-      ASSERT_TRUE(plan.has_product_graph());
-      auto gen = MakeDeltaGenerator(
-          "uniform",
-          {.seed = 5, .ops_per_batch = 12, .remove_fraction = 1.0});
-      ASSERT_TRUE(gen.ok());
-      std::vector<GraphDelta::DeltaTriple> removed;
-      bool shrank = false, regrew = false;
-      for (int batch = 0; batch < 12; ++batch) {
-        SCOPED_TRACE("batch " + std::to_string(batch));
-        GraphDelta delta(g);
-        if (batch % 2 == 0) {
-          delta = (*gen)->Next(g);
-          removed = delta.removed();
-          ASSERT_FALSE(removed.empty());
-        } else {
-          for (const auto& t : removed) {
-            ASSERT_TRUE(delta.AddTriple(t.subject, t.pred, t.object).ok());
-          }
-        }
-        ASSERT_TRUE(g.Apply(delta).ok());
-        const size_t before = plan.product_graph().NumNodes();
-        auto next = plan.Patch(delta);
-        ASSERT_TRUE(next.ok()) << next.status().ToString();
-        plan = *std::move(next);
-        const size_t after = plan.product_graph().NumNodes();
-        shrank |= after < before;
-        regrew |= after > before;
-
-        testing::MapStore store;
-        storage::SnapshotMeta meta;
-        ASSERT_TRUE(storage::PlanCodec::EncodeGraph(g, store, &meta).ok());
-        ASSERT_TRUE(storage::PlanCodec::EncodePlan(plan, store, &meta).ok());
-        auto loaded = storage::PlanCodec::DecodePlan(store, meta, g, ds.keys);
-        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-        ASSERT_TRUE(loaded->has_product_graph());
-        ASSERT_NO_FATAL_FAILURE(ExpectSameGp(plan, *loaded));
-      }
-      EXPECT_TRUE(shrank) << "no batch shrank Vp";
-      EXPECT_TRUE(regrew) << "no batch regrew Vp";
     }
   }
+  for (auto& [pair, n] : nodes) {
+    std::sort(n.out.begin(), n.out.end());
+    std::sort(n.in.begin(), n.in.end());
+  }
+  return nodes;
+}
+
+/// What a pairing pass over the current graph gives candidate `c`: its
+/// reduced sides (union over the keys that pair it) and its relation.
+struct ReferenceReduction {
+  NodeSet n1, n2;  // the d-neighbors
+  bool paired = false;
+  NodeSet r1, r2;
+  std::vector<uint64_t> relation;
+};
+
+ReferenceReduction ReduceFromScratch(const EmContext& ctx, const Candidate& c,
+                                     bool pair) {
+  const Graph& g = ctx.graph();
+  // c.keys lists every key of the pair's type: the type's radius.
+  int radius = 0;
+  for (int ki : *c.keys) {
+    radius = std::max(radius, ctx.compiled_keys()[ki].key->radius());
+  }
+  ReferenceReduction out;
+  out.n1 = DNeighbor(g, c.e1, radius);
+  out.n2 = DNeighbor(g, c.e2, radius);
+  const NodeSet& n1 = out.n1;
+  const NodeSet& n2 = out.n2;
+  for (int ki : *c.keys) {
+    if (!pair) break;
+    PairingResult pr = ReferenceMaxPairing(g, ctx.compiled_keys()[ki].cp,
+                                           c.e1, c.e2, n1, n2, true);
+    if (!pr.paired) continue;
+    out.paired = true;
+    out.r1.UnionWith(pr.reduced1);
+    out.r2.UnionWith(pr.reduced2);
+    out.relation.insert(out.relation.end(), pr.pairs.begin(), pr.pairs.end());
+    out.relation.push_back(PackPair(c.e1, c.e2));
+  }
+  std::sort(out.relation.begin(), out.relation.end());
+  out.relation.erase(std::unique(out.relation.begin(), out.relation.end()),
+                     out.relation.end());
+  return out;
+}
+
+/// From-scratch references of one graph state, shared by the lineages
+/// that reach it (every plan preset on one delta stream): per candidate
+/// pair its reduction, and Gp over a node set.
+struct ReferenceCache {
+  std::map<uint64_t, ReferenceReduction> reductions;  // with pairing
+  std::map<NodeId, NodeSet> dneighbors;
+  // Per (pairing?, L): the reference dependency index.
+  std::map<std::pair<bool, std::vector<uint64_t>>,
+           testing::ReferenceDependencies>
+      dependencies;
+  std::set<PairKey> vp;
+  std::map<PairKey, CanonNode> gp;
+};
+
+std::vector<uint64_t> CandidatePairs(const MatchPlan& plan) {
+  std::vector<uint64_t> out;
+  for (const Candidate& c : plan.context().candidates()) {
+    out.push_back(PackPair(c.e1, c.e2));
+  }
+  return out;
+}
+
+/// Checks every per-candidate section of `plan` against its definition:
+/// the dependency index against the whole-L inversion of the scans, each
+/// candidate's neighbor sets against a pairing pass from scratch (or its
+/// d-neighbors, without pairing), and Gp's nodes, edges and candidate
+/// nodes against §5.1 over the graph and the candidates' relations.
+void ExpectPlanMatchesItsDefinition(const MatchPlan& plan,
+                                    ReferenceCache& cache) {
+  const EmContext& ctx = plan.context();
+  const bool pairing = plan.options().use_pairing;
+  auto deps = cache.dependencies.find({pairing, CandidatePairs(plan)});
+  if (deps == cache.dependencies.end()) {
+    deps = cache.dependencies
+               .emplace(std::pair(pairing, CandidatePairs(plan)),
+                        testing::ReferenceDependencyIndex(ctx))
+               .first;
+  }
+  ASSERT_NO_FATAL_FAILURE(
+      testing::ExpectDependencyIndexEquals(ctx, deps->second));
+  const bool pair = pairing || plan.has_product_graph();
+  auto& reductions = cache.reductions;
+  std::set<PairKey> vp;
+  const std::vector<Candidate>& cands = ctx.candidates();
+  for (uint32_t i = 0; i < cands.size(); ++i) {
+    const Candidate& c = cands[i];
+    if (!pair) {
+      // Without pairing a candidate's sets are its entities' d-neighbors.
+      for (const auto& [e, nbr] : {std::pair(c.e1, c.nbr1),
+                                   std::pair(c.e2, c.nbr2)}) {
+        auto dn = cache.dneighbors.find(e);
+        if (dn == cache.dneighbors.end()) {
+          int radius = 0;
+          for (int ki : *c.keys) {
+            radius = std::max(radius, ctx.compiled_keys()[ki].key->radius());
+          }
+          dn = cache.dneighbors.emplace(e, DNeighbor(ctx.graph(), e, radius))
+                   .first;
+        }
+        ASSERT_EQ(*nbr, dn->second) << "d-neighbor of " << e;
+      }
+      continue;
+    }
+    auto cached = reductions.find(PackPair(c.e1, c.e2));
+    if (cached == reductions.end()) {
+      cached = reductions
+                   .emplace(PackPair(c.e1, c.e2),
+                            ReduceFromScratch(ctx, c, pair))
+                   .first;
+    }
+    const ReferenceReduction& want = cached->second;
+    if (pairing) {
+      ASSERT_TRUE(want.paired) << "candidate " << i;
+      ASSERT_EQ(*c.nbr1, want.r1) << "reduced side 1 of candidate " << i;
+      ASSERT_EQ(*c.nbr2, want.r2) << "reduced side 2 of candidate " << i;
+    } else {
+      ASSERT_EQ(*c.nbr1, want.n1) << "d-neighbor 1 of candidate " << i;
+      ASSERT_EQ(*c.nbr2, want.n2) << "d-neighbor 2 of candidate " << i;
+    }
+    if (plan.has_product_graph()) {
+      for (uint64_t p : want.relation) {
+        vp.emplace(static_cast<NodeId>(p >> 32),
+                   static_cast<NodeId>(p & 0xffffffffu));
+      }
+      const uint32_t v = plan.product_graph().CandidateNode(i);
+      ASSERT_EQ(v == kNoPNode, want.relation.empty()) << "candidate " << i;
+      if (v != kNoPNode) {
+        ASSERT_EQ(plan.product_graph().pair(v), PairKey(c.e1, c.e2));
+      }
+    }
+  }
+  if (!plan.has_product_graph()) return;
+  const ProductGraph& pg = plan.product_graph();
+  const std::map<PairKey, CanonNode> got = CanonGp(pg);
+  if (cache.gp.empty() || cache.vp != vp) {
+    cache.gp = ReferenceGp(ctx.graph(), vp);
+    cache.vp = vp;
+  }
+  const std::map<PairKey, CanonNode>& want = cache.gp;
+  ASSERT_EQ(got.size(), want.size()) << "|Vp|";
+  for (const auto& [pair, n] : want) {
+    auto it = got.find(pair);
+    ASSERT_NE(it, got.end()) << "Vp lacks (" << pair.first << ", "
+                             << pair.second << ")";
+    ASSERT_EQ(it->second.out, n.out) << "out-edges of (" << pair.first
+                                     << ", " << pair.second << ")";
+    ASSERT_EQ(it->second.in, n.in) << "in-edges of (" << pair.first << ", "
+                                   << pair.second << ")";
+  }
+}
+
+TEST(ProductGraph, PatchedGpMatchesItsReloadedReplay) {
+  // Plan lineages of every algorithm's preset, on plain and padded
+  // layouts, at p = 1 and 4, along two delta streams: removal batches
+  // alternating with batches that re-add exactly what was just removed
+  // (so Vp shrinks, with compaction, and regrows, with clean → fresh
+  // edges), and mixed uniform batches. After every Patch each section
+  // is checked against its definition (ExpectPlanMatchesItsDefinition),
+  // and the plan is saved and loaded back; the load replays Gp from
+  // scratch over the relations. The lineages hold patches that shift L
+  // (a pair enters or leaves) and patches that keep every position.
+  size_t shifted = 0, unshifted = 0;
+  for (const std::string_view dataset : {"dbpedia", "google"}) {
+    for (const bool padded : {false, true}) {
+      for (const std::string_view stream : {"alternating", "mixed"}) {
+        // Per batch: every lineage of this stream sees the same graphs.
+        constexpr int kBatches = 12;
+        std::vector<ReferenceCache> caches(kBatches + 1);
+        for (Algorithm algo :
+             {Algorithm::kNaiveChase, Algorithm::kEmMr, Algorithm::kEmVf2Mr,
+              Algorithm::kEmOptMr, Algorithm::kEmVc, Algorithm::kEmOptVc}) {
+          for (int p : {1, 4}) {
+            // The naive chase's plan pairs every two entities of a type;
+            // its lineages run on the smaller graph only.
+            if (algo == Algorithm::kNaiveChase && dataset == "dbpedia") {
+              continue;
+            }
+            SCOPED_TRACE(std::string(dataset) + (padded ? " padded " : " ") +
+                         std::string(stream) + " " + AlgorithmName(algo) +
+                         " p=" + std::to_string(p));
+            SyntheticDataset ds;
+            if (dataset == "dbpedia") {
+              DBpediaSimConfig cfg;
+              cfg.seed = 5;
+              cfg.scale = 2;
+              ds = GenerateDBpediaSim(cfg);
+            } else {
+              GoogleSimConfig cfg;
+              cfg.seed = 5;
+              cfg.scale = 1;
+              ds = GenerateGoogleSim(cfg);
+            }
+            Graph g = padded ? testing::PadWithIsolatedValues(ds.graph)
+                             : std::move(ds.graph);
+            MatchPlan plan =
+                CompilePlan(g, ds.keys, PlanOptions::For(algo, p));
+            ASSERT_TRUE(plan.valid());
+            ASSERT_NO_FATAL_FAILURE(
+                ExpectPlanMatchesItsDefinition(plan, caches[0]));
+            const bool alternating = stream == "alternating";
+            auto gen = MakeDeltaGenerator(
+                "uniform", {.seed = 5,
+                            .ops_per_batch = 12,
+                            .remove_fraction = alternating ? 1.0 : 0.4});
+            ASSERT_TRUE(gen.ok());
+            std::vector<GraphDelta::DeltaTriple> removed;
+            bool shrank = false, regrew = false;
+            for (int batch = 0; batch < kBatches; ++batch) {
+              SCOPED_TRACE("batch " + std::to_string(batch));
+              GraphDelta delta(g);
+              if (!alternating || batch % 2 == 0) {
+                delta = (*gen)->Next(g);
+                removed = delta.removed();
+                ASSERT_FALSE(removed.empty());
+              } else {
+                for (const auto& t : removed) {
+                  ASSERT_TRUE(
+                      delta.AddTriple(t.subject, t.pred, t.object).ok());
+                }
+              }
+              ASSERT_TRUE(g.Apply(delta).ok());
+              const std::vector<uint64_t> before_pairs = CandidatePairs(plan);
+              const size_t before =
+                  plan.has_product_graph() ? plan.product_graph().NumNodes()
+                                           : 0;
+              auto next = plan.Patch(delta);
+              ASSERT_TRUE(next.ok()) << next.status().ToString();
+              plan = *std::move(next);
+              (CandidatePairs(plan) == before_pairs ? unshifted : shifted)++;
+              ASSERT_NO_FATAL_FAILURE(
+                  ExpectPlanMatchesItsDefinition(plan, caches[batch + 1]));
+              if (!plan.has_product_graph()) continue;
+              const size_t after = plan.product_graph().NumNodes();
+              shrank |= after < before;
+              regrew |= after > before;
+
+              testing::MapStore store;
+              storage::SnapshotMeta meta;
+              ASSERT_TRUE(
+                  storage::PlanCodec::EncodeGraph(g, store, &meta).ok());
+              ASSERT_TRUE(
+                  storage::PlanCodec::EncodePlan(plan, store, &meta).ok());
+              auto loaded =
+                  storage::PlanCodec::DecodePlan(store, meta, g, ds.keys);
+              ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+              ASSERT_TRUE(loaded->has_product_graph());
+              ASSERT_NO_FATAL_FAILURE(ExpectSameGp(plan, *loaded));
+            }
+            if (plan.has_product_graph() && alternating) {
+              EXPECT_TRUE(shrank) << "no batch shrank Vp";
+              EXPECT_TRUE(regrew) << "no batch regrew Vp";
+            }
+          }
+        }
+      }
+    }
+  }
+  std::printf("patches that shifted L: %zu, that kept it: %zu\n", shifted,
+              unshifted);
+  EXPECT_GT(shifted, 0u);
+  EXPECT_GT(unshifted, 0u);
 }
 
 TEST(ProductGraph, UnpairedPlanKeepsItsGpAndMatches) {

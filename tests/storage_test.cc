@@ -12,9 +12,9 @@
 #include <fstream>
 #include <functional>
 #include <map>
-#include <tuple>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -23,7 +23,9 @@
 
 #include "common/endian.h"
 #include "common/rng.h"
+#include "core/ingest_pipeline.h"
 #include "core/matcher.h"
+#include "core/product_graph.h"
 #include "gen/datasets.h"
 #include "gen/synthetic.h"
 #include "graph/delta.h"
@@ -32,6 +34,7 @@
 #include "storage/mmap_store.h"
 #include "storage/plan_codec.h"
 #include "storage/snapshot.h"
+#include "dependency_reference.h"
 #include "test_util.h"
 
 namespace gkeys {
@@ -387,9 +390,11 @@ std::map<uint64_t, std::vector<uint64_t>> DependsOn(const EmContext& ctx) {
 }
 
 /// A plan patched at p = 4 through a churn chain assembles its dependency
-/// index from carried ranges and fresh scans. Saving it, loading the file
-/// and saving again must give the same bytes, and the loaded plan must
-/// re-invert to the same dependents and ghosts. Every candidate the
+/// index from carried ranges and fresh scans, and edits the carried
+/// inversion. Its dependents and ghosts must equal the whole-L inversion
+/// of the scans (tests/dependency_reference.h). Saving it, loading the
+/// file and saving again must give the same bytes, and the loaded plan
+/// must index the same dependents and ghosts. Every candidate the
 /// patched plan shares with a fresh serial compile of the same graph must
 /// depend on the same pairs (a carried scan is copied, a recompiled one
 /// may come from a worker thread). The re-add delta recompiles enough
@@ -460,6 +465,8 @@ void ExpectPatchedPlansSaveIdentically(const SyntheticDataset& ds) {
                                 "patched_loaded"),
                       first);
       ExpectSameDependencyIndex(snap->plan().context(), s.plan.context());
+      ASSERT_NO_FATAL_FAILURE(
+          testing::ExpectDependencyIndexMatchesReference(s.plan.context()));
 
       auto fresh = Matcher::Compile(*s.graph, *s.keys,
                                     PlanOptions::For(algo, 1));
@@ -475,6 +482,200 @@ void ExpectPatchedPlansSaveIdentically(const SyntheticDataset& ds) {
       EXPECT_GT(shared, 0u);
     }
     EXPECT_GE(most_recompiled, 256u);
+  }
+}
+
+TEST(DependencyIndex, ACarriedRowDropsADependentThatLeftL) {
+  // Album pairs are keyed through their artist and their producer's
+  // value (radius 2), artist pairs through their albums (radius 1).
+  // Removing one producer value makes the album pair unpairable, so it
+  // leaves L and becomes a ghost, while the artist pair its scan named
+  // is two hops past the change and carried. That carried row must lose
+  // its only dependent, though no dirty candidate's scan names it.
+  Graph g;
+  const NodeId art_a = g.AddEntity("artist");
+  const NodeId art_b = g.AddEntity("artist");
+  const NodeId alb_a = g.AddEntity("album");
+  const NodeId alb_b = g.AddEntity("album");
+  const NodeId prod_a = g.AddEntity("producer");
+  const NodeId prod_b = g.AddEntity("producer");
+  const NodeId name = g.AddValue("Beatles");
+  const NodeId label = g.AddValue("EMI");
+  for (const auto& [s, p, o] :
+       {std::tuple(art_a, "name_of", name), std::tuple(art_b, "name_of", name),
+        std::tuple(alb_a, "recorded_by", art_a),
+        std::tuple(alb_b, "recorded_by", art_b),
+        std::tuple(alb_a, "produced_by", prod_a),
+        std::tuple(alb_b, "produced_by", prod_b),
+        std::tuple(prod_a, "label", label),
+        std::tuple(prod_b, "label", label)}) {
+    ASSERT_TRUE(g.AddTriple(s, p, o).ok());
+  }
+  g.Finalize();
+  KeySet keys;
+  ASSERT_TRUE(keys.AddFromDsl(R"(
+    key QA for album {
+      x -[recorded_by]-> y:artist
+      x -[produced_by]-> z:producer
+      z -[label]-> l*
+    }
+    key QR for artist {
+      x -[name_of]-> n*
+      y:album -[recorded_by]-> x
+    }
+    key QP for producer {
+      x -[label]-> l*
+    }
+  )").ok());
+  for (Algorithm algo : {Algorithm::kEmOptVc, Algorithm::kEmOptMr}) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    Graph graph = g;
+    auto plan = Matcher::Compile(graph, keys, PlanOptions::For(algo, 1));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto has_pair = [](const MatchPlan& p, NodeId a, NodeId b) {
+      for (const Candidate& c : p.context().candidates()) {
+        if (c.e1 == a && c.e2 == b) return true;
+      }
+      return false;
+    };
+    ASSERT_TRUE(has_pair(*plan, alb_a, alb_b));
+    ASSERT_TRUE(has_pair(*plan, art_a, art_b));
+    ASSERT_NO_FATAL_FAILURE(
+        testing::ExpectDependencyIndexMatchesReference(plan->context()));
+    auto base = Matcher(algo).Run(*plan);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    GraphDelta delta(graph);
+    ASSERT_TRUE(delta.RemoveTriple(prod_a, "label", label).ok());
+    ASSERT_TRUE(graph.Apply(delta).ok());
+    auto patched = plan->Patch(delta);
+    ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+    EXPECT_FALSE(has_pair(*patched, alb_a, alb_b));
+    ASSERT_TRUE(has_pair(*patched, art_a, art_b));
+    ASSERT_NO_FATAL_FAILURE(
+        testing::ExpectDependencyIndexMatchesReference(patched->context()));
+    auto rematched = Matcher(algo).Rematch(*patched, *base, delta);
+    ASSERT_TRUE(rematched.ok()) << rematched.status().ToString();
+    auto fresh = Matcher::Compile(graph, keys, PlanOptions::For(algo, 1));
+    ASSERT_TRUE(fresh.ok());
+    auto want = Matcher(algo).Run(*fresh);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(rematched->pairs, want->pairs);
+  }
+}
+
+TEST(DependencyIndex, ARebuiltTypeIndexCarriesEachCleanCandidateOnce) {
+  // QU's "UK" constant does not resolve before the delta, so the street
+  // type's signature index holds QZ alone. The delta adds "UK" near one
+  // street pair: the index is rebuilt and the type enumerated in full,
+  // which re-finds the two clean street pairs. Each must be carried once,
+  // at its place in L, and the shop pairs keyed through them must keep
+  // their dependencies.
+  Graph g;
+  std::vector<NodeId> streets, shops;
+  for (int i = 0; i < 6; ++i) streets.push_back(g.AddEntity("street"));
+  for (int i = 0; i < 6; ++i) shops.push_back(g.AddEntity("shop"));
+  const NodeId us = g.AddValue("US");
+  for (int i = 0; i < 6; ++i) {
+    const NodeId zip = g.AddValue("Z" + std::to_string(i / 2));
+    const NodeId name = g.AddValue("Shop " + std::to_string(i / 2));
+    ASSERT_TRUE(g.AddTriple(streets[i], "zip_code", zip).ok());
+    ASSERT_TRUE(g.AddTriple(streets[i], "nation_of", us).ok());
+    ASSERT_TRUE(g.AddTriple(shops[i], "located_on", streets[i]).ok());
+    ASSERT_TRUE(g.AddTriple(shops[i], "name_of", name).ok());
+  }
+  g.Finalize();
+  KeySet keys;
+  ASSERT_TRUE(keys.AddFromDsl(R"(
+    key QZ for street {
+      x -[zip_code]-> c*
+    }
+    key QU for street {
+      x -[zip_code]-> c*
+      x -[nation_of]-> "UK"
+    }
+    key QS for shop {
+      x -[located_on]-> y:street
+      x -[name_of]-> n*
+    }
+  )").ok());
+  auto pairs_of = [](const EmContext& ctx) {
+    std::vector<std::pair<NodeId, NodeId>> out;
+    for (const Candidate& c : ctx.candidates()) out.emplace_back(c.e1, c.e2);
+    return out;
+  };
+  for (Algorithm algo : {Algorithm::kEmMr, Algorithm::kEmOptMr,
+                         Algorithm::kEmVc, Algorithm::kEmOptVc}) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    Session s = CompileAndRun(g, keys, algo, /*p=*/1);
+    ASSERT_EQ(pairs_of(s.plan.context()).size(), 6u);
+    GraphDelta delta(*s.graph);
+    ASSERT_TRUE(
+        delta.AddTriple(streets[4], "nation_of", delta.AddValue("UK")).ok());
+    ASSERT_TRUE(s.graph->Apply(delta).ok());
+    auto patched = s.plan.Patch(delta);
+    ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+    ASSERT_NE(patched->patch_info(), nullptr);
+    size_t carried = 0;
+    for (int64_t to : patched->patch_info()->candidate_reuse) {
+      carried += to >= 0;
+    }
+    EXPECT_GE(carried, 2u);  // the two clean street pairs at least
+    const auto got = pairs_of(patched->context());
+    EXPECT_TRUE(std::adjacent_find(got.begin(), got.end(),
+                                   std::greater_equal<>()) == got.end());
+    auto fresh = Matcher::Compile(*s.graph, *s.keys, PlanOptions::For(algo, 1));
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ(got, pairs_of(fresh->context()));
+    ASSERT_NO_FATAL_FAILURE(
+        testing::ExpectDependencyIndexMatchesReference(patched->context()));
+    ASSERT_EQ(patched->has_product_graph(), fresh->has_product_graph());
+    if (patched->has_product_graph()) {
+      // Gp up to product-node ids: each node's pair with its labeled out-
+      // and in-edges, and each candidate's node.
+      using Labeled = std::vector<std::pair<Symbol, std::pair<NodeId, NodeId>>>;
+      auto canon = [](const MatchPlan& plan) {
+        const ProductGraph& pg = plan.product_graph();
+        std::map<std::pair<NodeId, NodeId>, std::pair<Labeled, Labeled>> out;
+        for (uint32_t v = 0; v < pg.NumNodes(); ++v) {
+          auto& [o, in] = out[pg.pair(v)];
+          for (const auto& e : pg.Out(v)) {
+            o.emplace_back(e.pred, pg.pair(e.dst));
+          }
+          for (const auto& e : pg.In(v)) {
+            in.emplace_back(e.pred, pg.pair(e.dst));
+          }
+          std::sort(o.begin(), o.end());
+          std::sort(in.begin(), in.end());
+        }
+        std::vector<std::pair<NodeId, NodeId>> nodes;
+        for (uint32_t i = 0; i < plan.num_candidates(); ++i) {
+          const uint32_t v = pg.CandidateNode(i);
+          nodes.push_back(v == kNoPNode ? std::pair(kNoNode, kNoNode)
+                                        : pg.pair(v));
+        }
+        return std::pair(out, nodes);
+      };
+      EXPECT_TRUE(canon(*patched) == canon(*fresh));
+    }
+
+    auto rematched = Matcher(algo).Rematch(*patched, s.result, delta);
+    ASSERT_TRUE(rematched.ok()) << rematched.status().ToString();
+    auto want = Matcher(algo).Run(*fresh);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(rematched->pairs, want->pairs);
+    const std::unordered_map<std::string, NodeId> no_names;
+    const std::string first = SaveBytes(*s.graph, *s.keys, *patched,
+                                        *rematched, algo, no_names,
+                                        "rebuilt_first");
+    auto store = MmapStore::Open(TempPath("rebuilt_first"));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto snap = Snapshot::Load(**store);
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ExpectSameBytes(SaveBytes(snap->graph(), snap->keys(), snap->plan(),
+                              snap->result(), algo, snap->entity_names(),
+                              "rebuilt_loaded"),
+                    first);
+    ExpectSameDependencyIndex(snap->plan().context(), patched->context());
   }
 }
 
@@ -1406,6 +1607,129 @@ Status LoadWithPlanEdit(
 // or recomputes the d-neighbor of every keyed entity and of no other
 // node, and keeps the neighbor-node sum by difference from the loaded
 // one.
+
+/// One seeded mutation of a record's bytes: flip a bit, nudge the varint
+/// starting at a random byte by ±1 or set it to 2³², truncate, or drop or
+/// repeat a short byte range.
+std::string MutateRecord(std::string bytes, Rng& rng) {
+  if (bytes.empty()) return std::string(1, '\x7f');
+  const size_t at = rng.Below(bytes.size());
+  switch (rng.Below(7)) {
+    case 0:
+      bytes[at] = static_cast<char>(bytes[at] ^ (1u << rng.Below(8)));
+      break;
+    case 1:
+    case 2:
+    case 3: {
+      size_t end = at;
+      while (end < bytes.size() && (static_cast<uint8_t>(bytes[end]) & 0x80)) {
+        ++end;
+      }
+      if (end == bytes.size()) {
+        bytes.resize(at);
+        break;
+      }
+      ByteReader r(std::string_view(bytes).substr(at, end + 1 - at));
+      uint64_t v = 0;
+      EXPECT_TRUE(r.ReadVarint(&v));
+      std::string nudged;
+      PutVarint(nudged, rng.Below(3) == 0   ? v + 1
+                        : rng.Below(2) == 0 ? v - 1
+                                            : uint64_t{1} << 32);
+      bytes.replace(at, end + 1 - at, nudged);
+      break;
+    }
+    case 4:
+      bytes.resize(at);
+      break;
+    default: {
+      const size_t len = 1 + rng.Below(std::min<size_t>(16, bytes.size() - at));
+      if (rng.Below(2) == 0) {
+        bytes.erase(at, len);
+      } else {
+        bytes.insert(at, bytes.substr(at, len));
+      }
+      break;
+    }
+  }
+  return bytes;
+}
+
+TEST(SnapshotFuzz, MutatedPlanRecordsFailOrCommit) {
+  // A saved session with one record of the plan tables ('P', 'D', 'G',
+  // 'R') mutated and the set written back through MmapStore::Create,
+  // which reseals the checksum. Snapshot::Load must return an error or a
+  // snapshot on which one Apply → Patch → Rematch commit returns, OK or
+  // not; a crash, hang or sanitizer report fails the test. One session
+  // has Gp, one has not. The budget is seeded and fixed.
+  constexpr int kMutationsPerSession = 150;
+  for (Algorithm algo : {Algorithm::kEmOptVc, Algorithm::kEmOptMr}) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    SyntheticDataset ds = GenerateDBpediaSim(DBpediaSimConfig{});
+    Session s = CompileAndRun(std::move(ds.graph), std::move(ds.keys), algo);
+    testing::MapStore saved = SavedRecords(s, algo);
+    std::vector<std::pair<std::string, std::string>> records;
+    ASSERT_TRUE(saved
+                    .Scan("",
+                          [&](std::string_view key, std::string_view value) {
+                            records.emplace_back(key, value);
+                            return Status::OK();
+                          })
+                    .ok());
+    std::vector<size_t> targets;
+    for (size_t i = 0; i < records.size(); ++i) {
+      const std::string& key = records[i].first;
+      if (key == "P" || key == "D" || key == "G" || key == "R") {
+        targets.push_back(i);
+      }
+    }
+    ASSERT_EQ(targets.size(), algo == Algorithm::kEmOptVc ? 4u : 2u);
+    std::vector<Triple> all;
+    s.graph->ForEachTriple([&](const Triple& t) { all.push_back(t); });
+    Rng rng(29);
+    size_t rejected = 0, committed = 0;
+    for (int m = 0; m < kMutationsPerSession; ++m) {
+      const size_t target = targets[rng.Below(targets.size())];
+      SCOPED_TRACE("mutation " + std::to_string(m) + " of record " +
+                   records[target].first);
+      const std::string path = TempPath("fuzz");
+      {
+        auto store = MmapStore::Create(path);
+        ASSERT_TRUE(store.ok()) << store.status().ToString();
+        for (size_t i = 0; i < records.size(); ++i) {
+          ASSERT_TRUE((*store)
+                          ->Put(records[i].first,
+                                i == target
+                                    ? MutateRecord(records[i].second, rng)
+                                    : records[i].second)
+                          .ok());
+        }
+        ASSERT_TRUE((*store)->Flush().ok());
+      }
+      auto store = MmapStore::Open(path);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      auto snap = Snapshot::Load(**store);
+      if (!snap.ok()) {
+        ++rejected;
+        continue;
+      }
+      std::unordered_map<std::string, NodeId> names;
+      IngestSession session = snap->session(names);
+      GraphDelta delta(*session.graph);
+      const Triple& gone = all[rng.Below(all.size())];
+      const Triple& twin = all[rng.Below(all.size())];
+      const std::string& pred = session.graph->interner().Resolve(gone.pred);
+      ASSERT_TRUE(delta.RemoveTriple(gone.subject, pred, gone.object).ok());
+      ASSERT_TRUE(delta.AddTriple(twin.subject, "fuzz_pred", twin.object).ok());
+      IngestStats stats;
+      committed += CommitDelta(Matcher(algo), session, delta, stats).ok();
+    }
+    std::printf("%s: %zu of %d mutations rejected on load, %zu commits OK\n",
+                AlgorithmName(algo).c_str(), rejected, kMutationsPerSession,
+                committed);
+    EXPECT_GT(rejected, 0u);
+  }
+}
 
 TEST(DecodePlan, RejectsADNeighborSlotThatNamesNoKeyedEntity) {
   for (bool value_node : {true, false}) {
