@@ -1,7 +1,9 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <array>
 #include <unordered_set>
+#include <utility>
 
 #include "graph/delta.h"
 
@@ -34,17 +36,15 @@ void Graph::TouchNewNode(NodeId n) {
   dirty_nodes_.push_back(n);
 }
 
-std::vector<Edge>& Graph::ThawNode(
-    std::unordered_map<NodeId, std::vector<Edge>>& overlay,
-    const std::vector<size_t>& offsets, const std::vector<Edge>& edges,
-    NodeId n) {
+std::vector<Edge>& Graph::ThawNode(Overlay& overlay, const Csr& csr,
+                                   NodeId n) {
   finalized_ = false;
   auto [it, inserted] = overlay.try_emplace(n);
   if (inserted) {
     dirty_nodes_.push_back(n);
     if (n < csr_nodes_) {
-      it->second.assign(edges.begin() + offsets[n],
-                        edges.begin() + offsets[n + 1]);
+      const std::span<const Edge> run = CsrRun(csr, n);
+      it->second.assign(run.begin(), run.end());
     }
   }
   return it->second;
@@ -60,8 +60,8 @@ Status Graph::AddTriple(NodeId s, Symbol p, NodeId o) {
   if (!csr_built_) {
     build_.push_back(Triple{s, p, o});
   } else {
-    ThawNode(out_overlay_, out_offsets_, out_edges_, s).push_back(Edge{p, o});
-    ThawNode(in_overlay_, in_offsets_, in_edges_, o).push_back(Edge{p, s});
+    ThawNode(out_overlay_, out_csr_, s).push_back(Edge{p, o});
+    ThawNode(in_overlay_, in_csr_, o).push_back(Edge{p, s});
   }
   ++num_triples_;
   return Status::OK();
@@ -87,132 +87,168 @@ Status Graph::RemoveTriple(NodeId s, Symbol p, NodeId o) {
   if (!csr_built_) {
     removed = erase_all(build_, Triple{s, p, o});
   } else {
-    removed = erase_all(ThawNode(out_overlay_, out_offsets_, out_edges_, s),
-                        Edge{p, o});
-    erase_all(ThawNode(in_overlay_, in_offsets_, in_edges_, o), Edge{p, s});
+    removed = erase_all(ThawNode(out_overlay_, out_csr_, s), Edge{p, o});
+    erase_all(ThawNode(in_overlay_, in_csr_, o), Edge{p, s});
   }
   num_triples_ -= removed;
   return Status::OK();
 }
 
 void Graph::Finalize() {
+  Freeze();
+  dirty_nodes_.clear();
+}
+
+void Graph::Freeze() {
   if (finalized_) return;
-  const size_t n = NumNodes();
   if (!csr_built_) {
-    // First finalization: counting sort of the flat triple list into one
-    // CSR direction (keyed by subject for out-edges, by object for
-    // in-edges), then sort + dedup of each node's run, compacted in place.
-    auto counting_sort = [this, n](bool out, std::vector<size_t>& offsets,
-                                   std::vector<Edge>& edges) -> size_t {
-      offsets.assign(n + 1, 0);
-      for (const Triple& t : build_) {
-        ++offsets[(out ? t.subject : t.object) + 1];
-      }
-      for (size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
-      std::vector<size_t> cursor(offsets.begin(), offsets.end() - 1);
-      edges.resize(build_.size());
-      for (const Triple& t : build_) {
-        if (out) {
-          edges[cursor[t.subject]++] = Edge{t.pred, t.object};
-        } else {
-          edges[cursor[t.object]++] = Edge{t.pred, t.subject};
-        }
-      }
-      size_t kept = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const auto first = edges.begin() + offsets[i];
-        const auto last = edges.begin() + offsets[i + 1];
-        std::sort(first, last);
-        const auto unique_end = std::unique(first, last);
-        if (kept != offsets[i]) {
-          std::copy(first, unique_end, edges.begin() + kept);
-        }
-        offsets[i] = kept;
-        kept += unique_end - first;
-      }
-      offsets[n] = kept;
-      edges.resize(kept);
-      edges.shrink_to_fit();
-      return kept;
-    };
-    num_triples_ = counting_sort(true, out_offsets_, out_edges_);
-    counting_sort(false, in_offsets_, in_edges_);
+    num_triples_ = BuildCsr(true, out_csr_);
+    BuildCsr(false, in_csr_);
     build_.clear();
     build_.shrink_to_fit();
   } else {
-    // Re-finalization after per-node thaws: sort + dedup only the dirty
-    // runs, then rebuild each direction by walking the sorted dirty ids.
-    // The clean nodes between two dirty ids are one block copy of edges,
-    // their offsets shifted by the running size change; each dirty id
-    // takes its overlay run, or keeps its CSR run when this direction
-    // never thawed it (a new node without edges gets an empty run). No
-    // clean node costs a map probe.
     std::sort(dirty_nodes_.begin(), dirty_nodes_.end());
     dirty_nodes_.erase(std::unique(dirty_nodes_.begin(), dirty_nodes_.end()),
                        dirty_nodes_.end());
-    auto splice = [this, n](std::unordered_map<NodeId, std::vector<Edge>>&
-                                overlay,
-                            std::vector<size_t>& offsets,
-                            std::vector<Edge>& edges) -> size_t {
-      auto old_run = [&](NodeId i) {
-        return i < csr_nodes_
-                   ? std::span<const Edge>(edges.data() + offsets[i],
-                                           offsets[i + 1] - offsets[i])
-                   : std::span<const Edge>();
-      };
-      std::vector<std::span<const Edge>> runs;
-      runs.reserve(dirty_nodes_.size());
-      size_t total = edges.size();
-      for (NodeId d : dirty_nodes_) {
-        auto it = overlay.find(d);
-        if (it == overlay.end()) {
-          runs.push_back(old_run(d));
-          continue;
-        }
-        std::vector<Edge>& adj = it->second;
-        std::sort(adj.begin(), adj.end());
-        adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
-        total += adj.size();
-        total -= old_run(d).size();
-        runs.push_back(adj);
-      }
-      std::vector<size_t> new_offsets(n + 1);
-      std::vector<Edge> new_edges;
-      new_edges.reserve(total);
-      NodeId next = 0;  // first node not placed yet
-      // Copies the clean nodes [next, end). Every node past the old CSR
-      // is dirty (TouchNewNode), so a clean range lies inside the CSR.
-      auto copy_clean = [&](NodeId end) {
-        if (next == end) return;
-        assert(end <= csr_nodes_);
-        const size_t shift = new_edges.size() - offsets[next];
-        for (NodeId i = next; i < end; ++i) {
-          new_offsets[i] = offsets[i] + shift;
-        }
-        new_edges.insert(new_edges.end(), edges.begin() + offsets[next],
-                         edges.begin() + offsets[end]);
-      };
-      for (size_t k = 0; k < dirty_nodes_.size(); ++k) {
-        const NodeId d = dirty_nodes_[k];
-        copy_clean(d);
-        new_offsets[d] = new_edges.size();
-        new_edges.insert(new_edges.end(), runs[k].begin(), runs[k].end());
-        next = d + 1;
-      }
-      copy_clean(static_cast<NodeId>(n));
-      new_offsets[n] = new_edges.size();
-      offsets = std::move(new_offsets);
-      edges = std::move(new_edges);
-      overlay.clear();
-      return total;
-    };
-    num_triples_ = splice(out_overlay_, out_offsets_, out_edges_);
-    splice(in_overlay_, in_offsets_, in_edges_);
+    // AddTriple and RemoveTriple counted every copy they added or took;
+    // the duplicates the out-runs' dedup drops come off here.
+    num_triples_ -= RewriteDirtyChunks(out_overlay_, out_csr_);
+    RewriteDirtyChunks(in_overlay_, in_csr_);
   }
-  dirty_nodes_.clear();
-  csr_nodes_ = n;
+  csr_nodes_ = NumNodes();
   csr_built_ = true;
   finalized_ = true;
+}
+
+size_t Graph::BuildCsr(bool out, Csr& csr) const {
+  const size_t n = NumNodes();
+  csr.assign((n + kChunkNodes - 1) >> kChunkShift, Chunk{});
+  for (size_t c = 0; c < csr.size(); ++c) {
+    csr[c].offsets.assign(std::min(kChunkNodes, n - (c << kChunkShift)) + 1,
+                          0);
+  }
+  // offsets[i] first counts local node i's edges, then, prefix-summed,
+  // marks where its run ends; the scatter steps it back to where the run
+  // starts. Offsets are 32-bit: a chunk holds fewer than 2^32 edges.
+  for (const Triple& t : build_) {
+    const NodeId k = out ? t.subject : t.object;
+    ++csr[k >> kChunkShift].offsets[k & (kChunkNodes - 1)];
+  }
+  for (Chunk& c : csr) {
+    uint32_t end = 0;
+    for (uint32_t& o : c.offsets) o = end += o;
+    c.edges.resize(end);
+  }
+  for (const Triple& t : build_) {
+    const NodeId k = out ? t.subject : t.object;
+    Chunk& c = csr[k >> kChunkShift];
+    c.edges[--c.offsets[k & (kChunkNodes - 1)]] =
+        Edge{t.pred, out ? t.object : t.subject};
+  }
+  // Sort + dedup each run, compacted in place.
+  size_t total = 0;
+  for (Chunk& c : csr) {
+    const size_t count = c.offsets.size() - 1;
+    uint32_t kept = 0;
+    for (size_t i = 0; i < count; ++i) {
+      const auto first = c.edges.begin() + c.offsets[i];
+      const auto last = c.edges.begin() + c.offsets[i + 1];
+      std::sort(first, last);
+      const auto unique_end = std::unique(first, last);
+      if (kept != c.offsets[i]) {
+        std::copy(first, unique_end, c.edges.begin() + kept);
+      }
+      c.offsets[i] = kept;
+      kept += unique_end - first;
+    }
+    c.offsets[count] = kept;
+    c.edges.resize(kept);
+    c.edges.shrink_to_fit();
+    total += kept;
+  }
+  return total;
+}
+
+size_t Graph::RewriteDirtyChunks(Overlay& overlay, Csr& csr) {
+  const size_t n = NumNodes();
+  // The dirty ids whose run changes in this direction, each with its new
+  // run: the overlay's, sorted and deduplicated, or an empty one for a
+  // new node this direction never thawed. Every id past the old CSR is
+  // dirty (TouchNewNode), so each chunk that gains ids is rewritten too.
+  std::vector<std::pair<NodeId, std::span<const Edge>>> runs;
+  size_t duplicates = 0;
+  for (NodeId d : dirty_nodes_) {
+    auto it = overlay.find(d);
+    if (it == overlay.end()) {
+      if (d >= csr_nodes_) runs.emplace_back(d, std::span<const Edge>());
+      continue;
+    }
+    std::vector<Edge>& adj = it->second;
+    std::sort(adj.begin(), adj.end());
+    const auto unique_end = std::unique(adj.begin(), adj.end());
+    duplicates += adj.end() - unique_end;
+    adj.erase(unique_end, adj.end());
+    runs.emplace_back(d, adj);
+  }
+  csr.resize((n + kChunkNodes - 1) >> kChunkShift);
+  for (size_t k = 0; k < runs.size();) {
+    // Chunk c holds runs [k, stop); ids past the chunk's old size are new.
+    const size_t c = runs[k].first >> kChunkShift;
+    const NodeId first = static_cast<NodeId>(c << kChunkShift);
+    const size_t count = std::min(kChunkNodes, n - first);
+    size_t stop = k;
+    while (stop < runs.size() && runs[stop].first >> kChunkShift == c) ++stop;
+    std::vector<uint32_t>& offsets = csr[c].offsets;
+    std::vector<Edge>& edges = csr[c].edges;
+    // New offsets: every id but those of runs[k, stop) keeps its run's
+    // length, and a clean id lies inside the old chunk.
+    std::array<uint32_t, kChunkNodes + 1> at;
+    at[0] = 0;
+    for (size_t i = 0, r = k; i < count; ++i) {
+      const bool dirty = r < stop && runs[r].first == first + i;
+      at[i + 1] = at[i] + static_cast<uint32_t>(
+                              dirty ? runs[r++].second.size()
+                                    : offsets[i + 1] - offsets[i]);
+    }
+    // The chunk is rewritten inside its own edge array, grown by a quarter
+    // more than it needs when too small, so a growing chunk reallocates
+    // only now and then. The clean ids between two dirty ones keep their
+    // order and move by one shift: ranges moving right go last to first,
+    // ranges moving left first to last, so no range overwrites one not
+    // moved yet, and a range that keeps its place is not touched. The
+    // dirty runs land last, in the gaps left for them.
+    const size_t size = at[count];
+    if (size > edges.capacity()) edges.reserve(size + size / 4);
+    edges.resize(std::max(edges.size(), size));
+    auto clean = [&](size_t j) {  // the clean ids before runs[j]
+      return std::pair<size_t, size_t>(
+          j == k ? 0 : runs[j - 1].first - first + 1,
+          j == stop ? count : runs[j].first - first);
+    };
+    for (size_t j = stop + 1; j-- > k;) {
+      const auto [lo, hi] = clean(j);
+      if (lo < hi && at[lo] > offsets[lo]) {
+        std::copy_backward(edges.begin() + offsets[lo],
+                           edges.begin() + offsets[hi],
+                           edges.begin() + at[hi]);
+      }
+    }
+    for (size_t j = k; j <= stop; ++j) {
+      const auto [lo, hi] = clean(j);
+      if (lo < hi && at[lo] < offsets[lo]) {
+        std::copy(edges.begin() + offsets[lo], edges.begin() + offsets[hi],
+                  edges.begin() + at[lo]);
+      }
+    }
+    for (; k < stop; ++k) {
+      std::copy(runs[k].second.begin(), runs[k].second.end(),
+                edges.begin() + at[runs[k].first - first]);
+    }
+    edges.resize(size);
+    offsets.assign(at.begin(), at.begin() + count + 1);
+  }
+  overlay.clear();
+  return duplicates;
 }
 
 std::vector<NodeId> Graph::DirtyNodes() const {
@@ -278,9 +314,8 @@ StatusOr<std::vector<NodeId>> Graph::Apply(const GraphDelta& delta) {
     GKEYS_RETURN_IF_ERROR(
         RemoveTriple(t.subject, interner_.Lookup(t.pred), t.object));
   }
-  std::vector<NodeId> dirty = DirtyNodes();
-  Finalize();
-  return dirty;
+  Freeze();
+  return std::exchange(dirty_nodes_, {});
 }
 
 bool Graph::HasTriple(NodeId s, Symbol p, NodeId o) const {

@@ -1,7 +1,9 @@
 #ifndef GKEYS_GRAPH_GRAPH_H_
 #define GKEYS_GRAPH_GRAPH_H_
 
+#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -59,12 +61,14 @@ class GraphDelta;
 /// snapshot decoding and fusion all go through it. Until
 /// the first Finalize() the added triples sit in one flat list, in
 /// insertion order and with duplicates; nodes have no adjacency of their
-/// own yet. That Finalize() builds both CSR directions — one offset
-/// array plus one contiguous edge array each — by counting sort: count
-/// each node's edges, prefix-sum the counts into offsets, scatter the
-/// triples into place, then sort and deduplicate each node's run. The
-/// BFS / pairing / isomorphism inner loops then scan cache-line-
-/// contiguous memory instead of chasing one heap allocation per node.
+/// own yet. That Finalize() builds both CSR directions by counting sort
+/// straight into fixed spans of kChunkNodes node ids: each chunk holds
+/// 32-bit offsets local to the chunk plus one contiguous edge array.
+/// Count each node's edges, prefix-sum the counts into the chunk's
+/// offsets, scatter the triples into place, then sort and deduplicate
+/// each node's run. The BFS / pairing / isomorphism inner loops then scan
+/// cache-line-contiguous memory instead of chasing one heap allocation
+/// per node; Out(n) and In(n) read chunk n / kChunkNodes.
 ///
 /// Before the first Finalize(), HasTriple, RemoveTriple and ForEachTriple
 /// work over the flat list (linear scans; ForEachTriple visits insertion
@@ -75,17 +79,30 @@ class GraphDelta;
 /// Mutating a finalized graph thaws only the touched nodes: their
 /// adjacency is copied out of the CSR into a per-node overlay and edited
 /// there, while every other node keeps serving straight from the CSR.
-/// The next Finalize() splices the overlays back: it sorts only the dirty
-/// runs and block-copies the untouched ranges between dirty ids, with
-/// their offsets shifted, instead of re-sorting the whole edge array or
-/// probing the overlay for every node. The set of touched nodes is
-/// recorded (DirtyNodes()) so incremental consumers (MatchPlan::Patch)
-/// can recompile exactly the affected region.
+/// The next Finalize() rewrites only the chunks that hold a thawed or a
+/// new node id, inside their own arrays: clean runs shift in blocks and
+/// the overlay runs land in the gaps; no other chunk's arrays are read
+/// or written. A re-finalize thus costs the dirty chunks, not the graph,
+/// and allocates only when a chunk outgrows its arrays. The set of
+/// touched nodes is recorded (DirtyNodes()) so incremental consumers
+/// (MatchPlan::Patch) can recompile exactly the affected region.
 ///
 /// Strings (types, predicates, values) are interned in a per-graph
 /// StringInterner so they compare by integer.
 class Graph {
  public:
+  /// Node ids per CSR chunk. A re-finalize rewrites the chunks holding a
+  /// dirty id, so a smaller span moves fewer bystanders' edges per dirty
+  /// id, and makes the chunk table larger. On 4-triple commits into the
+  /// Google sim (every 50th triple re-added, EMOptVC, p = 2; 4-vCPU host)
+  /// an Apply allocates 5–8 KiB on average and takes 0.04 ms paced at 15
+  /// commits/s at spans 64, 256 and 1024 alike, from 30k to 486k nodes.
+  /// A cold parse of the 133k-triple DBpedia sim read 20% slower at 64,
+  /// which allocates four times the chunks, and level with one flat array
+  /// at 256 and 1024 (compile and run within the host's noise at all
+  /// three): 256 is the smallest span that keeps the cold path level.
+  static constexpr size_t kChunkNodes = 256;
+
   Graph() = default;
 
   // Copyable (tests/generators duplicate graphs); moves are O(1).
@@ -121,10 +138,10 @@ class Graph {
     return RemoveTriple(s, Intern(p), o);
   }
 
-  /// Sorts and deduplicates adjacency and freezes it into CSR arrays.
-  /// After post-finalize mutations, splices only the dirty nodes' runs
-  /// back into the CSR (untouched ranges are block-copied, not re-sorted
-  /// and not looked up). Idempotent.
+  /// Sorts and deduplicates adjacency and freezes it into CSR chunks.
+  /// After post-finalize mutations, rewrites only the chunks holding a
+  /// dirty node (their clean runs are moved in blocks, not re-sorted and
+  /// not looked up). Idempotent.
   void Finalize();
   bool finalized() const { return finalized_; }
 
@@ -135,7 +152,7 @@ class Graph {
   /// Applies `delta` (built against this graph via GraphDelta's staging
   /// API) and re-finalizes: new entities/values are materialized with
   /// exactly the NodeIds the delta staged, triples are added/removed
-  /// through the per-node thaw path, and the CSR is spliced.
+  /// through the per-node thaw path, and the dirty CSR chunks rewritten.
   /// Returns the sorted dirty node set (endpoints of every added/removed
   /// triple plus all new nodes) — the input MatchPlan::Patch consumes.
   /// All or nothing: every removal is checked before anything changes,
@@ -178,9 +195,7 @@ class Graph {
       auto it = out_overlay_.find(n);
       if (it != out_overlay_.end()) return it->second;
     }
-    if (n >= csr_nodes_) return {};
-    return {out_edges_.data() + out_offsets_[n],
-            out_offsets_[n + 1] - out_offsets_[n]};
+    return n < csr_nodes_ ? CsrRun(out_csr_, n) : std::span<const Edge>();
   }
   std::span<const Edge> In(NodeId n) const {
     assert(csr_built_ && "In() before the first Finalize()");
@@ -188,9 +203,7 @@ class Graph {
       auto it = in_overlay_.find(n);
       if (it != in_overlay_.end()) return it->second;
     }
-    if (n >= csr_nodes_) return {};
-    return {in_edges_.data() + in_offsets_[n],
-            in_offsets_[n + 1] - in_offsets_[n]};
+    return n < csr_nodes_ ? CsrRun(in_csr_, n) : std::span<const Edge>();
   }
 
   size_t OutDegree(NodeId n) const { return Out(n).size(); }
@@ -229,13 +242,44 @@ class Graph {
   std::string DescribeNode(NodeId n) const;
 
  private:
+  static constexpr int kChunkShift = std::countr_zero(kChunkNodes);
+  static_assert(std::has_single_bit(kChunkNodes));
+
+  /// kChunkNodes consecutive node ids of one CSR direction (the last
+  /// chunk may hold fewer): local node i's edges live at
+  /// [offsets[i], offsets[i + 1]) of `edges`, sorted by (pred, dst) and
+  /// deduplicated.
+  struct Chunk {
+    std::vector<uint32_t> offsets;
+    std::vector<Edge> edges;
+  };
+  using Csr = std::vector<Chunk>;
+  using Overlay = std::unordered_map<NodeId, std::vector<Edge>>;
+
+  /// Node n's run in `csr`; n must lie below csr_nodes_.
+  static std::span<const Edge> CsrRun(const Csr& csr, NodeId n) {
+    const Chunk& c = csr[n >> kChunkShift];
+    const size_t i = n & (kChunkNodes - 1);
+    return {c.edges.data() + c.offsets[i], c.offsets[i + 1] - c.offsets[i]};
+  }
+
+  /// Finalize() without emptying dirty_nodes_, which it leaves sorted
+  /// and deduplicated for Apply to hand out.
+  void Freeze();
+  /// First finalization of one direction: counting sort of the flat
+  /// triple list (keyed by subject for out-edges, by object for
+  /// in-edges) into fresh chunks. Returns the edges kept.
+  size_t BuildCsr(bool out, Csr& csr) const;
+  /// Re-finalization of one direction: rewrites each chunk holding a
+  /// node of `overlay` or a node past the old CSR, and empties
+  /// `overlay`. Returns the duplicate edges the overlay runs' dedup
+  /// dropped.
+  size_t RewriteDirtyChunks(Overlay& overlay, Csr& csr);
+
   /// Thaws node `n` only: copies its CSR run into the overlay (first
   /// mutation after Finalize) and returns the editable vector. Marks the
   /// graph unfinalized and records n as dirty.
-  std::vector<Edge>& ThawNode(std::unordered_map<NodeId, std::vector<Edge>>&
-                                  overlay,
-                              const std::vector<size_t>& offsets,
-                              const std::vector<Edge>& edges, NodeId n);
+  std::vector<Edge>& ThawNode(Overlay& overlay, const Csr& csr, NodeId n);
   /// Registers a brand-new node added after finalization.
   void TouchNewNode(NodeId n);
 
@@ -245,27 +289,24 @@ class Graph {
   std::vector<Symbol> labels_;
   // Triples added before the first Finalize(), which empties it.
   std::vector<Triple> build_;
-  // Finalized CSR adjacency: edges of node n live at
-  // [offsets_[n], offsets_[n+1]), sorted by (pred, dst), deduplicated.
-  std::vector<size_t> out_offsets_;
-  std::vector<size_t> in_offsets_;
-  std::vector<Edge> out_edges_;
-  std::vector<Edge> in_edges_;
+  // Finalized CSR adjacency, chunk n >> kChunkShift holding node n.
+  Csr out_csr_;
+  Csr in_csr_;
   // Per-node thaw: dirty nodes' true adjacency while the CSR is stale for
-  // them. Emptied by Finalize()'s splice.
-  std::unordered_map<NodeId, std::vector<Edge>> out_overlay_;
-  std::unordered_map<NodeId, std::vector<Edge>> in_overlay_;
+  // them. Emptied by Finalize()'s chunk rewrite.
+  Overlay out_overlay_;
+  Overlay in_overlay_;
   // Nodes touched since the last Finalize (may contain duplicates until
-  // DirtyNodes() sorts them).
+  // Finalize() sorts them).
   std::vector<NodeId> dirty_nodes_;
   std::unordered_map<Symbol, NodeId> value_nodes_;
   std::unordered_map<Symbol, std::vector<NodeId>> by_type_;
   size_t num_entities_ = 0;
   size_t num_triples_ = 0;
-  // Node count the CSR offset arrays cover (nodes added later have no run
-  // yet and live entirely in the overlay).
+  // Node count the CSR chunks cover (nodes added later have no run yet
+  // and live entirely in the overlay).
   size_t csr_nodes_ = 0;
-  // CSR arrays exist (the graph was finalized at least once).
+  // CSR chunks exist (the graph was finalized at least once).
   bool csr_built_ = false;
   // No pending mutations AND the CSR is current.
   bool finalized_ = false;

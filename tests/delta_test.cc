@@ -1,6 +1,6 @@
 // Graph-layer tests for the incremental mutation path: GraphDelta
 // staging, Graph::Apply, per-node thaw (overlay) semantics, and the
-// splice-based re-Finalize that replaces the old whole-graph Thaw().
+// re-Finalize that rebuilds only the CSR chunks holding a dirty node.
 
 #include <algorithm>
 #include <set>
@@ -240,155 +240,171 @@ TEST(CsrGraph, RemoveTripleWorksInBothRepresentations) {
 }
 
 /// Property: after every delta of a Graph::Apply chain, each re-finalized
-/// by splicing only the dirty runs into the CSR, the graph is
+/// by rebuilding only the CSR chunks that hold a dirty node, the graph is
 /// indistinguishable from one built from scratch with the same triples.
-/// The deltas cover the splice's edge cases: new nodes past the old CSR
+/// The deltas cover the rebuild's edge cases: new nodes past the old CSR
 /// (some left without edges, so their runs are empty), a node stripped of
-/// every edge, and node 0 and the last node touched every time.
+/// every edge, and node 0 and the last node touched every time. Besides a
+/// graph inside one chunk, the seeds run at node counts around chunk
+/// boundaries: there the stripped node sits on either side of one, and
+/// new nodes fill the last partial chunk and open the next.
 TEST(CsrGraph, MergeRefinalizeEqualsFromScratchBuild) {
   constexpr int kPreds = 5;
+  constexpr size_t kChunk = Graph::kChunkNodes;
   auto pred = [](int p) { return "p" + std::to_string(p); };
-  for (uint64_t seed = 1; seed <= 8; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    Rng rng(seed);
-    // Every node in id order: (is entity, type or literal).
-    std::vector<std::pair<bool, std::string>> nodes;
-    std::set<std::tuple<NodeId, int, NodeId>> triples;
-    // Predicates are interned first, so their symbols line up with the
-    // from-scratch graph's (Edge compares by Symbol).
-    auto make_graph = [&]() {
-      Graph g;
-      for (int p = 0; p < kPreds; ++p) (void)g.Intern(pred(p));
-      for (const auto& [entity, label] : nodes) {
-        if (entity) {
-          g.AddEntity(label);
-        } else {
-          g.AddValue(label);
+  for (size_t num_nodes :
+       {size_t{40}, kChunk - 1, kChunk, kChunk + 1, 3 * kChunk + 5}) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(std::to_string(num_nodes) + " nodes, seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      // Every node in id order: (is entity, type or literal).
+      std::vector<std::pair<bool, std::string>> nodes;
+      std::set<std::tuple<NodeId, int, NodeId>> triples;
+      // Predicates are interned first, so their symbols line up with the
+      // from-scratch graph's (Edge compares by Symbol).
+      auto make_graph = [&]() {
+        Graph g;
+        for (int p = 0; p < kPreds; ++p) (void)g.Intern(pred(p));
+        for (const auto& [entity, label] : nodes) {
+          if (entity) {
+            g.AddEntity(label);
+          } else {
+            g.AddValue(label);
+          }
         }
+        for (const auto& [s, p, o] : triples) {
+          EXPECT_TRUE(g.AddTriple(s, pred(p), o).ok());
+        }
+        g.Finalize();
+        return g;
+      };
+      const size_t num_values = num_nodes / 4;
+      for (size_t i = 0; i < num_nodes - num_values; ++i) {
+        nodes.emplace_back(true, "t" + std::to_string(i % 3));
       }
-      for (const auto& [s, p, o] : triples) {
-        EXPECT_TRUE(g.AddTriple(s, pred(p), o).ok());
+      for (size_t i = 0; i < num_values; ++i) {
+        nodes.emplace_back(false, "v" + std::to_string(i));
       }
-      g.Finalize();
-      return g;
-    };
-    for (int i = 0; i < 30; ++i) {
-      nodes.emplace_back(true, "t" + std::to_string(i % 3));
-    }
-    for (int i = 0; i < 10; ++i) {
-      nodes.emplace_back(false, "v" + std::to_string(i));
-    }
-    auto random_entity = [&]() {
-      NodeId e;
-      do {
-        e = static_cast<NodeId>(rng.Below(nodes.size()));
-      } while (!nodes[e].first);
-      return e;
-    };
-    for (int i = 0; i < 120; ++i) {
-      triples.emplace(random_entity(), static_cast<int>(rng.Below(kPreds)),
-                      static_cast<NodeId>(rng.Below(nodes.size())));
-    }
-    Graph g = make_graph();
-
-    for (int step = 0; step < 12; ++step) {
-      SCOPED_TRACE("delta " + std::to_string(step));
-      GraphDelta delta(g);
-      std::set<std::tuple<NodeId, int, NodeId>> adds, removes;
-      // One old node other than node 0 and the last one loses every edge.
-      const NodeId strip =
-          1 + static_cast<NodeId>(rng.Below(g.NumNodes() - 2));
-      auto other_entity = [&]() {
+      auto random_entity = [&]() {
         NodeId e;
         do {
-          e = random_entity();
-        } while (e == strip);
+          e = static_cast<NodeId>(rng.Below(nodes.size()));
+        } while (!nodes[e].first);
         return e;
       };
-      const size_t old_nodes = g.NumNodes();
-      auto other_old_node = [&]() {
-        NodeId n;
-        do {
-          n = static_cast<NodeId>(rng.Below(old_nodes));
-        } while (n == strip);
-        return n;
-      };
-      for (const auto& t : triples) {
-        if (std::get<0>(t) == strip || std::get<2>(t) == strip) {
-          removes.insert(t);
-        }
+      for (size_t i = 0; i < 3 * num_nodes; ++i) {
+        triples.emplace(random_entity(), static_cast<int>(rng.Below(kPreds)),
+                        static_cast<NodeId>(rng.Below(nodes.size())));
       }
-      // New entities and values past the old CSR; every other one gets
-      // no edge of its own.
-      const int new_nodes = static_cast<int>(rng.Below(4));
-      for (int i = 0; i < new_nodes; ++i) {
-        NodeId id;
-        if (rng.Chance(0.5)) {
-          nodes.emplace_back(true, "t" + std::to_string(i % 3));
-          id = delta.AddEntity(nodes.back().second);
-        } else {
-          nodes.emplace_back(false, "n" + std::to_string(step) + "_" +
-                                        std::to_string(i));
-          id = delta.AddValue(nodes.back().second);
-        }
-        ASSERT_EQ(id, nodes.size() - 1);
-        if (i % 2 != 0) continue;
-        const int p = static_cast<int>(rng.Below(kPreds));
-        if (nodes[id].first) {
-          adds.emplace(id, p, other_old_node());
-        } else {
-          adds.emplace(other_entity(), p, id);
-        }
-      }
-      // Random churn among the old nodes.
-      std::vector<std::tuple<NodeId, int, NodeId>> present(triples.begin(),
-                                                           triples.end());
-      for (int i = 0; i < 4 && !present.empty(); ++i) {
-        removes.insert(present[rng.Below(present.size())]);
-      }
-      for (int i = 0; i < 6; ++i) {
-        adds.emplace(other_entity(), static_cast<int>(rng.Below(kPreds)),
-                     other_old_node());
-      }
-      // Node 0 and the last node (new or old) are touched every time: the
-      // triple between them is added if absent, removed if present.
-      const NodeId last = static_cast<NodeId>(nodes.size() - 1);
-      const auto link = std::make_tuple(NodeId{0}, step % kPreds, last);
-      if (triples.count(link) != 0) {
-        removes.insert(link);
-      } else {
-        adds.insert(link);
-      }
-      for (const auto& t : removes) adds.erase(t);
-      for (const auto& [s, p, o] : adds) {
-        ASSERT_TRUE(delta.AddTriple(s, pred(p), o).ok());
-        triples.emplace(s, p, o);
-      }
-      for (const auto& [s, p, o] : removes) {
-        ASSERT_TRUE(delta.RemoveTriple(s, pred(p), o).ok());
-        triples.erase({s, p, o});
-      }
-      auto dirty = g.Apply(delta);
-      ASSERT_TRUE(dirty.ok()) << dirty.status().ToString();
-      ASSERT_TRUE(std::binary_search(dirty->begin(), dirty->end(), NodeId{0}));
-      ASSERT_TRUE(std::binary_search(dirty->begin(), dirty->end(), last));
+      Graph g = make_graph();
 
-      const Graph fresh_build = make_graph();
-      ASSERT_EQ(g.NumNodes(), fresh_build.NumNodes());
-      ASSERT_EQ(g.NumTriples(), fresh_build.NumTriples());
-      EXPECT_TRUE(g.Out(strip).empty());
-      EXPECT_TRUE(g.In(strip).empty());
-      for (NodeId node = 0; node < g.NumNodes(); ++node) {
-        auto out_g = g.Out(node);
-        auto out_f = fresh_build.Out(node);
-        ASSERT_EQ(std::vector<Edge>(out_g.begin(), out_g.end()),
-                  std::vector<Edge>(out_f.begin(), out_f.end()))
-            << "node " << node;
-        auto in_g = g.In(node);
-        auto in_f = fresh_build.In(node);
-        ASSERT_EQ(std::vector<Edge>(in_g.begin(), in_g.end()),
-                  std::vector<Edge>(in_f.begin(), in_f.end()))
-            << "node " << node;
+      for (int step = 0; step < 12; ++step) {
+        SCOPED_TRACE("delta " + std::to_string(step));
+        GraphDelta delta(g);
+        std::set<std::tuple<NodeId, int, NodeId>> adds, removes;
+        // One old node other than node 0 and the last one loses every edge:
+        // the last id of a chunk on even steps and the first id of the next
+        // on odd ones, once the graph spans a boundary; anywhere before.
+        const size_t boundaries = (g.NumNodes() - 2) / kChunk;
+        const NodeId strip =
+            boundaries == 0
+                ? 1 + static_cast<NodeId>(rng.Below(g.NumNodes() - 2))
+                : static_cast<NodeId>((1 + rng.Below(boundaries)) * kChunk -
+                                      (step % 2 == 0 ? 1 : 0));
+        auto other_entity = [&]() {
+          NodeId e;
+          do {
+            e = random_entity();
+          } while (e == strip);
+          return e;
+        };
+        const size_t old_nodes = g.NumNodes();
+        auto other_old_node = [&]() {
+          NodeId n;
+          do {
+            n = static_cast<NodeId>(rng.Below(old_nodes));
+          } while (n == strip);
+          return n;
+        };
+        for (const auto& t : triples) {
+          if (std::get<0>(t) == strip || std::get<2>(t) == strip) {
+            removes.insert(t);
+          }
+        }
+        // New entities and values past the old CSR; every other one gets
+        // no edge of its own.
+        const int new_nodes = static_cast<int>(rng.Below(4));
+        for (int i = 0; i < new_nodes; ++i) {
+          NodeId id;
+          if (rng.Chance(0.5)) {
+            nodes.emplace_back(true, "t" + std::to_string(i % 3));
+            id = delta.AddEntity(nodes.back().second);
+          } else {
+            nodes.emplace_back(false, "n" + std::to_string(step) + "_" +
+                                          std::to_string(i));
+            id = delta.AddValue(nodes.back().second);
+          }
+          ASSERT_EQ(id, nodes.size() - 1);
+          if (i % 2 != 0) continue;
+          const int p = static_cast<int>(rng.Below(kPreds));
+          if (nodes[id].first) {
+            adds.emplace(id, p, other_old_node());
+          } else {
+            adds.emplace(other_entity(), p, id);
+          }
+        }
+        // Random churn among the old nodes.
+        std::vector<std::tuple<NodeId, int, NodeId>> present(triples.begin(),
+                                                             triples.end());
+        for (int i = 0; i < 4 && !present.empty(); ++i) {
+          removes.insert(present[rng.Below(present.size())]);
+        }
+        for (int i = 0; i < 6; ++i) {
+          adds.emplace(other_entity(), static_cast<int>(rng.Below(kPreds)),
+                       other_old_node());
+        }
+        // Node 0 and the last node (new or old) are touched every time: the
+        // triple between them is added if absent, removed if present.
+        const NodeId last = static_cast<NodeId>(nodes.size() - 1);
+        const auto link = std::make_tuple(NodeId{0}, step % kPreds, last);
+        if (triples.count(link) != 0) {
+          removes.insert(link);
+        } else {
+          adds.insert(link);
+        }
+        for (const auto& t : removes) adds.erase(t);
+        for (const auto& [s, p, o] : adds) {
+          ASSERT_TRUE(delta.AddTriple(s, pred(p), o).ok());
+          triples.emplace(s, p, o);
+        }
+        for (const auto& [s, p, o] : removes) {
+          ASSERT_TRUE(delta.RemoveTriple(s, pred(p), o).ok());
+          triples.erase({s, p, o});
+        }
+        auto dirty = g.Apply(delta);
+        ASSERT_TRUE(dirty.ok()) << dirty.status().ToString();
+        ASSERT_TRUE(
+            std::binary_search(dirty->begin(), dirty->end(), NodeId{0}));
+        ASSERT_TRUE(std::binary_search(dirty->begin(), dirty->end(), last));
+
+        const Graph fresh_build = make_graph();
+        ASSERT_EQ(g.NumNodes(), fresh_build.NumNodes());
+        ASSERT_EQ(g.NumTriples(), fresh_build.NumTriples());
+        EXPECT_TRUE(g.Out(strip).empty());
+        EXPECT_TRUE(g.In(strip).empty());
+        for (NodeId node = 0; node < g.NumNodes(); ++node) {
+          auto out_g = g.Out(node);
+          auto out_f = fresh_build.Out(node);
+          ASSERT_EQ(std::vector<Edge>(out_g.begin(), out_g.end()),
+                    std::vector<Edge>(out_f.begin(), out_f.end()))
+              << "node " << node;
+          auto in_g = g.In(node);
+          auto in_f = fresh_build.In(node);
+          ASSERT_EQ(std::vector<Edge>(in_g.begin(), in_g.end()),
+                    std::vector<Edge>(in_f.begin(), in_f.end()))
+              << "node " << node;
+        }
       }
     }
   }

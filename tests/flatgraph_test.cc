@@ -169,10 +169,36 @@ TEST(DNeighborScratch, ShrinksAfterBigGraphThenSmallGraph) {
 // ---- CSR storage ------------------------------------------------------------
 
 TEST(CsrGraph, FinalizePreservesAdjacencyAndDeduplicates) {
+  // Each input graph with the triples added to it, duplicates included.
+  std::vector<std::pair<Graph, std::vector<Triple>>> inputs;
   Rng rng(7);
   for (int iter = 0; iter < 20; ++iter) {
     std::vector<Triple> added;
     Graph g = RandomGraph(rng, 15, 8, 80, &added);
+    inputs.emplace_back(std::move(g), std::move(added));
+  }
+  // An empty graph: no node, so no chunk.
+  inputs.emplace_back(Graph(), std::vector<Triple>());
+  // Edges only on the first and the last id of the middle one of three
+  // chunks: every run around them, in that chunk and in its neighbours,
+  // is empty.
+  {
+    Graph g;
+    for (size_t i = 0; i < 3 * Graph::kChunkNodes; ++i) g.AddEntity("t");
+    const NodeId first = Graph::kChunkNodes;
+    const NodeId last = 2 * Graph::kChunkNodes - 1;
+    std::vector<Triple> added;
+    for (const auto& [s, o] : {std::pair{first, last}, {last, first},
+                               {first, first}, {last, last}, {first, last}}) {
+      const Symbol p = g.Intern(s == o ? "loop" : "link");
+      ASSERT_TRUE(g.AddTriple(s, p, o).ok());
+      added.push_back(Triple{s, p, o});
+    }
+    inputs.emplace_back(std::move(g), std::move(added));
+  }
+  for (auto& [g, added] : inputs) {
+    SCOPED_TRACE(std::to_string(g.NumNodes()) + " nodes, " +
+                 std::to_string(added.size()) + " triples added");
     // Expected runs from the triples added (sorted + deduplicated, the
     // finalized contract).
     std::vector<std::vector<Edge>> out_before(g.NumNodes());

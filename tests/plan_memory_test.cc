@@ -1,6 +1,7 @@
 // Plan memory accounting: MatchPlan::memory_bytes() must stay within a
-// stated factor of the heap bytes a compile leaves allocated, and a
-// patch's allocations must not grow with the session's node count. This
+// stated factor of the heap bytes a compile leaves allocated, and the
+// allocations of a patch and of an Apply must not grow with the
+// session's node count. This
 // executable replaces the global operator new and delete with the
 // allocation ledger (tests/alloc_ledger.h), so it checks the plan against
 // what the heap really holds and hands out, not against the plan's own
@@ -110,50 +111,116 @@ int64_t SecondPatchBytes(Graph g, const KeySet& keys, Algorithm algo,
   return bytes;
 }
 
-TEST(PlanMemory, APatchAllocatesNoMoreInASparserSession) {
-  // The same session twice: as generated, and padded with isolated
-  // values (20 node ids per node, no new edge, candidate or d-ball).
-  // Beyond the d-neighbor chunk table (16 B per 32 node ids) and a small
-  // slack, a small commit's patch must not allocate more in the padded
-  // session: nothing it builds is sized by the node count.
+/// The same session twice: as generated, and padded with isolated values
+/// (20 node ids per node, no new edge, candidate or d-ball), each with 8
+/// held-out triples to stage as commits (ids of its own layout).
+struct SparserSession {
+  SyntheticDataset ds;
+  Graph plain, padded;
+  std::vector<Triple> held, held_padded;
+};
+
+SparserSession MakeSparserSession() {
   DBpediaSimConfig cfg;
   cfg.seed = 3;
   cfg.scale = 4;
-  SyntheticDataset ds = GenerateDBpediaSim(cfg);
+  SparserSession s;
+  s.ds = GenerateDBpediaSim(cfg);
   std::vector<Triple> all;
-  ds.graph.ForEachTriple([&](const Triple& t) { all.push_back(t); });
+  s.ds.graph.ForEachTriple([&](const Triple& t) { all.push_back(t); });
   std::vector<uint8_t> keep(all.size(), 1);
-  std::vector<Triple> held, held_padded;
   Rng rng(11);
-  while (held.size() < 8) {
+  while (s.held.size() < 8) {
     const size_t pick = rng.Below(all.size());
     if (!keep[pick]) continue;
     keep[pick] = 0;
-    held.push_back(all[pick]);
+    s.held.push_back(all[pick]);
   }
-  const Graph plain = testing::RebuildWithout(ds.graph, all, keep);
-  const Graph padded = testing::PadWithIsolatedValues(plain);
-  for (const Triple& t : held) {
-    held_padded.push_back(Triple{testing::PaddedId(t.subject), t.pred,
-                                 testing::PaddedId(t.object)});
+  s.plain = testing::RebuildWithout(s.ds.graph, all, keep);
+  s.padded = testing::PadWithIsolatedValues(s.plain);
+  for (const Triple& t : s.held) {
+    s.held_padded.push_back(Triple{testing::PaddedId(t.subject), t.pred,
+                                   testing::PaddedId(t.object)});
   }
+  return s;
+}
+
+TEST(PlanMemory, APatchAllocatesNoMoreInASparserSession) {
+  // Beyond the d-neighbor chunk table (16 B per 32 node ids) and a small
+  // slack, a small commit's patch must not allocate more in the padded
+  // session: nothing it builds is sized by the node count.
+  const SparserSession s = MakeSparserSession();
   const int64_t table_growth =
-      static_cast<int64_t>(padded.NumNodes() - plain.NumNodes()) / 32 * 16;
+      static_cast<int64_t>(s.padded.NumNodes() - s.plain.NumNodes()) / 32 *
+      16;
   for (Algorithm algo : {Algorithm::kEmOptVc, Algorithm::kEmOptMr}) {
     SCOPED_TRACE(AlgorithmName(algo));
-    const int64_t plain_bytes =
-        SecondPatchBytes(plain, ds.keys, algo, held, ds.graph.interner());
+    const int64_t plain_bytes = SecondPatchBytes(
+        s.plain, s.ds.keys, algo, s.held, s.ds.graph.interner());
     const int64_t padded_bytes = SecondPatchBytes(
-        padded, ds.keys, algo, held_padded, ds.graph.interner());
+        s.padded, s.ds.keys, algo, s.held_padded, s.ds.graph.interner());
     std::printf("%s: %zu → %zu nodes, patch allocates %lld → %lld B "
                 "(table growth %lld B)\n",
-                AlgorithmName(algo).c_str(), plain.NumNodes(),
-                padded.NumNodes(), static_cast<long long>(plain_bytes),
+                AlgorithmName(algo).c_str(), s.plain.NumNodes(),
+                s.padded.NumNodes(), static_cast<long long>(plain_bytes),
                 static_cast<long long>(padded_bytes),
                 static_cast<long long>(table_growth));
     ASSERT_GT(plain_bytes, 0);
     EXPECT_LE(padded_bytes, plain_bytes + table_growth + kPatchSlackBytes);
   }
+}
+
+/// Bytes an Apply may allocate beyond the plain session's in the padded
+/// one: four chunks' offsets. The padded layout spreads the touched nodes
+/// over more CSR chunks, but a chunk is rewritten inside its own arrays
+/// and allocates only when it outgrows them, and a padded chunk holds
+/// fewer edges to regrow.
+constexpr int64_t kApplySlackBytes = 4 * (Graph::kChunkNodes + 1) * 4;
+
+/// The bytes `Graph::Apply` allocates for a 4-triple commit adding
+/// `held[0, 4)` to a copy of `g`, then for one removing them again.
+std::pair<int64_t, int64_t> ApplyBytes(const Graph& g,
+                                       const std::vector<Triple>& held,
+                                       const StringInterner& names) {
+  Graph copy = g;
+  int64_t bytes[2] = {0, 0};
+  for (bool add : {true, false}) {
+    GraphDelta delta(copy);
+    for (size_t k = 0; k < 4; ++k) {
+      const std::string& pred = names.Resolve(held[k].pred);
+      EXPECT_TRUE((add ? delta.AddTriple(held[k].subject, pred, held[k].object)
+                       : delta.RemoveTriple(held[k].subject, pred,
+                                            held[k].object))
+                      .ok());
+    }
+    testing::AllocScope scope;
+    const auto dirty = copy.Apply(delta);
+    bytes[add ? 0 : 1] = scope.bytes();
+    EXPECT_TRUE(dirty.ok()) << dirty.status().ToString();
+  }
+  return {bytes[0], bytes[1]};
+}
+
+TEST(PlanMemory, AnApplyAllocatesNoMoreInASparserSession) {
+  // A re-finalize rewrites only the CSR chunks holding a touched node, so
+  // beyond a few chunks' offsets a small commit's Apply must not allocate
+  // more in the padded session than in the plain one.
+  const SparserSession s = MakeSparserSession();
+  const auto [plain_add, plain_remove] =
+      ApplyBytes(s.plain, s.held, s.ds.graph.interner());
+  const auto [padded_add, padded_remove] =
+      ApplyBytes(s.padded, s.held_padded, s.ds.graph.interner());
+  std::printf("%zu → %zu nodes: an additive Apply allocates %lld → %lld B, "
+              "a removal %lld → %lld B\n",
+              s.plain.NumNodes(), s.padded.NumNodes(),
+              static_cast<long long>(plain_add),
+              static_cast<long long>(padded_add),
+              static_cast<long long>(plain_remove),
+              static_cast<long long>(padded_remove));
+  ASSERT_GT(plain_add, 0);
+  ASSERT_GT(plain_remove, 0);
+  EXPECT_LE(padded_add, plain_add + kApplySlackBytes);
+  EXPECT_LE(padded_remove, plain_remove + kApplySlackBytes);
 }
 
 }  // namespace

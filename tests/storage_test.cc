@@ -1655,13 +1655,15 @@ std::string MutateRecord(std::string bytes, Rng& rng) {
   return bytes;
 }
 
-TEST(SnapshotFuzz, MutatedPlanRecordsFailOrCommit) {
-  // A saved session with one record of the plan tables ('P', 'D', 'G',
-  // 'R') mutated and the set written back through MmapStore::Create,
-  // which reseals the checksum. Snapshot::Load must return an error or a
-  // snapshot on which one Apply → Patch → Rematch commit returns, OK or
-  // not; a crash, hang or sanitizer report fails the test. One session
-  // has Gp, one has not. The budget is seeded and fixed.
+TEST(SnapshotFuzz, MutatedGraphAndPlanRecordsFailOrCommit) {
+  // A saved session with one record of the graph ('S', 'N', 'E': they
+  // feed AddTriple and the first Finalize) or of the plan tables ('P',
+  // 'D', 'G', 'R') mutated and the set written back through
+  // MmapStore::Create, which reseals the checksum. Snapshot::Load must
+  // return an error or a snapshot on which one Apply → Patch → Rematch
+  // commit returns, OK or not; a crash, hang or sanitizer report fails
+  // the test. One session has Gp, one has not. The budget is seeded and
+  // fixed.
   constexpr int kMutationsPerSession = 150;
   for (Algorithm algo : {Algorithm::kEmOptVc, Algorithm::kEmOptMr}) {
     SCOPED_TRACE(AlgorithmName(algo));
@@ -1679,11 +1681,12 @@ TEST(SnapshotFuzz, MutatedPlanRecordsFailOrCommit) {
     std::vector<size_t> targets;
     for (size_t i = 0; i < records.size(); ++i) {
       const std::string& key = records[i].first;
-      if (key == "P" || key == "D" || key == "G" || key == "R") {
+      if (key == "S" || key == "N" || key == "E" || key == "P" ||
+          key == "D" || key == "G" || key == "R") {
         targets.push_back(i);
       }
     }
-    ASSERT_EQ(targets.size(), algo == Algorithm::kEmOptVc ? 4u : 2u);
+    ASSERT_EQ(targets.size(), algo == Algorithm::kEmOptVc ? 7u : 5u);
     std::vector<Triple> all;
     s.graph->ForEachTriple([&](const Triple& t) { all.push_back(t); });
     Rng rng(29);
