@@ -819,15 +819,43 @@ EmContext::EmContext(const EmContext& prev,
   for (NodeId e : affected_list) {
     affected_by_type[g.entity_type(e)].push_back(e);
   }
+  // A type whose signature index the delta invalidates (a key's constant
+  // or predicate newly resolves) recompiles as a compile would: every
+  // entity of it is affected, so the index is built and the type
+  // enumerated in full, with no candidate of it carried. A clean pair
+  // paired again on the same d-neighbors gets the same verdict, so L is
+  // the same. On a compile no type has an index and every entity is
+  // affected already. Phase B' reads `valid_sig` for the verdict.
+  std::unordered_map<Symbol, std::shared_ptr<const SigIndex>> valid_sig;
+  if (opts_.use_blocking) {
+    bool grew = false;
+    for (auto& [type, list] : affected_by_type) {
+      auto it = prev.sig_index_.find(type);
+      if (it != prev.sig_index_.end() &&
+          SigIndexStillValid(*it->second, *keys_by_type_.at(type))) {
+        valid_sig.emplace(type, it->second);
+        continue;
+      }
+      auto entities = g.EntitiesOfType(type);
+      if (list.size() == entities.size()) continue;
+      for (NodeId e : entities) {
+        if (!affected(e)) affected_list.push_back(e);
+        marks.Set(e, 1);
+      }
+      list.assign(entities.begin(), entities.end());
+      grew = true;
+    }
+    if (grew) std::sort(affected_list.begin(), affected_list.end());
+  }
   if (info != nullptr) info->affected_seconds = section.Seconds();
   section.Reset();
 
-  // Phase A': d-neighbor chunks. The table shares every chunk of the
-  // previous context; the chunks holding an affected entity are cloned
-  // and get its recomputed set. Affected includes every keyed entity
-  // the delta added, and a compile's every keyed entity. The sets are
-  // computed type by type in key-map order, the order the snapshot
-  // encoder reads them in, so a compile lays their payloads out in it.
+  // Phase A': d-neighbor table. It shares every chunk of the previous
+  // context; the chunks holding an affected entity are cloned and get
+  // its recomputed set. Affected includes every keyed entity the delta
+  // added, and a compile's every keyed entity. The sets are computed
+  // type by type in key-map order, the order the snapshot encoder reads
+  // them in, so a compile lays their payloads out in it.
   std::vector<std::pair<NodeId, std::shared_ptr<const NodeSet>>> fresh;
   fresh.reserve(affected_list.size());
   for (const auto& [type, key_ids] : keys_by_type_) {
@@ -840,29 +868,20 @@ EmContext::EmContext(const EmContext& prev,
     fresh[i].second = std::make_shared<const NodeSet>(
         DNeighbor(g, e, radius_by_type_.find(g.entity_type(e))->second));
   });
-  std::sort(fresh.begin(), fresh.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  dn_chunks_ = prev.dn_chunks_;
-  dn_chunks_.resize((g.NumNodes() + kDnChunkSpan - 1) >> kDnChunkBits);
   neighbor_nodes_ = prev.neighbor_nodes_;
   neighbor_entities_ = prev.neighbor_entities_;
-  for (size_t i = 0; i < fresh.size();) {
-    const size_t c = fresh[i].first >> kDnChunkBits;
-    auto chunk = dn_chunks_[c] != nullptr
-                     ? std::make_shared<DnChunk>(*dn_chunks_[c])
-                     : std::make_shared<DnChunk>();
-    for (; i < fresh.size() && fresh[i].first >> kDnChunkBits == c; ++i) {
-      auto& set = chunk->sets[fresh[i].first & (kDnChunkSpan - 1)];
-      if (set != nullptr) {
-        neighbor_nodes_ -= set->size();
-      } else {
-        ++neighbor_entities_;
-      }
-      neighbor_nodes_ += fresh[i].second->size();
-      set = std::move(fresh[i].second);
+  for (const auto& [e, set] : fresh) {
+    const NodeSet* old =
+        e < prev.dneighbors_.size() ? prev.dneighbors_[e].get() : nullptr;
+    if (old != nullptr) {
+      neighbor_nodes_ -= old->size();
+    } else {
+      ++neighbor_entities_;
     }
-    dn_chunks_[c] = std::move(chunk);
+    neighbor_nodes_ += set->size();
   }
+  dneighbors_ = prev.dneighbors_;
+  dneighbors_.Write(g.NumNodes(), std::move(fresh));
   if (info != nullptr) info->dneighbor_seconds = section.Seconds();
   section.Reset();
 
@@ -876,37 +895,16 @@ EmContext::EmContext(const EmContext& prev,
   // sets cannot have changed). The previous source choice per key is
   // pinned (any single source per key is an output-preserving filter),
   // so a patched plan's L can differ from a from-scratch compile's L
-  // without changing chase(G, Σ). A compile is this pass over an empty
-  // context with every entity affected: each type builds its index and
-  // enumerates in full.
-  // Pair → previous-candidate lookup, needed only when a type's
-  // signature structure changed (rare); built on first use so the common
-  // patch path never pays the O(|L|) hashing.
-  std::unordered_map<uint64_t, uint32_t> prev_by_pair;
-  auto lookup_prev_pair = [&](NodeId a, NodeId b) -> int64_t {
-    if (prev_by_pair.empty() && !prev.candidates_.empty()) {
-      prev_by_pair.reserve(prev.candidates_.size() * 2);
-      for (uint32_t i = 0; i < prev.candidates_.size(); ++i) {
-        prev_by_pair.emplace(
-            PackPair(prev.candidates_[i].e1, prev.candidates_[i].e2), i);
-      }
-    }
-    auto it = prev_by_pair.find(PackPair(a, b));
-    return it == prev_by_pair.end() ? -1 : static_cast<int64_t>(it->second);
-  };
-
+  // without changing chase(G, Σ). A type with no valid index has every
+  // entity affected (above): it builds its index and enumerates in full,
+  // as every type does on a compile.
   struct RawPair {
     NodeId e1, e2;
     const std::vector<int>* keys;
     bool recursive, value_based;
-    int64_t reuse;  // previous candidate index, or -1 = recompute (dirty)
   };
   std::vector<RawPair> raw;
   std::unordered_set<uint64_t> seen;
-  // Types whose index was rebuilt: their full enumeration lists every
-  // surviving pair itself, so none of their previous candidates is
-  // carried by the merge.
-  std::vector<Symbol> relisted;
   for (const auto& [type, key_list] : keys_by_type_) {
     const std::vector<int>& key_ids = *key_list;
     auto entities = g.EntitiesOfType(type);
@@ -937,7 +935,7 @@ EmContext::EmContext(const EmContext& prev,
     auto emit = [&](NodeId a, NodeId b) {
       if (a > b) std::swap(a, b);
       if (!seen.insert(PackPair(a, b)).second) return;
-      raw.push_back(RawPair{a, b, &key_ids, recursive, value_based, -1});
+      raw.push_back(RawPair{a, b, &key_ids, recursive, value_based});
     };
     // Unblocked: affected × all, each pair once (a pair of two affected
     // entities comes from its smaller one), so no `seen` lookups — on a
@@ -947,19 +945,17 @@ EmContext::EmContext(const EmContext& prev,
         for (NodeId b : entities) {
           if (b == a || (affected(b) && b < a)) continue;
           raw.push_back(RawPair{std::min(a, b), std::max(a, b), &key_ids,
-                                recursive, value_based, -1});
+                                recursive, value_based});
         }
       }
     };
 
     if (opts_.use_blocking) {
-      auto sig_it = prev.sig_index_.find(type);
-      std::shared_ptr<const SigIndex> prev_sig =
-          sig_it != prev.sig_index_.end() ? sig_it->second : nullptr;
-      if (prev_sig != nullptr && SigIndexStillValid(*prev_sig, key_ids)) {
-        if (!prev_sig->blockable) {
+      if (auto kept = valid_sig.find(type); kept != valid_sig.end()) {
+        const SigIndex& prev_sig = *kept->second;
+        if (!prev_sig.blockable) {
           // Still unblockable: full enumeration of affected × all.
-          sig_index_[type] = prev_sig;
+          sig_index_[type] = kept->second;
           emit_affected_pairs();
           continue;
         }
@@ -969,7 +965,7 @@ EmContext::EmContext(const EmContext& prev,
         // once the overlay outgrows it).
         auto updated = std::make_shared<SigIndex>();
         updated->blockable = true;
-        for (const SigPerKey& old_pk : prev_sig->keys) {
+        for (const SigPerKey& old_pk : prev_sig.keys) {
           const SigPerKey& pk =
               updated->keys.emplace_back(ResignOverlay(old_pk, affected_here));
           for (NodeId e : affected_here) {
@@ -983,33 +979,18 @@ EmContext::EmContext(const EmContext& prev,
         sig_index_[type] = std::move(updated);
         continue;
       }
-      // No index yet (a compile) or the delta changed the signature
-      // structure itself (a constant or predicate newly resolves): build
-      // the type's index from scratch and enumerate it fully, still
-      // reusing the pairing verdicts of clean pairs that survived in the
-      // previous L. A full enumeration is the one place the pairs the
-      // index keeps out can be counted.
+      // No valid index: build the type's index from scratch and
+      // enumerate it fully. A full enumeration is the one place the pairs
+      // the index keeps out can be counted.
       auto idx = BuildSigIndex(key_ids, entities);
       sig_index_[type] = idx;
       if (idx->blockable) {
-        relisted.push_back(type);
         const size_t before = raw.size();
         for (const SigPerKey& pk : idx->keys) {
           pk.base->ForEachBucket([&](auto bucket) {
             for (size_t i = 0; i < bucket.size(); ++i) {
               for (size_t j = i + 1; j < bucket.size(); ++j) {
-                NodeId a = bucket[i].second, b = bucket[j].second;
-                if (!affected(a) && !affected(b)) {
-                  int64_t from = lookup_prev_pair(a, b);
-                  if (from >= 0) {
-                    if (seen.insert(PackPair(a, b)).second) {
-                      raw.push_back(RawPair{a, b, &key_ids, recursive,
-                                            value_based, from});
-                    }
-                    continue;
-                  }
-                }
-                emit(a, b);
+                emit(bucket[i].second, bucket[j].second);
               }
             }
           });
@@ -1031,17 +1012,13 @@ EmContext::EmContext(const EmContext& prev,
     return std::tie(a.e1, a.e2) < std::tie(b.e1, b.e2);
   });
   // The position map, first as "carried or not": a previous candidate
-  // is carried unless it has an affected endpoint or its type was
-  // relisted. No carried pair is in `raw`.
+  // is carried unless it has an affected endpoint. No carried pair is in
+  // `raw`.
   const std::vector<Candidate>& old_l = prev.candidates_;
   std::vector<int64_t> old_to_new(old_l.size(), 0);
   size_t carried = old_l.size();
   for (size_t i = 0; i < old_l.size(); ++i) {
-    const Candidate& c = old_l[i];
-    if (affected(c.e1) || affected(c.e2) ||
-        (!relisted.empty() &&
-         std::find(relisted.begin(), relisted.end(), g.entity_type(c.e1)) !=
-             relisted.end())) {
+    if (affected(old_l[i].e1) || affected(old_l[i].e2)) {
       old_to_new[i] = -1;
       --carried;
     }
@@ -1062,19 +1039,11 @@ EmContext::EmContext(const EmContext& prev,
   const bool pair_dirty = opts_.use_pairing || collect_relations;
   std::vector<Reduction> reductions(pair_dirty ? raw.size() : 0);
   if (pair_dirty) {
-    // Shard over the dirty pairs only, so pairs re-found in a previous L
-    // cannot leave one worker with every pairing call.
-    std::vector<uint32_t> dirty;
-    for (size_t i = 0; i < raw.size(); ++i) {
-      if (raw[i].reuse < 0) dirty.push_back(static_cast<uint32_t>(i));
-    }
-    const int pc = workers(dirty.size());
+    const int pc = workers(raw.size());
     std::vector<PairingScratch> scratches(pc);
-    ParallelShards(pc, dirty.size(), [&](int shard, size_t begin,
-                                         size_t end) {
+    ParallelShards(pc, raw.size(), [&](int shard, size_t begin, size_t end) {
       PairingScratch& scratch = scratches[shard];
-      for (size_t k = begin; k < end; ++k) {
-        const size_t i = dirty[k];
+      for (size_t i = begin; i < end; ++i) {
         const RawPair& rp = raw[i];
         const NodeSet& n1 = DNbr(rp.e1);
         const NodeSet& n2 = DNbr(rp.e2);
@@ -1118,13 +1087,7 @@ EmContext::EmContext(const EmContext& prev,
   std::vector<int64_t> new_to_old;
   new_to_old.reserve(candidates_initial_);
   std::vector<uint32_t> dirty_candidates;
-  std::vector<std::shared_ptr<const NodeSet>> fresh_sets;
-  std::vector<std::shared_ptr<const PairingRelation>> relations;
-  // Maps previous candidate `from` to new position `to`.
-  auto carry = [&](size_t from, size_t to) {
-    old_to_new[from] = static_cast<int64_t>(to);
-    new_to_old.push_back(static_cast<int64_t>(from));
-  };
+  std::vector<PairingOutput> outputs;  // the dirty candidates', in order
   size_t next_old = 0;
   for (size_t r = 0; r <= raw.size(); ++r) {
     const uint64_t bound =
@@ -1141,7 +1104,8 @@ EmContext::EmContext(const EmContext& prev,
         ++end;
       }
       for (size_t i = next_old; i < end; ++i) {
-        carry(i, candidates_.size() + (i - next_old));
+        old_to_new[i] = static_cast<int64_t>(candidates_.size() + i - next_old);
+        new_to_old.push_back(static_cast<int64_t>(i));
       }
       candidates_.insert(candidates_.end(), old_l.begin() + next_old,
                          old_l.begin() + end);
@@ -1149,52 +1113,45 @@ EmContext::EmContext(const EmContext& prev,
     }
     if (r == raw.size()) break;
     const RawPair& rp = raw[r];
-    if (rp.reuse >= 0) {
-      // Re-found in a relisted type's full enumeration. The scan above
-      // stopped at its previous position (same pair), so step past it.
-      carry(static_cast<size_t>(rp.reuse), candidates_.size());
-      candidates_.push_back(old_l[rp.reuse]);
-      next_old = static_cast<size_t>(rp.reuse) + 1;
-      continue;
-    }
     Candidate c;
     c.e1 = rp.e1;
     c.e2 = rp.e2;
     c.keys = rp.keys;
     c.has_recursive_key = rp.recursive;
     c.has_value_based_key = rp.value_based;
-    if (opts_.use_pairing) {
+    c.nbr1 = &DNbr(rp.e1);
+    c.nbr2 = &DNbr(rp.e2);
+    if (pair_dirty) {
       Reduction& red = reductions[r];
-      if (!red.keep) continue;
-      neighbor_nodes_reduced_ += red.r1.size() + red.r2.size();
-      for (NodeSet* side : {&red.r1, &red.r2}) {
-        fresh_sets.push_back(std::make_shared<const NodeSet>(std::move(*side)));
+      if (opts_.use_pairing && !red.keep) continue;
+      PairingOutput out{nullptr, nullptr, std::move(red.relation)};
+      if (opts_.use_pairing) {
+        neighbor_nodes_reduced_ += red.r1.size() + red.r2.size();
+        out.r1 = std::make_shared<const NodeSet>(std::move(red.r1));
+        out.r2 = std::make_shared<const NodeSet>(std::move(red.r2));
+        c.nbr1 = out.r1.get();
+        c.nbr2 = out.r2.get();
       }
-      c.nbr1 = fresh_sets[fresh_sets.size() - 2].get();
-      c.nbr2 = fresh_sets.back().get();
-    } else {
-      c.nbr1 = &DNbr(rp.e1);
-      c.nbr2 = &DNbr(rp.e2);
+      outputs.push_back(std::move(out));
     }
     dirty_candidates.push_back(static_cast<uint32_t>(candidates_.size()));
     new_to_old.push_back(-1);
-    if (collect_relations) {
-      relations.push_back(std::move(reductions[r].relation));
-    }
     candidates_.push_back(c);
   }
-  if (opts_.use_pairing) {
-    // Σ of the reduced sets, by difference: the dirty candidates' sets
-    // were added above; the uncarried previous candidates' go.
-    neighbor_nodes_reduced_ += prev.neighbor_nodes_reduced_;
-    for (size_t i = 0; i < old_l.size(); ++i) {
-      if (old_to_new[i] < 0) {
-        neighbor_nodes_reduced_ -=
-            prev.reduced_.at(i, 0).size() + prev.reduced_.at(i, 1).size();
+  if (pair_dirty) {
+    if (opts_.use_pairing) {
+      // Σ of the reduced sets, by difference: the dirty candidates' sets
+      // were added above; the uncarried previous candidates' go.
+      neighbor_nodes_reduced_ += prev.neighbor_nodes_reduced_;
+      for (size_t i = 0; i < old_l.size(); ++i) {
+        if (old_to_new[i] < 0) {
+          neighbor_nodes_reduced_ -=
+              prev.pairing_[i].r1->size() + prev.pairing_[i].r2->size();
+        }
       }
     }
-    reduced_ = CandidateTable<NodeSet, 2>::Patch(prev.reduced_, new_to_old,
-                                                  std::move(fresh_sets));
+    pairing_ = ChunkTable<PairingOutput>::Remap(prev.pairing_, new_to_old,
+                                                std::move(outputs));
   }
 
   // The dependency index and ghosts are candidate-index-relative: copy
@@ -1207,27 +1164,26 @@ EmContext::EmContext(const EmContext& prev,
     info->affected_entities = std::move(affected_list);
     info->dirty_candidates = std::move(dirty_candidates);
     info->candidate_reuse = std::move(old_to_new);
-    info->relations = std::move(relations);
   }
 }
 
 size_t EmContext::MemoryBytes() const {
+  auto set_bytes = [](const std::shared_ptr<const NodeSet>& s) {
+    return s != nullptr ? sizeof(NodeSet) + s->MemoryBytes() : 0;
+  };
   size_t bytes =
       candidates_.capacity() * sizeof(Candidate) +
       compiled_.capacity() * sizeof(CompiledKey) +
-      dn_chunks_.capacity() * sizeof(std::shared_ptr<const DnChunk>) +
+      dneighbors_.MemoryBytes(set_bytes) +
+      pairing_.MemoryBytes([&](const PairingOutput& out) {
+        return set_bytes(out.r1) + set_bytes(out.r2) +
+               (out.relation != nullptr
+                    ? out.relation->capacity() * sizeof(uint64_t)
+                    : 0);
+      }) +
       depends_on_pairs_.MemoryBytes() + dependents_.MemoryBytes() +
       ghosts_.capacity() * sizeof(GhostPair) +
       ghost_dependents_.MemoryBytes();
-  for (const auto& chunk : dn_chunks_) {
-    if (chunk == nullptr) continue;
-    bytes += sizeof(DnChunk);
-    for (const auto& s : chunk->sets) {
-      if (s != nullptr) bytes += sizeof(NodeSet) + s->MemoryBytes();
-    }
-  }
-  bytes += reduced_.MemoryBytes(
-      [](const NodeSet& s) { return sizeof(NodeSet) + s.MemoryBytes(); });
   for (const auto& [type, idx] : sig_index_) {
     bytes += sizeof(SigIndex);
     for (const SigPerKey& pk : idx->keys) {

@@ -237,7 +237,10 @@ void GroupByRow(std::vector<T>& v, size_t rows, RowOf row_of) {
   for (const T& e : v) ++at[row_of(e) + 1];
   for (size_t r = 0; r < rows; ++r) at[r + 1] += at[r];
   std::vector<T> grouped(v.size());
-  for (const T& e : v) grouped[at[row_of(e)]++] = e;
+  for (T& e : v) {
+    const size_t row = row_of(e);
+    grouped[at[row]++] = std::move(e);
+  }
   v.swap(grouped);
 }
 
@@ -386,38 +389,34 @@ struct Candidate {
   bool has_value_based_key = false;
 };
 
-/// Per-candidate shared values in immutable chunks of kSpan positions of
-/// L, shared by a plan and the plans patched from it the way the
-/// d-neighbor table is: EmContext's pairing-reduced sets (two per
-/// candidate) and Gp's pairing relations (one). A patch clones only the
-/// chunks that hold a recompiled candidate, or a different candidate than
-/// before (after an insertion into or a removal from L every later
-/// position does), so a carried candidate's values are neither copied one
-/// by one nor reference-counted.
-template <typename T, size_t Width>
-class CandidateTable {
+/// A table of values by position (a node id or a candidate position) in
+/// immutable chunks of kSpan positions, shared by a plan and the plans
+/// patched from it, so an edit copies one pointer per chunk and clones
+/// only the chunks whose positions it changes: a carried value is
+/// neither copied nor reference-counted. A chunk no value was written to
+/// stays null, and its positions read V{}.
+template <typename V>
+class ChunkTable {
  public:
-  using Ptr = std::shared_ptr<const T>;
-
-  /// The number of candidate positions.
+  /// The number of positions.
   size_t size() const { return size_; }
-  /// Value k of position i.
-  const Ptr& ptr(size_t i, size_t k = 0) const {
-    return chunks_[i >> kBits]->values[(i & (kSpan - 1)) * Width + k];
+  /// The value of position i (< size()).
+  const V& operator[](size_t i) const {
+    const auto& chunk = chunks_[i >> kBits];
+    return chunk != nullptr ? chunk->values[i & (kSpan - 1)] : kNone;
   }
-  const T& at(size_t i, size_t k = 0) const { return *ptr(i, k); }
 
-  /// The table of a candidate list of new_to_old.size() positions:
-  /// position i takes prev's values at position new_to_old[i] when that
-  /// is >= 0, else the next Width values of `fresh` (the values of the
-  /// recompiled positions, in position order). A chunk is shared with
-  /// prev when each position it covers is carried from the same position
-  /// and prev's chunk covers as many positions. With an empty prev every
+  /// The table of new_to_old.size() positions remapped from prev:
+  /// position i takes prev's value at position new_to_old[i] when that
+  /// is >= 0, else the next value of `fresh` (the values of the other
+  /// positions, in position order). A chunk is shared with prev when
+  /// each position it covers is carried from the same position and
+  /// prev's chunk covers as many positions. With an empty prev every
   /// chunk is built.
-  static CandidateTable Patch(const CandidateTable& prev,
-                              std::span<const int64_t> new_to_old,
-                              std::vector<Ptr> fresh) {
-    CandidateTable t;
+  static ChunkTable Remap(const ChunkTable& prev,
+                          std::span<const int64_t> new_to_old,
+                          std::vector<V> fresh) {
+    ChunkTable t;
     const size_t n = new_to_old.size();
     t.size_ = n;
     t.chunks_.reserve((n + kSpan - 1) >> kBits);
@@ -435,16 +434,13 @@ class CandidateTable {
       }
       auto chunk = std::make_shared<Chunk>();
       for (size_t i = begin; i < end; ++i) {
-        for (size_t k = 0; k < Width; ++k) {
-          // Not a ?: of the two: its result would be a const temporary,
-          // so a fresh value would be copied (two refcount updates), not
-          // moved.
-          Ptr& slot = chunk->values[(i - begin) * Width + k];
-          if (new_to_old[i] >= 0) {
-            slot = prev.ptr(new_to_old[i], k);
-          } else {
-            slot = std::move(fresh[next_fresh++]);
-          }
+        // Not a ?: of the two: its result would be a const temporary, so
+        // a fresh value would be copied, not moved.
+        V& slot = chunk->values[i - begin];
+        if (new_to_old[i] >= 0) {
+          slot = prev[new_to_old[i]];
+        } else {
+          slot = std::move(fresh[next_fresh++]);
         }
       }
       t.chunks_.push_back(std::move(chunk));
@@ -452,24 +448,53 @@ class CandidateTable {
     return t;
   }
 
-  /// Approximate heap bytes: the chunk table, every chunk, and
-  /// value_bytes(v) per value held.
+  /// Grows the table to `size` positions (new chunks null) and writes
+  /// each (position, value) of `writes`, which names a position at most
+  /// once, in place: every chunk it names is cloned (or made, if null)
+  /// once, and every other chunk stays shared.
+  void Write(size_t size, std::vector<std::pair<uint32_t, V>> writes) {
+    size_ = size;
+    chunks_.resize((size + kSpan - 1) >> kBits);
+    GroupByRow(writes, chunks_.size(),
+               [](const auto& w) { return w.first >> kBits; });
+    for (size_t i = 0; i < writes.size();) {
+      const size_t c = writes[i].first >> kBits;
+      auto chunk = chunks_[c] != nullptr ? std::make_shared<Chunk>(*chunks_[c])
+                                         : std::make_shared<Chunk>();
+      for (; i < writes.size() && writes[i].first >> kBits == c; ++i) {
+        chunk->values[writes[i].first & (kSpan - 1)] =
+            std::move(writes[i].second);
+      }
+      chunks_[c] = std::move(chunk);
+    }
+  }
+
+  /// Approximate heap bytes: the chunk pointers, each non-null chunk
+  /// once, and value_bytes(v) per value it holds.
   template <typename Fn>
   size_t MemoryBytes(Fn&& value_bytes) const {
-    size_t bytes = chunks_.capacity() * sizeof(std::shared_ptr<const Chunk>) +
-                   chunks_.size() * sizeof(Chunk);
-    for (size_t i = 0; i < size_; ++i) {
-      for (size_t k = 0; k < Width; ++k) bytes += value_bytes(at(i, k));
+    size_t bytes = chunks_.capacity() * sizeof(std::shared_ptr<const Chunk>);
+    for (const auto& chunk : chunks_) {
+      if (chunk == nullptr) continue;
+      bytes += sizeof(Chunk);
+      for (const V& v : chunk->values) bytes += value_bytes(v);
     }
     return bytes;
   }
 
  private:
+  // Sized by measurement on the d-neighbor table (4-vCPU host, Google
+  // sim of 121,600 nodes, 4-triple commits affecting ~21 entities): the
+  // chunk pass took 0.12 ms per commit at 16 positions, 0.06 at 32 and
+  // 64, 0.07 at 128. A hub commit affecting ~600 entities clones about
+  // half of the chunks at 32, and more refcounts per clone at larger
+  // spans.
   static constexpr unsigned kBits = 5;
   static constexpr size_t kSpan = size_t{1} << kBits;
   struct Chunk {
-    std::array<Ptr, kSpan * Width> values;
+    std::array<V, kSpan> values;
   };
+  static inline const V kNone{};
   std::vector<std::shared_ptr<const Chunk>> chunks_;
   size_t size_ = 0;
 };
@@ -485,6 +510,14 @@ struct CompiledKey {
 /// strictly ascending PackPair values; it holds the candidate pair itself
 /// unless empty (no key pairs it). Gp's nodes are their union (§5.1).
 using PairingRelation = std::vector<uint64_t>;
+
+/// What one pairing pass over a candidate's keys yields: each side's
+/// pairing-reduced d-neighbor (with use_pairing) and the relation (in a
+/// plan that builds Gp). What the plan does not keep is null.
+struct PairingOutput {
+  std::shared_ptr<const NodeSet> r1, r2;
+  std::shared_ptr<const PairingRelation> relation;
+};
 
 /// Outputs of the incremental patch constructor (see below): which part
 /// of the compiled state had to be redone, and which candidates a seeded
@@ -503,12 +536,8 @@ struct ContextPatchInfo {
   /// same candidate in the new L when it was carried over unchanged, or
   /// -1 when it left L or was recompiled. Monotone over its carried
   /// entries (both lists are sorted by pair). PatchProductGraph reads it
-  /// to share the carried candidates' relations and product nodes.
+  /// to share the carried candidates' product nodes.
   std::vector<int64_t> candidate_reuse;
-  /// Per dirty candidate (parallel to dirty_candidates), when relations
-  /// were collected: its relation from the pairing pass.
-  /// PatchProductGraph adds these to Gp.
-  std::vector<std::shared_ptr<const PairingRelation>> relations;
   /// Where the patch time went (seconds; bench_incremental reports them).
   double keys_seconds = 0;
   double affected_seconds = 0;
@@ -540,13 +569,12 @@ class EmContext {
   /// and moves the rest by block:
   ///   - L: only the pairs involving an affected entity are enumerated
   ///     (and paired); the new L is one linear merge of them with the
-  ///     runs of prev's candidates that have no affected endpoint. A type
-  ///     whose signature index must be rebuilt is enumerated in full; its
-  ///     clean pairs found in prev's L are carried from there, once each.
-  ///     The merge yields the position map
-  ///     (ContextPatchInfo::candidate_reuse).
-  ///   - The d-neighbor table and the pairing-reduced sets sit in shared
-  ///     chunks; only the chunks holding an affected entity, a recompiled
+  ///     runs of prev's candidates that have no affected endpoint. Every
+  ///     entity of a type whose signature index the delta invalidates is
+  ///     affected, so that type recompiles as a compile would. The merge
+  ///     yields the position map (ContextPatchInfo::candidate_reuse).
+  ///   - The d-neighbor table and the pairing outputs sit in ChunkTables;
+  ///     only the chunks holding an affected entity, a recompiled
   ///     candidate or a shifted position are cloned.
   ///   - The dependency index is edited, not re-inverted: carried
   ///     candidates' scans are block-copied, only recompiled candidates
@@ -562,9 +590,9 @@ class EmContext {
   /// build enumerated in full — every type on a compile, the types whose
   /// signature index had to be rebuilt on a patch; types patched in place
   /// or carried over add nothing.
-  /// With `collect_relations` (plans that build Gp; needs `info`), the
-  /// pairing pass fills info->relations, and runs without use_pairing
-  /// too, dropping no pair then.
+  /// With `collect_relations` (plans that build Gp), each candidate's
+  /// pairing output keeps its relation, and the pairing pass runs
+  /// without use_pairing too, dropping no pair then.
   EmContext(const EmContext& prev, std::span<const NodeId> dirty_nodes,
             ContextPatchInfo* info, bool collect_relations = false);
 
@@ -579,6 +607,10 @@ class EmContext {
   size_t candidates_initial() const { return candidates_initial_; }
   /// Same-type pairs signature blocking kept out of the enumeration.
   size_t candidates_blocked() const { return candidates_blocked_; }
+  /// Candidate i's pairing relation; kept only with collect_relations.
+  const PairingRelation& relation(uint32_t i) const {
+    return *pairing_[i].relation;
+  }
 
   /// Dependency index (§4.2): the candidate indices j, ascending, that
   /// depend on candidate i — identifying candidate i can newly enable a
@@ -643,9 +675,9 @@ class EmContext {
 
   /// Approximate heap footprint of the compiled structures, in bytes
   /// (MatchPlan::memory_bytes()): the capacities of every array (the
-  /// candidate list, d-neighbor chunks and NodeSets, pairing-reduced
-  /// sets, dependency index, ghosts, signature tables) plus each chunk's
-  /// and set's fixed size. Allocator headers, control blocks and the
+  /// candidate list, d-neighbor chunks and NodeSets, pairing outputs,
+  /// dependency index, ghosts, signature tables) plus each chunk's and
+  /// set's fixed size. Allocator headers, control blocks and the
   /// per-type maps are left out, so the heap is somewhat larger
   /// (plan_memory_test bounds the ratio). Sections shared with a patch's
   /// source plan are counted in full on both sides. Excludes the
@@ -855,28 +887,8 @@ class EmContext {
   /// `keys` pointer stays valid in the patched context.
   void CompileKeys(const EmContext* prev);
 
-  /// The d-neighbor table is split into chunks of kDnChunkSpan node ids.
-  /// A patch copies one pointer per chunk and clones only the chunks
-  /// that hold an affected entity. Sized by measurement (4-vCPU host,
-  /// Google sim of 121,600 nodes, 4-triple commits affecting ~21
-  /// entities): the chunk pass took 0.12 ms per commit at 16 ids, 0.06
-  /// at 32 and 64, 0.07 at 128. A hub commit affecting ~600 entities
-  /// clones about half of the chunks at 32 ids, and more refcounts per
-  /// clone at larger spans.
-  static constexpr unsigned kDnChunkBits = 5;
-  static constexpr size_t kDnChunkSpan = size_t{1} << kDnChunkBits;
-
-  /// An immutable chunk of the d-neighbor table: the sets of node ids
-  /// [c · kDnChunkSpan, (c + 1) · kDnChunkSpan), null for a node that
-  /// is not a keyed entity.
-  struct DnChunk {
-    std::array<std::shared_ptr<const NodeSet>, kDnChunkSpan> sets;
-  };
-
   /// The cached d-neighbor of keyed entity `e` (must exist).
-  const NodeSet& DNbr(NodeId e) const {
-    return *dn_chunks_[e >> kDnChunkBits]->sets[e & (kDnChunkSpan - 1)];
-  }
+  const NodeSet& DNbr(NodeId e) const { return *dneighbors_[e]; }
 
   const Graph* g_;
   const KeySet* keys_;
@@ -889,14 +901,13 @@ class EmContext {
   std::unordered_map<Symbol, int> radius_by_type_;
   std::vector<Candidate> candidates_;
   // Storage for the NodeSets candidates point into: the d-neighbor
-  // table, indexed by node id in shared immutable chunks (DNbr; a chunk
-  // with no keyed entity is null), and with use_pairing the per-pair
-  // pairing-reduced sets, indexed by candidate position (side 0 and 1 of
-  // candidate i). Payloads are shared immutable NodeSets so a patched
-  // context reuses untouched sections copy-on-write, and the raw
+  // table by node id (DNbr; null for a node that is not a keyed entity),
+  // and with use_pairing or collect_relations each candidate's pairing
+  // output by candidate position. Payloads are shared immutable, so a
+  // patched context reuses untouched sections copy-on-write, and the raw
   // pointers handed to Candidate stay stable across context moves.
-  std::vector<std::shared_ptr<const DnChunk>> dn_chunks_;
-  CandidateTable<NodeSet, 2> reduced_;
+  ChunkTable<std::shared_ptr<const NodeSet>> dneighbors_;
+  ChunkTable<PairingOutput> pairing_;
   // Signature index per keyed type (use_blocking only); shared with the
   // source plan for types the delta did not touch.
   std::unordered_map<Symbol, std::shared_ptr<const SigIndex>> sig_index_;

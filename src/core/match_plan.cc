@@ -33,7 +33,8 @@ StatusOr<MatchPlan> CompileMatchPlan(const Graph& g, const KeySet& keys,
   std::shared_ptr<MatchPlan::Rep> rep(
       new MatchPlan::Rep(empty, keys, EmContext::EveryNode(g), &info));
   if (opts.build_product_graph) {
-    rep->pg.emplace(PatchProductGraph(ProductGraph(), rep->ctx, info, {}));
+    rep->pg.emplace(
+        PatchProductGraph(ProductGraph(), empty, rep->ctx, info, {}));
   }
   rep->compile_seconds = timer.Seconds();
   return MatchPlan(std::move(rep));
@@ -64,12 +65,12 @@ StatusOr<MatchPlan> MatchPlan::Patch(const GraphDelta& delta) const {
   std::shared_ptr<MatchPlan::Rep> rep(
       new MatchPlan::Rep(rep_->ctx, *rep_->keys, dirty, &info));
   if (rep_->ctx.options().build_product_graph) {
-    // Gp is patched at |L| scale: carried-over candidates re-share their
-    // relations; dirty ones bring the relations their pairing pass just
-    // collected, which Gp now owns.
+    // Gp is patched at |L| scale: carried-over candidates keep their
+    // contributions; dirty ones add the relations their pairing pass just
+    // collected.
     Timer pg_timer;
-    rep->pg.emplace(PatchProductGraph(*rep_->pg, rep->ctx, info, dirty));
-    info.relations = {};
+    rep->pg.emplace(
+        PatchProductGraph(*rep_->pg, rep_->ctx, rep->ctx, info, dirty));
     info.product_graph_seconds = pg_timer.Seconds();
   }
   rep->patched = true;

@@ -142,8 +142,9 @@ class MatchPlan {
   struct Rep {
     // Patch: incremental rebuild sharing untouched state (and the plan
     // options) with `prev`. A compile passes the empty deserialization
-    // shell with every node dirty. A plan that builds Gp collects the
-    // dirty candidates' pairing relations into `info`.
+    // shell with every node dirty. A plan that builds Gp keeps each
+    // candidate's pairing relation in its pairing output, which
+    // PatchProductGraph reads.
     Rep(const EmContext& prev, const KeySet& k,
         std::span<const NodeId> dirty_nodes, ContextPatchInfo* info)
         : keys(&k),

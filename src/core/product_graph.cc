@@ -84,9 +84,6 @@ size_t ProductGraph::MemoryBytes() const {
     bytes += csr->offsets.capacity() * sizeof(uint32_t) +
              csr->edges.capacity() * sizeof(PEdge);
   }
-  bytes += relations_.MemoryBytes([](const PairingRelation& pairs) {
-    return pairs.capacity() * sizeof(uint64_t);
-  });
   return bytes;
 }
 
@@ -304,7 +301,7 @@ void ProductGraph::Finish(const EmContext& ctx, ProductGraph& pg,
       const uint32_t u = prev.candidate_nodes_[from];
       pg.candidate_nodes_[i] = u == kNoPNode ? kNoPNode : new_id(u);
     } else {
-      pg.candidate_nodes_[i] = pg.relations_.at(i).empty()
+      pg.candidate_nodes_[i] = ctx.relation(i).empty()
                                    ? kNoPNode
                                    : pg.Find(cands[i].e1, cands[i].e2);
     }
@@ -312,6 +309,7 @@ void ProductGraph::Finish(const EmContext& ctx, ProductGraph& pg,
 }
 
 ProductGraph PatchProductGraph(const ProductGraph& prev,
+                               const EmContext& prev_ctx,
                                const EmContext& ctx,
                                const ContextPatchInfo& info,
                                std::span<const NodeId> graph_dirty) {
@@ -320,9 +318,8 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
   // of some key at some candidate (paper §5.1). Start from the previous
   // node set and retire the contributions of candidates that are gone or
   // re-paired; dirty candidates bring the relations the plan's pairing
-  // pass collected. Carried-over candidates re-share their relations
-  // (reference counts inherited unchanged). From an empty Gp every
-  // candidate is dirty.
+  // pass collected. Carried-over candidates keep theirs (reference counts
+  // inherited unchanged). From an empty Gp every candidate is dirty.
   pg.nodes_ = prev.nodes_;
   pg.slots_ = prev.slots_;
   pg.node_refs_ = prev.node_refs_;
@@ -335,15 +332,14 @@ ProductGraph PatchProductGraph(const ProductGraph& prev,
       new_to_old[reuse[i]] = static_cast<int64_t>(i);
       continue;
     }
-    for (uint64_t p : prev.relations_.at(i)) {
+    for (uint64_t p : prev_ctx.relation(i)) {
       died |= --pg.node_refs_[pg.slots_[pg.Probe(p)]] == 0;
     }
   }
-  for (const auto& relation : info.relations) {
-    for (uint64_t p : *relation) ProductGraph::AddNodeRef(pg, p);
+  for (uint32_t i = 0; i < new_to_old.size(); ++i) {
+    if (new_to_old[i] >= 0) continue;
+    for (uint64_t p : ctx.relation(i)) ProductGraph::AddNodeRef(pg, p);
   }
-  pg.relations_ = CandidateTable<PairingRelation, 1>::Patch(
-      prev.relations_, new_to_old, info.relations);
   // Compact away nodes no relation supports anymore (removals and
   // re-paired candidates shrink Vp), in place and in id order, keeping
   // the id maps the edge pass needs. Only a previous node can be dead.

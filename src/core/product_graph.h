@@ -2,7 +2,6 @@
 #define GKEYS_CORE_PRODUCT_GRAPH_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -21,9 +20,10 @@ inline constexpr uint32_t kNoPNode = UINT32_MAX;
 /// ((s1, s2), p, (o1, o2)) iff (s1, p, o1) and (s2, p, o2) are both
 /// triples of G. EMVC messages travel on these edges.
 ///
-/// Only a plan builds Gp (from the relations its pairing pass collects),
-/// or a snapshot load replays it. Both adjacency directions are CSR
-/// arrays whose per-node runs are sorted by predicate.
+/// Only PatchProductGraph builds Gp, from the relations the plan's
+/// pairing pass collects (a snapshot load restores them and builds it
+/// the same way). Both adjacency directions are CSR arrays whose
+/// per-node runs are sorted by predicate.
 ///
 /// The paper's `dep` edges are kept at candidate granularity in
 /// EmContext::dependents(); its `tc` edges are subsumed by the shared
@@ -79,11 +79,9 @@ class ProductGraph {
 
  private:
   friend ProductGraph PatchProductGraph(
-      const ProductGraph& prev, const EmContext& ctx,
-      const ContextPatchInfo& info, std::span<const NodeId> graph_dirty);
-  // Snapshot (de)serialization: restores nodes_ and the relation table,
-  // then replays Finish() to rebuild the derived adjacency.
-  friend class storage::PlanCodec;
+      const ProductGraph& prev, const EmContext& prev_ctx,
+      const EmContext& ctx, const ContextPatchInfo& info,
+      std::span<const NodeId> graph_dirty);
 
   /// One adjacency direction: node v's run is
   /// edges[offsets[v], offsets[v + 1]), grouped by ascending predicate.
@@ -118,7 +116,7 @@ class ProductGraph {
     std::vector<uint32_t> new_to_prev;  // survivor id → source id
   };
 
-  /// The edge pass, run once Vp (nodes_, slots_, relations_) is final.
+  /// The edge pass, run once Vp (nodes_, slots_) is final.
   /// Ep is ((s1, s2), p, (o1, o2)) iff (s1, p, o1) and (s2, p, o2) are in
   /// G. Both directions are edited the same way: the runs of new nodes
   /// and of survivors with an endpoint in `graph_dirty` are recomputed
@@ -144,11 +142,6 @@ class ProductGraph {
   Csr out_csr_;
   Csr in_csr_;
   std::vector<uint32_t> candidate_nodes_;
-  // Per candidate position, its union-over-keys pairing relation
-  // (collected by the plan's pairing pass), in chunks shared across plan
-  // generations: PatchProductGraph clones only the chunks holding a
-  // recompiled or shifted candidate.
-  CandidateTable<PairingRelation, 1> relations_;
   // Per product node: how many candidate relations contain it. Lets a
   // patch retire the contributions of dropped/re-paired candidates and
   // keep only supported nodes, without rediscovering Vp from scratch.
@@ -156,17 +149,19 @@ class ProductGraph {
 };
 
 /// Builds Gp for the plan context `ctx` that the patch constructor made
-/// from `prev`'s context, with `info` its output: candidates carried over
-/// (through info.candidate_reuse, the position map) re-share their
-/// relations from `prev`, every dirty candidate brings the relation the
-/// pairing pass collected (info.relations), and the retired candidates'
-/// contributions are reference-counted away; Vp is compacted only when a
-/// node lost its last one. The edge pass recomputes only the rows of
-/// product nodes that are new or touch a graph node in `graph_dirty`
-/// (the delta's touched set); every other row is copied from `prev`. A
-/// compile passes an empty `prev`. Product-node ids may differ from a
-/// from-scratch build; Gp semantics do not depend on them.
+/// from `prev_ctx`, with `info` its output; `prev` is prev_ctx's Gp. It
+/// reads each candidate's relation from its context's pairing outputs:
+/// a candidate carried over (through info.candidate_reuse, the position
+/// map) keeps its contribution, a dirty one adds its new relation, and
+/// the retired candidates' contributions are reference-counted away; Vp
+/// is compacted only when a node lost its last one. The edge pass
+/// recomputes only the rows of product nodes that are new or touch a
+/// graph node in `graph_dirty` (the delta's touched set); every other
+/// row is copied from `prev`. A compile and a snapshot load pass an
+/// empty `prev` and an empty `prev_ctx`. Product-node ids may differ
+/// from a from-scratch build; Gp semantics do not depend on them.
 ProductGraph PatchProductGraph(const ProductGraph& prev,
+                               const EmContext& prev_ctx,
                                const EmContext& ctx,
                                const ContextPatchInfo& info,
                                std::span<const NodeId> graph_dirty);

@@ -251,13 +251,6 @@ size_t Graph::RewriteDirtyChunks(Overlay& overlay, Csr& csr) {
   return duplicates;
 }
 
-std::vector<NodeId> Graph::DirtyNodes() const {
-  std::vector<NodeId> dirty = dirty_nodes_;
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
-  return dirty;
-}
-
 StatusOr<std::vector<NodeId>> Graph::Apply(const GraphDelta& delta) {
   if (delta.base_nodes() != NumNodes()) {
     return Status::InvalidArgument(

@@ -83,9 +83,9 @@ class GraphDelta;
 /// new node id, inside their own arrays: clean runs shift in blocks and
 /// the overlay runs land in the gaps; no other chunk's arrays are read
 /// or written. A re-finalize thus costs the dirty chunks, not the graph,
-/// and allocates only when a chunk outgrows its arrays. The set of
-/// touched nodes is recorded (DirtyNodes()) so incremental consumers
-/// (MatchPlan::Patch) can recompile exactly the affected region.
+/// and allocates only when a chunk outgrows its arrays. Apply returns
+/// the touched nodes, sorted, so incremental consumers (MatchPlan::Patch)
+/// can recompile exactly the affected region.
 ///
 /// Strings (types, predicates, values) are interned in a per-graph
 /// StringInterner so they compare by integer.
@@ -144,10 +144,6 @@ class Graph {
   /// not looked up). Idempotent.
   void Finalize();
   bool finalized() const { return finalized_; }
-
-  /// Nodes whose adjacency changed (or that were added) since the last
-  /// Finalize(), sorted ascending. Empty right after Finalize().
-  std::vector<NodeId> DirtyNodes() const;
 
   /// Applies `delta` (built against this graph via GraphDelta's staging
   /// API) and re-finalizes: new entities/values are materialized with

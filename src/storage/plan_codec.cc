@@ -70,25 +70,26 @@ void PutDeltaList64(std::string& out, std::span<const uint64_t> vals) {
 /// list must be strictly ascending.
 Status ReadDependencyScan(ByteReader& r, uint64_t j, uint64_t num_nodes,
                           std::vector<uint64_t>& scans) {
-  const std::string what = "dependency scan " + std::to_string(j);
+  // Built only on error: the scans are read once per candidate.
+  auto what = [j] { return "dependency scan " + std::to_string(j); };
   uint64_t count = 0;
   if (!r.ReadVarint(&count) || count > r.remaining())
-    return Corrupt("bad " + what);
+    return Corrupt("bad " + what());
   uint64_t prev = 0;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t d = 0;
-    if (!r.ReadVarint(&d)) return Corrupt("bad " + what);
-    if (i > 0 && d == 0) return Corrupt(what + " repeats a pair");
-    if (d > UINT64_MAX - prev) return Corrupt(what + " wraps past 2^64");
+    if (!r.ReadVarint(&d)) return Corrupt("bad " + what());
+    if (i > 0 && d == 0) return Corrupt(what() + " repeats a pair");
+    if (d > UINT64_MAX - prev) return Corrupt(what() + " wraps past 2^64");
     prev += d;
     const uint64_t first = prev >> 32, second = prev & 0xffffffffu;
     if (first >= num_nodes || second >= num_nodes) {
-      return Corrupt(what + " names node " +
+      return Corrupt(what() + " names node " +
                      std::to_string(std::max(first, second)) +
                      " past the graph");
     }
     if (first >= second) {
-      return Corrupt(what + " holds a pair whose first node is not below "
+      return Corrupt(what() + " holds a pair whose first node is not below "
                      "its second");
     }
     scans.push_back(prev);
@@ -384,7 +385,8 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
   // NodeSet pool: d-neighbor sets and pairing-reduced sets,
   // content-deduplicated — a lineage of patched plans shares most
   // payloads, and they are stored exactly once.
-  const size_t num_reduced = 2 * ctx.reduced_.size();
+  const bool pairing = ctx.opts_.use_pairing;
+  const size_t num_reduced = pairing ? 2 * ctx.candidates_.size() : 0;
   DedupPool<NodeSet> pool(slot_entity.size() + num_reduced);
   std::vector<uint64_t> slot_pool_ids(slot_entity.size());
   for (size_t i = 0; i < slot_entity.size(); ++i) {
@@ -393,10 +395,10 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
   // Candidate i's two sides are ids 2i and 2i + 1.
   std::vector<uint64_t> reduced_pool_ids(num_reduced);
   for (size_t i = 0; i < num_reduced; ++i) {
-    reduced_pool_ids[i] = pool.Id(ctx.reduced_.at(i / 2, i % 2));
+    const PairingOutput& out = ctx.pairing_[i / 2];
+    reduced_pool_ids[i] = pool.Id(i % 2 == 0 ? *out.r1 : *out.r2);
   }
 
-  const bool pairing = ctx.opts_.use_pairing;
   std::string p;
   PutVarint(p, slot_entity.size());
   for (size_t i = 0; i < slot_entity.size(); ++i) {
@@ -451,16 +453,15 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
   }
 
   // Product graph: only the per-candidate pairing relations persist —
-  // Vp, the edge set, and the counts all replay from them (exactly how
-  // PatchProductGraph derives them from an empty Gp).
+  // Vp, the edge set, and the counts all follow from them (the load runs
+  // PatchProductGraph from an empty Gp, as a compile does).
   DedupPool<PairingRelation> relations(
-      rep.pg.has_value() ? rep.pg->relations_.size() : 0);
+      rep.pg.has_value() ? ctx.candidates_.size() : 0);
   if (rep.pg.has_value()) {
-    const ProductGraph& pg = *rep.pg;
     std::string gp;
-    PutVarint(gp, pg.relations_.size());
-    for (size_t i = 0; i < pg.relations_.size(); ++i) {
-      PutVarint(gp, relations.Id(pg.relations_.at(i)));
+    PutVarint(gp, ctx.candidates_.size());
+    for (uint32_t i = 0; i < ctx.candidates_.size(); ++i) {
+      PutVarint(gp, relations.Id(ctx.relation(i)));
     }
     GKEYS_RETURN_IF_ERROR(store.Put(Key1('G'), std::move(gp)));
     // Element order is load-bearing: it fixes product-node ids, which fix
@@ -517,38 +518,33 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
   // A patch shares or recomputes the d-neighbor of every keyed entity,
   // and keeps neighbor_nodes by difference: the slots must name each
   // keyed entity exactly once, and their sets must sum to meta's count.
-  using DnChunk = EmContext::DnChunk;
-  std::vector<std::shared_ptr<DnChunk>> chunks(
-      (g.NumNodes() + EmContext::kDnChunkSpan - 1) >> EmContext::kDnChunkBits);
+  std::vector<std::pair<NodeId, std::shared_ptr<const NodeSet>>> slots;
+  slots.reserve(num_slots);
+  std::vector<bool> named(g.NumNodes());
   uint64_t neighbor_nodes = 0;
   for (uint64_t i = 0; i < num_slots; ++i) {
-    const std::string slot = "d-neighbor slot " + std::to_string(i);
+    // Built only on error: there is one slot per keyed entity.
+    auto slot = [i] { return "d-neighbor slot " + std::to_string(i); };
     uint32_t entity = 0;
     uint64_t pool_id = 0;
     if (!p.ReadVarint32(&entity) || !p.ReadVarint(&pool_id) ||
         entity >= g.NumNodes() || pool_id >= pool.size()) {
-      return Corrupt("bad " + slot);
+      return Corrupt("bad " + slot());
     }
     if (!g.IsEntity(entity))
-      return Corrupt(slot + " names value node " + std::to_string(entity));
+      return Corrupt(slot() + " names value node " + std::to_string(entity));
     if (!ctx.keys_by_type_.contains(g.entity_type(entity))) {
-      return Corrupt(slot + " names an entity of an unkeyed type, " +
+      return Corrupt(slot() + " names an entity of an unkeyed type, " +
                      std::to_string(entity));
     }
-    auto& chunk = chunks[entity >> EmContext::kDnChunkBits];
-    if (chunk == nullptr) chunk = std::make_shared<DnChunk>();
-    auto& set = chunk->sets[entity & (EmContext::kDnChunkSpan - 1)];
-    if (set != nullptr) return Corrupt("bad " + slot);
-    set = pool[pool_id];
-    neighbor_nodes += set->size();
+    if (named[entity]) return Corrupt("bad " + slot());
+    named[entity] = true;
+    neighbor_nodes += pool[pool_id]->size();
+    slots.emplace_back(entity, pool[pool_id]);
   }
-  ctx.dn_chunks_.assign(chunks.begin(), chunks.end());
-  ctx.neighbor_entities_ = num_slots;
   for (const auto& [type, key_ids] : ctx.keys_by_type_) {
     for (NodeId e : g.EntitiesOfType(type)) {
-      const auto& chunk = chunks[e >> EmContext::kDnChunkBits];
-      if (chunk == nullptr ||
-          chunk->sets[e & (EmContext::kDnChunkSpan - 1)] == nullptr) {
+      if (!named[e]) {
         return Corrupt("keyed entity " + std::to_string(e) +
                        " has no d-neighbor slot");
       }
@@ -559,6 +555,9 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
                    " d-neighbor nodes, but the slots' sets hold " +
                    std::to_string(neighbor_nodes));
   }
+  // The same in-place write a compile's d-neighbor phase makes.
+  ctx.dneighbors_.Write(g.NumNodes(), std::move(slots));
+  ctx.neighbor_entities_ = num_slots;
   uint64_t num_candidates = 0;
   if (!p.ReadVarint(&num_candidates) ||
       num_candidates != meta.num_candidates) {
@@ -569,8 +568,10 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
     return Corrupt("candidate count exceeds the plan record");
   const bool pairing = meta.plan_options.use_pairing;
   ctx.candidates_.reserve(num_candidates);
-  std::vector<std::shared_ptr<const NodeSet>> reduced;
-  if (pairing) reduced.reserve(2 * num_candidates);
+  // Each candidate's pairing output: the reduced sets from this record,
+  // the relation from the product-graph records below.
+  std::vector<PairingOutput> outputs(
+      pairing || meta.has_product_graph ? num_candidates : 0);
   for (uint64_t i = 0; i < num_candidates; ++i) {
     uint32_t e1 = 0, e2 = 0;
     uint8_t flags = 0;
@@ -610,10 +611,10 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
       }
       // Deduplicated entries may share one payload, which is fine —
       // nothing relies on pointer distinctness.
-      reduced.push_back(pool[p1]);
-      c.nbr1 = reduced.back().get();
-      reduced.push_back(pool[p2]);
-      c.nbr2 = reduced.back().get();
+      outputs[i].r1 = pool[p1];
+      c.nbr1 = outputs[i].r1.get();
+      outputs[i].r2 = pool[p2];
+      c.nbr2 = outputs[i].r2.get();
     } else {
       // Both ends are keyed entities, so both have a slot.
       c.nbr1 = &ctx.DNbr(e1);
@@ -632,15 +633,10 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
   ctx.candidates_blocked_ = meta.candidates_blocked;
   ctx.neighbor_nodes_ = neighbor_nodes;
   ctx.neighbor_nodes_reduced_ = meta.neighbor_nodes_reduced;
-  // Every candidate is new to the sections built from scratch here: the
-  // reduced-set table and the dependency index, as a compile builds them.
+  // Every candidate is new to the dependency index, as on a compile.
   const std::vector<int64_t> all_new(num_candidates, -1);
   std::vector<uint32_t> all_dirty(num_candidates);
   std::iota(all_dirty.begin(), all_dirty.end(), 0u);
-  if (pairing) {
-    ctx.reduced_ =
-        CandidateTable<NodeSet, 2>::Patch({}, all_new, std::move(reduced));
-  }
   ctx.IndexDependencies(nullptr, {}, all_new, all_dirty);
 
   // Signature indexes.
@@ -740,10 +736,9 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
   if (sig_count != meta.num_sig_types)
     return Corrupt("signature index count mismatch");
 
-  // Product graph: restore the relation pool, then replay exactly what
-  // a build from scratch derives from it (node interning in relation-scan
-  // order, then the edge pass over an empty previous Gp). A plan has a Gp
-  // exactly when its options build one: Patch extends the source's Gp.
+  // Product graph: restore each candidate's relation, then build Gp from
+  // an empty one, as a compile does. A plan has a Gp exactly when its
+  // options build one: Patch extends the source's Gp.
   if (meta.has_product_graph != meta.plan_options.build_product_graph)
     return Corrupt("product-graph flag disagrees with the plan options");
   if (meta.has_product_graph) {
@@ -774,16 +769,13 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
     uint64_t count = 0;
     if (!gr.ReadVarint(&count) || count != num_candidates)
       return Corrupt("product-graph candidate count mismatch");
-    ProductGraph pg;
-    std::vector<std::shared_ptr<const PairingRelation>> cand_rels;
-    cand_rels.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       uint64_t rel_id = 0;
       if (!gr.ReadVarint(&rel_id) || rel_id >= rels.size() ||
           rels[rel_id] == nullptr) {
         return Corrupt("bad relation reference");
       }
-      // The replay trusts what a pairing pass guarantees: a strictly
+      // Gp's build trusts what a pairing pass guarantees: a strictly
       // ascending relation that, unless empty, holds its candidate pair.
       const PairingRelation& rel = *rels[rel_id];
       auto unreplayable = [&](const std::string& problem) {
@@ -797,15 +789,19 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
       if (!rel.empty() &&
           !std::binary_search(rel.begin(), rel.end(), PackPair(c.e1, c.e2)))
         return unreplayable("lacks its candidate's pair");
-      cand_rels.push_back(rels[rel_id]);
-      for (uint64_t packed : rel) ProductGraph::AddNodeRef(pg, packed);
+      outputs[i].relation = rels[rel_id];
     }
     if (!gr.AtEnd()) return Corrupt("trailing bytes in product-graph record");
-    pg.relations_ = CandidateTable<PairingRelation, 1>::Patch(
-        {}, all_new, std::move(cand_rels));
-    ProductGraph::Finish(ctx, pg, ProductGraph(), ProductGraph::NodeMap{},
-                         all_new, {});
-    rep->pg.emplace(std::move(pg));
+  }
+  if (!outputs.empty()) {
+    ctx.pairing_ =
+        ChunkTable<PairingOutput>::Remap({}, all_new, std::move(outputs));
+  }
+  if (meta.has_product_graph) {
+    const EmContext empty(EmContext::DeserializeShell{}, g, keys,
+                          meta.plan_options);
+    rep->pg.emplace(PatchProductGraph(ProductGraph(), empty, ctx,
+                                      ContextPatchInfo(), {}));
   }
 
   return MatchPlan(std::shared_ptr<const MatchPlan::Rep>(std::move(rep)));

@@ -46,10 +46,10 @@ struct SnapshotMeta {
 
 /// (De)serializes the three snapshot artifacts — graph, plan, result —
 /// into one record per table behind the Store interface.
-/// Friended into EmContext / MatchPlan / ProductGraph: the codec restores
-/// the private compiled state directly, then replays the cheap
-/// deterministic derivations (CompileKeys, the dependency index, the
-/// product-graph edge pass) instead of persisting them.
+/// Friended into EmContext / MatchPlan: the codec restores the private
+/// compiled state directly, then runs the cheap deterministic derivations
+/// (CompileKeys, the dependency index, the product graph) as a compile
+/// runs them instead of persisting them.
 ///
 /// Key layout (a prefix byte each; a table's items sit back to back in id
 /// order, meta carries their count, fixed-width integers are big-endian):
@@ -101,14 +101,15 @@ class PlanCodec {
                            SnapshotMeta* meta);
   /// Rebuilds a runnable MatchPlan against `g`/`keys` (which must be the
   /// decoded counterparts and must outlive the plan). The expensive build
-  /// phases are skipped: keys recompile, the d-neighbor chunk table,
-  /// candidates, their candidate-chunked sections and signature indexes
-  /// restore from records, and the dependency index and the product
-  /// graph's edge pass run from the raw scans and the restored relations
-  /// with every candidate dirty, as a compile runs them. The slots
-  /// must name every keyed entity exactly once and no other node, and
-  /// their sets must sum to meta's neighbor_nodes: a later patch keeps
-  /// both by difference.
+  /// phases are skipped: keys recompile, the d-neighbor table (written
+  /// in place as a compile writes it), candidates, their pairing outputs
+  /// and signature indexes restore from records, and the dependency
+  /// index and the product graph (PatchProductGraph from an empty one)
+  /// are built from the raw scans and the restored relations with every
+  /// candidate dirty, as a compile builds them. The slots must name
+  /// every keyed entity exactly once and no other node, and their sets
+  /// must sum to meta's neighbor_nodes: a later patch keeps both by
+  /// difference.
   static StatusOr<MatchPlan> DecodePlan(const Store& store,
                                         const SnapshotMeta& meta,
                                         const Graph& g, const KeySet& keys);

@@ -196,14 +196,19 @@ TEST(CsrGraph, PerNodeThawServesOverlayAndCsrSideBySide) {
   EXPECT_EQ(g.Out(a).size(), 2u);
   EXPECT_EQ(g.Out(b).size(), 1u);
   EXPECT_TRUE(g.HasTriple(a, g.interner().Lookup("q"), w));
-  std::vector<NodeId> dirty = g.DirtyNodes();
-  EXPECT_TRUE(std::binary_search(dirty.begin(), dirty.end(), a));
-  EXPECT_FALSE(std::binary_search(dirty.begin(), dirty.end(), b));
 
   g.Finalize();
   EXPECT_TRUE(g.finalized());
-  EXPECT_TRUE(g.DirtyNodes().empty());
   EXPECT_EQ(g.NumTriples(), 3u);
+  // a's thaw does not leak into the next commit: an Apply that touches
+  // only b reports exactly b's ids.
+  GraphDelta delta(g);
+  ASSERT_TRUE(delta.AddTriple(b, "q", w).ok());
+  auto dirty = g.Apply(delta);
+  ASSERT_TRUE(dirty.ok()) << dirty.status().ToString();
+  EXPECT_EQ(*dirty, (std::vector<NodeId>{b, w}));
+  EXPECT_EQ(g.Out(a).size(), 2u);
+  EXPECT_EQ(g.Out(b).size(), 2u);
 }
 
 TEST(CsrGraph, RemoveTripleSubtractsEveryDuplicateCopy) {

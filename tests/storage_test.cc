@@ -563,12 +563,13 @@ TEST(DependencyIndex, ACarriedRowDropsADependentThatLeftL) {
   }
 }
 
-TEST(DependencyIndex, ARebuiltTypeIndexCarriesEachCleanCandidateOnce) {
+TEST(DependencyIndex, ARebuiltTypeIndexRecompilesItsType) {
   // QU's "UK" constant does not resolve before the delta, so the street
   // type's signature index holds QZ alone. The delta adds "UK" near one
-  // street pair: the index is rebuilt and the type enumerated in full,
-  // which re-finds the two clean street pairs. Each must be carried once,
-  // at its place in L, and the shop pairs keyed through them must keep
+  // street pair: the index is rebuilt, and every street is affected, so
+  // the type recompiles as a compile would: each street candidate is
+  // dirty, none is carried, and L is what a compile makes. The clean
+  // shop pairs keyed through the streets stay carried and must keep
   // their dependencies.
   Graph g;
   std::vector<NodeId> streets, shops;
@@ -615,11 +616,33 @@ TEST(DependencyIndex, ARebuiltTypeIndexCarriesEachCleanCandidateOnce) {
     auto patched = s.plan.Patch(delta);
     ASSERT_TRUE(patched.ok()) << patched.status().ToString();
     ASSERT_NE(patched->patch_info(), nullptr);
+    const ContextPatchInfo& info = *patched->patch_info();
     size_t carried = 0;
-    for (int64_t to : patched->patch_info()->candidate_reuse) {
-      carried += to >= 0;
+    for (int64_t to : info.candidate_reuse) carried += to >= 0;
+    EXPECT_GE(carried, 2u);  // the two clean shop pairs at least
+    for (NodeId street : streets) {
+      EXPECT_TRUE(std::binary_search(info.affected_entities.begin(),
+                                     info.affected_entities.end(), street))
+          << street;
     }
-    EXPECT_GE(carried, 2u);  // the two clean street pairs at least
+    const std::vector<Candidate>& cands = patched->context().candidates();
+    const auto dirty = patched->dirty_candidates();
+    const Symbol street_type = s.graph->entity_type(streets[0]);
+    for (uint32_t i = 0; i < cands.size(); ++i) {
+      if (s.graph->entity_type(cands[i].e1) != street_type) continue;
+      EXPECT_TRUE(std::binary_search(dirty.begin(), dirty.end(), i)) << i;
+    }
+    const std::vector<Candidate>& before = s.plan.context().candidates();
+    for (size_t k : {0, 2}) {
+      const auto at = std::find_if(before.begin(), before.end(), [&](auto& c) {
+        return c.e1 == shops[k] && c.e2 == shops[k + 1];
+      });
+      ASSERT_NE(at, before.end()) << k;
+      const int64_t to = info.candidate_reuse[at - before.begin()];
+      ASSERT_GE(to, 0) << k;
+      EXPECT_EQ(cands[to].e1, shops[k]);
+      EXPECT_EQ(cands[to].e2, shops[k + 1]);
+    }
     const auto got = pairs_of(patched->context());
     EXPECT_TRUE(std::adjacent_find(got.begin(), got.end(),
                                    std::greater_equal<>()) == got.end());
@@ -1603,11 +1626,6 @@ Status LoadWithPlanEdit(
   return snap.ok() ? Status::OK() : snap.status();
 }
 
-// The slots name the keyed entities, each exactly once: a patch shares
-// or recomputes the d-neighbor of every keyed entity and of no other
-// node, and keeps the neighbor-node sum by difference from the loaded
-// one.
-
 /// One seeded mutation of a record's bytes: flip a bit, nudge the varint
 /// starting at a random byte by ±1 or set it to 2³², truncate, or drop or
 /// repeat a short byte range.
@@ -1732,6 +1750,23 @@ TEST(SnapshotFuzz, MutatedGraphAndPlanRecordsFailOrCommit) {
                 committed);
     EXPECT_GT(rejected, 0u);
   }
+}
+
+// The slots name the keyed entities, each exactly once: a patch shares
+// or recomputes the d-neighbor of every keyed entity and of no other
+// node, and keeps the neighbor-node sum by difference from the loaded
+// one.
+
+TEST(DecodePlan, RejectsADNeighborSlotNamingAnEntityTwice) {
+  size_t edited = 0;
+  Status st = LoadWithPlanEdit([&](PlanRecord& r, const Graph&, size_t) {
+    ASSERT_GE(r.slots.size(), 2u);
+    edited = r.slots.size() - 1;
+    r.slots.back().entity = r.slots.front().entity;
+  });
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_EQ(st.message(),
+            "corrupt snapshot: bad d-neighbor slot " + std::to_string(edited));
 }
 
 TEST(DecodePlan, RejectsADNeighborSlotThatNamesNoKeyedEntity) {
