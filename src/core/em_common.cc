@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <tuple>
-#include <unordered_set>
 
 #include "common/parallel.h"
 #include "common/timer.h"
@@ -18,6 +17,38 @@ namespace {
 // The patch constructor's node marks: the affected-region BFS, then the
 // affected entities.
 thread_local NodeMarks tl_patch_marks;
+
+// The second buffer of ReachableValues and EntitiesReaching.
+thread_local std::vector<NodeId> tl_walk_spare;
+
+/// The nodes one `pred` edge away from `frontier` (along out-edges if
+/// `forward`, else in-edges) that pattern node `pn` can stand for,
+/// ascending and distinct: the values of a value variable, the node of a
+/// constant, the entities of an entity node's type (x's included).
+void Hop(const Graph& g, std::span<const NodeId> frontier, Symbol pred,
+         bool forward, const CompiledNode& pn, std::vector<NodeId>& next) {
+  next.clear();
+  for (NodeId n : frontier) {
+    // A finalized run is sorted by (pred, dst), without repeats.
+    const std::span<const Edge> edges = forward ? g.Out(n) : g.In(n);
+    auto [lo, hi] = std::equal_range(
+        edges.begin(), edges.end(), Edge{pred, 0},
+        [](const Edge& a, const Edge& b) { return a.pred < b.pred; });
+    for (auto it = lo; it != hi; ++it) {
+      const NodeId m = it->dst;
+      const bool fits =
+          pn.kind == VarKind::kValueVar   ? g.IsValue(m)
+          : pn.kind == VarKind::kConstant ? m == pn.constant_node
+                                          : g.IsEntity(m) &&
+                                                g.entity_type(m) == pn.type;
+      if (fits) next.push_back(m);
+    }
+  }
+  if (frontier.size() > 1) {
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+  }
+}
 
 }  // namespace
 
@@ -176,103 +207,35 @@ std::vector<EmContext::SigSource> EmContext::FindSigSources(
   return sources;
 }
 
-std::vector<NodeId> EmContext::ReachableValues(
-    NodeId e, const SigSource& src, const CompiledPattern& cp) const {
-  const Graph& g = *g_;
-  std::vector<NodeId> frontier{e}, next;
-  for (const SigStep& step : src.path) {
-    next.clear();
-    const CompiledNode& pn = cp.nodes[step.to_node];
-    for (NodeId n : frontier) {
-      for (const Edge& edge : step.forward ? g.Out(n) : g.In(n)) {
-        if (edge.pred != step.pred) continue;
-        NodeId dst = edge.dst;
-        switch (pn.kind) {
-          case VarKind::kEntityVar:
-          case VarKind::kWildcard:
-            if (!g.IsEntity(dst) || g.entity_type(dst) != pn.type) {
-              continue;
-            }
-            break;
-          case VarKind::kValueVar:
-            if (!g.IsValue(dst)) continue;
-            break;
-          case VarKind::kConstant:
-            if (dst != pn.constant_node) continue;
-            break;
-          case VarKind::kDesignated:
-            break;  // unreachable: BFS paths never revisit x
-        }
-        next.push_back(dst);
-      }
-    }
-    std::sort(next.begin(), next.end());
-    next.erase(std::unique(next.begin(), next.end()), next.end());
-    frontier.swap(next);
+// Both walks fill `out` on their last hop and take turns with
+// tl_walk_spare before it, so a walk allocates nothing once the two
+// buffers have grown.
+
+void EmContext::ReachableValues(NodeId e, const SigSource& src,
+                                const CompiledPattern& cp,
+                                std::vector<NodeId>& out) const {
+  std::span<const NodeId> frontier(&e, 1);
+  for (size_t i = 0; i < src.path.size(); ++i) {
+    std::vector<NodeId>& next =
+        (src.path.size() - i) % 2 == 1 ? out : tl_walk_spare;
+    const SigStep& step = src.path[i];
+    Hop(*g_, frontier, step.pred, step.forward, cp.nodes[step.to_node], next);
+    frontier = next;
   }
-  return frontier;
 }
 
-EmContext::SigTable EmContext::Sign(std::span<const NodeId> entities,
-                                    const SigSource& src,
-                                    const CompiledPattern& cp,
-                                    bool keep_empty) const {
-  SigTable t;
-  t.entities.reserve(entities.size());
-  t.values.Reserve(entities.size(), entities.size());
-  for (NodeId e : entities) {
-    std::vector<NodeId> vals = ReachableValues(e, src, cp);
-    if (vals.empty() && !keep_empty) continue;
-    t.entities.push_back(e);
-    t.values.AddRow(vals);
+void EmContext::EntitiesReaching(NodeId v, const SigSource& src,
+                                 const CompiledPattern& cp,
+                                 std::vector<NodeId>& out) const {
+  std::span<const NodeId> frontier(&v, 1);
+  for (size_t i = src.path.size(); i-- > 0;) {
+    std::vector<NodeId>& next = i % 2 == 0 ? out : tl_walk_spare;
+    // Step i retraced lands on the node step i - 1 reached, or on x.
+    const int to = i > 0 ? src.path[i - 1].to_node : cp.designated;
+    Hop(*g_, frontier, src.path[i].pred, !src.path[i].forward, cp.nodes[to],
+        next);
+    frontier = next;
   }
-  t.Transpose();
-  return t;
-}
-
-void EmContext::SigTable::Transpose() {
-  members.clear();
-  members.reserve(values.values.size());
-  for (size_t i = 0; i < entities.size(); ++i) {
-    for (NodeId v : values[i]) members.emplace_back(v, entities[i]);
-  }
-  std::sort(members.begin(), members.end());
-}
-
-EmContext::SigTable EmContext::Merge(const SigTable& older,
-                                     const SigTable& newer, bool keep_empty) {
-  SigTable t;
-  t.entities.reserve(older.entities.size() + newer.entities.size());
-  t.values.Reserve(older.entities.size() + newer.entities.size(),
-                   older.values.values.size() + newer.values.values.size());
-  auto put = [&](const SigTable& from, size_t i) {
-    if (from.values[i].empty() && !keep_empty) return;
-    t.entities.push_back(from.entities[i]);
-    t.values.AddRow(from.values[i]);
-  };
-  const std::vector<NodeId>& a = older.entities;
-  const std::vector<NodeId>& b = newer.entities;
-  for (size_t i = 0, j = 0; i < a.size() || j < b.size();) {
-    if (j == b.size() || (i < a.size() && a[i] < b[j])) {
-      put(older, i++);
-    } else {
-      if (i < a.size() && a[i] == b[j]) ++i;
-      put(newer, j++);
-    }
-  }
-  // Transpose: the memberships of older's entities newer does not
-  // replace, merged with newer's (empty rows have none).
-  t.members.reserve(older.members.size() + newer.members.size());
-  auto fresh = newer.members.begin();
-  for (const auto& member : older.members) {
-    if (newer.Holds(member.second)) continue;
-    for (; fresh != newer.members.end() && *fresh < member; ++fresh) {
-      t.members.push_back(*fresh);
-    }
-    t.members.push_back(member);
-  }
-  t.members.insert(t.members.end(), fresh, newer.members.end());
-  return t;
 }
 
 std::shared_ptr<const EmContext::SigIndex> EmContext::BuildSigIndex(
@@ -290,30 +253,32 @@ std::shared_ptr<const EmContext::SigIndex> EmContext::BuildSigIndex(
       idx->keys.clear();
       return idx;  // purely variable-only key: full enumeration
     }
-    // Keep the most selective source (fewest pairs sharing a value, the
+    // Pin the most selective source (fewest pairs sharing a value, the
     // first on a tie) per key; unioning one source per key over all keys
-    // covers every directly identifiable pair. (A constant terminal needs
-    // no extra filter — ReachableValues already pins the last hop to the
-    // constant node.)
-    SigPerKey pk;
-    pk.key = ki;
-    size_t best_pairs = SIZE_MAX;
-    for (SigSource& src : sources) {
-      auto table =
-          std::make_shared<SigTable>(Sign(entities, src, cp, false));
+    // covers every directly identifiable pair. A source's pairs are
+    // counted from the sorted list of the values every entity reaches.
+    // (A constant terminal needs no extra filter — ReachableValues
+    // already pins the last hop to the constant node.)
+    size_t best = 0, best_pairs = SIZE_MAX;
+    std::vector<NodeId> values, reached;
+    for (size_t s = 0; sources.size() > 1 && s < sources.size(); ++s) {
+      reached.clear();
+      for (NodeId e : entities) {
+        ReachableValues(e, sources[s], cp, values);
+        reached.insert(reached.end(), values.begin(), values.end());
+      }
+      std::sort(reached.begin(), reached.end());
       size_t pairs = 0;
-      if (sources.size() > 1) {
-        table->ForEachBucket([&pairs](auto bucket) {
-          pairs += bucket.size() * (bucket.size() - 1) / 2;
-        });
+      for (size_t lo = 0, hi = 0; lo < reached.size(); lo = hi) {
+        while (hi < reached.size() && reached[hi] == reached[lo]) ++hi;
+        pairs += (hi - lo) * (hi - lo - 1) / 2;
       }
       if (pairs < best_pairs) {
         best_pairs = pairs;
-        pk.source = std::move(src);
-        pk.base = std::move(table);
+        best = s;
       }
     }
-    idx->keys.push_back(std::move(pk));
+    idx->keys.push_back(SigPerKey{ki, std::move(sources[best])});
   }
   // All keys unmatchable: blockable with no buckets — zero pairs, which
   // is exact (no pair of the type is identifiable).
@@ -351,21 +316,6 @@ bool EmContext::SigIndexStillValid(const SigIndex& prev_idx,
     ++at;
   }
   return at == prev_idx.keys.size();
-}
-
-EmContext::SigPerKey EmContext::ResignOverlay(
-    const SigPerKey& prev, std::span<const NodeId> affected) const {
-  SigPerKey pk{prev.key, prev.source, prev.base,
-               Merge(prev.overlay,
-                     Sign(affected, prev.source, compiled_[prev.key].cp, true),
-                     true)};
-  if (pk.overlay.entities.size() >
-      std::max<size_t>(64, pk.base->entities.size() / 4)) {
-    pk.base =
-        std::make_shared<const SigTable>(Merge(*pk.base, pk.overlay, false));
-    pk.overlay = SigTable();
-  }
-  return pk;
 }
 
 void EmContext::ScanDependencies(const Candidate& c,
@@ -819,13 +769,14 @@ EmContext::EmContext(const EmContext& prev,
   for (NodeId e : affected_list) {
     affected_by_type[g.entity_type(e)].push_back(e);
   }
-  // A type whose signature index the delta invalidates (a key's constant
-  // or predicate newly resolves) recompiles as a compile would: every
-  // entity of it is affected, so the index is built and the type
-  // enumerated in full, with no candidate of it carried. A clean pair
-  // paired again on the same d-neighbors gets the same verdict, so L is
-  // the same. On a compile no type has an index and every entity is
-  // affected already. Phase B' reads `valid_sig` for the verdict.
+  // A type whose pinned signature sources the delta invalidates (a key's
+  // constant or predicate newly resolves) recompiles as a compile would:
+  // every entity of it is affected, so its sources are chosen again and
+  // the type enumerated in full, with no candidate of it carried. A
+  // clean pair paired again on the same d-neighbors gets the same
+  // verdict, so L is the same. On a compile no type has sources and
+  // every entity is affected already. Phase B' reads `valid_sig` for the
+  // verdict.
   std::unordered_map<Symbol, std::shared_ptr<const SigIndex>> valid_sig;
   if (opts_.use_blocking) {
     bool grew = false;
@@ -886,25 +837,28 @@ EmContext::EmContext(const EmContext& prev,
   section.Reset();
 
   // Phase B': enumerate, per type, only the pairs INVOLVING an affected
-  // entity. Affected types re-sign each affected entity into their
-  // signature index's overlay (its overlay row hides its stale base row)
-  // and enumerate its bucket partners; types with no affected entity
-  // share their signature index untouched. Pairs of two untouched
-  // entities are not enumerated: the merge below carries them from the
-  // previous L (their bucket memberships, pairing verdicts, and reduced
-  // sets cannot have changed). The previous source choice per key is
-  // pinned (any single source per key is an output-preserving filter),
-  // so a patched plan's L can differ from a from-scratch compile's L
-  // without changing chase(G, Σ). A type with no valid index has every
-  // entity affected (above): it builds its index and enumerates in full,
-  // as every type does on a compile.
+  // entity, a pair of two affected entities from its smaller end. Pairs
+  // of two untouched entities are not enumerated: the merge below
+  // carries them from the previous L (their bucket memberships, pairing
+  // verdicts, and reduced sets cannot have changed). A blockable type
+  // pairs an affected entity with its bucket partners: per matchable
+  // key, the entities reaching a value it reaches along the key's pinned
+  // source (EntitiesReaching walks the source backwards over the graph).
+  // The source choice per key is pinned (any single source per key is
+  // an output-preserving filter), so a patched plan's L can differ from
+  // a from-scratch compile's L without changing chase(G, Σ); with one
+  // source per key it cannot. A type with no valid index has every
+  // entity affected (above): it chooses its sources and is enumerated in
+  // full, as every type is on a compile.
   struct RawPair {
     NodeId e1, e2;
     const std::vector<int>* keys;
     bool recursive, value_based;
   };
   std::vector<RawPair> raw;
-  std::unordered_set<uint64_t> seen;
+  // Per blockable type enumerated in full: its key list, its pair count.
+  std::vector<std::pair<const std::vector<int>*, size_t>> full_types;
+  std::vector<NodeId> values, members;  // one walk's output each
   for (const auto& [type, key_list] : keys_by_type_) {
     const std::vector<int>& key_ids = *key_list;
     auto entities = g.EntitiesOfType(type);
@@ -922,95 +876,78 @@ EmContext::EmContext(const EmContext& prev,
     }
     if (affected_here.empty()) {
       // Entirely clean type: every candidate is carried, and the
-      // signature index is shared untouched.
+      // signature sources are shared.
       auto sig_it = prev.sig_index_.find(type);
       if (sig_it != prev.sig_index_.end()) sig_index_[type] = sig_it->second;
       continue;
     }
-
-    // The affected-pair enumeration for this type: fills `seen`/`raw`
-    // with every pair that involves an affected entity and passes the
-    // blocking filter (or every such pair, for unblockable types).
-    seen.clear();
-    auto emit = [&](NodeId a, NodeId b) {
-      if (a > b) std::swap(a, b);
-      if (!seen.insert(PackPair(a, b)).second) return;
-      raw.push_back(RawPair{a, b, &key_ids, recursive, value_based});
-    };
-    // Unblocked: affected × all, each pair once (a pair of two affected
-    // entities comes from its smaller one), so no `seen` lookups — on a
-    // compile every pair of the type passes through here.
-    auto emit_affected_pairs = [&]() {
-      for (NodeId a : affected_here) {
-        for (NodeId b : entities) {
-          if (b == a || (affected(b) && b < a)) continue;
-          raw.push_back(RawPair{std::min(a, b), std::max(a, b), &key_ids,
-                                recursive, value_based});
-        }
-      }
-    };
-
+    std::shared_ptr<const SigIndex> sig;
+    bool chosen_here = false;
     if (opts_.use_blocking) {
       if (auto kept = valid_sig.find(type); kept != valid_sig.end()) {
-        const SigIndex& prev_sig = *kept->second;
-        if (!prev_sig.blockable) {
-          // Still unblockable: full enumeration of affected × all.
-          sig_index_[type] = kept->second;
-          emit_affected_pairs();
-          continue;
+        sig = kept->second;
+      } else {
+        sig = BuildSigIndex(key_ids, entities);
+        chosen_here = true;
+      }
+      sig_index_[type] = sig;
+    }
+    // Whether pair (a, b), a affected, is emitted from a.
+    auto from = [&](NodeId a, NodeId b) {
+      return b != a && (a < b || !affected(b));
+    };
+    auto emit = [&](NodeId a, NodeId b) {
+      raw.push_back(RawPair{std::min(a, b), std::max(a, b), &key_ids,
+                            recursive, value_based});
+    };
+    if (sig == nullptr || !sig->blockable) {
+      // No blocking (or unblockable): affected × all pairs are dirty,
+      // clean × clean pairs are carried. (With pairing but no blocking, a
+      // clean pair the pairing filter dropped before is re-checked only
+      // if it involves an affected entity — clean dropped pairs stay
+      // dropped because nothing in their balls moved.)
+      for (NodeId a : affected_here) {
+        for (NodeId b : entities) {
+          if (from(a, b)) emit(a, b);
         }
-        // Re-sign exactly the affected entities against the pinned
-        // sources: the base tables are shared untouched; the re-signed
-        // entities go into the per-key overlay (folded into a fresh base
-        // once the overlay outgrows it).
-        auto updated = std::make_shared<SigIndex>();
-        updated->blockable = true;
-        for (const SigPerKey& old_pk : prev_sig.keys) {
-          const SigPerKey& pk =
-              updated->keys.emplace_back(ResignOverlay(old_pk, affected_here));
-          for (NodeId e : affected_here) {
-            for (NodeId v : pk.ValuesOf(e)) {
-              pk.ForEachMember(v, [&](NodeId m) {
-                if (m != e) emit(e, m);
-              });
-            }
+      }
+      continue;
+    }
+    for (NodeId a : affected_here) {
+      for (const SigPerKey& pk : sig->keys) {
+        const CompiledPattern& cp = compiled_[pk.key].cp;
+        ReachableValues(a, pk.source, cp, values);
+        for (NodeId v : values) {
+          EntitiesReaching(v, pk.source, cp, members);
+          for (NodeId b : members) {
+            if (from(a, b)) emit(a, b);
           }
         }
-        sig_index_[type] = std::move(updated);
-        continue;
       }
-      // No valid index: build the type's index from scratch and
-      // enumerate it fully. A full enumeration is the one place the pairs
-      // the index keeps out can be counted.
-      auto idx = BuildSigIndex(key_ids, entities);
-      sig_index_[type] = idx;
-      if (idx->blockable) {
-        const size_t before = raw.size();
-        for (const SigPerKey& pk : idx->keys) {
-          pk.base->ForEachBucket([&](auto bucket) {
-            for (size_t i = 0; i < bucket.size(); ++i) {
-              for (size_t j = i + 1; j < bucket.size(); ++j) {
-                emit(bucket[i].second, bucket[j].second);
-              }
-            }
-          });
-        }
-        const size_t all_pairs = entities.size() * (entities.size() - 1) / 2;
-        candidates_blocked_ += all_pairs - (raw.size() - before);
-        continue;
-      }
-      // Unblockable: fall through to full enumeration.
     }
-    // No blocking (or unblockable): affected × all pairs are dirty,
-    // clean × clean pairs are carried. (With pairing but no blocking, a
-    // clean pair the pairing filter dropped before is re-checked only if
-    // it involves an affected entity — clean dropped pairs stay dropped
-    // because nothing in their balls moved.)
-    emit_affected_pairs();
+    if (chosen_here) {
+      full_types.emplace_back(&key_ids,
+                              entities.size() * (entities.size() - 1) / 2);
+    }
   }
+  // A pair sharing several values or keys was emitted once for each.
   std::sort(raw.begin(), raw.end(), [](const RawPair& a, const RawPair& b) {
     return std::tie(a.e1, a.e2) < std::tie(b.e1, b.e2);
   });
+  raw.erase(std::unique(raw.begin(), raw.end(),
+                        [](const RawPair& a, const RawPair& b) {
+                          return a.e1 == b.e1 && a.e2 == b.e2;
+                        }),
+            raw.end());
+  // A full enumeration is the one place the pairs blocking keeps out can
+  // be counted: a fully enumerated type's pairs less its distinct pairs
+  // in `raw`, the ones holding its key list.
+  for (size_t i = 0; !full_types.empty() && i < raw.size(); ++i) {
+    for (auto& [keys, blocked] : full_types) blocked -= raw[i].keys == keys;
+  }
+  for (const auto& [keys, blocked] : full_types) {
+    candidates_blocked_ += blocked;
+  }
   // The position map, first as "carried or not": a previous candidate
   // is carried unless it has an affected endpoint. No carried pair is in
   // `raw`.
@@ -1171,27 +1108,18 @@ size_t EmContext::MemoryBytes() const {
   auto set_bytes = [](const std::shared_ptr<const NodeSet>& s) {
     return s != nullptr ? sizeof(NodeSet) + s->MemoryBytes() : 0;
   };
-  size_t bytes =
-      candidates_.capacity() * sizeof(Candidate) +
-      compiled_.capacity() * sizeof(CompiledKey) +
-      dneighbors_.MemoryBytes(set_bytes) +
-      pairing_.MemoryBytes([&](const PairingOutput& out) {
-        return set_bytes(out.r1) + set_bytes(out.r2) +
-               (out.relation != nullptr
-                    ? out.relation->capacity() * sizeof(uint64_t)
-                    : 0);
-      }) +
-      depends_on_pairs_.MemoryBytes() + dependents_.MemoryBytes() +
-      ghosts_.capacity() * sizeof(GhostPair) +
-      ghost_dependents_.MemoryBytes();
-  for (const auto& [type, idx] : sig_index_) {
-    bytes += sizeof(SigIndex);
-    for (const SigPerKey& pk : idx->keys) {
-      bytes += pk.source.path.capacity() * sizeof(SigStep) +
-               pk.base->MemoryBytes() + pk.overlay.MemoryBytes();
-    }
-  }
-  return bytes;
+  return candidates_.capacity() * sizeof(Candidate) +
+         compiled_.capacity() * sizeof(CompiledKey) +
+         dneighbors_.MemoryBytes(set_bytes) +
+         pairing_.MemoryBytes([&](const PairingOutput& out) {
+           return set_bytes(out.r1) + set_bytes(out.r2) +
+                  (out.relation != nullptr
+                       ? out.relation->capacity() * sizeof(uint64_t)
+                       : 0);
+         }) +
+         depends_on_pairs_.MemoryBytes() + dependents_.MemoryBytes() +
+         ghosts_.capacity() * sizeof(GhostPair) +
+         ghost_dependents_.MemoryBytes();
 }
 
 void ProvenanceIndex::Append(const Derivation& d) {

@@ -568,11 +568,13 @@ class EmContext {
   /// affected. A patch touches an element only when the delta dirtied it
   /// and moves the rest by block:
   ///   - L: only the pairs involving an affected entity are enumerated
-  ///     (and paired); the new L is one linear merge of them with the
-  ///     runs of prev's candidates that have no affected endpoint. Every
-  ///     entity of a type whose signature index the delta invalidates is
-  ///     affected, so that type recompiles as a compile would. The merge
-  ///     yields the position map (ContextPatchInfo::candidate_reuse).
+  ///     (and paired), its bucket partners read from the graph along
+  ///     each key's pinned signature source; the new L is one linear
+  ///     merge of them with the runs of prev's candidates that have no
+  ///     affected endpoint. Every entity of a type whose pinned sources
+  ///     the delta invalidates is affected, so that type recompiles as a
+  ///     compile would. The merge yields the position map
+  ///     (ContextPatchInfo::candidate_reuse).
   ///   - The d-neighbor table and the pairing outputs sit in ChunkTables;
   ///     only the chunks holding an affected entity, a recompiled
   ///     candidate or a shifted position are cloned.
@@ -582,14 +584,14 @@ class EmContext {
   ///     position map (IndexDependencies).
   /// `prev` must outlive nothing — the new context is self-contained
   /// apart from the shared immutable chunks, NodeSet payloads, key lists
-  /// and signature bases.
+  /// and signature sources.
   ///
   /// Counters: candidates_initial() is the size of the enumerated L
   /// before pairing (carried pairs included). candidates_blocked() counts
   /// the pairs signature blocking kept out, summed over the types this
   /// build enumerated in full — every type on a compile, the types whose
-  /// signature index had to be rebuilt on a patch; types patched in place
-  /// or carried over add nothing.
+  /// signature sources had to be chosen again on a patch; types patched
+  /// in place or carried over add nothing.
   /// With `collect_relations` (plans that build Gp), each candidate's
   /// pairing output keeps its relation, and the pairing pass runs
   /// without use_pairing too, dropping no pair then.
@@ -676,17 +678,17 @@ class EmContext {
   /// Approximate heap footprint of the compiled structures, in bytes
   /// (MatchPlan::memory_bytes()): the capacities of every array (the
   /// candidate list, d-neighbor chunks and NodeSets, pairing outputs,
-  /// dependency index, ghosts, signature tables) plus each chunk's and
-  /// set's fixed size. Allocator headers, control blocks and the
-  /// per-type maps are left out, so the heap is somewhat larger
-  /// (plan_memory_test bounds the ratio). Sections shared with a patch's
-  /// source plan are counted in full on both sides. Excludes the
+  /// dependency index, ghosts) plus each chunk's and set's fixed size.
+  /// Allocator headers, control blocks and the per-type maps (key lists,
+  /// radii, signature sources) are left out, so the heap is somewhat
+  /// larger (plan_memory_test bounds the ratio). Sections shared with a
+  /// patch's source plan are counted in full on both sides. Excludes the
   /// referenced Graph and KeySet.
   size_t MemoryBytes() const;
 
  private:
   // The snapshot codec serializes/rebuilds the private compiled state
-  // directly (d-neighbors, pools, signature indexes, dependency scans) —
+  // directly (d-neighbors, pools, signature sources, dependency scans) —
   // going through the public API would force a full recompile on load,
   // which is exactly what persistence is meant to avoid. MatchPlan is a
   // friend because its nested Rep constructs the deserialization shell,
@@ -711,8 +713,8 @@ class EmContext {
   /// 0 … g.NumNodes()-1: the dirty set that turns a patch into a compile.
   static std::vector<NodeId> EveryNode(const Graph& g);
 
-  // ---- Signature index (blocking), kept per plan so a patch re-signs
-  // ---- only the affected entities.
+  // ---- Signature blocking: per keyed type, each matchable key's pinned
+  // ---- source. Its buckets are read from the graph, not stored.
 
   /// One hop of a pattern path from the designated variable toward a
   /// value terminal.
@@ -732,76 +734,11 @@ class EmContext {
     NodeId constant = kNoNode;
     friend bool operator==(const SigSource&, const SigSource&) = default;
   };
-  /// Signed entities of one source: `entities` ascending, row i of
-  /// `values` the ascending values entities[i] reaches, and `members`,
-  /// the transpose: every (value, entity) pair, ascending, so a value's
-  /// bucket is one run. A base drops empty rows; an overlay keeps them,
-  /// an empty row meaning "reaches no terminal any more".
-  struct SigTable {
-    std::vector<NodeId> entities;
-    Rows<NodeId> values;
-    std::vector<std::pair<NodeId, NodeId>> members;
-
-    /// Fills `members` from the rows.
-    void Transpose();
-    /// Whether `e` has a row.
-    bool Holds(NodeId e) const {
-      return std::binary_search(entities.begin(), entities.end(), e);
-    }
-    /// Value `v`'s bucket: its (v, entity) pairs, entities ascending.
-    std::span<const std::pair<NodeId, NodeId>> Bucket(NodeId v) const {
-      auto lo = std::lower_bound(members.begin(), members.end(),
-                                 std::pair<NodeId, NodeId>(v, 0));
-      return {lo, std::upper_bound(lo, members.end(),
-                                   std::pair<NodeId, NodeId>(v, kNoNode))};
-    }
-    /// Invokes fn(bucket) for every value's run of `members`, in value
-    /// order.
-    template <typename Fn>
-    void ForEachBucket(Fn&& fn) const {
-      for (size_t lo = 0, hi = 0; lo < members.size(); lo = hi) {
-        while (hi < members.size() && members[hi].first == members[lo].first) {
-          ++hi;
-        }
-        fn(std::span<const std::pair<NodeId, NodeId>>(members.data() + lo,
-                                                      hi - lo));
-      }
-    }
-    size_t MemoryBytes() const {
-      return entities.capacity() * sizeof(NodeId) + values.MemoryBytes() +
-             members.capacity() * sizeof(std::pair<NodeId, NodeId>);
-    }
-  };
-
-  /// The chosen (most selective) source of one matchable key with its
-  /// signatures: an immutable base table shared across plan generations,
-  /// and an overlay of the entities re-signed since, whose rows hide
-  /// theirs in the base — the per-node-thaw idea Graph uses for its CSR.
+  /// The pinned source of one matchable key: the one its type's
+  /// enumeration walks (EntitiesReaching) to find bucket partners.
   struct SigPerKey {
     int key = -1;  // compiled-key index
     SigSource source;
-    std::shared_ptr<const SigTable> base;
-    SigTable overlay;
-
-    /// Current values of `e` (empty if none).
-    std::span<const NodeId> ValuesOf(NodeId e) const {
-      for (const SigTable* t : {&overlay, base.get()}) {
-        auto it = std::lower_bound(t->entities.begin(), t->entities.end(), e);
-        if (it != t->entities.end() && *it == e) {
-          return t->values[it - t->entities.begin()];
-        }
-      }
-      return {};
-    }
-
-    /// Invokes fn(entity) for every current member of value `v`'s bucket.
-    template <typename Fn>
-    void ForEachMember(NodeId v, Fn&& fn) const {
-      for (const auto& member : base->Bucket(v)) {
-        if (!overlay.Holds(member.second)) fn(member.second);
-      }
-      for (const auto& member : overlay.Bucket(v)) fn(member.second);
-    }
   };
   /// Signature state of one keyed type. blockable == false means some
   /// matchable key pins nothing on x (full enumeration for the type).
@@ -846,23 +783,22 @@ class EmContext {
   /// All signature sources of `cp` (BFS over the pattern from x).
   static std::vector<SigSource> FindSigSources(const CompiledPattern& cp);
 
-  /// The terminal values entity `e` reaches along `src.path`, ascending.
-  std::vector<NodeId> ReachableValues(NodeId e, const SigSource& src,
-                                      const CompiledPattern& cp) const;
+  /// Fills `out` with the terminal values entity `e` reaches along
+  /// `src.path`, ascending.
+  void ReachableValues(NodeId e, const SigSource& src,
+                       const CompiledPattern& cp,
+                       std::vector<NodeId>& out) const;
 
-  /// Signs `entities` (ascending) along `src`: one row each, empty rows
-  /// kept only with `keep_empty`.
-  SigTable Sign(std::span<const NodeId> entities, const SigSource& src,
-                const CompiledPattern& cp, bool keep_empty) const;
-
-  /// `older` with `newer`'s rows put in: a row of `newer` replaces the
-  /// same entity's row of `older`. Empty rows are dropped unless
-  /// `keep_empty`.
-  static SigTable Merge(const SigTable& older, const SigTable& newer,
-                        bool keep_empty);
+  /// Fills `out` with value `v`'s bucket: the entities of x's type whose
+  /// ReachableValues along `src` hold v, ascending. `src.path` is walked
+  /// backwards from v; for a one-hop source that is v's in-edge run for
+  /// the predicate, filtered to the type.
+  void EntitiesReaching(NodeId v, const SigSource& src,
+                        const CompiledPattern& cp,
+                        std::vector<NodeId>& out) const;
 
   /// Compiles the signature index of one keyed type: per matchable key,
-  /// signs every entity along each source and keeps the most selective.
+  /// the source whose buckets hold the fewest pairs over `entities`.
   std::shared_ptr<const SigIndex> BuildSigIndex(
       const std::vector<int>& key_ids,
       std::span<const NodeId> entities) const;
@@ -872,13 +808,6 @@ class EmContext {
   /// stored source is still a source of its key.
   bool SigIndexStillValid(const SigIndex& prev_idx,
                           const std::vector<int>& key_ids) const;
-
-  /// `prev` with the `affected` entities (ascending) re-signed into its
-  /// overlay; the base is shared. Once the overlay holds more than 64
-  /// rows and more than a quarter of the base's, it is folded into a
-  /// fresh base.
-  SigPerKey ResignOverlay(const SigPerKey& prev,
-                          std::span<const NodeId> affected) const;
 
   /// Compiles the key set against *g_ (shared by both constructors).
   /// A type's key list is shared with `prev`'s when equal, which it
@@ -908,8 +837,8 @@ class EmContext {
   // pointers handed to Candidate stay stable across context moves.
   ChunkTable<std::shared_ptr<const NodeSet>> dneighbors_;
   ChunkTable<PairingOutput> pairing_;
-  // Signature index per keyed type (use_blocking only); shared with the
-  // source plan for types the delta did not touch.
+  // Signature sources per keyed type (use_blocking only); shared with
+  // the source plan while they stay valid.
   std::unordered_map<Symbol, std::shared_ptr<const SigIndex>> sig_index_;
   // Row j: the packed same-type keyed pairs inside candidate j's
   // neighbor balls that a recursive key could consume (the §4.2 scan's

@@ -44,11 +44,16 @@ struct TokenizedText;  // io/fast_triples.h
 /// max_coalesce = 1 to force per-batch commits throughout.
 ///
 /// Error and cancellation semantics: the stream stops at the first
-/// failing batch with the session still at the last committed batch
-/// (exactly where the serial loop would have stopped); the tokenize
-/// thread is woken and joined before Run returns, so no work leaks. A
-/// batch that fails to parse reports the status FastParseDelta reports
-/// for that text.
+/// failing batch, exactly where the serial loop would have stopped; the
+/// tokenize thread is woken and joined before Run returns, so no work
+/// leaks. A batch that fails to parse, bind or apply leaves the session
+/// at the last committed batch, and one that fails to parse reports the
+/// status FastParseDelta reports for that text. A Patch or Rematch
+/// failure (a Matcher::deadline_seconds expiry, say) comes after
+/// Graph::Apply: it leaves the graph holding the failing pass's delta
+/// while the plan and the result do not. Such a session must take no
+/// further commit; recover it from its durable directory
+/// (storage::Recover), which replays only the acknowledged batches.
 
 /// Tuning and control knobs for one ingest run.
 struct IngestOptions {
@@ -136,7 +141,10 @@ using IngestObserver = std::function<Status(const IngestBatch&)>;
 /// One Apply → Patch → Rematch pass: advances `session` (graph, plan and
 /// result; the binding table is not touched) past `delta` (an empty one
 /// still runs the pass) and counts it in `stats`. When Apply fails, the
-/// session is unchanged.
+/// session is unchanged. When Patch or Rematch fails (a deadline, say),
+/// the graph already holds `delta` and the plan and the result do not:
+/// a later pass would patch the plan past a delta it never saw, so the
+/// way back is storage::Recover from the session's durable directory.
 Status CommitDelta(const Matcher& matcher, const IngestSession& session,
                    const GraphDelta& delta, IngestStats& stats);
 

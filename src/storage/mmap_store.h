@@ -20,7 +20,7 @@ namespace storage {
 /// File layout (all integers big-endian):
 ///
 ///     [0,  8)   magic "GKEYSNAP"
-///     [8, 12)   format version (currently 2)
+///     [8, 12)   format version (currently 3)
 ///     [12, 20)  record count
 ///     [20, 28)  data-region size in bytes
 ///     [28, 36)  FNV-1a-64 checksum of the data region
@@ -66,7 +66,7 @@ class MmapStore : public Store {
   const std::string& path() const { return path_; }
 
   /// The current snapshot-file format version Create() writes.
-  static constexpr uint32_t kFormatVersion = 2;
+  static constexpr uint32_t kFormatVersion = 3;
 
  private:
   explicit MmapStore(std::string path) : path_(std::move(path)) {}

@@ -178,9 +178,8 @@ class DedupPool {
 /// option, so the block's bytes are fixed by its plan options: the
 /// plan's processors, its pairing (bit 1) and blocking (bit 4) flags,
 /// every run knob off, and bit 6 (provenance recording, which every run
-/// does) set. The block stays so that format 2 keeps one meta layout:
-/// snapshots already on disk read unchanged, and plan_golden_test's
-/// digests hold.
+/// does) set. The block stays so that the meta record keeps the layout
+/// it has had since format 2, and plan_golden_test's digests hold.
 struct RunOptionBytes {
   uint64_t processors = 0;
   uint8_t flags = 0;
@@ -424,9 +423,8 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
   }
   GKEYS_RETURN_IF_ERROR(store.Put(Key1('P'), std::move(p)));
 
-  // Signature indexes, each overlay merged into its base — read
-  // behavior is identical (ValuesOf/ForEachMember see the same data),
-  // and the loaded plan starts overlay-free like a compacted one.
+  // Signature indexes: the blockable flag and each key's pinned source.
+  // A patch reads the buckets from the graph, so no rows are stored.
   meta->num_sig_types = ctx.sig_index_.size();
   for (const auto& [type, idx] : ctx.sig_index_) {
     std::string x(1, idx->blockable ? '\1' : '\0');
@@ -440,13 +438,6 @@ Status PlanCodec::EncodePlan(const MatchPlan& plan, Store& store,
         PutVarint(x, step.pred);
         x.push_back(step.forward ? 1 : 0);
         PutVarint(x, static_cast<uint64_t>(step.to_node));
-      }
-      const EmContext::SigTable rows =
-          EmContext::Merge(*pk.base, pk.overlay, /*keep_empty=*/false);
-      PutVarint(x, rows.entities.size());
-      for (size_t i = 0; i < rows.entities.size(); ++i) {
-        PutVarint(x, rows.entities[i]);
-        PutDeltaList32(x, rows.values[i]);
       }
     }
     GKEYS_RETURN_IF_ERROR(store.Put(KeyBe32('X', type), std::move(x)));
@@ -639,7 +630,9 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
   std::iota(all_dirty.begin(), all_dirty.end(), 0u);
   ctx.IndexDependencies(nullptr, {}, all_new, all_dirty);
 
-  // Signature indexes.
+  // Signature indexes. A stored source that is not a source of its key
+  // fails the validity check of the first patch that reads it, and the
+  // type's sources are chosen again.
   uint64_t sig_count = 0;
   Status scan = store.Scan("X", [&](std::string_view key,
                                     std::string_view value) -> Status {
@@ -691,40 +684,6 @@ StatusOr<MatchPlan> PlanCodec::DecodePlan(const Store& store,
         pk.source.path.push_back(EmContext::SigStep{
             Symbol{pred}, forward != 0, static_cast<int>(to_node)});
       }
-      // Each row takes at least 3 bytes: the entity, a count and a value.
-      uint64_t nentities = 0;
-      if (!r.ReadVarint(&nentities) || nentities > meta.num_nodes ||
-          nentities > r.remaining() / 3) {
-        return Corrupt("bad sig entity count");
-      }
-      EmContext::SigTable base;
-      base.entities.reserve(nentities);
-      base.values.Reserve(nentities, nentities);
-      std::vector<NodeId> vals;
-      for (uint64_t e = 0; e < nentities; ++e) {
-        uint32_t entity = 0;
-        if (!r.ReadVarint32(&entity) || entity >= meta.num_nodes ||
-            !ReadDeltaList32(r, meta.num_nodes - 1, &vals) || vals.empty()) {
-          return Corrupt("bad sig entity values");
-        }
-        // A patch pairs a re-signed entity with every member of its
-        // buckets, and finds a row by binary search.
-        auto bad_row = [&](const std::string& problem) {
-          return Corrupt("sig row " + std::to_string(e) + " of type " +
-                         std::to_string(type) + " " + problem);
-        };
-        if (!g.IsEntity(entity) || g.entity_type(entity) != type) {
-          return bad_row("names node " + std::to_string(entity) +
-                         ", not an entity of its type");
-        }
-        if (e > 0 && entity <= base.entities.back()) {
-          return bad_row("does not follow its predecessor's entity");
-        }
-        base.entities.push_back(entity);
-        base.values.AddRow(vals);
-      }
-      base.Transpose();
-      pk.base = std::make_shared<const EmContext::SigTable>(std::move(base));
       idx->keys.push_back(std::move(pk));
     }
     if (!r.AtEnd()) return Corrupt("trailing bytes in sig record");

@@ -69,10 +69,10 @@ struct SnapshotMeta {
 ///                    id), candidates, raw dependency scans
 ///     'D'            NodeSet pool, content-deduplicated: COW-shared
 ///                    d-neighbor / pairing-reduced sets store once
-///     'X' be32(type) per-type signature index: per key its source and
-///                    its overlay merged into its base table (entities
-///                    strictly ascending, each of the record's keyed
-///                    type, with a nonempty delta-encoded value row)
+///     'X' be32(type) per-type signature index: u8 blockable, varint
+///                    key count, then per matchable key its pinned
+///                    source (key index, constant, path); no buckets,
+///                    which a patch reads from the graph
 ///     'G'            product graph: per-candidate relation pool ids
 ///     'R'            pairing-relation pool, content-deduplicated
 ///     'A'            result pairs
@@ -103,7 +103,7 @@ class PlanCodec {
   /// decoded counterparts and must outlive the plan). The expensive build
   /// phases are skipped: keys recompile, the d-neighbor table (written
   /// in place as a compile writes it), candidates, their pairing outputs
-  /// and signature indexes restore from records, and the dependency
+  /// and signature sources restore from records, and the dependency
   /// index and the product graph (PatchProductGraph from an empty one)
   /// are built from the raw scans and the restored relations with every
   /// candidate dirty, as a compile builds them. The slots must name

@@ -4,8 +4,13 @@
 // identifiable — while slashing the enumerated candidate space, and that
 // blocked pairs stay visible to ghost/dependency tracking.
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/entity_matcher.h"
 #include "gen/datasets.h"
 #include "gen/synthetic.h"
@@ -221,6 +226,157 @@ TEST(Blocking, PatchedPlanCountsBlockedPairsOfAFullyReenumeratedType) {
   EXPECT_EQ(p.candidates_initial() + p.candidates_blocked(),
             f.candidates_initial() + f.candidates_blocked());
   EXPECT_EQ(p.candidates_blocked(), f.candidates_blocked());
+}
+
+// A patch pins each key's signature source and walks it backwards over
+// the graph to find an affected entity's bucket partners. With one
+// source per key the pinned source is the one a fresh compile picks, so
+// after every batch the patched plan must list exactly the candidate
+// pairs a compile of the patched graph lists.
+
+const Algorithm kPatchable[] = {Algorithm::kEmMr, Algorithm::kEmOptMr,
+                                Algorithm::kEmVc, Algorithm::kEmOptVc};
+
+std::vector<std::pair<NodeId, NodeId>> CandidatePairs(const MatchPlan& plan) {
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const Candidate& c : plan.context().candidates()) {
+    pairs.emplace_back(c.e1, c.e2);
+  }
+  return pairs;
+}
+
+/// Compiles `algo`'s plan of `full` with about an eighth of its triples
+/// held out, then patches it through 16 batches of up to 4 triples that
+/// alternately re-add held-out triples and remove present ones, and
+/// after each batch compares the plan's candidate pairs with a fresh
+/// compile's.
+void ExpectPatchedCandidatesMatchACompile(const Graph& full,
+                                          const KeySet& keys, Algorithm algo,
+                                          uint64_t seed) {
+  SCOPED_TRACE(AlgorithmName(algo));
+  std::vector<Triple> all;
+  full.ForEachTriple([&](const Triple& t) { all.push_back(t); });
+  Rng rng(seed);
+  std::vector<uint8_t> keep(all.size(), 1);
+  std::vector<size_t> held, present;
+  for (size_t i = 0; i < all.size(); ++i) {
+    keep[i] = rng.Below(8) != 0;
+    (keep[i] ? present : held).push_back(i);
+  }
+  Graph g = testing::RebuildWithout(full, all, keep);
+  const PlanOptions opts = PlanOptions::For(algo, 2);
+  auto plan = Matcher::Compile(g, keys, opts);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_GT(plan->context().candidates_blocked(), 0u);
+  for (int batch = 0; batch < 16; ++batch) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    const bool additive = batch % 2 == 0;
+    std::vector<size_t>& from = additive ? held : present;
+    std::vector<size_t>& to = additive ? present : held;
+    GraphDelta delta(g);
+    for (int k = 0; k < 4 && !from.empty(); ++k) {
+      const size_t pick = rng.Below(from.size());
+      const Triple& t = all[from[pick]];
+      const std::string& pred = full.interner().Resolve(t.pred);
+      ASSERT_TRUE((additive ? delta.AddTriple(t.subject, pred, t.object)
+                            : delta.RemoveTriple(t.subject, pred, t.object))
+                      .ok());
+      to.push_back(from[pick]);
+      from[pick] = from.back();
+      from.pop_back();
+    }
+    ASSERT_TRUE(g.Apply(delta).ok());
+    auto patched = plan->Patch(delta);
+    ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+    auto fresh = Matcher::Compile(g, keys, opts);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ(CandidatePairs(*patched), CandidatePairs(*fresh));
+    *plan = *std::move(patched);
+  }
+}
+
+TEST(Blocking, PatchesWalkABackwardStepSourceAsACompileDoes) {
+  // The key's only value is x's parent's name: the source steps from x
+  // back along parent_of, then forward along name_of.
+  Graph g;
+  Rng rng(5);
+  std::vector<NodeId> companies, names;
+  for (int i = 0; i < 40; ++i) companies.push_back(g.AddEntity("company"));
+  for (int i = 0; i < 8; ++i) {
+    names.push_back(g.AddValue("name " + std::to_string(i)));
+  }
+  for (NodeId c : companies) {
+    ASSERT_TRUE(g.AddTriple(c, "name_of", names[rng.Below(names.size())]).ok());
+    for (uint64_t k = rng.Below(3); k > 0; --k) {
+      const NodeId parent = companies[rng.Below(companies.size())];
+      if (parent != c) {
+        ASSERT_TRUE(g.AddTriple(parent, "parent_of", c).ok());
+      }
+    }
+  }
+  g.Finalize();
+  KeySet keys;
+  ASSERT_TRUE(keys.AddFromDsl(R"(
+    key QP for company {
+      _p:company -[parent_of]-> x
+      _p -[name_of]-> n*
+    }
+  )")
+                  .ok());
+  for (Algorithm a : kPatchable) {
+    ExpectPatchedCandidatesMatchACompile(g, keys, a, 11);
+  }
+}
+
+/// The synthetic generator's keys for c = 2 chains of radius d, with the
+/// leaf key's second value path left out: every key then has one
+/// signature source. (With two, a patch keeps the source the compile
+/// chose, which a compile of the patched graph need not choose.)
+KeySet ChainKeysWithOneSourceEach(int groups, int d) {
+  std::string dsl;
+  for (int group = 0; group < groups; ++group) {
+    for (int level = 0; level < 2; ++level) {
+      const std::string id =
+          std::to_string(group) + "_" + std::to_string(level);
+      dsl += "key K_" + id + " for T_" + id + " {\n";
+      std::string at = "x";
+      for (int hop = 0; hop < d; ++hop) {
+        const std::string wildcard = "_q0" + std::to_string(hop);
+        dsl += "  " + at + " -[a_" + id + "_0_" + std::to_string(hop) +
+               "]-> " +
+               (hop + 1 < d ? wildcard + ":AUX_" + std::to_string(hop + 1)
+                            : std::string("v0*")) +
+               "\n";
+        at = wildcard;
+      }
+      if (level == 0) {
+        dsl += "  x -[ref_" + id + "]-> y:T_" + std::to_string(group) +
+               "_1\n";
+      }
+      dsl += "}\n";
+    }
+  }
+  KeySet keys;
+  Status st = keys.AddFromDsl(dsl);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return keys;
+}
+
+TEST(Blocking, PatchesWalkMultiHopChainSourcesAsACompileDoes) {
+  for (int d : {2, 3}) {
+    SCOPED_TRACE("d=" + std::to_string(d));
+    SyntheticConfig cfg;
+    cfg.num_groups = 2;
+    cfg.chain_length = 2;
+    cfg.radius = d;
+    cfg.entities_per_type = 24;
+    cfg.duplicate_fraction = 0.4;
+    SyntheticDataset ds = GenerateSynthetic(cfg);
+    const KeySet keys = ChainKeysWithOneSourceEach(cfg.num_groups, d);
+    for (Algorithm a : kPatchable) {
+      ExpectPatchedCandidatesMatchACompile(ds.graph, keys, a, 17 + d);
+    }
+  }
 }
 
 }  // namespace

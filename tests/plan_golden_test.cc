@@ -3,10 +3,11 @@
 // serialize to exactly the plan records pinned below. The digest is
 // FNV-1a-64 over the PlanCodec plan records (meta + 'P' 'D' 'X' 'G' 'R',
 // in key order), so any change to the candidate list, the d-neighbor
-// slots, the pairing-reduced sets, the signature indexes, the dependency
-// scans, the enumeration counters or the product-graph relations shows
-// up here. A deliberate plan-format or plan-content change regenerates
-// the table: the failure message prints each new row ready to paste.
+// slots, the pairing-reduced sets, the pinned signature sources, the
+// dependency scans, the enumeration counters or the product-graph
+// relations shows up here. A deliberate plan-format or plan-content
+// change regenerates the table: the failure message prints each new row
+// ready to paste.
 //
 // The graph records ('S' 'N' 'E') are pinned the same way, for three
 // builds of each base graph: the generator's, its text parsed back by the
@@ -14,10 +15,9 @@
 // change to symbol ids, NodeIds or adjacency runs shows up there.
 //
 // A third table pins patched plans: two hostile specs' compiled plans,
-// patched by a fixed chain of their own delta generator's batches. A
-// compiled plan's signature overlays are always empty; along the chain
-// they fill, and at least one compacts into a fresh base, so the table
-// also pins what a patch carries, re-signs and folds.
+// patched by a fixed chain of their own delta generator's batches, so
+// the table also pins what a patch carries and what it enumerates again
+// by walking the pinned sources over the patched graph.
 //
 // A fourth table pins results along the same chains: each batch is
 // rematched on the seeded path at one processor, and the result records
@@ -60,41 +60,41 @@ using testing::MapStore;
 /// "<spec name>/<algorithm>" → digest of the compiled plan's records.
 const std::map<std::string, uint64_t>& GoldenDigests() {
   static const std::map<std::string, uint64_t> kGolden = {
-      {"hostile_neardup_uniform/EMMR", 0xf55cd39285787aedull},
-      {"hostile_neardup_uniform/EMOptMR", 0xf3c4f69151a3640full},
-      {"hostile_neardup_uniform/EMOptVC", 0x2ec750ebc2c73923ull},
-      {"hostile_neardup_uniform/EMVC", 0x0c5f86d9de706b8eull},
-      {"hostile_neardup_uniform/EMVF2MR", 0xf8ce803dc845b382ull},
+      {"hostile_neardup_uniform/EMMR", 0xe1a68e96ed580bc6ull},
+      {"hostile_neardup_uniform/EMOptMR", 0xc637cd199e52f5b4ull},
+      {"hostile_neardup_uniform/EMOptVC", 0x5cfcc8a258d27b90ull},
+      {"hostile_neardup_uniform/EMVC", 0x15484274e31c792dull},
+      {"hostile_neardup_uniform/EMVF2MR", 0x37374e2b8aa12c59ull},
       {"hostile_neardup_uniform/NaiveChase", 0xb6f6bb7d90eef779ull},
-      {"hostile_powerlaw_churn/EMMR", 0xad04f43f3f9061f0ull},
-      {"hostile_powerlaw_churn/EMOptMR", 0x7699e7fd5ecd1dbcull},
-      {"hostile_powerlaw_churn/EMOptVC", 0xbdc27550bb1fdcd9ull},
-      {"hostile_powerlaw_churn/EMVC", 0x2d49dcb3b450287aull},
-      {"hostile_powerlaw_churn/EMVF2MR", 0xd23fac9354929f03ull},
+      {"hostile_powerlaw_churn/EMMR", 0xce106ec0ab418153ull},
+      {"hostile_powerlaw_churn/EMOptMR", 0x3da379be22ff479full},
+      {"hostile_powerlaw_churn/EMOptVC", 0x12a69c13cd30f606ull},
+      {"hostile_powerlaw_churn/EMVC", 0xd9667dc67333ae09ull},
+      {"hostile_powerlaw_churn/EMVF2MR", 0x50df5bb1a186d744ull},
       {"hostile_powerlaw_churn/NaiveChase", 0x1a495a8836a5d379ull},
-      {"hostile_powerlaw_hub/EMMR", 0xcfadb5b36a6456d4ull},
-      {"hostile_powerlaw_hub/EMOptMR", 0xb405f050dd5f0009ull},
-      {"hostile_powerlaw_hub/EMOptVC", 0xedd23548166efc78ull},
-      {"hostile_powerlaw_hub/EMVC", 0xe1e8e2738ba023d9ull},
-      {"hostile_powerlaw_hub/EMVF2MR", 0x3311c9e70698c143ull},
+      {"hostile_powerlaw_hub/EMMR", 0x36191b45366902f5ull},
+      {"hostile_powerlaw_hub/EMOptMR", 0x502a46eda882955aull},
+      {"hostile_powerlaw_hub/EMOptVC", 0x78589a823de6fb51ull},
+      {"hostile_powerlaw_hub/EMVC", 0xdabd42e28e483eeaull},
+      {"hostile_powerlaw_hub/EMVF2MR", 0x6c7f66e747a04d10ull},
       {"hostile_powerlaw_hub/NaiveChase", 0x3d38edc5c556da9aull},
-      {"hostile_skew_hub/EMMR", 0x9e8a6427253ddcd0ull},
-      {"hostile_skew_hub/EMOptMR", 0x0851eb4b07aedbc3ull},
-      {"hostile_skew_hub/EMOptVC", 0x094021dfb4fbd315ull},
-      {"hostile_skew_hub/EMVC", 0x8bcf82524727e594ull},
-      {"hostile_skew_hub/EMVF2MR", 0xc666034f3bf3fd7dull},
+      {"hostile_skew_hub/EMMR", 0x8cdc1834705de4acull},
+      {"hostile_skew_hub/EMOptMR", 0xb3d0310f44075a55ull},
+      {"hostile_skew_hub/EMOptVC", 0xe1fb9cc0f3acee0bull},
+      {"hostile_skew_hub/EMVC", 0x27acdb24186f5c08ull},
+      {"hostile_skew_hub/EMVF2MR", 0x672569d718d26253ull},
       {"hostile_skew_hub/NaiveChase", 0x3e651d7140fc5992ull},
-      {"paper_dbpedia_hub/EMMR", 0x8c0e89e34b5d1f84ull},
-      {"paper_dbpedia_hub/EMOptMR", 0x1363e774a73854eaull},
-      {"paper_dbpedia_hub/EMOptVC", 0x724c1db6900aed55ull},
-      {"paper_dbpedia_hub/EMVC", 0xd2e7266bf901f10aull},
-      {"paper_dbpedia_hub/EMVF2MR", 0xbddb311d31662f6bull},
+      {"paper_dbpedia_hub/EMMR", 0x56261d3de8a8d2cdull},
+      {"paper_dbpedia_hub/EMOptMR", 0x895ad2a8bb183433ull},
+      {"paper_dbpedia_hub/EMOptVC", 0x8c43612b8ea17036ull},
+      {"paper_dbpedia_hub/EMVC", 0xa371098af17f6ad3ull},
+      {"paper_dbpedia_hub/EMVF2MR", 0x30990b7b28e3c39cull},
       {"paper_dbpedia_hub/NaiveChase", 0x5ff2d83b26e501b9ull},
-      {"paper_google_uniform/EMMR", 0x3f8ba99315d94445ull},
-      {"paper_google_uniform/EMOptMR", 0xaa606adf3348b206ull},
-      {"paper_google_uniform/EMOptVC", 0xe12c3c57fb6b4f26ull},
-      {"paper_google_uniform/EMVC", 0x4b353f7ea56a5b85ull},
-      {"paper_google_uniform/EMVF2MR", 0x734e8022872a90eeull},
+      {"paper_google_uniform/EMMR", 0x34fca496bbef4a34ull},
+      {"paper_google_uniform/EMOptMR", 0x5399b4e7828407cbull},
+      {"paper_google_uniform/EMOptVC", 0x8befe693ce2793abull},
+      {"paper_google_uniform/EMVC", 0x2321dcc24551e4f4ull},
+      {"paper_google_uniform/EMVF2MR", 0xa26308608df0a013ull},
       {"paper_google_uniform/NaiveChase", 0x2703a8060114af41ull},
   };
   return kGolden;
@@ -127,20 +127,19 @@ const std::map<std::string, uint64_t>& GoldenGraphDigests() {
 }
 
 /// Batches of the spec's delta generator applied, one Patch each, before
-/// a lineage digest is taken. Long enough that a signature overlay of
-/// each spec outgrows its base and compacts at least once on the way.
+/// a lineage digest is taken.
 constexpr int kLineageBatches = 24;
 
 /// "<spec name>/<algorithm>" → digest of the plan records after
 /// kLineageBatches patches of the spec's compiled plan.
 const std::map<std::string, uint64_t>& GoldenLineageDigests() {
   static const std::map<std::string, uint64_t> kGolden = {
-      {"hostile_powerlaw_churn/EMMR", 0xccc4b02f968a007cull},
-      {"hostile_powerlaw_churn/EMOptMR", 0xf156ed295b37c82cull},
-      {"hostile_powerlaw_churn/EMOptVC", 0x4d8acac8c07c22c7ull},
-      {"hostile_powerlaw_hub/EMMR", 0xb7fd05016ac509bcull},
-      {"hostile_powerlaw_hub/EMOptMR", 0xcfc8dca37546c987ull},
-      {"hostile_powerlaw_hub/EMOptVC", 0x03285c79aa486184ull},
+      {"hostile_powerlaw_churn/EMMR", 0xf8af62dd87fb075full},
+      {"hostile_powerlaw_churn/EMOptMR", 0x77c9fde324c79bcfull},
+      {"hostile_powerlaw_churn/EMOptVC", 0x864c81c90af1c678ull},
+      {"hostile_powerlaw_hub/EMMR", 0x09ae0e9d3b59073bull},
+      {"hostile_powerlaw_hub/EMOptMR", 0xbae44d97dfc58296ull},
+      {"hostile_powerlaw_hub/EMOptVC", 0xc3f31d9c445a6ce3ull},
   };
   return kGolden;
 }

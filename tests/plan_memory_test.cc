@@ -37,8 +37,9 @@ namespace {
 /// structures, so the true heap is always somewhat larger; a hash map
 /// counted at its payload alone puts it far larger. Heap over
 /// memory_bytes() on paper_dbpedia_hub's base graph (Release, glibc):
-/// 1.32 (EMOptMR) and 1.24 (EMOptVC) with the signature index in flat
-/// tables; 2.41 and 1.93 when its base rows sat in hash maps.
+/// 1.35 (EMOptMR) and 1.25 (EMOptVC) with no signature rows in the plan
+/// (its buckets are read from the graph); 1.32 and 1.24 with them in
+/// flat tables, 2.41 and 1.93 in hash maps.
 constexpr double kMaxHeapOverReported = 1.5;
 
 /// Heap bytes a compile of `g` under `algo` leaves allocated (the plan is
