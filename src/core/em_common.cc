@@ -153,7 +153,7 @@ std::vector<NodeId> EmContext::EveryNode(const Graph& g) {
 EmContext::EmContext(const Graph& g, const KeySet& keys,
                      const PlanOptions& opts)
     : EmContext(EmContext(DeserializeShell{}, g, keys, opts), EveryNode(g),
-                nullptr) {}
+                {}, nullptr) {}
 
 EmContext::EmContext(DeserializeShell, const Graph& g, const KeySet& keys,
                      const PlanOptions& opts)
@@ -685,9 +685,10 @@ void EmContext::IndexDependencies(const EmContext* prev,
   ghost_dependents_ = std::move(gdeps);
 }
 
-EmContext::EmContext(const EmContext& prev,
-                     std::span<const NodeId> dirty_nodes,
-                     ContextPatchInfo* info, bool collect_relations)
+EmContext::EmContext(
+    const EmContext& prev, std::span<const NodeId> dirty_nodes,
+    std::span<const std::pair<NodeId, NodeId>> delta_triples,
+    ContextPatchInfo* info, bool collect_relations)
     : g_(prev.g_), keys_(prev.keys_), opts_(prev.opts_) {
   const Graph& g = *g_;
   // Parallel phases below run inline unless the affected region is big
@@ -699,65 +700,103 @@ EmContext::EmContext(const EmContext& prev,
 
   // Keys are recompiled outright (|Σ| patterns — negligible): a constant
   // or predicate the delta introduced can newly resolve, flipping
-  // cp.matchable. Any NEW match such a flip enables must use delta edges
-  // and therefore lies inside an affected entity's ball, so the per-type
-  // reuse below stays sound.
+  // cp.matchable. Any NEW match such a flip enables must use a delta
+  // triple with both ends in the entity's ball, which makes the entity
+  // affected (below), so the per-type reuse below stays sound.
   CompileKeys(&prev);
   if (info != nullptr) info->keys_seconds = section.Seconds();
   section.Reset();
 
-  // Affected region: a keyed entity is affected iff its d-ball (d = its
-  // type's radius) intersects the dirty node set — in the POST-delta
-  // graph. That single test covers removals too: every removed edge
-  // leaves both (dirty) endpoints in place, and any old ≤d path from an
-  // entity to a dirty node has a surviving prefix that already reaches a
-  // dirty node within d. One multi-source BFS from the dirty set to the
-  // maximum radius, instead of one BFS per entity. It lists the nodes it
-  // reaches level by level (so a node's depth is its level), marking
-  // them in this thread's scratch, which the pass clears again: the BFS
-  // costs the ball, not NumNodes().
+  // Affected region. A key decides (e1, e2) only inside Gd(e1) and
+  // Gd(e2) (§4.1), so a delta changes an entity's plan state only by
+  // changing the subgraph its d-ball induces (d = its type's radius).
+  // With depth an entity's distance from the nearest dirty node in the
+  // POST-delta graph, a keyed entity is affected at depth < d, clean at
+  // depth > d, and at depth == d affected only when its stored
+  // d-neighbor set holds both ends of one delta triple, or it has none
+  // (it is new). At depth d no path of length <= d, old or new, crosses
+  // a delta triple: the prefix up to the triple's nearer end survives
+  // and would put a dirty node within d - 1. So the ball keeps its nodes
+  // and their distances, and only a triple between two of its nodes,
+  // both at distance d, can change. Pairing, the dependency scan, the
+  // signature walk and the checks read nothing else of the graph.
+  // One multi-source BFS to the maximum radius finds the depths. Each
+  // node carries the sides it is reached from at its depth: a triple's
+  // subject starts with the first side, its object with the second, any
+  // other dirty node (a new node without triples; every node on a
+  // compile) with the first, and a node at depth k + 1 takes the sides
+  // of its neighbours at depth k. So a node holds a side iff that side's
+  // seeds are no farther from it than the nearest dirty node. A stored
+  // set can hold both ends of a triple only when its entity holds both
+  // sides at depth d, so only those sets are looked up, and a lookup
+  // walks the set, not the delta. The marks sit in this thread's
+  // scratch, which the pass clears again: the BFS costs the ball, not
+  // NumNodes().
   int dmax = 0;
   for (const auto& [type, r] : radius_by_type_) dmax = std::max(dmax, r);
   NodeMarks::Pass marks(tl_patch_marks, g.NumNodes());
-  std::vector<NodeId> reached;
-  std::vector<size_t> level_begin{0};
-  for (NodeId n : dirty_nodes) {
-    if (n < g.NumNodes() && marks[n] == 0) {
-      marks.Set(n, 1);
-      reached.push_back(n);
-    }
+  // A mark holds the sides (bits 1 and 2), 4 on a triple's subject, and
+  // 8 until the node's level is classified.
+  std::vector<std::pair<NodeId, NodeId>> by_subject(delta_triples.begin(),
+                                                    delta_triples.end());
+  std::sort(by_subject.begin(), by_subject.end());
+  for (const auto& [s, o] : by_subject) {
+    marks.Set(s, marks[s] | 1 | 4 | 8);
+    marks.Set(o, marks[o] | 2 | 8);
   }
-  for (size_t level = 0, depth = 1;
-       depth <= static_cast<size_t>(dmax) && level < reached.size();
-       ++depth) {
-    const size_t level_end = reached.size();
-    level_begin.push_back(level_end);
-    for (; level < level_end; ++level) {
-      const NodeId n = reached[level];
+  // Level 0 in node-id order (the dirty nodes include every triple end).
+  std::vector<NodeId> level, next;
+  for (NodeId n : dirty_nodes) {
+    if (n >= g.NumNodes()) continue;
+    if (marks[n] == 0) marks.Set(n, 1 | 8);
+    next.push_back(n);
+  }
+  // Whether e is new or its stored set holds both ends of a triple.
+  auto rim_touched = [&](NodeId e) {
+    const NodeSet* ball =
+        e < prev.dneighbors_.size() ? prev.dneighbors_[e].get() : nullptr;
+    if (ball == nullptr) return true;
+    if ((marks[e] & 3) != 3) return false;
+    for (NodeId n : *ball) {
+      if ((marks[n] & 4) == 0) continue;
+      for (auto t = std::lower_bound(by_subject.begin(), by_subject.end(),
+                                     std::pair<NodeId, NodeId>(n, 0));
+           t != by_subject.end() && t->first == n; ++t) {
+        if (ball->Contains(t->second)) return true;
+      }
+    }
+    return false;
+  };
+  std::vector<NodeId> affected_list;
+  size_t classified = 0;
+  for (int depth = 0; !next.empty(); ++depth) {
+    level.swap(next);
+    next.clear();
+    for (NodeId n : level) {
+      marks.Set(n, marks[n] & 7);
+      if (!g.IsEntity(n)) continue;
+      auto r = radius_by_type_.find(g.entity_type(n));
+      if (r != radius_by_type_.end() &&
+          (depth < r->second || (depth == r->second && rim_touched(n)))) {
+        affected_list.push_back(n);
+      }
+    }
+    // Past dmax, or with every node classified (a compile), no later
+    // level can hold an affected entity.
+    classified += level.size();
+    if (depth == dmax || classified == g.NumNodes()) break;
+    for (NodeId n : level) {
+      const uint8_t sides = marks[n] & 3;
       auto visit = [&](NodeId m) {
         if (marks[m] == 0) {
-          marks.Set(m, 1);
-          reached.push_back(m);
+          next.push_back(m);
+          marks.Set(m, sides | 8);
+        } else if (marks[m] & 8) {
+          marks.Set(m, marks[m] | sides);
         }
       };
       for (const Edge& e : g.Out(n)) visit(e.dst);
       for (const Edge& e : g.In(n)) visit(e.dst);
-    }
-  }
-  // An entity of keyed type t is affected iff its depth <= radius(t).
-  std::vector<NodeId> affected_list;
-  for (size_t depth = 0; depth < level_begin.size(); ++depth) {
-    const size_t level_end = depth + 1 < level_begin.size()
-                                 ? level_begin[depth + 1]
-                                 : reached.size();
-    for (size_t k = level_begin[depth]; k < level_end; ++k) {
-      const NodeId n = reached[k];
-      if (!g.IsEntity(n)) continue;
-      auto r = radius_by_type_.find(g.entity_type(n));
-      if (r != radius_by_type_.end() &&
-          depth <= static_cast<size_t>(r->second)) {
-        affected_list.push_back(n);
-      }
     }
   }
   std::sort(affected_list.begin(), affected_list.end());

@@ -523,8 +523,11 @@ struct PairingOutput {
 /// of the compiled state had to be redone, and which candidates a seeded
 /// re-run must re-check.
 struct ContextPatchInfo {
-  /// Keyed entities whose d-ball intersects a dirty node (sorted): their
-  /// signatures, d-neighbors, and pairing domains were recompiled.
+  /// Keyed entities whose d-ball the delta may have changed (sorted):
+  /// those closer than their type's radius d to a dirty node, and those
+  /// at exactly d whose stored d-neighbor set holds both ends of one
+  /// delta triple (see the patch constructor). Their d-neighbors and
+  /// pairs were recomputed.
   std::vector<NodeId> affected_entities;
   /// Indices into candidates() whose isomorphism-check outcome may have
   /// changed: at least one affected endpoint, or newly enumerated. A
@@ -562,11 +565,18 @@ class EmContext {
 
   /// Incremental rebuild: compiles the same key set against `prev`'s
   /// graph AFTER a delta was applied to it (Graph::Apply), recompiling
-  /// only the affected region — entities whose d-ball around them
-  /// intersects `dirty_nodes` — and sharing every untouched section with
-  /// `prev`. Every keyed entity the delta added is dirty, so it is
-  /// affected. A patch touches an element only when the delta dirtied it
-  /// and moves the rest by block:
+  /// only the affected region and sharing every untouched section with
+  /// `prev`. `dirty_nodes` are the nodes the delta touched (ascending,
+  /// distinct, every triple end among them) and `delta_triples` the
+  /// (subject, object) of each triple it added or removed; a compile
+  /// passes every node and no triple. With d an entity's type radius and
+  /// depth its post-delta distance from the nearest dirty node, a keyed
+  /// entity is affected at depth < d, and at depth == d only when its
+  /// d-neighbor set in `prev` holds both ends of one delta triple: at
+  /// depth d its ball keeps its nodes and their distances, so the delta
+  /// can change only triples between two of its nodes at distance d.
+  /// Every keyed entity the delta added is affected. A patch touches an
+  /// element only when the delta dirtied it and moves the rest by block:
   ///   - L: only the pairs involving an affected entity are enumerated
   ///     (and paired), its bucket partners read from the graph along
   ///     each key's pinned signature source; the new L is one linear
@@ -596,6 +606,7 @@ class EmContext {
   /// pairing output keeps its relation, and the pairing pass runs
   /// without use_pairing too, dropping no pair then.
   EmContext(const EmContext& prev, std::span<const NodeId> dirty_nodes,
+            std::span<const std::pair<NodeId, NodeId>> delta_triples,
             ContextPatchInfo* info, bool collect_relations = false);
 
   const Graph& graph() const { return *g_; }

@@ -31,7 +31,7 @@ StatusOr<MatchPlan> CompileMatchPlan(const Graph& g, const KeySet& keys,
   const EmContext empty(EmContext::DeserializeShell{}, g, keys, opts);
   ContextPatchInfo info;
   std::shared_ptr<MatchPlan::Rep> rep(
-      new MatchPlan::Rep(empty, keys, EmContext::EveryNode(g), &info));
+      new MatchPlan::Rep(empty, keys, EmContext::EveryNode(g), {}, &info));
   if (opts.build_product_graph) {
     rep->pg.emplace(
         PatchProductGraph(ProductGraph(), empty, rep->ctx, info, {}));
@@ -61,9 +61,16 @@ StatusOr<MatchPlan> MatchPlan::Patch(const GraphDelta& delta) const {
 
   Timer timer;
   std::vector<NodeId> dirty = delta.TouchedNodes();
+  std::vector<std::pair<NodeId, NodeId>> triples;
+  triples.reserve(delta.num_added_triples() + delta.num_removed_triples());
+  for (const auto* list : {&delta.added(), &delta.removed()}) {
+    for (const GraphDelta::DeltaTriple& t : *list) {
+      triples.emplace_back(t.subject, t.object);
+    }
+  }
   ContextPatchInfo info;
   std::shared_ptr<MatchPlan::Rep> rep(
-      new MatchPlan::Rep(rep_->ctx, *rep_->keys, dirty, &info));
+      new MatchPlan::Rep(rep_->ctx, *rep_->keys, dirty, triples, &info));
   if (rep_->ctx.options().build_product_graph) {
     // Gp is patched at |L| scale: carried-over candidates keep their
     // contributions; dirty ones add the relations their pairing pass just

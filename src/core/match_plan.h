@@ -4,6 +4,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 
 #include "common/status.h"
 #include "core/em_common.h"
@@ -91,11 +92,17 @@ class MatchPlan {
   /// Incremental recompilation: given a delta that has ALREADY been
   /// applied to this plan's graph (Graph::Apply re-finalizes it), builds
   /// the plan for the post-delta graph by recompiling only the affected
-  /// region — entities whose d-ball intersects a node the delta touched —
-  /// and sharing every untouched section (d-neighbor sets, pairing
+  /// region and sharing every untouched section (d-neighbor sets, pairing
   /// reductions, surviving candidates of clean types) with this plan,
-  /// copy-on-write. The patched plan records which candidates are dirty
-  /// so Matcher::Rematch can re-run exactly those.
+  /// copy-on-write. An entity is affected when the delta may have changed
+  /// the subgraph its d-ball induces: when it lies closer than its type's
+  /// radius d to a touched node, or at exactly d with both ends of one
+  /// added or removed triple in its stored d-neighbor set (see the
+  /// EmContext patch constructor, which gets the touched nodes and each
+  /// triple's subject and object). A spoke added to a hub thus recompiles
+  /// the spoke and the hub, not every entity next to the hub. The patched
+  /// plan records which candidates are dirty so Matcher::Rematch can
+  /// re-run exactly those.
   ///
   /// After Graph::Apply this source plan's graph has changed underneath
   /// it: do not Run the source plan again — run the patched one.
@@ -142,13 +149,15 @@ class MatchPlan {
   struct Rep {
     // Patch: incremental rebuild sharing untouched state (and the plan
     // options) with `prev`. A compile passes the empty deserialization
-    // shell with every node dirty. A plan that builds Gp keeps each
-    // candidate's pairing relation in its pairing output, which
-    // PatchProductGraph reads.
+    // shell with every node dirty and no delta triple. A plan that builds
+    // Gp keeps each candidate's pairing relation in its pairing output,
+    // which PatchProductGraph reads.
     Rep(const EmContext& prev, const KeySet& k,
-        std::span<const NodeId> dirty_nodes, ContextPatchInfo* info)
+        std::span<const NodeId> dirty_nodes,
+        std::span<const std::pair<NodeId, NodeId>> delta_triples,
+        ContextPatchInfo* info)
         : keys(&k),
-          ctx(prev, dirty_nodes, info,
+          ctx(prev, dirty_nodes, delta_triples, info,
               prev.options().build_product_graph) {}
 
     // Deserialization shell (storage::PlanCodec): the context binds

@@ -32,7 +32,7 @@ namespace gkeys {
 /// magnitude above the median. Hostile to anything that walks incident
 /// edges of a candidate's neighborhood (d-neighbors, pairing, plan
 /// patching): the d-ball of a hot hub intersects a large share of all
-/// leaves, so any delta near a hub dirties a wide region.
+/// leaves, so any delta at a hub lands inside many leaves' d-balls.
 struct PowerLawConfig {
   uint64_t seed = 17;
   int num_hubs = 12;

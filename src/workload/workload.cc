@@ -93,17 +93,20 @@ std::vector<std::pair<std::string, double>> FullRunFields(
 }
 
 std::vector<std::pair<std::string, double>> DeltaBatchFields(
-    int batch, size_t added, size_t removed, double patch_s,
-    size_t dirty_candidates, const MatchResult& r) {
+    int batch, size_t added, size_t removed, const MatchPlan& patched,
+    const MatchResult& r) {
   const EmStats& s = r.stats;
   return {
       {"batch", static_cast<double>(batch)},
       {"added", static_cast<double>(added)},
       {"removed", static_cast<double>(removed)},
-      {"patch_s", patch_s},
+      {"patch_s", patched.compile_seconds()},
       {"run_s", s.run_seconds},
       {"pairs", static_cast<double>(r.pairs.size())},
-      {"dirty_candidates", static_cast<double>(dirty_candidates)},
+      {"affected_entities",
+       static_cast<double>(patched.num_affected_entities())},
+      {"dirty_candidates",
+       static_cast<double>(patched.dirty_candidates().size())},
       {"seeded", static_cast<double>(s.rematch_seeded)},
       {"derivations_retracted",
        static_cast<double>(s.derivations_retracted)},
@@ -383,14 +386,11 @@ StatusOr<WorkloadReport> RunWorkload(const WorkloadSpec& spec,
           StatusOr<MatchResult> r = Matcher(s->algo).processors(p).Rematch(
               *patched, s->res, delta);
           if (!r.ok()) return r.status();
-          double patch_s = patched->compile_seconds();
-          size_t dirty_candidates = patched->dirty_candidates().size();
           s->plan = std::move(*patched);
           s->res = std::move(*r);
           report.rows.emplace_back(
               RowName(spec, s->algo, rep) + "/delta" + std::to_string(k),
-              DeltaBatchFields(k, added, removed, patch_s, dirty_candidates,
-                               s->res));
+              DeltaBatchFields(k, added, removed, s->plan, s->res));
         }
         if (oracle) {
           // Cross-algorithm: every session's pair list byte-identical.

@@ -237,14 +237,6 @@ TEST(Blocking, PatchedPlanCountsBlockedPairsOfAFullyReenumeratedType) {
 const Algorithm kPatchable[] = {Algorithm::kEmMr, Algorithm::kEmOptMr,
                                 Algorithm::kEmVc, Algorithm::kEmOptVc};
 
-std::vector<std::pair<NodeId, NodeId>> CandidatePairs(const MatchPlan& plan) {
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  for (const Candidate& c : plan.context().candidates()) {
-    pairs.emplace_back(c.e1, c.e2);
-  }
-  return pairs;
-}
-
 /// Compiles `algo`'s plan of `full` with about an eighth of its triples
 /// held out, then patches it through 16 batches of up to 4 triples that
 /// alternately re-add held-out triples and remove present ones, and
@@ -290,7 +282,8 @@ void ExpectPatchedCandidatesMatchACompile(const Graph& full,
     ASSERT_TRUE(patched.ok()) << patched.status().ToString();
     auto fresh = Matcher::Compile(g, keys, opts);
     ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-    EXPECT_EQ(CandidatePairs(*patched), CandidatePairs(*fresh));
+    EXPECT_EQ(testing::CandidatePairs(*patched),
+              testing::CandidatePairs(*fresh));
     *plan = *std::move(patched);
   }
 }

@@ -787,5 +787,153 @@ TEST(Rematch, RejectsAPrevResultNotFromThisGraph) {
   }
 }
 
+/// Applies `delta` to `g`, patches `plan` and rematches `result` with
+/// `algo`, checks the patched L and the pairs against a fresh Compile +
+/// Run, and moves both forward. Returns the patch's affected entities.
+std::vector<NodeId> PatchAndRematch(Graph& g, const KeySet& keys,
+                                    Algorithm algo, const GraphDelta& delta,
+                                    MatchPlan& plan, MatchResult& result) {
+  EXPECT_TRUE(g.Apply(delta).ok());
+  auto patched = plan.Patch(delta);
+  EXPECT_TRUE(patched.ok()) << patched.status().ToString();
+  if (!patched.ok()) return {};
+  auto fresh = Matcher::Compile(g, keys, PlanOptions::For(algo, 2));
+  EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
+  if (fresh.ok()) {
+    EXPECT_EQ(testing::CandidatePairs(*patched),
+              testing::CandidatePairs(*fresh));
+  }
+  auto rematched = Matcher(algo).processors(2).Rematch(*patched, result, delta);
+  EXPECT_TRUE(rematched.ok()) << rematched.status().ToString();
+  if (!rematched.ok()) return {};
+  EXPECT_EQ(rematched->pairs, FromScratch(g, keys, algo));
+  std::vector<NodeId> affected = patched->patch_info()->affected_entities;
+  EXPECT_EQ(patched->num_affected_entities(), affected.size());
+  plan = *std::move(patched);
+  result = *std::move(rematched);
+  return affected;
+}
+
+TEST(Patch, ASpokeOnAHubAffectsOnlyItsEnds) {
+  // The power-law sim's keys, both of radius 1. A new leaf linked to a
+  // hub leaves every other leaf of the hub at distance 1 from a touched
+  // node, with the new triple outside its ball: only the new leaf and
+  // the hub are affected, whether the hub has 10 leaves or 1,000. So
+  // are only the two ends of a removed link.
+  KeySet keys;
+  ASSERT_TRUE(keys.AddFromDsl(R"(
+    key K_hub for hub {
+      x -[hv0]-> v0*
+      x -[hv1]-> v1*
+    }
+    key K_leaf for leaf {
+      x -[la]-> v0*
+      x -[link]-> y:hub
+    }
+  )").ok());
+  const Algorithm algos[] = {Algorithm::kEmMr, Algorithm::kEmOptMr,
+                             Algorithm::kEmVc, Algorithm::kEmOptVc};
+  for (Algorithm algo : algos) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    Graph g;
+    auto add_leaf = [&g](const std::string& la, NodeId hub) {
+      const NodeId l = g.AddEntity("leaf");
+      g.AddTriple(l, "la", g.AddValue(la)).IgnoreError();
+      g.AddTriple(l, "link", hub).IgnoreError();
+      return l;
+    };
+    struct Hub {
+      NodeId hub, first_leaf;
+      size_t leaves;
+    };
+    std::vector<Hub> hubs;
+    for (size_t leaves : {size_t{10}, size_t{1000}}) {
+      const std::string name = "hub" + std::to_string(leaves);
+      const NodeId h = g.AddEntity("hub");
+      g.AddTriple(h, "hv0", g.AddValue(name + "/0")).IgnoreError();
+      g.AddTriple(h, "hv1", g.AddValue(name + "/1")).IgnoreError();
+      // The first two leaves share their value, so each hub has a pair.
+      const NodeId first = add_leaf(name + "/dup", h);
+      add_leaf(name + "/dup", h);
+      for (size_t i = 2; i < leaves; ++i) {
+        add_leaf(name + "/" + std::to_string(i), h);
+      }
+      hubs.push_back({h, first, leaves});
+    }
+    g.Finalize();
+    auto plan = Matcher::Compile(g, keys, PlanOptions::For(algo, 2));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto base = Matcher(algo).processors(2).Run(*plan);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    ASSERT_EQ(base->pairs.size(), 2u);
+    MatchResult result = *std::move(base);
+
+    for (const Hub& h : hubs) {
+      SCOPED_TRACE(std::to_string(h.leaves) + " leaves");
+      GraphDelta add(g);
+      const NodeId leaf = add.AddEntity("leaf");
+      const NodeId value =
+          add.AddValue("new leaf of " + std::to_string(h.leaves));
+      ASSERT_TRUE(add.AddTriple(leaf, "la", value).ok());
+      ASSERT_TRUE(add.AddTriple(leaf, "link", h.hub).ok());
+      EXPECT_EQ(PatchAndRematch(g, keys, algo, add, *plan, result),
+                (std::vector<NodeId>{h.hub, leaf}));
+
+      GraphDelta remove(g);
+      ASSERT_TRUE(remove.RemoveTriple(h.first_leaf, "link", h.hub).ok());
+      EXPECT_EQ(PatchAndRematch(g, keys, algo, remove, *plan, result),
+                (std::vector<NodeId>{h.hub, h.first_leaf}));
+    }
+    EXPECT_TRUE(result.pairs.empty());
+  }
+}
+
+TEST(Patch, AnEdgeBetweenTwoRimNodesRechecksItsPair) {
+  // x1 and x2 share y and v, both one hop away: the key's radius. The
+  // triple (y, c, v) joins two nodes on the rim of both balls and
+  // completes the key on both sides, so the pair must be re-checked
+  // though neither entity is nearer the delta than the radius; removing
+  // the triple must drop the pair again.
+  KeySet keys;
+  ASSERT_TRUE(keys.AddFromDsl(R"(
+    key K for t {
+      x -[a]-> y:u
+      x -[b]-> v*
+      y -[c]-> v*
+    }
+  )").ok());
+  for (Algorithm algo : AllAlgorithms()) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    Graph g;
+    const NodeId x1 = g.AddEntity("t");
+    const NodeId x2 = g.AddEntity("t");
+    const NodeId y = g.AddEntity("u");
+    const NodeId v = g.AddValue("v");
+    for (NodeId x : {x1, x2}) {
+      ASSERT_TRUE(g.AddTriple(x, "a", y).ok());
+      ASSERT_TRUE(g.AddTriple(x, "b", v).ok());
+    }
+    g.Finalize();
+    auto plan = Matcher::Compile(g, keys, PlanOptions::For(algo, 2));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    auto base = Matcher(algo).processors(2).Run(*plan);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    ASSERT_TRUE(base->pairs.empty());
+    MatchResult result = *std::move(base);
+
+    GraphDelta add(g);
+    ASSERT_TRUE(add.AddTriple(y, "c", v).ok());
+    EXPECT_EQ(PatchAndRematch(g, keys, algo, add, *plan, result),
+              (std::vector<NodeId>{x1, x2}));
+    EXPECT_EQ(result.pairs, testing::Pairs({{x1, x2}}));
+
+    GraphDelta remove(g);
+    ASSERT_TRUE(remove.RemoveTriple(y, "c", v).ok());
+    EXPECT_EQ(PatchAndRematch(g, keys, algo, remove, *plan, result),
+              (std::vector<NodeId>{x1, x2}));
+    EXPECT_TRUE(result.pairs.empty());
+  }
+}
+
 }  // namespace
 }  // namespace gkeys

@@ -254,6 +254,16 @@ inline std::vector<std::pair<NodeId, NodeId>> Pairs(
   return v;
 }
 
+/// The candidate list L of `plan` as (e1, e2) pairs, in order.
+inline std::vector<std::pair<NodeId, NodeId>> CandidatePairs(
+    const MatchPlan& plan) {
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const Candidate& c : plan.context().candidates()) {
+    pairs.emplace_back(c.e1, c.e2);
+  }
+  return pairs;
+}
+
 /// Matcher::Compile with `popts`, then `matcher`'s Run. A Status error
 /// fails the calling test and yields an empty result.
 inline MatchResult CompileAndRun(const Graph& g, const KeySet& keys,
